@@ -22,14 +22,17 @@ bench-quick:
 # Tier-1 perf gate (run alongside `make lint`): tiny-shape end-to-end
 # bench that must still produce baseline-identical outputs and must not
 # regress any headline stage's fast/baseline ratio >10% vs. the
-# committed BENCH_e2e.json — see DESIGN.md §13.
+# committed BENCH_e2e.json (ratios are compared only when both reports
+# record the same resolved executor/pipeline) — see DESIGN.md §13.
 bench-e2e-smoke:
 	$(PYTHON) benchmarks/bench_e2e.py --quick \
 		--out .bench_e2e_smoke.json --check-against BENCH_e2e.json
 
-# Tier lifecycle suite: crash-safe compaction commit protocol, sorted
-# rewrites, demotion/freeze policies, materialized Gold rollups, and
-# the crash-mid-compaction chaos harness — see DESIGN.md §15.
+# Tier lifecycle suite: crash-safe compaction commit protocol, the
+# size-tiered suffix selector's property suite, sorted rewrites,
+# demotion/freeze policies, pinned compaction work counters,
+# materialized Gold rollups, and the crash-mid-compaction chaos harness
+# (single- and multi-generation) — see DESIGN.md §15.
 lifecycle:
 	$(PYTHON) -m pytest -x -q tests/storage/test_compaction.py \
 		tests/storage/test_lifecycle.py tests/storage/test_rollup.py \

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import time
 from pathlib import Path
@@ -118,14 +119,50 @@ CHECK_MIN_STAGE_S = 0.02
 CHECK_PARITY_SLACK = 1.25
 
 
+def host_record() -> dict:
+    """Where the fast configuration ran: cpu count and the *resolved*
+    executor/pipeline (``"auto"`` flips both at two cores, and stage
+    timers then record contended wall time)."""
+    options = DataPlaneOptions()
+    return {
+        "cpu_count": os.cpu_count() or 1,
+        "executor": options.resolve_executor(),
+        "pipeline": options.resolve_pipeline(),
+    }
+
+
+def stage_gate_skip_reason(report, committed) -> str | None:
+    """Why the two reports' stage ratios cannot be compared, or None.
+
+    Ratios of stage timers mean the same thing only under the same
+    resolved executor/pipeline; a report that does not say what it ran
+    under cannot be assumed to match."""
+    ref, new = committed.get("host"), report.get("host")
+    if not ref or not new:
+        which = "committed report" if not ref else "this run"
+        return f"{which} carries no host record"
+    for mode in ("executor", "pipeline"):
+        if ref.get(mode) != new.get(mode):
+            return (
+                f"resolved {mode} differs: committed {ref.get(mode)!r}, "
+                f"this run {new.get(mode)!r}"
+            )
+    return None
+
+
 def check_against(report, committed) -> list[str]:
     """Compare ``report`` with a committed ``BENCH_e2e.json``; return a
-    list of human-readable failures (empty = gate passes)."""
+    list of human-readable failures (empty = gate passes).
+
+    ``outputs_identical`` is always enforced; the stage-ratio comparison
+    only when :func:`stage_gate_skip_reason` finds the modes alike."""
     failures = []
     if not committed.get("outputs_identical"):
         failures.append("committed report has outputs_identical != true")
     if not report.get("outputs_identical"):
         failures.append("this run has outputs_identical != true")
+    if stage_gate_skip_reason(report, committed) is not None:
+        return failures
 
     def stage_s(cfg, stage):
         entry = cfg.get("stages", {}).get(stage)
@@ -198,7 +235,8 @@ def main(argv=None) -> int:
         metavar="PATH",
         help="committed BENCH_e2e.json to gate against: fail (exit 1) if "
         "outputs diverge or any headline stage's fast/baseline ratio "
-        "regresses beyond the tolerance",
+        "regresses beyond the tolerance (ratios are compared only when "
+        "both reports record the same resolved executor/pipeline)",
     )
     args = parser.parse_args(argv)
     defaults = (4, 16, 1) if args.quick else (40, 32, 5)
@@ -275,6 +313,7 @@ def main(argv=None) -> int:
             "seed_allocation": 42,
             "seed_framework": 7,
         },
+        "host": host_record(),
         "outputs_identical": True,
         "speedup": speedup,
         "speedup_per_rep": per_rep,
@@ -294,6 +333,9 @@ def main(argv=None) -> int:
     if args.check_against is not None:
         committed = json.loads(args.check_against.read_text())
         failures = check_against(report, committed)
+        skipped = stage_gate_skip_reason(report, committed)
+        if skipped is not None:
+            print(f"stage-ratio check skipped: {skipped}")
         if failures:
             for failure in failures:
                 print(f"CHECK FAILED: {failure}")

@@ -15,8 +15,15 @@ Each tick is three phases, in recovery-safe order:
 2. **retention** — :meth:`TieredStore.enforce` demotes and freezes per
    :class:`~repro.storage.tiers.TierPolicy`;
 3. **compaction** — every dataset with at least
-   ``TierPolicy.compact_min_parts`` live parts is rewritten into one
-   time-clustered part under the crash-safe ``replaces`` protocol.
+   ``TierPolicy.compact_min_parts`` live parts has a size-tiered
+   *suffix* of them (:func:`repro.storage.tiers.merge_suffix`: the
+   newest parts, reaching back over an older part only once the merge
+   would at least double it) rewritten into one time-clustered part
+   under the crash-safe ``replaces`` protocol.  The tick a dataset
+   compacts on does not depend on how much is rewritten, so all
+   datasets keep compacting together and the work per tick is
+   amortized: rows are rewritten O(log N) times over a run, not on
+   every compaction.
 
 A :class:`~repro.faults.errors.SimulatedCrash` can fire at any put or
 delete inside a tick; :meth:`run_with_restarts` is the chaos-test
@@ -55,7 +62,9 @@ class LifecycleManager:
 
         Returns the merged report: the sweep count (``swept``), every
         :meth:`TieredStore.enforce` counter, and compaction totals
-        (``compactions``, ``compacted_parts``, ``compacted_bytes_saved``).
+        (``compactions``, ``compacted_parts``, ``compacted_bytes_saved``,
+        ``compacted_bytes_rewritten`` — the bytes the merges put, the
+        tick's write cost).
         """
         from repro.obs import TRACER
         from repro.perf import PERF
@@ -73,6 +82,7 @@ class LifecycleManager:
             "compactions": 0,
             "compacted_parts": 0,
             "compacted_bytes_saved": 0,
+            "compacted_bytes_rewritten": 0,
         }
         with TRACER.span("lifecycle.sweep"):
             report["swept"] = self.tiers.sweep_superseded()
@@ -90,6 +100,7 @@ class LifecycleManager:
                     report["compacted_bytes_saved"] += (
                         result["bytes_before"] - result["bytes_after"]
                     )
+                    report["compacted_bytes_rewritten"] += result["bytes_after"]
         PERF.count("lifecycle.ticks")
         self.ticks += 1
         self.last_report = report

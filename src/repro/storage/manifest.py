@@ -32,6 +32,7 @@ reader here degrades to None and the planner treats None as
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 
@@ -51,6 +52,7 @@ __all__ = [
     "columns_from_meta",
     "spans_to_meta",
     "spans_from_meta",
+    "oldest_span_epoch",
     "replaces_to_meta",
     "replaces_from_meta",
     "blob_token",
@@ -153,6 +155,19 @@ def spans_from_meta(raw: str | None) -> list[tuple[float, int]] | None:
             return None
         out.append((float(item[0]), int(item[1])))
     return out
+
+
+@functools.lru_cache(maxsize=4096)
+def oldest_span_epoch(raw: str | None) -> float | None:
+    """``created_at`` of a part's first (oldest) span; None when the
+    spans are absent or mangled.
+
+    Memoized on the metadata string, which never changes once a part is
+    put: every archive query sorts the live parts into ingest order and
+    asks this of each of them, and a compacted part's spans run to one
+    entry per ingest epoch it has absorbed."""
+    spans = spans_from_meta(raw)
+    return spans[0][0] if spans else None
 
 
 def replaces_to_meta(keys: list[str]) -> str:

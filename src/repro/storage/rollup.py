@@ -9,8 +9,14 @@ lifecycle manager compacts or expires parts.  Serving a query is then a
 merge of the tiny partials — no blob fetch, no decode.
 
 Partial aggregates are **decomposable**: per group we keep
-``(sum, count, min, max)``, which merge exactly (sum of sums, sum of
-counts, min of mins, max of maxs) and yield the mean at read time.
+``(sum, count, min, max)``, which merge (sum of sums, sum of counts,
+min of mins, max of maxs) and yield the mean at read time.  ``count``,
+``min`` and ``max`` merge *exactly*, whatever the part layout.  A float
+``sum`` — and the ``mean`` derived from it — is a sum of per-part sums,
+so how rows are grouped into parts decides the association order and
+the result can differ in the last ulp between two layouts of the same
+rows (and from the scan-and-aggregate oracle); it is exact only when
+the values are exactly summable, e.g. integers.
 Keying partials by *part* is what makes the rollup crash-consistent by
 construction: reconciliation against the live part set (see
 :meth:`repro.storage.tiers.TieredStore.query_rollup`) drops partials of
@@ -20,7 +26,7 @@ stale aggregate.
 
 NaN semantics deliberately mirror :func:`repro.pipeline.ops.group_by_agg`
 (``sum``/``mean`` propagate NaN, ``count`` counts all rows), so a rollup
-answer matches the scan-and-aggregate oracle.
+answer matches the scan-and-aggregate oracle up to that rounding.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ import enum
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -56,7 +56,13 @@ from repro.storage.rollup import GoldRollup, RollupSpec
 if TYPE_CHECKING:  # the catalog is duck-typed at runtime
     from repro.lineage import LineageCatalog
 
-__all__ = ["DataClass", "TierPolicy", "TieredStore", "DEFAULT_POLICIES"]
+__all__ = [
+    "DataClass",
+    "TierPolicy",
+    "TieredStore",
+    "DEFAULT_POLICIES",
+    "merge_suffix",
+]
 
 DAY_S = 86_400.0
 
@@ -84,6 +90,9 @@ class TierPolicy:
     row_group_size: int = 65_536
     #: Minimum live OCEAN parts before the lifecycle compactor rewrites
     #: a dataset (the one-shot :meth:`TieredStore.compact` default).
+    #: It sets *when* a dataset compacts, not how much: the merge takes
+    #: the size-tiered suffix :func:`merge_suffix` selects, with every
+    #: part older than that suffix counting as one towards this minimum.
     compact_min_parts: int = 4
     #: Bronze-freeze: for ``glacier`` classes, age-out to GLACIER after
     #: this many seconds even if ``ocean_retention_s`` has not elapsed
@@ -122,6 +131,37 @@ DEFAULT_POLICIES: dict[DataClass, TierPolicy] = {
         codec="fast",
     ),
 }
+
+
+def merge_suffix(
+    parts: Sequence[tuple[int, int | None]], small_rows: int, min_objects: int
+) -> int:
+    """How many of the newest ``parts`` one compaction should merge.
+
+    ``parts`` is a dataset's live parts as ``(ingest_epochs, rows)``,
+    oldest first; ``rows`` is None where the manifest does not say.
+    Starting from the newest part and walking older, a part joins the
+    suffix while it is *small* (fewer than ``small_rows`` rows) or holds
+    no more ingest epochs than everything newer than it combined, so a
+    big part is rewritten only when the output at least doubles it —
+    rows are rewritten O(log N) times and O(log N) parts stay live.  The
+    suffix is merged only when it has two or more parts and, counting
+    everything older as one part, ``min_objects`` are present: the same
+    tick a merge of all parts would have run on.  Returns 0 for "leave
+    the dataset alone".  DESIGN.md §15 has the amortization argument.
+    """
+    if not parts:
+        return 0
+    n = 1
+    newer_epochs = parts[-1][0]
+    for epochs, rows in reversed(parts[:-1]):
+        small = rows is not None and rows < small_rows
+        if not small and epochs > newer_epochs:
+            break
+        n += 1
+        newer_epochs += epochs
+    older = 1 if n < len(parts) else 0
+    return n if n >= 2 and n + older >= min_objects else 0
 
 
 @dataclass
@@ -373,10 +413,22 @@ class TieredStore:
         return dead
 
     def _live_parts(self, name: str) -> list[ObjectMeta]:
-        """A dataset's OCEAN parts minus superseded ones (key order)."""
+        """A dataset's OCEAN parts minus superseded ones, in ingest
+        order: by (oldest span epoch, key).  Key order alone is not
+        ingest order — a :meth:`_split_expired` remainder takes a fresh,
+        highest part number while holding the dataset's *oldest* rows."""
         metas = self.ocean.list(self.OCEAN_BUCKET, prefix=f"{name}/")
         dead = self._superseded(metas)
-        return [m for m in metas if m.key not in dead]
+
+        def ingest_order(m: ObjectMeta) -> tuple[float, str]:
+            epoch = manifest.oldest_span_epoch(
+                m.user_meta.get(manifest.SPANS_META_KEY)
+            )
+            return (m.created_at if epoch is None else epoch, m.key)
+
+        return sorted(
+            (m for m in metas if m.key not in dead), key=ingest_order
+        )
 
     def _part_spans(
         self, obj: ObjectMeta, num_rows: int | None = None
@@ -940,16 +992,24 @@ class TieredStore:
                 return removed
 
     def compact(self, name: str, min_objects: int = 4) -> dict[str, int]:
-        """Merge a dataset's live OCEAN part files into one object.
+        """Merge the newest of a dataset's live OCEAN parts into one object.
 
         Streaming ingestion leaves many small objects per dataset; small
         objects hurt scan throughput and metadata overhead (the §V data
-        management lesson).  Compaction reads every live part, sorts the
-        union by (ingest epoch, event time) — so retention spans stay
-        contiguous and zone maps over the time column get tight — and
-        commits one combined RCF object whose ``replaces`` entry
-        tombstones the inputs before they are deleted.  No-op unless at
-        least ``min_objects`` live parts exist.
+        management lesson).  Compaction picks a size-tiered *suffix* of
+        the live parts in ingest order (:func:`merge_suffix`, decided
+        from manifests alone), reads those parts, sorts their union by
+        (ingest epoch, event time) — so retention spans stay contiguous
+        and zone maps over the time column get tight — and commits one
+        combined RCF object whose ``replaces`` entry tombstones the
+        inputs before they are deleted.  Equal-sized or sub-row-group
+        parts all join, so a first compaction merges everything; a part
+        that already holds more ingest epochs than all newer parts
+        together is left alone until they catch up.  Because only a
+        suffix is ever merged, part order stays ingest order and scans
+        return rows in the order the uncompacted store would.  No-op
+        unless ``min_objects`` live parts exist, counting everything
+        older than the suffix as one.
 
         Returns ``{"merged": n_parts, "bytes_before": .., "bytes_after": ..}``.
         """
@@ -961,11 +1021,23 @@ class TieredStore:
                 return self._compact_impl(name, min_objects)
 
     def _compact_impl(self, name: str, min_objects: int) -> dict[str, int]:
+        from repro.perf import PERF
+
         meta = self._meta(name)
         policy = self.policies[meta.data_class]
         parts = self._live_parts(name)
-        if len(parts) < min_objects:
+        # Selection reads manifests only: no blob is fetched to decide.
+        # A legacy part without spans is one epoch of unknown size.
+        shapes: list[tuple[int, int | None]] = []
+        for p in parts:
+            spans = self._part_spans(p)
+            shapes.append(
+                (len(spans), sum(n for _, n in spans)) if spans else (1, None)
+            )
+        n_merge = merge_suffix(shapes, policy.row_group_size, min_objects)
+        if n_merge == 0:
             return {"merged": 0, "bytes_before": 0, "bytes_after": 0}
+        parts = parts[-n_merge:]
         bytes_before = sum(p.size for p in parts)
         blobs = [self.ocean.get(self.OCEAN_BUCKET, p.key) for p in parts]
         tables = [read_table(b) for b in blobs]
@@ -1022,6 +1094,9 @@ class TieredStore:
             policy=self.retry_policy,
             site="tier.ocean.put",
         )
+        PERF.count("tier.compact.parts_merged", len(parts))
+        PERF.count("tier.compact.rows_rewritten", combined.num_rows)
+        PERF.count("tier.compact.bytes_rewritten", len(blob))
         self._rollup_observe(name, key, combined)
         self._lineage_part(
             name,

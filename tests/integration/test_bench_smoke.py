@@ -16,7 +16,11 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks.bench_e2e import CHECK_MIN_STAGE_S, check_against
+from benchmarks.bench_e2e import (
+    CHECK_MIN_STAGE_S,
+    check_against,
+    stage_gate_skip_reason,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 COMMITTED = REPO_ROOT / "BENCH_e2e.json"
@@ -24,7 +28,10 @@ COMMITTED_QUERY = REPO_ROOT / "BENCH_query.json"
 COMMITTED_SERVING = REPO_ROOT / "BENCH_serving.json"
 
 
-def _report(stages_base, stages_fast, identical=True):
+HOST = {"cpu_count": 1, "executor": "serial", "pipeline": "off"}
+
+
+def _report(stages_base, stages_fast, identical=True, host=HOST):
     def cfg(stages):
         return {
             "stages": {
@@ -33,11 +40,14 @@ def _report(stages_base, stages_fast, identical=True):
             }
         }
 
-    return {
+    report = {
         "outputs_identical": identical,
         "baseline": cfg(stages_base),
         "fast": cfg(stages_fast),
     }
+    if host is not None:
+        report["host"] = host
+    return report
 
 
 class TestCheckAgainstComparator:
@@ -100,12 +110,43 @@ class TestCheckAgainstComparator:
         assert check_against(bad, r) != []
         assert check_against(r, bad) != []
 
+    def test_unlike_modes_skip_stage_ratios_but_not_identity(self):
+        """Stage timers under threads+pipelined record contended wall
+        time: a 1-CPU report says nothing about a 2-CPU run's ratios, and
+        a report that does not say what it ran under cannot be assumed
+        to match.  Output identity is still enforced."""
+        committed = {"telemetry.emit": 1.0}, {"telemetry.emit": 0.5}
+        losing = {"telemetry.emit": 1.0}, {"telemetry.emit": 6.0}
+        threads = {"cpu_count": 2, "executor": "threads", "pipeline": "on"}
+        for ref_host, new_host, why in (
+            (None, threads, "committed report carries no host record"),
+            (HOST, None, "this run carries no host record"),
+            (HOST, threads, "resolved executor differs"),
+            (HOST, {**HOST, "pipeline": "on"}, "resolved pipeline differs"),
+        ):
+            ref = _report(*committed, host=ref_host)
+            new = _report(*losing, host=new_host)
+            assert why in stage_gate_skip_reason(new, ref)
+            assert check_against(new, ref) == []
+            diverged = _report(*losing, identical=False, host=new_host)
+            assert check_against(diverged, ref) != []
+
+    def test_like_modes_compare_stage_ratios(self):
+        ref = _report({"telemetry.emit": 1.0}, {"telemetry.emit": 0.5})
+        new = _report(
+            {"telemetry.emit": 1.0},
+            {"telemetry.emit": 6.0},
+            host={**HOST, "cpu_count": 64},  # cores alone do not matter
+        )
+        assert stage_gate_skip_reason(new, ref) is None
+        assert check_against(new, ref) != []
+
 
 @pytest.mark.skipif(not COMMITTED.exists(), reason="no committed bench report")
 def test_bench_e2e_smoke_gate(tmp_path):
     """The real gate: quick-shape run, outputs identical, no stage
-    regression vs. the committed report (what `make bench-e2e-smoke`
-    runs)."""
+    regression vs. the committed report where the two ran under the
+    same resolved modes (what `make bench-e2e-smoke` runs)."""
     out = tmp_path / "smoke.json"
     proc = subprocess.run(
         [
@@ -127,6 +168,7 @@ def test_bench_e2e_smoke_gate(tmp_path):
     report = json.loads(out.read_text())
     assert report["outputs_identical"] is True
     assert report["fast"]["wall_s_median"] > 0
+    assert set(report["host"]) == {"cpu_count", "executor", "pipeline"}
 
 
 @pytest.mark.skipif(

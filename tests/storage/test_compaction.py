@@ -1,10 +1,15 @@
 """Unit tests for OCEAN compaction."""
 
+from math import ceil, log2
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.columnar import ColumnTable
-from repro.storage import DataClass, TieredStore
+from repro.storage import DataClass, LifecycleManager, TieredStore, TierPolicy
+from repro.storage.tiers import merge_suffix
 
 
 def batch(t_start, n=50):
@@ -69,6 +74,180 @@ class TestCompaction:
         store.compact("power.silver")
         out = store.scan_ocean("power.silver", predicate=Col("node") == 3)
         assert (out["node"] == 3).all()
+
+
+def tiered_policy(**overrides):
+    """OCEAN-only Silver policy whose row group (8 rows) is smaller than
+    one ``batch``, so no part counts as *small* and the epoch rule alone
+    decides what a compaction rewrites."""
+    fields = dict(
+        lake_retention_s=None,
+        ocean_retention_s=5e8,
+        glacier=True,
+        row_group_size=8,
+    )
+    fields.update(overrides)
+    return {DataClass.SILVER: TierPolicy(**fields)}
+
+
+def live_shapes(ts, name="d"):
+    """Live parts in ingest order as (key, epochs)."""
+    return [
+        (p.key, len(ts._part_spans(p))) for p in ts._live_parts(name)
+    ]
+
+
+#: Part layouts for the selector: (ingest epochs, rows or None), oldest
+#: first.  Rows straddle the ``small`` thresholds drawn beside them.
+LAYOUTS = st.lists(
+    st.tuples(st.integers(1, 64), st.one_of(st.none(), st.integers(1, 200))),
+    max_size=12,
+)
+
+
+class TestMergeSuffixSelector:
+    """``merge_suffix`` returns a *count* of newest parts, so whatever it
+    selects is a suffix by construction; the properties below pin the
+    rest of the rule."""
+
+    @given(parts=LAYOUTS, small=st.integers(0, 250), m=st.integers(2, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_never_a_lone_part_and_deterministic(self, parts, small, m):
+        n = merge_suffix(parts, small, m)
+        assert n == 0 or 2 <= n <= len(parts)
+        assert n == merge_suffix(list(parts), small, m)
+        if n:
+            # Merged on the all-parts cadence: everything older than the
+            # suffix counts as one part towards ``min_objects``.
+            assert n + (1 if n < len(parts) else 0) >= m
+
+    @given(parts=LAYOUTS, small=st.integers(0, 250), m=st.integers(2, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_walk_stops_only_at_a_big_part_that_would_not_double(
+        self, parts, small, m
+    ):
+        n = merge_suffix(parts, small, m)
+        if 0 < n < len(parts):
+            epochs, rows = parts[-n - 1]
+            assert rows is None or rows >= small  # small parts always join
+            assert epochs > sum(e for e, _ in parts[-n:])
+
+    @given(
+        parts=st.lists(
+            st.tuples(st.integers(1, 64), st.integers(1, 99)), max_size=12
+        ),
+        m=st.integers(2, 6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_all_small_parts_select_the_full_merge(self, parts, m):
+        want = len(parts) if len(parts) >= m else 0
+        assert merge_suffix(parts, 100, m) == want
+
+    def test_unknown_size_is_never_small(self):
+        assert merge_suffix([(5, 10), (1, 10)], 100, 2) == 2
+        assert merge_suffix([(5, None), (1, 10)], 100, 2) == 0
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 6])
+    @pytest.mark.parametrize("n_parts", [1, 2, 7, 64, 100, 257])
+    def test_equal_parts_ticked_one_at_a_time_amortize(self, n_parts, m):
+        parts: list[tuple[int, int]] = []
+        rewritten = 0
+        max_live = 0
+        for _ in range(n_parts):
+            parts.append((1, 1000))
+            n = merge_suffix(parts, 0, m)
+            if n:
+                epochs = sum(e for e, _ in parts[-n:])
+                rows = sum(r for _, r in parts[-n:])
+                parts[-n:] = [(epochs, rows)]
+                rewritten += epochs
+            max_live = max(max_live, len(parts))
+        depth = ceil(log2(n_parts)) if n_parts > 1 else 0
+        assert rewritten <= n_parts * (depth + 1)
+        assert max_live <= depth + m
+
+
+class TestSuffixCompaction:
+    def test_big_part_left_alone_until_newer_parts_catch_up(self):
+        ts = TieredStore(policies=tiered_policy())
+        ts.register("d", DataClass.SILVER)
+        plain = TieredStore(policies=tiered_policy())
+        plain.register("d", DataClass.SILVER)
+        merged = []
+        for i in range(13):
+            for store in (ts, plain):
+                store.ingest("d", batch(i * 100.0), now=float(i))
+            merged.append(ts.compact("d")["merged"])
+        # Same cadence as merging everything (every third ingest once
+        # four parts exist); only the amount rewritten changes.
+        assert merged == [0, 0, 0, 4, 0, 0, 3, 0, 0, 5, 0, 0, 3]
+        assert [e for _, e in live_shapes(ts)] == [10, 3]
+        assert ts.query_archive("d") == plain.query_archive("d")
+
+    def test_no_merge_decision_fetches_no_blob(self):
+        ts = TieredStore(policies=tiered_policy(compact_min_parts=2))
+        ts.register("d", DataClass.SILVER)
+        for i in range(4):
+            ts.ingest("d", batch(i * 100.0), now=float(i))
+        assert ts.compact("d", min_objects=2)["merged"] == 4
+        ts.ingest("d", batch(400.0), now=4.0)
+        gets = ts.ocean.gets
+        # Two live parts meet ``min_objects``, but the old one holds
+        # more epochs than the new: decided from manifests alone.
+        report = LifecycleManager(ts).tick(now=4.0)
+        assert report["compactions"] == 0
+        assert ts.ocean.gets == gets
+
+    def test_split_remainder_is_not_mistaken_for_the_newest_part(self):
+        # Regression: a retention split gives the remainder a fresh,
+        # highest part number though it holds the *oldest* rows.  Picked
+        # in key order, the next merge would have stopped at it and left
+        # the older-keyed, newer-epoch part 8 stranded in front of it.
+        policies = tiered_policy(ocean_retention_s=1000.0)
+        ts = TieredStore(policies=policies)
+        ts.register("d", DataClass.SILVER)
+        plain = TieredStore(policies=policies)
+        plain.register("d", DataClass.SILVER)
+
+        def ingest(i, now):
+            for store in (ts, plain):
+                store.ingest("d", batch(i * 100.0), now=now)
+
+        for i in range(8):
+            ingest(i, now=i * 10.0)
+        assert ts.compact("d")["merged"] == 8       # -> part 8, epochs 0..70
+        ingest(8, now=80.0)                          # part 9, pending
+        for store in (ts, plain):
+            store.enforce(now=1015.0)                # epochs 0 and 10 expire
+        remainder = "d/part-00000010.rcf"
+        assert live_shapes(ts) == [(remainder, 6), ("d/part-00000009.rcf", 1)]
+        for i in range(9, 12):
+            ingest(i, now=1007.0 + i)
+        report = LifecycleManager(ts).tick(now=1018.0)
+        assert report["compactions"] == 1
+        assert report["compacted_parts"] == 4        # part 9 + the three new
+        assert live_shapes(ts) == [(remainder, 6), ("d/part-00000014.rcf", 4)]
+        assert ts.query_archive("d") == plain.query_archive("d")
+
+    def test_legacy_part_without_spans_counts_as_one_epoch(self):
+        from repro.columnar.file_format import write_table
+
+        ts = TieredStore(policies=tiered_policy())
+        ts.register("d", DataClass.SILVER)
+        ts._allocate_part(ts._meta("d"))
+        ts.ocean.put(
+            ts.OCEAN_BUCKET,
+            "d/part-00000000.rcf",
+            write_table(batch(0.0)),
+            created_at=0.0,
+            user_meta={"dataset": "d", "class": "silver"},  # pre-manifest
+        )
+        for i in range(1, 4):
+            ts.ingest("d", batch(i * 100.0), now=float(i))
+        before = ts.query_archive("d")
+        assert ts.compact("d")["merged"] == 4
+        assert live_shapes(ts) == [("d/part-00000004.rcf", 4)]
+        assert ts.query_archive("d") == before
 
 
 class TestAtomicPartAllocation:
@@ -236,6 +415,45 @@ class TestSortedRewrite:
         frozen = read_table(ts.glacier.retrieve(keys[0])[0])
         assert frozen.num_rows == 3 * 50
         assert float(frozen["timestamp"].max()) < 300.0  # epochs 0..2 only
+
+    @given(
+        sizes=st.lists(st.integers(1, 40), min_size=4, max_size=14),
+        starts=st.lists(st.integers(0, 30), min_size=14, max_size=14),
+        m=st.integers(2, 4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_tiered_store_matches_never_compacted_store(self, sizes, starts, m):
+        """Random tables, late arrivals and duplicate timestamps included
+        (each batch time-sorted, as the pipeline writes them): compacting
+        after every ingest answers ``query_archive`` — row order too —
+        exactly like a store that never compacted, and span-aware
+        retention then expires exactly the same rows at three horizons."""
+        retention = 1000.0
+        policies = tiered_policy(
+            ocean_retention_s=retention, compact_min_parts=m
+        )
+        tiered, plain = TieredStore(policies=policies), TieredStore(policies=policies)
+        for store in (tiered, plain):
+            store.register("d", DataClass.SILVER)
+        for i, n in enumerate(sizes):
+            table = ColumnTable(
+                {
+                    "timestamp": starts[i] * 10.0 + np.arange(n) // 2,
+                    "node": np.arange(n) % 3,
+                    "value": np.arange(n) * 1.5 + i,
+                }
+            )
+            for store in (tiered, plain):
+                store.ingest("d", table, now=float(i))
+            tiered.compact("d", min_objects=m)
+        assert len(tiered._live_parts("d")) <= len(sizes)
+        assert tiered.query_archive("d") == plain.query_archive("d")
+        k = len(sizes)
+        for expired in (k // 4, k // 2, (3 * k) // 4):
+            for store in (tiered, plain):
+                store.enforce(now=retention + expired - 0.5)
+            assert tiered.query_archive("d") == plain.query_archive("d")
+            assert tiered.query_archive("d").num_rows == sum(sizes[expired:])
 
 
 class TestCrashSafeCommit:

@@ -236,3 +236,67 @@ class TestFrameworkScheduling:
             serial.tiers.query_archive("power.silver")
             == piped.tiers.query_archive("power.silver")
         )
+
+
+class TestCompactionWorkCounters:
+    """Seed-pure work counters for a managed run: what compaction cost
+    is pinned as counts of parts, rows and bytes — not as wall time."""
+
+    N_WINDOWS = 24
+    WINDOW_S = 30.0
+    #: Live parts per dataset after each of the 24 ticks.  Everything
+    #: under one row group merges whole every third tick, as it always
+    #: has; ``power.bronze`` outgrows a row group at the second merge
+    #: and from then on keeps its big part out of most rewrites.
+    SMALL = "123" * 8
+    LIVE_PARTS = {
+        "facility.silver": SMALL,
+        "interconnect.silver": SMALL,
+        "oda_health.silver": SMALL,
+        "power.bronze": "123123123232312323232343",
+        "power.gold_profiles": SMALL,
+        "power.silver": SMALL,
+        "storage_io.silver": SMALL,
+    }
+
+    def test_seeded_managed_run_pins_compaction_work(self):
+        from repro.core import DataPlaneOptions, ODAFramework
+        from repro.perf import PERF, reset_all, reset_fast_path_caches
+        from repro.telemetry import MINI, synthetic_job_mix
+
+        horizon = self.N_WINDOWS * self.WINDOW_S
+        allocation = synthetic_job_mix(
+            MINI, 0.0, horizon, np.random.default_rng(11)
+        )
+        reset_all()
+        fw = ODAFramework(
+            MINI,
+            allocation,
+            seed=3,
+            options=DataPlaneOptions(
+                lifecycle=True,
+                lineage=True,
+                self_telemetry=True,
+                shards=3,
+                executor="serial",
+                pipeline="off",
+            ),
+        )
+        reset_fast_path_caches()
+        live = {name: "" for name in self.LIVE_PARTS}
+        reported = 0
+        try:
+            for i in range(self.N_WINDOWS):
+                fw.run(i * self.WINDOW_S, (i + 1) * self.WINDOW_S, self.WINDOW_S)
+                reported += fw.lifecycle.last_report["compacted_bytes_rewritten"]
+                assert sorted(fw.tiers.datasets()) == sorted(live)
+                for name in live:
+                    live[name] += str(len(fw.tiers._live_parts(name)))
+        finally:
+            fw.close()
+        assert fw.lifecycle.ticks == self.N_WINDOWS
+        assert live == self.LIVE_PARTS
+        assert PERF.counter("tier.compact.parts_merged") == 198
+        assert PERF.counter("tier.compact.rows_rewritten") == 639_559
+        assert PERF.counter("tier.compact.bytes_rewritten") == 5_872_893
+        assert reported == 5_872_893

@@ -92,6 +92,52 @@ class TestRollupExactness:
             ts.query_rollup("d.bucketed"), oracle(ts, bucket_s=100.0)
         )
 
+    def test_float_sums_agree_across_part_layouts_to_rounding(self):
+        """``count``/``min``/``max`` merge exactly whatever the layout;
+        a float ``sum`` (and ``mean``) is a sum of per-part sums, so
+        three layouts of the same rows may differ in the last ulp —
+        from each other and from the scan oracle — and no further."""
+        from repro.storage import TierPolicy
+
+        policies = {
+            DataClass.SILVER: TierPolicy(
+                lake_retention_s=None,
+                ocean_retention_s=5e8,
+                glacier=True,
+                row_group_size=8,  # no part is small: suffix merges tier
+            )
+        }
+
+        def build(compact_each_ingest):
+            ts = TieredStore(policies=policies)
+            ts.register("d", DataClass.SILVER)
+            ts.add_rollup(NODE_SPEC)
+            for i in range(13):
+                rng = np.random.default_rng(100 + i)
+                table = batch(i * 100.0).with_column(
+                    "input_power", rng.normal(310.7, 95.3, 60)
+                )
+                ts.ingest("d", table, now=float(i))
+                if compact_each_ingest:
+                    ts.compact("d")
+            return ts
+
+        sprawl, tiered, single = build(False), build(True), build(False)
+        assert single.compact("d")["merged"] == 13
+        assert [len(ts._live_parts("d")) for ts in (sprawl, tiered, single)] == [
+            13, 2, 1,
+        ]
+        want = oracle(sprawl)
+        for ts in (sprawl, tiered, single):
+            got = ts.query_rollup("d.node_power")
+            assert got.column_names == want.column_names
+            for name in ("node", "count", "min", "max"):
+                assert np.array_equal(got[name], want[name]), name
+            for name in ("sum", "mean"):
+                np.testing.assert_allclose(
+                    got[name], want[name], rtol=1e-12, atol=0.0, err_msg=name
+                )
+
     def test_empty_store_yields_empty_schema(self):
         ts = TieredStore()
         ts.register("d", DataClass.SILVER)
