@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-quick bench-e2e-smoke bench-query bench-serving chaos lifecycle lineage lint lint-json obs-report race
+.PHONY: test bench bench-quick bench-e2e-smoke bench-query bench-serving chaos lifecycle lineage lint lint-json obs-report
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -22,8 +22,7 @@ bench-quick:
 # Tier-1 perf gate (run alongside `make lint`): tiny-shape end-to-end
 # bench that must still produce baseline-identical outputs and must not
 # regress any headline stage's fast/baseline ratio >10% vs. the
-# committed BENCH_e2e.json (ratios are compared only when both reports
-# record the same resolved executor/pipeline) — see DESIGN.md §13.
+# committed BENCH_e2e.json — see DESIGN.md §13.
 bench-e2e-smoke:
 	$(PYTHON) benchmarks/bench_e2e.py --quick \
 		--out .bench_e2e_smoke.json --check-against BENCH_e2e.json
@@ -39,7 +38,7 @@ lifecycle:
 		tests/integration/test_lifecycle_chaos.py
 
 # Read-plane benchmark: planned scans (manifest + row-group pruning,
-# dict pushdown, row-group cache, parallel units) vs. the
+# dict pushdown, row-group cache) vs. the
 # decode-everything baseline — see DESIGN.md §11.
 bench-query:
 	$(PYTHON) benchmarks/bench_query.py
@@ -62,18 +61,6 @@ lint:
 
 lint-json:
 	$(PYTHON) -m repro.analysis --format json src
-
-# Dynamic cross-validation of the static RACE verdicts (DESIGN.md §14):
-# first the Eraser-style monitor's own suite (including the planted
-# race that must be caught by BOTH passes), then the chaos and
-# parallel-equivalence suites under REPRO_DYNRACE=1 — every container
-# the static pass flags is watched live, and any observed race (a
-# suppression pragma whose invariant failed to hold) fails the run.
-race:
-	$(PYTHON) -m pytest -x -q tests/analysis/test_dynrace.py tests/core/test_race_fixes.py
-	REPRO_DYNRACE=1 $(PYTHON) -m pytest -x -q tests/faults \
-		tests/integration/test_crash_recovery.py \
-		tests/core/test_parallel_equivalence.py
 
 # Provenance: run a seeded deployment with the lineage catalog on and a
 # CORRUPT_PART fault planted at one OCEAN put, print the blast-radius

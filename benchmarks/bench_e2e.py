@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import statistics
 import time
 from pathlib import Path
@@ -120,33 +121,21 @@ CHECK_PARITY_SLACK = 1.25
 
 
 def host_record() -> dict:
-    """Where the fast configuration ran: cpu count and the *resolved*
-    executor/pipeline (``"auto"`` flips both at two cores, and stage
-    timers then record contended wall time)."""
-    options = DataPlaneOptions()
+    """Where the report was measured."""
     return {
         "cpu_count": os.cpu_count() or 1,
-        "executor": options.resolve_executor(),
-        "pipeline": options.resolve_pipeline(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
     }
 
 
 def stage_gate_skip_reason(report, committed) -> str | None:
-    """Why the two reports' stage ratios cannot be compared, or None.
-
-    Ratios of stage timers mean the same thing only under the same
-    resolved executor/pipeline; a report that does not say what it ran
-    under cannot be assumed to match."""
+    """Why the two reports' stage ratios cannot be compared, or None: a
+    report that does not say where it ran cannot be assumed to match."""
     ref, new = committed.get("host"), report.get("host")
     if not ref or not new:
         which = "committed report" if not ref else "this run"
         return f"{which} carries no host record"
-    for mode in ("executor", "pipeline"):
-        if ref.get(mode) != new.get(mode):
-            return (
-                f"resolved {mode} differs: committed {ref.get(mode)!r}, "
-                f"this run {new.get(mode)!r}"
-            )
     return None
 
 
@@ -155,7 +144,7 @@ def check_against(report, committed) -> list[str]:
     list of human-readable failures (empty = gate passes).
 
     ``outputs_identical`` is always enforced; the stage-ratio comparison
-    only when :func:`stage_gate_skip_reason` finds the modes alike."""
+    only when both reports carry a host record."""
     failures = []
     if not committed.get("outputs_identical"):
         failures.append("committed report has outputs_identical != true")
@@ -236,7 +225,7 @@ def main(argv=None) -> int:
         help="committed BENCH_e2e.json to gate against: fail (exit 1) if "
         "outputs diverge or any headline stage's fast/baseline ratio "
         "regresses beyond the tolerance (ratios are compared only when "
-        "both reports record the same resolved executor/pipeline)",
+        "both reports carry a host record)",
     )
     args = parser.parse_args(argv)
     defaults = (4, 16, 1) if args.quick else (40, 32, 5)

@@ -2,16 +2,15 @@
 
 Builds a tiered store with months of synthetic power telemetry split
 across many OCEAN parts (plus the LAKE's online window), then times a
-panel of dashboard-style selective queries three ways:
+panel of dashboard-style selective queries two ways:
 
 * ``baseline`` — :func:`repro.perf.baseline_mode`: every part fetched,
   every row group decoded in full, predicate applied at the end (the
   pre-planner behaviour),
 * ``serial`` — the scan planner (manifest + row-group pruning, dict-code
-  pushdown, late materialization, row-group cache) on one thread,
-* ``threads`` — the same plan executed over the shared scan pool.
+  pushdown, late materialization, row-group cache).
 
-Every query's output must be identical across all three configurations;
+Every query's output must be identical across the two configurations;
 repetitions are interleaved and summarized by the median of per-rep
 ratios, as in ``bench_e2e.py``.
 
@@ -37,9 +36,10 @@ import numpy as np
 from repro.columnar import ColumnTable
 from repro.columnar.predicate import Col, IsIn
 from repro.perf import PERF, baseline_mode, reset_all
-from repro.query import ScanOptions
 from repro.storage import DataClass, TierPolicy, TieredStore
 from repro.storage.tiers import DAY_S
+
+from bench_e2e import host_record  # sibling script: run as a file, not -m
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -90,27 +90,24 @@ def build_store(n_parts, rows_per_part, row_group_size, rng):
 
 
 def query_panel(horizon_s):
-    """(name, callable(store, options)) — the dashboard-style workload."""
+    """(name, callable(store)) — the dashboard-style workload."""
     mid = horizon_s / 2.0
 
-    def narrow_window(store, options):
+    def narrow_window(store):
         # One hour out of the whole archive: manifests exclude all but
         # one or two parts without a fetch.
-        return store.query_archive(
-            DATASET, mid, mid + 3600.0, options=options
-        )
+        return store.query_archive(DATASET, mid, mid + 3600.0)
 
-    def project_slice(store, options):
+    def project_slice(store):
         # Selective string predicate + projection: dict-code pushdown
         # and late materialization carry this one.
         return store.query_archive(
             DATASET,
             predicate=Col("project") == "PRJC",
             columns=["timestamp", "input_power"],
-            options=options,
         )
 
-    def node_window(store, options):
+    def node_window(store):
         # Window + numeric predicate + projection combined.
         return store.query_archive(
             DATASET,
@@ -118,18 +115,16 @@ def query_panel(horizon_s):
             mid + 4 * 3600.0,
             predicate=IsIn("node", (3.0, 7.0)),
             columns=["timestamp", "node", "input_power"],
-            options=options,
         )
 
-    def repeat_window(store, options):
+    def repeat_window(store):
         # The interactive case: the same window twice in a row — the
         # second pass should ride the decoded-row-group cache.
-        store.query_archive(DATASET, mid, mid + 3600.0, options=options)
-        return store.query_archive(DATASET, mid, mid + 3600.0, options=options)
+        store.query_archive(DATASET, mid, mid + 3600.0)
+        return store.query_archive(DATASET, mid, mid + 3600.0)
 
-    def lake_window(store, options):
+    def lake_window(store):
         # Online path: the LAKE query now runs through the same planner.
-        store.lake.scan_options = options
         return store.query_online(
             DATASET,
             mid,
@@ -147,7 +142,7 @@ def query_panel(horizon_s):
     ]
 
 
-def run_config(store, panel, label, options):
+def run_config(store, panel, label):
     """Time every query once under one configuration."""
     reset_all()
     walls, outputs = {}, {}
@@ -155,11 +150,11 @@ def run_config(store, panel, label, options):
         if label == "baseline":
             with baseline_mode():
                 t0 = time.perf_counter()
-                out = fn(store, options)
+                out = fn(store)
                 walls[name] = time.perf_counter() - t0
         else:
             t0 = time.perf_counter()
-            out = fn(store, options)
+            out = fn(store)
             walls[name] = time.perf_counter() - t0
         outputs[name] = out
     counters = {
@@ -186,28 +181,25 @@ def sprawl_panel():
     the pre-compaction store pays per-object costs (a fetch, a footer
     parse, a plan unit, ragged final row groups) once per part."""
 
-    def project_history(store, options):
+    def project_history(store):
         return store.query_archive(
             DATASET,
             predicate=Col("project") == "PRJC",
             columns=["timestamp", "input_power"],
-            options=options,
         )
 
-    def node_history(store, options):
+    def node_history(store):
         return store.query_archive(
             DATASET,
             predicate=IsIn("node", (3.0, 7.0)),
             columns=["timestamp", "node", "input_power"],
-            options=options,
         )
 
-    def hot_rows(store, options):
+    def hot_rows(store):
         return store.query_archive(
             DATASET,
             predicate=Col("input_power") > 450.0,
             columns=["timestamp", "node", "input_power"],
-            options=options,
         )
 
     return [
@@ -232,7 +224,6 @@ def run_compaction_phase(args):
     rng = np.random.default_rng(5678)
     store, _ = build_store(parts, rows, args.row_group, rng)
     panel = sprawl_panel()
-    options = ScanOptions(executor="serial")
 
     def time_panel():
         walls = {name: [] for name, _ in panel}
@@ -241,7 +232,7 @@ def run_compaction_phase(args):
             reset_all()
             for name, fn in panel:
                 t0 = time.perf_counter()
-                out = fn(store, options)
+                out = fn(store)
                 walls[name].append(time.perf_counter() - t0)
                 outputs[name] = out
         return walls, outputs
@@ -317,45 +308,36 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(1234)
     store, horizon_s = build_store(args.parts, args.rows, args.row_group, rng)
     panel = query_panel(horizon_s)
-    configs = {
-        "baseline": ScanOptions(executor="serial"),
-        "serial": ScanOptions(executor="serial"),
-        "threads": ScanOptions(executor="threads"),
-    }
+    configs = ("baseline", "serial")
 
     walls = {label: {name: [] for name, _ in panel} for label in configs}
     last_counters = {}
     for rep in range(args.repeat):
         rep_outputs = {}
-        for label, options in configs.items():
-            w, outputs, counters = run_config(store, panel, label, options)
+        for label in configs:
+            w, outputs, counters = run_config(store, panel, label)
             for name, wall in w.items():
                 walls[label][name].append(wall)
             rep_outputs[label] = outputs
             last_counters[label] = counters
             total = sum(w.values())
             print(f"rep {rep + 1}/{args.repeat}  {label:9s} {total:7.3f}s")
-        for label in ("serial", "threads"):
-            check_identical(
-                panel, rep_outputs["baseline"], rep_outputs[label], label
-            )
+        check_identical(
+            panel, rep_outputs["baseline"], rep_outputs["serial"], "serial"
+        )
 
     queries = {}
     for name, _ in panel:
-        per_rep = {
-            label: [
-                b / f if f else float("inf")
-                for b, f in zip(walls["baseline"][name], walls[label][name])
-            ]
-            for label in ("serial", "threads")
-        }
+        per_rep = [
+            b / f if f else float("inf")
+            for b, f in zip(walls["baseline"][name], walls["serial"][name])
+        ]
         queries[name] = {
             "wall_s_median": {
                 label: statistics.median(walls[label][name])
                 for label in configs
             },
-            "speedup_serial": statistics.median(per_rep["serial"]),
-            "speedup_threads": statistics.median(per_rep["threads"]),
+            "speedup_serial": statistics.median(per_rep),
             "outputs_identical": True,
         }
     overall = statistics.median(
@@ -371,6 +353,7 @@ def main(argv=None) -> int:
             "repeat": args.repeat,
             "seed": 1234,
         },
+        "host": host_record(),
         "outputs_identical": True,
         "speedup_median": overall,
         "queries": queries,
@@ -380,10 +363,7 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"\nmedian speedup {overall:.2f}x  -> {args.out}")
     for name, q in queries.items():
-        print(
-            f"  {name:15s} serial {q['speedup_serial']:6.2f}x  "
-            f"threads {q['speedup_threads']:6.2f}x"
-        )
+        print(f"  {name:15s} serial {q['speedup_serial']:6.2f}x")
     return 0
 
 

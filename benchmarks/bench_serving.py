@@ -105,7 +105,6 @@ def estimate_capacity_qps(fw: ODAFramework, profile: LoadProfile) -> float:
     """Mean uncached service rate, from a permissive calibration gateway."""
     requests = generate_load(profile, 40, seed=derive_seed(SEED, "calib"))
     gateway = fw.serving_gateway(
-        executor="serial",
         cache_enabled=False,
         admission=AdmissionController(
             TenantPolicy(rate_qps=1e6, burst=1e6, queue_limit=10**6)
@@ -230,7 +229,6 @@ def main() -> int:
     )
     gateways = {
         label: fw.serving_gateway(
-            executor="serial",
             cache_enabled=(label == "cache_on"),
             admission=AdmissionController(policy),
         )

@@ -11,7 +11,7 @@ dashboard battery through the gateway, then:
   (``python -m repro.lineage report lineage_catalog.json``).
 
 The same seed always produces the same catalog bytes and the same
-report — serial, pipelined or sharded (DESIGN.md §17).
+report — sharded or not (DESIGN.md §17).
 
 Run:  python examples/lineage_impact.py
 """
@@ -57,7 +57,7 @@ def main() -> None:
                 "power.silver", t0, t1
             ),
         }
-        with ServingGateway(fw.tiers, endpoints, executor="serial") as gw:
+        with ServingGateway(fw.tiers, endpoints) as gw:
             envelopes = gw.submit_many(
                 [
                     Request.make("t0", "bronze_window", t0=0.0, t1=30.0),

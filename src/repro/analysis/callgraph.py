@@ -16,8 +16,7 @@ On top of the edges it computes the three whole-program facts the RACE
 rules consume:
 
 * **thread entries** — functions handed to executors /
-  ``threading.Thread`` / ``Tracer.wrap`` (anything wrapped is about to
-  run on a foreign thread), plus escaping closures of functions whose
+  ``threading.Thread``, plus escaping closures of functions whose
   spawn argument could not be named;
 * **domains** — for every function, which threads may run it: the
   union-over-paths of ``{"main"}`` from uncalled roots and ``{entry}``

@@ -41,7 +41,7 @@ DATA_PLANE_PACKAGES = frozenset(
         # The vectorized emitters and the splitmix helpers under them are
         # the definition of the synthetic ground truth: a stray wall-clock
         # or global-RNG call there breaks emit/emit_reference equality and
-        # the split-invariance law the pipelined scheduler relies on.
+        # the split-invariance law.
         "repro.telemetry",
         "repro.util",
         # The serving plane answers with cached results whose validity is
@@ -53,7 +53,7 @@ DATA_PLANE_PACKAGES = frozenset(
         # Lineage node IDs are pure functions of logical coordinates;
         # a wall-clock or global-RNG call here would break the
         # byte-identical catalog exports the equivalence tests hold
-        # serial/pipelined/sharded runs to.
+        # baseline/fast-path/sharded runs to.
         "repro.lineage",
     }
 )

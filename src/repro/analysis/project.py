@@ -15,8 +15,8 @@ entirely on an unchanged file:
   inferred types of object attributes (``self.broker = Broker(...)``);
 * per-function summaries: shared-state accesses with the lexically held
   locks, lock acquisitions (for the deadlock-order graph), resolved-as-
-  written call sites, spawn sites (``pool.submit``, ``Thread(target=)``,
-  ``Tracer.wrap``), escaping closures, and seed-taint facts.
+  written call sites, spawn sites (``pool.submit``, ``Thread(target=)``),
+  escaping closures, and seed-taint facts.
 
 Resolution of call targets across modules happens later, in
 :mod:`repro.analysis.callgraph`, once every summary is in hand.
@@ -155,10 +155,10 @@ class CallSite:
 class SpawnSite:
     """A callable handed to another thread.
 
-    ``via`` records the transport (``"submit"``, ``"thread"``,
-    ``"wrap"``); ``callee`` is the dotted name of the function object
-    (after unwrapping ``Tracer.wrap(...)`` / ``partial(...)``), or ``""``
-    when the argument could not be resolved to a name.
+    ``via`` records the transport (``"submit"``, ``"thread"``);
+    ``callee`` is the dotted name of the function object (after
+    unwrapping ``partial(...)``), or ``""`` when the argument could not
+    be resolved to a name.
     """
 
     callee: str
@@ -553,10 +553,8 @@ class _Extractor:
 
 #: Call patterns that move a callable to another thread.  ``submit``
 #: matches any ``<pool>.submit(fn)``; ``Thread`` matches the stdlib
-#: constructor's ``target=``; ``wrap`` matches ``<tracer>.wrap(fn)``
-#: (the repo's cross-thread span carrier — anything wrapped is about to
-#: run on a foreign thread).
-_SPAWN_METHOD_VIAS = {"submit": "submit", "wrap": "wrap"}
+#: constructor's ``target=``.
+_SPAWN_METHOD_VIAS = {"submit": "submit"}
 
 
 class _FunctionWalker:
@@ -1157,12 +1155,12 @@ class _FunctionWalker:
                     )
 
     def _callable_name(self, expr: ast.AST) -> str | None:
-        """Dotted name of a callable argument, unwrapping ``wrap``/
-        ``partial`` and calls to local task factories."""
+        """Dotted name of a callable argument, unwrapping ``partial``
+        and calls to local task factories."""
         if isinstance(expr, ast.Call):
             inner_callee = self.x.qualify(_dotted(expr.func)) or ""
             tail = inner_callee.rsplit(".", 1)[-1]
-            if tail in ("wrap", "partial") and expr.args:
+            if tail == "partial" and expr.args:
                 return self._callable_name(expr.args[0])
             # `submit(make_task(...))`: resolve through the factory's
             # returned nested function(s) later — record the factory

@@ -111,16 +111,16 @@ class CopaceticEngine:
         self.rules = rules if rules is not None else default_rules()
         if not self.rules:
             raise ValueError("at least one rule required")
-        # One lock over all engine state.  Exactly one sec_task per
-        # window runs process(), so the lock is uncontended — it exists
-        # because "single writer, joined before reads" is an invariant
-        # of the *caller*, and the per-node history lists handed out by
-        # ``self._history[node]`` are mutated in place (the exact alias
-        # shape the PR-8 ``meta.next_part`` bug had).
+        # One lock over all engine state.  The framework's window loop
+        # is the only process() caller, so the lock is uncontended — it
+        # exists because "single writer, no concurrent reads" is an
+        # invariant of the *caller*, and the per-node history lists
+        # handed out by ``self._history[node]`` are mutated in place (the
+        # exact alias shape the PR-8 ``meta.next_part`` bug had).
         self._lock = threading.Lock()
         self._history: dict[int, list[tuple[float, int, int]]] = {}
         self._fired: set[tuple[str, int, int]] = set()
-        self.alerts: list[Alert] = []  # repro: ignore[RACE001] -- appended under _lock; main-thread reads happen after the window-end join
+        self.alerts: list[Alert] = []
         self.events_processed = 0
 
     def process(self, batch: EventBatch) -> list[Alert]:

@@ -8,11 +8,7 @@ several benches drive the system exclusively through this facade.
 
 from __future__ import annotations
 
-import os
-import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -37,12 +33,6 @@ __all__ = [
     "HEALTH_TOPIC",
     "HEALTH_DATASET",
 ]
-
-def _shutdown_executor(executor: ThreadPoolExecutor | None) -> None:
-    """Finalizer target: must not hold a reference to the framework."""
-    if executor is not None:
-        executor.shutdown(wait=False, cancel_futures=True)
-
 
 #: Topics created per machine; the broker is the hourglass waist.
 STREAM_TOPICS = (
@@ -80,44 +70,27 @@ class DataPlaneOptions:
     """How the framework moves and refines a window's data.
 
     The default configuration is the fast path: batched telemetry
-    emission, zero-copy consumer slices, and per-topic refineries running
-    concurrently on a worker pool.  :meth:`serial_baseline` reproduces
-    the pre-optimization data plane — the benchmark's reference point —
-    with byte-identical outputs (``tests/core/test_parallel_equivalence``
-    holds both configurations to the same results).
+    emission and zero-copy consumer slices.  :meth:`serial_baseline`
+    reproduces the pre-optimization data plane — the benchmark's
+    reference point — with byte-identical outputs
+    (``tests/core/test_parallel_equivalence`` holds both configurations
+    to the same results).  Windows, refineries and tier writes run on
+    the calling thread, one after another (DESIGN.md §8, "Concurrency
+    model"); broker shards are the scale-out unit.
 
     Parameters
     ----------
     batched:
         Use zero-copy ``poll_slices`` on the consume side (the produce
         side always stamps one record per topic per window).
-    executor:
-        ``"threads"`` runs the per-topic refineries concurrently;
-        ``"serial"`` runs them inline in insertion order; ``"auto"``
-        (the default) picks ``"threads"`` when the host has more than
-        one CPU and ``"serial"`` otherwise — on a single core the pool
-        only adds contention.  Either way, commits and tier writes
-        happen serially in insertion order, so results are deterministic
-        and identical across executors.
-    max_workers:
-        Worker-pool size for the threaded executor (default: one per
-        concurrent task, capped at 8).
+    executor, pipeline:
+        Retired selectors, kept only because the frozen
+        ``benchmarks/full`` harness still passes them: ``"serial"`` /
+        ``"off"`` (the defaults) and ``"auto"`` all mean the one serial
+        schedule; ``"threads"`` / ``"on"`` raise ``ValueError``.
     reference_emit:
         Emit telemetry through the loop-per-channel reference path
         instead of the batched one (same bytes, slower).
-    pipeline:
-        Overlap consecutive windows in :meth:`ODAFramework.run`:
-        ``"on"`` prefetches the next window's telemetry on a dedicated
-        emit thread and defers tier writes to a dedicated FIFO ingest
-        thread, so window k+1's emit/refine overlaps window k's
-        encode+ingest.  ``"off"`` runs windows back to back;
-        ``"auto"`` (default) picks ``"on"`` on multi-core hosts.
-        Outputs are byte-identical either way (ingest ops replay in
-        exact serial order on one thread, so part numbering and
-        manifests cannot drift), and spans reparent identically
-        (each deferred op is wrapped at its original call site).
-        Only :meth:`ODAFramework.run` pipelines; direct
-        :meth:`ODAFramework.run_window` calls stay fully serial.
     self_telemetry:
         Re-publish the framework's own health gauges (row counts, byte
         volumes — see :data:`HEALTH_SENSORS`) as a synthetic telemetry
@@ -144,8 +117,8 @@ class DataPlaneOptions:
         query answer and serve envelope becomes a provenance node,
         recorded write-through at its producing site.  Node identity is
         deterministic (logical coordinates, never the clock), so
-        same-seed runs export byte-identical catalogs across executors
-        and shard counts.  Off by default: the catalog grows with the
+        same-seed runs export byte-identical catalogs across shard
+        counts.  Off by default: the catalog grows with the
         artifact count, which long unattended runs may not want.
     shards:
         Number of independent broker shards at the hourglass waist.
@@ -162,10 +135,9 @@ class DataPlaneOptions:
     """
 
     batched: bool = True
-    executor: str = "auto"
-    max_workers: int | None = None
+    executor: str = "serial"
     reference_emit: bool = False
-    pipeline: str = "auto"
+    pipeline: str = "off"
     self_telemetry: bool = False
     lifecycle: bool = False
     lifecycle_every_s: float | None = None
@@ -175,17 +147,16 @@ class DataPlaneOptions:
     def __post_init__(self) -> None:
         if self.shards <= 0:
             raise ValueError("shards must be positive")
-        if self.executor not in ("auto", "serial", "threads"):
+        if self.executor not in ("serial", "auto"):
             raise ValueError(
-                "executor must be 'auto', 'serial' or 'threads', "
-                f"got {self.executor!r}"
+                f"executor must be 'serial' or 'auto', got {self.executor!r}: "
+                "execution is single-threaded (DESIGN.md §8, Concurrency model)"
             )
-        if self.pipeline not in ("auto", "off", "on"):
+        if self.pipeline not in ("off", "auto"):
             raise ValueError(
-                f"pipeline must be 'auto', 'off' or 'on', got {self.pipeline!r}"
+                f"pipeline must be 'off' or 'auto', got {self.pipeline!r}: "
+                "windows run back to back (DESIGN.md §8, Concurrency model)"
             )
-        if self.max_workers is not None and self.max_workers <= 0:
-            raise ValueError("max_workers must be positive")
         if self.lifecycle_every_s is not None:
             if not self.lifecycle:
                 raise ValueError("lifecycle_every_s requires lifecycle=True")
@@ -193,26 +164,17 @@ class DataPlaneOptions:
                 raise ValueError("lifecycle_every_s must be positive")
 
     def resolve_executor(self) -> str:
-        """The concrete executor: ``"auto"`` resolved against the host."""
-        if self.executor == "auto":
-            return "threads" if (os.cpu_count() or 1) >= 2 else "serial"
-        return self.executor
+        """Always ``"serial"`` (the name the full-path bench records)."""
+        return "serial"
 
     def resolve_pipeline(self) -> str:
-        """The concrete pipeline mode: ``"auto"`` resolved per host."""
-        if self.pipeline == "auto":
-            return "on" if (os.cpu_count() or 1) >= 2 else "off"
-        return self.pipeline
+        """Always ``"off"`` (the name the full-path bench records)."""
+        return "off"
 
     @classmethod
     def serial_baseline(cls) -> "DataPlaneOptions":
         """The pre-optimization data plane (benchmark reference)."""
-        return cls(
-            batched=False,
-            executor="serial",
-            reference_emit=True,
-            pipeline="off",
-        )
+        return cls(batched=False, reference_emit=True)
 
 
 @dataclass(frozen=True)
@@ -393,37 +355,12 @@ class ODAFramework:
             )
 
         self.windows: list[WindowSummary] = []
-        self._executor: ThreadPoolExecutor | None = None
-        self._finalizer = weakref.finalize(self, _shutdown_executor, None)
-        # Pipelined-run plumbing (see DataPlaneOptions.pipeline): the
-        # prefetched (t0, t1, batches) for the next window, and — when a
-        # list — the sink collecting deferred tier-ingest closures.
-        self._prefetched: tuple[float, float, dict] | None = None
-        self._ingest_sink: list | None = None
 
     # -- execution ------------------------------------------------------------
 
-    def _get_executor(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            workers = self.options.max_workers
-            if workers is None:
-                # Refineries + facility + two syslog consumers.
-                workers = min(len(self._refineries) + 3, 8)
-            self._executor = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="oda-refine"
-            )
-            self._finalizer.detach()
-            self._finalizer = weakref.finalize(
-                self, _shutdown_executor, self._executor
-            )
-        return self._executor
-
     def close(self) -> None:
-        """Shut down the worker pool (idempotent; the framework remains
-        usable — a later window lazily recreates the pool)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        """Nothing to release; kept for ``with`` blocks and callers that
+        pair it with construction."""
 
     def __enter__(self) -> "ODAFramework":
         return self
@@ -431,33 +368,14 @@ class ODAFramework:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _run_tasks(self, tasks):
-        """Run zero-arg callables, returning results in task order.
-
-        ``executor="threads"`` overlaps the independent per-topic
-        refinements; results come back in submission order so downstream
-        serial steps (commits, tier writes) are deterministic either way.
-        """
-        if self.options.resolve_executor() == "serial" or len(tasks) <= 1:
-            return [task() for task in tasks]
-        pool = self._get_executor()
-        # TRACER.wrap reparents each task's spans under the span active
-        # *here*, on the submitting thread — the worker threads have
-        # empty span stacks of their own.
-        return [
-            f.result()
-            for f in [pool.submit(TRACER.wrap(task)) for task in tasks]
-        ]
-
     def run_window(self, t0: float, t1: float) -> WindowSummary:
         """Ingest and refine one time window end to end.
 
-        Phase 1 (parallelizable): each refinery polls its topic and runs
-        the medallion chain; facility pivots; syslog fans out to the log
-        index and Copacetic.  These touch disjoint state, so they run on
-        the worker pool under ``executor="threads"``.  Phase 2 (serial,
-        insertion order): offset commits, tier writes, retention — the
-        steps whose order the on-disk artifacts depend on.
+        Phase 1: each refinery polls its topic and runs the medallion
+        chain; facility pivots; syslog fans out to the log index and
+        Copacetic.  Phase 2 (insertion order): offset commits, tier
+        writes, retention — the steps whose order the on-disk artifacts
+        depend on.
         """
         with TRACER.span_or_trace(
             "window",
@@ -471,32 +389,6 @@ class ODAFramework:
             with PERF.timer("window.total"):
                 return self._run_window_impl(t0, t1)
 
-    def _take_prefetched(self, t0: float, t1: float) -> dict | None:
-        """Claim the prefetched emit for exactly this window, if any."""
-        pre = self._prefetched
-        if pre is None or pre[0] != t0 or pre[1] != t1:
-            return None
-        self._prefetched = None
-        return pre[2]
-
-    def _ingest(self, name: str, table, now: float) -> None:
-        """Tier write, direct or deferred to the pipelined ingest thread.
-
-        When a pipelined run is collecting (``_ingest_sink`` is a list),
-        the op is wrapped *here* — at the exact call site where the
-        serial path would open its ``tier.ingest`` span — so the span
-        reparents identically when it later runs on the ingest thread;
-        FIFO replay on a single thread keeps part numbering and manifest
-        order byte-identical to serial.
-        """
-        sink = self._ingest_sink
-        if sink is None:
-            self.tiers.ingest(name, table, now=now)
-        else:
-            sink.append(
-                TRACER.wrap(partial(self.tiers.ingest, name, table, now=now))
-            )
-
     def _lineage_batch(
         self, dataset: str, now: float, window_node: str | None
     ) -> None:
@@ -505,8 +397,7 @@ class ODAFramework:
         The batch node's coordinates are exactly the ``(dataset, now)``
         pair :meth:`TieredStore.ingest` receives, so the store derives
         the same node ID for the part side of the edge with no shared
-        hand-off — which is what keeps the pipelined run's deferred tier
-        writes linked correctly.
+        hand-off.
         """
         cat = self.lineage
         if cat is None:
@@ -517,10 +408,8 @@ class ODAFramework:
 
     def _run_window_impl(self, t0: float, t1: float) -> WindowSummary:
         batched = self.options.batched
-        batches = self._take_prefetched(t0, t1)
-        if batches is None:
-            with PERF.timer("telemetry.emit"):
-                batches = self.fleet.emit_window(t0, t1)
+        with PERF.timer("telemetry.emit"):
+            batches = self.fleet.emit_window(t0, t1)
 
         # Hop 1: everything lands on the STREAM tier, keyed for ordering.
         produced = 0
@@ -538,7 +427,7 @@ class ODAFramework:
             produced += 1
             raw_bytes += batch.nbytes_raw
 
-        # Hop 2+3 phase 1: refine every stream (parallelizable compute).
+        # Hop 2+3 phase 1: refine every stream.
         from repro.pipeline.medallion import bronze_standardize, silver_aggregate
 
         def poll_values(consumer: Consumer) -> list:
@@ -550,73 +439,55 @@ class ODAFramework:
                 ]
             return [r.value for r in consumer.poll(max_records=1_000)]
 
-        # Task wrapper spans embed the topic/role in the span *name*
-        # ("refine:power", "consume:log-index"): concurrently created
-        # siblings must have distinct names for their IDs to be
-        # assignment-order independent (see repro.obs.span).
-        def refine_task(name: str, consumer: Consumer, pipeline: MedallionPipeline):
-            def task():
-                with TRACER.span(f"refine:{name}", topic=name):
-                    return pipeline.process(poll_values(consumer))
+        # Spans embed the topic/role in their *name* ("refine:power",
+        # "consume:log-index"), which span IDs derive from.
+        refined = {}
+        for name, (consumer, pipeline) in self._refineries.items():
+            with TRACER.span(f"refine:{name}", topic=name):
+                refined[name] = pipeline.process(poll_values(consumer))
 
-            return task
-
-        def facility_task():
-            with TRACER.span("refine:facility", topic="facility"):
-                fac_batches = poll_values(self._facility_consumer)
-                if not fac_batches:
-                    return None
-                return silver_aggregate(
+        fac_silver = None
+        with TRACER.span("refine:facility", topic="facility"):
+            fac_batches = poll_values(self._facility_consumer)
+            if fac_batches:
+                fac_silver = silver_aggregate(
                     bronze_standardize(fac_batches),
                     self.fleet.facility.catalog,
                     self.medallion.interval,
                 )
 
-        def log_task():
-            with TRACER.span("consume:log-index", topic="syslog"):
-                for value in poll_values(self._log_consumer):
-                    self.logs.ingest(value)
+        with TRACER.span("consume:log-index", topic="syslog"):
+            for value in poll_values(self._log_consumer):
+                self.logs.ingest(value)
 
-        def sec_task():
-            with TRACER.span("consume:copacetic", topic="syslog"):
-                for value in poll_values(self._sec_consumer):
-                    self.copacetic.process(value)
+        with TRACER.span("consume:copacetic", topic="syslog"):
+            for value in poll_values(self._sec_consumer):
+                self.copacetic.process(value)
 
-        names = list(self._refineries)
-        tasks = [
-            refine_task(name, consumer, pipeline)
-            for name, (consumer, pipeline) in self._refineries.items()
-        ]
-        tasks += [facility_task, log_task, sec_task]
-        results = self._run_tasks(tasks)
-        refined = dict(zip(names, results))
-        fac_silver = results[len(names)]
-
-        # Phase 2: commits and tier placement, serial in insertion order.
+        # Phase 2: commits and tier placement, in insertion order.
         tables = {"bronze": None, "silver": None, "gold": None}
         for name, (consumer, _) in self._refineries.items():
             out = refined[name]
             consumer.commit()
             # Batch nodes are recorded *before* the tier write so the
-            # phase-2 span — the same code point in serial and pipelined
-            # runs — deterministically wins the node's span field; the
-            # ingest side's recording then merges into it.
+            # phase-2 span wins the node's span field; the ingest side's
+            # recording then merges into it.
             self._lineage_batch(f"{name}.silver", t1, window_nodes.get(name))
-            self._ingest(f"{name}.silver", out["silver"], now=t1)
+            self.tiers.ingest(f"{name}.silver", out["silver"], now=t1)
             if name == "power":
                 tables = out
                 self._lineage_batch("power.bronze", t1, window_nodes.get(name))
                 self._lineage_batch(
                     "power.gold_profiles", t1, window_nodes.get(name)
                 )
-                self._ingest("power.bronze", out["bronze"], now=t1)
-                self._ingest("power.gold_profiles", out["gold"], now=t1)
+                self.tiers.ingest("power.bronze", out["bronze"], now=t1)
+                self.tiers.ingest("power.gold_profiles", out["gold"], now=t1)
 
         if fac_silver is not None:
             self._lineage_batch(
                 "facility.silver", t1, window_nodes.get("facility")
             )
-            self._ingest("facility.silver", fac_silver, now=t1)
+            self.tiers.ingest("facility.silver", fac_silver, now=t1)
         self._facility_consumer.commit()
         self._log_consumer.commit()
         self._sec_consumer.commit()
@@ -699,46 +570,34 @@ class ODAFramework:
                 self.medallion.interval,
             )
             self._lineage_batch(HEALTH_DATASET, summary.t1, health_window)
-            self._ingest(HEALTH_DATASET, silver, now=summary.t1)
+            self.tiers.ingest(HEALTH_DATASET, silver, now=summary.t1)
 
     def run(self, t0: float, t1: float, window_s: float) -> list[WindowSummary]:
-        """Drive consecutive windows across ``[t0, t1)``.
-
-        Under ``options.pipeline`` (default ``"auto"``: on for
-        multi-core hosts) consecutive windows overlap: window k+1's
-        telemetry is synthesized on the emit thread while window k
-        refines, and window k's tier writes (columnar encode + store
-        put) run on the ingest thread while window k+1 computes —
-        byte-identical to the serial schedule (see
-        :class:`DataPlaneOptions`).
+        """Drive consecutive windows across ``[t0, t1)``, back to back.
 
         With ``options.lifecycle`` on, the lifecycle manager ticks
         between windows at each due window's end time (simulated time,
-        so runs replay deterministically); the pipelined schedule
-        drains that window's deferred tier writes first, so a tick
-        never races the ingest thread.
+        so runs replay deterministically).
         """
         if window_s <= 0:
             raise ValueError("window_s must be positive")
-        bounds: list[tuple[float, float]] = []
-        t = t0
-        while t < t1:
-            bounds.append((t, min(t + window_s, t1)))
-            t += window_s
         if (
             self.options.lifecycle
             and self.options.lifecycle_every_s is not None
             and self._next_lifecycle_at is None
         ):
             self._next_lifecycle_at = t0 + self.options.lifecycle_every_s
-        if self.options.resolve_pipeline() == "off" or len(bounds) <= 1:
-            summaries = []
-            for a, b in bounds:
-                summaries.append(self.run_window(a, b))
-                if self._lifecycle_due(b):
-                    self._run_lifecycle(b)
-            return summaries
-        return self._run_pipelined(bounds)
+        summaries = []
+        k = 0
+        # Bounds are t0 + k * window_s, not a running sum: accumulating
+        # a non-dyadic step drifts below t1 and appends a sliver window.
+        while (a := t0 + k * window_s) < t1:
+            b = min(t0 + (k + 1) * window_s, t1)
+            summaries.append(self.run_window(a, b))
+            if self._lifecycle_due(b):
+                self._run_lifecycle(b)
+            k += 1
+        return summaries
 
     def _lifecycle_due(self, t_end: float) -> bool:
         """Is a lifecycle tick scheduled at this window boundary?"""
@@ -753,82 +612,14 @@ class ODAFramework:
         if self.options.lifecycle_every_s is not None:
             self._next_lifecycle_at = t_end + self.options.lifecycle_every_s
 
-    def _run_pipelined(
-        self, bounds: list[tuple[float, float]]
-    ) -> list[WindowSummary]:
-        """The overlapped window schedule behind :meth:`run`.
-
-        Three stages, each on its own thread, at most one window apart:
-        emit (prefetch k+1), the window body (refine + commits, main
-        thread), and ingest (deferred tier writes, strict FIFO).  The
-        backlog is bounded by waiting out window k-1's ingest before
-        starting window k+1, so at most two windows of encoded output
-        are ever in flight.
-        """
-        emit_pool = ThreadPoolExecutor(1, thread_name_prefix="oda-emit")
-        ingest_pool = ThreadPoolExecutor(1, thread_name_prefix="oda-ingest")
-        summaries: list[WindowSummary] = []
-        ingest_futures: list = []
-
-        def emit_task(a: float, b: float):
-            def task():
-                with PERF.timer("telemetry.emit"):
-                    return self.fleet.emit_window(a, b)
-
-            return task
-
-        def flush_task(ops: list):
-            def flush():
-                for op in ops:
-                    op()
-
-            return flush
-
-        try:
-            emit_fut = emit_pool.submit(emit_task(*bounds[0]))
-            for i, (a, b) in enumerate(bounds):
-                batches = emit_fut.result()
-                if i + 1 < len(bounds):
-                    emit_fut = emit_pool.submit(emit_task(*bounds[i + 1]))
-                self._prefetched = (a, b, batches)
-                self._ingest_sink = ops = []
-                try:
-                    summaries.append(self.run_window(a, b))
-                finally:
-                    self._prefetched = None
-                    self._ingest_sink = None
-                ingest_futures.append(ingest_pool.submit(flush_task(ops)))
-                if self._lifecycle_due(b):
-                    # The tick rewrites OCEAN parts, so this window's
-                    # deferred tier writes must land first; waiting on
-                    # the ingest future also pins the tick at the exact
-                    # point the serial schedule runs it, keeping both
-                    # schedules byte-identical.
-                    ingest_futures[-1].result()
-                    self._run_lifecycle(b)
-                if len(ingest_futures) >= 2:
-                    ingest_futures[-2].result()
-            for f in ingest_futures:
-                f.result()  # drain; propagates any deferred-write error
-        finally:
-            # wait=True: an in-flight emit must finish before control
-            # returns, or a zombie emit thread keeps mutating fleet and
-            # perf state concurrently with whatever the caller does next
-            # (e.g. a serial re-run after a window raised).  The queued
-            # prefetch, if any, is still cancelled.
-            emit_pool.shutdown(wait=True, cancel_futures=True)
-            ingest_pool.shutdown(wait=True)
-        return summaries
-
     # -- serving --------------------------------------------------------------
 
     def serving_gateway(
         self,
-        executor: str = "auto",
+        executor: str = "serial",
         admission=None,
         cache=None,
         cache_enabled: bool = True,
-        max_workers: int = 4,
     ):
         """A :class:`~repro.serve.gateway.ServingGateway` over this
         deployment's apps.
@@ -866,7 +657,6 @@ class ODAFramework:
             cache=cache,
             executor=executor,
             cache_enabled=cache_enabled,
-            max_workers=max_workers,
         )
 
     # -- reporting ------------------------------------------------------------

@@ -23,9 +23,9 @@ present-minus-tombstoned set — the invariant
 
 Identity is deterministic (:mod:`repro.lineage.ids`): node IDs are pure
 functions of logical coordinates, edges live in a set, and
-:meth:`LineageCatalog.export` canonicalizes by sorting — so serial,
-pipelined, threaded and sharded runs of the same seed export
-byte-identical catalogs no matter how their threads interleaved.
+:meth:`LineageCatalog.export` canonicalizes by sorting — so runs of
+the same seed export byte-identical catalogs across shard counts and
+whatever order the producing sites recorded in.
 """
 
 from __future__ import annotations
@@ -60,10 +60,10 @@ def _span_id() -> str:
 class LineageCatalog:
     """Typed provenance graph over the data plane's artifacts.
 
-    All mutation goes through one lock: producing sites span the window
-    thread, the pipelined ingest thread and the serving pool, and node
-    recording is idempotent (same coordinates merge into one node), so
-    whichever thread gets there first wins without changing the export.
+    All mutation goes through one lock (the window loop and a caller's
+    serving threads may record concurrently), and node recording is
+    idempotent (same coordinates merge into one node), so whichever
+    site gets there first wins without changing the export.
     """
 
     def __init__(self) -> None:
@@ -278,9 +278,9 @@ class LineageCatalog:
     def export(self) -> dict:
         """Canonical JSON-able form: nodes sorted by ID, edges sorted.
 
-        Two same-seed runs — serial, threaded, pipelined or sharded —
+        Two same-seed runs — baseline or fast path, any shard count —
         export byte-identical dicts; the equivalence tests compare
-        :meth:`export_digest` across executors.
+        :meth:`export_digest` across them.
         """
         with self._lock:
             nodes = sorted(

@@ -5,9 +5,9 @@ coordinates — dataset names, part keys, window boundaries, store
 generations — hashed with BLAKE2b exactly like
 :func:`repro.obs.ids.trace_id` mints trace IDs.  No wall clock, no
 global RNG, no insertion counters that depend on thread interleaving:
-two runs of the same seed (serial, pipelined or sharded) mint the same
-node IDs in whatever order they get there, which is what lets the
-catalog export byte-identically across executors.
+two runs of the same seed (any shard count) mint the same node IDs in
+whatever order they get there, which is what lets the catalog export
+byte-identically.
 
 Coordinate formatting matters: floats go through ``repr`` (shortest
 round-trip form, stable across platforms for the doubles the simulated
@@ -60,8 +60,7 @@ def batch_id(dataset: str, now: float) -> str:
     The tier store derives part nodes from this ID without ever talking
     to the framework: both sides compute it from ``(dataset, now)``,
     which is exactly the coordinate pair :meth:`TieredStore.ingest`
-    receives — so the edge survives the pipelined run's deferred-ingest
-    indirection with no shared mutable hand-off.
+    receives — so the edge needs no shared mutable hand-off.
     """
     return node_id("batch", dataset, now)
 

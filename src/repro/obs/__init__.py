@@ -6,8 +6,7 @@ reproduction's own health instrumentation:
 
 * :data:`TRACER` — span-based tracing with **deterministic IDs** (seeds
   and logical window indices, never the clock), propagated producer →
-  broker → consumer → medallion stages → tier writes → query executor,
-  across thread-pool boundaries.
+  broker → consumer → medallion stages → tier writes → query executor.
 * :data:`METRICS` — labeled counters, gauges and fixed-bucket
   histograms behind the same cheap lock discipline as
   :data:`repro.perf.PERF` (which it subsumes: snapshots can merge both).

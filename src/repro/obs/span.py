@@ -2,9 +2,7 @@
 
 A :class:`Span` is one timed hop (produce, fetch, refine stage, tier
 write, query execution); a :class:`Tracer` maintains the active span per
-thread and links children to parents — including across the
-``ODAFramework`` worker pool, where :meth:`Tracer.wrap` carries the
-submitting thread's context into the task.
+thread and links children to parents.
 
 Determinism: span and trace IDs come from :mod:`repro.obs.ids` (seeds,
 logical indices, tree position — never the clock), so two runs with the
@@ -204,39 +202,6 @@ class Tracer:
         else:
             with self.trace(seed=seed, name=name, index=index, **attrs) as s:
                 yield s
-
-    # -- cross-thread propagation -------------------------------------------
-
-    @contextmanager
-    def attach(self, span: Span | None):
-        """Adopt ``span`` as this thread's current context."""
-        if span is None:
-            yield
-            return
-        stack = self._stack()
-        stack.append(span)
-        try:
-            yield
-        finally:
-            stack.pop()
-
-    def wrap(self, fn):
-        """Bind the *submitting* thread's context into a zero-arg task.
-
-        ``pool.submit(tracer.wrap(task))`` makes spans opened inside the
-        worker children of the span active at submission time — the
-        parent/child link across the ``ODAFramework`` thread pool.
-        Returns ``fn`` unchanged when no trace is active.
-        """
-        parent = self.current()
-        if parent is None:
-            return fn
-
-        def bound():
-            with self.attach(parent):
-                return fn()
-
-        return bound
 
     # -- reading -------------------------------------------------------------
 

@@ -1,10 +1,8 @@
 """Plan execution — the fast path and its decode-everything oracle.
 
-:func:`execute_plan` is the production path: pruned units are skipped,
-live units run through the late-materializing scan kernels, and
-independent units execute concurrently on a shared worker pool (results
-are collected in submission order, so serial and threaded execution are
-byte-identical — the PR-1 determinism contract).
+:func:`execute_plan` is the production path: pruned units are skipped
+and live units run through the late-materializing scan kernels, one
+after another in plan order.
 
 :func:`execute_plan_reference` is the oracle: every unit is scanned —
 pruned flags ignored — by fully decoding the data and applying the
@@ -17,9 +15,7 @@ fast-path toggle, by ``repro.perf.baseline.baseline_mode``).
 
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -74,77 +70,47 @@ def scan_reference_active() -> bool:
 
 @dataclass(frozen=True)
 class ScanOptions:
-    """How a plan executes (mirrors ``DataPlaneOptions``'s executor
-    knobs; defined here because ``repro.query`` sits below the core
-    orchestration layer).
-
-    ``"auto"`` picks threads on multi-core hosts and serial otherwise;
-    outputs are identical either way.
+    """Retired scan-executor selector, kept only because the frozen
+    ``benchmarks/full`` harness still constructs it: ``"serial"`` (the
+    default) and ``"auto"`` both mean the one serial scan loop;
+    ``"threads"`` raises ``ValueError``.
     """
 
-    executor: str = "auto"
-    max_workers: int | None = None
+    executor: str = "serial"
 
     def __post_init__(self) -> None:
-        if self.executor not in ("auto", "serial", "threads"):
+        if self.executor not in ("serial", "auto"):
             raise ValueError(
-                "executor must be 'auto', 'serial' or 'threads', "
-                f"got {self.executor!r}"
+                f"executor must be 'serial' or 'auto', got {self.executor!r}: "
+                "scans are single-threaded (DESIGN.md §8, Concurrency model)"
             )
-        if self.max_workers is not None and self.max_workers <= 0:
-            raise ValueError("max_workers must be positive")
 
     def resolve_executor(self) -> str:
-        """The concrete executor: ``"auto"`` resolved against the host."""
-        if self.executor == "auto":
-            return "threads" if (os.cpu_count() or 1) >= 2 else "serial"
-        return self.executor
-
-
-# One process-wide pool for query scans: queries are frequent and short,
-# so per-query pool construction would dominate.  Sized like the PR-1
-# refinery pool; created lazily under a lock.
-_pool_lock = threading.Lock()
-_scan_pool: ThreadPoolExecutor | None = None
-
-
-def _shared_pool() -> ThreadPoolExecutor:
-    global _scan_pool
-    with _pool_lock:
-        if _scan_pool is None:
-            _scan_pool = ThreadPoolExecutor(
-                max_workers=min(8, os.cpu_count() or 1),
-                thread_name_prefix="oda-scan",
-            )
-        return _scan_pool
+        """Always ``"serial"`` (the name the full-path bench records)."""
+        return "serial"
 
 
 def shutdown_scan_pool() -> None:
-    """Tear down the shared scan pool (tests / interpreter exit)."""
-    global _scan_pool
-    with _pool_lock:
-        pool, _scan_pool = _scan_pool, None
-    if pool is not None:
-        pool.shutdown(wait=True)
+    """Nothing to release; kept because the full-path bench calls it."""
 
 
 def execute_plan(
     plan: ScanPlan, options: ScanOptions | None = None
 ) -> ColumnTable:
     """Execute a plan on the fast path (oracle when the reference
-    toggle is active); returns the concatenated surviving rows."""
+    toggle is active); returns the concatenated surviving rows.
+    ``options`` selects nothing (see :class:`ScanOptions`)."""
     with TRACER.span(
         "query.execute", table=plan.table, units=len(plan.units)
     ):
         if _scan_reference:
             return execute_plan_reference(plan)
-        opts = options or ScanOptions()
         with PERF.timer("query.scan"):
-            return _execute_plan_impl(plan, opts)
+            return _execute_plan_impl(plan)
 
 
-def _execute_plan_impl(plan: ScanPlan, opts: ScanOptions) -> ColumnTable:
-    tasks = []
+def _execute_plan_impl(plan: ScanPlan) -> ColumnTable:
+    pieces = []
     for unit in plan.units:
         if unit.pruned:
             if isinstance(unit, SegmentUnit):
@@ -152,49 +118,29 @@ def _execute_plan_impl(plan: ScanPlan, opts: ScanOptions) -> ColumnTable:
             continue
         if isinstance(unit, SegmentUnit):
             PERF.count("query.segments_scanned")
-            tasks.append(
-                lambda u=unit: scan_segment(
-                    u.table,
-                    plan.time_column,
-                    plan.t0,
-                    plan.t1,
-                    plan.predicate,
-                    plan.columns,
-                )
+            piece = scan_segment(
+                unit.table,
+                plan.time_column,
+                plan.t0,
+                plan.t1,
+                plan.predicate,
+                plan.columns,
             )
         else:
             PERF.count("query.parts_scanned")
-            tasks.append(
-                lambda u=unit: scan_part(
-                    u.blob,
-                    plan.time_column,
-                    plan.t0,
-                    plan.t1,
-                    plan.predicate,
-                    plan.columns,
-                )
+            piece = scan_part(
+                unit.blob,
+                plan.time_column,
+                plan.t0,
+                plan.t1,
+                plan.predicate,
+                plan.columns,
             )
-    results = _run_tasks(tasks, opts)
-    pieces = [r for r in results if r is not None and r.num_rows]
+        if piece is not None and piece.num_rows:
+            pieces.append(piece)
     if not pieces:
         return _empty_result(plan)
     return ColumnTable.concat(pieces)
-
-
-def _run_tasks(tasks: list, opts: ScanOptions) -> list:
-    """Run thunks, returning results in submission order (the
-    determinism invariant shared with the PR-1 refinery executor)."""
-    if opts.resolve_executor() == "serial" or len(tasks) <= 1:
-        return [t() for t in tasks]
-    if opts.max_workers is not None:
-        with ThreadPoolExecutor(
-            max_workers=opts.max_workers, thread_name_prefix="oda-scan"
-        ) as pool:
-            futures = [pool.submit(t) for t in tasks]
-            return [f.result() for f in futures]
-    pool = _shared_pool()
-    futures = [pool.submit(t) for t in tasks]
-    return [f.result() for f in futures]
 
 
 def execute_plan_reference(plan: ScanPlan) -> ColumnTable:

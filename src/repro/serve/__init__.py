@@ -7,13 +7,12 @@ envelopes (:mod:`repro.serve.envelope`), per-tenant admission control
 with token-bucket quotas and bounded queues (:mod:`repro.serve.admission`),
 a result cache keyed on ``(query fingerprint, store generation)`` whose
 invalidation rides the tier lifecycle (:mod:`repro.serve.cache`), the
-serial/threaded request scheduler (:mod:`repro.serve.gateway`), the
+gateway itself (:mod:`repro.serve.gateway`), the
 canonical app endpoint adapters (:mod:`repro.serve.endpoints`), and a
 seeded zipf multi-tenant load generator (:mod:`repro.serve.loadgen`).
 
 The plane's invariant: every gateway-served answer is byte-identical
-to the direct library call — across serial and threaded scheduling,
-and across cache hits — enforced by
+to the direct library call, cache hits included — enforced by
 ``tests/integration/test_serving_equivalence.py``.
 """
 

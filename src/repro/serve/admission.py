@@ -6,9 +6,8 @@ scans data, and shed deterministically — the decision depends only on
 the tenant's policy, its arrival history in virtual time, and how many
 of its requests are currently queued, never on wall-clock racing.
 
-All state here is touched from the gateway's arrival/collection loop on
-one thread (the executed endpoints run on workers, the bookkeeping does
-not); see :class:`repro.serve.gateway.ServingGateway`.
+All state here is touched from the gateway's arrival/collection loop;
+see :class:`repro.serve.gateway.ServingGateway`.
 """
 
 from __future__ import annotations

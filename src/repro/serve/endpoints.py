@@ -4,9 +4,10 @@ Each adapter wraps one app entry point (UA dashboard, LVA, RATS) and
 returns a *canonical payload*: tables, arrays, scalars and containers
 of those, with every nondeterministic-under-concurrency field stripped.
 The one deliberate omission is ``JobOverview.scan_stats`` — it reports
-process-wide read-plane counter deltas, which interleave arbitrarily
-when requests run on a pool, so it cannot appear in a payload whose
-bytes must match across serial/threaded/cached serving.
+process-wide read-plane counter deltas and a scan wall time, which
+depend on cache warmth and on what else the process is running, so it
+cannot appear in a payload whose bytes must match across direct,
+gateway and cached serving.
 """
 
 from __future__ import annotations

@@ -1,23 +1,18 @@
-"""The serving gateway: admission -> cache -> scheduled execution.
+"""The serving gateway: admission -> cache -> execution.
 
 One object fronts the read-side apps (UA dashboard, LVA, RATS) for many
 tenants, the way production ODA deployments put a service layer between
 dashboards and the telemetry store instead of letting every client scan
 raw data.  A batch of arrivals flows through three stages:
 
-1. **Arrival loop** (one thread, in submission order): admission
-   control per tenant — token-bucket quota, bounded queue, typed
-   fast-fail — then a result-cache probe keyed
-   ``(fingerprint, store generation)``.  Probing *before* execution,
-   and only there, keeps the serial and threaded schedulers
-   observationally identical: a request's status never depends on
-   whether a concurrent twin finished first.
-2. **Execution**: admitted misses run through the configured scheduler
-   — inline (``"serial"``) or on a worker pool (``"threads"``) — with
-   results collected in submission order either way, so envelope
-   sequences are byte-identical across executors.
-3. **Collection loop** (same thread as arrivals): cache fills, queue
-   slots released, envelopes assembled.
+1. **Arrival loop** (submission order): admission control per tenant
+   — token-bucket quota, bounded queue, typed fast-fail — then a
+   result-cache probe keyed ``(fingerprint, store generation)``.  The
+   whole batch is probed *before* any of it executes, so a request's
+   status never depends on whether a twin in the same batch ran first.
+2. **Execution**: admitted misses run inline, in submission order.
+3. **Collection loop**: cache fills, queue slots released, envelopes
+   assembled.
 
 Everything the caller can observe in an envelope is deterministic;
 wall-clock service times are tracked out-of-band (for the serving
@@ -26,7 +21,6 @@ bench) in :attr:`ServingGateway.last_service_times`.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 from typing import Any, Callable, Sequence
 
@@ -56,8 +50,10 @@ class ServingGateway:
     admission, cache:
         Policy objects (defaults: permissive controller, 1024-entry LRU).
     executor:
-        ``"serial"``, ``"threads"``, or ``"auto"`` (threads on
-        multi-core hosts).  Envelopes are identical across all three.
+        Retired selector, kept only because the frozen
+        ``benchmarks/full`` harness still passes it: ``"serial"`` (the
+        default) and ``"auto"`` both mean inline execution;
+        ``"threads"`` raises ``ValueError``.
     cache_enabled:
         ``False`` bypasses the cache entirely (the bench's baseline).
     """
@@ -68,30 +64,23 @@ class ServingGateway:
         endpoints: dict[str, Callable[..., Any]],
         admission: AdmissionController | None = None,
         cache: ResultCache | None = None,
-        executor: str = "auto",
-        max_workers: int = 4,
+        executor: str = "serial",
         cache_enabled: bool = True,
     ) -> None:
-        if executor not in ("auto", "serial", "threads"):
+        if executor not in ("serial", "auto"):
             raise ValueError(
-                "executor must be 'auto', 'serial' or 'threads', "
-                f"got {executor!r}"
+                f"executor must be 'serial' or 'auto', got {executor!r}: "
+                "requests execute inline (DESIGN.md §8, Concurrency model)"
             )
-        if max_workers <= 0:
-            raise ValueError("max_workers must be positive")
         self.tiers = tiers
         self.endpoints = dict(endpoints)
         self.admission = admission or AdmissionController()
         self.cache = cache or ResultCache()
-        self.executor = executor
-        self.max_workers = max_workers
         self.cache_enabled = cache_enabled
         self._generation: int | None = None
-        self._pool: ThreadPoolExecutor | None = None
         #: Prior fresh computations per (tenant, endpoint, fingerprint)
-        #: — the ``seq`` coordinate of envelope lineage nodes.  Advanced
-        #: only on the arrival loop (serial, submission order), never on
-        #: the worker pool, so envelope identity is scheduler-independent.
+        #: — the ``seq`` coordinate of envelope lineage nodes, advanced
+        #: on the arrival loop in submission order.
         self._envelope_seq: dict[tuple[str, str, str], int] = {}
         #: Wall service seconds per request of the most recent
         #: :meth:`submit_many` batch (0.0 for rejected/cached/unknown),
@@ -102,25 +91,11 @@ class ServingGateway:
     # -- lifecycle ----------------------------------------------------------
 
     def resolve_executor(self) -> str:
-        """The concrete scheduler ``"auto"`` resolves to on this host."""
-        if self.executor == "auto":
-            import os
-
-            return "threads" if (os.cpu_count() or 1) >= 2 else "serial"
-        return self.executor
-
-    def _get_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.max_workers, thread_name_prefix="oda-serve"
-            )
-        return self._pool
+        """Always ``"serial"`` (the name the full-path bench records)."""
+        return "serial"
 
     def close(self) -> None:
-        """Shut the worker pool down (idempotent; lazily recreated)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """Nothing to release; kept for ``with`` blocks."""
 
     def __enter__(self) -> "ServingGateway":
         return self
@@ -169,9 +144,9 @@ class ServingGateway:
     ) -> list[ResultEnvelope]:
         """Serve a batch of arrivals at virtual time ``now``.
 
-        Envelopes come back in submission order and are identical
-        whatever the scheduler; ``now`` only feeds admission's token
-        buckets (virtual time keeps shedding replayable).
+        Envelopes come back in submission order; ``now`` only feeds
+        admission's token buckets (virtual time keeps shedding
+        replayable).
         """
         gen = self._refresh_generation()
         cat = getattr(self.tiers, "lineage", None)
@@ -188,7 +163,7 @@ class ServingGateway:
             ):
                 envelopes[i] = self._admit_one(i, request, now, gen, to_run)
 
-        results = self._execute([(i, r) for i, r, _, _ in to_run])
+        results = [self._execute_one(i, r) for i, r, _, _ in to_run]
 
         for (i, request, fingerprint, seq), (payload, error, dt, reads) in zip(
             to_run, results
@@ -289,56 +264,38 @@ class ServingGateway:
         to_run.append((index, request, fingerprint, seq))
         return None
 
-    def _execute(
-        self, tasks: list[tuple[int, Request]]
-    ) -> list[tuple[Any, str | None, float, list]]:
-        """Run admitted misses; results in submission order.
+    def _execute_one(
+        self, index: int, request: Request
+    ) -> tuple[Any, str | None, float, list]:
+        """``(payload, error, wall seconds, tier read-set)`` for one miss.
 
-        Each worker task's span gets a per-batch-unique name
-        (``serve.request:<index>``) so concurrently created sibling
-        spans keep assignment-order-independent IDs.  Each result
-        carries the request's tier read-set (thread-local, so the pool
-        tracks concurrent requests without cross-talk).
+        The span carries the request's batch index in its name
+        (``serve.request:<index>``).
         """
         collect = getattr(self.tiers, "collect_reads", None)
-
-        def make_task(index: int, request: Request):
-            fn = self.endpoints[request.endpoint]
-            kwargs = request.kwargs()
-
-            def task() -> tuple[Any, str | None, float, list]:
-                t0 = perf_counter()
-                reads: list = []
-                with TRACER.span(
-                    f"serve.request:{index}",
-                    tenant=request.tenant,
-                    endpoint=request.endpoint,
-                ):
-                    try:
-                        if collect is not None:
-                            with collect() as reads:
-                                payload = fn(**kwargs)
-                        else:
-                            payload = fn(**kwargs)
-                    except Exception as exc:
-                        return (
-                            None,
-                            f"{type(exc).__name__}: {exc}",
-                            perf_counter() - t0,
-                            [],
-                        )
-                return payload, None, perf_counter() - t0, reads
-
-            return task
-
-        thunks = [make_task(i, r) for i, r in tasks]
-        if self.resolve_executor() == "serial" or len(thunks) <= 1:
-            return [t() for t in thunks]
-        pool = self._get_pool()
-        return [
-            f.result()
-            for f in [pool.submit(TRACER.wrap(t)) for t in thunks]
-        ]
+        fn = self.endpoints[request.endpoint]
+        kwargs = request.kwargs()
+        t0 = perf_counter()
+        reads: list = []
+        with TRACER.span(
+            f"serve.request:{index}",
+            tenant=request.tenant,
+            endpoint=request.endpoint,
+        ):
+            try:
+                if collect is not None:
+                    with collect() as reads:
+                        payload = fn(**kwargs)
+                else:
+                    payload = fn(**kwargs)
+            except Exception as exc:
+                return (
+                    None,
+                    f"{type(exc).__name__}: {exc}",
+                    perf_counter() - t0,
+                    [],
+                )
+        return payload, None, perf_counter() - t0, reads
 
     def _count(self, request: Request, status: str) -> None:
         METRICS.inc(

@@ -49,9 +49,8 @@ class LogStore:
 
     def __init__(self, templates: list[str]) -> None:
         self.templates = list(templates)
-        # Only log_task (one per window) writes; the window-end join is
-        # the happens-before barrier for main-thread query reads.
-        self._docs: list[LogDocument] = []  # repro: ignore[RACE001] -- single log_task per window, joined before queries
+        # Only the framework's window loop writes.
+        self._docs: list[LogDocument] = []
         self._term_index: dict[str, list[int]] = {}
         self._node_index: dict[int, list[int]] = {}
         self.scanned_docs = 0  # docs touched by queries (bench hook)

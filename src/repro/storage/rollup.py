@@ -126,9 +126,8 @@ def _group_reduce(
 class GoldRollup:
     """One incrementally-maintained rollup: part key -> partial aggregate.
 
-    All methods are atomic under an internal lock (ingest may run on the
-    pipelined ingest thread while the lifecycle tick reconciles on the
-    main thread).  ``version`` advances on every mutation; the merged
+    All methods are atomic under an internal lock (a caller's thread may
+    ingest while another reconciles).  ``version`` advances on every mutation; the merged
     result is memoized per version so repeated dashboard reads between
     ingests cost a dict lookup.
     """

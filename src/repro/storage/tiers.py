@@ -214,10 +214,9 @@ class TieredStore:
         self.retry_policy = retry_policy or DEFAULT_RETRY_POLICY
         self.ocean.create_bucket(self.OCEAN_BUCKET)
         self._datasets: dict[str, _DatasetMeta] = {}
-        # ``register`` may run on the window thread while deferred tier
-        # writes resolve datasets on the pipelined ingest thread; all
-        # registry access — including part-number allocation — goes
-        # through this lock.
+        # Callers may drive ``register`` and ``ingest`` from their own
+        # threads; all registry access — including part-number
+        # allocation — goes through this lock.
         self._registry_lock = threading.Lock()
         self._rollups: dict[str, GoldRollup] = {}
         self._rollup_lock = threading.Lock()
@@ -460,8 +459,7 @@ class TieredStore:
 
         ``batch_now`` links the part to the refined batch that produced
         it — both sides derive the batch node ID from ``(dataset,
-        now)``, so the edge needs no hand-off from the framework (and
-        survives the pipelined run's deferred-ingest indirection).
+        now)``, so the edge needs no hand-off from the framework.
         ``replaces`` records a rewrite commit: supersede tombstones plus
         the input->output ``derived`` edges blast radius traverses.
         """
@@ -504,7 +502,7 @@ class TieredStore:
 
         Identity includes the store generation, so repeating the same
         question at the same generation merges into one node instead of
-        racing a sequence counter across gateway worker threads.
+        needing a sequence counter.
         """
         cat = self.lineage
         if cat is None:
@@ -597,7 +595,7 @@ class TieredStore:
         ``ocean.parts_pruned``).  Surviving parts are fetched serially
         — the object store's accounting is not thread-safe — and then
         scanned through :func:`repro.query.execute_plan` (row-group
-        pruning, late materialization, cache, parallel units).  Under
+        pruning, late materialization, cache).  Under
         ``baseline_mode`` every part is fetched and the reference
         executor decodes everything.
 

@@ -177,10 +177,8 @@ class Broker:
 
     def __init__(self) -> None:
         self._topics: dict[str, TopicConfig] = {}
-        # Topic topology is frozen at framework construction; during a
-        # window, produce/commit/retention run on the window thread and
-        # workers only fetch between the produce and commit phases.
-        self._partitions: dict[str, list[_Partition]] = {}  # repro: ignore[RACE001] -- topology frozen before threads start; phase-barriered access
+        # Topic topology is frozen at framework construction.
+        self._partitions: dict[str, list[_Partition]] = {}
         self._group_offsets: dict[tuple[str, str, int], int] = {}
         self._keyless_rr: dict[str, int] = {}
         # Key -> CRC32 memo shared by the batch producer path; telemetry

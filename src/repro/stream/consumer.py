@@ -72,16 +72,14 @@ class Consumer:
                 p for p in range(n_parts) if p % group_size == member
             ]
         # Local read positions start from the group's committed offsets.
-        # poll() runs on a worker during phase 1; seek/commit happen on
-        # the window thread in phase 2, after the phase-1 join barrier.
-        self._positions = {  # repro: ignore[RACE001] -- poll (phase 1) and seek/commit (phase 2) are join-barrier separated
+        self._positions = {
             p: broker.committed(group, topic, p) for p in self.partitions
         }
         # Partitions whose position this consumer has actually moved
         # (poll/seek).  commit() only writes these back: committing on a
         # fresh consumer must be a no-op, not a reset of the group's
         # offsets to whatever was committed at construction time.
-        self._touched: set[int] = set()  # repro: ignore[RACE001] -- poll (phase 1) and seek/commit (phase 2) are join-barrier separated
+        self._touched: set[int] = set()
         #: Records this consumer jumped over because retention trimmed
         #: them before they were read (also counted process-wide under
         #: ``stream.skipped_by_retention`` in the perf registry).

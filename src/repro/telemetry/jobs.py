@@ -128,10 +128,10 @@ class AllocationTable:
             tuple, tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = OrderedDict()
         self._util_memo_max = 16
-        # The memo is shared by emitting sources and refine workers which
-        # may run on different threads (and, with pipelined windows, by
-        # the emit-prefetch thread); all OrderedDict mutation sits under
-        # this lock.  The cached arrays themselves are read-only.
+        # The memo is shared by emitting sources and refineries, which
+        # callers may drive from different threads; all OrderedDict
+        # mutation sits under this lock.  The cached arrays themselves
+        # are read-only.
         self._util_lock = threading.Lock()
 
     def _check_no_node_conflicts(self) -> None:

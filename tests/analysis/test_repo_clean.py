@@ -54,3 +54,32 @@ def test_src_suppressions_name_an_invariant():
                     if m and "--" not in m.group(2):
                         bad.append(f"{path}:{lineno}")
     assert bad == [], f"race suppressions without a stated invariant: {bad}"
+
+
+def test_data_plane_spawns_nothing_and_waives_no_race():
+    # One execution model (DESIGN.md §8): outside the analysis package
+    # itself, src constructs no pool or thread, so there is no spawn
+    # site for a RACE001 waiver to describe.
+    import ast
+
+    spawners = {"ThreadPoolExecutor", "ProcessPoolExecutor", "Thread"}
+    bad = []
+    for dirpath, _, names in os.walk(os.path.join(SRC, "repro")):
+        if os.path.join("repro", "analysis") in dirpath:
+            continue
+        for name in names:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, name)
+            with open(path, encoding="utf-8") as fh:
+                source = fh.read()
+            if "repro: ignore[RACE001]" in source:
+                bad.append(f"{path}: RACE001 pragma")
+            for node in ast.walk(ast.parse(source, path)):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                called = getattr(func, "attr", getattr(func, "id", None))
+                if called in spawners:
+                    bad.append(f"{path}:{node.lineno}: {called}(...)")
+    assert bad == []

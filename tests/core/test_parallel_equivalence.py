@@ -1,10 +1,12 @@
 """The fast data plane must be indistinguishable from the serial baseline.
 
 Every configuration of :class:`DataPlaneOptions` — batched emission,
-zero-copy polling, threaded refineries, every fast-path memo — must
-produce the same window summaries and the same bytes in every storage
-tier as the pre-optimization serial path.
+zero-copy polling, every fast-path memo — must produce the same window
+summaries and the same bytes in every storage tier as the
+pre-optimization serial path.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -12,8 +14,8 @@ import pytest
 from repro.core import DataPlaneOptions, ODAFramework
 from repro.faults.injector import FaultInjector, FaultyObjectStore
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
-from repro.obs import TRACER
 from repro.perf import baseline_mode, reset_fast_path_caches
+from repro.serve import Request
 from repro.telemetry import MINI, synthetic_job_mix
 
 N_WINDOWS = 4
@@ -43,9 +45,8 @@ def run_windows(options, baseline=False):
 
 
 def run_span(options, baseline=False, fault_plan=None):
-    """Drive the same four windows through ``ODAFramework.run`` (the
-    entry point that owns the pipelined schedule), optionally with a
-    fault injector wrapped around the OCEAN store."""
+    """Drive the same four windows through ``ODAFramework.run``,
+    optionally with a fault injector wrapped around the OCEAN store."""
     rng = np.random.default_rng(11)
     allocation = synthetic_job_mix(MINI, 0.0, N_WINDOWS * WINDOW_S, rng)
     fw = ODAFramework(MINI, allocation, seed=3, options=options)
@@ -102,29 +103,10 @@ def test_default_options_match_serial_baseline(baseline_run):
     assert_equivalent(fw, summaries, baseline_run)
 
 
-def test_threaded_executor_matches_serial_baseline(baseline_run):
-    fw, summaries = run_windows(
-        DataPlaneOptions(executor="threads", max_workers=4)
-    )
-    assert_equivalent(fw, summaries, baseline_run)
-
-
-def test_threaded_run_is_deterministic():
-    fw1, s1 = run_windows(DataPlaneOptions(executor="threads"))
-    fw2, s2 = run_windows(DataPlaneOptions(executor="threads"))
-    assert s1 == s2
-    assert fw1.tiers.footprint() == fw2.tiers.footprint()
-
-
 def test_batched_only_matches(baseline_run):
     fw, summaries = run_windows(
         DataPlaneOptions(batched=True, executor="serial")
     )
-    assert_equivalent(fw, summaries, baseline_run)
-
-
-def test_pipelined_run_matches_serial_baseline(baseline_run):
-    fw, summaries = run_span(DataPlaneOptions(pipeline="on"))
     assert_equivalent(fw, summaries, baseline_run)
 
 
@@ -133,50 +115,10 @@ def test_pipeline_off_run_matches_serial_baseline(baseline_run):
     assert_equivalent(fw, summaries, baseline_run)
 
 
-def test_pipelined_threads_matches_serial_baseline(baseline_run):
-    fw, summaries = run_span(
-        DataPlaneOptions(pipeline="on", executor="threads", max_workers=4)
-    )
-    assert_equivalent(fw, summaries, baseline_run)
-
-
-def test_pipelined_under_baseline_mode_matches(baseline_run):
-    """Pipelining composes with the reference data plane: baseline_mode
-    plus overlapped windows still reproduces the serial bytes."""
-    fw, summaries = run_span(
-        DataPlaneOptions(
-            batched=False,
-            executor="serial",
-            reference_emit=True,
-            pipeline="on",
-        ),
-        baseline=True,
-    )
-    assert_equivalent(fw, summaries, baseline_run)
-
-
-def test_pipelined_trace_is_span_identical():
-    """The pipelined schedule must emit the same spans with the same
-    deterministic ids and parents as the serial one, no matter which
-    thread executes a deferred ingest."""
-
-    def spans_for(pipeline):
-        TRACER.reset()
-        run_span(DataPlaneOptions(pipeline=pipeline))
-        return {
-            (s.trace_id, s.span_id, s.parent_id, s.name)
-            for s in TRACER.finished()
-        }
-
-    serial, overlapped = spans_for("off"), spans_for("on")
-    assert serial == overlapped
-    assert any(name.startswith("tier.ingest:") for *_, name in serial)
-
-
-def test_pipelined_chaos_equivalence(baseline_run):
-    """Transient OCEAN faults under the pipelined schedule are absorbed
-    by the retry envelope and leave every byte identical to a fault-free
-    serial run (the PR-3 chaos harness contract)."""
+def test_run_chaos_equivalence(baseline_run):
+    """Transient OCEAN faults during ``run`` are absorbed by the retry
+    envelope and leave every byte identical to a fault-free baseline
+    run (the PR-3 chaos harness contract)."""
     plan = FaultPlan(
         [
             FaultSpec(FaultyObjectStore.SITE_PUT, FaultKind.TIER_ERROR, 2),
@@ -184,9 +126,7 @@ def test_pipelined_chaos_equivalence(baseline_run):
             FaultSpec(FaultyObjectStore.SITE_PUT, FaultKind.TIER_ERROR, 11),
         ]
     )
-    fw, summaries = run_span(
-        DataPlaneOptions(pipeline="on"), fault_plan=plan
-    )
+    fw, summaries = run_span(DataPlaneOptions(), fault_plan=plan)
     assert fw.tiers.ocean.injector.injected  # the faults actually fired
     assert_equivalent(fw, summaries, baseline_run)
 
@@ -195,35 +135,64 @@ def test_option_validation():
     with pytest.raises(ValueError):
         DataPlaneOptions(executor="processes")
     with pytest.raises(ValueError):
-        DataPlaneOptions(max_workers=0)
-    with pytest.raises(ValueError):
         DataPlaneOptions(pipeline="eager")
-    assert DataPlaneOptions(executor="auto").resolve_executor() in (
-        "serial",
-        "threads",
-    )
-    assert DataPlaneOptions(executor="serial").resolve_executor() == "serial"
-    assert DataPlaneOptions(executor="threads").resolve_executor() == "threads"
-    assert DataPlaneOptions(pipeline="auto").resolve_pipeline() in (
-        "off",
-        "on",
-    )
-    assert DataPlaneOptions(pipeline="off").resolve_pipeline() == "off"
-    assert DataPlaneOptions.serial_baseline().resolve_pipeline() == "off"
+    with pytest.raises(ValueError, match="DESIGN.md"):
+        DataPlaneOptions(executor="threads")
+    with pytest.raises(ValueError, match="DESIGN.md"):
+        DataPlaneOptions(pipeline="on")
+    with pytest.raises(TypeError):
+        DataPlaneOptions(max_workers=4)
 
 
-def test_framework_context_manager_closes_pool():
+@pytest.mark.parametrize("cpus", [1, 64])
+def test_modes_resolve_without_reading_the_host(monkeypatch, cpus):
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    for options in (
+        DataPlaneOptions(),
+        DataPlaneOptions(executor="auto", pipeline="auto"),
+        DataPlaneOptions.serial_baseline(),
+    ):
+        assert options.resolve_executor() == "serial"
+        assert options.resolve_pipeline() == "off"
+
+
+def test_run_window_bounds_do_not_drift():
+    """Bounds are ``t0 + k * window_s``: a non-dyadic step must not
+    accumulate into a sliver window, and a ragged tail clips to ``t1``."""
     rng = np.random.default_rng(0)
     allocation = synthetic_job_mix(MINI, 0.0, 60.0, rng)
+    fw = ODAFramework(MINI, allocation, seed=1)
+    calls = []
+    fw.run_window = lambda a, b: calls.append((a, b))
+    for t1, step in ((1.0, 0.1), (6.0, 0.6)):
+        calls.clear()
+        fw.run(0.0, t1, step)
+        assert len(calls) == 10
+        assert calls[0][0] == 0.0 and calls[-1][1] == t1
+        assert all(b == a2 for (_, b), (a2, _) in zip(calls, calls[1:]))
+    calls.clear()
+    fw.run(0.0, 40.0, 15.0)
+    assert calls == [(0.0, 15.0), (15.0, 30.0), (30.0, 40.0)]
+
+
+def test_managed_run_and_serving_leave_no_threads():
+    rng = np.random.default_rng(0)
+    allocation = synthetic_job_mix(MINI, 0.0, 6 * WINDOW_S, rng)
+    before = threading.active_count()
     with ODAFramework(
         MINI,
         allocation,
         seed=1,
-        options=DataPlaneOptions(executor="threads"),
+        options=DataPlaneOptions(lifecycle=True, lineage=True, shards=3),
     ) as fw:
-        fw.run_window(0.0, 30.0)
-        assert fw._executor is not None
-    assert fw._executor is None
-    # The framework stays usable after close: the pool is lazily rebuilt.
-    fw.run_window(30.0, 60.0)
-    fw.close()
+        assert len(fw.run(0.0, 6 * WINDOW_S, WINDOW_S)) == 6
+        with fw.serving_gateway(cache_enabled=False) as gateway:
+            for i in range(20):
+                envelope = gateway.submit(
+                    Request.make("ops", "fleet_power"), now=float(i)
+                )
+                assert envelope.status == "ok"
+        assert threading.active_count() == before
+    # close() releases nothing, so the framework stays usable after it.
+    fw.run_window(6 * WINDOW_S, 7 * WINDOW_S)
+    assert threading.active_count() == before

@@ -1,19 +1,15 @@
 """Regression tests for the concurrency bugs the interprocedural RACE
 pass surfaced (PR-7): stale-restore fast-path toggles, the unlocked
-RNG-stream cache, the unlocked tier registry, and the zombie emit
-thread left behind by a failing pipelined run."""
+RNG-stream cache and the unlocked tier registry."""
 
 from __future__ import annotations
 
 import importlib
 import threading
 
-import numpy as np
 import pytest
 
-from repro.core import DataPlaneOptions, ODAFramework
 from repro.storage.tiers import DataClass, TieredStore
-from repro.telemetry import MINI, synthetic_job_mix
 from repro.util.rng import RngStreams
 
 #: (module, context manager, flag, value while active, value when idle)
@@ -131,41 +127,3 @@ class TestTieredStoreRegistry:
         store.register("d", DataClass.GOLD)
         with pytest.raises(ValueError):
             store.register("d", DataClass.GOLD)
-
-
-class TestPipelinedEmitShutdown:
-    def test_failed_window_does_not_leave_emit_thread_running(self):
-        # A window failure used to shut the emit pool down with
-        # wait=False, returning control while the prefetch emit for the
-        # *next* window was still mutating fleet state on its thread.
-        allocation = synthetic_job_mix(
-            MINI, 0.0, 3600.0, np.random.default_rng(11)
-        )
-        fw = ODAFramework(
-            MINI,
-            allocation,
-            seed=0,
-            options=DataPlaneOptions(pipeline="on"),
-        )
-        original = fw.run_window
-        calls = {"n": 0}
-
-        def failing_run_window(a, b):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise RuntimeError("boom")
-            return original(a, b)
-
-        fw.run_window = failing_run_window
-        try:
-            with pytest.raises(RuntimeError, match="boom"):
-                fw.run(0.0, 240.0, window_s=60.0)
-            emitters = [
-                t
-                for t in threading.enumerate()
-                if t.name.startswith("oda-emit") and t.is_alive()
-            ]
-            assert emitters == [], "zombie emit thread survived the failure"
-        finally:
-            fw.run_window = original
-            fw.close()

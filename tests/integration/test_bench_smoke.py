@@ -28,7 +28,7 @@ COMMITTED_QUERY = REPO_ROOT / "BENCH_query.json"
 COMMITTED_SERVING = REPO_ROOT / "BENCH_serving.json"
 
 
-HOST = {"cpu_count": 1, "executor": "serial", "pipeline": "off"}
+HOST = {"cpu_count": 1, "python": "3.11.0", "numpy": "1.26.0"}
 
 
 def _report(stages_base, stages_fast, identical=True, host=HOST):
@@ -110,19 +110,14 @@ class TestCheckAgainstComparator:
         assert check_against(bad, r) != []
         assert check_against(r, bad) != []
 
-    def test_unlike_modes_skip_stage_ratios_but_not_identity(self):
-        """Stage timers under threads+pipelined record contended wall
-        time: a 1-CPU report says nothing about a 2-CPU run's ratios, and
-        a report that does not say what it ran under cannot be assumed
-        to match.  Output identity is still enforced."""
+    def test_no_host_record_skips_ratios(self):
+        """A report that does not say where it ran cannot be assumed to
+        match.  Output identity is still enforced."""
         committed = {"telemetry.emit": 1.0}, {"telemetry.emit": 0.5}
         losing = {"telemetry.emit": 1.0}, {"telemetry.emit": 6.0}
-        threads = {"cpu_count": 2, "executor": "threads", "pipeline": "on"}
         for ref_host, new_host, why in (
-            (None, threads, "committed report carries no host record"),
+            (None, HOST, "committed report carries no host record"),
             (HOST, None, "this run carries no host record"),
-            (HOST, threads, "resolved executor differs"),
-            (HOST, {**HOST, "pipeline": "on"}, "resolved pipeline differs"),
         ):
             ref = _report(*committed, host=ref_host)
             new = _report(*losing, host=new_host)
@@ -131,7 +126,7 @@ class TestCheckAgainstComparator:
             diverged = _report(*losing, identical=False, host=new_host)
             assert check_against(diverged, ref) != []
 
-    def test_like_modes_compare_stage_ratios(self):
+    def test_host_records_compare_ratios(self):
         ref = _report({"telemetry.emit": 1.0}, {"telemetry.emit": 0.5})
         new = _report(
             {"telemetry.emit": 1.0},
@@ -145,8 +140,8 @@ class TestCheckAgainstComparator:
 @pytest.mark.skipif(not COMMITTED.exists(), reason="no committed bench report")
 def test_bench_e2e_smoke_gate(tmp_path):
     """The real gate: quick-shape run, outputs identical, no stage
-    regression vs. the committed report where the two ran under the
-    same resolved modes (what `make bench-e2e-smoke` runs)."""
+    regression vs. the committed report (what `make bench-e2e-smoke`
+    runs)."""
     out = tmp_path / "smoke.json"
     proc = subprocess.run(
         [
@@ -168,7 +163,8 @@ def test_bench_e2e_smoke_gate(tmp_path):
     report = json.loads(out.read_text())
     assert report["outputs_identical"] is True
     assert report["fast"]["wall_s_median"] > 0
-    assert set(report["host"]) == {"cpu_count", "executor", "pipeline"}
+    assert set(report["host"]) == {"cpu_count", "python", "numpy"}
+    assert "stage-ratio check skipped" not in proc.stdout
 
 
 @pytest.mark.skipif(
@@ -189,7 +185,7 @@ def test_committed_query_report_records_compaction_win():
 
 def test_bench_query_smoke_gate(tmp_path):
     """Quick-shape run of the read-plane bench: every query identical
-    across baseline/serial/threads, and the compaction phase merges the
+    across baseline/serial, and the compaction phase merges the
     sprawl store with byte-identical answers."""
     out = tmp_path / "query_smoke.json"
     proc = subprocess.run(

@@ -126,18 +126,6 @@ def test_same_seed_runs_are_byte_identical():
     assert len(first) > 50
 
 
-def test_serial_and_threaded_traces_match():
-    """Executor choice is not allowed to change trace structure — the
-    cross-thread propagation contract."""
-    run_observed(options=DataPlaneOptions(
-        executor="serial", self_telemetry=True))
-    serial = _structure(TRACER.finished())
-    run_observed(options=DataPlaneOptions(
-        executor="threads", self_telemetry=True))
-    threaded = _structure(TRACER.finished())
-    assert serial == threaded
-
-
 def test_dashboard_renders_self_telemetry():
     fw, _ = run_observed()
     health = fw.tiers.query_online("oda_health.silver")

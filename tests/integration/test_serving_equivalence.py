@@ -10,8 +10,8 @@ Three contracts:
   pipeline consumes — is untouched.
 * **Gateway == direct call.**  Every gateway-served payload digests
   identically to calling the endpoint as a library function — across
-  serial and threaded scheduling and across cache hits, including after
-  a lifecycle tick moves the store generation.
+  cache hits too, including after a lifecycle tick moves the store
+  generation.
 * **Shard outage is absorbed.**  A fetch fault injected on one shard is
   retried through the standard policy; consumption completes with no
   loss and the other shards never see the outage.
@@ -122,30 +122,26 @@ class TestGatewayEqualsDirect:
             for r in requests
         ]
 
-    def test_serial_threaded_cached_all_match_direct(self, deployment):
+    def test_served_cached_match_direct(self, deployment):
         fw, requests = deployment
-        with fw.serving_gateway(executor="serial") as serial_gw:
-            direct = self.direct_digests(serial_gw, requests)
-            serial = serial_gw.submit_many(requests)
-            cached = serial_gw.submit_many(requests)
-        with fw.serving_gateway(executor="threads") as threaded_gw:
-            threaded = threaded_gw.submit_many(requests)
+        with fw.serving_gateway() as gateway:
+            direct = self.direct_digests(gateway, requests)
+            served = gateway.submit_many(requests)
+            cached = gateway.submit_many(requests)
 
-        assert [e.status for e in serial] == ["ok"] * len(requests)
+        assert [e.status for e in served] == ["ok"] * len(requests)
         assert [e.status for e in cached] == ["cached"] * len(requests)
-        assert [e.status for e in threaded] == ["ok"] * len(requests)
-        assert [e.digest for e in serial] == direct
+        assert [e.digest for e in served] == direct
         assert [e.digest for e in cached] == direct
-        assert [e.digest for e in threaded] == direct
         # Digest equality is byte equality of canonical payloads; spot
         # check one table payload end to end as well.
-        view = serial[0].payload
-        again = serial_gw.endpoints["system_power_view"](t0=0.0, t1=60.0)
+        view = served[0].payload
+        again = gateway.endpoints["system_power_view"](t0=0.0, t1=60.0)
         assert_tables_equal(view, again)
 
     def test_equivalence_survives_lifecycle_invalidation(self, deployment):
         fw, requests = deployment
-        with fw.serving_gateway(executor="serial") as gateway:
+        with fw.serving_gateway() as gateway:
             warm = gateway.submit_many(requests)
             assert [e.status for e in gateway.submit_many(requests)] == (
                 ["cached"] * len(requests)

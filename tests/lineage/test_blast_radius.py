@@ -66,7 +66,7 @@ def run_deployment(options, corrupt=False):
         ),
     }
     digests = {}
-    with ServingGateway(fw.tiers, endpoints, executor="serial") as gw:
+    with ServingGateway(fw.tiers, endpoints) as gw:
         requests = [
             Request.make(tenant, endpoint, **kwargs)
             for tenant, endpoint, kwargs in BATTERY
@@ -87,7 +87,7 @@ def run_deployment(options, corrupt=False):
     return fw, injector, digests, envelope_of
 
 
-SERIAL = dict(lineage=True, pipeline="off", executor="serial")
+SERIAL = dict(lineage=True)
 
 
 class TestBlastEqualsReplayDiff:
@@ -146,11 +146,8 @@ class TestDeterminism:
 
     @pytest.mark.parametrize(
         "variant",
-        [
-            dict(lineage=True, pipeline="on", executor="threads"),
-            dict(lineage=True, shards=3),
-        ],
-        ids=["pipelined", "sharded3"],
+        [dict(lineage=True, shards=3)],
+        ids=["sharded3"],
     )
     def test_executors_are_byte_identical(self, variant):
         assert self.account(DataPlaneOptions(**SERIAL)) == self.account(

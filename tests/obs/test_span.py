@@ -1,7 +1,4 @@
-"""Tracer semantics: nesting, thread propagation, determinism, bounds."""
-
-import threading
-from concurrent.futures import ThreadPoolExecutor
+"""Tracer semantics: nesting, determinism, bounds."""
 
 import pytest
 
@@ -76,59 +73,6 @@ def test_attrs_and_set(tracer):
     d = span.to_dict()
     assert d["kind"] == "span"
     assert list(d["attrs"]) == ["machine", "rows"]  # sorted
-
-
-def test_wrap_carries_context_across_threads(tracer):
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        with tracer.trace(seed=3, name="w") as root:
-            def task(name):
-                def run():
-                    assert tracer.current() is root
-                    with tracer.span(name) as s:
-                        return s.span_id
-                return run
-
-            futs = [
-                pool.submit(tracer.wrap(task(n)))
-                for n in ("refine:a", "refine:b")
-            ]
-            ids = [f.result() for f in futs]
-    children = {s.name: s for s in tracer.finished() if s.parent_id}
-    assert set(children) == {"refine:a", "refine:b"}
-    for s in children.values():
-        assert s.parent_id == root.span_id
-        assert s.span_id in ids
-
-
-def test_wrap_without_trace_returns_fn_unchanged(tracer):
-    fn = lambda: 42  # noqa: E731
-    assert tracer.wrap(fn) is fn
-
-
-def test_distinct_names_make_concurrent_ids_order_free(tracer):
-    """The determinism contract for the thread pool: concurrently created
-    siblings carry distinct names, so their IDs cannot depend on which
-    thread reached the sequence counter first."""
-    barrier = threading.Barrier(4)
-
-    def run_once(t):
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            with t.trace(seed=5, name="w"):
-                def task(name):
-                    def run():
-                        barrier.wait()
-                        with t.span(name):
-                            pass
-                    return run
-
-                futs = [
-                    pool.submit(t.wrap(task(f"refine:{i}"))) for i in range(4)
-                ]
-                for f in futs:
-                    f.result()
-        return sorted((s.name, s.span_id) for s in t.finished())
-
-    assert run_once(tracer) == run_once(Tracer())
 
 
 def test_span_or_trace_roots_or_joins(tracer):

@@ -1,9 +1,8 @@
 """Property-style soundness: planner output == brute-force mask path.
 
 Random tables (NaN floats, null strings, dict-friendly low-cardinality
-columns) and random predicate trees, executed four ways — fast serial,
-fast threaded, cache-disabled, and the decode-everything reference —
-must all agree with the plain ``predicate.mask`` filter over the
+columns) and random predicate trees, executed three ways — fast,
+cache-disabled, and the decode-everything reference — must all agree with the plain ``predicate.mask`` filter over the
 concatenated data.  This is the one assertion that covers row-group
 pruning, dictionary-code pushdown, late materialization, and the cache
 at once.
@@ -130,15 +129,14 @@ def test_random_queries_match_brute_force(seed):
     expected = brute_force(tables, t0, t1, predicate, columns)
     plan = build_plan(tables, blobs, t0, t1, predicate, columns)
 
-    serial = execute_plan(plan, ScanOptions(executor="serial"))
-    threaded = execute_plan(plan, ScanOptions(executor="threads", max_workers=4))
+    serial = execute_plan(plan)
     reference = execute_plan_reference(plan)
     with row_group_cache_disabled():
-        uncached = execute_plan(plan, ScanOptions(executor="serial"))
+        uncached = execute_plan(plan)
     # A second run exercises warm-cache hits.
-    warm = execute_plan(plan, ScanOptions(executor="serial"))
+    warm = execute_plan(plan)
 
-    for out in (serial, threaded, reference, uncached, warm):
+    for out in (serial, reference, uncached, warm):
         assert out.num_rows == expected.num_rows
         assert list(out.column_names) == list(expected.column_names)
         for c in expected.column_names:
@@ -162,7 +160,7 @@ def test_nan_chunk_not_equal_stays_conservative():
     blob = write_table(t, row_group_size=4)
     for predicate in (Col("power") != 5.0, Not(Compare("power", "==", 5.0))):
         plan = build_plan([t], [blob], None, None, predicate, None)
-        fast = execute_plan(plan, ScanOptions(executor="serial"))
+        fast = execute_plan(plan)
         ref = execute_plan_reference(plan)
         assert fast.num_rows == ref.num_rows == 1
         assert np.isnan(fast["power"]).all()
@@ -180,7 +178,7 @@ def test_or_keeps_group_either_side_might_match():
     blob = write_table(t, row_group_size=10)
     predicate = Or(Col("power") > 1000.0, Col("power") <= 101.0)
     plan = build_plan([t], [blob], None, None, predicate, None)
-    fast = execute_plan(plan, ScanOptions(executor="serial"))
+    fast = execute_plan(plan)
     assert fast.num_rows == 2
     assert fast == execute_plan_reference(plan)
 
@@ -206,7 +204,7 @@ def test_null_string_rows_follow_mask_semantics():
     ]
     for predicate, expected_rows in cases:
         plan = build_plan([t], [blob], None, None, predicate, None)
-        fast = execute_plan(plan, ScanOptions(executor="serial"))
+        fast = execute_plan(plan)
         ref = execute_plan_reference(plan)
         assert fast.num_rows == expected_rows, predicate
         assert fast == ref
@@ -217,7 +215,7 @@ def test_unknown_projection_column_raises():
     blob = write_table(t)
     plan = build_plan([t], [blob], None, None, None, ["nope"])
     with pytest.raises(KeyError):
-        execute_plan(plan, ScanOptions(executor="serial"))
+        execute_plan(plan)
 
 
 def test_pruned_parts_counted_and_skipped():
@@ -230,8 +228,19 @@ def test_pruned_parts_counted_and_skipped():
     plan = build_plan(tables, blobs, 5000.0, 6000.0, None, None)
     assert plan.pruned_units == 4
     before = PERF.counter("query.parts_scanned")
-    out = execute_plan(plan, ScanOptions(executor="serial"))
+    out = execute_plan(plan)
     assert out.num_rows == 0
     assert PERF.counter("query.parts_scanned") == before
     # The reference scans everything and still agrees.
     assert out.num_rows == execute_plan_reference(plan).num_rows
+
+
+def test_scan_options_are_serial_only(monkeypatch):
+    with pytest.raises(ValueError, match="DESIGN.md"):
+        ScanOptions(executor="threads")
+    with pytest.raises(TypeError):
+        ScanOptions(max_workers=4)
+    for cpus in (1, 64):
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        assert ScanOptions().resolve_executor() == "serial"
+        assert ScanOptions(executor="auto").resolve_executor() == "serial"

@@ -69,23 +69,23 @@ class TestServing:
         assert [e.payload["x"] for e in envelopes] == list(range(6))
         assert len(gateway.last_service_times) == 6
 
-    def test_serial_and_threads_produce_identical_digests(self):
-        requests = [Request.make("t", "square", x=i % 4) for i in range(12)]
-        digests = {}
-        for executor in ("serial", "threads"):
-            gateway, _ = make_gateway(executor=executor)
-            with gateway:
-                envelopes = gateway.submit_many(requests)
-            digests[executor] = [
-                (e.status, e.digest, e.generation) for e in envelopes
-            ]
-        assert digests["serial"] == digests["threads"]
-
     def test_executor_validation(self):
         with pytest.raises(ValueError):
             make_gateway(executor="processes")
-        with pytest.raises(ValueError):
-            make_gateway(max_workers=0)
+        with pytest.raises(ValueError, match="DESIGN.md"):
+            make_gateway(executor="threads")
+        with pytest.raises(TypeError):
+            make_gateway(max_workers=4)
+
+    @pytest.mark.parametrize("cpus", [1, 64])
+    def test_executor_resolves_without_reading_the_host(
+        self, monkeypatch, cpus
+    ):
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        for executor in ("serial", "auto"):
+            gateway, _ = make_gateway(executor=executor)
+            assert gateway.resolve_executor() == "serial"
+        assert ServingGateway(None, {}).resolve_executor() == "serial"
 
 
 class TestCaching:

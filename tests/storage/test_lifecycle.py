@@ -198,15 +198,15 @@ class TestFrameworkScheduling:
             DataPlaneOptions(lifecycle=True, lifecycle_every_s=0.0)
 
     def test_ticks_every_window_by_default(self):
-        fw = self._run(4, pipeline="off")
+        fw = self._run(4)
         assert fw.lifecycle.ticks == 4
 
     def test_tick_interval_uses_simulated_time(self):
-        fw = self._run(4, pipeline="off", lifecycle_every_s=60.0)
+        fw = self._run(4, lifecycle_every_s=60.0)
         assert fw.lifecycle.ticks == 2  # due at t=60 and t=120
 
     def test_lifecycle_compacts_the_archive(self):
-        fw = self._run(6, pipeline="off")
+        fw = self._run(6)
         parts = fw.tiers.ocean.list(
             fw.tiers.OCEAN_BUCKET, prefix="power.silver/"
         )
@@ -215,27 +215,10 @@ class TestFrameworkScheduling:
         assert len(parts) < 6
 
     def test_default_rollup_serves_dashboard(self):
-        fw = self._run(4, pipeline="off")
+        fw = self._run(4)
         panel = fw.tiers.query_rollup("power.silver.node_power")
         assert panel.num_rows > 0
         assert "mean" in panel.column_names
-
-    def test_pipelined_run_matches_serial(self):
-        serial = self._run(6, pipeline="off")
-        piped = self._run(6, pipeline="on")
-
-        def listing(fw):
-            return [
-                (m.key, m.created_at, sorted(m.user_meta.items()), m.size)
-                for m in fw.tiers.ocean.list(fw.tiers.OCEAN_BUCKET)
-            ]
-
-        assert listing(serial) == listing(piped)
-        assert serial.lifecycle.ticks == piped.lifecycle.ticks
-        assert (
-            serial.tiers.query_archive("power.silver")
-            == piped.tiers.query_archive("power.silver")
-        )
 
 
 class TestCompactionWorkCounters:
@@ -278,8 +261,6 @@ class TestCompactionWorkCounters:
                 lineage=True,
                 self_telemetry=True,
                 shards=3,
-                executor="serial",
-                pipeline="off",
             ),
         )
         reset_fast_path_caches()

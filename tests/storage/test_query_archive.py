@@ -12,7 +12,7 @@ import pytest
 from repro.columnar import Col, ColumnTable
 from repro.perf import PERF
 from repro.perf.baseline import baseline_mode
-from repro.query import ScanOptions, clear_row_group_cache, row_group_cache_stats
+from repro.query import clear_row_group_cache, row_group_cache_stats
 from repro.storage import DataClass, TierPolicy, TieredStore
 from repro.storage.manifest import COLUMNS_META_KEY, STATS_META_KEY
 from repro.storage.tiers import DAY_S
@@ -89,20 +89,6 @@ class TestManifestPruning:
             ref = store.query_archive("power.silver", 100.0, 120.0)
         assert store.ocean.gets - gets0 == 4  # no pruning in baseline
         assert fast == ref
-
-    def test_threaded_options_identical(self, store):
-        serial = store.query_archive(
-            "power.silver",
-            predicate=Col("node") == 2.0,
-            options=ScanOptions(executor="serial"),
-        )
-        threaded = store.query_archive(
-            "power.silver",
-            predicate=Col("node") == 2.0,
-            options=ScanOptions(executor="threads", max_workers=4),
-        )
-        assert serial == threaded
-        assert (serial["node"] == 2.0).all()
 
     def test_unlisted_dataset_empty(self, store):
         assert store.query_archive("nope").num_rows == 0
