@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-quick bench-e2e-smoke bench-query bench-serving chaos lifecycle lineage lint lint-json obs-report
+.PHONY: test bench bench-quick bench-e2e-smoke bench-query bench-serving chaos lifecycle read-plane lineage lint lint-json obs-report
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -36,6 +36,14 @@ lifecycle:
 	$(PYTHON) -m pytest -x -q tests/storage/test_compaction.py \
 		tests/storage/test_lifecycle.py tests/storage/test_rollup.py \
 		tests/integration/test_lifecycle_chaos.py
+
+# Read-plane suite: planner and scan soundness, the row-group cache and
+# its token index, manifest pruning and parse-once manifests, and the
+# part read handles (opened once, valid for their bytes, dropped on
+# delete) with their pinned work counters — see DESIGN.md §11.
+read-plane:
+	$(PYTHON) -m pytest -x -q tests/query tests/storage/test_query_archive.py \
+		tests/storage/test_part_handles.py tests/storage/test_manifest.py
 
 # Read-plane benchmark: planned scans (manifest + row-group pruning,
 # dict pushdown, row-group cache) vs. the

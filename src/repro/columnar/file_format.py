@@ -471,6 +471,11 @@ class RcfReader:
     open (the only option without a footer); v2 buffers open in O(1) by
     reading the footer, and each group header is parsed lazily the
     first time that group is touched.
+
+    A reader holds no scan state — only the buffer, the parsed footer
+    and headers, and the lazily computed digest — so one instance can
+    serve any number of scans of the same bytes (the tier store keeps
+    one per live part, see DESIGN.md §11 "Part handles").
     """
 
     def __init__(self, buf: bytes) -> None:
@@ -523,6 +528,7 @@ class RcfReader:
                 pos += 16
             self._group_offsets = offsets
             self._group_rows = rows
+        self._num_rows = sum(self._group_rows)
 
     def _parse_group(self, off: int) -> tuple[_GroupMeta, int]:
         buf = self._buf
@@ -574,9 +580,14 @@ class RcfReader:
         return len(self._metas)
 
     @property
+    def buffer(self) -> bytes:
+        """The bytes this reader was opened on."""
+        return self._buf
+
+    @property
     def num_rows(self) -> int:
         """Total rows in the file."""
-        return sum(self._group_rows)
+        return self._num_rows
 
     def column_names(self) -> list[str]:
         """Schema column names in order."""

@@ -13,8 +13,9 @@ scan copies on fancy-indexing anyway, and a full-group projection hands
 out the cached view directly (mutating query output was never supported
 — now it raises instead of silently corrupting).
 
-Concurrency: one module-level lock guards the OrderedDict and the byte
-budget; hit/miss/evict counters go to the process-wide perf registry.
+Concurrency: one module-level lock guards the OrderedDict, its
+per-token key index and the byte budget; hit/miss/evict counters go to
+the process-wide perf registry.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ __all__ = [
 
 _cache_lock = threading.Lock()
 _cache: "OrderedDict[tuple[str, int, str], np.ndarray]" = OrderedDict()
+#: token -> that part's keys in ``_cache``, maintained with it under
+#: ``_cache_lock`` so deleting a part costs O(its entries), not a walk
+#: of every key.
+_token_keys: dict[str, set[tuple[str, int, str]]] = {}
 _cache_bytes = 0
 _cache_max_bytes = 64 << 20
 _cache_enabled = True
@@ -72,10 +77,14 @@ def cached_column(
         if key not in _cache:
             _cache[key] = arr
             _cache_bytes += arr.nbytes
+            _token_keys.setdefault(token, set()).add(key)
         _cache.move_to_end(key)
         while _cache_bytes > _cache_max_bytes and len(_cache) > 1:
-            _, dropped = _cache.popitem(last=False)
+            old, dropped = _cache.popitem(last=False)
             _cache_bytes -= dropped.nbytes
+            _token_keys[old[0]].discard(old)
+            if not _token_keys[old[0]]:
+                del _token_keys[old[0]]
             evicted += 1
     if evicted:
         PERF.count("query.cache_evictions", evicted)
@@ -90,14 +99,11 @@ def invalidate_token(token: str) -> int:
     held for parts that compaction or retention just deleted.
     """
     global _cache_bytes
-    removed = 0
     with _cache_lock:
-        stale = [k for k in _cache if k[0] == token]
+        stale = _token_keys.pop(token, ())
         for k in stale:
-            _cache_bytes -= _cache[k].nbytes
-            del _cache[k]
-            removed += 1
-    return removed
+            _cache_bytes -= _cache.pop(k).nbytes
+    return len(stale)
 
 
 def clear_row_group_cache() -> None:
@@ -105,6 +111,7 @@ def clear_row_group_cache() -> None:
     global _cache_bytes
     with _cache_lock:
         _cache.clear()
+        _token_keys.clear()
         _cache_bytes = 0
 
 
@@ -144,8 +151,11 @@ def set_row_group_cache_limit(max_bytes: int) -> None:
     with _cache_lock:
         _cache_max_bytes = max_bytes
         while _cache_bytes > _cache_max_bytes and _cache:
-            _, dropped = _cache.popitem(last=False)
+            old, dropped = _cache.popitem(last=False)
             _cache_bytes -= dropped.nbytes
+            _token_keys[old[0]].discard(old)
+            if not _token_keys[old[0]]:
+                del _token_keys[old[0]]
             evicted += 1
     if evicted:
         PERF.count("query.cache_evictions", evicted)

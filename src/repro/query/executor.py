@@ -135,6 +135,7 @@ def _execute_plan_impl(plan: ScanPlan) -> ColumnTable:
                 plan.t1,
                 plan.predicate,
                 plan.columns,
+                reader=unit.reader,
             )
         if piece is not None and piece.num_rows:
             pieces.append(piece)

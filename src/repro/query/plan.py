@@ -18,7 +18,9 @@ blobs); they are cheap to build and single-use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
+from repro.columnar.file_format import RcfReader
 from repro.columnar.predicate import Predicate
 from repro.columnar.table import ColumnTable
 
@@ -45,14 +47,18 @@ class PartUnit:
     None for pre-manifest objects).  ``blob`` starts None; the caller
     fetches bytes for the units it intends to scan — a unit pruned from
     manifest stats is *never* fetched, which is the whole point.
+    ``reader`` is an already-open reader over exactly ``blob`` when the
+    caller keeps one (the fast path scans through it instead of opening
+    its own; the reference executor ignores it).
     """
 
     key: str
     size: int
-    stats: dict | None
+    stats: Mapping | None
     pruned: bool = False
     reason: str = ""
     blob: bytes | None = None
+    reader: RcfReader | None = None
 
 
 @dataclass

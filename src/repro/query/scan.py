@@ -87,14 +87,20 @@ def scan_part(
     t1: float | None,
     predicate: Predicate | None,
     columns: list[str] | None,
+    reader: RcfReader | None = None,
 ) -> ColumnTable | None:
     """Late-materializing scan of one OCEAN part; None when empty.
+
+    ``reader``, when given, must have been opened on exactly ``blob``;
+    passing one saves the open, the header parses and the content hash
+    a fresh reader would repeat.
 
     Arrays in the result may be views of the read-only row-group cache;
     callers that mutate query output must copy first (the same contract
     the zero-copy broker slices established in PR 1).
     """
-    reader = RcfReader(blob)
+    if reader is None:
+        reader = RcfReader(blob)
     names = reader.column_names()
     out_cols = list(columns) if columns is not None else names
     unknown = set(out_cols) - set(names)

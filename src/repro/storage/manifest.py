@@ -28,6 +28,13 @@ part at put time (the S3-tags idiom):
 Parts written before this manifest existed simply lack the keys; every
 reader here degrades to None and the planner treats None as
 "unprunable", so old data stays correct, just slower.
+
+The four ``*_from_meta`` parsers are memoized on the raw metadata
+string, which never changes once a part is put: every archive query
+asks them of every live part, so each manifest is JSON-decoded once per
+part lifetime (counted as ``manifest.parses``) instead of once per
+query.  The parse is shared between callers, hence immutable — tuples
+and a read-only mapping.
 """
 
 from __future__ import annotations
@@ -35,9 +42,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+from types import MappingProxyType
+from typing import Mapping
 
 from repro.columnar.file_format import column_stats
 from repro.columnar.table import ColumnTable
+from repro.perf import PERF
 
 __all__ = [
     "STATS_META_KEY",
@@ -86,17 +96,25 @@ def stats_to_meta(stats: dict) -> str:
     return json.dumps(enc, separators=(",", ":"))
 
 
-def stats_from_meta(raw: str | None) -> dict | None:
-    """Decode a ``stats`` metadata value; None for absent or mangled
-    manifests (an unreadable manifest must never make a part
-    unscannable — it only loses the prune)."""
+def _parse(raw: str | None, kind: type):
+    """JSON-decode one metadata value; None unless it is a ``kind``."""
     if not raw:
         return None
+    PERF.count("manifest.parses")
     try:
         dec = json.loads(raw)
     except ValueError:
         return None
-    if not isinstance(dec, dict):
+    return dec if isinstance(dec, kind) else None
+
+
+@functools.lru_cache(maxsize=4096)
+def stats_from_meta(raw: str | None) -> Mapping[str, tuple | None] | None:
+    """Decode a ``stats`` metadata value; None for absent or mangled
+    manifests (an unreadable manifest must never make a part
+    unscannable — it only loses the prune)."""
+    dec = _parse(raw, dict)
+    if dec is None:
         return None
     out: dict[str, tuple | None] = {}
     for name, v in dec.items():
@@ -106,7 +124,7 @@ def stats_from_meta(raw: str | None) -> dict | None:
             out[name] = (v[0], v[1], bool(v[2]))
         else:
             out[name] = (v[0], v[1])
-    return out
+    return MappingProxyType(out)
 
 
 def columns_to_meta(table: ColumnTable) -> str:
@@ -114,17 +132,13 @@ def columns_to_meta(table: ColumnTable) -> str:
     return json.dumps(list(table.column_names), separators=(",", ":"))
 
 
-def columns_from_meta(raw: str | None) -> list[str] | None:
+@functools.lru_cache(maxsize=4096)
+def columns_from_meta(raw: str | None) -> tuple[str, ...] | None:
     """Decode a ``columns`` metadata value (None when absent/mangled)."""
-    if not raw:
+    dec = _parse(raw, list)
+    if dec is None:
         return None
-    try:
-        dec = json.loads(raw)
-    except ValueError:
-        return None
-    if not isinstance(dec, list):
-        return None
-    return [str(n) for n in dec]
+    return tuple(str(n) for n in dec)
 
 
 def spans_to_meta(spans: list[tuple[float, int]]) -> str:
@@ -135,37 +149,27 @@ def spans_to_meta(spans: list[tuple[float, int]]) -> str:
     )
 
 
-def spans_from_meta(raw: str | None) -> list[tuple[float, int]] | None:
+@functools.lru_cache(maxsize=4096)
+def spans_from_meta(raw: str | None) -> tuple[tuple[float, int], ...] | None:
     """Decode a ``spans`` metadata value (None when absent/mangled).
 
     A part without decodable spans is treated as one opaque ingest epoch
     stamped with the object's ``created_at`` — exactly the pre-lifecycle
     retention granularity — so legacy parts stay correct."""
-    if not raw:
-        return None
-    try:
-        dec = json.loads(raw)
-    except ValueError:
-        return None
-    if not isinstance(dec, list):
+    dec = _parse(raw, list)
+    if dec is None:
         return None
     out: list[tuple[float, int]] = []
     for item in dec:
         if not isinstance(item, list) or len(item) != 2:
             return None
         out.append((float(item[0]), int(item[1])))
-    return out
+    return tuple(out)
 
 
-@functools.lru_cache(maxsize=4096)
 def oldest_span_epoch(raw: str | None) -> float | None:
     """``created_at`` of a part's first (oldest) span; None when the
-    spans are absent or mangled.
-
-    Memoized on the metadata string, which never changes once a part is
-    put: every archive query sorts the live parts into ingest order and
-    asks this of each of them, and a compacted part's spans run to one
-    entry per ingest epoch it has absorbed."""
+    spans are absent or mangled."""
     spans = spans_from_meta(raw)
     return spans[0][0] if spans else None
 
@@ -175,17 +179,13 @@ def replaces_to_meta(keys: list[str]) -> str:
     return json.dumps([str(k) for k in keys], separators=(",", ":"))
 
 
-def replaces_from_meta(raw: str | None) -> list[str] | None:
+@functools.lru_cache(maxsize=4096)
+def replaces_from_meta(raw: str | None) -> tuple[str, ...] | None:
     """Decode a ``replaces`` metadata value (None when absent/mangled)."""
-    if not raw:
+    dec = _parse(raw, list)
+    if dec is None:
         return None
-    try:
-        dec = json.loads(raw)
-    except ValueError:
-        return None
-    if not isinstance(dec, list):
-        return None
-    return [str(k) for k in dec]
+    return tuple(str(k) for k in dec)
 
 
 def blob_token(blob: bytes) -> str:

@@ -214,9 +214,13 @@ class TieredStore:
         self.retry_policy = retry_policy or DEFAULT_RETRY_POLICY
         self.ocean.create_bucket(self.OCEAN_BUCKET)
         self._datasets: dict[str, _DatasetMeta] = {}
+        #: Part key -> the read handle opened on its bytes (see
+        #: :meth:`_open_part`); dropped in :meth:`_delete_part`, so it
+        #: never outgrows the live part set.
+        self._handles: dict[str, RcfReader] = {}
         # Callers may drive ``register`` and ``ingest`` from their own
         # threads; all registry access — including part-number
-        # allocation — goes through this lock.
+        # allocation and the handle table — goes through this lock.
         self._registry_lock = threading.Lock()
         self._rollups: dict[str, GoldRollup] = {}
         self._rollup_lock = threading.Lock()
@@ -431,7 +435,7 @@ class TieredStore:
 
     def _part_spans(
         self, obj: ObjectMeta, num_rows: int | None = None
-    ) -> list[tuple[float, int]] | None:
+    ) -> tuple[tuple[float, int], ...] | None:
         """A part's retention spans, or None for legacy/mangled
         manifests (the part then ages as one block under its
         ``created_at``).  When the caller knows the row count, spans
@@ -444,6 +448,39 @@ class TieredStore:
         if num_rows is not None and sum(n for _, n in spans) != num_rows:
             return None
         return spans
+
+    def _open_part(self, key: str, blob: bytes) -> RcfReader:
+        """The read handle of one fetched part, opened at most once.
+
+        A handle is the part's :class:`RcfReader` — parsed footer,
+        group headers parsed so far, and the content digest, hashed
+        here from the bytes actually fetched (it is the row-group cache
+        token, and the one place a verified read would compare it with
+        the manifest's).  It is valid only for the ``bytes`` object it
+        was opened on: the in-process store hands back the stored
+        object, so identity holds until the key is overwritten; a store
+        that copies on ``get`` merely re-opens every time.  The
+        manifest digest cannot stand in for that check — a part
+        corrupted on its way into the store carries the manifest of the
+        clean table.
+        """
+        from repro.perf import PERF
+
+        with self._registry_lock:
+            reader = self._handles.get(key)
+        if reader is not None:
+            if reader.buffer is blob:
+                return reader
+            # Overwritten in place: nothing can ask for the old bytes'
+            # decoded groups again.
+            invalidate_token(reader.digest())
+        reader = RcfReader(blob)
+        reader.digest()
+        PERF.count("query.parts_opened")
+        PERF.count("query.bytes_hashed", len(blob))
+        with self._registry_lock:
+            self._handles[key] = reader
+        return reader
 
     # -- lineage recording --------------------------------------------------------
 
@@ -627,9 +664,10 @@ class TieredStore:
         if not metas:
             return ColumnTable({})
         if columns is None:
-            columns = manifest.columns_from_meta(
+            names = manifest.columns_from_meta(
                 metas[0].user_meta.get(manifest.COLUMNS_META_KEY)
             )
+            columns = None if names is None else list(names)
         plan = plan_parts(
             name,
             [
@@ -656,17 +694,20 @@ class TieredStore:
                 pruned += 1
                 continue
             unit.blob = self.ocean.get(self.OCEAN_BUCKET, unit.key)
+            if not fetch_all:
+                # The oracle decodes the fetched bytes itself, so what
+                # it checks never depends on a handle.
+                unit.reader = self._open_part(unit.key, unit.blob)
             fetched_keys.append(unit.key)
         if pruned:
             PERF.count("ocean.parts_pruned", pruned)
         if plan.columns is None:
             # Pre-manifest parts: recover the projection from the first
             # fetched header so empty results still carry the schema.
-            first = next(
-                (u.blob for u in plan.units if u.blob is not None), None
-            )
+            first = next((u for u in plan.units if u.blob is not None), None)
             if first is not None:
-                plan.columns = RcfReader(first).column_names()
+                reader = first.reader or RcfReader(first.blob)
+                plan.columns = reader.column_names()
         result = execute_plan(plan, options)
         nid = None
         cat = self.lineage
@@ -847,7 +888,7 @@ class TieredStore:
         meta: _DatasetMeta,
         policy: TierPolicy,
         obj: ObjectMeta,
-        spans: list[tuple[float, int]],
+        spans: Sequence[tuple[float, int]],
         n_expired: int,
     ) -> None:
         """Rewrite a part that straddles the retention horizon.
@@ -910,9 +951,19 @@ class TieredStore:
         self._delete_part(obj, blob)
 
     def _part_token(self, obj: ObjectMeta, blob: bytes | None = None) -> str:
-        """A part's row-group cache token: the persisted digest, or one
-        computed from ``blob`` for pre-manifest parts (empty string —
-        invalidating nothing — when neither is available)."""
+        """A part's row-group cache token.
+
+        Scans key the cache by the digest of the bytes they fetched, so
+        a part this store has opened answers with its handle's digest —
+        the manifest's describes the table as written and misses a part
+        corrupted on its way into the store.  A part it never opened
+        falls back to the persisted digest, or one computed from
+        ``blob`` for pre-manifest parts (empty string — invalidating
+        nothing — when neither is available)."""
+        with self._registry_lock:
+            handle = self._handles.get(obj.key)
+        if handle is not None:
+            return handle.digest()
         token = obj.user_meta.get(manifest.DIGEST_META_KEY)
         if token:
             return token
@@ -923,15 +974,23 @@ class TieredStore:
     def _delete_part(self, obj: ObjectMeta, blob: bytes | None = None) -> None:
         """Delete one OCEAN part and release everything keyed on it.
 
-        Pre-manifest parts carry no persisted digest, so the blob must
-        be in hand *before* the delete to compute the row-group cache
-        token — otherwise the dead part's decoded groups linger in the
-        cache until eviction.
+        A pre-manifest part this store never opened has no digest
+        anywhere, so its blob must be in hand *before* the delete to
+        compute the row-group cache token — otherwise the dead part's
+        decoded groups linger in the cache until eviction.
         """
-        if blob is None and not obj.user_meta.get(manifest.DIGEST_META_KEY):
-            blob = self.ocean.get(self.OCEAN_BUCKET, obj.key)
+        token = self._part_token(obj, blob)
+        if not token and blob is None:
+            token = manifest.blob_token(
+                self.ocean.get(self.OCEAN_BUCKET, obj.key)
+            )
         self.ocean.delete(self.OCEAN_BUCKET, obj.key)
-        invalidate_token(self._part_token(obj, blob))
+        # Like the retire below, the handle goes only once the delete
+        # has landed: a crash at ``tier.delete`` leaves part and handle
+        # both in place for the sweep that retries it.
+        with self._registry_lock:
+            self._handles.pop(obj.key, None)
+        invalidate_token(token)
         self._rollup_drop(obj.key)
         # Retirement follows the delete, mirroring the commit order on
         # the write side: a crash at ``tier.delete`` leaves the part

@@ -25,6 +25,7 @@ from repro.faults.errors import SimulatedCrash
 from repro.faults.injector import FaultInjector, FaultyObjectStore
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.lineage import LineageCatalog
+from repro.perf.baseline import baseline_mode
 from repro.storage import DataClass, LifecycleManager, TieredStore, TierPolicy
 
 N_PARTS = 6
@@ -56,8 +57,20 @@ def build_store(plan=None, policy=None):
 
 
 def archive_bytes(ts):
-    """The canonical byte encoding of the full archive query."""
-    return write_table(ts.scan_ocean("d"))
+    """The canonical byte encoding of the full archive query.
+
+    Every state these suites stop in also holds the store's read handles
+    to their contract: the fast path (which scans through them) answers
+    what the handle-free ``baseline_mode`` oracle answers — so a part
+    that is superseded but still present is never served from a stale
+    handle — and no handle outlives its key.
+    """
+    fast = write_table(ts.scan_ocean("d"))
+    with baseline_mode():
+        assert write_table(ts.scan_ocean("d")) == fast
+    present = {m.key for m in ts.ocean.list(ts.OCEAN_BUCKET, prefix="d/")}
+    assert set(ts._handles) <= present
+    return fast
 
 
 def oracle_state(policy=None, now=float(N_PARTS)):

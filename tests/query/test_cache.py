@@ -90,6 +90,43 @@ class TestInvalidation:
 
     def test_invalidate_unknown_token_noop(self):
         assert qcache.invalidate_token("nope") == 0
+        qcache.cached_column("a", 0, "x", lambda: np.arange(4.0))
+        before = qcache.row_group_cache_stats()
+        assert qcache.invalidate_token("nope") == 0
+        assert qcache.row_group_cache_stats() == before
+
+    def test_eviction_keeps_token_index_consistent(self):
+        # invalidate_token answers from a token -> keys index; LRU
+        # eviction and resizing must keep it an exact mirror of the
+        # cache or a later invalidate double-frees or leaks.
+        def assert_index_mirrors_cache():
+            indexed = set().union(*qcache._token_keys.values())
+            assert indexed == set(qcache._cache)
+            assert all(qcache._token_keys.values())  # no empty buckets
+            assert qcache.row_group_cache_stats()["bytes"] == sum(
+                a.nbytes for a in qcache._cache.values()
+            )
+
+        qcache.set_row_group_cache_limit(4 * 8 * 10)  # four 10-float arrays
+        for g in range(3):
+            qcache.cached_column("old", g, "x", lambda: np.arange(10.0))
+        for g in range(3):
+            qcache.cached_column("new", g, "x", lambda: np.arange(10.0))
+        assert_index_mirrors_cache()  # "old" groups 0 and 1 were evicted
+        assert qcache.invalidate_token("old") == 1
+        assert_index_mirrors_cache()
+        qcache.set_row_group_cache_limit(8 * 10)  # evicts "new" down to one
+        assert_index_mirrors_cache()
+        assert set(qcache._token_keys) == {"new"}
+        assert qcache.invalidate_token("new") == 1
+        assert qcache.row_group_cache_stats()["entries"] == 0
+        assert qcache.row_group_cache_stats()["bytes"] == 0
+        assert not qcache._token_keys
+        # A token evicted to nothing is gone from the index, and caching
+        # under it again starts a fresh bucket.
+        assert qcache.invalidate_token("old") == 0
+        qcache.cached_column("old", 0, "x", lambda: np.arange(10.0))
+        assert qcache.invalidate_token("old") == 1
 
 
 class TestDisabled:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.columnar import Col, ColumnTable, write_table
+from repro.columnar.file_format import RcfReader
 from repro.columnar.predicate import Compare, IsIn, Not, Or
 from repro.query import (
     ScanOptions,
@@ -145,6 +146,43 @@ def test_random_queries_match_brute_force(seed):
                 assert [x for x in a.tolist()] == [x for x in b.tolist()]
             else:
                 assert np.array_equal(a, b, equal_nan=True)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_shared_reader_equals_fresh_reader_per_scan(seed):
+    # The tier store keeps one open reader per live part and hands it to
+    # every scan.  A reader must therefore carry nothing from one scan
+    # into the next: the same readers, scanned again and again under
+    # different predicates, windows and projections, must answer byte
+    # for byte what a reader opened for that scan alone answers — with
+    # the row-group cache on (warm and cold) and off.
+    rng = np.random.default_rng([seed, 99])
+    tables = [random_table(rng, int(rng.integers(50, 200))) for _ in range(3)]
+    blobs = [write_table(t, row_group_size=32) for t in tables]
+    shared = [RcfReader(b) for b in blobs]
+    for _ in range(8):
+        predicate = random_predicate(rng) if rng.random() < 0.8 else None
+        t0, t1 = (
+            (None, None)
+            if rng.random() < 0.3
+            else tuple(sorted(rng.uniform(0.0, 1000.0, 2)))
+        )
+        columns = (
+            None
+            if rng.random() < 0.5
+            else [["timestamp", "power", "project"], ["node"]][rng.integers(0, 2)]
+        )
+        fresh_plan = build_plan(tables, blobs, t0, t1, predicate, columns)
+        shared_plan = build_plan(tables, blobs, t0, t1, predicate, columns)
+        for unit, reader in zip(shared_plan.units, shared):
+            unit.reader = reader
+        want = write_table(execute_plan(fresh_plan))
+        assert write_table(execute_plan(shared_plan)) == want
+        with row_group_cache_disabled():
+            assert write_table(execute_plan(shared_plan)) == want
+        assert write_table(execute_plan_reference(shared_plan)) == want
+    # Sharing is real: each reader hashed and parsed its headers once.
+    assert all(r.header_parse_count <= r.num_row_groups for r in shared)
 
 
 def test_nan_chunk_not_equal_stays_conservative():
