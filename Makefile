@@ -38,12 +38,14 @@ lifecycle:
 		tests/integration/test_lifecycle_chaos.py
 
 # Read-plane suite: planner and scan soundness, the row-group cache and
-# its token index, manifest pruning and parse-once manifests, and the
+# its token index, manifest pruning and parse-once manifests, the
 # part read handles (opened once, valid for their bytes, dropped on
-# delete) with their pinned work counters — see DESIGN.md §11.
+# delete) with their pinned work counters, and LAKE segment coalescing
+# against its piece-list oracle — see DESIGN.md §11.
 read-plane:
 	$(PYTHON) -m pytest -x -q tests/query tests/storage/test_query_archive.py \
-		tests/storage/test_part_handles.py tests/storage/test_manifest.py
+		tests/storage/test_part_handles.py tests/storage/test_manifest.py \
+		tests/storage/test_lake.py
 
 # Read-plane benchmark: planned scans (manifest + row-group pruning,
 # dict pushdown, row-group cache) vs. the

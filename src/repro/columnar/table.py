@@ -56,6 +56,17 @@ class ColumnTable:
             self._columns[name] = arr
         self._n_rows = n_rows or 0
 
+    @classmethod
+    def _derived(cls, columns: dict[str, np.ndarray]) -> "ColumnTable":
+        """A table over arrays taken from existing tables' columns
+        (whole, sliced or indexed), which are 1-D, normalized and of
+        equal length by construction — so none of ``__init__``'s
+        per-column work is repeated on every derivation."""
+        table = cls.__new__(cls)
+        table._columns = columns
+        table._n_rows = next(iter(columns.values())).size if columns else 0
+        return table
+
     # -- shape --------------------------------------------------------------
 
     @property
@@ -126,22 +137,29 @@ class ColumnTable:
 
     def select(self, names: Iterable[str]) -> "ColumnTable":
         """Project onto a subset of columns (order as given)."""
-        return ColumnTable({n: self[n] for n in names})
+        return self._derived({n: self[n] for n in names})
 
     def filter(self, mask: np.ndarray) -> "ColumnTable":
         """Keep rows where ``mask`` is True."""
         mask = np.asarray(mask, dtype=bool)
         if mask.size != self._n_rows:
             raise ValueError("mask length mismatch")
-        return ColumnTable({n: c[mask] for n, c in self._columns.items()})
+        return self._derived({n: c[mask] for n, c in self._columns.items()})
 
     def take(self, indices: np.ndarray) -> "ColumnTable":
         """Gather rows by integer index."""
-        return ColumnTable({n: c[indices] for n, c in self._columns.items()})
+        indices = np.asarray(indices)
+        if indices.ndim != 1:
+            raise ValueError(
+                f"indices must be 1-D, got shape {indices.shape}"
+            )
+        return self._derived({n: c[indices] for n, c in self._columns.items()})
 
     def slice(self, start: int, stop: int) -> "ColumnTable":
         """Row range [start, stop) — views for numeric columns."""
-        return ColumnTable({n: c[start:stop] for n, c in self._columns.items()})
+        return self._derived(
+            {n: c[start:stop] for n, c in self._columns.items()}
+        )
 
     def with_column(self, name: str, col: np.ndarray | list) -> "ColumnTable":
         """A new table with ``name`` added or replaced."""
@@ -152,13 +170,13 @@ class ColumnTable:
     def drop(self, names: Iterable[str]) -> "ColumnTable":
         """A new table without the given columns."""
         gone = set(names)
-        return ColumnTable(
+        return self._derived(
             {n: c for n, c in self._columns.items() if n not in gone}
         )
 
     def rename(self, mapping: Mapping[str, str]) -> "ColumnTable":
         """A new table with columns renamed per ``mapping``."""
-        return ColumnTable(
+        return self._derived(
             {mapping.get(n, n): c for n, c in self._columns.items()}
         )
 
@@ -174,9 +192,16 @@ class ColumnTable:
                 raise ValueError(
                     f"schema mismatch: {t.column_names} != {names}"
                 )
-        return cls(
-            {n: np.concatenate([t[n] for t in tables]) for n in names}
-        )
+        columns = {}
+        for n in names:
+            arrays = [t[n] for t in tables]
+            out = np.concatenate(arrays)
+            # Mixed dtypes promote (int + str -> object holding ints),
+            # so only a same-dtype concatenation is normalized already.
+            if any(a.dtype != out.dtype for a in arrays):
+                out = _normalize(n, out)
+            columns[n] = out
+        return cls._derived(columns)
 
     def sort_by(self, name: str) -> "ColumnTable":
         """Rows ordered by one column (stable)."""

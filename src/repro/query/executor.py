@@ -125,6 +125,8 @@ def _execute_plan_impl(plan: ScanPlan) -> ColumnTable:
                 plan.t1,
                 plan.predicate,
                 plan.columns,
+                unit.row_lo,
+                unit.row_hi,
             )
         else:
             PERF.count("query.parts_scanned")
@@ -145,11 +147,12 @@ def _execute_plan_impl(plan: ScanPlan) -> ColumnTable:
 
 
 def execute_plan_reference(plan: ScanPlan) -> ColumnTable:
-    """Scan every unit — pruned flags ignored — with full decode and
-    exact masks, serially.  Part units must carry fetched blobs (the
-    storage layer fetches everything while the reference toggle is
-    active); a missing blob raises rather than silently trusting the
-    pruning decision under test.
+    """Scan every unit — pruned flags and segment row ranges ignored —
+    with full decode and exact masks over every row, serially.  Part
+    units must carry fetched blobs (the storage layer fetches
+    everything while the reference toggle is active); a missing blob
+    raises rather than silently trusting the pruning decision under
+    test.
     """
     pieces: list[ColumnTable] = []
     for unit in plan.units:

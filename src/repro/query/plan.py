@@ -29,7 +29,12 @@ __all__ = ["SegmentUnit", "PartUnit", "ScanPlan"]
 
 @dataclass
 class SegmentUnit:
-    """One LAKE segment a query may touch."""
+    """One LAKE segment a query may touch.
+
+    ``[row_lo, row_hi)`` (``None`` = to the end) is the row range the
+    planner's piece index could not rule out; the fast executor masks
+    only those rows, the reference executor masks the whole table.
+    """
 
     index: int
     t_min: float
@@ -37,6 +42,8 @@ class SegmentUnit:
     table: ColumnTable
     pruned: bool = False
     reason: str = ""
+    row_lo: int = 0
+    row_hi: int | None = None
 
 
 @dataclass

@@ -6,9 +6,10 @@ decoded here.  Two entry points mirror the two storage shapes:
 * :func:`plan_segments` — LAKE segments carry (t_min, t_max) bounds, so
   pruning is a time-interval test.  Segment start times are sorted
   (ingest enforces it), so segments past the window's upper edge are
-  cut by binary search before any unit is even considered — identical
-  to the pre-planner ``TimeSeriesLake.query`` walk, which keeps the
-  lake's scanned/pruned accounting stable.
+  cut by binary search before any unit is even considered.  A segment
+  that is a run of ingest pieces also carries its piece index, and the
+  same two bisections inside it narrow the unit to the rows of the
+  pieces the window overlaps.
 * :func:`plan_parts` — OCEAN parts carry per-column min/max manifests;
   the time window folds into the predicate
   (:func:`~repro.query.scan.fold_time_predicate`) and
@@ -31,7 +32,7 @@ __all__ = ["plan_segments", "plan_parts"]
 
 def plan_segments(
     table: str,
-    segments: Sequence[tuple[float, float, ColumnTable]],
+    segments: Sequence[tuple],
     t0: float | None = None,
     t1: float | None = None,
     predicate: Predicate | None = None,
@@ -39,7 +40,14 @@ def plan_segments(
     time_column: str = "timestamp",
 ) -> ScanPlan:
     """Plan a LAKE query over ``(t_min, t_max, table)`` segments
-    (ordered by ``t_min``)."""
+    (ordered by ``t_min``).
+
+    A segment may add a fourth element, its piece index ``(starts,
+    maxes, ends)``: per ingest piece, in row order, the piece's minimum
+    time (non-decreasing), the running maximum time up to and including
+    it, and the row at which it ends.  Without one the segment is
+    treated as a single piece.
+    """
     plan = ScanPlan(
         table=table,
         source="lake",
@@ -51,10 +59,22 @@ def plan_segments(
     )
     lo = t0 if t0 is not None else float("-inf")
     hi = t1 if t1 is not None else float("inf")
-    starts = [t_min for t_min, _, _ in segments]
+    starts = [seg[0] for seg in segments]
     first = bisect.bisect_right(starts, hi)
-    for index, (t_min, t_max, seg_table) in enumerate(segments[:first]):
-        pruned = t_max < lo
+    for index, (t_min, t_max, seg_table, *pieces) in enumerate(
+        segments[:first]
+    ):
+        piece_starts, piece_maxes, piece_ends = (
+            pieces[0] if pieces else ((t_min,), (t_max,), (seg_table.num_rows,))
+        )
+        # Pieces before ``begin`` end below the window (every row up to
+        # there is <= a running max < lo); pieces from ``end`` on start
+        # at or above its open upper edge.
+        begin = bisect.bisect_left(piece_maxes, lo)
+        end = bisect.bisect_left(piece_starts, hi)
+        row_lo = piece_ends[begin - 1] if begin else 0
+        row_hi = piece_ends[end - 1] if end else 0
+        pruned = row_lo >= row_hi
         plan.units.append(
             SegmentUnit(
                 index=index,
@@ -63,6 +83,8 @@ def plan_segments(
                 table=seg_table,
                 pruned=pruned,
                 reason="time" if pruned else "",
+                row_lo=row_lo,
+                row_hi=row_hi,
             )
         )
     return plan

@@ -58,26 +58,31 @@ def scan_segment(
     t1: float | None,
     predicate: Predicate | None,
     columns: list[str] | None,
+    row_lo: int = 0,
+    row_hi: int | None = None,
 ) -> ColumnTable | None:
-    """Scan one in-memory LAKE segment; None when no row survives.
+    """Scan rows ``[row_lo, row_hi)`` of one in-memory LAKE segment;
+    None when no row survives.
 
     Segments are already decoded, so "late materialization" reduces to
-    mask-then-project; the mask math matches the pre-planner
-    ``TimeSeriesLake.query`` loop exactly (NaN timestamps fail the
-    always-applied time mask on both paths).
+    mask-then-gather of the requested columns only.  The row range is
+    the planner's claim that no row outside it can match; the mask
+    inside it is the exact time+predicate mask (NaN timestamps fail
+    the always-applied time mask), evaluated on views of the range.
     """
-    ts = table[time_column]
+    rows = table.slice(row_lo, row_hi)
+    PERF.count("lake.rows_scanned", rows.num_rows)
+    ts = rows[time_column]
     lo = -np.inf if t0 is None else t0
     hi = np.inf if t1 is None else t1
     mask = (ts >= lo) & (ts < hi)
     if predicate is not None:
-        mask &= predicate.mask(table)
+        mask &= predicate.mask(rows)
     if not mask.any():
         return None
-    piece = table.filter(mask)
     if columns is not None:
-        piece = piece.select(columns)
-    return piece
+        rows = rows.select(columns)
+    return rows.filter(mask)
 
 
 def scan_part(

@@ -3,33 +3,99 @@
 The Druid/ElasticSearch role in Fig. 5: "immediate real-time usage needs
 are catered to by the LAKE (online database access) service".  Tables are
 sequences of time-bounded in-memory segments; queries slice by time range
-first (binary search over segment bounds), then apply predicates and
-projections.  This two-level pruning is what gives dashboards their
-sub-second interactivity even as segments accumulate.
+first (binary search over segment bounds, then over the piece index
+inside a segment), then apply predicates and projections.  This pruning
+is what gives dashboards their sub-second interactivity even as data
+accumulates.
+
+Every ``ingest`` call adds one *piece*.  Like Druid compacting its small
+real-time segments, ``ingest`` coalesces adjacent same-schema pieces
+into few large segments by a size-tiered rule (DESIGN.md §11, "LAKE
+segments"), so a query pays its per-segment toll O(log N) times, not N.
+The piece stays the unit of ordering, retention and time pruning.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import accumulate, groupby
+
+import numpy as np
 
 from repro.columnar.predicate import Predicate
 from repro.columnar.table import ColumnTable
+from repro.perf import PERF
 from repro.query import ScanOptions, execute_plan, plan_segments
 
 __all__ = ["TimeSeriesLake"]
 
+#: Coalescing never grows a segment past this many rows: it bounds what
+#: one merge copies and what a retention-sliced segment keeps alive.
+SEGMENT_ROW_CEILING = 1 << 16
 
-@dataclass
+
 class _Segment:
-    t_min: float
-    t_max: float
-    table: ColumnTable
+    """A contiguous run of ingest pieces held as one table (immutable).
+
+    The piece index is four parallel lists in row order: each piece's
+    minimum time (non-decreasing — ingest enforces it), its maximum
+    time, the running maximum up to and including it (non-decreasing,
+    so it can be bisected), and the row at which it ends.
+    """
+
+    __slots__ = ("table", "t_mins", "t_maxes", "run_maxes", "ends")
+
+    def __init__(
+        self,
+        table: ColumnTable,
+        t_mins: list[float],
+        t_maxes: list[float],
+        ends: list[int],
+    ) -> None:
+        self.table = table
+        self.t_mins = t_mins
+        self.t_maxes = t_maxes
+        self.run_maxes = list(accumulate(t_maxes, max))
+        self.ends = ends
+
+    @classmethod
+    def merged(cls, run: list["_Segment"]) -> "_Segment":
+        """One segment holding the pieces of adjacent segments ``run``."""
+        t_mins, t_maxes, ends, offset = [], [], [], 0
+        for seg in run:
+            t_mins += seg.t_mins
+            t_maxes += seg.t_maxes
+            ends += [offset + end for end in seg.ends]
+            offset += seg.table.num_rows
+        PERF.count("lake.pieces_merged", len(ends))
+        PERF.count("lake.rows_copied", offset)
+        return cls(
+            ColumnTable.concat([seg.table for seg in run]), t_mins, t_maxes, ends
+        )
+
+    def split_kept(self, keep: list[bool]) -> list["_Segment"]:
+        """The kept pieces as row-range views of this segment's table,
+        one segment per run of adjacent kept pieces."""
+        out, i = [], 0
+        for kept, group in groupby(keep):
+            j = i + len(list(group))
+            if kept:
+                lo = self.ends[i - 1] if i else 0
+                out.append(
+                    _Segment(
+                        self.table.slice(lo, self.ends[j - 1]),
+                        self.t_mins[i:j],
+                        self.t_maxes[i:j],
+                        [end - lo for end in self.ends[i:j]],
+                    )
+                )
+            i = j
+        return out
 
 
 class TimeSeriesLake:
     """Multi-table, time-segmented in-memory store.
 
-    Every ingested table must carry the configured time column; segment
+    Every ingested table must carry the configured time column; piece
     bounds are computed from it at ingest.
     """
 
@@ -48,24 +114,56 @@ class TimeSeriesLake:
     # -- ingest ---------------------------------------------------------------
 
     def ingest(self, table_name: str, table: ColumnTable) -> None:
-        """Append a segment.  Segments must arrive in time order (the
+        """Append a piece.  Pieces must arrive in time order (the
         streaming pipeline guarantees this; out-of-order data is handled
-        upstream by the watermark)."""
+        upstream by the watermark) and with the table's column names.
+
+        The tail of the segment list is then coalesced: while the
+        segment before the run being merged holds no more rows than the
+        run, has the same dtypes and the total stays under
+        :data:`SEGMENT_ROW_CEILING`, it joins the run.  N equal pieces
+        therefore leave at most log2(N)+1 segments and copy each row
+        O(log N) times.  The new list replaces the old in one
+        assignment, so a concurrent ``query`` sees either.
+        """
         if table.num_rows == 0:
             return
         if self.time_column not in table:
             raise ValueError(
                 f"table lacks time column {self.time_column!r}"
             )
-        ts = table[self.time_column]
-        seg = _Segment(float(ts.min()), float(ts.max()), table)
-        segments = self._tables.setdefault(table_name, [])
-        if segments and seg.t_min < segments[-1].t_min:
+        segments = self._tables.get(table_name, [])
+        if segments and table.column_names != segments[-1].table.column_names:
             raise ValueError(
-                f"segment starts at {seg.t_min} before previous segment "
-                f"start {segments[-1].t_min}; ingest in time order"
+                f"table {table_name!r} holds columns "
+                f"{segments[-1].table.column_names}, got {table.column_names}"
             )
-        segments.append(seg)
+        ts = table[self.time_column]
+        if not np.isfinite(ts).any():
+            return  # nothing to bound the piece by; NaN rows match no query
+        t_min, t_max = float(np.nanmin(ts)), float(np.nanmax(ts))
+        if segments and t_min < segments[-1].t_mins[-1]:
+            raise ValueError(
+                f"segment starts at {t_min} before previous segment "
+                f"start {segments[-1].t_mins[-1]}; ingest in time order"
+            )
+        dtypes = [col.dtype for col in table.columns().values()]
+        rows = table.num_rows
+        first = len(segments)
+        while first:
+            before = segments[first - 1].table
+            if (
+                before.num_rows > rows
+                or before.num_rows + rows > SEGMENT_ROW_CEILING
+                or [col.dtype for col in before.columns().values()] != dtypes
+            ):
+                break
+            rows += before.num_rows
+            first -= 1
+        piece = _Segment(table, [t_min], [t_max], [table.num_rows])
+        if first < len(segments):
+            piece = _Segment.merged(segments[first:] + [piece])
+        self._tables[table_name] = segments[:first] + [piece]
 
     # -- introspection ----------------------------------------------------------
 
@@ -74,8 +172,12 @@ class TimeSeriesLake:
         return sorted(self._tables)
 
     def segment_count(self, table_name: str) -> int:
-        """Number of segments in a table (0 if unknown)."""
+        """Number of coalesced segments in a table (0 if unknown)."""
         return len(self._tables.get(table_name, []))
+
+    def piece_count(self, table_name: str) -> int:
+        """Number of retained ingest pieces in a table (0 if unknown)."""
+        return sum(len(s.ends) for s in self._tables.get(table_name, []))
 
     def row_count(self, table_name: str) -> int:
         """Total rows across segments."""
@@ -93,7 +195,7 @@ class TimeSeriesLake:
         segments = self._tables.get(table_name)
         if not segments:
             return None
-        return segments[0].t_min, max(s.t_max for s in segments)
+        return segments[0].t_mins[0], max(s.run_maxes[-1] for s in segments)
 
     # -- query ------------------------------------------------------------------
 
@@ -108,9 +210,9 @@ class TimeSeriesLake:
         """Rows with time in ``[t0, t1)`` matching ``predicate``.
 
         The request is planned (:func:`repro.query.plan_segments` —
-        segment-level time pruning before any row is touched) and
-        executed by the shared read-plane executor, so independent
-        segment scans run concurrently with byte-identical output.
+        time pruning to whole segments, then to the rows of the pieces
+        the window overlaps, before any row is touched) and executed by
+        the shared read-plane executor, one segment after another.
         """
         self.queries += 1
         segments = self._tables.get(table_name, [])
@@ -123,7 +225,15 @@ class TimeSeriesLake:
         )
         plan = plan_segments(
             table_name,
-            [(s.t_min, s.t_max, s.table) for s in segments],
+            [
+                (
+                    s.t_mins[0],
+                    s.run_maxes[-1],
+                    s.table,
+                    (s.t_mins, s.run_maxes, s.ends),
+                )
+                for s in segments
+            ],
             t0,
             t1,
             predicate,
@@ -138,16 +248,23 @@ class TimeSeriesLake:
     # -- retention ----------------------------------------------------------------
 
     def drop_before(self, table_name: str, horizon: float) -> int:
-        """Delete segments entirely older than ``horizon``; returns count.
+        """Delete pieces entirely older than ``horizon``; returns count.
 
-        Partial overlaps are retained whole (segment granularity, like
-        Druid's), so retention is conservative.
+        Partial overlaps are retained whole (piece granularity, like
+        Druid's segments), so retention is conservative.  Rows leave a
+        coalesced segment by slicing, not copying.
         """
-        segments = self._tables.get(table_name, [])
-        keep = [s for s in segments if s.t_max >= horizon]
-        dropped = len(segments) - len(keep)
+        kept: list[_Segment] = []
+        dropped = 0
+        for seg in self._tables.get(table_name, []):
+            keep = [t_max >= horizon for t_max in seg.t_maxes]
+            if all(keep):
+                kept.append(seg)
+            else:
+                dropped += keep.count(False)
+                kept += seg.split_kept(keep)
         if dropped:
-            self._tables[table_name] = keep
+            self._tables[table_name] = kept
         return dropped
 
     def drop_table(self, table_name: str) -> None:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.columnar import ColumnTable
 
@@ -127,3 +129,83 @@ class TestEqualityAndMisc:
 
     def test_repr(self):
         assert "4 rows" in repr(make_table())
+
+
+# -- derivations skip re-normalization; the public constructor is the oracle --
+
+CELLS = {
+    np.int64: st.integers(-5, 5),
+    np.int32: st.integers(-5, 5),
+    np.float64: st.sampled_from([0.5, -1.0, float("nan")]),
+    object: st.sampled_from(["a", "bb", None]),
+}
+
+
+@st.composite
+def tables(draw, kinds=None):
+    """A random table (possibly zero rows or zero columns) and the kind
+    of each column; ``kinds`` forces the schema for a concat partner."""
+    n = draw(st.integers(0, 6))
+    if kinds is None:
+        kinds = draw(st.lists(st.sampled_from(list(CELLS)), max_size=4))
+    data = {}
+    for i, kind in enumerate(kinds):
+        cells = draw(st.lists(CELLS[kind], min_size=n, max_size=n))
+        data[f"c{i}"] = np.array(cells, dtype=kind)
+    return ColumnTable(data), kinds
+
+
+def assert_same(derived, columns):
+    """``derived`` is exactly what the checking constructor builds from
+    the old per-derivation formula."""
+    expected = ColumnTable(columns)
+    assert derived.column_names == expected.column_names
+    assert derived.num_rows == expected.num_rows
+    assert len(derived) == expected.num_rows
+    for name in expected.column_names:
+        assert derived[name].dtype == expected[name].dtype
+        assert derived[name].ndim == 1
+    assert derived == expected
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_every_derivation_equals_the_public_constructor(data):
+    t, kinds = data.draw(tables())
+    cols, n, names = t.columns(), t.num_rows, t.column_names
+
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    assert_same(t.filter(mask), {k: c[mask] for k, c in cols.items()})
+
+    index = np.array(
+        data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=8 if n else 0)),
+        dtype=np.int64,
+    )
+    assert_same(t.take(index), {k: c[index] for k, c in cols.items()})
+
+    lo, hi = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7))
+    assert_same(t.slice(lo, hi), {k: c[lo:hi] for k, c in cols.items()})
+    assert_same(t.head(lo), {k: c[:lo] for k, c in cols.items()})
+
+    subset = data.draw(st.lists(st.sampled_from(names), unique=True)) if names else []
+    assert_same(t.select(subset), {k: cols[k] for k in subset})
+    assert_same(t.drop(subset), {k: c for k, c in cols.items() if k not in subset})
+    mapping = {k: k.upper() for k in subset}
+    assert_same(t.rename(mapping), {mapping.get(k, k): c for k, c in cols.items()})
+
+    # concat: a same-schema partner, then one whose dtypes differ
+    # (int + float promotes, number + string normalizes to strings).
+    for partner_kinds in (kinds, data.draw(st.permutations(kinds))):
+        u, _ = data.draw(tables(kinds=partner_kinds))
+        parts = [p for p in (t, u) if p.num_rows]
+        assert_same(
+            ColumnTable.concat([t, u]),
+            {k: np.concatenate([p[k] for p in parts]) for k in names} if parts else {},
+        )
+
+
+def test_take_rejects_non_1d_indices():
+    with pytest.raises(ValueError):
+        make_table().take(np.array([[0, 1]]))
+    with pytest.raises(ValueError):
+        make_table().take(2)

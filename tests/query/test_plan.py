@@ -41,6 +41,12 @@ class TestSegmentPlanning:
         assert len(plan.units) == 2
         assert plan.pruned_units == 0
 
+    def test_segment_starting_at_the_open_upper_edge_is_pruned(self):
+        (unit,) = plan_segments("t", [seg(10.0)], 0.0, 10.0).units
+        assert unit.pruned and (unit.row_lo, unit.row_hi) == (0, 0)
+        (unit,) = plan_segments("t", [seg(10.0)], 0.0, 10.5).units
+        assert not unit.pruned and (unit.row_lo, unit.row_hi) == (0, 10)
+
     def test_summary_shape(self):
         plan = plan_segments("t", [seg(0.0)], 100.0, 200.0)
         s = plan.summary()

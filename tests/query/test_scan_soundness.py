@@ -16,10 +16,12 @@ from repro.columnar.file_format import RcfReader
 from repro.columnar.predicate import Compare, IsIn, Not, Or
 from repro.query import (
     ScanOptions,
+    SegmentUnit,
     clear_row_group_cache,
     execute_plan,
     execute_plan_reference,
     plan_parts,
+    plan_segments,
     row_group_cache_disabled,
 )
 from repro.query.scan import fold_time_predicate
@@ -282,3 +284,89 @@ def test_scan_options_are_serial_only(monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: cpus)
         assert ScanOptions().resolve_executor() == "serial"
         assert ScanOptions(executor="auto").resolve_executor() == "serial"
+
+
+# -- LAKE segment units with row ranges ---------------------------------------
+
+
+def piece_run(rng, n_pieces=3, rows=20):
+    """A coalesced segment: ``n_pieces`` disjoint 100 s pieces in one
+    table, with the ``(t_min, t_max, table, piece index)`` tuple
+    :func:`plan_segments` takes."""
+    tables = []
+    for i in range(n_pieces):
+        t = random_table(rng, rows)
+        tables.append(
+            t.with_column("timestamp", 100.0 * i + t["timestamp"] / 10.0)
+        )
+    table = ColumnTable.concat(tables)
+    starts = [float(t["timestamp"].min()) for t in tables]
+    maxes = list(np.maximum.accumulate([t["timestamp"].max() for t in tables]))
+    ends = [rows * (i + 1) for i in range(n_pieces)]
+    return table, (starts[0], maxes[-1], table, (starts, maxes, ends))
+
+
+def segment_plan(table, row_lo, row_hi, t0=None, t1=None, predicate=None):
+    plan = plan_segments("t", [], t0, t1, predicate, ["timestamp", "power"])
+    plan.units.append(
+        SegmentUnit(0, 0.0, 0.0, table, row_lo=row_lo, row_hi=row_hi)
+    )
+    return plan
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_planned_row_ranges_match_the_whole_segment_oracle(seed):
+    rng = np.random.default_rng(seed)
+    table, seg = piece_run(rng)
+    predicate = random_predicate(rng)
+    for t0, t1 in [(None, None), (100.0, 200.0), (150.0, 170.0), (95.0, 100.0)]:
+        plan = plan_segments(
+            "t", [seg], t0, t1, predicate, ["timestamp", "project"]
+        )
+        expected = brute_force(
+            [table], t0, t1, predicate, ["timestamp", "project"]
+        )
+        assert execute_plan(plan) == expected
+        assert execute_plan_reference(plan) == expected
+
+
+def test_window_over_one_piece_plans_that_piece_only():
+    table, seg = piece_run(np.random.default_rng(0))
+    (unit,) = plan_segments("t", [seg], 120.0, 180.0).units
+    assert (unit.row_lo, unit.row_hi, unit.pruned) == (20, 40, False)
+    # A window in the gap between pieces 0 and 1 leaves an empty range,
+    # which is a pruned unit even though the segment's hull overlaps.
+    (unit,) = plan_segments("t", [seg], 101.0, 102.0).units
+    assert unit.row_lo == unit.row_hi and unit.pruned
+    # No piece index: one piece, the whole table or nothing.
+    (unit,) = plan_segments("t", [seg[:3]], 120.0, 180.0).units
+    assert (unit.row_lo, unit.row_hi, unit.pruned) == (0, 60, False)
+
+
+def test_full_and_empty_row_ranges():
+    table, _ = piece_run(np.random.default_rng(1))
+    for full in (segment_plan(table, 0, None), segment_plan(table, 0, 60)):
+        assert execute_plan(full) == execute_plan_reference(full)
+        assert execute_plan(full).num_rows == 60
+    empty = segment_plan(table, 20, 20)
+    assert execute_plan(empty).num_rows == 0
+    assert execute_plan(empty).column_names == ["timestamp", "power"]
+
+
+def test_oracle_catches_a_range_that_cuts_a_matching_piece():
+    # The reference masks every row, so a row range that wrongly
+    # excludes part of a piece inside the window shows as a mismatch.
+    table, _ = piece_run(np.random.default_rng(2))
+    cut = segment_plan(table, 30, 40, t0=100.0, t1=200.0)
+    fast, reference = execute_plan(cut), execute_plan_reference(cut)
+    assert (fast.num_rows, reference.num_rows) == (10, 20)
+    assert fast == reference.slice(10, 20)
+
+
+def test_rows_scanned_counts_the_narrowed_range():
+    from repro.perf import PERF
+
+    table, seg = piece_run(np.random.default_rng(3))
+    before = PERF.counter("lake.rows_scanned")
+    execute_plan(plan_segments("t", [seg], 120.0, 180.0))
+    assert PERF.counter("lake.rows_scanned") == before + 20
