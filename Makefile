@@ -37,11 +37,13 @@ lifecycle:
 		tests/storage/test_lifecycle.py tests/storage/test_rollup.py \
 		tests/integration/test_lifecycle_chaos.py
 
-# Read-plane suite: planner and scan soundness, the row-group cache and
-# its token index, manifest pruning and parse-once manifests, the
-# part read handles (opened once, valid for their bytes, dropped on
-# delete) with their pinned work counters, and LAKE segment coalescing
-# against its piece-list oracle — see DESIGN.md §11.
+# Read-plane suite: planner and scan soundness, the row-group cache
+# (token index, frequency-gated admission pinned on trace replays,
+# answers identical with the cache on/off), manifest pruning and
+# parse-once manifests, the part read handles (opened once, valid for
+# their bytes, dropped on delete) with their pinned work counters, and
+# LAKE segment coalescing against its piece-list oracle — see
+# DESIGN.md §11.
 read-plane:
 	$(PYTHON) -m pytest -x -q tests/query tests/storage/test_query_archive.py \
 		tests/storage/test_part_handles.py tests/storage/test_manifest.py \

@@ -113,6 +113,44 @@ class TestIsInAndBetween:
         mask = Col("x").between(2.0, 3.0).mask(make_table())
         assert mask.tolist() == [False, True, True, False]
 
+    @given(
+        col=st.sampled_from(
+            [np.int64, np.int32, np.uint8, np.uint64, np.float64, np.float32, np.bool_]
+        ).flatmap(
+            lambda dt: hnp.arrays(
+                dt,
+                st.integers(0, 40),
+                elements=(
+                    st.one_of(
+                        st.just(float("nan")), st.integers(-4, 4).map(float),
+                        st.floats(-4, 4, width=32),
+                    )
+                    if np.dtype(dt).kind == "f"
+                    else None
+                ),
+            )
+        ),
+        values=st.lists(
+            st.one_of(
+                st.integers(-4, 260),
+                st.integers(2**53, 2**53 + 4),
+                st.floats(-4, 4, width=32),
+                st.just(float("nan")),
+                st.booleans(),
+            ),
+            max_size=12,  # both sides of the equality/np.isin switch
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_isin_numeric_is_np_isin(self, col, values):
+        """The short-list equality path answers exactly like np.isin:
+        int/float promotion, NaN never matches, empty list, bool columns."""
+        got = IsIn("c", tuple(values)).mask_array(col)
+        want = np.isin(col, np.asarray(values))
+        assert got.dtype == want.dtype == np.bool_
+        assert got.shape == want.shape
+        assert got.tolist() == want.tolist()
+
 
 class TestSoundness:
     """Pruning must never discard a chunk containing matching rows."""
