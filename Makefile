@@ -19,10 +19,12 @@ bench:
 bench-quick:
 	$(PYTHON) benchmarks/bench_e2e.py --quick
 
-# Tier-1 perf gate (run alongside `make lint`): tiny-shape end-to-end
-# bench that must still produce baseline-identical outputs and must not
-# regress any headline stage's fast/baseline ratio >10% vs. the
-# committed BENCH_e2e.json — see DESIGN.md §13.
+# Perf gate for a human on a known host (run alongside `make lint`):
+# tiny-shape end-to-end bench that must still produce baseline-identical
+# outputs and must not regress any headline stage's fast/baseline ratio
+# >10% vs. the committed BENCH_e2e.json — see DESIGN.md §13.  Tier-1
+# pytest runs the same bench but keeps only the seed-pure half
+# (outputs identical); the wall-ratio comparison lives here.
 bench-e2e-smoke:
 	$(PYTHON) benchmarks/bench_e2e.py --quick \
 		--out .bench_e2e_smoke.json --check-against BENCH_e2e.json
@@ -63,10 +65,8 @@ bench-serving:
 
 # Bytecode compile catches syntax errors in cold paths; repro.analysis
 # then enforces the repo invariants (determinism, locking, fast-path
-# oracles, exception hygiene, layering, interprocedural races) — see
-# DESIGN.md §9 and §14.  Incremental: unchanged files are served from
-# .repro-lint-cache/ (keyed on content digest + rule set); pass
-# --no-cache to force a full re-parse.
+# oracles, exception hygiene, layering) — see DESIGN.md §9 and §14.
+# Every run parses every file (about a second); nothing is cached.
 lint:
 	$(PYTHON) -m compileall -q src benchmarks examples
 	$(PYTHON) -m repro.analysis src

@@ -6,26 +6,20 @@ no unsuppressed findings, 1 when any remain, 2 on usage or internal
 errors.  JSON schema (``--format json``)::
 
     {
-      "version": 2,
+      "version": 3,
       "paths": ["src"],
       "rules": ["DET001", ...],          # rules that ran
       "counts": {"total": N,             # all findings incl. suppressed
                  "suppressed": M,
                  "errors": E, "warnings": W},   # unsuppressed by severity
       "findings": [{"file": ..., "line": ..., "rule": ...,
-                    "rule_family": "DET"|"CONC"|"RACE"|...,
+                    "rule_family": "DET"|"CONC"|"ORACLE"|...,
                     "severity": "error"|"warning",
-                    "message": ..., "suppressed": bool,
-                    "call_path": ["module:func", ...]}, ...]
+                    "message": ..., "suppressed": bool}, ...]
     }
 
-``call_path`` is non-empty only for interprocedural findings (RACE/
-DET010): the resolved chain from a thread entry point to the access.
-
-Runs are incremental by default: per-file summaries and findings are
-cached under ``.repro-lint-cache/`` keyed on a blake2b content digest
-(``--no-cache`` forces a cold run; the env var ``REPRO_LINT_CACHE``
-relocates the directory).
+Every run parses every file: a cold pass over ``src`` is about a
+second, so nothing is cached between runs.
 """
 
 from __future__ import annotations
@@ -35,7 +29,6 @@ import json
 import os
 import sys
 
-from repro.analysis.cache import CACHE_DIR, LintCache
 from repro.analysis.engine import Checker
 from repro.analysis.findings import ERROR, WARNING, rule_family
 from repro.analysis.rules import ALL_RULE_CLASSES, select_rules
@@ -48,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "AST-based invariant checker: determinism (DET), concurrency "
-            "(CONC), interprocedural locksets (RACE), fast-path oracles "
+            "(CONC), fast-path oracles "
             "(ORACLE), exception hygiene (EXC) and layering (IMP)."
         ),
     )
@@ -86,11 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--explain",
         metavar="RULE",
         help="print the full documentation for one rule id, then exit",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the .repro-lint-cache directory",
     )
     return parser
 
@@ -145,10 +133,7 @@ def run(argv: list[str] | None = None, stdout=None) -> int:
         return 2
 
     paths = args.paths or (["src"] if os.path.isdir("src") else ["."])
-    cache = None
-    if not args.no_cache:
-        cache = LintCache(os.environ.get("REPRO_LINT_CACHE", CACHE_DIR))
-    checker = Checker(rules, cache=cache)
+    checker = Checker(rules)
     try:
         findings = checker.run(paths)
     except Exception as exc:  # noqa: BLE001 — contract: internal error => 2
@@ -158,7 +143,7 @@ def run(argv: list[str] | None = None, stdout=None) -> int:
 
     if args.format == "json":
         payload = {
-            "version": 2,
+            "version": 3,
             "paths": paths,
             "rules": [rule.id for rule in rules],
             "counts": {
@@ -173,8 +158,6 @@ def run(argv: list[str] | None = None, stdout=None) -> int:
     else:
         for finding in active:
             print(finding.render(), file=out)
-            if finding.call_path:
-                print(f"    via {' -> '.join(finding.call_path)}", file=out)
         suppressed = len(findings) - len(active)
         tail = f" ({suppressed} suppressed)" if suppressed else ""
         if active:

@@ -21,8 +21,8 @@ __all__ = [
     "SEED_PROPAGATING_CALLS",
 ]
 
-#: Packages whose outputs must be bit-reproducible across runs and
-#: executors (the PR-1 parallel data plane).  DET rules apply here.
+#: Packages whose outputs must be bit-reproducible across runs, shard
+#: counts and fast/reference paths.  DET rules apply here.
 #: ``repro.faults`` is included on purpose: a fault run that consults
 #: the wall clock or global RNG is not replayable, defeating the point.
 DATA_PLANE_PACKAGES = frozenset(

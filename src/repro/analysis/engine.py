@@ -30,7 +30,14 @@ from dataclasses import dataclass, field
 from repro.analysis.findings import ERROR, Finding, rule_family
 from repro.analysis.suppress import SuppressionMap, collect_suppressions
 
-__all__ = ["Rule", "ModuleContext", "Checker", "iter_python_files"]
+__all__ = [
+    "Rule",
+    "ModuleContext",
+    "Checker",
+    "all_args",
+    "is_contextmanager",
+    "iter_python_files",
+]
 
 _SCOPE_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
 _FUNC_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
@@ -79,9 +86,7 @@ class ModuleContext:
     scope: list[ast.AST] = field(default_factory=list)
     aliases: dict[str, str] = field(default_factory=dict)
     #: Per-module records rules stash in ``end_module`` for their
-    #: ``finalize`` pass.  Keyed by rule id, JSON-serializable values
-    #: only — the lint cache persists them verbatim so cross-module
-    #: rules still see cache-hit files.
+    #: ``finalize`` pass, keyed by rule id.
     records: dict[str, object] = field(default_factory=dict)
 
     @property
@@ -175,13 +180,22 @@ def _collect_aliases(tree: ast.Module) -> dict[str, str]:
     return aliases
 
 
-def _pseudo_module(path: str) -> str:
-    """Stable stand-in module id for files outside a ``repro`` tree
-    (scratch fixtures), so project-model targets stay unique per file."""
-    norm = os.path.normpath(path)
-    if norm.endswith(".py"):
-        norm = norm[: -len(".py")]
-    return norm.replace(os.sep, ".").strip(".")
+def all_args(args: ast.arguments) -> list[ast.arg]:
+    """Every parameter of a function or lambda, ``*args``/``**kw`` too."""
+    out = list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
+    if args.vararg:
+        out.append(args.vararg)
+    if args.kwarg:
+        out.append(args.kwarg)
+    return out
+
+
+def is_contextmanager(node: ast.AST) -> bool:
+    """True for a def decorated ``@contextmanager`` (bare or dotted)."""
+    return any(
+        getattr(deco, "attr", getattr(deco, "id", None)) == "contextmanager"
+        for deco in getattr(node, "decorator_list", ())
+    )
 
 
 def module_name_for_path(path: str) -> str:
@@ -228,43 +242,19 @@ def iter_python_files(paths: list[str]) -> list[str]:
 
 
 class Checker:
-    """Runs a set of rules over files; collects findings and per-module
-    summaries for cross-module rules."""
+    """Runs a set of rules over files; collects findings and the
+    per-module records cross-module rules read in ``finalize``."""
 
-    def __init__(self, rules: list[Rule], cache=None):
+    def __init__(self, rules: list[Rule]):
         self.rules = rules
         self.findings: list[Finding] = []
         #: module name -> arbitrary per-rule records, populated by rules
         #: during end_module for use in finalize (keyed by rule id).
         self.module_records: dict[str, dict[str, object]] = {}
-        #: path -> ModuleSummary, the project-model slice per file
-        #: (parsed fresh or restored from the lint cache).
-        self.summaries: dict[str, object] = {}
-        #: ``parsed`` counts actual ast.parse calls; ``cached`` counts
-        #: files served entirely from the lint cache.
-        self.stats = {"parsed": 0, "cached": 0}
-        self.cache = cache
-        self._graph = None
         self._dispatch: dict[type, list[Rule]] = {}
         for rule in rules:
             for node_type in rule.node_types:
                 self._dispatch.setdefault(node_type, []).append(rule)
-
-    @property
-    def rules_key(self) -> str:
-        """Cache-invalidation key: the rule set and engine vintage."""
-        from repro.analysis.project import SUMMARY_VERSION
-
-        ids = ",".join(sorted(rule.id for rule in self.rules))
-        return f"v{SUMMARY_VERSION}:{ids}"
-
-    def project_graph(self):
-        """The resolved call graph over every summary seen this run."""
-        if self._graph is None:
-            from repro.analysis.callgraph import build_callgraph
-
-            self._graph = build_callgraph(self.summaries)
-        return self._graph
 
     # -- per-file ------------------------------------------------------------
 
@@ -273,8 +263,6 @@ class Checker:
     ) -> list[Finding]:
         """Check one already-read source string (testing entry point)."""
         tree = ast.parse(source, filename=path)
-        self.stats["parsed"] += 1
-        self._graph = None
         ctx = ModuleContext(
             path=path,
             module=module if module is not None else module_name_for_path(path),
@@ -290,50 +278,12 @@ class Checker:
             rule.end_module(ctx)
         if ctx.records:
             self.module_records[ctx.module or ctx.path] = dict(ctx.records)
-        from repro.analysis.project import build_module_summary
-
-        self.summaries[path] = build_module_summary(
-            tree,
-            ctx.module or _pseudo_module(path),
-            path,
-            ctx.suppressions,
-        )
         self.findings.extend(ctx.findings)
         return ctx.findings
 
     def check_file(self, path: str) -> list[Finding]:
         with open(path, "r", encoding="utf-8") as fh:
-            source = fh.read()
-        if self.cache is not None:
-            from repro.analysis.cache import LintCache, source_digest
-
-            digest = source_digest(source)
-            entry = self.cache.load(path, digest, self.rules_key)
-            if entry is not None:
-                self.stats["cached"] += 1
-                self._graph = None
-                findings = LintCache.findings_from_entry(entry, path)
-                self.summaries[path] = LintCache.summary_from_entry(
-                    entry, path
-                )
-                records = entry.get("records") or {}
-                if records:
-                    key = module_name_for_path(path) or path
-                    self.module_records[key] = records
-                self.findings.extend(findings)
-                return findings
-            findings = self.check_source(source, path)
-            self.cache.store(
-                path,
-                digest,
-                self.rules_key,
-                findings,
-                self.summaries[path],
-                self.module_records.get(module_name_for_path(path) or path)
-                or {},
-            )
-            return findings
-        return self.check_source(source, path)
+            return self.check_source(fh.read(), path)
 
     def _walk(self, node: ast.AST, ctx: ModuleContext) -> None:
         interested = self._dispatch.get(type(node))

@@ -33,12 +33,7 @@ def rule_family(rule_id: str) -> str:
 
 @dataclass(frozen=True, order=True)
 class Finding:
-    """One rule violation at ``file:line``.
-
-    ``call_path`` is filled by the interprocedural rules: the chain of
-    function qualnames (``module:func``) from a thread entry point to
-    the offending access.  Single-module rules leave it empty.
-    """
+    """One rule violation at ``file:line``."""
 
     file: str
     line: int
@@ -46,7 +41,6 @@ class Finding:
     severity: str
     message: str
     suppressed: bool = field(default=False, compare=False)
-    call_path: tuple[str, ...] = field(default=(), compare=False)
 
     @property
     def family(self) -> str:
@@ -62,7 +56,6 @@ class Finding:
             "severity": self.severity,
             "message": self.message,
             "suppressed": self.suppressed,
-            "call_path": list(self.call_path),
         }
 
     def render(self) -> str:

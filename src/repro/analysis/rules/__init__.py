@@ -7,8 +7,13 @@ from repro.analysis.findings import rule_family
 from repro.analysis.rules.concurrency import (
     UnlockedModuleStateRead,
     UnlockedModuleStateWrite,
+    UnlockedToggle,
 )
-from repro.analysis.rules.determinism import UnseededRandom, WallClock
+from repro.analysis.rules.determinism import (
+    UnseededRandom,
+    UntaintedSeedSource,
+    WallClock,
+)
 from repro.analysis.rules.exceptions import (
     BareExcept,
     StreamUntypedRaise,
@@ -16,17 +21,11 @@ from repro.analysis.rules.exceptions import (
     TransientCatchOutsideRetry,
 )
 from repro.analysis.rules.imports import LayerViolation
-from repro.analysis.rules.locks import (
-    LockOrderCycle,
-    UnlockedSharedWrite,
-    UnlockedToggle,
-)
 from repro.analysis.rules.oracle import (
     FastWithoutOracle,
     PairWithoutToggle,
     ToggleNotInBaseline,
 )
-from repro.analysis.rules.taint import UntaintedSeedSource
 
 __all__ = ["ALL_RULE_CLASSES", "make_rules", "select_rules"]
 
@@ -37,8 +36,6 @@ ALL_RULE_CLASSES: tuple[type[Rule], ...] = (
     UntaintedSeedSource,
     UnlockedModuleStateWrite,
     UnlockedModuleStateRead,
-    UnlockedSharedWrite,
-    LockOrderCycle,
     UnlockedToggle,
     PairWithoutToggle,
     FastWithoutOracle,

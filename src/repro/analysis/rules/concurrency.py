@@ -1,10 +1,13 @@
-"""CONC — lightweight race detection for module-level mutable state.
+"""CONC — lexical lock discipline for module-level mutable state.
 
-PR 1's memo caches (``factorize._cache``, ``encodings._memo``,
-``compression._memo``, ``file_format._chunk_memo``) are module-level
-``OrderedDict``s shared across the thread-pool executor; every one of
-them is guarded by a module-level ``threading.Lock``.  These rules make
-that discipline mechanical:
+The memo caches (``factorize._cache``, ``encodings._memo``,
+``compression._memo``, ``file_format._chunk_memo``) and the row-group
+cache are module-level containers.  The library itself runs every
+window, scan and request on the calling thread (DESIGN.md §8), but
+callers may drive it from threads of their own, so each container is
+guarded by a module-level ``threading.Lock`` and each reference/memo
+toggle by a lock-guarded depth counter.  These rules make that
+discipline mechanical:
 
 * **CONC001** — a function mutates a module-level container (item
   assignment, ``.pop``/``.update``/``.append``/..., ``del``, or a
@@ -13,6 +16,12 @@ that discipline mechanical:
   when the module elsewhere accesses the same container under a lock
   (i.e. the author considers it shared, so an unguarded read is a torn
   read waiting to happen).  Reported as a warning.
+* **CONC003** — a ``@contextmanager`` toggle (``*_mode``/
+  ``*_disabled``/``*_enabled``, the things ``baseline_mode()``
+  composes) rebinds a module global outside the lock.  Two overlapping
+  save/restore toggles then restore a stale value; the fix is the
+  lock-guarded depth counter (see ``repro.perf.registry``).  CONC001
+  does not see this: a scalar flag is not a container.
 
 The detector is lexical: it only trusts ``with lock:`` blocks visible
 in the same function.  Helpers that require a caller-held lock need a
@@ -24,10 +33,19 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.analysis.engine import ModuleContext, Rule
+from repro.analysis.engine import (
+    ModuleContext,
+    Rule,
+    all_args,
+    is_contextmanager,
+)
 from repro.analysis.findings import WARNING
 
-__all__ = ["UnlockedModuleStateWrite", "UnlockedModuleStateRead"]
+__all__ = [
+    "UnlockedModuleStateWrite",
+    "UnlockedModuleStateRead",
+    "UnlockedToggle",
+]
 
 #: Methods that mutate dicts/lists/sets/deques in place.
 _MUTATORS = frozenset(
@@ -76,6 +94,8 @@ _CONTAINER_LITERALS = (
 
 _LOCK_CTORS = frozenset({"threading.Lock", "threading.RLock"})
 
+_TOGGLE_SUFFIXES = ("_mode", "_disabled", "_enabled")
+
 
 @dataclass
 class _ModuleState:
@@ -87,6 +107,10 @@ class _ModuleState:
     )
     # container names touched under *some* lock anywhere in the module
     locked_names: set[str] = field(default_factory=set)
+    # (toggle name, global name, node, guards) per global rebind in a toggle
+    toggle_rebinds: list[tuple[str, str, ast.AST, frozenset[str]]] = field(
+        default_factory=list
+    )
 
 
 def _is_module_scope(ctx: ModuleContext) -> bool:
@@ -148,11 +172,13 @@ class _ConcBase(Rule):
                 if isinstance(node, ast.Assign)
                 else [node.target]
             )
+            self._collect_toggle_rebinds(targets, node, ctx)
             for target in targets:
                 name = self._container_target(target, ctx)
                 if name is not None:
                     self._record(name, node, ctx, write=True)
         elif isinstance(node, ast.Delete):
+            self._collect_toggle_rebinds(node.targets, node, ctx)
             for target in node.targets:
                 name = self._container_target(target, ctx)
                 if name is not None:
@@ -196,6 +222,31 @@ class _ConcBase(Rule):
                 elif qual in _LOCK_CTORS:
                     self._state.locks.add(target.id)
 
+    def _collect_toggle_rebinds(
+        self, targets: list[ast.AST], node: ast.AST, ctx: ModuleContext
+    ) -> None:
+        """Names declared ``global`` that ``node`` rebinds inside a
+        toggle (or a function nested in one)."""
+        toggle = next(
+            (
+                scope.name
+                for scope in ctx.scope
+                if is_contextmanager(scope)
+                and scope.name.endswith(_TOGGLE_SUFFIXES)
+            ),
+            None,
+        )
+        if toggle is None:
+            return
+        declared = self._globals_of(ctx.enclosing_function())
+        guards = _guards(ctx)
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Name) and sub.id in declared:
+                    self._state.toggle_rebinds.append(
+                        (toggle, sub.id, node, guards)
+                    )
+
     def _container_target(
         self, target: ast.AST, ctx: ModuleContext
     ) -> str | None:
@@ -232,17 +283,7 @@ class _ConcBase(Rule):
     def _locals_of(self, func: ast.AST) -> frozenset[str]:
         cached = self._local_cache.get(id(func))
         if cached is None:
-            names: set[str] = set()
-            args = getattr(func, "args", None)
-            if args is not None:
-                for arg in (
-                    list(args.posonlyargs)
-                    + list(args.args)
-                    + list(args.kwonlyargs)
-                    + ([args.vararg] if args.vararg else [])
-                    + ([args.kwarg] if args.kwarg else [])
-                ):
-                    names.add(arg.arg)
+            names = {arg.arg for arg in all_args(func.args)}
             for node in ast.walk(func):
                 if isinstance(node, ast.Name) and isinstance(
                     node.ctx, (ast.Store, ast.Del)
@@ -316,3 +357,27 @@ class UnlockedModuleStateRead(_ConcBase):
                     f"module-level container {name!r} read without the "
                     "lock that guards its writers",
                 )
+
+
+class UnlockedToggle(_ConcBase):
+    id = "CONC003"
+    name = "unlocked-toggle-write"
+    description = (
+        "a @contextmanager reference/memo toggle rebinds a module global "
+        "without the module lock; overlapping toggles restore a stale "
+        "value (use a lock-guarded depth counter)"
+    )
+
+    def end_module(self, ctx: ModuleContext) -> None:
+        state = self._state
+        for toggle, name, node, guards in state.toggle_rebinds:
+            if name in state.containers or guards & state.locks:
+                continue  # container rebinds are CONC001's finding
+            ctx.report(
+                self,
+                node,
+                f"toggle {toggle} writes module global {name!r} without "
+                "a lock; two overlapping toggles restore a stale value — "
+                "use a lock-guarded depth counter "
+                "(see repro.perf.registry.PerfRegistry.disabled)",
+            )

@@ -23,22 +23,16 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.config import BASELINE_MODULE
-from repro.analysis.engine import Checker, ModuleContext, Rule
+from repro.analysis.engine import (
+    Checker,
+    ModuleContext,
+    Rule,
+    is_contextmanager,
+)
 
 __all__ = ["PairWithoutToggle", "FastWithoutOracle", "ToggleNotInBaseline"]
 
 _TOGGLE_SUFFIXES = ("_reference_mode", "_disabled", "_mode")
-
-
-def _is_contextmanager(node: ast.FunctionDef) -> bool:
-    for deco in node.decorator_list:
-        name = deco
-        if isinstance(name, ast.Attribute):
-            if name.attr == "contextmanager":
-                return True
-        elif isinstance(name, ast.Name) and name.id == "contextmanager":
-            return True
-    return False
 
 
 class _OracleBase(Rule):
@@ -54,7 +48,7 @@ class _OracleBase(Rule):
         if ctx.scope:
             return  # only module top-level defs form the public contract
         self._functions[node.name] = node
-        if node.name.endswith(_TOGGLE_SUFFIXES) and _is_contextmanager(node):
+        if node.name.endswith(_TOGGLE_SUFFIXES) and is_contextmanager(node):
             self._toggles[node.name] = node
 
     def _pairs(self) -> list[tuple[str, ast.FunctionDef]]:
@@ -123,9 +117,7 @@ class ToggleNotInBaseline(_OracleBase):
 
     def end_module(self, ctx: ModuleContext) -> None:
         # Record for the cross-module pass; suppression is resolved now,
-        # while the module's pragma map is still in hand.  The record
-        # lands in ctx.records so the lint cache replays it for files
-        # served without a re-parse.
+        # while the module's pragma map is still in hand.
         pairs = self._pairs()
         pair_line = pairs[0][1].lineno if pairs else 0
         record = {

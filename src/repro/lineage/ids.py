@@ -82,8 +82,9 @@ def query_result_id(op: str, name: str, version: int, params: str) -> str:
 
     Including the store generation makes repeats idempotent rather than
     sequential: the same question at the same generation *is* the same
-    answer, so concurrent identical queries (the threaded gateway) merge
-    into one node instead of racing over a sequence counter.
+    answer, so identical queries (repeated, or asked from two caller
+    threads) merge into one node instead of racing over a sequence
+    counter.
     """
     return node_id("query_result", op, name, version, params)
 

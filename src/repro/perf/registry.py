@@ -12,8 +12,9 @@ Design constraints:
 
 * **Cheap** — one ``perf_counter`` pair per timed call and a dict
   update; safe to leave enabled in tests and examples.
-* **Thread-safe** — the parallel ``run_window`` records from worker
-  threads; a single lock guards the (tiny, coarse-grained) updates.
+* **Thread-safe** — the library records from the calling thread, and
+  callers may drive it from several of their own (DESIGN.md §8); a
+  single lock guards the (tiny, coarse-grained) updates.
 * **Pull-based** — nothing is printed or exported unless someone calls
   :meth:`PerfRegistry.snapshot`.
 """
@@ -146,8 +147,8 @@ class PerfRegistry:
 
         Implemented as a lock-guarded suppression *depth*, so the region
         is reentrant and safe under concurrency: overlapping regions —
-        a baseline bench on the main thread while threaded ``run_window``
-        workers enter their own — each push and pop one level, and
+        a baseline bench on one caller thread while another enters its
+        own — each push and pop one level, and
         recording resumes exactly when the last one exits.  The previous
         save/restore of a shared boolean could restore a stale value and
         leave recording off forever.

@@ -26,20 +26,14 @@ class ResultCache:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._entries: OrderedDict[
-            tuple[str, int], tuple[Any, str, frozenset[str] | None]
-        ] = OrderedDict()
+        self._entries: OrderedDict[tuple[str, int], tuple[Any, str]] = (
+            OrderedDict()
+        )
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evicted = 0
         self.invalidated = 0
-        #: Entries dropped by :meth:`prune_stale` whose recorded
-        #: read-set was disjoint from the datasets actually mutated —
-        #: collateral damage of generation-keyed invalidation, the
-        #: number a lineage-driven precise scheme would save (see the
-        #: DESIGN.md §17 follow-up note).
-        self.over_invalidated = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -57,61 +51,31 @@ class ResultCache:
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            return entry[:2]
+            return entry
 
     def put(
-        self,
-        fingerprint: str,
-        generation: int,
-        payload: Any,
-        digest: str,
-        reads: frozenset[str] | None = None,
+        self, fingerprint: str, generation: int, payload: Any, digest: str
     ) -> None:
-        """Insert (idempotent per key), evicting LRU entries over capacity.
-
-        ``reads`` is the entry's dataset read-set when the gateway
-        tracked one (None means unknown — e.g. an endpoint that reaches
-        around the tier store).  It never affects lookup; it only feeds
-        :meth:`prune_stale`'s over-invalidation accounting.
-        """
+        """Insert (idempotent per key), evicting LRU entries over capacity."""
         key = (fingerprint, generation)
         with self._lock:
-            self._entries[key] = (payload, digest, reads)
+            self._entries[key] = (payload, digest)
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evicted += 1
 
-    def prune_stale(
-        self, generation: int, mutated: frozenset[str] | None = None
-    ) -> int:
+    def prune_stale(self, generation: int) -> int:
         """Drop every entry not of ``generation``; returns the count.
 
         The gateway calls this when it observes the store generation
         move — stale entries can never match again (generations are
         monotone), so keeping them would only squeeze live ones out of
         the LRU.
-
-        ``mutated`` — the datasets actually touched since the entries'
-        generations (:meth:`repro.storage.tiers.TieredStore.
-        mutated_since`) — turns the pass into an audit as well: an
-        entry whose known read-set is disjoint from ``mutated`` would
-        have answered identically at the new generation, and is counted
-        in :attr:`over_invalidated`.  It is still dropped — today's
-        invalidation is deliberately coarse; the counter is the
-        evidence line for the precise lineage-driven scheme (DESIGN.md
-        §17 follow-up).
         """
         with self._lock:
             stale = [k for k in self._entries if k[1] != generation]
             for key in stale:
-                reads = self._entries[key][2]
-                if (
-                    mutated is not None
-                    and reads is not None
-                    and not (reads & mutated)
-                ):
-                    self.over_invalidated += 1
                 del self._entries[key]
             self.invalidated += len(stale)
             return len(stale)
@@ -124,6 +88,5 @@ class ResultCache:
                 "misses": self.misses,
                 "evicted": self.evicted,
                 "invalidated": self.invalidated,
-                "over_invalidated": self.over_invalidated,
                 "size": len(self._entries),
             }

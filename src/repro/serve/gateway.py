@@ -113,22 +113,9 @@ class ServingGateway:
         gen = self.generation()
         if gen != self._generation:
             if self._generation is not None and self.cache_enabled:
-                # Ask the store what actually changed so the prune can
-                # count collateral invalidations (entries whose read-set
-                # is untouched) — measurement only, eviction is still
-                # wholesale.  Duck-typed: bare stores without the
-                # mutation ledger just skip the audit.
-                mutated = None
-                mutated_since = getattr(self.tiers, "mutated_since", None)
-                if mutated_since is not None:
-                    mutated = mutated_since(self._generation)
-                over_before = self.cache.over_invalidated
-                pruned = self.cache.prune_stale(gen, mutated=mutated)
+                pruned = self.cache.prune_stale(gen)
                 if pruned:
                     METRICS.inc("serve.cache_invalidated", pruned)
-                over = self.cache.over_invalidated - over_before
-                if over:
-                    METRICS.inc("serve.cache.over_invalidated", over)
             self._generation = gen
             METRICS.set_gauge("serve.generation", gen, deterministic=True)
         return gen
@@ -180,16 +167,8 @@ class ServingGateway:
                 self._count(request, "error")
             else:
                 digest = payload_digest(payload)
-                # The read-set travels two ways: dataset names tag the
-                # cache entry (over-invalidation audit), query lineage
-                # nodes become the envelope's ``read`` edges.  An empty
-                # set means the endpoint never touched the tier store's
-                # query paths — unknown, not "reads nothing".
-                read_datasets = frozenset(d for d, _ in reads) or None
                 if self.cache_enabled:
-                    self.cache.put(
-                        fingerprint, gen, payload, digest, reads=read_datasets
-                    )
+                    self.cache.put(fingerprint, gen, payload, digest)
                 if cat is not None:
                     nid = cat.record(
                         "envelope",
@@ -199,11 +178,7 @@ class ServingGateway:
                             "endpoint": request.endpoint,
                         },
                     )
-                    cat.link_many(
-                        sorted({q for _, q in reads if q is not None}),
-                        nid,
-                        "read",
-                    )
+                    cat.link_many(sorted(set(reads)), nid, "read")
                 envelopes[i] = ResultEnvelope(
                     request,
                     "ok",
@@ -267,7 +242,7 @@ class ServingGateway:
     def _execute_one(
         self, index: int, request: Request
     ) -> tuple[Any, str | None, float, list]:
-        """``(payload, error, wall seconds, tier read-set)`` for one miss.
+        """``(payload, error, wall seconds, lineage nodes read)`` for one miss.
 
         The span carries the request's batch index in its name
         (``serve.request:<index>``).

@@ -42,6 +42,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from types import MappingProxyType
 from typing import Mapping
 
@@ -108,11 +109,26 @@ def _parse(raw: str | None, kind: type):
     return dec if isinstance(dec, kind) else None
 
 
+def _strings(dec: list | None) -> tuple[str, ...] | None:
+    """``dec`` as a tuple, or None unless every element is a string."""
+    if dec is None or not all(type(x) is str for x in dec):
+        return None
+    return tuple(dec)
+
+
+def _is_bound(x) -> bool:
+    """A value a predicate can be compared with: a string or a number
+    (NaN excluded — every comparison with it is False, which prunes)."""
+    return type(x) in (str, int, float) and x == x
+
+
 @functools.lru_cache(maxsize=4096)
 def stats_from_meta(raw: str | None) -> Mapping[str, tuple | None] | None:
     """Decode a ``stats`` metadata value; None for absent or mangled
     manifests (an unreadable manifest must never make a part
-    unscannable — it only loses the prune)."""
+    unscannable — it only loses the prune).  Mangled includes valid
+    JSON of the wrong shape: any entry that is not null, ``[lo, hi]``
+    or ``[lo, hi, bool]`` voids the whole value."""
     dec = _parse(raw, dict)
     if dec is None:
         return None
@@ -120,10 +136,16 @@ def stats_from_meta(raw: str | None) -> Mapping[str, tuple | None] | None:
     for name, v in dec.items():
         if v is None:
             out[name] = None
-        elif len(v) == 3:
-            out[name] = (v[0], v[1], bool(v[2]))
+        elif (
+            type(v) is list
+            and len(v) in (2, 3)
+            and _is_bound(v[0])
+            and _is_bound(v[1])
+            and (len(v) == 2 or type(v[2]) is bool)
+        ):
+            out[name] = tuple(v)
         else:
-            out[name] = (v[0], v[1])
+            return None
     return MappingProxyType(out)
 
 
@@ -135,10 +157,7 @@ def columns_to_meta(table: ColumnTable) -> str:
 @functools.lru_cache(maxsize=4096)
 def columns_from_meta(raw: str | None) -> tuple[str, ...] | None:
     """Decode a ``columns`` metadata value (None when absent/mangled)."""
-    dec = _parse(raw, list)
-    if dec is None:
-        return None
-    return tuple(str(n) for n in dec)
+    return _strings(_parse(raw, list))
 
 
 def spans_to_meta(spans: list[tuple[float, int]]) -> str:
@@ -151,7 +170,8 @@ def spans_to_meta(spans: list[tuple[float, int]]) -> str:
 
 @functools.lru_cache(maxsize=4096)
 def spans_from_meta(raw: str | None) -> tuple[tuple[float, int], ...] | None:
-    """Decode a ``spans`` metadata value (None when absent/mangled).
+    """Decode a ``spans`` metadata value (None when absent/mangled —
+    every span must be ``[finite number, int >= 0]``).
 
     A part without decodable spans is treated as one opaque ingest epoch
     stamped with the object's ``created_at`` — exactly the pre-lifecycle
@@ -163,7 +183,15 @@ def spans_from_meta(raw: str | None) -> tuple[tuple[float, int], ...] | None:
     for item in dec:
         if not isinstance(item, list) or len(item) != 2:
             return None
-        out.append((float(item[0]), int(item[1])))
+        epoch, rows = item
+        try:
+            if type(epoch) not in (int, float) or not math.isfinite(epoch):
+                return None
+        except OverflowError:  # an int beyond float range
+            return None
+        if type(rows) is not int or rows < 0:
+            return None
+        out.append((float(epoch), rows))
     return tuple(out)
 
 
@@ -182,10 +210,7 @@ def replaces_to_meta(keys: list[str]) -> str:
 @functools.lru_cache(maxsize=4096)
 def replaces_from_meta(raw: str | None) -> tuple[str, ...] | None:
     """Decode a ``replaces`` metadata value (None when absent/mangled)."""
-    dec = _parse(raw, list)
-    if dec is None:
-        return None
-    return tuple(str(k) for k in dec)
+    return _strings(_parse(raw, list))
 
 
 def blob_token(blob: bytes) -> str:

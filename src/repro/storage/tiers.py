@@ -231,16 +231,11 @@ class TieredStore:
         # on it (see repro.serve.cache).
         self._version = 0
         self._version_lock = threading.Lock()
-        #: ``_mutated[i]`` is the dataset whose committed mutation moved
-        #: the version from ``i`` to ``i + 1`` — one short string per
-        #: mutation, the ledger :meth:`mutated_since` answers from so
-        #: the gateway can tell precise from collateral invalidation.
-        self._mutated: list[str] = []
         self.lineage = lineage
         # Per-thread read-set sink (see collect_reads): query paths
-        # report (dataset, lineage node) pairs into whichever sink the
-        # current thread has open, so the serving gateway can tag cache
-        # entries with what they actually read.
+        # report their lineage query node into whichever sink the
+        # current thread has open, so the serving gateway can draw each
+        # envelope's ``read`` edges.
         self._read_local = threading.local()
 
     # -- data version -----------------------------------------------------------
@@ -258,25 +253,9 @@ class TieredStore:
         with self._version_lock:
             return self._version
 
-    def _bump_version(self, dataset: str) -> None:
+    def _bump_version(self) -> None:
         with self._version_lock:
             self._version += 1
-            self._mutated.append(dataset)
-
-    def mutated_since(self, version: int) -> frozenset[str]:
-        """Datasets mutated after generation ``version``.
-
-        One entry per committed mutation is kept (strings, not tables),
-        so the ledger grows with the mutation count — bounded in
-        practice by run length the way the part counter is.  The
-        serving gateway compares this set against cache entries'
-        read-sets to count over-invalidation (see
-        :meth:`repro.serve.cache.ResultCache.prune_stale`).
-        """
-        with self._version_lock:
-            if version < 0:
-                version = 0
-            return frozenset(self._mutated[version:])
 
     # -- read-set tracking ------------------------------------------------------
 
@@ -284,24 +263,24 @@ class TieredStore:
     def collect_reads(self):
         """Collect this thread's query reads into a fresh sink.
 
-        Yields a list that accumulates ``(dataset, lineage_node_or_None)``
-        pairs for every query this thread runs inside the block.  Sinks
-        nest (the previous one is restored on exit) and are strictly
-        thread-local, so the gateway's worker pool can track many
-        requests concurrently without cross-talk.
+        Yields a list that accumulates the lineage node id of every
+        tracked query this thread runs inside the block (nothing when
+        the store has no catalog).  Sinks nest (the previous one is
+        restored on exit) and are strictly thread-local, so callers
+        serving from several threads of their own see no cross-talk.
         """
         prev = getattr(self._read_local, "sink", None)
-        sink: list[tuple[str, str | None]] = []
+        sink: list[str] = []
         self._read_local.sink = sink
         try:
             yield sink
         finally:
             self._read_local.sink = prev
 
-    def _note_read(self, dataset: str, node: str | None = None) -> None:
+    def _note_read(self, node: str | None) -> None:
         sink = getattr(self._read_local, "sink", None)
-        if sink is not None:
-            sink.append((dataset, node))
+        if sink is not None and node is not None:
+            sink.append(node)
 
     # -- dataset registry -------------------------------------------------------
 
@@ -393,7 +372,7 @@ class TieredStore:
             self._lineage_part(name, key, table.num_rows, batch_now=now)
             placed["ocean"] = True
         if placed["lake"] or placed["ocean"]:
-            self._bump_version(name)
+            self._bump_version()
         return placed
 
     # -- live part set ------------------------------------------------------------
@@ -599,10 +578,7 @@ class TieredStore:
     ) -> ColumnTable:
         """Low-latency query against the LAKE tier."""
         # Online answers come from the LAKE's own copies, not OCEAN
-        # artifacts, so nothing lineage-tracked is read — but the
-        # dataset still lands in the thread's read-set so the serving
-        # gateway can tag cache entries with what they depend on.
-        self._note_read(name)
+        # artifacts, so nothing lineage-tracked is read.
         return self.lake.query(name, t0, t1, predicate, columns)
 
     def scan_ocean(
@@ -629,10 +605,9 @@ class TieredStore:
         Pruning level zero happens *here*: parts whose persisted
         manifest stats exclude the folded predicate are planned out and
         never fetched from the object store (counted as
-        ``ocean.parts_pruned``).  Surviving parts are fetched serially
-        — the object store's accounting is not thread-safe — and then
-        scanned through :func:`repro.query.execute_plan` (row-group
-        pruning, late materialization, cache).  Under
+        ``ocean.parts_pruned``).  Surviving parts are fetched in plan
+        order and then scanned through :func:`repro.query.execute_plan`
+        (row-group pruning, late materialization, cache).  Under
         ``baseline_mode`` every part is fetched and the reference
         executor decodes everything.
 
@@ -723,7 +698,7 @@ class TieredStore:
                 [cat.part_node(self.OCEAN_BUCKET, k) for k in fetched_keys],
                 result.num_rows,
             )
-        self._note_read(name, nid)
+        self._note_read(nid)
         return result
 
     # -- materialized rollups -----------------------------------------------------
@@ -795,7 +770,7 @@ class TieredStore:
             nid = self._lineage_query(
                 "rollup", name, "", reads, result.num_rows
             )
-        self._note_read(ru.spec.source, nid)
+        self._note_read(nid)
         return result
 
     def _rollups_for(self, source: str) -> list[GoldRollup]:
@@ -849,7 +824,7 @@ class TieredStore:
                 )
                 report["lake_segments_dropped"] += dropped
                 if dropped:
-                    self._bump_version(name)
+                    self._bump_version()
             if policy.ocean_retention_s is None:
                 continue
             age_out_s = policy.ocean_retention_s
@@ -1001,7 +976,7 @@ class TieredStore:
         # Rewrites (compact/split) bump here via their input deletes;
         # their commit put alone changes no query answer, so one bump
         # per committed transition is enough.
-        self._bump_version(obj.key.split("/", 1)[0])
+        self._bump_version()
 
     # -- maintenance ------------------------------------------------------------------
 

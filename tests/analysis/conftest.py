@@ -36,13 +36,6 @@ def rule_ids(check):
     return _ids
 
 
-@pytest.fixture(autouse=True)
-def _isolated_lint_cache(tmp_path, monkeypatch):
-    """Point the CLI's incremental cache at a per-test directory so
-    tests never write ``.repro-lint-cache/`` into the working tree."""
-    monkeypatch.setenv("REPRO_LINT_CACHE", str(tmp_path / "lint-cache"))
-
-
 @pytest.fixture
 def make_tree(tmp_path):
     """Write ``{relative_path: source}`` files under a tmp ``repro`` tree

@@ -6,6 +6,7 @@ from __future__ import annotations
 import io
 import json
 
+from repro.analysis import ALL_RULE_CLASSES
 from repro.analysis.__main__ import run
 
 #: One violation per rule family, spread over a realistic mini-tree.
@@ -73,6 +74,9 @@ class TestExitCodes:
     def test_empty_rule_selection_is_usage_error(self, make_tree):
         root = make_tree(CLEAN_TREE)
         code, _ = run_cli("--select", "DET", "--ignore", "DET", str(root))
+        assert code == 2
+        # A family that no longer exists selects nothing: same error.
+        code, _ = run_cli("--select", "RACE", str(root))
         assert code == 2
 
 
@@ -178,7 +182,7 @@ class TestJsonSchema:
         root = make_tree(VIOLATION_TREE)
         _, out = run_cli("--format", "json", str(root))
         payload = json.loads(out)
-        assert payload["version"] == 2
+        assert payload["version"] == 3
         assert set(payload["counts"]) == {
             "total",
             "suppressed",
@@ -194,12 +198,10 @@ class TestJsonSchema:
                 "severity",
                 "message",
                 "suppressed",
-                "call_path",
             }
             assert finding["severity"] in ("error", "warning")
             assert isinstance(finding["line"], int) and finding["line"] >= 1
             assert finding["rule"].startswith(finding["rule_family"])
-            assert isinstance(finding["call_path"], list)
 
     def test_counts_are_consistent(self, make_tree):
         root = make_tree(VIOLATION_TREE)
@@ -213,11 +215,11 @@ class TestJsonSchema:
 
 
 class TestExplain:
-    def test_explain_race_rule(self):
-        code, out = run_cli("--explain", "RACE001")
+    def test_explain_toggle_rule(self):
+        code, out = run_cli("--explain", "CONC003")
         assert code == 0
-        assert "RACE001" in out
-        assert "lock" in out.lower()
+        assert "CONC003" in out
+        assert "depth counter" in out
 
     def test_explain_det010(self):
         code, out = run_cli("--explain", "DET010")
@@ -225,8 +227,8 @@ class TestExplain:
         assert "seed" in out.lower()
 
     def test_explain_shows_suppression_hint(self):
-        _, out = run_cli("--explain", "RACE001")
-        assert "repro: ignore[RACE001]" in out
+        _, out = run_cli("--explain", "CONC003")
+        assert "repro: ignore[CONC003]" in out
 
     def test_explain_unknown_rule_is_usage_error(self):
         code, _ = run_cli("--explain", "NOPE999")
@@ -244,5 +246,7 @@ class TestTextOutput:
     def test_list_rules(self):
         code, out = run_cli("--list-rules")
         assert code == 0
-        for rule_id in ("DET001", "CONC001", "ORACLE001", "EXC001", "IMP001"):
-            assert rule_id in out
+        assert [line.split()[0] for line in out.splitlines()] == [
+            cls.id for cls in ALL_RULE_CLASSES
+        ]
+        assert len(ALL_RULE_CLASSES) == 14 and "RACE" not in out

@@ -115,3 +115,73 @@ class TestUnlockedRead:
                 return _NAMES[code]
             """
         ) == []
+
+
+class TestUnlockedToggle:
+    """CONC003 — the PR-7 toggle fixtures, verdicts as RACE003 gave them."""
+
+    def test_save_restore_toggle_flagged(self, check):
+        findings = check(
+            """
+            from contextlib import contextmanager
+
+            _memo_enabled = True
+
+            @contextmanager
+            def memo_disabled():
+                global _memo_enabled
+                prev = _memo_enabled
+                _memo_enabled = False
+                try:
+                    yield
+                finally:
+                    _memo_enabled = prev
+            """
+        )
+        toggles = [f for f in findings if f.rule_id == "CONC003"]
+        # Both rebinds, not the read in between.
+        assert [f.line for f in toggles] == [10, 14]
+        assert "_memo_enabled" in toggles[0].message
+        assert [f.rule_id for f in findings] == ["CONC003", "CONC003"]
+
+    def test_depth_counter_toggle_is_clean(self, rule_ids):
+        ids = rule_ids(
+            """
+            import threading
+            from contextlib import contextmanager
+
+            _lock = threading.Lock()
+            _memo_enabled = True
+            _disable_depth = 0
+
+            @contextmanager
+            def memo_disabled():
+                global _disable_depth, _memo_enabled
+                with _lock:
+                    _disable_depth += 1
+                    _memo_enabled = False
+                try:
+                    yield
+                finally:
+                    with _lock:
+                        _disable_depth -= 1
+                        _memo_enabled = _disable_depth == 0
+            """
+        )
+        assert "CONC003" not in ids
+
+    def test_non_toggle_contextmanager_not_flagged(self, rule_ids):
+        ids = rule_ids(
+            """
+            from contextlib import contextmanager
+
+            @contextmanager
+            def open_session():
+                session = object()
+                try:
+                    yield session
+                finally:
+                    del session
+            """
+        )
+        assert "CONC003" not in ids

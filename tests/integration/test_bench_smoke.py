@@ -1,11 +1,13 @@
-"""Tier-1 perf gate: the e2e bench smoke must pass against the
-committed ``BENCH_e2e.json``.
+"""Tier-1 bench smokes: the quick-shape benches must run and keep
+every seed-pure property (outputs identical across configurations,
+digests, shed/hit counts).
 
-``make bench-e2e-smoke`` is the same invocation; this test keeps the
-gate inside the plain pytest tier so a stage regression (or a fast-path
-output divergence) fails CI even where make is not in the loop.  The
-``check_against`` comparator itself is unit-tested below on synthetic
-reports so its failure modes don't depend on timer noise.
+Nothing here compares wall-clock times: the stage-ratio gate against
+the committed ``BENCH_e2e.json`` is ``make bench-e2e-smoke``, where a
+human on a known host reads it — inside ``pytest -x`` it failed on a
+loaded box and on any host other than the one that committed the
+report.  The ``check_against`` comparator itself is unit-tested below
+on synthetic reports, so its failure modes are covered without a timer.
 """
 
 import json
@@ -23,7 +25,6 @@ from benchmarks.bench_e2e import (
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-COMMITTED = REPO_ROOT / "BENCH_e2e.json"
 COMMITTED_QUERY = REPO_ROOT / "BENCH_query.json"
 COMMITTED_SERVING = REPO_ROOT / "BENCH_serving.json"
 
@@ -137,11 +138,10 @@ class TestCheckAgainstComparator:
         assert check_against(new, ref) != []
 
 
-@pytest.mark.skipif(not COMMITTED.exists(), reason="no committed bench report")
 def test_bench_e2e_smoke_gate(tmp_path):
-    """The real gate: quick-shape run, outputs identical, no stage
-    regression vs. the committed report (what `make bench-e2e-smoke`
-    runs)."""
+    """Quick-shape run: fast path, baseline and obs-off configurations
+    produce identical outputs, and the report carries a host record
+    (`make bench-e2e-smoke` adds the stage-ratio comparison)."""
     out = tmp_path / "smoke.json"
     proc = subprocess.run(
         [
@@ -150,8 +150,6 @@ def test_bench_e2e_smoke_gate(tmp_path):
             "--quick",
             "--out",
             str(out),
-            "--check-against",
-            str(COMMITTED),
         ],
         cwd=REPO_ROOT,
         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
@@ -162,9 +160,7 @@ def test_bench_e2e_smoke_gate(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     report = json.loads(out.read_text())
     assert report["outputs_identical"] is True
-    assert report["fast"]["wall_s_median"] > 0
     assert set(report["host"]) == {"cpu_count", "python", "numpy"}
-    assert "stage-ratio check skipped" not in proc.stdout
 
 
 @pytest.mark.skipif(
@@ -243,8 +239,8 @@ def test_committed_serving_report_records_cache_win():
 
 
 def test_bench_serving_smoke_gate(tmp_path):
-    """Quick-shape run of the serving bench: cached p50 beats uncached
-    at the knee, no shedding below the knee, digests identical across
+    """Quick-shape run of the serving bench: no shedding below the
+    knee, the cache warms, digests and shed decisions identical across
     configurations."""
     out = tmp_path / "serving_smoke.json"
     proc = subprocess.run(
@@ -265,9 +261,6 @@ def test_bench_serving_smoke_gate(tmp_path):
     report = json.loads(out.read_text())
     assert report["outputs_identical"] is True
     assert report["shed_identical_across_configs"] is True
-    # Quick shapes are timer-noise-bound for tail percentiles, but a
-    # warm cache must still beat recomputation at the median.
-    assert report["p50_speedup_at_highest_sustained"] > 1.0
     _shed_free_below_knee(report)
     hit = report["levels"][-1]["cache_on"]["hit_rate"]
     assert hit > 0.5, f"cache barely warming: hit_rate={hit}"

@@ -54,46 +54,3 @@ class TestResultCache:
     def test_validation(self):
         with pytest.raises(ValueError):
             ResultCache(capacity=0)
-
-
-class TestOverInvalidationAudit:
-    """Pins the wholesale invalidation behavior and its measurement.
-
-    ``prune_stale`` drops *every* stale-generation entry even when the
-    bumped datasets are disjoint from what the entry read — that is the
-    current (correct but coarse) policy, and these tests pin it.  The
-    ``over_invalidated`` counter measures the gap a lineage-driven
-    precise policy would close (DESIGN.md §17 follow-up).
-    """
-
-    def test_disjoint_mutation_still_evicts_but_is_counted(self):
-        cache = ResultCache()
-        cache.put("a", 1, "v", "d", reads=frozenset({"power.silver"}))
-        pruned = cache.prune_stale(2, mutated=frozenset({"facility.silver"}))
-        # Pinned: the entry is gone despite reading nothing that moved.
-        assert pruned == 1
-        assert cache.get("a", 2) is None
-        assert cache.over_invalidated == 1
-        assert cache.stats()["over_invalidated"] == 1
-
-    def test_overlapping_mutation_is_a_justified_eviction(self):
-        cache = ResultCache()
-        cache.put("a", 1, "v", "d", reads=frozenset({"power.silver"}))
-        assert cache.prune_stale(2, mutated=frozenset({"power.silver"})) == 1
-        assert cache.over_invalidated == 0
-
-    def test_untracked_reads_are_never_counted(self):
-        # reads=None means the endpoint bypassed the tier read-set hook
-        # (e.g. it walks tiers.lake directly): no evidence, no count.
-        cache = ResultCache()
-        cache.put("a", 1, "v", "d")
-        assert cache.prune_stale(2, mutated=frozenset({"power.silver"})) == 1
-        assert cache.over_invalidated == 0
-
-    def test_no_mutation_ledger_no_count(self):
-        # Callers without a mutated_since source pass mutated=None and
-        # the audit stays silent.
-        cache = ResultCache()
-        cache.put("a", 1, "v", "d", reads=frozenset({"power.silver"}))
-        assert cache.prune_stale(2) == 1
-        assert cache.over_invalidated == 0

@@ -6,10 +6,18 @@ and an unreadable manifest must still degrade to None (the part stays
 scannable, it only loses the prune).
 """
 
-import pytest
+import json
+import math
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.columnar import Col, ColumnTable
+from repro.columnar.file_format import write_table
 from repro.perf import PERF
-from repro.storage import manifest
+from repro.storage import DataClass, TieredStore, manifest
 
 PARSERS = [
     (manifest.stats_from_meta, '{"t":[0.0,9.0],"p":[1.0,2.0,false],"s":null}'),
@@ -69,3 +77,148 @@ def test_wrong_shape_is_none():
     assert manifest.spans_from_meta("[[0.0,20],7]") is None
     assert manifest.oldest_span_epoch("[]") is None
     assert manifest.oldest_span_epoch(None) is None
+
+
+# -- valid JSON of the wrong shape ---------------------------------------------
+#
+# Each raw value below is well-formed JSON that the pre-validation parsers
+# either raised on at query time or accepted as garbage bounds/runs.
+
+MANGLED = {
+    "stats": [
+        '{"value":5}',  # TypeError: object of type 'int' has no len()
+        '{"value":[1]}',  # IndexError
+        '{"value":"zz"}',  # was accepted as bounds ('z', 'z')
+        '{"value":[1,2,3]}',  # third element must be a bool
+        '{"value":[[0],[1]]}',
+        '{"value":[null,1]}',
+        '{"value":[NaN,NaN]}',  # every comparison False: prunes everything
+        '{"value":[true,false]}',
+    ],
+    "spans": [
+        '[["x",1]]',  # ValueError from query_archive and compact
+        "[[1.0,-3]]",  # was accepted as a negative run
+        "[[1.0,2.5]]",
+        "[[NaN,20]]",
+        "[[Infinity,20]]",
+        "[[1e999,20]]",
+        "[[%d,20]]" % 10**400,
+        "[[true,20]]",
+        "[[0.0,true]]",
+    ],
+    "columns": ['["timestamp",1]', "[null]", '[["timestamp"]]'],
+    "replaces": ['["d/part-0",1]', "[null]"],
+}
+
+
+@pytest.mark.parametrize(
+    "field,raw", [(f, raw) for f, raws in MANGLED.items() for raw in raws]
+)
+def test_wrong_typed_entries_void_the_whole_value(field, raw):
+    assert getattr(manifest, f"{field}_from_meta")(raw) is None
+
+
+def test_well_typed_edge_values_still_parse():
+    stats = manifest.stats_from_meta(
+        '{"a":[-Infinity,Infinity],"s":["","zz"],"n":[1,2,false],"x":null}'
+    )
+    assert dict(stats) == {
+        "a": (float("-inf"), float("inf")),
+        "s": ("", "zz"),
+        "n": (1, 2, False),
+        "x": None,
+    }
+    assert manifest.spans_from_meta("[[3,0],[4.5,7]]") == ((3.0, 0), (4.5, 7))
+    assert manifest.columns_from_meta("[]") == ()
+
+
+def _batch(t_start, n=20):
+    return ColumnTable(
+        {
+            "timestamp": t_start + np.arange(n, dtype=float),
+            "node": (np.arange(n) % 4).astype(float),
+            "value": 100.0 + np.arange(n, dtype=float) + t_start,
+        }
+    )
+
+
+def _store(mangle=None):
+    """Five single-span parts; ``mangle`` = (meta key, raw) edits part 1."""
+    ts = TieredStore()
+    ts.register("d", DataClass.SILVER)
+    for i in range(5):
+        ts.ingest("d", _batch(i * 100.0), now=float(i))
+    if mangle is not None:
+        metas = ts.ocean.list(ts.OCEAN_BUCKET, prefix="d/")
+        metas[1].user_meta[mangle[0]] = mangle[1]
+    return ts
+
+
+def _answers(ts):
+    return [
+        write_table(ts.query_archive("d", *args))
+        for args in (
+            (),
+            (100.0, 250.0),
+            (None, None, Col("value") >= 205.0),
+            (None, None, Col("node") == 2.0, ["timestamp", "value"]),
+        )
+    ]
+
+
+@pytest.mark.parametrize(
+    "field,raw",
+    [(f, raw) for f in ("stats", "spans", "columns") for raw in MANGLED[f]],
+)
+def test_mangled_manifest_answers_like_the_clean_store(field, raw):
+    key = getattr(manifest, f"{field.upper()}_META_KEY")
+    clean, mangled = _store(), _store((key, raw))
+    assert _answers(mangled) == _answers(clean)
+    # ... and the part still compacts: it ages as one opaque block.
+    assert mangled.compact("d")["merged"] == clean.compact("d")["merged"] == 5
+    assert _answers(mangled) == _answers(clean)
+
+
+_json = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_json)
+def test_parsers_never_raise_on_arbitrary_json(value):
+    raw = json.dumps(value)
+    stats = manifest.stats_from_meta(raw)
+    if stats is not None:
+        for name, bounds in stats.items():
+            assert type(name) is str
+            assert bounds is None or (
+                len(bounds) in (2, 3)
+                and all(type(b) in (str, int, float) for b in bounds[:2])
+                and all(type(b) is bool for b in bounds[2:])
+            )
+    spans = manifest.spans_from_meta(raw)
+    if spans is not None:
+        for epoch, rows in spans:
+            assert type(epoch) is float and math.isfinite(epoch)
+            assert type(rows) is int and rows >= 0
+    assert manifest.oldest_span_epoch(raw) in (
+        None if not spans else spans[0][0],
+    )
+    for parser in (manifest.columns_from_meta, manifest.replaces_from_meta):
+        names = parser(raw)
+        assert names is None or all(type(n) is str for n in names)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=st.text(max_size=40))
+def test_parsers_never_raise_on_arbitrary_text(raw):
+    for parser, _ in PARSERS:
+        parser(raw)
