@@ -31,11 +31,15 @@ bench-e2e-smoke:
 
 # Tier lifecycle suite: crash-safe compaction commit protocol, the
 # size-tiered suffix selector's property suite, sorted rewrites,
-# demotion/freeze policies, pinned compaction work counters,
-# materialized Gold rollups, and the crash-mid-compaction chaos harness
-# (single- and multi-generation) — see DESIGN.md §15.
+# demotion/freeze policies, pinned compaction work counters, the
+# streaming merge against its whole-table oracle (byte identity, and
+# what it holds under tracemalloc), the memoized live-part view against
+# a fresh listing, materialized Gold rollups, and the crash-mid-compaction
+# chaos harness (single- and multi-generation) — see DESIGN.md §15.
 lifecycle:
 	$(PYTHON) -m pytest -x -q tests/storage/test_compaction.py \
+		tests/storage/test_streaming_merge.py \
+		tests/storage/test_live_view.py \
 		tests/storage/test_lifecycle.py tests/storage/test_rollup.py \
 		tests/integration/test_lifecycle_chaos.py
 
@@ -68,7 +72,7 @@ bench-serving:
 # oracles, exception hygiene, layering) — see DESIGN.md §9 and §14.
 # Every run parses every file (about a second); nothing is cached.
 lint:
-	$(PYTHON) -m compileall -q src benchmarks examples
+	$(PYTHON) -m compileall -q src benchmarks examples tools
 	$(PYTHON) -m repro.analysis src
 
 lint-json:

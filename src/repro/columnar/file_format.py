@@ -35,7 +35,10 @@ Version 2 keeps the group-body layout byte-for-byte but makes the file
 
 The footer lets :class:`RcfReader` open a file in O(1) — group headers
 are parsed lazily on first touch instead of sequentially on open — and
-three writer-side rules cut encode cost without a reader round-trip:
+keeps every absolute offset out of the group bodies, so a body means
+the same wherever it sits (:meth:`RcfWriter.append_encoded` copies
+them between files).  Three writer-side rules cut encode cost without
+a reader round-trip:
 
 * **DICT_REF** (encoding 4, v2 only): a string chunk whose encoded
   vocabulary is byte-identical to an earlier group's stores only
@@ -216,6 +219,13 @@ def column_stats(arr: np.ndarray) -> tuple[object, object, bool] | None:
     return float(arr.min()), float(arr.max()), True
 
 
+def _vocab_section(raw: bytes) -> bytes:
+    """The vocabulary part of an encoded string DICTIONARY chunk —
+    kind byte, counts and length-prefixed entries, without the codes."""
+    _n_vocab, blob_len = struct.unpack_from("<qq", raw, 1)
+    return raw[: 17 + blob_len]
+
+
 class RcfWriter:
     """Streaming writer: append tables, then :meth:`finish` to get bytes.
 
@@ -262,6 +272,51 @@ class RcfWriter:
             self._group_rows.append(chunk.num_rows)
             self._n_rows += chunk.num_rows
 
+    def append_encoded(self, reader: "RcfReader", limit: int) -> int:
+        """Open this (still empty) file with up to ``limit`` of
+        ``reader``'s leading row groups, copied as they are; returns
+        how many were.
+
+        A group is copied when encoding its rows again would write the
+        same bytes: it is full (so the next group starts where this
+        writer would start it), and came from a v2 writer under this
+        codec — a v2 body holds no file offset, and a ``DICT_REF``
+        names its donor by group index, which a prefix keeps.  The
+        vocabulary donors are taken over with the groups, so that the
+        groups encoded next make the back-reference decisions a writer
+        that had encoded everything would.
+        """
+        if self._groups:
+            raise ValueError("encoded groups can only open a file")
+        if self.version != 2 or reader.version != 2:
+            return 0
+        codecs = {"none", self.codec}
+        n = 0
+        while (
+            n < min(limit, reader.num_row_groups)
+            and reader.group_row_count(n) == self.row_group_size
+            and all(c.codec in codecs for c in reader._group(n).chunks.values())
+        ):
+            n += 1
+        if n == 0:
+            return 0
+        self._schema = list(reader.schema)
+        self._groups = [reader.group_bytes(g) for g in range(n)]
+        self._group_rows = [self.row_group_size] * n
+        self._n_rows = n * self.row_group_size
+        for name, is_string in self._schema:
+            if not is_string:
+                continue
+            donor = max(
+                g
+                for g in range(n)
+                if reader.group_encoding(g, name) == _enc.DICTIONARY
+            )
+            meta = reader._group(donor).chunks[name]
+            raw = decompress(reader._payload(meta), meta.codec)
+            self._vocab_donors[name] = (donor, _vocab_section(raw))
+        return n
+
     def _encode_group(self, chunk: ColumnTable) -> bytes:
         from repro.perf import PERF
 
@@ -278,12 +333,10 @@ class RcfWriter:
         encoded vocab section is byte-identical to an earlier group's,
         only ``u32 donor_group`` + the codes are written.
         """
-        _n_vocab, blob_len = struct.unpack_from("<qq", raw, 1)
-        sec_len = 17 + blob_len
-        vocab_sec = raw[:sec_len]
+        vocab_sec = _vocab_section(raw)
         donor = self._vocab_donors.get(name)
         if donor is not None and donor[1] == vocab_sec:
-            return DICT_REF, struct.pack("<I", donor[0]) + raw[sec_len:]
+            return DICT_REF, struct.pack("<I", donor[0]) + raw[len(vocab_sec):]
         self._vocab_donors[name] = (group_index, vocab_sec)
         return _enc.DICTIONARY, raw
 
@@ -526,7 +579,7 @@ class RcfReader:
                 offsets.append(o)
                 rows.append(int(r))
                 pos += 16
-            self._group_offsets = offsets
+            self._group_offsets = offsets + [footer_start]
             self._group_rows = rows
         self._num_rows = sum(self._group_rows)
 
@@ -615,6 +668,21 @@ class RcfReader:
             vocab, codes = self._dict_ref_parts(meta, name)
             return _materialize_string_dictionary(vocab, codes)
         return self._decode_chunk(meta)
+
+    def group_bytes(self, group: int) -> bytes:
+        """One row group's encoded body as it sits in the file (v2)."""
+        if self._group_offsets is None:
+            raise ValueError("an RCF1 buffer has no group index")
+        return self._buf[
+            self._group_offsets[group] : self._group_offsets[group + 1]
+        ]
+
+    def read_group(self, group: int) -> ColumnTable:
+        """Every column of one row group — what a streaming rewrite
+        pulls so that it never holds more than a group of an input."""
+        return ColumnTable(
+            {n: self.decode_group_column(group, n) for n, _ in self.schema}
+        )
 
     def group_dictionary_parts(
         self, group: int, name: str

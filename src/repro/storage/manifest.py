@@ -46,7 +46,7 @@ import math
 from types import MappingProxyType
 from typing import Mapping
 
-from repro.columnar.file_format import column_stats
+from repro.columnar.file_format import RcfReader, column_stats
 from repro.columnar.table import ColumnTable
 from repro.perf import PERF
 
@@ -57,6 +57,7 @@ __all__ = [
     "SPANS_META_KEY",
     "REPLACES_META_KEY",
     "table_stats",
+    "group_stats",
     "stats_to_meta",
     "stats_from_meta",
     "columns_to_meta",
@@ -80,6 +81,35 @@ REPLACES_META_KEY = "replaces"
 def table_stats(table: ColumnTable) -> dict:
     """Part-level column -> (min, max[, exact]) bounds of one table."""
     return {n: column_stats(table[n]) for n in table.column_names}
+
+
+def group_stats(reader: RcfReader) -> dict:
+    """Part-level bounds merged from a file's row-group headers.
+
+    Equal to :func:`table_stats` of the decoded table without decoding
+    it: min/max compose exactly, and a (never empty) group without
+    bounds is all-NaN, which makes the column inexact just as its NaNs
+    do in a whole-column pass.  The one thing a merge cannot reproduce
+    is which zero a reduction returns for a column whose bound is zero
+    with both signs present — the bound is equal, its sign may differ.
+    """
+    bounds: dict[str, tuple | None] = dict.fromkeys(reader.column_names())
+    inexact: set[str] = set()
+    for g in range(reader.num_row_groups):
+        for name, s in reader.group_stats(g).items():
+            if s is None or len(s) == 3:
+                inexact.add(name)
+            if s is not None:
+                cur = bounds[name]
+                bounds[name] = (
+                    (s[0], s[1])
+                    if cur is None
+                    else (min(cur[0], s[0]), max(cur[1], s[1]))
+                )
+    return {
+        name: None if b is None else (b[0], b[1], name not in inexact)
+        for name, b in bounds.items()
+    }
 
 
 def stats_to_meta(stats: dict) -> str:
@@ -220,10 +250,18 @@ def blob_token(blob: bytes) -> str:
     return hashlib.blake2b(blob, digest_size=16).hexdigest()
 
 
-def part_meta(table: ColumnTable, blob: bytes) -> dict[str, str]:
-    """The manifest triple for one freshly written part."""
+def part_meta(table: ColumnTable | None, blob: bytes) -> dict[str, str]:
+    """The manifest triple for one freshly written part: bounds from
+    the table it was written from, or — for a streamed rewrite, which
+    never holds one — merged from the row groups of ``blob``."""
+    if table is None:
+        reader = RcfReader(blob)
+        stats = group_stats(reader)
+        columns = json.dumps(reader.column_names(), separators=(",", ":"))
+    else:
+        stats, columns = table_stats(table), columns_to_meta(table)
     return {
-        STATS_META_KEY: stats_to_meta(table_stats(table)),
-        COLUMNS_META_KEY: columns_to_meta(table),
+        STATS_META_KEY: stats_to_meta(stats),
+        COLUMNS_META_KEY: columns,
         DIGEST_META_KEY: blob_token(blob),
     }

@@ -8,6 +8,7 @@ objects here; nothing in the store knows about tables — that separation
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 __all__ = ["ObjectMeta", "ObjectStore"]
@@ -29,6 +30,14 @@ class ObjectStore:
 
     def __init__(self) -> None:
         self._buckets: dict[str, dict[str, tuple[bytes, ObjectMeta]]] = {}
+        #: Monotone mutation stamp: bumped after every ``put``
+        #: (overwrites included) and ``delete`` — the only ways the
+        #: contents change — so a listing taken after reading a stamp
+        #: stays current for as long as the stamp reads the same.
+        self.stamp = 0
+        # Callers may put from their own threads; an increment lost
+        # between two of them could make the stamp repeat.
+        self._stamp_lock = threading.Lock()
         self.puts = 0
         self.gets = 0
         self.bytes_written = 0
@@ -68,6 +77,8 @@ class ObjectStore:
             raise ValueError(f"object {bucket}/{key} exists (objects are immutable)")
         meta = ObjectMeta(bucket, key, len(data), created_at, dict(user_meta or {}))
         objs[key] = (bytes(data), meta)
+        with self._stamp_lock:
+            self.stamp += 1
         self.puts += 1
         self.bytes_written += len(data)
         return meta
@@ -110,6 +121,8 @@ class ObjectStore:
         if key not in objs:
             raise KeyError(f"no object {bucket}/{key}")
         del objs[key]
+        with self._stamp_lock:
+            self.stamp += 1
 
     # -- accounting -----------------------------------------------------------
 

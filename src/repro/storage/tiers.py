@@ -32,11 +32,16 @@ import enum
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.columnar.file_format import RcfReader, read_table, write_table
+from repro.columnar.file_format import (
+    RcfReader,
+    RcfWriter,
+    read_table,
+    write_table,
+)
 from repro.columnar.predicate import Predicate
 from repro.columnar.table import ColumnTable
 from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy, call_with_retry
@@ -164,6 +169,86 @@ def merge_suffix(
     return n if n >= 2 and n + older >= min_objects else 0
 
 
+class _NotStreamable(Exception):
+    """The inputs of a rewrite cannot be written piece by piece: their
+    rows are out of order, or they disagree on a column's dtype."""
+
+
+def _write_groups(writer: RcfWriter, pieces: Iterable[ColumnTable]) -> bytes:
+    """Finish ``writer`` with the pieces' rows in order — byte for byte
+    what :func:`write_table` makes of their concatenation, while
+    holding one row group of it: pieces are regrouped so that every
+    ``append`` ends on a row-group boundary of the whole.  The pieces
+    must agree on column dtypes (:class:`_NotStreamable` otherwise): a
+    concatenation promotes mixed dtypes across all of its rows, a chunk
+    cannot."""
+    size = writer.row_group_size
+    dtypes: list[np.dtype] | None = None
+    held: list[ColumnTable] = []
+    held_rows = 0
+    for piece in pieces:
+        if not piece.num_rows:
+            continue
+        piece_dtypes = [c.dtype for c in piece.columns().values()]
+        if dtypes is None:
+            dtypes = piece_dtypes
+        elif piece_dtypes != dtypes:
+            raise _NotStreamable
+        if held_rows + piece.num_rows < size:
+            held.append(piece)
+            held_rows += piece.num_rows
+            continue
+        if held:
+            fill = size - held_rows
+            writer.append(ColumnTable.concat(held + [piece.slice(0, fill)]))
+            piece = piece.slice(fill, piece.num_rows)
+        held_rows = piece.num_rows % size
+        whole = piece.num_rows - held_rows
+        writer.append(piece.slice(0, whole))
+        held = [piece.slice(whole, piece.num_rows)] if held_rows else []
+    writer.append(ColumnTable.concat(held))
+    return writer.finish()
+
+
+def _merge_runs(
+    runs: Iterable[Sequence[tuple[float, int]]],
+) -> list[tuple[float, int]]:
+    """The spans of inputs laid end to end: empty spans dropped,
+    neighbours of one epoch joined."""
+    out: list[tuple[float, int]] = []
+    for spans in runs:
+        for epoch, n in spans:
+            if out and out[-1][0] == epoch:
+                out[-1] = (out[-1][0], out[-1][1] + n)
+            elif n:
+                out.append((float(epoch), int(n)))
+    return out
+
+
+def _epoch_rises(spans: Sequence[tuple[float, int]]) -> np.ndarray | None:
+    """Row offsets at which :func:`_merge_runs` spans start, if each
+    starts a later epoch than the one before — the only rows where time
+    may fall if the rows are to be in (epoch, time) order already.
+    None when an epoch falls (or is NaN): only a sort can order that."""
+    if not (np.diff([epoch for epoch, _ in spans]) > 0).all():
+        return None
+    return np.cumsum([0] + [n for _, n in spans[:-1]])
+
+
+def _time_in_order(
+    ts: np.ndarray, row: int, prev_ts: float, rises: np.ndarray
+) -> bool:
+    """Whether times ``ts`` of the rows from offset ``row`` on, the row
+    before them at ``prev_ts``, fall only at ``rises``.  A NaN is "no":
+    its place in the order is whatever the sort gives it."""
+    if np.isnan(ts).any():
+        return False
+    falls = np.flatnonzero(ts[1:] < ts[:-1]) + (row + 1)
+    if ts[0] < prev_ts:
+        falls = np.append(falls, row)
+    return not falls.size or bool(np.isin(falls, rises).all())
+
+
 @dataclass
 class _DatasetMeta:
     name: str
@@ -218,9 +303,15 @@ class TieredStore:
         #: :meth:`_open_part`); dropped in :meth:`_delete_part`, so it
         #: never outgrows the live part set.
         self._handles: dict[str, RcfReader] = {}
+        #: Dataset -> (store, its mutation stamp, ordered live parts) as
+        #: :meth:`_live_parts` last derived them.
+        self._live_views: dict[
+            str, tuple[ObjectStore, int, tuple[ObjectMeta, ...]]
+        ] = {}
         # Callers may drive ``register`` and ``ingest`` from their own
         # threads; all registry access — including part-number
-        # allocation and the handle table — goes through this lock.
+        # allocation, the handle table and the live-part views — goes
+        # through this lock.
         self._registry_lock = threading.Lock()
         self._rollups: dict[str, GoldRollup] = {}
         self._rollup_lock = threading.Lock()
@@ -394,12 +485,25 @@ class TieredStore:
                 dead.update(rep)
         return dead
 
-    def _live_parts(self, name: str) -> list[ObjectMeta]:
+    def _live_parts(self, name: str) -> tuple[ObjectMeta, ...]:
         """A dataset's OCEAN parts minus superseded ones, in ingest
         order: by (oldest span epoch, key).  Key order alone is not
         ingest order — a :meth:`_split_expired` remainder takes a fresh,
-        highest part number while holding the dataset's *oldest* rows."""
-        metas = self.ocean.list(self.OCEAN_BUCKET, prefix=f"{name}/")
+        highest part number while holding the dataset's *oldest* rows.
+
+        The answer is a function of the store's contents, so it is
+        derived once per :attr:`ObjectStore.stamp` and handed out again
+        until a put or delete — by anyone — moves the stamp.  The stamp
+        is read before the listing: a mutation racing the derivation
+        leaves a view that is already out of date, never one that looks
+        current."""
+        ocean = self.ocean
+        stamp = ocean.stamp
+        with self._registry_lock:
+            view = self._live_views.get(name)
+        if view is not None and view[0] is ocean and view[1] == stamp:
+            return view[2]
+        metas = ocean.list(self.OCEAN_BUCKET, prefix=f"{name}/")
         dead = self._superseded(metas)
 
         def ingest_order(m: ObjectMeta) -> tuple[float, str]:
@@ -408,9 +512,12 @@ class TieredStore:
             )
             return (m.created_at if epoch is None else epoch, m.key)
 
-        return sorted(
-            (m for m in metas if m.key not in dead), key=ingest_order
+        live = tuple(
+            sorted((m for m in metas if m.key not in dead), key=ingest_order)
         )
+        with self._registry_lock:
+            self._live_views[name] = (ocean, stamp, live)
+        return live
 
     def _part_spans(
         self, obj: ObjectMeta, num_rows: int | None = None
@@ -422,7 +529,7 @@ class TieredStore:
         spans = manifest.spans_from_meta(
             obj.user_meta.get(manifest.SPANS_META_KEY)
         )
-        if spans is None or not spans:
+        if not spans:
             return None
         if num_rows is not None and sum(n for _, n in spans) != num_rows:
             return None
@@ -801,9 +908,12 @@ class TieredStore:
         horizon is *split* — the expired prefix is archived (glacier
         classes) and a remainder part is rewritten under the crash-safe
         ``replaces`` protocol — instead of the whole part surviving
-        under its newest row's clock.  Glacier classes with
-        ``freeze_after_s`` set age out at the earlier of retention and
-        freeze (Bronze-freeze).
+        under its newest row's clock.  A part whose spans are missing,
+        mangled or do not add up to the rows its footer counts is never
+        split: it ages whole under its ``created_at``, and
+        ``ocean_rewritten`` counts only splits that happened.  Glacier
+        classes with ``freeze_after_s`` set age out at the earlier of
+        retention and freeze (Bronze-freeze).
 
         Returns counters: ``lake_segments_dropped``, ``ocean_archived``,
         ``ocean_deleted``, ``ocean_rewritten``.
@@ -833,18 +943,25 @@ class TieredStore:
             horizon = now - age_out_s
             for obj in self._live_parts(name):
                 spans = self._part_spans(obj)
+                blob = None
+                if spans is not None:
+                    expired = sum(1 for created, _ in spans if created < horizon)
+                    if 0 < expired < len(spans):
+                        # A split cuts rows where the spans say, so they
+                        # must cover the rows the footer counts.
+                        blob = self.ocean.get(self.OCEAN_BUCKET, obj.key)
+                        spans = self._part_spans(obj, RcfReader(blob).num_rows)
                 if spans is None:
                     expired = 0 if obj.created_at >= horizon else 1
                     whole = expired == 1
                 else:
-                    expired = sum(1 for created, _ in spans if created < horizon)
                     whole = expired == len(spans)
                 if expired == 0:
                     continue
                 if whole:
-                    blob = None
                     if policy.glacier and not self.glacier.exists(obj.key):
-                        blob = self.ocean.get(self.OCEAN_BUCKET, obj.key)
+                        if blob is None:
+                            blob = self.ocean.get(self.OCEAN_BUCKET, obj.key)
                         self.glacier.archive(
                             obj.key, blob, created_at=obj.created_at
                         )
@@ -853,7 +970,9 @@ class TieredStore:
                         report["ocean_deleted"] += 1
                     self._delete_part(obj, blob)
                 else:
-                    self._split_expired(name, meta, policy, obj, spans, expired)
+                    self._split_expired(
+                        name, meta, policy, obj, blob, spans, expired
+                    )
                     report["ocean_rewritten"] += 1
         return report
 
@@ -863,25 +982,22 @@ class TieredStore:
         meta: _DatasetMeta,
         policy: TierPolicy,
         obj: ObjectMeta,
+        blob: bytes,
         spans: Sequence[tuple[float, int]],
         n_expired: int,
     ) -> None:
         """Rewrite a part that straddles the retention horizon.
 
-        Because compaction sorts rows by (ingest epoch, time), expired
-        spans are always a row prefix.  Commit order matters: (1)
-        archive the expired slice to GLACIER under ``key@expired``
-        (exists-guarded, so a crashed attempt retries idempotently),
-        (2) put the remainder part with ``replaces=[key]`` — the commit
-        point, (3) delete the old part.  A crash anywhere leaves every
-        row in exactly one live place.
+        ``blob`` is the part as :meth:`enforce` fetched it to check
+        that ``spans`` cover its rows.  Because compaction leaves rows
+        in (ingest epoch, time) order, expired spans are always a row
+        prefix.  Commit order matters: (1) archive the expired slice to
+        GLACIER under ``key@expired`` (exists-guarded, so a crashed
+        attempt retries idempotently), (2) put the remainder part with
+        ``replaces=[key]`` — the commit point, (3) delete the old part.
+        A crash anywhere leaves every row in exactly one live place.
         """
-        blob = self.ocean.get(self.OCEAN_BUCKET, obj.key)
         table = read_table(blob)
-        if self._part_spans(obj, table.num_rows) is None:
-            # Spans do not cover the rows after all: age the part as
-            # one legacy block on a later pass rather than mis-slice.
-            return
         cut = sum(n for _, n in spans[:n_expired])
         if policy.glacier:
             archive_key = f"{obj.key}@expired"
@@ -1030,18 +1146,20 @@ class TieredStore:
         objects hurt scan throughput and metadata overhead (the §V data
         management lesson).  Compaction picks a size-tiered *suffix* of
         the live parts in ingest order (:func:`merge_suffix`, decided
-        from manifests alone), reads those parts, sorts their union by
-        (ingest epoch, event time) — so retention spans stay contiguous
-        and zone maps over the time column get tight — and commits one
-        combined RCF object whose ``replaces`` entry tombstones the
-        inputs before they are deleted.  Equal-sized or sub-row-group
-        parts all join, so a first compaction merges everything; a part
-        that already holds more ingest epochs than all newer parts
-        together is left alone until they catch up.  Because only a
-        suffix is ever merged, part order stays ingest order and scans
-        return rows in the order the uncompacted store would.  No-op
-        unless ``min_objects`` live parts exist, counting everything
-        older than the suffix as one.
+        from manifests alone), reads those parts, writes their union in
+        (ingest epoch, event time) order — so retention spans stay
+        contiguous and zone maps over the time column get tight; inputs
+        that already are in that order, end to end, are streamed into
+        the output a row group at a time, anything else is sorted first
+        — and commits one combined RCF object whose ``replaces`` entry
+        tombstones the inputs before they are deleted.  Equal-sized or
+        sub-row-group parts all join, so a first compaction merges
+        everything; a part that already holds more ingest epochs than
+        all newer parts together is left alone until they catch up.
+        Because only a suffix is ever merged, part order stays ingest
+        order and scans return rows in the order the uncompacted store
+        would.  No-op unless ``min_objects`` live parts exist, counting
+        everything older than the suffix as one.
 
         Returns ``{"merged": n_parts, "bytes_before": .., "bytes_after": ..}``.
         """
@@ -1072,34 +1190,58 @@ class TieredStore:
         parts = parts[-n_merge:]
         bytes_before = sum(p.size for p in parts)
         blobs = [self.ocean.get(self.OCEAN_BUCKET, p.key) for p in parts]
-        tables = [read_table(b) for b in blobs]
-        created_runs = []
-        for p, t in zip(parts, tables):
-            spans = self._part_spans(p, t.num_rows) or [(p.created_at, t.num_rows)]
-            created_runs.append(
-                np.repeat([c for c, _ in spans], [n for _, n in spans])
-            )
-        combined = ColumnTable.concat(tables)
-        created = (
-            np.concatenate(created_runs)
-            if created_runs
-            else np.empty(0, dtype=np.float64)
-        )
-        if self.time_column in combined.column_names:
-            ts = np.asarray(combined[self.time_column], dtype=np.float64)
-            order = np.lexsort((ts, created))
-        else:
-            order = np.argsort(created, kind="stable")
-        combined = combined.take(order)
-        created = created[order]
-        bounds = np.flatnonzero(np.diff(created)) + 1
-        starts = np.concatenate(([0], bounds))
-        ends = np.concatenate((bounds, [created.size]))
-        out_spans = [
-            (float(created[s]), int(e - s)) for s, e in zip(starts, ends)
+        readers = [RcfReader(b) for b in blobs]
+        runs = [
+            self._part_spans(p, r.num_rows) or ((p.created_at, r.num_rows),)
+            for p, r in zip(parts, readers)
         ]
-        blob = write_table(
-            combined, codec=policy.codec, row_group_size=policy.row_group_size
+        n_rows = sum(r.num_rows for r in readers)
+        # The sort below is the identity, and the gather a copy, when
+        # the inputs' rows are in (span epoch, time) order as they
+        # stand — which costs one pass over the time column to prove.
+        merged_spans = _merge_runs(runs)
+        rises = _epoch_rises(merged_spans)
+        provable = (
+            rises is not None
+            and all(r.schema == readers[0].schema for r in readers)
+            and (self.time_column, False) in readers[0].schema
+        )
+        blob = combined = sorted_spans = None
+        spliced = 0
+        # A rollup partial's float bits depend on the table it is
+        # aggregated from, so a dataset with a rollup still gets one.
+        if provable and not self._rollups_for(name):
+            writer = RcfWriter(policy.codec, policy.row_group_size)
+            # The first input's full row groups are the output's: they
+            # are copied, not decoded and encoded again — all but its
+            # last group, which is decoded so that the dtype check
+            # speaks for this input too.
+            spliced = writer.append_encoded(
+                readers[0], readers[0].num_row_groups - 1
+            )
+            try:
+                blob = _write_groups(
+                    writer, self._groups_in_order(readers, rises, spliced)
+                )
+            except _NotStreamable:
+                spliced = 0
+        if blob is None:
+            combined = ColumnTable.concat([read_table(b) for b in blobs])
+            if not provable or not _time_in_order(
+                np.asarray(combined[self.time_column], dtype=np.float64),
+                0,
+                -np.inf,
+                rises,
+            ):
+                combined, sorted_spans = self._sort_by_epoch(combined, runs)
+            blob = _write_groups(
+                RcfWriter(policy.codec, policy.row_group_size), [combined]
+            )
+        out_spans = sorted_spans or merged_spans
+        PERF.count(
+            "tier.compact.merges_resorted"
+            if sorted_spans
+            else "tier.compact.merges_in_order"
         )
         key = f"{name}/part-{self._allocate_part(meta):08d}.rcf"
         user_meta = {
@@ -1120,21 +1262,24 @@ class TieredStore:
                 self.OCEAN_BUCKET,
                 key,
                 blob,
-                created_at=float(created[-1]),
+                created_at=out_spans[-1][0],
                 user_meta=user_meta,
             ),
             policy=self.retry_policy,
             site="tier.ocean.put",
         )
         PERF.count("tier.compact.parts_merged", len(parts))
-        PERF.count("tier.compact.rows_rewritten", combined.num_rows)
+        PERF.count("tier.compact.rows_rewritten", n_rows)
         PERF.count("tier.compact.bytes_rewritten", len(blob))
-        self._rollup_observe(name, key, combined)
+        if spliced:
+            PERF.count("tier.compact.groups_spliced", spliced)
+            PERF.count(
+                "tier.compact.rows_spliced", spliced * policy.row_group_size
+            )
+        if combined is not None:
+            self._rollup_observe(name, key, combined)
         self._lineage_part(
-            name,
-            key,
-            combined.num_rows,
-            replaces=tuple(p.key for p in parts),
+            name, key, n_rows, replaces=tuple(p.key for p in parts)
         )
         for p, old_blob in zip(parts, blobs):
             self._delete_part(p, old_blob)
@@ -1143,6 +1288,54 @@ class TieredStore:
             "bytes_before": bytes_before,
             "bytes_after": len(blob),
         }
+
+    def _groups_in_order(
+        self, readers: Sequence[RcfReader], rises: np.ndarray, spliced: int
+    ) -> Iterator[ColumnTable]:
+        """The inputs' row groups, one decoded at a time, for as long
+        as their rows keep (span epoch, time) order
+        (:class:`_NotStreamable` at the first that does not).  The
+        first ``spliced`` groups are in the output already: only their
+        time column is decoded, for the proof."""
+        row, prev_ts = 0, -np.inf
+        for reader in readers:
+            for g in range(reader.num_row_groups):
+                copied = reader is readers[0] and g < spliced
+                if copied:
+                    ts = reader.decode_group_column(g, self.time_column)
+                else:
+                    piece = reader.read_group(g)
+                    ts = piece[self.time_column]
+                ts = np.asarray(ts, dtype=np.float64)
+                if not _time_in_order(ts, row, prev_ts, rises):
+                    raise _NotStreamable
+                row, prev_ts = row + ts.size, ts[-1]
+                if not copied:
+                    yield piece
+
+    def _sort_by_epoch(
+        self, combined: ColumnTable, runs: Sequence[Sequence[tuple[float, int]]]
+    ) -> tuple[ColumnTable, list[tuple[float, int]]]:
+        """``combined`` stably sorted by (span epoch, time), and the
+        spans of the result."""
+        created = np.concatenate(
+            [
+                np.repeat([c for c, _ in spans], [n for _, n in spans])
+                for spans in runs
+            ]
+        )
+        if self.time_column in combined.column_names:
+            ts = np.asarray(combined[self.time_column], dtype=np.float64)
+            order = np.lexsort((ts, created))
+        else:
+            order = np.argsort(created, kind="stable")
+        created = created[order]
+        bounds = np.flatnonzero(np.diff(created)) + 1
+        starts = np.concatenate(([0], bounds))
+        ends = np.concatenate((bounds, [created.size]))
+        return combined.take(order), [
+            (float(created[s]), int(e - s)) for s, e in zip(starts, ends)
+        ]
 
     # -- accounting -------------------------------------------------------------------
 

@@ -286,6 +286,71 @@ class TestWriterStreamingAppend:
         out = RcfReader(w.finish()).read()
         assert_tables_equal(out, ColumnTable.concat(pieces))
 
+    @pytest.mark.parametrize("groups_per_append", [1, 2, 3])
+    def test_aligned_appends_equal_one_write_of_the_concatenation(
+        self, groups_per_append
+    ):
+        """Appends that end on row-group boundaries are the file
+        ``write_table`` makes of the whole, byte for byte — vocabulary
+        back-references across the append seams included."""
+        whole = self._vocab_table()
+        step = 64 * groups_per_append
+        w = RcfWriter(codec="high", row_group_size=64)
+        for start in range(0, whole.num_rows, step):
+            w.append(whole.slice(start, start + step))
+        blob = w.finish()
+        assert blob == write_table(whole, codec="high", row_group_size=64)
+        r = RcfReader(blob)
+        encs = [r.group_encoding(g, "host") for g in range(r.num_row_groups)]
+        assert DICT_REF in encs and encs.count(DICTIONARY) >= 3
+
+    def _vocab_table(self):
+        pieces = []
+        for seed, hosts in enumerate([("a", "b"), ("a", "b"), ("c",), ("a", "b")]):
+            t = make_table(150, seed=seed)
+            pieces.append(
+                t.with_column(
+                    "host",
+                    np.array([hosts[i % len(hosts)] for i in range(150)], dtype=object),
+                )
+            )
+        return ColumnTable.concat(pieces)  # 600 rows: 9 groups of 64 + 24
+
+    @pytest.mark.parametrize("adopted", [1, 2, 4, 6])
+    def test_copied_prefix_equals_one_write_of_the_concatenation(self, adopted):
+        """Groups copied from a file of the leading rows, then the rest
+        appended: the file ``write_table`` makes of the whole — whether
+        the next group back-references a copied vocabulary (1, 2, 6) or
+        brings a new one (4: the group of rows 256..319 is the first to
+        hold a ``c``)."""
+        whole = self._vocab_table()
+        first = RcfReader(
+            write_table(whole.slice(0, 420), codec="high", row_group_size=64)
+        )
+        w = RcfWriter(codec="high", row_group_size=64)
+        assert w.append_encoded(first, adopted) == adopted
+        assert w.num_rows == adopted * 64
+        w.append(whole.slice(adopted * 64, whole.num_rows))
+        assert w.finish() == write_table(whole, codec="high", row_group_size=64)
+
+    def test_only_groups_that_would_re_encode_the_same_are_copied(self):
+        whole = self._vocab_table()
+        blob = write_table(whole.slice(0, 200), codec="high", row_group_size=64)
+        reader = RcfReader(blob)  # 3 full groups + 8 rows
+        assert RcfWriter("high", 64).append_encoded(reader, 99) == 3  # not the ragged one
+        assert RcfWriter("high", 64).append_encoded(reader, 0) == 0
+        assert RcfWriter("high", 32).append_encoded(reader, 99) == 0  # other group size
+        assert RcfWriter("fast", 64).append_encoded(reader, 99) == 0  # other codec
+        assert RcfWriter("high", 64, version=1).append_encoded(reader, 99) == 0
+        v1 = RcfReader(
+            write_table(whole.slice(0, 200), codec="high", row_group_size=64, version=1)
+        )
+        assert RcfWriter("high", 64).append_encoded(v1, 99) == 0
+        started = RcfWriter("high", 64)
+        started.append(whole.slice(0, 64))
+        with pytest.raises(ValueError):
+            started.append_encoded(reader, 1)
+
     def test_empty_file_round_trips(self):
         for version in (1, 2):
             r = RcfReader(RcfWriter(version=version).finish())

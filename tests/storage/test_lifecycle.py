@@ -166,6 +166,59 @@ class TestFreezePolicy:
             )
 
 
+class TestMangledSpansRetention:
+    """A part whose spans do not cover its rows cannot be split: it
+    ages as one block under ``created_at`` and costs no decode."""
+
+    def test_split_that_cannot_happen_is_no_rewrite_and_no_decode(
+        self, monkeypatch
+    ):
+        from repro.storage import manifest, tiers
+
+        policy = TierPolicy(
+            lake_retention_s=None, ocean_retention_s=10.0, glacier=True
+        )
+        ts = make_store(policy)
+        ts.compact("d")  # one part: epochs 0..5, created_at 5.0
+        (obj,) = ts._live_parts("d")
+        assert obj.created_at == 5.0
+        ts.ocean.put(
+            ts.OCEAN_BUCKET,
+            obj.key,
+            ts.ocean.get(ts.OCEAN_BUCKET, obj.key),
+            created_at=obj.created_at,
+            user_meta={
+                **obj.user_meta,
+                manifest.SPANS_META_KEY: manifest.spans_to_meta(
+                    [(0.0, 50), (9.0, 50)]  # 100 of 300 rows
+                ),
+            },
+            overwrite=True,
+        )
+        decodes = []
+        read_table = tiers.read_table
+        monkeypatch.setattr(
+            tiers,
+            "read_table",
+            lambda *a, **k: decodes.append(a) or read_table(*a, **k),
+        )
+        # Horizons 2..4 straddle the bogus spans, not ``created_at``.
+        for now in (12.0, 13.0, 14.0):
+            report = ts.enforce(now=now)
+            assert report["ocean_rewritten"] == 0
+            assert report["ocean_archived"] == 0
+        assert decodes == []
+        assert [m.key for m in ts._live_parts("d")] == [obj.key]
+        # Horizon 5.5 passes ``created_at`` while the second bogus span
+        # (9.0) still looks alive: the part goes whole.
+        report = ts.enforce(now=15.5)
+        assert report["ocean_archived"] == 1
+        assert report["ocean_rewritten"] == 0
+        assert ts._live_parts("d") == ()
+        assert ts.glacier.exists(obj.key)
+        assert decodes == []
+
+
 class TestFrameworkScheduling:
     WINDOW_S = 30.0
 
@@ -281,3 +334,14 @@ class TestCompactionWorkCounters:
         assert PERF.counter("tier.compact.rows_rewritten") == 639_559
         assert PERF.counter("tier.compact.bytes_rewritten") == 5_872_893
         assert reported == 5_872_893
+        # How the 51 merges went: ``power.gold_profiles`` is written in
+        # job order, so all 7 of its merges have a time column to sort;
+        # every other dataset's parts (7 merges each, ``power.bronze``
+        # 9) are in (epoch, time) order as they stand.
+        assert PERF.counter("tier.compact.merges_in_order") == 44
+        assert PERF.counter("tier.compact.merges_resorted") == 7
+        # ``power.bronze`` is the one dataset to outgrow a row group,
+        # and its big part joins one merge in these 24 windows: its one
+        # full group is copied, not encoded again.
+        assert PERF.counter("tier.compact.groups_spliced") == 1
+        assert PERF.counter("tier.compact.rows_spliced") == 65_536
