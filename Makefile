@@ -33,21 +33,24 @@ bench-e2e-smoke:
 # size-tiered suffix selector's property suite, sorted rewrites,
 # demotion/freeze policies, pinned compaction work counters, the
 # streaming merge against its whole-table oracle (byte identity, and
-# what it holds under tracemalloc), the memoized live-part view against
-# a fresh listing, materialized Gold rollups, and the crash-mid-compaction
-# chaos harness (single- and multi-generation) — see DESIGN.md §15.
+# what it holds under tracemalloc), the part table (every retire site
+# drops everything derived from a part; the stamped listing against a
+# fresh one; part numbering over reopened tiers), materialized Gold
+# rollups, and the crash-mid-compaction chaos harness (single- and
+# multi-generation) — see DESIGN.md §15.
 lifecycle:
 	$(PYTHON) -m pytest -x -q tests/storage/test_compaction.py \
 		tests/storage/test_streaming_merge.py \
-		tests/storage/test_live_view.py \
+		tests/storage/test_part_table.py tests/storage/test_live_view.py \
 		tests/storage/test_lifecycle.py tests/storage/test_rollup.py \
 		tests/integration/test_lifecycle_chaos.py
 
 # Read-plane suite: planner and scan soundness, the row-group cache
 # (token index, frequency-gated admission pinned on trace replays,
 # answers identical with the cache on/off), manifest pruning and
-# parse-once manifests, the part read handles (opened once, valid for
-# their bytes, dropped on delete) with their pinned work counters, and
+# manifests parsed once per part record, the part read handles (opened
+# once, valid for their bytes, dropped on delete) with their pinned work
+# counters, and
 # LAKE segment coalescing against its piece-list oracle — see
 # DESIGN.md §11.
 read-plane:

@@ -49,9 +49,12 @@ a reader round-trip:
   for big chunks, a byte-histogram entropy estimate for mid-size ones
   — and stored raw when the probe says zlib would not pay for itself
   (already-compact numeric columns).
-* Both rules are pure functions of (content, codec, version) — never
-  toggled by fast-path state — so baseline and optimized runs write
-  identical v2 bytes.
+* Both rules are pure functions of (content, codec) — never toggled by
+  fast-path state — so baseline and optimized runs write identical
+  bytes.
+
+The writer writes v2 only; the reader still reads v1, the layout of
+parts archived before v2 existed.
 
 Column projection works by *skipping* unneeded payloads (we know their
 length without decoding); predicate pushdown works by testing each row
@@ -108,7 +111,7 @@ _MAGIC_V2 = b"RCF2"
 #: :mod:`repro.columnar.encodings`.
 DICT_REF = 4
 
-# Cheap-codec thresholds (v2 writer rule; see the module docstring).
+# Cheap-codec thresholds (writer rule; see the module docstring).
 _CHEAP_MIN_BYTES = 64
 _CHEAP_SAMPLE_BYTES = 4096
 _CHEAP_SKIP_RATIO = 0.9
@@ -232,27 +235,19 @@ class RcfWriter:
     All appended tables must share the schema of the first.
     """
 
-    def __init__(
-        self,
-        codec: str = "fast",
-        row_group_size: int = 65_536,
-        version: int = 2,
-    ) -> None:
+    def __init__(self, codec: str = "fast", row_group_size: int = 65_536) -> None:
         if codec not in CODECS:
             raise ValueError(f"unknown codec {codec!r}")
         if row_group_size <= 0:
             raise ValueError("row_group_size must be positive")
-        if version not in (1, 2):
-            raise ValueError(f"unknown RCF version {version!r}")
         self.codec = codec
         self.row_group_size = row_group_size
-        self.version = version
         self._schema: list[tuple[str, bool]] | None = None
         self._groups: list[bytes] = []
         self._group_rows: list[int] = []
         self._n_rows = 0
         # column name -> (group index, encoded vocab section) of the most
-        # recent DICTIONARY chunk, for DICT_REF back-references (v2).
+        # recent DICTIONARY chunk, for DICT_REF back-references.
         self._vocab_donors: dict[str, tuple[int, bytes]] = {}
 
     def append(self, table: ColumnTable) -> None:
@@ -288,7 +283,7 @@ class RcfWriter:
         """
         if self._groups:
             raise ValueError("encoded groups can only open a file")
-        if self.version != 2 or reader.version != 2:
+        if reader.version != 2:
             return 0
         codecs = {"none", self.codec}
         n = 0
@@ -326,7 +321,7 @@ class RcfWriter:
     def _maybe_dict_ref(
         self, name: str, group_index: int, raw: bytes
     ) -> tuple[int, bytes]:
-        """Swap a repeated string vocabulary for a back-reference (v2).
+        """Swap a repeated string vocabulary for a back-reference.
 
         Consecutive row groups of one topic usually share the exact
         vocabulary (host names, sensor names, severity levels); when the
@@ -341,26 +336,23 @@ class RcfWriter:
         return _enc.DICTIONARY, raw
 
     def _frame_payload(self, raw: bytes, memo_cold: bool) -> tuple[bytes, str]:
-        """``(payload, codec actually used)`` under the version's rule.
-
-        v2 adds the cheap-codec path: tiny chunks, and chunks whose
-        sampled prefix barely compresses (already-compact numeric
-        columns), are stored raw — skipping zlib entirely.  A pure
-        function of (raw, codec, version), so baseline and fast runs
-        frame identical bytes.
+        """``(payload, codec actually used)`` under the cheap-codec rule:
+        tiny chunks, and chunks whose sampled prefix barely compresses
+        (already-compact numeric columns), are stored raw — skipping
+        zlib entirely.  A pure function of (raw, codec), so baseline and
+        fast runs frame identical bytes.
         """
-        if self.version >= 2:
-            if len(raw) <= _CHEAP_MIN_BYTES:
+        if len(raw) <= _CHEAP_MIN_BYTES:
+            return raw, "none"
+        if len(raw) > _CHEAP_SAMPLE_BYTES:
+            sample = raw[:_CHEAP_SAMPLE_BYTES]
+            if (
+                len(_compress_raw(sample, self.codec))
+                >= _CHEAP_SKIP_RATIO * len(sample)
+            ):
                 return raw, "none"
-            if len(raw) > _CHEAP_SAMPLE_BYTES:
-                sample = raw[:_CHEAP_SAMPLE_BYTES]
-                if (
-                    len(_compress_raw(sample, self.codec))
-                    >= _CHEAP_SKIP_RATIO * len(sample)
-                ):
-                    return raw, "none"
-            elif _byte_entropy(raw) >= _CHEAP_ENTROPY_BITS:
-                return raw, "none"
+        elif _byte_entropy(raw) >= _CHEAP_ENTROPY_BITS:
+            return raw, "none"
         payload = (
             _compress_raw(raw, self.codec)
             if memo_cold
@@ -388,7 +380,6 @@ class RcfWriter:
                 contig = np.ascontiguousarray(col)
                 if col.nbytes <= _chunk_memo_col_max_bytes:
                     key = (
-                        self.version,
                         self.codec,
                         is_string,
                         col.dtype.str,
@@ -414,11 +405,7 @@ class RcfWriter:
             else:
                 encoding = choose_encoding(col)
                 raw = encode_column(col, encoding)
-            if (
-                self.version >= 2
-                and encoding == _enc.DICTIONARY
-                and col.dtype == object
-            ):
+            if encoding == _enc.DICTIONARY and col.dtype == object:
                 # String chunks bypass the memo (dtype gate above), so a
                 # position-dependent DICT_REF blob can never be reused in
                 # the wrong file context.
@@ -464,16 +451,12 @@ class RcfWriter:
     def finish(self) -> bytes:
         """Serialize everything appended into one RCF byte string."""
         schema = self._schema or []
-        magic = _MAGIC if self.version == 1 else _MAGIC_V2
-        parts = [magic, struct.pack("<H", len(schema))]
+        parts = [_MAGIC_V2, struct.pack("<H", len(schema))]
         for name, is_string in schema:
             nb = name.encode("utf-8")
             parts.append(struct.pack("<H", len(nb)) + nb)
             parts.append(struct.pack("<B", 1 if is_string else 0))
         parts.append(struct.pack("<I", len(self._groups)))
-        if self.version == 1:
-            parts.extend(self._groups)
-            return b"".join(parts)
         off = sum(len(p) for p in parts)
         footer: list[bytes] = []
         for body, n_rows in zip(self._groups, self._group_rows):
@@ -528,7 +511,7 @@ class RcfReader:
     A reader holds no scan state — only the buffer, the parsed footer
     and headers, and the lazily computed digest — so one instance can
     serve any number of scans of the same bytes (the tier store keeps
-    one per live part, see DESIGN.md §11 "Part handles").
+    one per live part, see DESIGN.md §15 "The part table").
     """
 
     def __init__(self, buf: bytes) -> None:
@@ -793,15 +776,10 @@ class RcfReader:
 
 
 def write_table(
-    table: ColumnTable,
-    codec: str = "fast",
-    row_group_size: int = 65_536,
-    version: int = 2,
+    table: ColumnTable, codec: str = "fast", row_group_size: int = 65_536
 ) -> bytes:
     """One-shot table -> RCF bytes."""
-    writer = RcfWriter(
-        codec=codec, row_group_size=row_group_size, version=version
-    )
+    writer = RcfWriter(codec=codec, row_group_size=row_group_size)
     writer.append(table)
     return writer.finish()
 

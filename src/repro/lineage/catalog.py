@@ -212,7 +212,8 @@ class LineageCatalog:
     def live_parts(self, dataset: str | None = None) -> list[str]:
         """Part *keys* currently live per the catalog: recorded, not
         superseded by a committed rewrite, not retired by retention.
-        Mirrors :meth:`TieredStore._live_parts` by construction."""
+        Mirrors the tier store's live set
+        (:attr:`repro.storage.parts.Listing.live`) by construction."""
         with self._lock:
             out = []
             for nid, node in self._nodes.items():

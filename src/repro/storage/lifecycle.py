@@ -16,7 +16,7 @@ Each tick is three phases, in recovery-safe order:
    :class:`~repro.storage.tiers.TierPolicy`;
 3. **compaction** — every dataset with at least
    ``TierPolicy.compact_min_parts`` live parts has a size-tiered
-   *suffix* of them (:func:`repro.storage.tiers.merge_suffix`: the
+   *suffix* of them (:func:`repro.storage.compaction.merge_suffix`: the
    newest parts, reaching back over an older part only once the merge
    would at least double it) rewritten into one time-clustered part
    under the crash-safe ``replaces`` protocol.  The tick a dataset

@@ -29,17 +29,14 @@ Parts written before this manifest existed simply lack the keys; every
 reader here degrades to None and the planner treats None as
 "unprunable", so old data stays correct, just slower.
 
-The four ``*_from_meta`` parsers are memoized on the raw metadata
-string, which never changes once a part is put: every archive query
-asks them of every live part, so each manifest is JSON-decoded once per
-part lifetime (counted as ``manifest.parses``) instead of once per
-query.  The parse is shared between callers, hence immutable — tuples
-and a read-only mapping.
+The four ``*_from_meta`` parsers validate as they decode (counted as
+``manifest.parses``) and return immutable values — tuples and a
+read-only mapping — because a part's record hands one parse to every
+caller (:mod:`repro.storage.parts`).
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -64,7 +61,6 @@ __all__ = [
     "columns_from_meta",
     "spans_to_meta",
     "spans_from_meta",
-    "oldest_span_epoch",
     "replaces_to_meta",
     "replaces_from_meta",
     "blob_token",
@@ -152,7 +148,6 @@ def _is_bound(x) -> bool:
     return type(x) in (str, int, float) and x == x
 
 
-@functools.lru_cache(maxsize=4096)
 def stats_from_meta(raw: str | None) -> Mapping[str, tuple | None] | None:
     """Decode a ``stats`` metadata value; None for absent or mangled
     manifests (an unreadable manifest must never make a part
@@ -184,7 +179,6 @@ def columns_to_meta(table: ColumnTable) -> str:
     return json.dumps(list(table.column_names), separators=(",", ":"))
 
 
-@functools.lru_cache(maxsize=4096)
 def columns_from_meta(raw: str | None) -> tuple[str, ...] | None:
     """Decode a ``columns`` metadata value (None when absent/mangled)."""
     return _strings(_parse(raw, list))
@@ -198,7 +192,6 @@ def spans_to_meta(spans: list[tuple[float, int]]) -> str:
     )
 
 
-@functools.lru_cache(maxsize=4096)
 def spans_from_meta(raw: str | None) -> tuple[tuple[float, int], ...] | None:
     """Decode a ``spans`` metadata value (None when absent/mangled —
     every span must be ``[finite number, int >= 0]``).
@@ -225,19 +218,11 @@ def spans_from_meta(raw: str | None) -> tuple[tuple[float, int], ...] | None:
     return tuple(out)
 
 
-def oldest_span_epoch(raw: str | None) -> float | None:
-    """``created_at`` of a part's first (oldest) span; None when the
-    spans are absent or mangled."""
-    spans = spans_from_meta(raw)
-    return spans[0][0] if spans else None
-
-
 def replaces_to_meta(keys: list[str]) -> str:
     """JSON-encode the part keys a rewrite supersedes."""
     return json.dumps([str(k) for k in keys], separators=(",", ":"))
 
 
-@functools.lru_cache(maxsize=4096)
 def replaces_from_meta(raw: str | None) -> tuple[str, ...] | None:
     """Decode a ``replaces`` metadata value (None when absent/mangled)."""
     return _strings(_parse(raw, list))

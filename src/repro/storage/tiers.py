@@ -29,19 +29,13 @@ through the protocol and its failure windows.
 from __future__ import annotations
 
 import enum
+import re
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from repro.columnar.file_format import (
-    RcfReader,
-    RcfWriter,
-    read_table,
-    write_table,
-)
+from repro.columnar.file_format import RcfReader, read_table, write_table
 from repro.columnar.predicate import Predicate
 from repro.columnar.table import ColumnTable
 from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy, call_with_retry
@@ -53,9 +47,11 @@ from repro.query import (
     scan_reference_active,
 )
 from repro.storage import manifest
+from repro.storage.compaction import merge_parts, merge_suffix
 from repro.storage.glacier import TapeArchive
 from repro.storage.lake import TimeSeriesLake
-from repro.storage.object_store import ObjectMeta, ObjectStore
+from repro.storage.object_store import ObjectStore
+from repro.storage.parts import LivePart, PartTable
 from repro.storage.rollup import GoldRollup, RollupSpec
 
 if TYPE_CHECKING:  # the catalog is duck-typed at runtime
@@ -138,117 +134,6 @@ DEFAULT_POLICIES: dict[DataClass, TierPolicy] = {
 }
 
 
-def merge_suffix(
-    parts: Sequence[tuple[int, int | None]], small_rows: int, min_objects: int
-) -> int:
-    """How many of the newest ``parts`` one compaction should merge.
-
-    ``parts`` is a dataset's live parts as ``(ingest_epochs, rows)``,
-    oldest first; ``rows`` is None where the manifest does not say.
-    Starting from the newest part and walking older, a part joins the
-    suffix while it is *small* (fewer than ``small_rows`` rows) or holds
-    no more ingest epochs than everything newer than it combined, so a
-    big part is rewritten only when the output at least doubles it —
-    rows are rewritten O(log N) times and O(log N) parts stay live.  The
-    suffix is merged only when it has two or more parts and, counting
-    everything older as one part, ``min_objects`` are present: the same
-    tick a merge of all parts would have run on.  Returns 0 for "leave
-    the dataset alone".  DESIGN.md §15 has the amortization argument.
-    """
-    if not parts:
-        return 0
-    n = 1
-    newer_epochs = parts[-1][0]
-    for epochs, rows in reversed(parts[:-1]):
-        small = rows is not None and rows < small_rows
-        if not small and epochs > newer_epochs:
-            break
-        n += 1
-        newer_epochs += epochs
-    older = 1 if n < len(parts) else 0
-    return n if n >= 2 and n + older >= min_objects else 0
-
-
-class _NotStreamable(Exception):
-    """The inputs of a rewrite cannot be written piece by piece: their
-    rows are out of order, or they disagree on a column's dtype."""
-
-
-def _write_groups(writer: RcfWriter, pieces: Iterable[ColumnTable]) -> bytes:
-    """Finish ``writer`` with the pieces' rows in order — byte for byte
-    what :func:`write_table` makes of their concatenation, while
-    holding one row group of it: pieces are regrouped so that every
-    ``append`` ends on a row-group boundary of the whole.  The pieces
-    must agree on column dtypes (:class:`_NotStreamable` otherwise): a
-    concatenation promotes mixed dtypes across all of its rows, a chunk
-    cannot."""
-    size = writer.row_group_size
-    dtypes: list[np.dtype] | None = None
-    held: list[ColumnTable] = []
-    held_rows = 0
-    for piece in pieces:
-        if not piece.num_rows:
-            continue
-        piece_dtypes = [c.dtype for c in piece.columns().values()]
-        if dtypes is None:
-            dtypes = piece_dtypes
-        elif piece_dtypes != dtypes:
-            raise _NotStreamable
-        if held_rows + piece.num_rows < size:
-            held.append(piece)
-            held_rows += piece.num_rows
-            continue
-        if held:
-            fill = size - held_rows
-            writer.append(ColumnTable.concat(held + [piece.slice(0, fill)]))
-            piece = piece.slice(fill, piece.num_rows)
-        held_rows = piece.num_rows % size
-        whole = piece.num_rows - held_rows
-        writer.append(piece.slice(0, whole))
-        held = [piece.slice(whole, piece.num_rows)] if held_rows else []
-    writer.append(ColumnTable.concat(held))
-    return writer.finish()
-
-
-def _merge_runs(
-    runs: Iterable[Sequence[tuple[float, int]]],
-) -> list[tuple[float, int]]:
-    """The spans of inputs laid end to end: empty spans dropped,
-    neighbours of one epoch joined."""
-    out: list[tuple[float, int]] = []
-    for spans in runs:
-        for epoch, n in spans:
-            if out and out[-1][0] == epoch:
-                out[-1] = (out[-1][0], out[-1][1] + n)
-            elif n:
-                out.append((float(epoch), int(n)))
-    return out
-
-
-def _epoch_rises(spans: Sequence[tuple[float, int]]) -> np.ndarray | None:
-    """Row offsets at which :func:`_merge_runs` spans start, if each
-    starts a later epoch than the one before — the only rows where time
-    may fall if the rows are to be in (epoch, time) order already.
-    None when an epoch falls (or is NaN): only a sort can order that."""
-    if not (np.diff([epoch for epoch, _ in spans]) > 0).all():
-        return None
-    return np.cumsum([0] + [n for _, n in spans[:-1]])
-
-
-def _time_in_order(
-    ts: np.ndarray, row: int, prev_ts: float, rises: np.ndarray
-) -> bool:
-    """Whether times ``ts`` of the rows from offset ``row`` on, the row
-    before them at ``prev_ts``, fall only at ``rises``.  A NaN is "no":
-    its place in the order is whatever the sort gives it."""
-    if np.isnan(ts).any():
-        return False
-    falls = np.flatnonzero(ts[1:] < ts[:-1]) + (row + 1)
-    if ts[0] < prev_ts:
-        falls = np.append(falls, row)
-    return not falls.size or bool(np.isin(falls, rises).all())
-
-
 @dataclass
 class _DatasetMeta:
     name: str
@@ -299,19 +184,11 @@ class TieredStore:
         self.retry_policy = retry_policy or DEFAULT_RETRY_POLICY
         self.ocean.create_bucket(self.OCEAN_BUCKET)
         self._datasets: dict[str, _DatasetMeta] = {}
-        #: Part key -> the read handle opened on its bytes (see
-        #: :meth:`_open_part`); dropped in :meth:`_delete_part`, so it
-        #: never outgrows the live part set.
-        self._handles: dict[str, RcfReader] = {}
-        #: Dataset -> (store, its mutation stamp, ordered live parts) as
-        #: :meth:`_live_parts` last derived them.
-        self._live_views: dict[
-            str, tuple[ObjectStore, int, tuple[ObjectMeta, ...]]
-        ] = {}
+        #: Every record derived from an OCEAN part (see :mod:`.parts`).
+        self._parts = PartTable(self.OCEAN_BUCKET)
         # Callers may drive ``register`` and ``ingest`` from their own
         # threads; all registry access — including part-number
-        # allocation, the handle table and the live-part views — goes
-        # through this lock.
+        # allocation — goes through this lock.
         self._registry_lock = threading.Lock()
         self._rollups: dict[str, GoldRollup] = {}
         self._rollup_lock = threading.Lock()
@@ -376,11 +253,25 @@ class TieredStore:
     # -- dataset registry -------------------------------------------------------
 
     def register(self, name: str, data_class: DataClass) -> None:
-        """Declare a dataset and its medallion class."""
+        """Declare a dataset and its medallion class.
+
+        Part numbers resume after the highest its keys already hold in
+        OCEAN or GLACIER (``@expired`` included): a store reopened over
+        its tiers must not mint a key that exists, nor one whose archive
+        :meth:`enforce` would take for the new part's and delete it."""
+        own = re.compile(rf"{re.escape(name)}/part-(\d+)\.rcf(@expired)?")
+        keys = [p.key for p in self._parts.listing(self.ocean, name).present]
+        taken = [
+            int(m.group(1))
+            for m in map(own.fullmatch, keys + self.glacier.keys())
+            if m is not None
+        ]
         with self._registry_lock:
             if name in self._datasets:
                 raise ValueError(f"dataset {name!r} already registered")
-            self._datasets[name] = _DatasetMeta(name, data_class)
+            self._datasets[name] = _DatasetMeta(
+                name, data_class, max(taken, default=-1) + 1
+            )
 
     def datasets(self) -> dict[str, DataClass]:
         """Registered dataset -> class."""
@@ -435,32 +326,12 @@ class TieredStore:
             )
             placed["lake"] = True
         if policy.ocean_retention_s is not None:
-            key = f"{name}/part-{self._allocate_part(meta):08d}.rcf"
             blob = write_table(
                 table, codec=policy.codec, row_group_size=policy.row_group_size
             )
-            user_meta = {"dataset": name, "class": meta.data_class.value}
-            user_meta.update(manifest.part_meta(table, blob))
-            user_meta[manifest.SPANS_META_KEY] = manifest.spans_to_meta(
-                [(now, table.num_rows)]
+            self._commit_part(
+                meta, table, blob, [(now, table.num_rows)], batch_now=now
             )
-            call_with_retry(
-                lambda: self.ocean.put(
-                    self.OCEAN_BUCKET,
-                    key,
-                    blob,
-                    created_at=now,
-                    user_meta=user_meta,
-                ),
-                policy=self.retry_policy,
-                site="tier.ocean.put",
-            )
-            self._rollup_observe(name, key, table)
-            # Lineage commit order mirrors the store's: the put above is
-            # the commit point, so the part node is recorded only after
-            # it returns — a SimulatedCrash at ``tier.put`` leaves
-            # neither the part nor the node behind.
-            self._lineage_part(name, key, table.num_rows, batch_now=now)
             placed["ocean"] = True
         if placed["lake"] or placed["ocean"]:
             self._bump_version()
@@ -468,142 +339,12 @@ class TieredStore:
 
     # -- live part set ------------------------------------------------------------
 
-    @staticmethod
-    def _superseded(metas: list[ObjectMeta]) -> set[str]:
-        """Keys tombstoned by any present part's ``replaces`` record.
-
-        The union runs over *all* present parts, dead or alive: a
-        superseded part's own ``replaces`` still counts, so a
-        half-collected rewrite chain cannot resurrect its grandparents.
-        """
-        dead: set[str] = set()
-        for m in metas:
-            rep = manifest.replaces_from_meta(
-                m.user_meta.get(manifest.REPLACES_META_KEY)
-            )
-            if rep:
-                dead.update(rep)
-        return dead
-
-    def _live_parts(self, name: str) -> tuple[ObjectMeta, ...]:
+    def _live_parts(self, name: str) -> tuple[LivePart, ...]:
         """A dataset's OCEAN parts minus superseded ones, in ingest
-        order: by (oldest span epoch, key).  Key order alone is not
-        ingest order — a :meth:`_split_expired` remainder takes a fresh,
-        highest part number while holding the dataset's *oldest* rows.
-
-        The answer is a function of the store's contents, so it is
-        derived once per :attr:`ObjectStore.stamp` and handed out again
-        until a put or delete — by anyone — moves the stamp.  The stamp
-        is read before the listing: a mutation racing the derivation
-        leaves a view that is already out of date, never one that looks
-        current."""
-        ocean = self.ocean
-        stamp = ocean.stamp
-        with self._registry_lock:
-            view = self._live_views.get(name)
-        if view is not None and view[0] is ocean and view[1] == stamp:
-            return view[2]
-        metas = ocean.list(self.OCEAN_BUCKET, prefix=f"{name}/")
-        dead = self._superseded(metas)
-
-        def ingest_order(m: ObjectMeta) -> tuple[float, str]:
-            epoch = manifest.oldest_span_epoch(
-                m.user_meta.get(manifest.SPANS_META_KEY)
-            )
-            return (m.created_at if epoch is None else epoch, m.key)
-
-        live = tuple(
-            sorted((m for m in metas if m.key not in dead), key=ingest_order)
-        )
-        with self._registry_lock:
-            self._live_views[name] = (ocean, stamp, live)
-        return live
-
-    def _part_spans(
-        self, obj: ObjectMeta, num_rows: int | None = None
-    ) -> tuple[tuple[float, int], ...] | None:
-        """A part's retention spans, or None for legacy/mangled
-        manifests (the part then ages as one block under its
-        ``created_at``).  When the caller knows the row count, spans
-        that fail to cover it are rejected the same way."""
-        spans = manifest.spans_from_meta(
-            obj.user_meta.get(manifest.SPANS_META_KEY)
-        )
-        if not spans:
-            return None
-        if num_rows is not None and sum(n for _, n in spans) != num_rows:
-            return None
-        return spans
-
-    def _open_part(self, key: str, blob: bytes) -> RcfReader:
-        """The read handle of one fetched part, opened at most once.
-
-        A handle is the part's :class:`RcfReader` — parsed footer,
-        group headers parsed so far, and the content digest, hashed
-        here from the bytes actually fetched (it is the row-group cache
-        token, and the one place a verified read would compare it with
-        the manifest's).  It is valid only for the ``bytes`` object it
-        was opened on: the in-process store hands back the stored
-        object, so identity holds until the key is overwritten; a store
-        that copies on ``get`` merely re-opens every time.  The
-        manifest digest cannot stand in for that check — a part
-        corrupted on its way into the store carries the manifest of the
-        clean table.
-        """
-        from repro.perf import PERF
-
-        with self._registry_lock:
-            reader = self._handles.get(key)
-        if reader is not None:
-            if reader.buffer is blob:
-                return reader
-            # Overwritten in place: nothing can ask for the old bytes'
-            # decoded groups again.
-            invalidate_token(reader.digest())
-        reader = RcfReader(blob)
-        reader.digest()
-        PERF.count("query.parts_opened")
-        PERF.count("query.bytes_hashed", len(blob))
-        with self._registry_lock:
-            self._handles[key] = reader
-        return reader
+        order (see :class:`repro.storage.parts.Listing`)."""
+        return self._parts.listing(self.ocean, name).live
 
     # -- lineage recording --------------------------------------------------------
-
-    def _lineage_part(
-        self,
-        name: str,
-        key: str,
-        rows: int,
-        batch_now: float | None = None,
-        replaces: tuple[str, ...] = (),
-    ) -> str | None:
-        """Record one committed OCEAN part in the catalog.
-
-        ``batch_now`` links the part to the refined batch that produced
-        it — both sides derive the batch node ID from ``(dataset,
-        now)``, so the edge needs no hand-off from the framework.
-        ``replaces`` records a rewrite commit: supersede tombstones plus
-        the input->output ``derived`` edges blast radius traverses.
-        """
-        cat = self.lineage
-        if cat is None:
-            return None
-        nid = cat.record(
-            "part",
-            (self.OCEAN_BUCKET, key),
-            attrs={"dataset": name, "key": key, "rows": rows},
-        )
-        if batch_now is not None:
-            bid = cat.record(
-                "batch", (name, batch_now), attrs={"dataset": name}
-            )
-            cat.link(bid, nid, "derived")
-        if replaces:
-            cat.supersede(
-                nid, [cat.part_node(self.OCEAN_BUCKET, k) for k in replaces]
-            )
-        return nid
 
     def _lineage_partial(self, rollup: str, part_key: str) -> str | None:
         """Record one rollup partial, derived from its source part."""
@@ -655,20 +396,17 @@ class TieredStore:
             names = sorted(self._datasets)
         adopted = 0
         for name in names:
-            for m in self.ocean.list(self.OCEAN_BUCKET, prefix=f"{name}/"):
+            for part in self._parts.listing(self.ocean, name).present:
                 nid = cat.record(
                     "part",
-                    (self.OCEAN_BUCKET, m.key),
-                    attrs={"dataset": name, "key": m.key},
+                    (self.OCEAN_BUCKET, part.key),
+                    attrs={"dataset": name, "key": part.key},
                     span="",
                 )
-                rep = manifest.replaces_from_meta(
-                    m.user_meta.get(manifest.REPLACES_META_KEY)
-                )
-                if rep:
+                if part.replaces:
                     cat.supersede(
                         nid,
-                        [cat.part_node(self.OCEAN_BUCKET, k) for k in rep],
+                        [cat.part_node(self.OCEAN_BUCKET, k) for k in part.replaces],
                     )
                 adopted += 1
         return adopted
@@ -742,26 +480,15 @@ class TieredStore:
     ) -> ColumnTable:
         from repro.perf import PERF
 
-        metas = self._live_parts(name)
-        if not metas:
+        parts = self._live_parts(name)
+        if not parts:
             return ColumnTable({})
         if columns is None:
-            names = manifest.columns_from_meta(
-                metas[0].user_meta.get(manifest.COLUMNS_META_KEY)
-            )
+            names = parts[0].columns
             columns = None if names is None else list(names)
         plan = plan_parts(
             name,
-            [
-                (
-                    m.key,
-                    m.size,
-                    manifest.stats_from_meta(
-                        m.user_meta.get(manifest.STATS_META_KEY)
-                    ),
-                )
-                for m in metas
-            ],
+            [(p.key, p.meta.size, p.stats) for p in parts],
             t0,
             t1,
             predicate,
@@ -771,7 +498,7 @@ class TieredStore:
         fetch_all = scan_reference_active()
         pruned = 0
         fetched_keys: list[str] = []
-        for unit in plan.units:
+        for unit, part in zip(plan.units, parts):
             if unit.pruned and not fetch_all:
                 pruned += 1
                 continue
@@ -779,7 +506,7 @@ class TieredStore:
             if not fetch_all:
                 # The oracle decodes the fetched bytes itself, so what
                 # it checks never depends on a handle.
-                unit.reader = self._open_part(unit.key, unit.blob)
+                unit.reader = part.open(unit.blob)
             fetched_keys.append(unit.key)
         if pruned:
             PERF.count("ocean.parts_pruned", pruned)
@@ -884,20 +611,6 @@ class TieredStore:
         with self._rollup_lock:
             return [r for r in self._rollups.values() if r.spec.source == source]
 
-    def _rollup_observe(self, name: str, key: str, table: ColumnTable) -> None:
-        for ru in self._rollups_for(name):
-            ru.observe_part(key, table)
-            self._lineage_partial(ru.spec.name, key)
-
-    def _rollup_drop(self, key: str) -> None:
-        with self._rollup_lock:
-            rollups = list(self._rollups.values())
-        cat = self.lineage
-        for ru in rollups:
-            ru.drop_part(key)
-            if cat is not None:
-                cat.retire(cat.partial_node(ru.spec.name, key))
-
     # -- retention ------------------------------------------------------------------
 
     def enforce(self, now: float) -> dict[str, int]:
@@ -941,47 +654,45 @@ class TieredStore:
             if policy.glacier and policy.freeze_after_s is not None:
                 age_out_s = min(age_out_s, policy.freeze_after_s)
             horizon = now - age_out_s
-            for obj in self._live_parts(name):
-                spans = self._part_spans(obj)
+            for part in self._live_parts(name):
+                spans = part.spans
                 blob = None
                 if spans is not None:
                     expired = sum(1 for created, _ in spans if created < horizon)
                     if 0 < expired < len(spans):
-                        # A split cuts rows where the spans say, so they
-                        # must cover the rows the footer counts.
-                        blob = self.ocean.get(self.OCEAN_BUCKET, obj.key)
-                        spans = self._part_spans(obj, RcfReader(blob).num_rows)
+                        blob = self.ocean.get(self.OCEAN_BUCKET, part.key)
+                        spans = part.spans_for(RcfReader(blob).num_rows)
                 if spans is None:
-                    expired = 0 if obj.created_at >= horizon else 1
+                    expired = 0 if part.created_at >= horizon else 1
                     whole = expired == 1
                 else:
                     whole = expired == len(spans)
                 if expired == 0:
                     continue
                 if whole:
-                    if policy.glacier and not self.glacier.exists(obj.key):
-                        if blob is None:
-                            blob = self.ocean.get(self.OCEAN_BUCKET, obj.key)
-                        self.glacier.archive(
-                            obj.key, blob, created_at=obj.created_at
-                        )
+                    if policy.glacier:
+                        # An archive already there is this part's, from
+                        # an attempt that crashed before its delete.
+                        if not self.glacier.exists(part.key):
+                            if blob is None:
+                                blob = self.ocean.get(self.OCEAN_BUCKET, part.key)
+                            self.glacier.archive(
+                                part.key, blob, created_at=part.created_at
+                            )
                         report["ocean_archived"] += 1
                     else:
                         report["ocean_deleted"] += 1
-                    self._delete_part(obj, blob)
+                    self._retire(part, blob)
                 else:
-                    self._split_expired(
-                        name, meta, policy, obj, blob, spans, expired
-                    )
+                    self._split_expired(meta, policy, part, blob, spans, expired)
                     report["ocean_rewritten"] += 1
         return report
 
     def _split_expired(
         self,
-        name: str,
         meta: _DatasetMeta,
         policy: TierPolicy,
-        obj: ObjectMeta,
+        part: LivePart,
         blob: bytes,
         spans: Sequence[tuple[float, int]],
         n_expired: int,
@@ -994,13 +705,13 @@ class TieredStore:
         prefix.  Commit order matters: (1) archive the expired slice to
         GLACIER under ``key@expired`` (exists-guarded, so a crashed
         attempt retries idempotently), (2) put the remainder part with
-        ``replaces=[key]`` — the commit point, (3) delete the old part.
+        ``replaces=[key]`` — the commit point, (3) retire the old part.
         A crash anywhere leaves every row in exactly one live place.
         """
         table = read_table(blob)
         cut = sum(n for _, n in spans[:n_expired])
         if policy.glacier:
-            archive_key = f"{obj.key}@expired"
+            archive_key = f"{part.key}@expired"
             if not self.glacier.exists(archive_key):
                 expired_blob = write_table(
                     table.slice(0, cut),
@@ -1013,82 +724,104 @@ class TieredStore:
                     created_at=spans[n_expired - 1][0],
                 )
         remainder = table.slice(cut, table.num_rows)
-        rem_spans = spans[n_expired:]
-        key = f"{name}/part-{self._allocate_part(meta):08d}.rcf"
         rem_blob = write_table(
             remainder, codec=policy.codec, row_group_size=policy.row_group_size
         )
-        user_meta = {"dataset": name, "class": meta.data_class.value}
-        user_meta.update(manifest.part_meta(remainder, rem_blob))
-        user_meta[manifest.SPANS_META_KEY] = manifest.spans_to_meta(rem_spans)
-        user_meta[manifest.REPLACES_META_KEY] = manifest.replaces_to_meta(
-            [obj.key]
+        self._commit_part(
+            meta, remainder, rem_blob, spans[n_expired:], replaces=(part.key,)
         )
+        self._retire(part, blob)
+
+    # -- part commit and retirement ---------------------------------------------------
+
+    def _commit_part(
+        self,
+        meta: _DatasetMeta,
+        table: ColumnTable | None,
+        blob: bytes,
+        spans: Sequence[tuple[float, int]],
+        *,
+        replaces: tuple[str, ...] = (),
+        batch_now: float | None = None,
+        compacted_from: int | None = None,
+    ) -> None:
+        """Put one new part and record it — the commit of ingest,
+        retention's split and compaction.
+
+        ``spans`` cover every row (the last one's epoch is the part's
+        ``created_at``); bounds come from ``table``, or from ``blob``'s
+        row groups when a streamed merge holds none.  The put is the
+        commit point: rollup partials, then the lineage node — linked to
+        the batch of ``(dataset, batch_now)``, superseding ``replaces``
+        — are recorded only after it returns."""
+        name = meta.name
+        key = f"{name}/part-{self._allocate_part(meta):08d}.rcf"
+        user_meta = {"dataset": name, "class": meta.data_class.value}
+        if compacted_from is not None:
+            user_meta["compacted_from"] = str(compacted_from)
+        user_meta.update(manifest.part_meta(table, blob))
+        user_meta[manifest.SPANS_META_KEY] = manifest.spans_to_meta(spans)
+        if replaces:
+            user_meta[manifest.REPLACES_META_KEY] = manifest.replaces_to_meta(
+                list(replaces)
+            )
         call_with_retry(
             lambda: self.ocean.put(
                 self.OCEAN_BUCKET,
                 key,
-                rem_blob,
-                created_at=rem_spans[-1][0],
+                blob,
+                created_at=spans[-1][0],
                 user_meta=user_meta,
             ),
             policy=self.retry_policy,
             site="tier.ocean.put",
         )
-        self._rollup_observe(name, key, remainder)
-        self._lineage_part(
-            name, key, remainder.num_rows, replaces=(obj.key,)
-        )
-        self._delete_part(obj, blob)
-
-    def _part_token(self, obj: ObjectMeta, blob: bytes | None = None) -> str:
-        """A part's row-group cache token.
-
-        Scans key the cache by the digest of the bytes they fetched, so
-        a part this store has opened answers with its handle's digest —
-        the manifest's describes the table as written and misses a part
-        corrupted on its way into the store.  A part it never opened
-        falls back to the persisted digest, or one computed from
-        ``blob`` for pre-manifest parts (empty string — invalidating
-        nothing — when neither is available)."""
-        with self._registry_lock:
-            handle = self._handles.get(obj.key)
-        if handle is not None:
-            return handle.digest()
-        token = obj.user_meta.get(manifest.DIGEST_META_KEY)
-        if token:
-            return token
-        if blob is not None:
-            return manifest.blob_token(blob)
-        return ""
-
-    def _delete_part(self, obj: ObjectMeta, blob: bytes | None = None) -> None:
-        """Delete one OCEAN part and release everything keyed on it.
-
-        A pre-manifest part this store never opened has no digest
-        anywhere, so its blob must be in hand *before* the delete to
-        compute the row-group cache token — otherwise the dead part's
-        decoded groups linger in the cache until eviction.
-        """
-        token = self._part_token(obj, blob)
-        if not token and blob is None:
-            token = manifest.blob_token(
-                self.ocean.get(self.OCEAN_BUCKET, obj.key)
-            )
-        self.ocean.delete(self.OCEAN_BUCKET, obj.key)
-        # Like the retire below, the handle goes only once the delete
-        # has landed: a crash at ``tier.delete`` leaves part and handle
-        # both in place for the sweep that retries it.
-        with self._registry_lock:
-            self._handles.pop(obj.key, None)
-        invalidate_token(token)
-        self._rollup_drop(obj.key)
-        # Retirement follows the delete, mirroring the commit order on
-        # the write side: a crash at ``tier.delete`` leaves the part
-        # present and its node unretired — still consistent.
+        if table is not None:
+            for ru in self._rollups_for(name):
+                ru.observe_part(key, table)
+                self._lineage_partial(ru.spec.name, key)
         cat = self.lineage
         if cat is not None:
-            cat.retire(cat.part_node(self.OCEAN_BUCKET, obj.key))
+            rows = sum(n for _, n in spans)
+            nid = cat.record(
+                "part",
+                (self.OCEAN_BUCKET, key),
+                attrs={"dataset": name, "key": key, "rows": rows},
+            )
+            if batch_now is not None:
+                bid = cat.record("batch", (name, batch_now), attrs={"dataset": name})
+                cat.link(bid, nid, "derived")
+            if replaces:
+                cat.supersede(
+                    nid, [cat.part_node(self.OCEAN_BUCKET, k) for k in replaces]
+                )
+
+    def _retire(self, part: LivePart, blob: bytes | None = None) -> None:
+        """Delete one OCEAN part and drop everything derived from it —
+        the one deletion site of compaction, retention and the sweep.
+
+        In order: the delete; the read handle (the record goes with the
+        next listing); the cached row groups and ask counts under
+        :meth:`LivePart.token`; the rollup partials; the lineage node;
+        the data version.  Each drop follows the delete, so a crash at
+        ``tier.delete`` leaves everything in place for the sweep.  A
+        never-opened pre-manifest part's blob is fetched *before* the
+        delete: nothing else can give its token."""
+        token = part.token(blob)
+        if not token and blob is None:
+            token = manifest.blob_token(self.ocean.get(self.OCEAN_BUCKET, part.key))
+        self.ocean.delete(self.OCEAN_BUCKET, part.key)
+        self._parts.forget(part)
+        invalidate_token(token)
+        with self._rollup_lock:
+            rollups = list(self._rollups.values())
+        cat = self.lineage
+        for ru in rollups:
+            ru.drop_part(part.key)
+            if cat is not None:
+                cat.retire(cat.partial_node(ru.spec.name, part.key))
+        if cat is not None:
+            cat.retire(cat.part_node(self.OCEAN_BUCKET, part.key))
         # Rewrites (compact/split) bump here via their input deletes;
         # their commit put alone changes no query answer, so one bump
         # per committed transition is enough.
@@ -1120,20 +853,16 @@ class TieredStore:
     def _sweep_one(self, name: str) -> int:
         removed = 0
         while True:
-            metas = self.ocean.list(self.OCEAN_BUCKET, prefix=f"{name}/")
-            present = {m.key for m in metas}
-            dead = self._superseded(metas)
+            listing = self._parts.listing(self.ocean, name)
+            present = {p.key for p in listing.present}
             progress = False
-            for m in metas:
-                if m.key not in dead:
+            for part in listing.present:
+                if part.key not in listing.dead:
                     continue
-                replaces = manifest.replaces_from_meta(
-                    m.user_meta.get(manifest.REPLACES_META_KEY)
-                )
-                if replaces and any(k in present for k in replaces):
+                if any(k in present for k in part.replaces or ()):
                     continue  # its own targets first (bottom-up)
-                self._delete_part(m)
-                present.discard(m.key)
+                self._retire(part)
+                present.discard(part.key)
                 progress = True
                 removed += 1
             if not progress:
@@ -1151,8 +880,9 @@ class TieredStore:
         contiguous and zone maps over the time column get tight; inputs
         that already are in that order, end to end, are streamed into
         the output a row group at a time, anything else is sorted first
-        — and commits one combined RCF object whose ``replaces`` entry
-        tombstones the inputs before they are deleted.  Equal-sized or
+        (:func:`repro.storage.compaction.merge_parts`) — and commits one
+        combined RCF object whose ``replaces`` entry tombstones the
+        inputs before they are retired.  Equal-sized or
         sub-row-group parts all join, so a first compaction merges
         everything; a part that already holds more ingest epochs than
         all newer parts together is left alone until they catch up.
@@ -1178,164 +908,52 @@ class TieredStore:
         parts = self._live_parts(name)
         # Selection reads manifests only: no blob is fetched to decide.
         # A legacy part without spans is one epoch of unknown size.
-        shapes: list[tuple[int, int | None]] = []
-        for p in parts:
-            spans = self._part_spans(p)
-            shapes.append(
-                (len(spans), sum(n for _, n in spans)) if spans else (1, None)
-            )
+        shapes = [
+            (len(p.spans), sum(n for _, n in p.spans)) if p.spans else (1, None)
+            for p in parts
+        ]
         n_merge = merge_suffix(shapes, policy.row_group_size, min_objects)
         if n_merge == 0:
             return {"merged": 0, "bytes_before": 0, "bytes_after": 0}
         parts = parts[-n_merge:]
-        bytes_before = sum(p.size for p in parts)
         blobs = [self.ocean.get(self.OCEAN_BUCKET, p.key) for p in parts]
+        # Readers of the merge's own: a handle would hash unasked bytes.
         readers = [RcfReader(b) for b in blobs]
         runs = [
-            self._part_spans(p, r.num_rows) or ((p.created_at, r.num_rows),)
+            p.spans_for(r.num_rows) or ((p.created_at, r.num_rows),)
             for p, r in zip(parts, readers)
         ]
-        n_rows = sum(r.num_rows for r in readers)
-        # The sort below is the identity, and the gather a copy, when
-        # the inputs' rows are in (span epoch, time) order as they
-        # stand — which costs one pass over the time column to prove.
-        merged_spans = _merge_runs(runs)
-        rises = _epoch_rises(merged_spans)
-        provable = (
-            rises is not None
-            and all(r.schema == readers[0].schema for r in readers)
-            and (self.time_column, False) in readers[0].schema
-        )
-        blob = combined = sorted_spans = None
-        spliced = 0
         # A rollup partial's float bits depend on the table it is
         # aggregated from, so a dataset with a rollup still gets one.
-        if provable and not self._rollups_for(name):
-            writer = RcfWriter(policy.codec, policy.row_group_size)
-            # The first input's full row groups are the output's: they
-            # are copied, not decoded and encoded again — all but its
-            # last group, which is decoded so that the dtype check
-            # speaks for this input too.
-            spliced = writer.append_encoded(
-                readers[0], readers[0].num_row_groups - 1
-            )
-            try:
-                blob = _write_groups(
-                    writer, self._groups_in_order(readers, rises, spliced)
-                )
-            except _NotStreamable:
-                spliced = 0
-        if blob is None:
-            combined = ColumnTable.concat([read_table(b) for b in blobs])
-            if not provable or not _time_in_order(
-                np.asarray(combined[self.time_column], dtype=np.float64),
-                0,
-                -np.inf,
-                rises,
-            ):
-                combined, sorted_spans = self._sort_by_epoch(combined, runs)
-            blob = _write_groups(
-                RcfWriter(policy.codec, policy.row_group_size), [combined]
-            )
-        out_spans = sorted_spans or merged_spans
+        materialize = bool(self._rollups_for(name))
+        merged = merge_parts(readers, runs, policy, self.time_column, materialize)
         PERF.count(
             "tier.compact.merges_resorted"
-            if sorted_spans
+            if merged.resorted
             else "tier.compact.merges_in_order"
         )
-        key = f"{name}/part-{self._allocate_part(meta):08d}.rcf"
-        user_meta = {
-            "dataset": name,
-            "class": meta.data_class.value,
-            "compacted_from": str(len(parts)),
-        }
-        user_meta.update(manifest.part_meta(combined, blob))
-        user_meta[manifest.SPANS_META_KEY] = manifest.spans_to_meta(out_spans)
-        user_meta[manifest.REPLACES_META_KEY] = manifest.replaces_to_meta(
-            [p.key for p in parts]
-        )
         # The commit point: once this put lands, the inputs are dead —
-        # readers exclude them via ``replaces`` — and the deletes below
-        # are garbage collection that sweep_superseded can resume.
-        call_with_retry(
-            lambda: self.ocean.put(
-                self.OCEAN_BUCKET,
-                key,
-                blob,
-                created_at=out_spans[-1][0],
-                user_meta=user_meta,
-            ),
-            policy=self.retry_policy,
-            site="tier.ocean.put",
+        # readers exclude them via ``replaces`` — and retiring them below
+        # is garbage collection that sweep_superseded can resume.
+        self._commit_part(
+            meta, merged.table, merged.blob, merged.spans,
+            replaces=tuple(p.key for p in parts), compacted_from=len(parts),
         )
         PERF.count("tier.compact.parts_merged", len(parts))
-        PERF.count("tier.compact.rows_rewritten", n_rows)
-        PERF.count("tier.compact.bytes_rewritten", len(blob))
-        if spliced:
-            PERF.count("tier.compact.groups_spliced", spliced)
+        PERF.count("tier.compact.rows_rewritten", sum(r.num_rows for r in readers))
+        PERF.count("tier.compact.bytes_rewritten", len(merged.blob))
+        if merged.spliced:
+            PERF.count("tier.compact.groups_spliced", merged.spliced)
             PERF.count(
-                "tier.compact.rows_spliced", spliced * policy.row_group_size
+                "tier.compact.rows_spliced", merged.spliced * policy.row_group_size
             )
-        if combined is not None:
-            self._rollup_observe(name, key, combined)
-        self._lineage_part(
-            name, key, n_rows, replaces=tuple(p.key for p in parts)
-        )
-        for p, old_blob in zip(parts, blobs):
-            self._delete_part(p, old_blob)
+        for p, blob in zip(parts, blobs):
+            self._retire(p, blob)
         return {
             "merged": len(parts),
-            "bytes_before": bytes_before,
-            "bytes_after": len(blob),
+            "bytes_before": sum(p.meta.size for p in parts),
+            "bytes_after": len(merged.blob),
         }
-
-    def _groups_in_order(
-        self, readers: Sequence[RcfReader], rises: np.ndarray, spliced: int
-    ) -> Iterator[ColumnTable]:
-        """The inputs' row groups, one decoded at a time, for as long
-        as their rows keep (span epoch, time) order
-        (:class:`_NotStreamable` at the first that does not).  The
-        first ``spliced`` groups are in the output already: only their
-        time column is decoded, for the proof."""
-        row, prev_ts = 0, -np.inf
-        for reader in readers:
-            for g in range(reader.num_row_groups):
-                copied = reader is readers[0] and g < spliced
-                if copied:
-                    ts = reader.decode_group_column(g, self.time_column)
-                else:
-                    piece = reader.read_group(g)
-                    ts = piece[self.time_column]
-                ts = np.asarray(ts, dtype=np.float64)
-                if not _time_in_order(ts, row, prev_ts, rises):
-                    raise _NotStreamable
-                row, prev_ts = row + ts.size, ts[-1]
-                if not copied:
-                    yield piece
-
-    def _sort_by_epoch(
-        self, combined: ColumnTable, runs: Sequence[Sequence[tuple[float, int]]]
-    ) -> tuple[ColumnTable, list[tuple[float, int]]]:
-        """``combined`` stably sorted by (span epoch, time), and the
-        spans of the result."""
-        created = np.concatenate(
-            [
-                np.repeat([c for c, _ in spans], [n for _, n in spans])
-                for spans in runs
-            ]
-        )
-        if self.time_column in combined.column_names:
-            ts = np.asarray(combined[self.time_column], dtype=np.float64)
-            order = np.lexsort((ts, created))
-        else:
-            order = np.argsort(created, kind="stable")
-        created = created[order]
-        bounds = np.flatnonzero(np.diff(created)) + 1
-        starts = np.concatenate(([0], bounds))
-        ends = np.concatenate((bounds, [created.size]))
-        return combined.take(order), [
-            (float(created[s]), int(e - s)) for s, e in zip(starts, ends)
-        ]
 
     # -- accounting -------------------------------------------------------------------
 

@@ -94,3 +94,20 @@ def test_data_plane_spawns_nothing_and_waives_no_race():
                 if called in spawners:
                     bad.append(f"{path}:{node.lineno}: {called}(...)")
     assert bad == []
+
+
+def test_storage_reads_part_manifests_in_one_place():
+    # One owner for what is derived from an OCEAN part (DESIGN.md §15,
+    # "The part table"): manifest entries are read off ``user_meta``
+    # and memoized only by the part's record, so nothing else in the
+    # storage package can hold a parse past its part.
+    storage = os.path.join(SRC, "repro", "storage")
+    bad = [
+        f"{os.path.relpath(path, storage)}: {needle}"
+        for path, source in _src_files()
+        if path.startswith(storage + os.sep)
+        and os.path.basename(path) != "parts.py"
+        for needle in ("user_meta.get(", "lru_cache")
+        if needle in source
+    ]
+    assert bad == []

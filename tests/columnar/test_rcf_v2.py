@@ -5,7 +5,11 @@ O(1); everything here pins the properties the rest of the data plane
 leans on — archived v1 parts stay readable, group headers parse lazily
 from the footer, shared string vocabularies collapse to back-references,
 and incompressible chunks skip zlib without changing decoded bytes.
+
+The writer writes v2 only, so v1 is read from a committed fixture.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -44,6 +48,27 @@ def make_table(n=1000, seed=0):
     )
 
 
+#: ``write_table(make_table(200, seed=3), codec="high", row_group_size=64,
+#: version=1)`` as the v1 writer produced it: 3 full row groups and 8 rows.
+with open(
+    os.path.join(
+        os.path.dirname(__file__), "data", "v1_make_table_200_seed3_high_rg64.rcf"
+    ),
+    "rb",
+) as _fh:
+    V1_FIXTURE = _fh.read()
+#: ``RcfWriter(version=1).finish()``: a v1 file with no columns or groups.
+V1_EMPTY = b"RCF1\x00\x00\x00\x00\x00\x00"
+
+
+def fixture_table():
+    return make_table(200, seed=3)
+
+
+def fixture_as_v2():
+    return write_table(fixture_table(), codec="high", row_group_size=64)
+
+
 def assert_tables_equal(a, b):
     assert a.column_names == b.column_names
     assert a.num_rows == b.num_rows
@@ -59,41 +84,40 @@ def assert_tables_equal(a, b):
 class TestVersionGate:
     def test_writer_versions_round_trip(self):
         t = make_table()
-        for version in (1, 2):
-            buf = write_table(t, row_group_size=128, version=version)
-            r = RcfReader(buf)
-            assert r.version == version
-            assert_tables_equal(r.read(), t)
+        r = RcfReader(write_table(t, row_group_size=128))
+        assert r.version == 2
+        assert_tables_equal(r.read(), t)
+        r = RcfReader(V1_FIXTURE)
+        assert r.version == 1
+        assert_tables_equal(r.read(), fixture_table())
 
     def test_magic_bytes(self):
-        t = make_table(32)
-        assert write_table(t, version=1)[:4] == b"RCF1"
-        buf = write_table(t, version=2)
+        assert V1_FIXTURE[:4] == b"RCF1"
+        buf = write_table(make_table(32))
         assert buf[:4] == b"RCF2"
         assert buf[-4:] == b"RCF2"
 
     def test_unknown_version_rejected(self):
+        buf = write_table(make_table(32))
         with pytest.raises(ValueError):
-            RcfWriter(version=3)
+            RcfReader(b"RCF3" + buf[4:])
 
     def test_truncated_v2_tail_rejected(self):
-        buf = write_table(make_table(32), version=2)
+        buf = write_table(make_table(32))
         with pytest.raises(ValueError):
             RcfReader(buf[:-2])
 
     def test_v1_fixture_blob_remains_readable(self):
-        """A byte-for-byte v1 blob (as archived OCEAN parts from earlier
-        PRs are) decodes through today's reader."""
-        t = make_table(200, seed=3)
-        v1 = write_table(t, codec="high", row_group_size=64, version=1)
-        r = RcfReader(v1)
+        """A byte-for-byte v1 blob (as archived OCEAN parts written
+        before v2 are) decodes through today's reader."""
+        r = RcfReader(V1_FIXTURE)
         assert r.version == 1
         assert r.num_row_groups == 4
-        assert_tables_equal(r.read(), t)
+        assert_tables_equal(r.read(), fixture_table())
         assert_tables_equal(
-            read_table(v1, columns=["power"], predicate=Col("power") > 550.0),
+            read_table(V1_FIXTURE, columns=["power"], predicate=Col("power") > 550.0),
             read_table(
-                write_table(t, codec="high", row_group_size=64),
+                fixture_as_v2(),
                 columns=["power"],
                 predicate=Col("power") > 550.0,
             ),
@@ -130,15 +154,13 @@ class TestLazyOpen:
         assert r.header_parse_count == 3
 
     def test_v1_still_parses_eagerly(self):
-        r = RcfReader(
-            write_table(make_table(1000), row_group_size=100, version=1)
-        )
-        assert r.header_parse_count == 10
+        r = RcfReader(V1_FIXTURE)
+        assert r.header_parse_count == r.num_row_groups == 4
 
     def test_lazy_read_equals_eager_read(self):
-        t = make_table(3000, seed=9)
-        v1 = RcfReader(write_table(t, row_group_size=256, version=1))
-        v2 = RcfReader(write_table(t, row_group_size=256, version=2))
+        v1 = RcfReader(V1_FIXTURE)
+        v2 = RcfReader(fixture_as_v2())
+        assert v2.header_parse_count == 0
         assert_tables_equal(v1.read(), v2.read())
         pred = Col("power") > 560.0
         assert_tables_equal(v1.read(predicate=pred), v2.read(predicate=pred))
@@ -155,10 +177,20 @@ class TestDictRef:
         assert_tables_equal(r.read(), t)
 
     def test_back_reference_shrinks_the_file(self):
-        t = make_table(2000)
-        v1 = write_table(t, row_group_size=100, version=1)
-        v2 = write_table(t, row_group_size=100, version=2)
-        assert len(v2) < len(v1)
+        v1 = RcfReader(V1_FIXTURE)  # every group carries its vocabulary
+        v2 = RcfReader(fixture_as_v2())
+
+        def host_bytes(r):
+            return sum(
+                r._group(g).chunks["host"].payload_len
+                for g in range(r.num_row_groups)
+            )
+
+        assert [v2.group_encoding(g, "host") for g in range(4)] == [
+            DICTIONARY, DICT_REF, DICT_REF, DICT_REF
+        ]  # fmt: skip
+        assert host_bytes(v2) < host_bytes(v1)
+        assert len(v2.buffer) < len(v1.buffer)
 
     def test_vocab_change_resets_the_donor(self):
         """A group with a different vocabulary becomes the new donor;
@@ -341,10 +373,7 @@ class TestWriterStreamingAppend:
         assert RcfWriter("high", 64).append_encoded(reader, 0) == 0
         assert RcfWriter("high", 32).append_encoded(reader, 99) == 0  # other group size
         assert RcfWriter("fast", 64).append_encoded(reader, 99) == 0  # other codec
-        assert RcfWriter("high", 64, version=1).append_encoded(reader, 99) == 0
-        v1 = RcfReader(
-            write_table(whole.slice(0, 200), codec="high", row_group_size=64, version=1)
-        )
+        v1 = RcfReader(V1_FIXTURE)  # 3 full groups, but no group index
         assert RcfWriter("high", 64).append_encoded(v1, 99) == 0
         started = RcfWriter("high", 64)
         started.append(whole.slice(0, 64))
@@ -352,7 +381,7 @@ class TestWriterStreamingAppend:
             started.append_encoded(reader, 1)
 
     def test_empty_file_round_trips(self):
-        for version in (1, 2):
-            r = RcfReader(RcfWriter(version=version).finish())
+        for buf in (V1_EMPTY, RcfWriter().finish()):
+            r = RcfReader(buf)
             assert r.num_row_groups == 0
             assert r.num_rows == 0

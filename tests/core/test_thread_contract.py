@@ -40,7 +40,7 @@ from repro.telemetry.jobs import (
 )
 from repro.telemetry.schema import SEVERITY_IDS, EventBatch
 from tests.core.test_race_fixes import TOGGLES
-from tests.storage.compaction_oracle import fresh_live
+from tests.storage.compaction_oracle import fresh_live, live_metas
 
 #: ``repro.obs`` re-exports the ``profile`` decorator under the module's name.
 obs_profile = importlib.import_module("repro.obs.profile")
@@ -427,7 +427,7 @@ def test_tiered_store_versions_and_rollups_match_a_serial_twin():
     assert threaded.ocean.stamp == serial.ocean.stamp > 0
     assert threaded.rollups() == serial.rollups()
     for i in range(N_THREADS):
-        assert list(threaded._live_parts(f"d{i}")) == fresh_live(threaded, f"d{i}")
+        assert live_metas(threaded, f"d{i}") == fresh_live(threaded, f"d{i}")
         assert threaded.query_archive(f"d{i}") == serial.query_archive(f"d{i}")
         assert threaded.query_rollup(f"r{i}") == serial.query_rollup(f"r{i}")
 

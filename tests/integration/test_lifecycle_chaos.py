@@ -27,6 +27,7 @@ from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.lineage import LineageCatalog
 from repro.perf.baseline import baseline_mode
 from repro.storage import DataClass, LifecycleManager, TieredStore, TierPolicy
+from tests.storage.compaction_oracle import open_handles
 
 N_PARTS = 6
 #: The injector wraps the store only after ingest, so put call 1 is the
@@ -69,7 +70,7 @@ def archive_bytes(ts):
     with baseline_mode():
         assert write_table(ts.scan_ocean("d")) == fast
     present = {m.key for m in ts.ocean.list(ts.OCEAN_BUCKET, prefix="d/")}
-    assert set(ts._handles) <= present
+    assert set(open_handles(ts)) <= present
     return fast
 
 
@@ -208,7 +209,7 @@ def mg_oracle():
 
 
 def live_epochs(ts):
-    return [len(ts._part_spans(p)) for p in ts._live_parts("d")]
+    return [len(p.spans) for p in ts._live_parts("d")]
 
 
 def assert_lineage_matches_store(ts):

@@ -19,6 +19,7 @@ from repro.perf import PERF
 from repro.perf.baseline import baseline_mode
 from repro.query import cache as qcache
 from repro.storage import DataClass, TierPolicy, TieredStore
+from tests.storage.compaction_oracle import open_handles
 
 N_PARTS = 6
 ROWS = 24  # per part: three row groups of eight
@@ -98,7 +99,7 @@ def test_answers_do_not_depend_on_what_the_cache_kept(queries, compact_at):
     evicted0 = PERF.counter("query.cache_evictions")
     for i, query in enumerate(PRELUDE + queries):
         if i == len(PRELUDE) + compact_at % len(queries):
-            doomed = {h.digest() for h in ts._handles.values()}
+            doomed = {h.digest() for h in open_handles(ts).values()}
             assert doomed & set(qcache._asked)
             assert ts.compact("d", min_objects=2)["merged"] == N_PARTS
             assert not doomed & set(qcache._token_keys)

@@ -24,7 +24,7 @@ class WholeTableStore(TieredStore):
         parts = self._live_parts(name)
         shapes = []
         for p in parts:
-            spans = self._part_spans(p)
+            spans = p.spans
             shapes.append(
                 (len(spans), sum(n for _, n in spans)) if spans else (1, None)
             )
@@ -32,12 +32,12 @@ class WholeTableStore(TieredStore):
         if n_merge == 0:
             return {"merged": 0, "bytes_before": 0, "bytes_after": 0}
         parts = parts[-n_merge:]
-        bytes_before = sum(p.size for p in parts)
+        bytes_before = sum(p.meta.size for p in parts)
         blobs = [self.ocean.get(self.OCEAN_BUCKET, p.key) for p in parts]
         tables = [read_table(b) for b in blobs]
         created_runs = []
         for p, t in zip(parts, tables):
-            spans = self._part_spans(p, t.num_rows) or [(p.created_at, t.num_rows)]
+            spans = p.spans_for(t.num_rows) or [(p.created_at, t.num_rows)]
             created_runs.append(
                 np.repeat([c for c, _ in spans], [n for _, n in spans])
             )
@@ -81,12 +81,21 @@ class WholeTableStore(TieredStore):
             policy=self.retry_policy,
             site="tier.ocean.put",
         )
-        self._rollup_observe(name, key, combined)
-        self._lineage_part(
-            name, key, combined.num_rows, replaces=tuple(p.key for p in parts)
-        )
+        for ru in self._rollups_for(name):
+            ru.observe_part(key, combined)
+            self._lineage_partial(ru.spec.name, key)
+        cat = self.lineage
+        if cat is not None:
+            nid = cat.record(
+                "part",
+                (self.OCEAN_BUCKET, key),
+                attrs={"dataset": name, "key": key, "rows": combined.num_rows},
+            )
+            cat.supersede(
+                nid, [cat.part_node(self.OCEAN_BUCKET, p.key) for p in parts]
+            )
         for p, old_blob in zip(parts, blobs):
-            self._delete_part(p, old_blob)
+            self._retire(p, old_blob)
         return {
             "merged": len(parts),
             "bytes_before": bytes_before,
@@ -111,7 +120,8 @@ def dump(store: TieredStore) -> list[tuple]:
 
 def fresh_live(store: TieredStore, name: str) -> list:
     """A dataset's live parts derived from a listing taken now — what
-    :meth:`TieredStore._live_parts` must hand out, memoized or not."""
+    :meth:`TieredStore._live_parts` must hand out (as ``ObjectMeta``),
+    memoized or not."""
     metas = store.ocean.list(store.OCEAN_BUCKET, prefix=f"{name}/")
     dead = set()
     for m in metas:
@@ -123,9 +133,23 @@ def fresh_live(store: TieredStore, name: str) -> list:
         )
 
     def ingest_order(m):
-        epoch = manifest.oldest_span_epoch(
-            m.user_meta.get(manifest.SPANS_META_KEY)
-        )
-        return (m.created_at if epoch is None else epoch, m.key)
+        spans = manifest.spans_from_meta(m.user_meta.get(manifest.SPANS_META_KEY))
+        return (spans[0][0] if spans else m.created_at, m.key)
 
     return sorted((m for m in metas if m.key not in dead), key=ingest_order)
+
+
+def live_metas(store: TieredStore, name: str) -> list:
+    """The ``ObjectMeta`` of each part :meth:`TieredStore._live_parts`
+    hands out, to compare with :func:`fresh_live`."""
+    return [p.meta for p in store._live_parts(name)]
+
+
+def open_handles(store: TieredStore, name: str = "d") -> dict:
+    """Part key -> read handle, for every part of the listing the store
+    last derived for ``name`` that holds one.  Nothing is derived here,
+    so asking parses no manifest and a part retired since that listing
+    shows up only if its handle outlived it."""
+    held = store._parts._listings.get(name)
+    present = held[2].present if held is not None else ()
+    return {p.key: p.reader for p in present if p.reader is not None}

@@ -93,7 +93,7 @@ def tiered_policy(**overrides):
 def live_shapes(ts, name="d"):
     """Live parts in ingest order as (key, epochs)."""
     return [
-        (p.key, len(ts._part_spans(p))) for p in ts._live_parts(name)
+        (p.key, len(p.spans)) for p in ts._live_parts(name)
     ]
 
 

@@ -88,6 +88,31 @@ class TestTick:
         assert len(ts.ocean.list(ts.OCEAN_BUCKET, prefix="d/")) == 1
         assert ts.scan_ocean("d") == oracle
 
+    def test_archival_finished_before_a_crash_is_reported_as_archived(self):
+        # Regression: the retried tick found the part on tape already and
+        # reported it as a deletion, though its rows are in GLACIER.
+        from repro.faults.injector import FaultInjector, FaultyObjectStore
+        from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
+
+        policy = TierPolicy(
+            lake_retention_s=None,
+            ocean_retention_s=2.5,
+            glacier=True,
+            compact_min_parts=2,
+        )
+        ts = make_store(policy)
+        ts.ocean = FaultyObjectStore(
+            ts.ocean,
+            FaultInjector(
+                FaultPlan([FaultSpec("tier.delete", FaultKind.CRASH, at_call=2)])
+            ),
+        )
+        report, restarts = LifecycleManager(ts).run_with_restarts(now=5.0)
+        assert restarts == 1
+        # The crashed attempt archived parts 0 and 1 and deleted part 0.
+        assert (report["ocean_archived"], report["ocean_deleted"]) == (2, 0)
+        assert ts.glacier.keys() == [f"d/part-{i:08d}.rcf" for i in range(3)]
+
     def test_run_with_restarts_survives_crash_loop(self):
         from repro.faults.injector import FaultInjector, FaultyObjectStore
         from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
@@ -188,7 +213,7 @@ class TestMangledSpansRetention:
             ts.ocean.get(ts.OCEAN_BUCKET, obj.key),
             created_at=obj.created_at,
             user_meta={
-                **obj.user_meta,
+                **obj.meta.user_meta,
                 manifest.SPANS_META_KEY: manifest.spans_to_meta(
                     [(0.0, 50), (9.0, 50)]  # 100 of 300 rows
                 ),

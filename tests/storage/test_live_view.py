@@ -1,7 +1,9 @@
-"""The memoized live-part view is the fresh derivation, always.
+"""The part table's live listing is the fresh derivation, always.
 
-:meth:`TieredStore._live_parts` answers from a per-dataset memo stamped
-with :attr:`ObjectStore.stamp`.  These tests move the store every way
+:meth:`TieredStore._live_parts` answers from the part table's
+per-dataset listing, stamped with :attr:`ObjectStore.stamp`, whose
+records carry over to the next derivation wherever a part's
+``ObjectMeta`` is the same object.  These tests move the store every way
 it can move — through the tier API, through a crash between a rewrite's
 commit put and its deletes, and behind the tier's back — and compare
 the view with ``fresh_live`` (a listing taken now) after every step.
@@ -18,7 +20,7 @@ from repro.faults.errors import SimulatedCrash
 from repro.faults.injector import FaultInjector, FaultyObjectStore
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.storage import DataClass, ObjectStore, TieredStore, TierPolicy
-from tests.storage.compaction_oracle import fresh_live
+from tests.storage.compaction_oracle import fresh_live, live_metas
 
 POLICY = TierPolicy(
     lake_retention_s=None, ocean_retention_s=25.0, glacier=True, row_group_size=8
@@ -45,7 +47,7 @@ def store(n_parts=0, datasets=("d",)):
 
 def assert_view_is_fresh(ts, names=("d",)):
     for name in names:
-        assert list(ts._live_parts(name)) == fresh_live(ts, name)
+        assert live_metas(ts, name) == fresh_live(ts, name)
 
 
 def count_lists(monkeypatch):

@@ -1,9 +1,9 @@
-"""Manifest parsers: parsed once per metadata string, shared safely.
+"""Manifest parsers: parsed once per part record, shared safely.
 
-The four ``*_from_meta`` parsers are memoized on the raw string, so one
-parse is handed to every caller that ever asks — it must be immutable —
-and an unreadable manifest must still degrade to None (the part stays
-scannable, it only loses the prune).
+A part's ``LivePart`` record runs each of the four ``*_from_meta``
+parsers at most once and hands that one parse to every caller that asks
+— so it must be immutable — and an unreadable manifest must still
+degrade to None (the part stays scannable, it only loses the prune).
 """
 
 import json
@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from repro.columnar import Col, ColumnTable
 from repro.columnar.file_format import write_table
 from repro.perf import PERF
-from repro.storage import DataClass, TieredStore, manifest
+from repro.storage import DataClass, ObjectMeta, TieredStore, manifest
+from repro.storage.parts import LivePart
 
 PARSERS = [
     (manifest.stats_from_meta, '{"t":[0.0,9.0],"p":[1.0,2.0,false],"s":null}'),
@@ -27,10 +28,19 @@ PARSERS = [
 ]
 
 
-@pytest.fixture(autouse=True)
-def cold_memos():
-    for parser, _ in PARSERS:
-        parser.cache_clear()
+#: The record property that runs each parser — named like its meta key.
+META_KEYS = {
+    manifest.stats_from_meta: manifest.STATS_META_KEY,
+    manifest.columns_from_meta: manifest.COLUMNS_META_KEY,
+    manifest.spans_from_meta: manifest.SPANS_META_KEY,
+    manifest.replaces_from_meta: manifest.REPLACES_META_KEY,
+}
+
+
+def record(meta_key, raw):
+    """A part record whose manifest holds only ``meta_key: raw``."""
+    user_meta = {} if raw is None else {meta_key: raw}
+    return LivePart(ObjectMeta("oda", "d/part-00000000.rcf", 0, 0.0, user_meta))
 
 
 def test_round_trip_values():
@@ -39,17 +49,24 @@ def test_round_trip_values():
     assert columns == ("t", "p", "s")
     assert spans == ((0.0, 20), (1.0, 30))
     assert replaces == ("d/part-00000000.rcf", "d/part-00000001.rcf")
-    assert manifest.oldest_span_epoch(PARSERS[2][1]) == 0.0
+    assert record(manifest.SPANS_META_KEY, PARSERS[2][1]).spans[0][0] == 0.0
 
 
 @pytest.mark.parametrize("parser,raw", PARSERS)
 def test_each_string_is_parsed_once(parser, raw):
+    """... by the record that carries it; a new record — a new part, or
+    the same part seen by a restarted store — parses afresh."""
+    meta_key = META_KEYS[parser]
+    part = record(meta_key, raw)
     parses0 = PERF.counter("manifest.parses")
-    first = parser(raw)
+    first = getattr(part, meta_key)
     assert PERF.counter("manifest.parses") - parses0 == 1
-    assert parser(raw) is first
-    assert parser(str(raw)) is first
+    assert getattr(part, meta_key) is first
+    assert getattr(part, meta_key) is first
     assert PERF.counter("manifest.parses") - parses0 == 1
+    assert first == parser(raw)
+    assert getattr(record(meta_key, str(raw)), meta_key) == first
+    assert PERF.counter("manifest.parses") - parses0 == 3
 
 
 def test_shared_parses_cannot_be_mutated():
@@ -75,8 +92,8 @@ def test_wrong_shape_is_none():
     assert manifest.replaces_from_meta('{"a":1}') is None
     assert manifest.spans_from_meta("[[0.0,20],[1.0]]") is None
     assert manifest.spans_from_meta("[[0.0,20],7]") is None
-    assert manifest.oldest_span_epoch("[]") is None
-    assert manifest.oldest_span_epoch(None) is None
+    assert record(manifest.SPANS_META_KEY, "[]").spans is None
+    assert record(manifest.SPANS_META_KEY, None).spans is None
 
 
 # -- valid JSON of the wrong shape ---------------------------------------------
@@ -209,9 +226,7 @@ def test_parsers_never_raise_on_arbitrary_json(value):
         for epoch, rows in spans:
             assert type(epoch) is float and math.isfinite(epoch)
             assert type(rows) is int and rows >= 0
-    assert manifest.oldest_span_epoch(raw) in (
-        None if not spans else spans[0][0],
-    )
+    assert record(manifest.SPANS_META_KEY, raw).spans == (spans or None)
     for parser in (manifest.columns_from_meta, manifest.replaces_from_meta):
         names = parser(raw)
         assert names is None or all(type(n) is str for n in names)

@@ -1,11 +1,12 @@
 """Part read handles: opened once, valid for their bytes, dropped on delete.
 
-``TieredStore`` keeps one open ``RcfReader`` per live OCEAN part it has
-fetched, so a repeated scan pays neither the content hash, the footer
-and header parses, nor the manifest JSON again.  These tests pin that
-with exact, clock-free work counters (``query.parts_opened``,
-``query.bytes_hashed``, ``manifest.parses``), and hold the handle table
-to its contract: a handle answers only for the bytes it was opened on,
+Each ``LivePart`` record of the tier store's part table holds the open
+``RcfReader`` of the bytes a scan fetched, and its manifest entries
+parsed once, so a repeated scan pays neither the content hash, the
+footer and header parses, nor the manifest JSON again.  These tests pin
+that with exact, clock-free work counters (``query.parts_opened``,
+``query.bytes_hashed``, ``manifest.parses``), and hold the handles to
+their contract: a handle answers only for the bytes it was opened on,
 never outlives its part, and is never consulted by the oracle.
 """
 
@@ -21,6 +22,7 @@ from repro.perf import PERF
 from repro.perf.baseline import baseline_mode
 from repro.query import clear_row_group_cache, row_group_cache_stats
 from repro.storage import DataClass, ObjectStore, TierPolicy, TieredStore, manifest
+from tests.storage.compaction_oracle import open_handles
 
 N_PARTS = 4
 COUNTERS = ("query.parts_opened", "query.bytes_hashed", "manifest.parses")
@@ -39,15 +41,8 @@ def batch(t_start, n=20):
 
 @pytest.fixture(autouse=True)
 def isolated():
-    """Counter deltas below are exact only from cold process-wide memos."""
+    """Cache-entry counts below are exact only from a cold cache."""
     clear_row_group_cache()
-    for parser in (
-        manifest.stats_from_meta,
-        manifest.columns_from_meta,
-        manifest.spans_from_meta,
-        manifest.replaces_from_meta,
-    ):
-        parser.cache_clear()
     yield
     clear_row_group_cache()
 
@@ -88,7 +83,7 @@ def assert_fast_equals_oracle(ts, *args, **kwargs):
     fast = write_table(ts.query_archive("d", *args, **kwargs))
     with baseline_mode():
         assert write_table(ts.query_archive("d", *args, **kwargs)) == fast
-    assert set(ts._handles) <= present_keys(ts)
+    assert set(open_handles(ts)) <= present_keys(ts)
     return fast
 
 
@@ -115,30 +110,35 @@ class TestWorkCounters:
             lambda: store.query_archive("d", 100.0, 120.0)
         )
         assert (opened, hashed) == (1, part_sizes(store)[1])
-        assert list(store._handles) == ["d/part-00000001.rcf"]
+        assert list(open_handles(store)) == ["d/part-00000001.rcf"]
 
     def test_compaction_retires_k_handles_and_next_query_opens_one(self, store):
         store.query_archive("d")
-        assert len(store._handles) == N_PARTS
+        assert len(open_handles(store)) == N_PARTS
         merged = store.compact("d", min_objects=2)["merged"]
         assert merged == N_PARTS
-        assert store._handles == {}
+        assert open_handles(store) == {}
         _, (opened, hashed, parses) = work(lambda: store.query_archive("d"))
         assert (opened, hashed) == (1, part_sizes(store)[0])
-        # The merged part's stats, spans and replaces manifests; its
-        # schema is the string the inputs carried, parsed long ago.
-        assert parses == 3
+        # The merged part is a new record: its replaces, spans, stats
+        # and schema manifests, each parsed once — the schema string is
+        # the inputs', but parses belong to records, not to strings.
+        assert parses == 4
         assert work(lambda: store.query_archive("d"))[1] == (0, 0, 0)
 
     def test_store_restart_reopens_each_scanned_part_once(self, store):
         want = store.query_archive("d")
+        parses0 = PERF.counter("manifest.parses")
         restarted = build_store(ocean=store.ocean)
+        # A new store holds no record yet: registering lists the parts,
+        # which parses their spans (ingest order) once.
+        assert PERF.counter("manifest.parses") - parses0 == N_PARTS
         sizes = part_sizes(store)
         _, (opened, hashed, parses) = work(
             lambda: restarted.query_archive("d", 100.0, 120.0)
         )
         assert (opened, hashed) == (1, sizes[1])
-        assert parses == 0  # the manifest strings are the same strings
+        assert parses == N_PARTS + 1  # every part's stats, the schema once
         got, (opened, hashed, _) = work(lambda: restarted.query_archive("d"))
         assert (opened, hashed) == (N_PARTS - 1, sum(sizes) - sizes[1])
         assert got == want
@@ -148,7 +148,7 @@ class TestWorkCounters:
         with baseline_mode():
             ref, (opened, hashed, _) = work(lambda: store.query_archive("d"))
         assert (opened, hashed) == (0, 0)
-        assert store._handles == {}
+        assert open_handles(store) == {}
         assert store.query_archive("d") == ref
         # Nor does it read through handles the fast path left behind.
         with baseline_mode():
@@ -200,7 +200,7 @@ class TestHandleValidity:
         _, (opened, hashed, _) = work(lambda: ts.query_archive("d"))
         assert (opened, hashed) == (N_PARTS, sum(part_sizes(ts)))
         assert assert_fast_equals_oracle(ts) == first
-        assert len(ts._handles) == N_PARTS  # replaced in place, not piled up
+        assert len(open_handles(ts)) == N_PARTS  # replaced in place, not piled up
 
     def test_corrupted_part_releases_its_cached_groups_on_delete(self):
         # Regression: the manifest digest is taken from the clean blob
@@ -221,12 +221,12 @@ class TestHandleValidity:
         ts.query_archive("d")
         assert row_group_cache_stats()["entries"] > before
         assert (
-            ts._handles[corrupted].digest()
+            open_handles(ts)[corrupted].digest()
             != head.user_meta[manifest.DIGEST_META_KEY]
         )
         ts.compact("d", min_objects=2)
         assert row_group_cache_stats()["entries"] == before
-        assert ts._handles == {}
+        assert open_handles(ts) == {}
 
 
 class TestLifecycleEquivalence:
@@ -247,7 +247,7 @@ class TestLifecycleEquivalence:
             ts.ingest("d", batch(i * 100.0), now=float(i))
             assert_fast_equals_oracle(ts)
         everything = assert_fast_equals_oracle(ts)
-        assert len(ts._handles) == N_PARTS
+        assert len(open_handles(ts)) == N_PARTS
 
         # Compaction commits, then dies before its first delete: all
         # four inputs are superseded but present, handles and all.
@@ -259,19 +259,19 @@ class TestLifecycleEquivalence:
 
         # The sweep deletes them; each swept key drops its handle.
         assert ts.sweep_superseded("d") == N_PARTS
-        assert list(ts._handles) == sorted(present_keys(ts))
-        assert len(ts._handles) == 1
+        assert list(open_handles(ts)) == sorted(present_keys(ts))
+        assert len(open_handles(ts)) == 1
         assert assert_fast_equals_oracle(ts) == everything
 
         # Retention splits the merged part: epochs 0 and 1 expire, the
         # remainder is rewritten under a fresh key and opened afresh.
-        merged_key = next(iter(ts._handles))
+        merged_key = next(iter(open_handles(ts)))
         report = ts.enforce(now=5.0)
         assert report["ocean_rewritten"] == 1
-        assert merged_key not in ts._handles
+        assert merged_key not in open_handles(ts)
         remainder = assert_fast_equals_oracle(ts)
         assert remainder != everything
         assert remainder == write_table(
             ColumnTable.concat([batch(200.0), batch(300.0)])
         )
-        assert list(ts._handles) == sorted(present_keys(ts))
+        assert list(open_handles(ts)) == sorted(present_keys(ts))

@@ -24,7 +24,12 @@ from repro.columnar.file_format import read_table, write_table
 from repro.perf import PERF
 from repro.storage import DataClass, TieredStore, TierPolicy, manifest
 from repro.storage.rollup import RollupSpec
-from tests.storage.compaction_oracle import WholeTableStore, dump, fresh_live
+from tests.storage.compaction_oracle import (
+    WholeTableStore,
+    dump,
+    fresh_live,
+    live_metas,
+)
 
 ROW_GROUP = 8
 
@@ -82,7 +87,7 @@ def compact_both(stores, expect=None, min_objects=4):
     after = merges()
     assert oracle.compact("d", min_objects=min_objects) == report
     assert dump(new) == dump(oracle)
-    assert list(new._live_parts("d")) == fresh_live(new, "d")
+    assert live_metas(new, "d") == fresh_live(new, "d")
     if expect is not None:
         assert report["merged"] > 0
         went = (after[0] - before[0], after[1] - before[1])
@@ -132,7 +137,7 @@ class TestNamedCases:
                 s.ingest("d", table(i * 100.0, 10), now=7.0)  # one epoch
         compact_both(stores, "in_order")
         (meta,) = stores[0]._live_parts("d")
-        assert stores[0]._part_spans(meta) == ((7.0, 40),)
+        assert meta.spans == ((7.0, 40),)
 
     def test_equal_epochs_interleaved_in_time_are_sorted(self):
         stores = pair()
@@ -196,14 +201,14 @@ class TestNamedCases:
                 s.ocean.get(s.OCEAN_BUCKET, obj.key),
                 created_at=obj.created_at,
                 user_meta={
-                    **obj.user_meta,
+                    **obj.meta.user_meta,
                     manifest.SPANS_META_KEY: manifest.spans_to_meta(bogus),
                 },
                 overwrite=True,
             )
         compact_both(stores, "in_order")
         (meta,) = stores[0]._live_parts("d")
-        assert stores[0]._part_spans(meta) == tuple(
+        assert meta.spans == tuple(
             (float(i), 9) for i in range(4)
         )
 
@@ -360,9 +365,9 @@ class TestTheSuiteBites:
         anything, the unsorted case must stop matching its oracle —
         the comparison above is what stands between a wrong proof and
         a misordered part."""
-        from repro.storage import tiers
+        from repro.storage import compaction
 
-        monkeypatch.setattr(tiers, "_time_in_order", lambda *a: True)
+        monkeypatch.setattr(compaction, "_time_in_order", lambda *a: True)
         stores = pair()
         shuffle = np.random.default_rng(0).permutation(12)
         for i in range(4):
@@ -422,9 +427,7 @@ class TestGeneratedHistories:
                 reports = [s.enforce(now=25.0 + now / 2) for s in stores]
                 assert reports[0] == reports[1]
                 assert dump(stores[0]) == dump(stores[1])
-                assert list(stores[0]._live_parts("d")) == fresh_live(
-                    stores[0], "d"
-                )
+                assert live_metas(stores[0], "d") == fresh_live(stores[0], "d")
         assert stores[0].query_archive("d") == stores[1].query_archive("d")
 
 
@@ -482,7 +485,7 @@ class TestMemory:
         # streamed one holds the encoded output and a few row groups.
         assert peak < decoded + 4 * row_group
         (part,) = store._live_parts("d")
-        assert sum(n for _, n in store._part_spans(part)) == 1_040_000
+        assert sum(n for _, n in part.spans) == 1_040_000
 
     def test_unsorted_history_still_sorts_within_the_old_bound(self):
         store, decoded = self._store(TieredStore, 6_000, shuffle_part=20)
