@@ -47,14 +47,18 @@ lifecycle:
 
 # Read-plane suite: planner and scan soundness, the row-group cache
 # (token index, frequency-gated admission pinned on trace replays,
-# answers identical with the cache on/off), manifest pruning and
+# answers identical with the cache on/off), raw PLAIN chunks read in
+# place (views of the part, never cached), manifest pruning and
 # manifests parsed once per part record, the part read handles (opened
 # once, valid for their bytes, dropped on delete) with their pinned work
 # counters, and
 # LAKE segment coalescing against its piece-list oracle — see
 # DESIGN.md §11.
 read-plane:
-	$(PYTHON) -m pytest -x -q tests/query tests/storage/test_query_archive.py \
+	$(PYTHON) -m pytest -x -q tests/query/test_plan.py \
+		tests/query/test_scan_soundness.py tests/query/test_cache.py \
+		tests/query/test_cache_equivalence.py tests/query/test_raw_views.py \
+		tests/storage/test_query_archive.py \
 		tests/storage/test_part_handles.py tests/storage/test_manifest.py \
 		tests/storage/test_lake.py
 

@@ -54,17 +54,18 @@ def _dtype_token(dtype: np.dtype) -> bytes:
     return token.ljust(8, b" ")
 
 
-def _parse_dtype(token: bytes) -> np.dtype:
-    return np.dtype(token.decode("ascii").strip())
+def _parse_dtype(token: bytes | memoryview) -> np.dtype:
+    return np.dtype(bytes(token).decode("ascii").strip())
 
 
 def _encode_plain(arr: np.ndarray) -> bytes:
     return _dtype_token(arr.dtype) + np.ascontiguousarray(arr).tobytes()
 
 
-def _decode_plain(buf: bytes) -> np.ndarray:
-    dtype = _parse_dtype(buf[:8])
-    return np.frombuffer(buf[8:], dtype=dtype).copy()
+def _decode_plain(buf: bytes | memoryview) -> np.ndarray:
+    # One copy, into a fresh (aligned, owned) array: ``buf`` may be a
+    # memoryview into a whole part.
+    return np.frombuffer(buf, dtype=_parse_dtype(buf[:8]), offset=8).copy()
 
 
 def _run_lengths(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +187,7 @@ def decode_dictionary_parts(buf: bytes) -> tuple[np.ndarray, np.ndarray, bool]:
         for i in range(n_vocab):
             (slen,) = struct.unpack_from("<I", buf, pos)
             pos += 4
-            vocab[i] = buf[pos : pos + slen].decode("utf-8")
+            vocab[i] = str(buf[pos : pos + slen], "utf-8")
             pos += slen
         codes = np.frombuffer(buf, dtype=np.int32, offset=off + blob_len)
         return vocab, codes, True
@@ -208,7 +209,7 @@ def _decode_dictionary(buf: bytes) -> np.ndarray:
         for _ in range(n_vocab):
             (slen,) = struct.unpack_from("<I", buf, pos)
             pos += 4
-            vocab.append(buf[pos : pos + slen].decode("utf-8"))
+            vocab.append(str(buf[pos : pos + slen], "utf-8"))
             pos += slen
         codes = np.frombuffer(buf, dtype=np.int32, offset=off + blob_len)
         out = np.empty(codes.size, dtype=object)
@@ -250,8 +251,9 @@ def encode_column(arr: np.ndarray, encoding: int) -> bytes:
         raise ValueError(f"unknown encoding {encoding}") from None
 
 
-def decode_column(buf: bytes, encoding: int) -> np.ndarray:
-    """Invert :func:`encode_column`."""
+def decode_column(buf: bytes | memoryview, encoding: int) -> np.ndarray:
+    """Invert :func:`encode_column` into an array that owns its data
+    (``buf`` may be a memoryview into a larger buffer)."""
     try:
         return _DECODERS[encoding](buf)
     except KeyError:

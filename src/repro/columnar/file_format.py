@@ -309,7 +309,7 @@ class RcfWriter:
             )
             meta = reader._group(donor).chunks[name]
             raw = decompress(reader._payload(meta), meta.codec)
-            self._vocab_donors[name] = (donor, _vocab_section(raw))
+            self._vocab_donors[name] = (donor, bytes(_vocab_section(raw)))
         return n
 
     def _encode_group(self, chunk: ColumnTable) -> bytes:
@@ -492,6 +492,9 @@ class _ChunkMeta:
     stats: tuple[object, object] | None
     payload_offset: int
     payload_len: int
+    #: What :meth:`RcfReader.raw_view` hands out for this chunk, made on
+    #: the first ask (None until then, and for every other chunk).
+    view: np.ndarray | None = None
 
 
 @dataclass
@@ -509,9 +512,10 @@ class RcfReader:
     first time that group is touched.
 
     A reader holds no scan state — only the buffer, the parsed footer
-    and headers, and the lazily computed digest — so one instance can
-    serve any number of scans of the same bytes (the tier store keeps
-    one per live part, see DESIGN.md §15 "The part table").
+    and headers (with each raw chunk's view), and the lazily computed
+    digest — so one instance can serve any number of scans of the same
+    bytes (the tier store keeps one per live part, see DESIGN.md §15
+    "The part table").
     """
 
     def __init__(self, buf: bytes) -> None:
@@ -643,14 +647,45 @@ class RcfReader:
         return self._group(group).chunks[name].encoding
 
     def decode_group_column(self, group: int, name: str) -> np.ndarray:
-        """Decode exactly one chunk — the late-materialization entry
-        point: the scan executor decodes predicate columns first and
-        calls back here only for groups that survive."""
+        """Decode exactly one chunk into an aligned array that owns its
+        data — the late-materialization entry point: the scan executor
+        decodes predicate columns first and calls back here only for
+        groups that survive."""
         meta = self._group(group).chunks[name]
         if meta.encoding == DICT_REF:
             vocab, codes = self._dict_ref_parts(meta, name)
             return _materialize_string_dictionary(vocab, codes)
         return self._decode_chunk(meta)
+
+    def raw_view(self, group: int, name: str) -> np.ndarray | None:
+        """A read-only view of one chunk's values inside :attr:`buffer`,
+        or None unless the chunk is PLAIN, stored raw (codec ``none``)
+        and of a fixed-width numeric or bool dtype.
+
+        Such a chunk's decode is only a copy, so scans read it in place
+        instead.  The view is made once per chunk and kept with the
+        chunk's parsed header; it is unaligned and keeps the whole buffer
+        alive, so everything that keeps or rewrites rows uses the owning
+        :meth:`decode_group_column`.
+        """
+        meta = self._group(group).chunks[name]
+        if meta.view is not None:
+            return meta.view
+        if meta.encoding != _enc.PLAIN or meta.codec != "none":
+            return None
+        off = meta.payload_offset
+        dtype = _enc._parse_dtype(self._buf[off : off + 8])
+        if dtype.kind not in "biuf":
+            return None
+        view = np.frombuffer(
+            self._buf,
+            dtype=dtype,
+            count=(meta.payload_len - 8) // dtype.itemsize,
+            offset=off + 8,
+        )
+        view.setflags(write=False)
+        meta.view = view
+        return view
 
     def group_bytes(self, group: int) -> bytes:
         """One row group's encoded body as it sits in the file (v2)."""
@@ -693,8 +728,10 @@ class RcfReader:
             ).hexdigest()
         return self._digest
 
-    def _payload(self, meta: _ChunkMeta) -> bytes:
-        return self._buf[
+    def _payload(self, meta: _ChunkMeta) -> memoryview:
+        """One chunk's payload, not copied: the decoders copy out of it
+        (once) into arrays of their own."""
+        return memoryview(self._buf)[
             meta.payload_offset : meta.payload_offset + meta.payload_len
         ]
 

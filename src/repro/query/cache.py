@@ -3,7 +3,10 @@
 Dashboards re-ask near-identical questions of the same recent parts
 (Fig. 6's point: the dashboard wins because repeated looks are cheap),
 so the expensive step — decompress + decode of one (part, row group,
-column) chunk — is cached under the part's *content digest*.  Keys are
+column) chunk — is cached under the part's *content digest*.  Only
+chunks that cost a decode come here: a raw PLAIN chunk is read in place
+as a view of the part's bytes (``RcfReader.raw_view``) and never cached,
+so it takes no budget and pushes nothing out.  Keys are
 content-addressed, so a compaction that rewrites parts can never serve
 stale data; explicit invalidation (by token) exists purely to release
 memory the moment a part is deleted.

@@ -6,9 +6,12 @@ row group it (1) tests the predicate against the group's min/max stats
 the predicate's own columns, pushing ``Compare``/``IsIn`` down to
 dictionary codes so a dict-encoded column is judged on its (tiny)
 vocabulary instead of its rows; (3) decodes the remaining projected
-columns only for groups with surviving rows.  Decoded columns flow
-through the bounded row-group cache, so repeated dashboard queries over
-the same parts skip the decode entirely.
+columns only for groups with surviving rows.  A chunk whose decode
+would only copy it — PLAIN, stored raw, fixed-width numeric or bool —
+is read in place as a view of the part's bytes and never cached; every
+other chunk is decoded through the bounded row-group cache, so repeated
+dashboard queries over the same parts skip the decode entirely, and the
+cache's budget goes only to chunks that cost a decode.
 
 Soundness contract: every mask computed here must equal the brute-force
 ``predicate.mask`` over the fully decoded data — the property tests in
@@ -100,9 +103,9 @@ def scan_part(
     passing one saves the open, the header parses and the content hash
     a fresh reader would repeat.
 
-    Arrays in the result may be views of the read-only row-group cache;
-    callers that mutate query output must copy first (the same contract
-    the zero-copy broker slices established in PR 1).
+    Arrays in the result may be read-only views of the row-group cache
+    or of ``blob`` itself; callers that mutate query output must copy
+    first (the contract of the zero-copy broker slices).
     """
     if reader is None:
         reader = RcfReader(blob)
@@ -125,12 +128,10 @@ def scan_part(
                 PERF.count("query.groups_empty")
                 continue
             if mask.all():
-                mask = None  # keep whole-group columns as cache views
+                mask = None  # keep whole-group columns as views
         data = {}
         for n in out_cols:
-            arr = cached_column(
-                token, g, n, lambda col=n: reader.decode_group_column(g, col)
-            )
+            arr = _column(reader, g, n, token)
             data[n] = arr if mask is None else arr[mask]
         PERF.count("query.groups_decoded")
         pieces.append(ColumnTable(data))
@@ -158,12 +159,7 @@ def _group_mask(
     if isinstance(pred, (Compare, IsIn)):
         return _leaf_mask(reader, group, pred, token)
     # Unknown node type: decode its columns and fall back to exact mask.
-    data = {
-        n: cached_column(
-            token, group, n, lambda col=n: reader.decode_group_column(group, col)
-        )
-        for n in pred.columns()
-    }
+    data = {n: _column(reader, group, n, token) for n in pred.columns()}
     return pred.mask(ColumnTable(data))
 
 
@@ -196,7 +192,17 @@ def _leaf_mask(
             )
         lut = np.asarray(pred.mask_array(values), dtype=bool)
         return lut[codes]
-    arr = cached_column(
+    arr = _column(reader, group, name, token)
+    return np.asarray(pred.mask_array(arr), dtype=bool)
+
+
+def _column(reader: RcfReader, group: int, name: str, token: str) -> np.ndarray:
+    """One chunk's values: a view into the part's bytes when the chunk
+    is stored raw (nothing to decode, so nothing to cache), else the
+    cached decode."""
+    view = reader.raw_view(group, name)
+    if view is not None:
+        return view
+    return cached_column(
         token, group, name, lambda: reader.decode_group_column(group, name)
     )
-    return np.asarray(pred.mask_array(arr), dtype=bool)

@@ -2,10 +2,11 @@
 
 Random tables (NaN floats, null strings, dict-friendly low-cardinality
 columns) and random predicate trees, executed three ways — fast,
-cache-disabled, and the decode-everything reference — must all agree with the plain ``predicate.mask`` filter over the
-concatenated data.  This is the one assertion that covers row-group
-pruning, dictionary-code pushdown, late materialization, and the cache
-at once.
+cache-disabled, and the decode-everything reference — must all agree
+with the plain ``predicate.mask`` filter over the concatenated data.
+This is the one assertion that covers row-group pruning,
+dictionary-code pushdown, late materialization, raw chunks read in
+place, and the cache at once.
 """
 
 import numpy as np
@@ -114,7 +115,7 @@ def build_plan(tables, blobs, t0, t1, predicate, columns, with_stats=True):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_random_queries_match_brute_force(seed):
+def test_random_queries_match_brute_force(seed, monkeypatch):
     rng = np.random.default_rng(seed)
     tables = [random_table(rng, int(rng.integers(50, 200))) for _ in range(3)]
     blobs = [write_table(t, row_group_size=32) for t in tables]
@@ -129,25 +130,42 @@ def test_random_queries_match_brute_force(seed):
         if rng.random() < 0.5
         else ["timestamp", "power", "project"]
     )
-    expected = brute_force(tables, t0, t1, predicate, columns)
-    plan = build_plan(tables, blobs, t0, t1, predicate, columns)
+    views = []
+    raw_view = RcfReader.raw_view
 
-    serial = execute_plan(plan)
-    reference = execute_plan_reference(plan)
-    with row_group_cache_disabled():
-        uncached = execute_plan(plan)
-    # A second run exercises warm-cache hits.
-    warm = execute_plan(plan)
+    def counted(reader, group, name):
+        view = raw_view(reader, group, name)
+        if view is not None:
+            views.append(name)
+        return view
 
-    for out in (serial, reference, uncached, warm):
-        assert out.num_rows == expected.num_rows
-        assert list(out.column_names) == list(expected.column_names)
-        for c in expected.column_names:
-            a, b = out[c], expected[c]
-            if a.dtype == object or b.dtype == object:
-                assert [x for x in a.tolist()] == [x for x in b.tolist()]
-            else:
-                assert np.array_equal(a, b, equal_nan=True)
+    monkeypatch.setattr(RcfReader, "raw_view", counted)
+    # The random query, then the same projection unfiltered — which
+    # scans every group, so every run reaches the raw chunks.
+    for t0, t1, predicate in ((t0, t1, predicate), (None, None, None)):
+        expected = brute_force(tables, t0, t1, predicate, columns)
+        plan = build_plan(tables, blobs, t0, t1, predicate, columns)
+
+        serial = execute_plan(plan)
+        reference = execute_plan_reference(plan)
+        with row_group_cache_disabled():
+            uncached = execute_plan(plan)
+        # A second run exercises warm-cache hits.
+        warm = execute_plan(plan)
+
+        for out in (serial, reference, uncached, warm):
+            assert out.num_rows == expected.num_rows
+            assert list(out.column_names) == list(expected.column_names)
+            for c in expected.column_names:
+                a, b = out[c], expected[c]
+                if a.dtype == object or b.dtype == object:
+                    assert [x for x in a.tolist()] == [x for x in b.tolist()]
+                else:
+                    assert np.array_equal(a, b, equal_nan=True)
+        assert write_table(serial) == write_table(reference)
+        assert write_table(uncached) == write_table(reference)
+    # Noisy float chunks of 32 rows are stored raw and read in place.
+    assert views
 
 
 @pytest.mark.parametrize("seed", range(6))
