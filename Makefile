@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-quick bench-e2e-smoke bench-query bench-serving chaos lifecycle read-plane lineage lint lint-json obs-report
+.PHONY: test bench bench-quick bench-e2e-smoke bench-query bench-serving chaos equivalence lifecycle read-plane lineage lint lint-json obs-report
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -11,6 +11,18 @@ test:
 # a fault-free run — see DESIGN.md §10.
 chaos:
 	$(PYTHON) -m pytest -x -q tests/faults tests/integration/test_crash_recovery.py
+
+# Fast path vs. reference path: every fast-path decision follows the
+# one switch, repro.perf.baseline_mode(), and the two paths answer the
+# same bytes — framework windows and archive queries, the switch's
+# depth counter from overlapping threads, batched vs. reference
+# emission, the columnar memos, factorize and the row-group cache —
+# see DESIGN.md §8.
+equivalence:
+	$(PYTHON) -m pytest -x -q tests/core/test_parallel_equivalence.py \
+		tests/core/test_race_fixes.py tests/telemetry/test_batch_emit.py \
+		tests/columnar/test_encoding_memo.py tests/pipeline/test_factorize.py \
+		tests/query/test_cache_equivalence.py
 
 bench:
 	$(PYTHON) -m pytest -q benchmarks/
@@ -47,7 +59,8 @@ lifecycle:
 
 # Read-plane suite: planner and scan soundness, the row-group cache
 # (token index, frequency-gated admission pinned on trace replays,
-# answers identical with the cache on/off), raw PLAIN chunks read in
+# answers identical with the cache on and under baseline_mode()), raw
+# PLAIN chunks read in
 # place (views of the part, never cached), manifest pruning and
 # manifests parsed once per part record, the part read handles (opened
 # once, valid for their bytes, dropped on delete) with their pinned work

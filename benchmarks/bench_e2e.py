@@ -1,10 +1,10 @@
 """End-to-end data-plane benchmark: fast path vs. serial baseline.
 
 Runs the same fixed-seed multi-window :meth:`ODAFramework.run` twice —
-once with the default (batched, memoized) data plane and once with
-``DataPlaneOptions.serial_baseline()`` under
-:func:`repro.perf.baseline_mode` (every fast-path cache and the
-vectorized emitters disabled) — asserts the outputs are identical, and
+once with the default (batched, memoized) data plane and once with the
+same ``DataPlaneOptions()`` under :func:`repro.perf.baseline_mode`
+(every fast-path cache and the vectorized emitters disabled) — asserts
+the outputs are identical, and
 writes ``BENCH_e2e.json`` at the repo root with wall time, rows/s,
 bytes/s, the per-stage :data:`repro.perf.PERF` breakdown for both
 configurations, and the speedup.
@@ -60,14 +60,13 @@ def run_once(machine, allocation, n_windows, window_s, *, baseline, obs=True):
     perf snapshot).  ``obs=False`` switches the tracer and metrics off
     for the run — the no-observability control the overhead ratio is
     measured against."""
-    options = (
-        DataPlaneOptions.serial_baseline() if baseline else DataPlaneOptions()
-    )
     reset_all()
     TRACER.enabled = obs
     METRICS.enabled = obs
     try:
-        with ODAFramework(machine, allocation, seed=7, options=options) as fw:
+        with ODAFramework(
+            machine, allocation, seed=7, options=DataPlaneOptions()
+        ) as fw:
             t0 = time.perf_counter()
             if baseline:
                 with baseline_mode():

@@ -63,8 +63,8 @@ DATA_PLANE_PACKAGES = frozenset(
 #: wall-clock by design).
 RNG_ALLOWLIST_MODULES = ("repro.util.rng", "repro.perf")
 
-#: Module that must register every fast-path reference toggle
-#: (ORACLE003).
+#: Module holding the one fast-path switch every oracle-pairing module
+#: must read (ORACLE001).
 BASELINE_MODULE = "repro.perf.baseline"
 
 #: Package whose error paths must raise the typed broker errors

@@ -12,10 +12,6 @@ Per module, each rule sees::
                                # rule.node_types, in document order
     end_module(ctx)            # emit findings needing whole-module view
 
-and once per run, after every file::
-
-    finalize(checker)          # cross-module contracts (e.g. ORACLE003)
-
 ``ModuleContext`` carries the parsed tree, the dotted module name, an
 import-alias resolver (``qualified_name``) and the lexical ancestor
 stack, so rules stay small.
@@ -48,7 +44,7 @@ class Rule:
 
     Subclasses set ``id``/``name``/``description``/``severity`` and
     ``node_types`` (the AST classes they want dispatched), then override
-    any of the four hooks.  A rule instance lives for a whole run, so
+    any of the three hooks.  A rule instance lives for a whole run, so
     per-module state must be reset in :meth:`begin_module`.
     """
 
@@ -67,9 +63,6 @@ class Rule:
     def end_module(self, ctx: "ModuleContext") -> None:
         pass
 
-    def finalize(self, checker: "Checker") -> None:
-        pass
-
 
 @dataclass
 class ModuleContext:
@@ -85,9 +78,6 @@ class ModuleContext:
     ancestors: list[ast.AST] = field(default_factory=list)
     scope: list[ast.AST] = field(default_factory=list)
     aliases: dict[str, str] = field(default_factory=dict)
-    #: Per-module records rules stash in ``end_module`` for their
-    #: ``finalize`` pass, keyed by rule id.
-    records: dict[str, object] = field(default_factory=dict)
 
     @property
     def package(self) -> str:
@@ -242,15 +232,11 @@ def iter_python_files(paths: list[str]) -> list[str]:
 
 
 class Checker:
-    """Runs a set of rules over files; collects findings and the
-    per-module records cross-module rules read in ``finalize``."""
+    """Runs a set of rules over files and collects their findings."""
 
     def __init__(self, rules: list[Rule]):
         self.rules = rules
         self.findings: list[Finding] = []
-        #: module name -> arbitrary per-rule records, populated by rules
-        #: during end_module for use in finalize (keyed by rule id).
-        self.module_records: dict[str, dict[str, object]] = {}
         self._dispatch: dict[type, list[Rule]] = {}
         for rule in rules:
             for node_type in rule.node_types:
@@ -276,8 +262,6 @@ class Checker:
         self._walk(tree, ctx)
         for rule in self.rules:
             rule.end_module(ctx)
-        if ctx.records:
-            self.module_records[ctx.module or ctx.path] = dict(ctx.records)
         self.findings.extend(ctx.findings)
         return ctx.findings
 
@@ -316,7 +300,5 @@ class Checker:
                         message=f"syntax error: {exc.msg}",
                     )
                 )
-        for rule in self.rules:
-            rule.finalize(self)
         self.findings.sort()
         return self.findings

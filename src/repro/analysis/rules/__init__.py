@@ -21,11 +21,7 @@ from repro.analysis.rules.exceptions import (
     TransientCatchOutsideRetry,
 )
 from repro.analysis.rules.imports import LayerViolation
-from repro.analysis.rules.oracle import (
-    FastWithoutOracle,
-    PairWithoutToggle,
-    ToggleNotInBaseline,
-)
+from repro.analysis.rules.oracle import FastWithoutOracle, PairWithoutToggle
 
 __all__ = ["ALL_RULE_CLASSES", "make_rules", "select_rules"]
 
@@ -39,7 +35,6 @@ ALL_RULE_CLASSES: tuple[type[Rule], ...] = (
     UnlockedToggle,
     PairWithoutToggle,
     FastWithoutOracle,
-    ToggleNotInBaseline,
     BareExcept,
     SwallowedException,
     StreamUntypedRaise,

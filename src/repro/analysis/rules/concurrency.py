@@ -5,8 +5,8 @@ The memo caches (``factorize._cache``, ``encodings._memo``,
 cache are module-level containers.  The library itself runs every
 window, scan and request on the calling thread (DESIGN.md §8), but
 callers may drive it from threads of their own, so each container is
-guarded by a module-level ``threading.Lock`` and each reference/memo
-toggle by a lock-guarded depth counter.  These rules make that
+guarded by a module-level ``threading.Lock`` and the fast-path switch
+(``repro.perf.baseline_mode()``) by a lock-guarded depth counter.  These rules make that
 discipline mechanical:
 
 * **CONC001** — a function mutates a module-level container (item
@@ -17,8 +17,8 @@ discipline mechanical:
   (i.e. the author considers it shared, so an unguarded read is a torn
   read waiting to happen).  Reported as a warning.
 * **CONC003** — a ``@contextmanager`` toggle (``*_mode``/
-  ``*_disabled``/``*_enabled``, the things ``baseline_mode()``
-  composes) rebinds a module global outside the lock.  Two overlapping
+  ``*_disabled``/``*_enabled``, such as ``baseline_mode()``) rebinds a
+  module global outside the lock.  Two overlapping
   save/restore toggles then restore a stale value; the fix is the
   lock-guarded depth counter (see ``repro.perf.registry``).  CONC001
   does not see this: a scalar flag is not a container.

@@ -19,7 +19,8 @@ import hashlib
 import threading
 import zlib
 from collections import OrderedDict
-from contextlib import contextmanager
+
+from repro.perf import baseline
 
 __all__ = [
     "CODECS",
@@ -27,7 +28,6 @@ __all__ = [
     "decompress",
     "compress_memo_stats",
     "clear_compress_memo",
-    "compress_memo_disabled",
 ]
 
 _NONE = "none"
@@ -52,13 +52,8 @@ _memo_lock = threading.Lock()
 _memo: "OrderedDict[tuple, bytes]" = OrderedDict()
 _memo_bytes = 0
 _memo_max_bytes = 32 << 20
-_memo_enabled = True
 _memo_hits = 0
 _memo_misses = 0
-#: Toggle depth counter: ``_memo_enabled`` is maintained from this
-#: under ``_memo_lock`` so overlapping toggles cannot restore a stale
-#: value (see PerfRegistry.disabled for the pattern).
-_memo_disable_depth = 0
 
 
 def compress_memo_stats() -> dict:
@@ -83,22 +78,6 @@ def clear_compress_memo() -> None:
         _memo_misses = 0
 
 
-@contextmanager
-def compress_memo_disabled():
-    """Context manager that bypasses the memo (for baseline benches).
-    Overlap-safe via a lock-guarded depth counter."""
-    global _memo_disable_depth, _memo_enabled
-    with _memo_lock:
-        _memo_disable_depth += 1
-        _memo_enabled = False
-    try:
-        yield
-    finally:
-        with _memo_lock:
-            _memo_disable_depth -= 1
-            _memo_enabled = _memo_disable_depth == 0
-
-
 def _compress_raw(buf: bytes, codec: str) -> bytes:
     """Codec dispatch with no memo — for callers managing their own cache."""
     if codec == _NONE:
@@ -111,7 +90,8 @@ def _compress_raw(buf: bytes, codec: str) -> bytes:
 
 
 def compress(buf: bytes, codec: str) -> bytes:
-    """Compress ``buf`` with the named codec."""
+    """Compress ``buf`` with the named codec (memoized, except under
+    ``baseline_mode()``)."""
     global _memo_bytes, _memo_hits, _memo_misses
     if codec == _NONE:
         return buf
@@ -119,7 +99,7 @@ def compress(buf: bytes, codec: str) -> bytes:
         level = _LEVELS[codec]
     except KeyError:
         raise ValueError(f"unknown codec {codec!r}; know {sorted(CODECS)}") from None
-    if not _memo_enabled:
+    if baseline.active():
         return zlib.compress(buf, level)
     key = (codec, len(buf), hashlib.blake2b(buf, digest_size=16).digest())
     with _memo_lock:

@@ -19,9 +19,10 @@ import hashlib
 import struct
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 
 import numpy as np
+
+from repro.perf import baseline
 
 __all__ = [
     "PLAIN",
@@ -35,8 +36,6 @@ __all__ = [
     "choose_encoding_reference",
     "encoding_memo_stats",
     "clear_encoding_memo",
-    "encoding_memo_disabled",
-    "encoding_reference_mode",
 ]
 
 PLAIN = 0
@@ -273,15 +272,8 @@ def decode_column(buf: bytes | memoryview, encoding: int) -> np.ndarray:
 _memo_lock = threading.Lock()
 _memo: "OrderedDict[tuple, int]" = OrderedDict()
 _memo_max = 1024
-_memo_enabled = True
 _memo_hits = 0
 _memo_misses = 0
-_reference_mode = False
-#: Toggle depth counters: the booleans above are maintained from these
-#: under ``_memo_lock`` so overlapping toggles on two threads cannot
-#: restore a stale value (see PerfRegistry.disabled for the pattern).
-_memo_disable_depth = 0
-_reference_depth = 0
 
 
 def encoding_memo_stats() -> dict:
@@ -304,75 +296,39 @@ def clear_encoding_memo() -> None:
         _memo_misses = 0
 
 
-@contextmanager
-def encoding_memo_disabled():
-    """Context manager that bypasses the memo (for baseline benches).
-    Overlap-safe via a lock-guarded depth counter."""
-    global _memo_disable_depth, _memo_enabled
-    with _memo_lock:
-        _memo_disable_depth += 1
-        _memo_enabled = False
-    try:
-        yield
-    finally:
-        with _memo_lock:
-            _memo_disable_depth -= 1
-            _memo_enabled = _memo_disable_depth == 0
-
-
-@contextmanager
-def encoding_reference_mode():
-    """Route ``choose_encoding`` through the original walk-the-column
-    estimator with no memo — the pre-optimization behaviour the e2e
-    benchmark measures as its baseline.  Choices are identical either
-    way (``tests/columnar/test_encoding_memo.py``).  Overlap-safe via a
-    lock-guarded depth counter."""
-    global _reference_depth, _reference_mode
-    with _memo_lock:
-        _reference_depth += 1
-        _reference_mode = True
-    try:
-        yield
-    finally:
-        with _memo_lock:
-            _reference_depth -= 1
-            _reference_mode = _reference_depth > 0
-
-
 def choose_encoding(arr: np.ndarray) -> int:
     """Pick the cheapest encoding for ``arr`` via cheap size estimates.
 
     Results are memoized by content signature; see the memo note above.
+    Under ``baseline_mode()`` every call is the reference estimator.
     """
     global _memo_hits, _memo_misses
-    if _reference_mode:
+    if baseline.active():
         return choose_encoding_reference(arr)
     if arr.dtype == object:
         return DICTIONARY
     if arr.size == 0:
         return PLAIN
-    if _memo_enabled:
-        contig = np.ascontiguousarray(arr)
-        key = (
-            arr.dtype.str,
-            arr.size,
-            hashlib.blake2b(contig, digest_size=16).digest(),
-        )
-        with _memo_lock:
-            hit = _memo.get(key)
-            if hit is not None:
-                _memo_hits += 1
-                _memo.move_to_end(key)
-                return hit
-            _memo_misses += 1
-        enc = _choose_encoding_impl(contig)
-        with _memo_lock:
-            _memo[key] = enc
+    contig = np.ascontiguousarray(arr)
+    key = (
+        arr.dtype.str,
+        arr.size,
+        hashlib.blake2b(contig, digest_size=16).digest(),
+    )
+    with _memo_lock:
+        hit = _memo.get(key)
+        if hit is not None:
+            _memo_hits += 1
             _memo.move_to_end(key)
-            while len(_memo) > _memo_max:
-                _memo.popitem(last=False)
-        return enc
-    return _choose_encoding_impl(arr)
+            return hit
+        _memo_misses += 1
+    enc = _choose_encoding_impl(contig)
+    with _memo_lock:
+        _memo[key] = enc
+        _memo.move_to_end(key)
+        while len(_memo) > _memo_max:
+            _memo.popitem(last=False)
+    return enc
 
 
 def _run_count(arr: np.ndarray) -> int:

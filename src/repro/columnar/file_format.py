@@ -68,7 +68,6 @@ import hashlib
 import struct
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +87,7 @@ from repro.columnar.encodings import (
 )
 from repro.columnar.predicate import Predicate
 from repro.columnar.table import ColumnTable
+from repro.perf import baseline
 
 __all__ = [
     "RcfWriter",
@@ -98,7 +98,6 @@ __all__ = [
     "column_stats",
     "chunk_memo_stats",
     "clear_chunk_memo",
-    "chunk_memo_disabled",
 ]
 
 _MAGIC = b"RCF1"
@@ -148,13 +147,8 @@ _chunk_memo: "OrderedDict[tuple, bytes]" = OrderedDict()
 _chunk_memo_bytes = 0
 _chunk_memo_max_bytes = 32 << 20
 _chunk_memo_col_max_bytes = 1 << 15
-_chunk_memo_enabled = True
 _chunk_hits = 0
 _chunk_misses = 0
-#: Toggle depth counter: ``_chunk_memo_enabled`` is maintained from
-#: this under ``_chunk_lock`` so overlapping toggles cannot restore a
-#: stale value (see PerfRegistry.disabled for the pattern).
-_chunk_disable_depth = 0
 
 
 def chunk_memo_stats() -> dict:
@@ -177,22 +171,6 @@ def clear_chunk_memo() -> None:
         _chunk_memo_bytes = 0
         _chunk_hits = 0
         _chunk_misses = 0
-
-
-@contextmanager
-def chunk_memo_disabled():
-    """Context manager that bypasses the chunk memo (for baselines).
-    Overlap-safe via a lock-guarded depth counter."""
-    global _chunk_disable_depth, _chunk_memo_enabled
-    with _chunk_lock:
-        _chunk_disable_depth += 1
-        _chunk_memo_enabled = False
-    try:
-        yield
-    finally:
-        with _chunk_lock:
-            _chunk_disable_depth -= 1
-            _chunk_memo_enabled = _chunk_disable_depth == 0
 
 
 def column_stats(arr: np.ndarray) -> tuple[object, object, bool] | None:
@@ -371,12 +349,7 @@ class RcfWriter:
             col = chunk[name]
             key = None
             memo_cold = False
-            if (
-                _chunk_memo_enabled
-                and not _enc._reference_mode
-                and col.dtype != object
-                and col.size
-            ):
+            if col.dtype != object and col.size and not baseline.active():
                 contig = np.ascontiguousarray(col)
                 if col.nbytes <= _chunk_memo_col_max_bytes:
                     key = (

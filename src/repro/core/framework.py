@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.obs import METRICS, TRACER
-from repro.perf import PERF
+from repro.perf import PERF, baseline
 from repro.pipeline.medallion import MedallionPipeline
 from repro.storage.tiers import DataClass, TieredStore
 from repro.stream.broker import Broker, TopicConfig
@@ -69,28 +69,22 @@ HEALTH_DATASET = "oda_health.silver"
 class DataPlaneOptions:
     """How the framework moves and refines a window's data.
 
-    The default configuration is the fast path: batched telemetry
-    emission and zero-copy consumer slices.  :meth:`serial_baseline`
-    reproduces the pre-optimization data plane — the benchmark's
-    reference point — with byte-identical outputs
-    (``tests/core/test_parallel_equivalence`` holds both configurations
-    to the same results).  Windows, refineries and tier writes run on
-    the calling thread, one after another (DESIGN.md §8, "Concurrency
-    model"); broker shards are the scale-out unit.
+    No option selects the fast or the reference path: every framework
+    runs the fast path (batched telemetry emission, zero-copy consumer
+    slices) and takes the pre-optimization one while
+    ``repro.perf.baseline_mode()`` is entered, with byte-identical
+    outputs (``tests/core/test_parallel_equivalence``).  Windows,
+    refineries and tier writes run on the calling thread, one after
+    another (DESIGN.md §8, "Concurrency model"); broker shards are the
+    scale-out unit.
 
     Parameters
     ----------
-    batched:
-        Use zero-copy ``poll_slices`` on the consume side (the produce
-        side always stamps one record per topic per window).
     executor, pipeline:
         Retired selectors, kept only because the frozen
         ``benchmarks/full`` harness still passes them: ``"serial"`` /
         ``"off"`` (the defaults) and ``"auto"`` all mean the one serial
         schedule; ``"threads"`` / ``"on"`` raise ``ValueError``.
-    reference_emit:
-        Emit telemetry through the loop-per-channel reference path
-        instead of the batched one (same bytes, slower).
     self_telemetry:
         Re-publish the framework's own health gauges (row counts, byte
         volumes — see :data:`HEALTH_SENSORS`) as a synthetic telemetry
@@ -134,9 +128,7 @@ class DataPlaneOptions:
         tables and span structure match).
     """
 
-    batched: bool = True
     executor: str = "serial"
-    reference_emit: bool = False
     pipeline: str = "off"
     self_telemetry: bool = False
     lifecycle: bool = False
@@ -173,8 +165,10 @@ class DataPlaneOptions:
 
     @classmethod
     def serial_baseline(cls) -> "DataPlaneOptions":
-        """The pre-optimization data plane (benchmark reference)."""
-        return cls(batched=False, reference_emit=True)
+        """The default options.  Residue: the frozen ``benchmarks/full``
+        harness builds its reference run from this; ``baseline_mode()``
+        alone selects the pre-optimization plane."""
+        return cls()
 
 
 @dataclass(frozen=True)
@@ -228,13 +222,7 @@ class ODAFramework:
         self.allocation = allocation
         self.seed = seed
         self.options = options if options is not None else DataPlaneOptions()
-        self.fleet = FleetTelemetry(
-            machine,
-            allocation,
-            seed,
-            nodes,
-            reference_emit=self.options.reference_emit,
-        )
+        self.fleet = FleetTelemetry(machine, allocation, seed, nodes)
 
         self.broker = (
             Broker()
@@ -407,7 +395,7 @@ class ODAFramework:
             cat.link(window_node, bid, "derived")
 
     def _run_window_impl(self, t0: float, t1: float) -> WindowSummary:
-        batched = self.options.batched
+        zero_copy = not baseline.active()
         with PERF.timer("telemetry.emit"):
             batches = self.fleet.emit_window(t0, t1)
 
@@ -431,7 +419,7 @@ class ODAFramework:
         from repro.pipeline.medallion import bronze_standardize, silver_aggregate
 
         def poll_values(consumer: Consumer) -> list:
-            if batched:
+            if zero_copy:
                 return [
                     r.value
                     for _, recs in consumer.poll_slices(max_records=1_000)

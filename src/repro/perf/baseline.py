@@ -1,49 +1,51 @@
 """One switch for the pre-optimization data plane.
 
-The fast path is a collection of independently toggleable pieces —
-content-addressed memos, the fast encoding estimator, batched emission.
-Benchmarks and equivalence tests need to flip *all* of them at once to
-reproduce the reference behaviour; :func:`baseline_mode` is that switch.
-
-It covers the global toggles only.  Per-framework choices (serial
-executor, reference emit, unbatched polling) live in
-:class:`repro.core.DataPlaneOptions.serial_baseline`.
+The fast path is a collection of pieces — content-addressed memos, the
+fast encoding estimator and factorizer, planned scans with the
+row-group cache, batched emission and zero-copy polling.  Every one of
+them reads :func:`active` at call time and takes its reference path
+while any thread is inside :func:`baseline_mode`, so benchmarks and
+equivalence tests flip the *whole* fast path with one block — whatever
+options the framework was built with.
 """
 
 from __future__ import annotations
 
-from contextlib import ExitStack, contextmanager
+import threading
+from contextlib import contextmanager
 
-__all__ = ["baseline_mode", "reset_fast_path_caches", "reset_all"]
+__all__ = ["active", "baseline_mode", "reset_fast_path_caches", "reset_all"]
+
+_lock = threading.Lock()
+#: Threads inside :func:`baseline_mode` (a depth counter rather than
+#: save/restore, so overlapping blocks on two threads leave the switch
+#: on until the last one exits).
+_depth = 0
 
 
 @contextmanager
 def baseline_mode():
-    """Disable every fast-path memo and route estimators through their
-    reference implementations for the duration of the block."""
-    # Imported lazily: repro.perf must stay import-light because the
-    # instrumented modules import it at call time.
-    from repro.columnar import compression, encodings, file_format
-    from repro.pipeline import factorize
-    from repro.query import cache as query_cache
-    from repro.query import executor as query_executor
-    from repro.telemetry import jobs
-
-    with ExitStack() as stack:
-        stack.enter_context(factorize.cache_disabled())
-        stack.enter_context(factorize.factorize_reference_mode())
-        stack.enter_context(encodings.encoding_memo_disabled())
-        stack.enter_context(encodings.encoding_reference_mode())
-        stack.enter_context(compression.compress_memo_disabled())
-        stack.enter_context(file_format.chunk_memo_disabled())
-        stack.enter_context(jobs.utilization_memo_disabled())
-        stack.enter_context(query_executor.scan_reference_mode())
-        stack.enter_context(query_cache.row_group_cache_disabled())
+    """Run every fast-path decision through its reference for the
+    duration of the block (reentrant, overlap-safe)."""
+    global _depth
+    with _lock:
+        _depth += 1
+    try:
         yield
+    finally:
+        with _lock:
+            _depth -= 1
+
+
+def active() -> bool:
+    """Whether the reference path is selected (one int read, no lock)."""
+    return _depth > 0
 
 
 def reset_fast_path_caches() -> None:
     """Empty every fast-path memo (for benchmark isolation)."""
+    # Imported lazily: repro.perf must stay import-light because the
+    # instrumented modules import it.
     from repro.columnar import compression, encodings, file_format
     from repro.pipeline import factorize
     from repro.query import cache as query_cache

@@ -21,18 +21,17 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 
 import numpy as np
+
+from repro.perf import baseline
 
 __all__ = [
     "factorize",
     "factorize_reference",
-    "factorize_reference_mode",
     "cache_stats",
     "clear_cache",
     "configure_cache",
-    "cache_disabled",
 ]
 
 # -- memo ---------------------------------------------------------------------
@@ -44,15 +43,6 @@ _cache_max = 256
 #: array costs about as much as the digest, so a hit saves nothing.
 #: (Object columns always memo — their fallback path is far pricier.)
 _cache_min_bytes = 1 << 14
-_cache_enabled = True
-_reference_mode = False
-#: Active entries of the matching toggle.  The toggles maintain the
-#: boolean flags from these lock-guarded depth counters instead of
-#: save/restore so two toggles overlapping on different threads cannot
-#: restore a stale value (same failure mode PerfRegistry.disabled
-#: documents).
-_cache_disable_depth = 0
-_reference_depth = 0
 _hits = 0
 _misses = 0
 
@@ -84,45 +74,6 @@ def cache_stats() -> dict:
             "hits": _hits,
             "misses": _misses,
         }
-
-
-@contextmanager
-def cache_disabled():
-    """Context manager that bypasses the memo (for baseline benches).
-
-    Overlap-safe: maintained from a lock-guarded depth counter, so
-    non-nested exits (two toggles open on different threads) keep the
-    memo off until the last one leaves.
-    """
-    global _cache_disable_depth, _cache_enabled
-    with _lock:
-        _cache_disable_depth += 1
-        _cache_enabled = False
-    try:
-        yield
-    finally:
-        with _lock:
-            _cache_disable_depth -= 1
-            _cache_enabled = _cache_disable_depth == 0
-
-
-@contextmanager
-def factorize_reference_mode():
-    """Route :func:`factorize` through the original row-loop reference —
-    the pre-optimization behaviour the e2e benchmark measures as its
-    baseline.  Results are identical either way
-    (``tests/pipeline/test_factorize.py``).  Overlap-safe via a
-    lock-guarded depth counter."""
-    global _reference_depth, _reference_mode
-    with _lock:
-        _reference_depth += 1
-        _reference_mode = True
-    try:
-        yield
-    finally:
-        with _lock:
-            _reference_depth -= 1
-            _reference_mode = _reference_depth > 0
 
 
 def _cache_get(key: tuple):
@@ -286,32 +237,28 @@ def factorize(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     arrays shared across calls.  Object columns factorize through per-row
     hashes with an equality check against the assigned uniques — a hash
     collision (or exotic ``__eq__``) falls back to the reference loop.
+    Under ``baseline_mode()`` every call is the reference loop.
     """
-    if _reference_mode:
+    if baseline.active():
         return factorize_reference(col)
     if col.dtype == object:
         if col.size == 0:
             return factorize_reference(col)
         try:
             filled, h = _object_hashes(col)
-            if _cache_enabled:
-                key = ("O", col.size, _digest(h))
-                hit = _cache_get(key)
-                if hit is not None and _object_matches(filled, *hit):
-                    return hit
-                value = _object_codes(filled, h)
-                if not _object_matches(filled, *value):
-                    raise ValueError("hash collision")
-                _cache_put(key, value)
-                return value
+            key = ("O", col.size, _digest(h))
+            hit = _cache_get(key)
+            if hit is not None and _object_matches(filled, *hit):
+                return hit
             value = _object_codes(filled, h)
             if not _object_matches(filled, *value):
                 raise ValueError("hash collision")
+            _cache_put(key, value)
             return value
         except (TypeError, ValueError):
             return factorize_reference(col)
 
-    if _cache_enabled and col.size and col.nbytes >= _cache_min_bytes:
+    if col.size and col.nbytes >= _cache_min_bytes:
         contig = np.ascontiguousarray(col)
         key = (col.dtype.str, col.size, _digest(contig))
         hit = _cache_get(key)

@@ -18,7 +18,6 @@ from repro.query.cache import (
     cached_column,
     clear_row_group_cache,
     invalidate_token,
-    row_group_cache_disabled,
     row_group_cache_stats,
     set_row_group_cache_limit,
 )
@@ -26,8 +25,6 @@ from repro.query.executor import (
     ScanOptions,
     execute_plan,
     execute_plan_reference,
-    scan_reference_active,
-    scan_reference_mode,
     shutdown_scan_pool,
 )
 from repro.query.plan import PartUnit, ScanPlan, SegmentUnit
@@ -43,8 +40,6 @@ __all__ = [
     "ScanOptions",
     "execute_plan",
     "execute_plan_reference",
-    "scan_reference_mode",
-    "scan_reference_active",
     "shutdown_scan_pool",
     "fold_time_predicate",
     "scan_segment",
@@ -53,6 +48,5 @@ __all__ = [
     "invalidate_token",
     "clear_row_group_cache",
     "row_group_cache_stats",
-    "row_group_cache_disabled",
     "set_row_group_cache_limit",
 ]

@@ -9,7 +9,9 @@ as a view of the part's bytes (``RcfReader.raw_view``) and never cached,
 so it takes no budget and pushes nothing out.  Keys are
 content-addressed, so a compaction that rewrites parts can never serve
 stale data; explicit invalidation (by token) exists purely to release
-memory the moment a part is deleted.
+memory the moment a part is deleted.  Nothing reaches the cache under
+``baseline_mode()``: the decode-everything oracle decodes every chunk
+itself.
 
 Order is LRU, but eviction is gated by frequency (TinyLFU's admission
 rule on exact counts): the cache remembers how often every key —
@@ -39,7 +41,6 @@ from __future__ import annotations
 import sys
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 from typing import Callable
 
 import numpy as np
@@ -51,7 +52,6 @@ __all__ = [
     "invalidate_token",
     "clear_row_group_cache",
     "row_group_cache_stats",
-    "row_group_cache_disabled",
     "set_row_group_cache_limit",
 ]
 
@@ -77,11 +77,6 @@ _AGE_ACCESSES_PER_ENTRY = 10
 _accesses_since_aging = 0
 _cache_bytes = 0
 _cache_max_bytes = 64 << 20
-_cache_enabled = True
-#: Toggle depth counter: ``_cache_enabled`` is maintained from this
-#: under ``_cache_lock`` so overlapping toggles cannot restore a stale
-#: value (see PerfRegistry.disabled for the pattern).
-_cache_disable_depth = 0
 
 
 def _weigh(arr: np.ndarray) -> int:
@@ -101,8 +96,6 @@ def cached_column(
     ``loader`` on a miss and retains the (read-only) result if the
     admission rule (module docstring) lets it in."""
     global _cache_bytes, _accesses_since_aging
-    if not _cache_enabled:
-        return loader()
     key = (token, group, name)
     with _cache_lock:
         arr = _cache.get(key)
@@ -213,23 +206,6 @@ def row_group_cache_stats() -> dict:
             "max_bytes": _cache_max_bytes,
             "tracked": sum(map(len, _asked.values())),
         }
-
-
-@contextmanager
-def row_group_cache_disabled():
-    """Context manager bypassing the cache (the decode-everything
-    baseline must pay full decode cost on every scan).  Overlap-safe
-    via a lock-guarded depth counter (see PerfRegistry.disabled)."""
-    global _cache_disable_depth, _cache_enabled
-    with _cache_lock:
-        _cache_disable_depth += 1
-        _cache_enabled = False
-    try:
-        yield
-    finally:
-        with _cache_lock:
-            _cache_disable_depth -= 1
-            _cache_enabled = _cache_disable_depth == 0
 
 
 def set_row_group_cache_limit(max_bytes: int) -> None:

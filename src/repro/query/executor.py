@@ -8,15 +8,12 @@ after another in plan order.
 pruned flags ignored — by fully decoding the data and applying the
 exact masks serially.  Equality between the two paths therefore
 validates the planner's pruning decisions, the dictionary pushdown, and
-the cache in one assertion.  :func:`scan_reference_mode` routes
-:func:`execute_plan` through the oracle (entered, with every other
-fast-path toggle, by ``repro.perf.baseline.baseline_mode``).
+the cache in one assertion.  Under ``repro.perf.baseline_mode()``
+:func:`execute_plan` routes through the oracle.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +21,7 @@ import numpy as np
 from repro.columnar.file_format import read_table
 from repro.columnar.table import ColumnTable
 from repro.obs import TRACER
-from repro.perf import PERF
+from repro.perf import PERF, baseline
 from repro.query.plan import ScanPlan, SegmentUnit
 from repro.query.scan import scan_part, scan_segment
 
@@ -32,40 +29,8 @@ __all__ = [
     "ScanOptions",
     "execute_plan",
     "execute_plan_reference",
-    "scan_reference_mode",
-    "scan_reference_active",
     "shutdown_scan_pool",
 ]
-
-_scan_reference = False
-_mode_lock = threading.Lock()
-#: Toggle depth counter: ``_scan_reference`` is maintained from this
-#: under ``_mode_lock`` so overlapping toggles cannot restore a stale
-#: value (see PerfRegistry.disabled for the pattern).
-_scan_reference_depth = 0
-
-
-@contextmanager
-def scan_reference_mode():
-    """Route :func:`execute_plan` through the decode-everything oracle.
-    Overlap-safe via a lock-guarded depth counter."""
-    global _scan_reference_depth, _scan_reference
-    with _mode_lock:
-        _scan_reference_depth += 1
-        _scan_reference = True
-    try:
-        yield
-    finally:
-        with _mode_lock:
-            _scan_reference_depth -= 1
-            _scan_reference = _scan_reference_depth > 0
-
-
-def scan_reference_active() -> bool:
-    """True while :func:`scan_reference_mode` is entered.  Storage uses
-    this to fetch *every* part (manifest pruning off) so the oracle has
-    bytes to scan."""
-    return _scan_reference
 
 
 @dataclass(frozen=True)
@@ -97,13 +62,13 @@ def shutdown_scan_pool() -> None:
 def execute_plan(
     plan: ScanPlan, options: ScanOptions | None = None
 ) -> ColumnTable:
-    """Execute a plan on the fast path (oracle when the reference
-    toggle is active); returns the concatenated surviving rows.
+    """Execute a plan on the fast path (the oracle under
+    ``baseline_mode()``); returns the concatenated surviving rows.
     ``options`` selects nothing (see :class:`ScanOptions`)."""
     with TRACER.span(
         "query.execute", table=plan.table, units=len(plan.units)
     ):
-        if _scan_reference:
+        if baseline.active():
             return execute_plan_reference(plan)
         with PERF.timer("query.scan"):
             return _execute_plan_impl(plan)
@@ -150,7 +115,7 @@ def execute_plan_reference(plan: ScanPlan) -> ColumnTable:
     """Scan every unit — pruned flags and segment row ranges ignored —
     with full decode and exact masks over every row, serially.  Part
     units must carry fetched blobs (the storage layer fetches
-    everything while the reference toggle is active); a missing blob
+    everything under ``baseline_mode()``); a missing blob
     raises rather than silently trusting the pruning decision under
     test.
     """

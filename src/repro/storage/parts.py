@@ -146,10 +146,16 @@ class PartTable:
         previous = {} if held is None else {p.key: p for p in held[2].present}
         present = []
         for meta in ocean.list(self.bucket, prefix=f"{name}/"):
-            part = previous.get(meta.key)
+            part = previous.pop(meta.key, None)
             if part is None or part.meta is not meta:
                 part = LivePart(meta, None if part is None else part.reader)
             present.append(part)
+        # A key deleted behind the store's back (not through its retire)
+        # still holds its handle: release the decoded groups cached under it.
+        for gone in previous.values():
+            if gone.reader is not None:
+                invalidate_token(gone.reader.digest())
+                gone.reader = None
         dead = frozenset(k for p in present for k in p.replaces or ())
         live = sorted((p for p in present if p.key not in dead), key=_ingest_order)
         derived = Listing(tuple(present), dead, tuple(live))

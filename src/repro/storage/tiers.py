@@ -39,13 +39,8 @@ from repro.columnar.file_format import RcfReader, read_table, write_table
 from repro.columnar.predicate import Predicate
 from repro.columnar.table import ColumnTable
 from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy, call_with_retry
-from repro.query import (
-    ScanOptions,
-    execute_plan,
-    invalidate_token,
-    plan_parts,
-    scan_reference_active,
-)
+from repro.perf import baseline
+from repro.query import ScanOptions, execute_plan, invalidate_token, plan_parts
 from repro.storage import manifest
 from repro.storage.compaction import merge_parts, merge_suffix
 from repro.storage.glacier import TapeArchive
@@ -495,7 +490,7 @@ class TieredStore:
             columns,
             self.time_column,
         )
-        fetch_all = scan_reference_active()
+        fetch_all = baseline.active()
         pruned = 0
         fetched_keys: list[str] = []
         for unit, part in zip(plan.units, parts):

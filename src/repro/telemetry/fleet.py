@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.perf import baseline
 from repro.telemetry.facility import FacilitySource
 from repro.telemetry.interconnect import InterconnectSource
 from repro.telemetry.jobs import AllocationTable
@@ -66,11 +67,6 @@ class FleetTelemetry:
         Root seed shared by all sources.
     nodes:
         Node subset to emit at full fidelity (default: whole fleet).
-    reference_emit:
-        When true, ``emit_window`` uses each source's loop-based
-        ``emit_reference`` path instead of the batched ``emit``.  The two
-        are byte-identical; the flag exists so benchmarks can measure the
-        pre-optimization baseline.
     """
 
     def __init__(
@@ -79,12 +75,10 @@ class FleetTelemetry:
         allocation: AllocationTable,
         seed: int = 0,
         nodes: np.ndarray | None = None,
-        reference_emit: bool = False,
     ) -> None:
         self.machine = machine
         self.allocation = allocation
         self.seed = int(seed)
-        self.reference_emit = bool(reference_emit)
         if nodes is None:
             nodes = np.arange(machine.n_nodes, dtype=np.int32)
         self.nodes = np.asarray(nodes, dtype=np.int32)
@@ -132,10 +126,15 @@ class FleetTelemetry:
     def emit_window(
         self, t0: float, t1: float
     ) -> dict[str, ObservationBatch | EventBatch]:
-        """Emit every stream for ``[t0, t1)`` and record volumes."""
+        """Emit every stream for ``[t0, t1)`` and record volumes.
+
+        Each source emits through its batched ``emit``, or — under
+        ``baseline_mode()`` — its byte-identical loop-per-channel
+        ``emit_reference``."""
         out: dict[str, ObservationBatch | EventBatch] = {}
+        reference = baseline.active()
         for source in self._sources:
-            if self.reference_emit:
+            if reference:
                 batch = source.emit_reference(t0, t1)
             else:
                 batch = source.emit(t0, t1)

@@ -18,11 +18,11 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.perf import baseline
 from repro.telemetry.machine import MachineConfig
 from repro.telemetry.workloads import ARCHETYPES, get_archetype
 
@@ -30,36 +30,7 @@ __all__ = [
     "JobSpec",
     "AllocationTable",
     "synthetic_job_mix",
-    "utilization_memo_disabled",
 ]
-
-# Within one ingest window the same (nodes, times) utilization grid is
-# requested several times — by each emitting source sharing a sample
-# period and by each refinery's Silver join on the same bucket grid.
-# The oracle is a pure function of its (immutable) job set, so repeated
-# grids are served from a small per-table LRU of read-only arrays.
-_util_memo_enabled = True
-_util_toggle_lock = threading.Lock()
-#: Toggle depth counter: ``_util_memo_enabled`` is maintained from this
-#: under ``_util_toggle_lock`` so overlapping toggles cannot restore a
-#: stale value (see PerfRegistry.disabled for the pattern).
-_util_disable_depth = 0
-
-
-@contextmanager
-def utilization_memo_disabled():
-    """Context manager that bypasses the utilization memo (baselines).
-    Overlap-safe via a lock-guarded depth counter."""
-    global _util_disable_depth, _util_memo_enabled
-    with _util_toggle_lock:
-        _util_disable_depth += 1
-        _util_memo_enabled = False
-    try:
-        yield
-    finally:
-        with _util_toggle_lock:
-            _util_disable_depth -= 1
-            _util_memo_enabled = _util_disable_depth == 0
 
 
 @dataclass(frozen=True)
@@ -124,6 +95,12 @@ class AllocationTable:
         self._starts = np.array([j.start for j in self._jobs])
         self._ends = np.array([j.end for j in self._jobs])
         self._check_no_node_conflicts()
+        # Within one ingest window the same (nodes, times) utilization
+        # grid is requested several times — by each emitting source
+        # sharing a sample period and by each refinery's Silver join on
+        # the same bucket grid.  The oracle is a pure function of its
+        # (immutable) job set, so repeated grids are served from a small
+        # LRU of read-only arrays (bypassed under ``baseline_mode()``).
         self._util_memo: OrderedDict[
             tuple, tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = OrderedDict()
@@ -183,7 +160,7 @@ class AllocationTable:
         node_ids = np.asarray(node_ids, dtype=np.int32)
         times = np.asarray(times, dtype=np.float64)
         key = None
-        if _util_memo_enabled and node_ids.size and times.size:
+        if node_ids.size and times.size and not baseline.active():
             key = (
                 hashlib.blake2b(
                     np.ascontiguousarray(node_ids), digest_size=16

@@ -17,8 +17,6 @@ def check():
     def _check(source: str, module: str = "repro.pipeline.fixture"):
         checker = Checker(make_rules())
         checker.check_source(textwrap.dedent(source), "fixture.py", module=module)
-        for rule in checker.rules:
-            rule.finalize(checker)
         return checker.findings
 
     return _check

@@ -249,4 +249,4 @@ class TestTextOutput:
         assert [line.split()[0] for line in out.splitlines()] == [
             cls.id for cls in ALL_RULE_CLASSES
         ]
-        assert len(ALL_RULE_CLASSES) == 14 and "RACE" not in out
+        assert len(ALL_RULE_CLASSES) == 13 and "RACE" not in out

@@ -12,6 +12,7 @@ import re
 import tokenize
 
 from repro.analysis import Checker, make_rules, rule_family
+from repro.analysis.engine import all_args, is_contextmanager
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
@@ -32,7 +33,7 @@ def test_registered_rule_ids_are_pinned():
     assert [rule.id for rule in make_rules()] == [
         "DET001", "DET002", "DET010",
         "CONC001", "CONC002", "CONC003",
-        "ORACLE001", "ORACLE002", "ORACLE003",
+        "ORACLE001", "ORACLE002",
         "EXC001", "EXC002", "EXC003", "EXC004",
         "IMP001",
     ]  # fmt: skip
@@ -110,4 +111,42 @@ def test_storage_reads_part_manifests_in_one_place():
         for needle in ("user_meta.get(", "lru_cache")
         if needle in source
     ]
+    assert bad == []
+
+
+def test_one_fast_path_switch():
+    # ``repro.perf.baseline_mode()`` is the only way to select the
+    # reference path (DESIGN.md §8, "Harness"): no module outside
+    # repro.perf grows a toggle of its own, and no option, field or
+    # constructor parameter selects emission or polling.
+    perf = os.path.join(SRC, "repro", "perf") + os.sep
+    retired = {"batched", "reference_emit"}
+    bad = []
+    for path, source in _src_files():
+        tree = ast.parse(source, path)
+        for node in tree.body:
+            if (
+                isinstance(node, ast.FunctionDef)
+                and is_contextmanager(node)
+                and node.name.endswith(("_disabled", "_reference_mode"))
+                and not path.startswith(perf)
+            ):
+                bad.append(f"{path}:{node.lineno}: toggle {node.name}")
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            names = [
+                (stmt.lineno, stmt.target.id)
+                for stmt in cls.body
+                if isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)
+            ]
+            for stmt in cls.body:
+                if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
+                    names += [(a.lineno, a.arg) for a in all_args(stmt.args)]
+            bad += [
+                f"{path}:{line}: {cls.name}.{name}"
+                for line, name in names
+                if name in retired
+            ]
     assert bad == []

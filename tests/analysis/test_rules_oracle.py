@@ -1,24 +1,10 @@
 """ORACLE rules: fast paths keep their reference oracles selectable."""
 
-from repro.analysis import Checker, make_rules
-
 PAIR_WITH_TOGGLE = """
-    from contextlib import contextmanager
-
-    _reference_mode = False
-
-    @contextmanager
-    def frob_reference_mode():
-        global _reference_mode
-        prev = _reference_mode
-        _reference_mode = True
-        try:
-            yield
-        finally:
-            _reference_mode = prev
+    from repro.perf import baseline
 
     def frob(x):
-        return frob_reference(x) if _reference_mode else x
+        return frob_reference(x) if baseline.active() else x
 
     def frob_reference(x):
         return x
@@ -38,6 +24,36 @@ class TestPairWithoutToggle:
 
     def test_pair_with_toggle_passes(self, rule_ids):
         assert "ORACLE001" not in rule_ids(PAIR_WITH_TOGGLE)
+        assert "ORACLE001" not in rule_ids(
+            """
+            import repro.perf.baseline
+
+            def frob(x):
+                return frob_reference(x) if repro.perf.baseline.active() else x
+            def frob_reference(x):
+                return x
+            """
+        )
+
+    def test_module_local_toggle_is_not_the_switch(self, rule_ids):
+        # A private reference toggle is a second switch baseline_mode()
+        # does not flip: the pair must read repro.perf.baseline.
+        assert "ORACLE001" in rule_ids(
+            """
+            from contextlib import contextmanager
+
+            _depth = 0
+
+            @contextmanager
+            def frob_reference_mode():
+                yield
+
+            def frob(x):
+                return frob_reference(x) if _depth else x
+            def frob_reference(x):
+                return x
+            """
+        )
 
     def test_module_without_pairs_ignored(self, rule_ids):
         assert rule_ids(
@@ -66,52 +82,3 @@ class TestFastWithoutOracle:
                 return x
             """
         )
-
-
-class TestToggleNotInBaseline:
-    BASELINE_OK = """
-        from contextlib import ExitStack, contextmanager
-
-        @contextmanager
-        def baseline_mode():
-            from repro.pipeline import fixture
-            with ExitStack() as stack:
-                stack.enter_context(fixture.frob_reference_mode())
-                yield
-        """
-    BASELINE_EMPTY = """
-        from contextlib import contextmanager
-
-        @contextmanager
-        def baseline_mode():
-            yield
-        """
-
-    def _run(self, baseline_source, make_tree):
-        import textwrap
-
-        checker = Checker(make_rules())
-        checker.check_source(
-            textwrap.dedent(PAIR_WITH_TOGGLE),
-            "repro/pipeline/fixture.py",
-            module="repro.pipeline.fixture",
-        )
-        checker.check_source(
-            textwrap.dedent(baseline_source),
-            "repro/perf/baseline.py",
-            module="repro.perf.baseline",
-        )
-        for rule in checker.rules:
-            rule.finalize(checker)
-        return sorted(f.rule_id for f in checker.findings if not f.suppressed)
-
-    def test_registered_toggle_passes(self, make_tree):
-        assert "ORACLE003" not in self._run(self.BASELINE_OK, make_tree)
-
-    def test_unregistered_toggle_flagged(self, make_tree):
-        assert "ORACLE003" in self._run(self.BASELINE_EMPTY, make_tree)
-
-    def test_no_baseline_module_skips_check(self, rule_ids):
-        # Linting a single module cannot prove registration; the
-        # cross-module rule only fires when the baseline is in the run.
-        assert "ORACLE003" not in rule_ids(PAIR_WITH_TOGGLE)

@@ -3,8 +3,9 @@
 Three caches sit on the RCF write path — the ``choose_encoding`` memo,
 the compression memo, and the writer's whole-chunk memo.  Each must be
 an invisible accelerator: same encoding choices, same compressed bytes,
-same file bytes, with or without the cache, and identical to the
-pre-optimization reference estimator.
+same file bytes, cold, warm and under ``baseline_mode()`` (which
+bypasses all three), and identical to the pre-optimization reference
+estimator.
 """
 
 import numpy as np
@@ -15,7 +16,6 @@ from repro.columnar.compression import (
     CODECS,
     clear_compress_memo,
     compress,
-    compress_memo_disabled,
     compress_memo_stats,
     decompress,
 )
@@ -23,15 +23,10 @@ from repro.columnar.encodings import (
     choose_encoding,
     choose_encoding_reference,
     clear_encoding_memo,
-    encoding_memo_disabled,
     encoding_memo_stats,
-    encoding_reference_mode,
 )
-from repro.columnar.file_format import (
-    chunk_memo_disabled,
-    chunk_memo_stats,
-    clear_chunk_memo,
-)
+from repro.columnar.file_format import chunk_memo_stats, clear_chunk_memo
+from repro.perf import baseline_mode
 
 
 def varied_arrays():
@@ -59,8 +54,8 @@ def varied_arrays():
 
 @pytest.mark.parametrize("arr", list(varied_arrays()), ids=range(18))
 def test_fast_estimator_matches_reference(arr):
-    with encoding_memo_disabled():
-        assert choose_encoding(arr) == choose_encoding_reference(arr)
+    clear_encoding_memo()  # a miss: the fast estimator decides
+    assert choose_encoding(arr) == choose_encoding_reference(arr)
 
 
 def test_memoized_choice_equals_uncached():
@@ -68,7 +63,7 @@ def test_memoized_choice_equals_uncached():
     for arr in varied_arrays():
         cold = choose_encoding(arr)
         hot = choose_encoding(arr.copy())
-        with encoding_memo_disabled():
+        with baseline_mode():
             bare = choose_encoding(arr)
         assert cold == hot == bare
     stats = encoding_memo_stats()
@@ -78,9 +73,11 @@ def test_memoized_choice_equals_uncached():
 def test_reference_mode_bypasses_memo():
     clear_encoding_memo()
     arr = np.repeat(np.arange(10.0), 37)
-    with encoding_reference_mode():
+    with baseline_mode():
         choice = choose_encoding(arr)
-        assert encoding_memo_stats()["entries"] == 0
+        assert encoding_memo_stats() == {
+            "entries": 0, "max_entries": 1024, "hits": 0, "misses": 0
+        }  # fmt: skip
     assert choice == choose_encoding(arr)
 
 
@@ -98,8 +95,10 @@ def test_compress_memo_is_invisible(codec):
     for buf in sample_buffers():
         cold = compress(buf, codec)
         hot = compress(buf, codec)
-        with compress_memo_disabled():
+        before = compress_memo_stats()
+        with baseline_mode():
             bare = compress(buf, codec)
+        assert compress_memo_stats() == before
         assert cold == hot == bare
         assert decompress(cold, codec) == bytes(buf)
     if codec != "none":  # the identity codec never touches the memo
@@ -128,8 +127,9 @@ def sample_table(seed=0):
 def test_chunk_memo_write_bytes_identical(codec):
     table = sample_table()
     clear_chunk_memo()
-    with chunk_memo_disabled():
+    with baseline_mode():
         bare = write_table(table, codec=codec)
+    assert chunk_memo_stats()["entries"] == 0
     cold = write_table(table, codec=codec)
     hot = write_table(table, codec=codec)
     assert bare == cold == hot
@@ -145,14 +145,14 @@ def test_chunk_memo_write_bytes_identical(codec):
 
 
 def test_chunk_memo_respects_reference_mode():
-    """Reference mode must not serve chunks cached by the fast path."""
+    """Baseline mode must not serve chunks cached by the fast path."""
     table = sample_table(seed=1)
     clear_chunk_memo()
     fast = write_table(table)
-    before = chunk_memo_stats()["hits"]
-    with encoding_reference_mode():
+    before = chunk_memo_stats()
+    with baseline_mode():
         ref = write_table(table)
-    assert chunk_memo_stats()["hits"] == before  # no hits while bypassed
+    assert chunk_memo_stats() == before  # no probe, hit or store
     assert ref == fast  # same bytes regardless — the estimators agree
 
 

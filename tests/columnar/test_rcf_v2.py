@@ -23,7 +23,7 @@ from repro.columnar.file_format import (
     DICT_REF,
     RcfReader,
     RcfWriter,
-    chunk_memo_disabled,
+    clear_chunk_memo,
     read_table,
     write_table,
 )
@@ -249,11 +249,13 @@ class TestDictRef:
 
 
 class TestCheapCodec:
+    """Each write starts from an empty chunk memo, so the rule runs."""
+
     def test_incompressible_chunks_skip_zlib(self):
         rng = np.random.default_rng(1)
         t = ColumnTable({"noise": rng.random(50_000)})
-        with chunk_memo_disabled():
-            r = RcfReader(write_table(t, codec="high"))
+        clear_chunk_memo()
+        r = RcfReader(write_table(t, codec="high"))
         meta = r._group(0).chunks["noise"]
         assert meta.codec == "none"  # stored raw: sampling said ~incompressible
         assert_tables_equal(r.read(), t)
@@ -262,14 +264,14 @@ class TestCheapCodec:
         t = ColumnTable(
             {"gauge": np.tile(np.arange(16, dtype=np.float64), 4096)}
         )
-        with chunk_memo_disabled():
-            buf = write_table(t, codec="fast")
+        clear_chunk_memo()
+        buf = write_table(t, codec="fast")
         assert len(buf) < t["gauge"].nbytes / 4
 
     def test_tiny_chunks_never_compress(self):
         t = ColumnTable({"v": np.arange(4, dtype=np.float64)})
-        with chunk_memo_disabled():
-            r = RcfReader(write_table(t, codec="high"))
+        clear_chunk_memo()
+        r = RcfReader(write_table(t, codec="high"))
         assert r._group(0).chunks["v"].codec == "none"
 
     def test_thresholds_are_sane(self):
@@ -282,8 +284,8 @@ class TestCheapCodec:
         # decides: ~random doubles stay raw without ever calling zlib.
         rng = np.random.default_rng(3)
         t = ColumnTable({"noise": rng.random(256)})
-        with chunk_memo_disabled():
-            r = RcfReader(write_table(t, codec="fast"))
+        clear_chunk_memo()
+        r = RcfReader(write_table(t, codec="fast"))
         assert 64 < t["noise"].nbytes <= _CHEAP_SAMPLE_BYTES
         assert r._group(0).chunks["noise"].codec == "none"
         assert_tables_equal(r.read(), t)
@@ -292,8 +294,8 @@ class TestCheapCodec:
         # A repetitive mid-size chunk sits well under the entropy bar
         # and still goes through zlib.
         t = ColumnTable({"gauge": np.tile(np.arange(4.0), 64)})
-        with chunk_memo_disabled():
-            r = RcfReader(write_table(t, codec="fast"))
+        clear_chunk_memo()
+        r = RcfReader(write_table(t, codec="fast"))
         meta = r._group(0).chunks["gauge"]
         assert meta.codec == "fast"
         assert_tables_equal(r.read(), t)

@@ -1,21 +1,27 @@
 """The fast data plane must be indistinguishable from the serial baseline.
 
-Every configuration of :class:`DataPlaneOptions` — batched emission,
-zero-copy polling, every fast-path memo — must produce the same window
-summaries and the same bytes in every storage tier as the
-pre-optimization serial path.
+The fast path — batched emission, zero-copy polling, every fast-path
+memo, planned scans — must produce the same window summaries and the
+same bytes in every storage tier as the pre-optimization path a
+framework takes inside ``baseline_mode()``, whatever options it was
+built with.
 """
 
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.columnar import compression, encodings, file_format
 from repro.core import DataPlaneOptions, ODAFramework
 from repro.faults.injector import FaultInjector, FaultyObjectStore
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.perf import baseline_mode, reset_fast_path_caches
+from repro.pipeline import factorize
+from repro.query import cache as rg_cache
 from repro.serve import Request
+from repro.stream.consumer import Consumer
 from repro.telemetry import MINI, synthetic_job_mix
 
 N_WINDOWS = 4
@@ -68,7 +74,7 @@ def run_span(options, baseline=False, fault_plan=None):
 
 @pytest.fixture(scope="module")
 def baseline_run():
-    return run_windows(DataPlaneOptions.serial_baseline(), baseline=True)
+    return run_windows(DataPlaneOptions(), baseline=True)
 
 
 def assert_tables_equal(a, b):
@@ -103,11 +109,72 @@ def test_default_options_match_serial_baseline(baseline_run):
     assert_equivalent(fw, summaries, baseline_run)
 
 
-def test_batched_only_matches(baseline_run):
-    fw, summaries = run_windows(
-        DataPlaneOptions(batched=True, executor="serial")
+def memo_stats():
+    return (
+        factorize.cache_stats(),
+        encodings.encoding_memo_stats(),
+        compression.compress_memo_stats(),
+        file_format.chunk_memo_stats(),
+        rg_cache.row_group_cache_stats(),
     )
-    assert_equivalent(fw, summaries, baseline_run)
+
+
+def test_baseline_mode_takes_every_reference_path(monkeypatch):
+    """A framework built with default options and run inside
+    ``baseline_mode()`` emits through every source's ``emit_reference``,
+    polls through the copying ``Consumer.poll``, touches no memo or cache
+    on the way to OCEAN or back, and answers what the fast path does."""
+    fast_fw, fast_summaries = run_windows(DataPlaneOptions())
+    fast_answer = fast_fw.tiers.query_archive("power.bronze")
+
+    calls = Counter()
+    in_poll = []
+    poll, poll_slices = Consumer.poll, Consumer.poll_slices
+
+    def counted_poll(self, *args, **kwargs):
+        calls["poll"] += 1
+        in_poll.append(self)
+        try:
+            return poll(self, *args, **kwargs)
+        finally:
+            in_poll.pop()
+
+    def counted_poll_slices(self, *args, **kwargs):
+        if not in_poll:  # poll's own use of it is not a zero-copy read
+            calls["poll_slices"] += 1
+        return poll_slices(self, *args, **kwargs)
+
+    monkeypatch.setattr(Consumer, "poll", counted_poll)
+    monkeypatch.setattr(Consumer, "poll_slices", counted_poll_slices)
+    rng = np.random.default_rng(11)
+    allocation = synthetic_job_mix(MINI, 0.0, N_WINDOWS * WINDOW_S, rng)
+    fw = ODAFramework(MINI, allocation, seed=3)
+    sources = [fw.fleet.power, fw.fleet.perf, fw.fleet.syslog,
+               fw.fleet.storage_io, fw.fleet.interconnect, fw.fleet.facility]  # fmt: skip
+    for source in sources:
+
+        def counted(t0, t1, name=source.name, emit=source.emit_reference):
+            calls[name] += 1
+            return emit(t0, t1)
+
+        monkeypatch.setattr(source, "emit_reference", counted)
+    reset_fast_path_caches()
+    before = memo_stats()
+    with baseline_mode():
+        summaries = [
+            fw.run_window(w * WINDOW_S, (w + 1) * WINDOW_S)
+            for w in range(N_WINDOWS)
+        ]
+        answer = fw.tiers.query_archive("power.bronze")
+
+    assert {s.name: calls[s.name] for s in sources} == {
+        s.name: N_WINDOWS for s in sources
+    }
+    assert calls["poll"] > 0 and calls["poll_slices"] == 0
+    assert memo_stats() == before
+    assert not allocation._util_memo
+    assert_equivalent(fw, summaries, (fast_fw, fast_summaries))
+    assert_tables_equal(answer, fast_answer)
 
 
 def test_pipeline_off_run_matches_serial_baseline(baseline_run):

@@ -1,66 +1,80 @@
 """Regression tests for the concurrency bugs the interprocedural RACE
-pass surfaced (PR-7): stale-restore fast-path toggles, the unlocked
-RNG-stream cache and the unlocked tier registry."""
+pass surfaced (PR-7): stale-restore fast-path toggles (now the one
+``baseline_mode()`` switch), the unlocked RNG-stream cache and the
+unlocked tier registry."""
 
 from __future__ import annotations
 
-import importlib
 import threading
 
+import numpy as np
 import pytest
 
+from repro.columnar import compression, encodings, file_format
+from repro.columnar.table import ColumnTable
+from repro.perf import baseline
+from repro.perf.baseline import baseline_mode
+from repro.pipeline import factorize
 from repro.storage.tiers import DataClass, TieredStore
+from repro.telemetry import MINI, synthetic_job_mix
 from repro.util.rng import RngStreams
 
-#: (module, context manager, flag, value while active, value when idle)
-#: — every fast-path toggle baseline_mode() composes.
-TOGGLES = [
-    ("repro.pipeline.factorize", "cache_disabled", "_cache_enabled", False, True),
-    ("repro.pipeline.factorize", "factorize_reference_mode", "_reference_mode", True, False),
-    ("repro.columnar.encodings", "encoding_memo_disabled", "_memo_enabled", False, True),
-    ("repro.columnar.encodings", "encoding_reference_mode", "_reference_mode", True, False),
-    ("repro.columnar.compression", "compress_memo_disabled", "_memo_enabled", False, True),
-    ("repro.columnar.file_format", "chunk_memo_disabled", "_chunk_memo_enabled", False, True),
-    ("repro.telemetry.jobs", "utilization_memo_disabled", "_util_memo_enabled", False, True),
-    ("repro.query.executor", "scan_reference_mode", "_scan_reference", True, False),
-    ("repro.query.cache", "row_group_cache_disabled", "_cache_enabled", False, True),
-]
 
-
-@pytest.mark.parametrize(
-    "module,cm_name,flag,active,idle",
-    TOGGLES,
-    ids=[f"{m.rsplit('.', 1)[-1]}.{c}" for m, c, *_ in TOGGLES],
-)
-def test_overlapping_toggles_restore_only_at_last_exit(
-    module, cm_name, flag, active, idle
-):
+def test_overlapping_toggles_restore_only_at_last_exit():
     # The old save/restore pattern (`prev = flag; ...; flag = prev`)
-    # breaks on non-nested lifetimes: the first toggle to exit restores
+    # breaks on non-nested lifetimes: the first block to exit restores
     # the pre-entry value while the second is still open.  The depth
-    # counter must keep the flag active until the *last* exit,
+    # counter must keep the switch on until the *last* exit,
     # regardless of exit order.
-    mod = importlib.import_module(module)
-    cm = getattr(mod, cm_name)
-    assert getattr(mod, flag) == idle
-    first, second = cm(), cm()
+    assert not baseline.active()
+    first, second = baseline_mode(), baseline_mode()
     first.__enter__()
     second.__enter__()
-    assert getattr(mod, flag) == active
+    assert baseline.active()
     first.__exit__(None, None, None)  # non-LIFO: first in, first out
-    assert getattr(mod, flag) == active, "stale restore: toggle reverted early"
+    assert baseline.active(), "stale restore: switch reverted early"
     second.__exit__(None, None, None)
-    assert getattr(mod, flag) == idle
+    assert not baseline.active()
 
 
 def test_baseline_mode_still_composes_all_toggles():
-    from repro.perf.baseline import baseline_mode
-
+    """Every fast-path decision the nine retired per-module toggles made
+    now follows the one switch, read at call time: the estimator and
+    factorizer take their references and no memo is probed."""
+    reset = (
+        factorize.clear_cache,
+        encodings.clear_encoding_memo,
+        compression.clear_compress_memo,
+        file_format.clear_chunk_memo,
+    )
+    stats = (
+        factorize.cache_stats,
+        encodings.encoding_memo_stats,
+        compression.compress_memo_stats,
+        file_format.chunk_memo_stats,
+    )
+    for clear in reset:
+        clear()
+    table = ColumnTable({"v": np.tile(np.arange(64.0), 64)})
+    allocation = synthetic_job_mix(MINI, 0.0, 600.0, np.random.default_rng(2))
+    grid = (np.arange(MINI.n_nodes), np.arange(0.0, 300.0, 15.0))
     with baseline_mode():
-        for module, _, flag, active, _ in TOGGLES:
-            assert getattr(importlib.import_module(module), flag) == active
-    for module, _, flag, _, idle in TOGGLES:
-        assert getattr(importlib.import_module(module), flag) == idle
+        factorize.factorize(np.arange(4096))
+        encodings.choose_encoding(np.arange(4096))
+        compression.compress(bytes(4096), "fast")
+        file_format.write_table(table)
+        allocation.utilization(*grid)
+        assert all(s()["hits"] + s()["misses"] == 0 for s in stats)
+        assert not allocation._util_memo
+    factorize.factorize(np.arange(4096))
+    encodings.choose_encoding(np.arange(4096))
+    compression.compress(bytes(4096), "fast")
+    file_format.write_table(table)
+    allocation.utilization(*grid)
+    assert all(s()["misses"] > 0 for s in stats)
+    assert allocation._util_memo
+    for clear in reset:
+        clear()
 
 
 class TestRngStreamsLocking:

@@ -28,18 +28,15 @@ from repro.columnar import ColumnTable
 from repro.columnar import compression, encodings, file_format
 from repro.lineage.catalog import LineageCatalog
 from repro.obs.span import Tracer
+from repro.perf import baseline
+from repro.perf.baseline import baseline_mode
 from repro.pipeline import factorize as fz
 from repro.query import cache as rg_cache
 from repro.serve.cache import ResultCache
 from repro.storage import DataClass, TieredStore
 from repro.storage.rollup import GoldRollup, RollupSpec
-from repro.telemetry.jobs import (
-    AllocationTable,
-    JobSpec,
-    utilization_memo_disabled,
-)
+from repro.telemetry.jobs import AllocationTable, JobSpec
 from repro.telemetry.schema import SEVERITY_IDS, EventBatch
-from tests.core.test_race_fixes import TOGGLES
 from tests.storage.compaction_oracle import fresh_live, live_metas
 
 #: ``repro.obs`` re-exports the ``profile`` decorator under the module's name.
@@ -181,7 +178,7 @@ def _encoding_case():
 
 def _compress_case():
     inputs = [bytes([j]) * 2000 + bytes(range(256)) * j for j in range(6)]
-    with compression.compress_memo_disabled():
+    with baseline_mode():
         expected = [compression.compress(buf, "fast") for buf in inputs]
     return (
         lambda buf: compression.compress(buf, "fast"),
@@ -202,7 +199,7 @@ def _chunk_memo_case():
         )
         for j in range(6)
     ]
-    with file_format.chunk_memo_disabled():
+    with baseline_mode():
         expected = [file_format.write_table(t) for t in inputs]
     return (
         file_format.write_table,
@@ -263,7 +260,7 @@ def test_utilization_memo_matches_uncached():
     )
     nodes = np.arange(16)
     grids = [np.arange(10.0) * 15.0 + g for g in range(20)]  # > memo size
-    with utilization_memo_disabled():
+    with baseline_mode():
         expected = [table.utilization(nodes, times) for times in grids]
 
     def work(i):
@@ -432,29 +429,20 @@ def test_tiered_store_versions_and_rollups_match_a_serial_twin():
         assert threaded.query_rollup(f"r{i}") == serial.query_rollup(f"r{i}")
 
 
-# -- every toggle, from threads -----------------------------------------------
+# -- the toggles, from threads -----------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "module,cm_name,flag,active,idle",
-    TOGGLES,
-    ids=[f"{m.rsplit('.', 1)[-1]}.{c}" for m, c, *_ in TOGGLES],
-)
-def test_toggles_hold_while_any_thread_is_inside(
-    module, cm_name, flag, active, idle
-):
-    mod = importlib.import_module(module)
-    cm = getattr(mod, cm_name)
-
+def test_toggles_hold_while_any_thread_is_inside():
     def work(i):
         for _ in range(200):
-            with cm():
-                assert getattr(mod, flag) == active
-            with cm(), cm():
-                assert getattr(mod, flag) == active
+            with baseline_mode():
+                assert baseline.active()
+            with baseline_mode(), baseline_mode():
+                assert baseline.active()
 
     hammer(work)
-    assert getattr(mod, flag) == idle
+    assert not baseline.active()
+    assert baseline._depth == 0
 
 
 def test_profiling_toggle_depth_returns_to_zero():

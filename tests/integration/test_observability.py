@@ -139,8 +139,9 @@ def test_dashboard_renders_self_telemetry():
 
 
 def test_tracing_preserves_baseline_equivalence():
-    """Outputs with the tracer live must equal the serial baseline's —
-    observability is not allowed to touch the data plane."""
+    """Outputs with the tracer live must equal those of the same
+    framework run under ``baseline_mode()`` — observability is not
+    allowed to touch the data plane."""
     reset_all()
     allocation = synthetic_job_mix(MINI, 0.0, 600.0, np.random.default_rng(11))
     with ODAFramework(MINI, allocation, seed=5) as fast:
@@ -148,10 +149,7 @@ def test_tracing_preserves_baseline_equivalence():
         fast_footprint = fast.tier_footprint()
     assert len(TRACER.finished()) > 0  # the tracer really was live
     reset_all()
-    with ODAFramework(
-        MINI, allocation, seed=5,
-        options=DataPlaneOptions.serial_baseline(),
-    ) as base:
+    with ODAFramework(MINI, allocation, seed=5) as base:
         with baseline_mode():
             base_summaries = base.run(0.0, 60.0, 30.0)
         base_footprint = base.tier_footprint()

@@ -177,29 +177,19 @@ def test_global_registry_is_wired():
 
 
 def test_baseline_mode_restores_fast_path():
-    """baseline_mode() must disable every fast-path toggle and restore
-    them all on exit, even on error."""
-    from repro.columnar import compression, encodings, file_format
-    from repro.pipeline import factorize
+    """baseline_mode() must turn the fast-path switch on and restore it
+    on exit, even on error."""
+    from repro.perf import baseline
 
     reset_fast_path_caches()
     with baseline_mode():
-        assert not factorize._cache_enabled
-        assert factorize._reference_mode
-        assert not encodings._memo_enabled
-        assert encodings._reference_mode
-        assert not compression._memo_enabled
-        assert not file_format._chunk_memo_enabled
-    assert factorize._cache_enabled
-    assert encodings._memo_enabled
-    assert not encodings._reference_mode
-    assert compression._memo_enabled
-    assert file_format._chunk_memo_enabled
+        assert baseline.active()
+    assert not baseline.active()
 
     with pytest.raises(RuntimeError):
         with baseline_mode():
             raise RuntimeError("boom")
-    assert factorize._cache_enabled and not encodings._reference_mode
+    assert not baseline.active()
 
 
 def test_reset_all_covers_perf_and_obs():

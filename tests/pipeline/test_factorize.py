@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.perf import baseline_mode
 from repro.pipeline import factorize as fz
 
 
@@ -36,8 +37,8 @@ strings = st.text(
 @given(st.lists(st.one_of(strings, st.none()), max_size=40))
 def test_object_matches_reference(values):
     col = np.array(values, dtype=object)
-    with fz.cache_disabled():
-        assert_same(fz.factorize(col), fz.factorize_reference(col))
+    fz.clear_cache()
+    assert_same(fz.factorize(col), fz.factorize_reference(col))
 
 
 @settings(max_examples=150, deadline=None)
@@ -48,18 +49,16 @@ def test_object_matches_reference(values):
 )
 def test_float_matches_reference(values):
     col = np.array(values, dtype=np.float64)
-    with fz.cache_disabled():
-        assert_same(
-            fz.factorize(col), fz.factorize_reference(col), float_ok=True
-        )
+    fz.clear_cache()
+    assert_same(fz.factorize(col), fz.factorize_reference(col), float_ok=True)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(-(2**40), 2**40), max_size=40))
 def test_int_matches_reference(values):
     col = np.array(values, dtype=np.int64)
-    with fz.cache_disabled():
-        assert_same(fz.factorize(col), fz.factorize_reference(col))
+    fz.clear_cache()
+    assert_same(fz.factorize(col), fz.factorize_reference(col))
 
 
 @settings(max_examples=100, deadline=None)
@@ -88,17 +87,17 @@ def test_tricky_strings():
         ["ñ", "n", "ñ"],
         ["0", 0.0, "0.0"],  # mixed types, hash(0.0) == 0 vs salted str hashes
     ]
-    with fz.cache_disabled():
-        for values in cases:
-            col = np.array(values, dtype=object)
-            assert_same(fz.factorize(col), fz.factorize_reference(col))
+    for values in cases:
+        col = np.array(values, dtype=object)
+        fz.clear_cache()
+        assert_same(fz.factorize(col), fz.factorize_reference(col))
 
 
 def test_hashable_non_string_contents():
     col = np.empty(4, dtype=object)
     col[0], col[1], col[2], col[3] = (1, 2), (1, 2), (3,), (1, 2)
-    with fz.cache_disabled():
-        assert_same(fz.factorize(col), fz.factorize_reference(col))
+    fz.clear_cache()
+    assert_same(fz.factorize(col), fz.factorize_reference(col))
 
 
 def test_cached_arrays_are_readonly():
@@ -131,7 +130,7 @@ def test_small_numeric_columns_skip_memo():
 
 def test_reference_mode_routes_everything():
     col = np.array(["x", "y", "x"], dtype=object)
-    with fz.factorize_reference_mode():
+    with baseline_mode():
         fz.clear_cache()
         codes, uniq = fz.factorize(col)
         assert fz.cache_stats()["misses"] == 0  # memo fully bypassed

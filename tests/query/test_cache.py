@@ -319,14 +319,3 @@ class TestAdmission:
         first = deltas(replay), qcache.row_group_cache_stats()
         assert first == (deltas(replay), qcache.row_group_cache_stats())
         assert min(first[0].values()) > 0  # every path of the rule ran
-
-
-class TestDisabled:
-    def test_disabled_bypasses_and_decodes_every_time(self):
-        calls = []
-        loader = lambda: (calls.append(1), np.arange(4.0))[1]
-        with qcache.row_group_cache_disabled():
-            qcache.cached_column("tok", 0, "x", loader)
-            qcache.cached_column("tok", 0, "x", loader)
-        assert len(calls) == 2
-        assert qcache.row_group_cache_stats()["entries"] == 0

@@ -1,8 +1,9 @@
 """Property-style soundness: planner output == brute-force mask path.
 
 Random tables (NaN floats, null strings, dict-friendly low-cardinality
-columns) and random predicate trees, executed three ways — fast,
-cache-disabled, and the decode-everything reference — must all agree
+columns) and random predicate trees, executed three ways — fast on a
+cold cache, fast on a warm one, and the decode-everything reference —
+must all agree
 with the plain ``predicate.mask`` filter over the concatenated data.
 This is the one assertion that covers row-group pruning,
 dictionary-code pushdown, late materialization, raw chunks read in
@@ -23,7 +24,6 @@ from repro.query import (
     execute_plan_reference,
     plan_parts,
     plan_segments,
-    row_group_cache_disabled,
 )
 from repro.query.scan import fold_time_predicate
 from repro.storage.manifest import stats_from_meta, stats_to_meta, table_stats
@@ -146,14 +146,13 @@ def test_random_queries_match_brute_force(seed, monkeypatch):
         expected = brute_force(tables, t0, t1, predicate, columns)
         plan = build_plan(tables, blobs, t0, t1, predicate, columns)
 
-        serial = execute_plan(plan)
+        clear_row_group_cache()
+        cold = execute_plan(plan)
         reference = execute_plan_reference(plan)
-        with row_group_cache_disabled():
-            uncached = execute_plan(plan)
         # A second run exercises warm-cache hits.
         warm = execute_plan(plan)
 
-        for out in (serial, reference, uncached, warm):
+        for out in (cold, reference, warm):
             assert out.num_rows == expected.num_rows
             assert list(out.column_names) == list(expected.column_names)
             for c in expected.column_names:
@@ -162,8 +161,8 @@ def test_random_queries_match_brute_force(seed, monkeypatch):
                     assert [x for x in a.tolist()] == [x for x in b.tolist()]
                 else:
                     assert np.array_equal(a, b, equal_nan=True)
-        assert write_table(serial) == write_table(reference)
-        assert write_table(uncached) == write_table(reference)
+        assert write_table(cold) == write_table(reference)
+        assert write_table(warm) == write_table(reference)
     # Noisy float chunks of 32 rows are stored raw and read in place.
     assert views
 
@@ -174,8 +173,8 @@ def test_shared_reader_equals_fresh_reader_per_scan(seed):
     # every scan.  A reader must therefore carry nothing from one scan
     # into the next: the same readers, scanned again and again under
     # different predicates, windows and projections, must answer byte
-    # for byte what a reader opened for that scan alone answers — with
-    # the row-group cache on (warm and cold) and off.
+    # for byte what a reader opened for that scan alone answers — on a
+    # cold row-group cache and a warm one.
     rng = np.random.default_rng([seed, 99])
     tables = [random_table(rng, int(rng.integers(50, 200))) for _ in range(3)]
     blobs = [write_table(t, row_group_size=32) for t in tables]
@@ -196,10 +195,11 @@ def test_shared_reader_equals_fresh_reader_per_scan(seed):
         shared_plan = build_plan(tables, blobs, t0, t1, predicate, columns)
         for unit, reader in zip(shared_plan.units, shared):
             unit.reader = reader
+        clear_row_group_cache()
         want = write_table(execute_plan(fresh_plan))
         assert write_table(execute_plan(shared_plan)) == want
-        with row_group_cache_disabled():
-            assert write_table(execute_plan(shared_plan)) == want
+        clear_row_group_cache()
+        assert write_table(execute_plan(shared_plan)) == want
         assert write_table(execute_plan_reference(shared_plan)) == want
     # Sharing is real: each reader hashed and parsed its headers once.
     assert all(r.header_parse_count <= r.num_row_groups for r in shared)

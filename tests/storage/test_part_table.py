@@ -159,6 +159,31 @@ def test_every_retire_site_drops_everything_derived(site):
     assert cat.node(cat.partial_node(ROLLUP, key))["retired"]
 
 
+def test_a_key_deleted_behind_the_store_releases_its_cached_groups():
+    # Deleting straight from OCEAN bypasses the store's retire: the next
+    # listing drops the record, and must release what the row-group
+    # cache holds under the record's open handle on the way.
+    ts = build()
+    for i in range(3):
+        ts.ingest("d", batch(i * 100.0), now=float(i))
+    ts.query_archive("d")
+    victim = part_named(ts, "d/part-00000000.rcf")
+    token = victim.reader.digest()
+    assert token in qcache._token_keys
+    reader = weakref.ref(victim.reader)
+
+    ts.ocean.delete(ts.OCEAN_BUCKET, victim.key)
+    ts.query_archive("d")
+    del victim
+    gc.collect()
+    assert reader() is None
+    assert token not in qcache._token_keys and token not in qcache._asked
+    left = qcache.row_group_cache_stats()
+    qcache.clear_row_group_cache()
+    ts.query_archive("d")  # what the surviving parts alone leave cached
+    assert left == qcache.row_group_cache_stats()
+
+
 # -- once per part, over a whole history ----------------------------------------
 
 

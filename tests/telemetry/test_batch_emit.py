@@ -10,6 +10,7 @@ windows are exercised explicitly).
 import numpy as np
 import pytest
 
+from repro.perf import baseline_mode
 from repro.telemetry import MINI, FleetTelemetry, synthetic_job_mix
 
 HORIZON_S = 240.0
@@ -76,13 +77,16 @@ def test_partially_idle_window_matches(fleet):
 
 
 def test_fleet_reference_flag_is_byte_identical():
+    """``emit_window`` under ``baseline_mode()`` (each source's
+    ``emit_reference``) emits the bytes of the batched path."""
     rng = np.random.default_rng(5)
     allocation = synthetic_job_mix(MINI, 0.0, HORIZON_S, rng)
     fast = FleetTelemetry(MINI, allocation, seed=9)
-    ref = FleetTelemetry(MINI, allocation, seed=9, reference_emit=True)
+    ref = FleetTelemetry(MINI, allocation, seed=9)
     for t0 in (0.0, 30.0, 60.0):
         fb = fast.emit_window(t0, t0 + 30.0)
-        rb = ref.emit_window(t0, t0 + 30.0)
+        with baseline_mode():
+            rb = ref.emit_window(t0, t0 + 30.0)
         assert fb.keys() == rb.keys()
         for topic in fb:
             assert_batches_identical(fb[topic], rb[topic])
