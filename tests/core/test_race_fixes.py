@@ -18,23 +18,32 @@ from repro.pipeline import factorize
 from repro.storage.tiers import DataClass, TieredStore
 from repro.telemetry import MINI, synthetic_job_mix
 from repro.util.rng import RngStreams
+from tests.core import fast_path_probes
 
 
-def test_overlapping_toggles_restore_only_at_last_exit():
+@pytest.mark.parametrize("decision", fast_path_probes.IDS)
+def test_overlapping_toggles_restore_only_at_last_exit(monkeypatch, decision):
     # The old save/restore pattern (`prev = flag; ...; flag = prev`)
     # breaks on non-nested lifetimes: the first block to exit restores
     # the pre-entry value while the second is still open.  The depth
-    # counter must keep the switch on until the *last* exit,
-    # regardless of exit order.
-    assert not baseline.active()
-    first, second = baseline_mode(), baseline_mode()
-    first.__enter__()
-    second.__enter__()
-    assert baseline.active()
-    first.__exit__(None, None, None)  # non-LIFO: first in, first out
-    assert baseline.active(), "stale restore: switch reverted early"
-    second.__exit__(None, None, None)
-    assert not baseline.active()
+    # counter must keep the switch on — and every decision on its
+    # reference path — until the *last* exit, regardless of exit order.
+    took_reference = fast_path_probes.install(monkeypatch)[decision]
+    assert not baseline.active() and not took_reference()
+    open_blocks = [baseline_mode(), baseline_mode()]
+    try:
+        for block in open_blocks:
+            block.__enter__()
+        assert baseline.active() and took_reference()
+        # non-LIFO: first in, first out
+        open_blocks.pop(0).__exit__(None, None, None)
+        assert baseline.active(), "stale restore: switch reverted early"
+        assert took_reference(), "stale restore: fast path came back early"
+        open_blocks.pop(0).__exit__(None, None, None)
+    finally:
+        for block in open_blocks:  # a failed check leaves no switch on
+            block.__exit__(None, None, None)
+    assert not baseline.active() and not took_reference()
 
 
 def test_baseline_mode_still_composes_all_toggles():

@@ -37,6 +37,7 @@ from repro.storage import DataClass, TieredStore
 from repro.storage.rollup import GoldRollup, RollupSpec
 from repro.telemetry.jobs import AllocationTable, JobSpec
 from repro.telemetry.schema import SEVERITY_IDS, EventBatch
+from tests.core import fast_path_probes
 from tests.storage.compaction_oracle import fresh_live, live_metas
 
 #: ``repro.obs`` re-exports the ``profile`` decorator under the module's name.
@@ -432,17 +433,21 @@ def test_tiered_store_versions_and_rollups_match_a_serial_twin():
 # -- the toggles, from threads -----------------------------------------------
 
 
-def test_toggles_hold_while_any_thread_is_inside():
+@pytest.mark.parametrize("decision", fast_path_probes.IDS)
+def test_toggles_hold_while_any_thread_is_inside(monkeypatch, decision):
+    took_reference = fast_path_probes.install(monkeypatch)[decision]
+
     def work(i):
-        for _ in range(200):
+        for _ in range(ROUNDS):
             with baseline_mode():
-                assert baseline.active()
+                assert baseline.active() and took_reference()
             with baseline_mode(), baseline_mode():
-                assert baseline.active()
+                assert baseline.active() and took_reference()
 
     hammer(work)
     assert not baseline.active()
     assert baseline._depth == 0
+    assert not took_reference()
 
 
 def test_profiling_toggle_depth_returns_to_zero():
