@@ -6,12 +6,13 @@ same ``DataPlaneOptions()`` under :func:`repro.perf.baseline_mode`
 (every fast-path cache and the vectorized emitters disabled) — asserts
 the outputs are identical, and
 writes ``BENCH_e2e.json`` at the repo root with wall time, rows/s,
-bytes/s, the per-stage :data:`repro.perf.PERF` breakdown for both
-configurations, and the speedup.
+bytes/s, the per-stage breakdown (the stage-timer histograms of
+:data:`repro.obs.METRICS`) for both configurations, and the speedup.
 
 A third interleaved configuration — the fast path with the obs tracer
-and metrics switched off — yields the observability overhead ratio
-(``obs_overhead``), and its outputs are asserted identical too.
+and metrics registry switched off, stage timers included — yields the
+observability overhead ratio (``obs_overhead``), and its outputs are
+asserted identical too.
 
 Repetitions are interleaved (baseline, fast, fast_noobs, ...) and
 summarized by medians so a noisy neighbour during one run cannot skew
@@ -35,7 +36,7 @@ import numpy as np
 
 from repro.core import DataPlaneOptions, ODAFramework
 from repro.obs import METRICS, TRACER
-from repro.perf import PERF, baseline_mode, reset_all
+from repro.perf import baseline_mode, reset_all
 from repro.telemetry import COMPASS, synthetic_job_mix
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -57,9 +58,10 @@ HEADLINE_TIMERS = (
 
 def run_once(machine, allocation, n_windows, window_s, *, baseline, obs=True):
     """One full multi-window run; returns (wall_s, summaries, footprint,
-    perf snapshot).  ``obs=False`` switches the tracer and metrics off
-    for the run — the no-observability control the overhead ratio is
-    measured against."""
+    metrics snapshot).  ``obs=False`` switches the tracer and the metrics
+    registry off for the run — the no-observability control the overhead
+    ratio is measured against.  The stage timers record into that
+    registry, so they stop too and the control reports no stages."""
     reset_all()
     TRACER.enabled = obs
     METRICS.enabled = obs
@@ -78,7 +80,7 @@ def run_once(machine, allocation, n_windows, window_s, *, baseline, obs=True):
     finally:
         TRACER.enabled = True
         METRICS.enabled = True
-    return wall_s, summaries, footprint, PERF.snapshot()
+    return wall_s, summaries, footprint, METRICS.snapshot()
 
 
 def summarize(walls, summaries, footprint, snapshot, label):
@@ -96,11 +98,15 @@ def summarize(walls, summaries, footprint, snapshot, label):
         "bytes_per_s": raw_bytes / wall if wall else 0.0,
         "tier_footprint": footprint,
         "stages": {
-            name: snapshot["timers"][name]
+            name: {
+                "total_s": hist["total"],
+                "calls": hist["count"],
+                "max_s": hist["max"],
+            }
             for name in HEADLINE_TIMERS
-            if name in snapshot["timers"]
+            if (hist := snapshot["histograms"].get(name)) is not None
         },
-        "perf": snapshot,
+        "metrics": snapshot,
     }
 
 

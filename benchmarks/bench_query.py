@@ -35,7 +35,8 @@ import numpy as np
 
 from repro.columnar import ColumnTable
 from repro.columnar.predicate import Col, IsIn
-from repro.perf import PERF, baseline_mode, reset_all
+from repro.obs import METRICS
+from repro.perf import baseline_mode, reset_all
 from repro.storage import DataClass, TierPolicy, TieredStore
 from repro.storage.tiers import DAY_S
 
@@ -158,9 +159,9 @@ def run_config(store, panel, label):
             walls[name] = time.perf_counter() - t0
         outputs[name] = out
     counters = {
-        n: PERF.counter(n)
+        n: METRICS.counter(n)
         for n in HEADLINE_COUNTERS
-        if PERF.counter(n)
+        if METRICS.counter(n)
     }
     return walls, outputs, counters
 

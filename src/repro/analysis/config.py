@@ -90,8 +90,8 @@ TRANSIENT_ERROR_NAMES = frozenset(
 
 #: Packages every layer may import: itself, the ``repro`` root facade,
 #: pure helpers (``util``) and the cross-cutting instrumentation spines
-#: (``perf`` and ``obs`` — their registries import nothing of the data
-#: plane eagerly; exporters reach telemetry/perf lazily, at call time).
+#: (``perf`` and ``obs`` — they import nothing of the data plane
+#: eagerly; obs exporters reach telemetry lazily, at call time).
 ALWAYS_ALLOWED_IMPORTS = frozenset(
     {"repro", "repro.util", "repro.perf", "repro.obs", "repro.lineage"}
 )
@@ -121,11 +121,10 @@ LAYER_ALLOWED_IMPORTS: dict[str, frozenset[str]] = {
     "repro.perf": frozenset(
         {"repro.columnar", "repro.pipeline", "repro.query", "repro.telemetry"}
     ),
-    # The obs spine mirrors perf: import-light at module level, with
-    # lazy call-time imports of telemetry (self-telemetry batches) and
-    # perf (merged snapshots).  The import rule counts function-level
-    # imports too, so both must be listed.
-    "repro.obs": frozenset({"repro.telemetry", "repro.perf"}),
+    # The obs spine mirrors perf: import-light at module level, with a
+    # lazy call-time import of telemetry (self-telemetry batches).  The
+    # import rule counts function-level imports too, so it is listed.
+    "repro.obs": frozenset({"repro.telemetry"}),
     "repro.pipeline": frozenset(
         {"repro.columnar", "repro.telemetry", "repro.stream", "repro.faults"}
     ),

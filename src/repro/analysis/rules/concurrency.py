@@ -20,7 +20,7 @@ discipline mechanical:
   ``*_disabled``/``*_enabled``, such as ``baseline_mode()``) rebinds a
   module global outside the lock.  Two overlapping
   save/restore toggles then restore a stale value; the fix is the
-  lock-guarded depth counter (see ``repro.perf.registry``).  CONC001
+  lock-guarded depth counter (see ``repro.perf.baseline``).  CONC001
   does not see this: a scalar flag is not a container.
 
 The detector is lexical: it only trusts ``with lock:`` blocks visible
@@ -379,5 +379,5 @@ class UnlockedToggle(_ConcBase):
                 f"toggle {toggle} writes module global {name!r} without "
                 "a lock; two overlapping toggles restore a stale value — "
                 "use a lock-guarded depth counter "
-                "(see repro.perf.registry.PerfRegistry.disabled)",
+                "(see repro.perf.baseline.baseline_mode)",
             )

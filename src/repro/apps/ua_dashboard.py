@@ -136,18 +136,18 @@ class UserAssistanceDashboard:
 
     def job_overview(self, job_id: int) -> JobOverview:
         """Compile the integrated per-job view and diagnose it."""
-        from repro.perf import PERF
+        from repro.obs import METRICS
 
         job = self.allocation.job(job_id)
-        before = {n: PERF.counter(n) for n in self._SCAN_COUNTERS}
-        t_before = PERF.total_s("query.scan")
+        before = {n: METRICS.counter(n) for n in self._SCAN_COUNTERS}
+        t_before = METRICS.total("query.scan")
         power = self._job_slice(self.power_table, job)
         io = self._job_slice(self.io_table, job)
         fabric = self._job_slice(self.fabric_table, job)
         scan_stats = {
-            n: PERF.counter(n) - before[n] for n in self._SCAN_COUNTERS
+            n: METRICS.counter(n) - before[n] for n in self._SCAN_COUNTERS
         }
-        scan_stats["scan_wall_s"] = PERF.total_s("query.scan") - t_before
+        scan_stats["scan_wall_s"] = METRICS.total("query.scan") - t_before
         events = self._events_for(job)
         overview = JobOverview(
             job, power, events, io, fabric, scan_stats=scan_stats

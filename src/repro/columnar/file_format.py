@@ -291,9 +291,9 @@ class RcfWriter:
         return n
 
     def _encode_group(self, chunk: ColumnTable) -> bytes:
-        from repro.perf import PERF
+        from repro.obs import METRICS
 
-        with PERF.timer("columnar.encode_group"):
+        with METRICS.timer("columnar.encode_group"):
             return self._encode_group_impl(chunk)
 
     def _maybe_dict_ref(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.obs import METRICS, TRACER
-from repro.perf import PERF, baseline
+from repro.perf import baseline
 from repro.pipeline.medallion import MedallionPipeline
 from repro.storage.tiers import DataClass, TieredStore
 from repro.stream.broker import Broker, TopicConfig
@@ -374,7 +374,7 @@ class ODAFramework:
             t0=t0,
             t1=t1,
         ):
-            with PERF.timer("window.total"):
+            with METRICS.timer("window.total"):
                 return self._run_window_impl(t0, t1)
 
     def _lineage_batch(
@@ -396,7 +396,7 @@ class ODAFramework:
 
     def _run_window_impl(self, t0: float, t1: float) -> WindowSummary:
         zero_copy = not baseline.active()
-        with PERF.timer("telemetry.emit"):
+        with METRICS.timer("telemetry.emit"):
             batches = self.fleet.emit_window(t0, t1)
 
         # Hop 1: everything lands on the STREAM tier, keyed for ordering.

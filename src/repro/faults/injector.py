@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.faults.errors import SimulatedCrash, TransientTierError
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
-from repro.perf import PERF
+from repro.obs import METRICS
 from repro.stream.errors import FetchTimeoutError, ProduceUnavailableError
 
 if TYPE_CHECKING:  # import for type hints only; wrappers duck-type
@@ -69,7 +69,7 @@ class FaultInjector:
         spec = self.plan.lookup(site, n)
         if spec is not None:
             self.injected.append((site, n, spec.kind))
-            PERF.count(f"faults.injected.{spec.kind.value}")
+            METRICS.inc(f"faults.injected.{spec.kind.value}")
         return n, spec
 
     def fire(self, site: str) -> FaultSpec | None:
@@ -89,7 +89,7 @@ class FaultInjector:
             raise SimulatedCrash(site, call)
         if kind is FaultKind.SLOW_READ:
             self.virtual_delay_s += spec.arg
-            PERF.count("faults.slow_read_virtual_s", spec.arg)
+            METRICS.inc("faults.slow_read_virtual_s", spec.arg)
         return spec
 
 
@@ -246,7 +246,7 @@ class FaultyObjectStore:
             self.injector.corrupted.append(
                 (self.SITE_PUT, self.injector.calls(self.SITE_PUT), key)
             )
-            PERF.count("faults.parts_corrupted")
+            METRICS.inc("faults.parts_corrupted")
         return self.inner.put(bucket, key, data, **kwargs)
 
     def delete(self, bucket: str, key: str) -> None:

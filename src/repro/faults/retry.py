@@ -9,7 +9,7 @@ driver, and the tier writes all route their fallible hops through
   up to ``policy.max_attempts`` total attempts,
 * fails fast on everything else (``UnknownTopicError``, ``ValueError``,
   crashes — permanent by definition),
-* counts every retry and give-up per site in the :data:`repro.perf.PERF`
+* counts every retry and give-up per site in the :data:`repro.obs.METRICS`
   registry (``faults.retry.<site>`` / ``faults.giveup.<site>``),
 * keeps backoff *virtual*: delays are computed deterministically and
   accumulated into the ``faults.backoff_virtual_s`` counter (or handed
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.perf import PERF
+from repro.obs import METRICS
 from repro.stream.errors import TransientStreamError
 
 __all__ = [
@@ -104,14 +104,14 @@ def call_with_retry(
         except TransientStreamError as exc:
             retries_left = policy.max_attempts - 1 - attempt
             if retries_left == 0:
-                PERF.count(f"faults.giveup.{site or exc.site}")
+                METRICS.inc(f"faults.giveup.{site or exc.site}")
                 raise RetryExhaustedError(
                     site or exc.site, policy.max_attempts, exc
                 ) from exc
-            PERF.count(f"faults.retry.{site or exc.site}")
+            METRICS.inc(f"faults.retry.{site or exc.site}")
             delay = policy.delay_s(attempt)
             if sleep is not None:
                 sleep(delay)
             else:
-                PERF.count("faults.backoff_virtual_s", delay)
+                METRICS.inc("faults.backoff_virtual_s", delay)
     raise AssertionError("unreachable: loop either returns or raises")

@@ -7,9 +7,9 @@ reproduction's own health instrumentation:
 * :data:`TRACER` — span-based tracing with **deterministic IDs** (seeds
   and logical window indices, never the clock), propagated producer →
   broker → consumer → medallion stages → tier writes → query executor.
-* :data:`METRICS` — labeled counters, gauges and fixed-bucket
-  histograms behind the same cheap lock discipline as
-  :data:`repro.perf.PERF` (which it subsumes: snapshots can merge both).
+* :data:`METRICS` — the process's one meter registry: labeled counters,
+  gauges and fixed-bucket histograms (stage timers observe into
+  histograms), one lock taken once per record, one ``enabled`` switch.
 * :mod:`repro.obs.exporters` — JSONL dumps, snapshot trees, and the
   self-telemetry loop that re-publishes deterministic obs meters as a
   synthetic telemetry topic so the UA dashboard can render the
@@ -19,8 +19,9 @@ reproduction's own health instrumentation:
   (``make obs-report`` drives it end to end).
 
 Import discipline: this package sits next to ``repro.perf`` on the
-cross-cutting spine (every layer may import it); anything it needs from
-the data plane is imported lazily at call time.
+cross-cutting spine (every layer may import it) and imports nothing
+back from ``repro.perf``; anything it needs from the data plane is
+imported lazily at call time.
 """
 
 from repro.obs.exporters import (

@@ -94,7 +94,6 @@ def write_jsonl(
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
     include_metrics: bool = True,
-    include_perf: bool = True,
 ) -> int:
     """Dump spans (deterministic DFS order) and metrics to ``path``.
 
@@ -120,7 +119,7 @@ def write_jsonl(
             )
         )
     if include_metrics:
-        snap = metrics.snapshot(include_perf=include_perf)
+        snap = metrics.snapshot()
         for family in ("counters", "gauges"):
             for name, value in snap[family].items():
                 lines.append(
@@ -136,10 +135,6 @@ def write_jsonl(
                     sort_keys=True,
                 )
             )
-        if include_perf:
-            lines.append(
-                json.dumps({"kind": "perf", **snap["perf"]}, sort_keys=True)
-            )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
     return len(lines)
@@ -154,10 +149,6 @@ def read_jsonl(path) -> list[dict]:
     checkpoint store's corrupt-file quarantine (one bad artifact costs
     one artifact, never the whole dump).
     """
-    # Imported lazily: repro.obs must stay import-light because the
-    # instrumented modules import it at call time.
-    from repro.perf import PERF
-
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -174,7 +165,7 @@ def read_jsonl(path) -> list[dict]:
                     ),
                     stacklevel=2,
                 )
-                PERF.count("obs.trace_lines_skipped")
+                METRICS.inc("obs.trace_lines_skipped")
     return out
 
 

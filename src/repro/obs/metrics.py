@@ -1,15 +1,15 @@
 """Labeled metrics: counters, gauges, fixed-bucket histograms.
 
-The facade that subsumes the flat :data:`repro.perf.PERF` timer/counter
-bag: meters here carry labels (``topic="power"``), histograms capture
-distributions (batch sizes, fetch latencies, rows per window) instead of
-just totals, and :meth:`MetricsRegistry.snapshot` can merge the legacy
-PERF registry so one tree describes the whole process.
+The process's one meter registry.  Every hop of the data plane records
+here: work counters (``query.parts_scanned``, unlabelled), per-topic
+volumes (``stream.produced_records{topic=power}``), and stage wall
+times, which :meth:`MetricsRegistry.timer` observes into histograms
+(``window.total``, ``tier.ingest``) so a stage's total, call count and
+worst call all come from one meter.
 
-The lock discipline is the same as PERF's — one coarse lock, one dict
-update per record — and recording can be suspended with a reentrant,
-lock-guarded depth counter (the fixed version of the bug
-``PerfRegistry.disabled`` used to have).
+Cheap enough to leave on: one coarse lock taken once per record, one
+dict update under it.  The ``enabled`` property is the only recording
+control.
 
 Gauges and counters registered with ``deterministic=True`` declare that
 their values are functions of seeds and logical progress only (row
@@ -20,6 +20,7 @@ publishes exactly those, so the "ODA for the ODA" loop stays replayable.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from contextlib import contextmanager
 from time import perf_counter
 
@@ -73,12 +74,8 @@ class Histogram:
         self.max_value = 0.0
 
     def observe(self, value: float) -> None:
-        i = 0
-        for edge in self.edges:
-            if value <= edge:
-                break
-            i += 1
-        self.counts[i] += 1
+        # First edge >= value; len(edges) (the overflow slot) if none.
+        self.counts[bisect_left(self.edges, value)] += 1
         self.total += value
         self.n += 1
         if value > self.max_value:
@@ -107,55 +104,35 @@ class MetricsRegistry:
         self._hists: dict[tuple[str, tuple], Histogram] = {}
         self._buckets: dict[str, tuple[float, ...]] = {}
         self._deterministic: set[str] = set()
-        self._suspend = 0
         self._on = True
-
-    # -- enable / suspend ----------------------------------------------------
 
     @property
     def enabled(self) -> bool:
-        """Whether records are currently accepted."""
-        with self._lock:
-            return self._on and self._suspend == 0
+        """Whether records are accepted (the registry's one switch)."""
+        return self._on
 
     @enabled.setter
     def enabled(self, value: bool) -> None:
         with self._lock:
             self._on = bool(value)
 
-    @contextmanager
-    def suspended(self):
-        """Reentrant, thread-safe recording pause (depth-counted)."""
-        with self._lock:
-            self._suspend += 1
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._suspend -= 1
-
-    def _recording(self) -> bool:
-        with self._lock:
-            return self._on and self._suspend == 0
-
     # -- recording -----------------------------------------------------------
 
     def inc(
         self,
         name: str,
-        value: float = 1.0,
+        value: float = 1,
         *,
         deterministic: bool = False,
         **labels,
     ) -> None:
         """Add ``value`` to counter ``name`` (per label set)."""
-        if not self._recording():
-            return
-        key = (name, _label_key(labels))
+        key = (name, _label_key(labels) if labels else ())
         with self._lock:
-            self._counters[key] = self._counters.get(key, 0.0) + value
-            if deterministic:
-                self._deterministic.add(name)
+            if self._on:
+                self._counters[key] = self._counters.get(key, 0) + value
+                if deterministic:
+                    self._deterministic.add(name)
 
     def set_gauge(
         self,
@@ -166,13 +143,12 @@ class MetricsRegistry:
         **labels,
     ) -> None:
         """Set gauge ``name`` to ``value`` (per label set)."""
-        if not self._recording():
-            return
-        key = (name, _label_key(labels))
+        key = (name, _label_key(labels) if labels else ())
         with self._lock:
-            self._gauges[key] = float(value)
-            if deterministic:
-                self._deterministic.add(name)
+            if self._on:
+                self._gauges[key] = float(value)
+                if deterministic:
+                    self._deterministic.add(name)
 
     def register_buckets(self, name: str, edges: tuple[float, ...]) -> None:
         """Fix the bucket bounds future ``observe(name, ...)`` calls use.
@@ -198,49 +174,62 @@ class MetricsRegistry:
 
     def observe(self, name: str, value: float, **labels) -> None:
         """Record ``value`` into histogram ``name`` (per label set)."""
-        if not self._recording():
-            return
-        key = (name, _label_key(labels))
+        key = (name, _label_key(labels) if labels else ())
         with self._lock:
-            hist = self._hists.get(key)
-            if hist is None:
-                edges = self._buckets.get(name, DEFAULT_BUCKETS)
-                hist = self._hists[key] = Histogram(edges)
-            hist.observe(value)
+            if self._on:
+                self._observe_locked(key, value)
+
+    def _observe_locked(self, key: tuple[str, tuple], value: float) -> None:
+        hist = self._hists.get(key)
+        if hist is None:
+            edges = self._buckets.get(key[0], DEFAULT_BUCKETS)
+            hist = self._hists[key] = Histogram(edges)
+        hist.observe(value)
 
     @contextmanager
     def timer(self, name: str, **labels):
-        """Observe a block's wall duration into histogram ``name``."""
-        if not self._recording():
+        """Observe a block's wall duration into histogram ``name``.
+
+        Whether the block is recorded is decided *once, at entry*: a
+        block entered while the registry is enabled is observed even if
+        recording stops before it exits (an exception included), and a
+        block entered while it is off stays unrecorded however the
+        switch moves.
+        """
+        if not self._on:
             yield
             return
+        key = (name, _label_key(labels) if labels else ())
         t0 = perf_counter()
         try:
             yield
         finally:
-            self.observe(name, perf_counter() - t0, **labels)
+            dt = perf_counter() - t0
+            with self._lock:
+                self._observe_locked(key, dt)
 
     # -- reading ---------------------------------------------------------------
 
-    def counter_value(self, name: str, **labels) -> float:
+    def counter(self, name: str, **labels) -> float:
         """Current counter value (0 if never hit)."""
         with self._lock:
-            return self._counters.get((name, _label_key(labels)), 0.0)
+            return self._counters.get((name, _label_key(labels)), 0)
 
-    def gauge_value(self, name: str, **labels) -> float:
+    def gauge(self, name: str, **labels) -> float:
         """Current gauge value (0 if never set)."""
         with self._lock:
             return self._gauges.get((name, _label_key(labels)), 0.0)
 
-    def snapshot(self, include_perf: bool = False) -> dict:
-        """All meters as one JSON-ready tree.
-
-        ``include_perf=True`` merges the legacy :data:`repro.perf.PERF`
-        snapshot under a ``"perf"`` key, so callers migrating off the
-        flat registry see both worlds in one report.
-        """
+    def total(self, name: str, **labels) -> float:
+        """Sum of histogram ``name``'s observations (0.0 if never hit)."""
         with self._lock:
-            out = {
+            hist = self._hists.get((name, _label_key(labels)))
+            return hist.total if hist is not None else 0.0
+
+    def snapshot(self) -> dict:
+        """All meters as one JSON-ready tree, sorted and detached."""
+        with self._lock:
+            return {
                 "counters": {
                     _render(n, lk): v
                     for (n, lk), v in sorted(self._counters.items())
@@ -254,13 +243,6 @@ class MetricsRegistry:
                     for (n, lk), h in sorted(self._hists.items())
                 },
             }
-        if include_perf:
-            # Imported lazily: repro.obs must stay import-light because
-            # the instrumented modules import it at call time.
-            from repro.perf import PERF
-
-            out["perf"] = PERF.snapshot()
-        return out
 
     def deterministic_values(self) -> list[tuple[str, float]]:
         """Sorted (rendered-name, value) pairs of the deterministic

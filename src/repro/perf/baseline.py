@@ -58,17 +58,10 @@ def reset_fast_path_caches() -> None:
 
 
 def reset_all() -> None:
-    """Full measurement isolation: fast-path memos, the PERF registry,
-    and the obs tracer/metrics, all emptied in one call.
-
-    ``reset_fast_path_caches`` alone promised "benchmark isolation" but
-    left ``PERF``'s timers and counters intact, so every benchmark had
-    to remember a second manual ``PERF.reset()`` — and a forgotten one
-    silently blended repetitions.  Both benchmarks now call this.
-    """
+    """Full measurement isolation: fast-path memos and the obs tracer
+    and metrics registry, all emptied in one call (the isolation call
+    every benchmark repetition makes)."""
     from repro import obs
-    from repro.perf.registry import PERF
 
     reset_fast_path_caches()
-    PERF.reset()
     obs.reset_all()

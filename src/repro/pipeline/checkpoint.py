@@ -27,7 +27,7 @@ import tempfile
 import warnings
 from typing import Any
 
-from repro.perf import PERF
+from repro.obs import METRICS
 
 __all__ = [
     "CheckpointStore",
@@ -115,7 +115,7 @@ class CheckpointStore:
         os.replace(src, dst)
         self._state = {}
         self.last_corruption = CheckpointCorruptError(src, dst, reason)
-        PERF.count("checkpoint.corrupt_quarantined")
+        METRICS.inc("checkpoint.corrupt_quarantined")
         warnings.warn(
             CheckpointCorruptWarning(str(self.last_corruption)), stacklevel=4
         )

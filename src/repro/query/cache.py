@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.perf import PERF
+from repro.obs import METRICS
 
 __all__ = [
     "cached_column",
@@ -120,9 +120,9 @@ def cached_column(
                 else:
                     del _asked[tok]
     if arr is not None:
-        PERF.count("query.cache_hits")
+        METRICS.inc("query.cache_hits")
         return arr
-    PERF.count("query.cache_misses")
+    METRICS.inc("query.cache_misses")
     arr = loader()
     arr.setflags(write=False)
     weight = _weigh(arr)
@@ -160,9 +160,9 @@ def cached_column(
                 _cache_bytes += weight
                 _token_keys.setdefault(token, set()).add(key)
     if evicted:
-        PERF.count("query.cache_evictions", evicted)
+        METRICS.inc("query.cache_evictions", evicted)
     if rejected:
-        PERF.count("query.cache_rejected")
+        METRICS.inc("query.cache_rejected")
     return arr
 
 
@@ -225,4 +225,4 @@ def set_row_group_cache_limit(max_bytes: int) -> None:
                 del _token_keys[old[0]]
             evicted += 1
     if evicted:
-        PERF.count("query.cache_evictions", evicted)
+        METRICS.inc("query.cache_evictions", evicted)

@@ -20,8 +20,8 @@ import numpy as np
 
 from repro.columnar.file_format import read_table
 from repro.columnar.table import ColumnTable
-from repro.obs import TRACER
-from repro.perf import PERF, baseline
+from repro.obs import METRICS, TRACER
+from repro.perf import baseline
 from repro.query.plan import ScanPlan, SegmentUnit
 from repro.query.scan import scan_part, scan_segment
 
@@ -70,7 +70,7 @@ def execute_plan(
     ):
         if baseline.active():
             return execute_plan_reference(plan)
-        with PERF.timer("query.scan"):
+        with METRICS.timer("query.scan"):
             return _execute_plan_impl(plan)
 
 
@@ -79,10 +79,10 @@ def _execute_plan_impl(plan: ScanPlan) -> ColumnTable:
     for unit in plan.units:
         if unit.pruned:
             if isinstance(unit, SegmentUnit):
-                PERF.count("query.segments_pruned")
+                METRICS.inc("query.segments_pruned")
             continue
         if isinstance(unit, SegmentUnit):
-            PERF.count("query.segments_scanned")
+            METRICS.inc("query.segments_scanned")
             piece = scan_segment(
                 unit.table,
                 plan.time_column,
@@ -94,7 +94,7 @@ def _execute_plan_impl(plan: ScanPlan) -> ColumnTable:
                 unit.row_hi,
             )
         else:
-            PERF.count("query.parts_scanned")
+            METRICS.inc("query.parts_scanned")
             piece = scan_part(
                 unit.blob,
                 plan.time_column,

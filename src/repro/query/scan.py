@@ -26,7 +26,7 @@ import numpy as np
 from repro.columnar.file_format import RcfReader
 from repro.columnar.predicate import And, Compare, IsIn, Not, Or, Predicate
 from repro.columnar.table import ColumnTable
-from repro.perf import PERF
+from repro.obs import METRICS
 from repro.query.cache import cached_column
 
 __all__ = ["fold_time_predicate", "scan_segment", "scan_part"]
@@ -74,7 +74,7 @@ def scan_segment(
     the always-applied time mask), evaluated on views of the range.
     """
     rows = table.slice(row_lo, row_hi)
-    PERF.count("lake.rows_scanned", rows.num_rows)
+    METRICS.inc("lake.rows_scanned", rows.num_rows)
     ts = rows[time_column]
     lo = -np.inf if t0 is None else t0
     hi = np.inf if t1 is None else t1
@@ -121,11 +121,11 @@ def scan_part(
         mask: np.ndarray | None = None
         if combined is not None:
             if not combined.might_match(reader.group_stats(g)):
-                PERF.count("query.groups_pruned")
+                METRICS.inc("query.groups_pruned")
                 continue
             mask = _group_mask(reader, g, combined, token)
             if not mask.any():
-                PERF.count("query.groups_empty")
+                METRICS.inc("query.groups_empty")
                 continue
             if mask.all():
                 mask = None  # keep whole-group columns as views
@@ -133,7 +133,7 @@ def scan_part(
         for n in out_cols:
             arr = _column(reader, g, n, token)
             data[n] = arr if mask is None else arr[mask]
-        PERF.count("query.groups_decoded")
+        METRICS.inc("query.groups_decoded")
         pieces.append(ColumnTable(data))
     if not pieces:
         return None
@@ -179,7 +179,7 @@ def _leaf_mask(
     parts = reader.group_dictionary_parts(group, name)
     if parts is not None:
         values, codes, is_string = parts
-        PERF.count("query.dict_pushdowns")
+        METRICS.inc("query.dict_pushdowns")
         if is_string:
             none_match = bool(
                 pred.mask_array(np.array([None], dtype=object))[0]

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.columnar.predicate import Predicate
 from repro.columnar.table import ColumnTable
-from repro.perf import PERF
+from repro.obs import METRICS
 from repro.query import ScanOptions, execute_plan, plan_segments
 
 __all__ = ["TimeSeriesLake"]
@@ -66,8 +66,8 @@ class _Segment:
             t_maxes += seg.t_maxes
             ends += [offset + end for end in seg.ends]
             offset += seg.table.num_rows
-        PERF.count("lake.pieces_merged", len(ends))
-        PERF.count("lake.rows_copied", offset)
+        METRICS.inc("lake.pieces_merged", len(ends))
+        METRICS.inc("lake.rows_copied", offset)
         return cls(
             ColumnTable.concat([seg.table for seg in run]), t_mins, t_maxes, ends
         )

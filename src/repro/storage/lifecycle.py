@@ -66,16 +66,14 @@ class LifecycleManager:
         ``compacted_bytes_rewritten`` — the bytes the merges put, the
         tick's write cost).
         """
-        from repro.obs import TRACER
-        from repro.perf import PERF
+        from repro.obs import METRICS, TRACER
 
         with TRACER.span("lifecycle.tick", now=now, tick=self.ticks):
-            with PERF.timer("lifecycle.tick"):
+            with METRICS.timer("lifecycle.tick"):
                 return self._tick_impl(now)
 
     def _tick_impl(self, now: float) -> dict[str, int]:
-        from repro.obs import TRACER
-        from repro.perf import PERF
+        from repro.obs import METRICS, TRACER
 
         report: dict[str, int] = {
             "swept": 0,
@@ -101,7 +99,7 @@ class LifecycleManager:
                         result["bytes_before"] - result["bytes_after"]
                     )
                     report["compacted_bytes_rewritten"] += result["bytes_after"]
-        PERF.count("lifecycle.ticks")
+        METRICS.inc("lifecycle.ticks")
         self.ticks += 1
         self.last_report = report
         return report
@@ -118,7 +116,7 @@ class LifecycleManager:
         hold to a fault-free oracle.  Returns ``(report, restarts)`` of
         the first tick that completes.
         """
-        from repro.perf import PERF
+        from repro.obs import METRICS
 
         restarts = 0
         while True:
@@ -126,6 +124,6 @@ class LifecycleManager:
                 return self.tick(now), restarts
             except SimulatedCrash:
                 restarts += 1
-                PERF.count("lifecycle.crash_restarts")
+                METRICS.inc("lifecycle.crash_restarts")
                 if restarts > max_restarts:
                     raise

@@ -45,7 +45,7 @@ from typing import Mapping
 
 from repro.columnar.file_format import RcfReader, column_stats
 from repro.columnar.table import ColumnTable
-from repro.perf import PERF
+from repro.obs import METRICS
 
 __all__ = [
     "STATS_META_KEY",
@@ -127,7 +127,7 @@ def _parse(raw: str | None, kind: type):
     """JSON-decode one metadata value; None unless it is a ``kind``."""
     if not raw:
         return None
-    PERF.count("manifest.parses")
+    METRICS.inc("manifest.parses")
     try:
         dec = json.loads(raw)
     except ValueError:

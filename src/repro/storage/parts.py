@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from repro.columnar.file_format import RcfReader
-from repro.perf import PERF
+from repro.obs import METRICS
 from repro.query import invalidate_token
 from repro.storage import manifest
 from repro.storage.object_store import ObjectMeta, ObjectStore
@@ -87,8 +87,8 @@ class LivePart:
             invalidate_token(reader.digest())
         reader = RcfReader(blob)
         reader.digest()
-        PERF.count("query.parts_opened")
-        PERF.count("query.bytes_hashed", len(blob))
+        METRICS.inc("query.parts_opened")
+        METRICS.inc("query.bytes_hashed", len(blob))
         self.reader = reader
         return reader
 

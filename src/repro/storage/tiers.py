@@ -300,11 +300,10 @@ class TieredStore:
 
         Returns which tiers received the batch.
         """
-        from repro.obs import TRACER
-        from repro.perf import PERF
+        from repro.obs import METRICS, TRACER
 
         with TRACER.span(f"tier.ingest:{name}", rows=table.num_rows):
-            with PERF.timer("tier.ingest"):
+            with METRICS.timer("tier.ingest"):
                 return self._ingest_impl(name, table, now)
 
     def _ingest_impl(self, name: str, table: ColumnTable, now: float) -> dict[str, bool]:
@@ -455,11 +454,10 @@ class TieredStore:
         planning, so a crash between a compaction's commit put and its
         garbage-collection deletes never yields duplicate rows.
         """
-        from repro.obs import TRACER
-        from repro.perf import PERF
+        from repro.obs import METRICS, TRACER
 
         with TRACER.span("query.archive", dataset=name):
-            with PERF.timer("tier.query_archive"):
+            with METRICS.timer("tier.query_archive"):
                 return self._query_archive_impl(
                     name, t0, t1, predicate, columns, options
                 )
@@ -473,7 +471,7 @@ class TieredStore:
         columns: list[str] | None,
         options: ScanOptions | None,
     ) -> ColumnTable:
-        from repro.perf import PERF
+        from repro.obs import METRICS
 
         parts = self._live_parts(name)
         if not parts:
@@ -504,7 +502,7 @@ class TieredStore:
                 unit.reader = part.open(unit.blob)
             fetched_keys.append(unit.key)
         if pruned:
-            PERF.count("ocean.parts_pruned", pruned)
+            METRICS.inc("ocean.parts_pruned", pruned)
         if plan.columns is None:
             # Pre-manifest parts: recover the projection from the first
             # fetched header so empty results still carry the schema.
@@ -563,15 +561,14 @@ class TieredStore:
         — at worst it re-aggregates a few parts, it never scans rows a
         second time once their partial exists.
         """
-        from repro.obs import TRACER
-        from repro.perf import PERF
+        from repro.obs import METRICS, TRACER
 
         with TRACER.span("tier.rollup", rollup=name):
-            with PERF.timer("tier.query_rollup"):
+            with METRICS.timer("tier.query_rollup"):
                 return self._query_rollup_impl(name)
 
     def _query_rollup_impl(self, name: str) -> ColumnTable:
-        from repro.perf import PERF
+        from repro.obs import METRICS
 
         with self._rollup_lock:
             try:
@@ -589,7 +586,7 @@ class TieredStore:
             self._lineage_partial(name, key)
             backfilled += 1
         if backfilled:
-            PERF.count("rollup.parts_backfilled", backfilled)
+            METRICS.inc("rollup.parts_backfilled", backfilled)
         result = ru.merged()
         nid = None
         if self.lineage is not None:
@@ -888,15 +885,14 @@ class TieredStore:
 
         Returns ``{"merged": n_parts, "bytes_before": .., "bytes_after": ..}``.
         """
-        from repro.obs import TRACER
-        from repro.perf import PERF
+        from repro.obs import METRICS, TRACER
 
         with TRACER.span("tier.compact", dataset=name):
-            with PERF.timer("tier.compact"):
+            with METRICS.timer("tier.compact"):
                 return self._compact_impl(name, min_objects)
 
     def _compact_impl(self, name: str, min_objects: int) -> dict[str, int]:
-        from repro.perf import PERF
+        from repro.obs import METRICS
 
         meta = self._meta(name)
         policy = self.policies[meta.data_class]
@@ -922,7 +918,7 @@ class TieredStore:
         # aggregated from, so a dataset with a rollup still gets one.
         materialize = bool(self._rollups_for(name))
         merged = merge_parts(readers, runs, policy, self.time_column, materialize)
-        PERF.count(
+        METRICS.inc(
             "tier.compact.merges_resorted"
             if merged.resorted
             else "tier.compact.merges_in_order"
@@ -934,12 +930,12 @@ class TieredStore:
             meta, merged.table, merged.blob, merged.spans,
             replaces=tuple(p.key for p in parts), compacted_from=len(parts),
         )
-        PERF.count("tier.compact.parts_merged", len(parts))
-        PERF.count("tier.compact.rows_rewritten", sum(r.num_rows for r in readers))
-        PERF.count("tier.compact.bytes_rewritten", len(merged.blob))
+        METRICS.inc("tier.compact.parts_merged", len(parts))
+        METRICS.inc("tier.compact.rows_rewritten", sum(r.num_rows for r in readers))
+        METRICS.inc("tier.compact.bytes_rewritten", len(merged.blob))
         if merged.spliced:
-            PERF.count("tier.compact.groups_spliced", merged.spliced)
-            PERF.count(
+            METRICS.inc("tier.compact.groups_spliced", merged.spliced)
+            METRICS.inc(
                 "tier.compact.rows_spliced", merged.spliced * policy.row_group_size
             )
         for p, blob in zip(parts, blobs):

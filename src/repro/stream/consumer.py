@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy, call_with_retry
 from repro.obs import METRICS, TRACER
-from repro.perf import PERF
 from repro.stream.broker import Broker, Record
 
 __all__ = ["Consumer"]
@@ -82,7 +81,8 @@ class Consumer:
         self._touched: set[int] = set()
         #: Records this consumer jumped over because retention trimmed
         #: them before they were read (also counted process-wide under
-        #: ``stream.skipped_by_retention`` in the perf registry).
+        #: ``stream.skipped_by_retention{topic,shard}`` in the metrics
+        #: registry).
         self.skipped_by_retention = 0
 
     def seek(self, partition: int, offset: int) -> None:
@@ -122,16 +122,16 @@ class Consumer:
         (the records are gone; waiting cannot bring them back) but never
         silent: the skipped count accumulates on
         :attr:`skipped_by_retention` and the process-wide
-        ``stream.skipped_by_retention`` counter.  A partition where
-        nothing moved — no records, no gap — is not marked touched, so a
-        subsequent :meth:`commit` cannot rewrite the group's offset for
-        it from a stale construction-time snapshot.
+        ``stream.skipped_by_retention{topic,shard}`` counter.  A
+        partition where nothing moved — no records, no gap — is not
+        marked touched, so a subsequent :meth:`commit` cannot rewrite the
+        group's offset for it from a stale construction-time snapshot.
         """
         out: list[tuple[int, list[Record]]] = []
         budget = max_records
         n_fetched = 0
         with TRACER.span("stream.fetch", topic=self.topic) as span:
-            with PERF.timer("stream.fetch"):
+            with METRICS.timer("stream.fetch"):
                 for p in self.partitions:
                     if budget is not None and budget <= 0:
                         break
@@ -140,7 +140,6 @@ class Consumer:
                     if earliest > pos:
                         skipped = earliest - pos
                         self.skipped_by_retention += skipped
-                        PERF.count("stream.skipped_by_retention", skipped)
                         METRICS.inc(
                             "stream.skipped_by_retention",
                             skipped,
@@ -168,7 +167,6 @@ class Consumer:
             if span is not None:
                 span.set(records=n_fetched)
         if n_fetched:
-            PERF.count("stream.fetch.records", n_fetched)
             METRICS.inc("stream.fetched_records", n_fetched, topic=self.topic)
         return out
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.obs import METRICS, TRACER
-from repro.perf import PERF
 from repro.stream.broker import Broker, Record
 
 __all__ = ["Producer"]
@@ -65,15 +64,13 @@ class Producer:
         """Produce one record; ``nbytes`` defaults to an estimate."""
         size = _estimate_nbytes(value) if nbytes is None else nbytes
         with TRACER.span("stream.produce", topic=topic, nbytes=size):
-            with PERF.timer("stream.produce"):
+            with METRICS.timer("stream.produce"):
                 record = self.broker.produce(
                     topic, value, key=key, timestamp=timestamp, nbytes=size
                 )
         stats = self._stats.setdefault(topic, _TopicStats())
         stats.records += 1
         stats.nbytes += size
-        PERF.count("stream.produce.records")
-        PERF.count("stream.produce.bytes", size)
         METRICS.inc("stream.produced_records", topic=topic)
         METRICS.inc("stream.produced_bytes", size, topic=topic)
         return record
@@ -97,7 +94,7 @@ class Producer:
             [_estimate_nbytes(v) for v in values] if nbytes is None else nbytes
         )
         with TRACER.span("stream.produce", topic=topic, batch=len(values)):
-            with PERF.timer("stream.produce"):
+            with METRICS.timer("stream.produce"):
                 records = self.broker.produce_many(
                     topic,
                     values,
@@ -111,8 +108,6 @@ class Producer:
         stats = self._stats.setdefault(topic, _TopicStats())
         stats.records += len(records)
         stats.nbytes += total
-        PERF.count("stream.produce.records", len(records))
-        PERF.count("stream.produce.bytes", total)
         METRICS.inc("stream.produced_records", len(records), topic=topic)
         METRICS.inc("stream.produced_bytes", total, topic=topic)
         METRICS.observe("stream.batch_size", len(records), topic=topic)

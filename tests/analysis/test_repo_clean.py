@@ -150,3 +150,28 @@ def test_one_fast_path_switch():
                 if name in retired
             ]
     assert bad == []
+
+
+def test_one_metrics_registry():
+    # One meter registry (DESIGN.md §8, "Harness"): everything src
+    # records lands in ``repro.obs.METRICS``.  ``repro.perf.PERF`` is
+    # only a second name for it, kept for the frozen benchmark harness;
+    # no module but the one that defines the alias names it, and
+    # ``repro.perf`` grows no registry class of its own.
+    import repro.obs
+    import repro.perf
+
+    assert repro.perf.PERF is repro.obs.METRICS
+    perf = os.path.join(SRC, "repro", "perf") + os.sep
+    alias = os.path.join(perf, "__init__.py")
+    bad = []
+    for path, source in _src_files():
+        if path.startswith(perf):
+            bad += [
+                f"{path}:{node.lineno}: class {node.name}"
+                for node in ast.walk(ast.parse(source, path))
+                if isinstance(node, ast.ClassDef)
+            ]
+        if path != alias and re.search(r"\bPERF\b", source):
+            bad.append(f"{path}: names PERF")
+    assert bad == []

@@ -30,7 +30,7 @@ class TestLayerViolation:
     def test_everyone_may_import_util_and_perf(self, rule_ids):
         assert rule_ids(
             """
-            from repro.perf import PERF
+            from repro.perf import baseline_mode
             from repro.util.rng import RngStreams
             """,
             module="repro.stream.fixture",

@@ -9,7 +9,7 @@ that add up, indexes that mirror their cache, counters that equal the
 calls made, answers equal to the uncached ones.  Nothing is timed and
 every input is seed-pure, so a failure is a lost update, not a flake.
 
-Locks already driven from threads elsewhere (``PERF``, ``METRICS``,
+Locks already driven from threads elsewhere (``METRICS``,
 ``RngStreams``, the ``TieredStore`` registry and part allocation) are
 listed with their tests in the DESIGN.md §8 table.
 """

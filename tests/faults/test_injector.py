@@ -14,7 +14,7 @@ from repro.faults import (
     TornCheckpointStore,
     TransientTierError,
 )
-from repro.perf import PERF
+from repro.obs import METRICS
 from repro.pipeline import CheckpointCorruptWarning, CheckpointStore
 from repro.storage.object_store import ObjectStore
 from repro.stream import (
@@ -78,13 +78,13 @@ class TestFaultInjector:
         assert inj.virtual_delay_s == 0.75
 
     def test_injection_counter_in_perf(self):
-        before = PERF.counter("faults.injected.fetch_error")
+        before = METRICS.counter("faults.injected.fetch_error")
         inj = FaultInjector(
             FaultPlan([FaultSpec("s", FaultKind.FETCH_ERROR, 1)])
         )
         with pytest.raises(FetchTimeoutError):
             inj.fire("s")
-        assert PERF.counter("faults.injected.fetch_error") - before == 1
+        assert METRICS.counter("faults.injected.fetch_error") - before == 1
 
 
 class TestFaultyBroker:

@@ -9,7 +9,7 @@ from repro.faults import (
     RetryPolicy,
     call_with_retry,
 )
-from repro.perf import PERF
+from repro.obs import METRICS
 from repro.stream.errors import FetchTimeoutError
 
 
@@ -51,14 +51,14 @@ class TestRetryPolicy:
 class TestCallWithRetry:
     def test_transient_then_success(self):
         flaky = Flaky(2)
-        before = PERF.counter("faults.retry.test.site")
+        before = METRICS.counter("faults.retry.test.site")
         assert call_with_retry(flaky, site="test.site") == "ok"
         assert flaky.calls == 3
-        assert PERF.counter("faults.retry.test.site") - before == 2
+        assert METRICS.counter("faults.retry.test.site") - before == 2
 
     def test_exhaustion_raises_with_cause_and_counts_giveup(self):
         flaky = Flaky(99)
-        before = PERF.counter("faults.giveup.test.site")
+        before = METRICS.counter("faults.giveup.test.site")
         with pytest.raises(RetryExhaustedError) as info:
             call_with_retry(
                 flaky, policy=RetryPolicy(max_attempts=3), site="test.site"
@@ -67,7 +67,7 @@ class TestCallWithRetry:
         assert info.value.attempts == 3
         assert info.value.site == "test.site"
         assert isinstance(info.value.__cause__, FetchTimeoutError)
-        assert PERF.counter("faults.giveup.test.site") - before == 1
+        assert METRICS.counter("faults.giveup.test.site") - before == 1
 
     def test_permanent_error_fails_fast(self):
         flaky = Flaky(99, exc=KeyError("not transient"))
@@ -89,17 +89,17 @@ class TestCallWithRetry:
         policy = RetryPolicy(
             max_attempts=4, base_delay_s=0.5, multiplier=2.0, max_delay_s=10.0
         )
-        before = PERF.counter("faults.backoff_virtual_s")
+        before = METRICS.counter("faults.backoff_virtual_s")
         call_with_retry(flaky, policy=policy, site="s")
-        assert PERF.counter("faults.backoff_virtual_s") - before == pytest.approx(
+        assert METRICS.counter("faults.backoff_virtual_s") - before == pytest.approx(
             0.5 + 1.0
         )
 
     def test_site_defaults_to_error_site(self):
         flaky = Flaky(1, exc=FetchTimeoutError("from.error", "x"))
-        before = PERF.counter("faults.retry.from.error")
+        before = METRICS.counter("faults.retry.from.error")
         call_with_retry(flaky)  # no site= given
-        assert PERF.counter("faults.retry.from.error") - before == 1
+        assert METRICS.counter("faults.retry.from.error") - before == 1
 
     def test_single_attempt_policy_never_retries(self):
         flaky = Flaky(1)

@@ -26,7 +26,7 @@ from repro.faults import (
     TornCheckpointStore,
     run_with_restarts,
 )
-from repro.perf import PERF
+from repro.obs import METRICS
 from repro.pipeline import (
     CheckpointCorruptWarning,
     CheckpointStore,
@@ -134,11 +134,11 @@ class TestTransientFetchFaults:
                 ),
             ]
         )
-        before = PERF.counter("faults.retry.query.fetch")
+        before = METRICS.counter("faults.retry.query.fetch")
         got, result, _ = run_chaos(tmp_path, plan)
         assert got == gold
         assert result.clean
-        assert PERF.counter("faults.retry.query.fetch") - before == 3
+        assert METRICS.counter("faults.retry.query.fetch") - before == 3
 
     def test_giveup_triggers_restart_and_recovers(self, tmp_path):
         """A burst outlasting the retry budget kills the run; the
@@ -155,12 +155,12 @@ class TestTransientFetchFaults:
                 )
             ]
         )
-        before = PERF.counter("faults.giveup.query.fetch")
+        before = METRICS.counter("faults.giveup.query.fetch")
         got, result, _ = run_chaos(tmp_path, plan)
         assert got == gold
         assert result.giveups == 1
         assert result.restarts >= 1
-        assert PERF.counter("faults.giveup.query.fetch") - before == 1
+        assert METRICS.counter("faults.giveup.query.fetch") - before == 1
 
 
 class TestCrashRecovery:
@@ -204,11 +204,11 @@ class TestCrashRecovery:
                 )
             ]
         )
-        before = PERF.counter("checkpoint.corrupt_quarantined")
+        before = METRICS.counter("checkpoint.corrupt_quarantined")
         got, result, _ = run_chaos(tmp_path, plan)
         assert got == gold
         assert result.crashes == 1
-        assert PERF.counter("checkpoint.corrupt_quarantined") - before == 1
+        assert METRICS.counter("checkpoint.corrupt_quarantined") - before == 1
         assert os.path.exists(
             str(tmp_path / "chaos" / "checkpoints.json.corrupt-0")
         )

@@ -77,3 +77,23 @@ def test_main_runs_report(dump, capsys):
 def test_depth_must_be_positive(dump):
     with pytest.raises(SystemExit):
         main(["report", str(dump), "--depth", "0"])
+
+
+def test_text_report_shows_stage_timers_and_volumes(tmp_path):
+    """A real run's dump carries the stage timers and the per-topic
+    volumes as ordinary meter lines, so the text report names both."""
+    import numpy as np
+
+    from repro.core import ODAFramework
+    from repro.telemetry import MINI, synthetic_job_mix
+
+    allocation = synthetic_job_mix(MINI, 0.0, 90.0, np.random.default_rng(3))
+    with ODAFramework(MINI, allocation, seed=3) as fw:
+        fw.run(0.0, 90.0, 30.0)
+    path = tmp_path / "run.jsonl"
+    write_jsonl(path)
+    out = io.StringIO()
+    assert report(path, "text", depth=6, out=out) == 0
+    text = out.getvalue()
+    assert "window.total" in text
+    assert "stream.produced_records" in text

@@ -67,7 +67,8 @@ class TestJsonl:
         assert len(lines) == n
         kinds = [l["kind"] for l in lines]
         assert kinds.count("span") == 4
-        assert "counter" in kinds and "histogram" in kinds and "perf" in kinds
+        assert "counter" in kinds and "histogram" in kinds
+        assert "perf" not in kinds  # one registry, one line per meter
 
     def test_spans_dump_in_deterministic_tree_order(self, tmp_path):
         paths = []
@@ -172,8 +173,6 @@ class TestTornLines:
         assert lines == whole[:-1]
 
     def test_mid_dump_garbage_is_skipped_and_counted(self, tmp_path):
-        from repro.perf import PERF
-
         path = self.make_dump(tmp_path)
         whole = read_jsonl(path)
         lines = path.read_text().splitlines()
@@ -181,10 +180,10 @@ class TestTornLines:
         path.write_text("\n".join(lines) + "\n")
         from repro.obs import TraceCorruptWarning
 
-        before = PERF.snapshot()["counters"].get("obs.trace_lines_skipped", 0)
+        before = METRICS.counter("obs.trace_lines_skipped")
         with pytest.warns(TraceCorruptWarning):
             assert read_jsonl(path) == whole
-        after = PERF.snapshot()["counters"].get("obs.trace_lines_skipped", 0)
+        after = METRICS.counter("obs.trace_lines_skipped")
         assert after == before + 1
 
     def test_clean_dump_round_trips_without_warning(self, tmp_path):

@@ -1,46 +1,49 @@
-"""PerfRegistry: the always-on meter the benchmark snapshots."""
+"""The one meter registry's core contract, and the repro.perf isolation
+helpers the benchmarks call between repetitions.
+
+Work counters and stage timers record into :class:`MetricsRegistry`
+(``repro.perf.PERF`` is only a second name for ``repro.obs.METRICS``):
+counters, timers observed as histograms, reset, snapshots, the one
+``enabled`` switch and threads.  Labels, gauges, bucket registration and
+determinism are in ``tests/obs/test_metrics.py``.
+"""
 
 import threading
 
 import pytest
 
-from repro.perf import (
-    PERF,
-    PerfRegistry,
-    baseline_mode,
-    reset_all,
-    reset_fast_path_caches,
-)
+from repro.obs import METRICS, MetricsRegistry
+from repro.perf import baseline_mode, reset_all, reset_fast_path_caches
 
 
 @pytest.fixture()
 def reg():
-    return PerfRegistry()
+    return MetricsRegistry()
 
 
 def test_timer_accumulates(reg):
     for _ in range(3):
         with reg.timer("stage.a"):
             pass
-    snap = reg.snapshot()["timers"]["stage.a"]
-    assert snap["calls"] == 3
-    assert snap["total_s"] >= 0.0
-    assert snap["max_s"] <= snap["total_s"]
-    assert reg.total_s("stage.a") == snap["total_s"]
-    assert reg.total_s("never.recorded") == 0.0
+    hist = reg.snapshot()["histograms"]["stage.a"]
+    assert hist["count"] == 3
+    assert hist["total"] >= 0.0
+    assert hist["max"] <= hist["total"]
+    assert reg.total("stage.a") == hist["total"]
+    assert reg.total("never.recorded") == 0.0
 
 
 def test_timer_records_on_exception(reg):
     with pytest.raises(RuntimeError):
         with reg.timer("stage.boom"):
             raise RuntimeError("boom")
-    assert reg.snapshot()["timers"]["stage.boom"]["calls"] == 1
+    assert reg.snapshot()["histograms"]["stage.boom"]["count"] == 1
 
 
 def test_counters(reg):
-    reg.count("rows")
-    reg.count("rows", 41)
-    reg.count("bytes", 2.5)
+    reg.inc("rows")
+    reg.inc("rows", 41)
+    reg.inc("bytes", 2.5)
     assert reg.counter("rows") == 42
     assert reg.counter("bytes") == 2.5
     assert reg.counter("never") == 0
@@ -49,93 +52,53 @@ def test_counters(reg):
 def test_reset_and_snapshot_shape(reg):
     with reg.timer("t"):
         pass
-    reg.count("c")
+    reg.inc("c")
     snap = reg.snapshot()
-    assert set(snap) == {"timers", "counters"}
+    assert set(snap) == {"counters", "gauges", "histograms"}
     reg.reset()
-    assert reg.snapshot() == {"timers": {}, "counters": {}}
+    assert reg.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
 
 
 def test_disabled_context(reg):
-    with reg.disabled():
-        with reg.timer("t"):
-            pass
-        reg.count("c")
-    assert reg.snapshot() == {"timers": {}, "counters": {}}
-    assert reg.enabled  # restored
+    """A block run with recording switched off leaves nothing behind,
+    stage timers included."""
+    reg.enabled = False
+    with reg.timer("t"):
+        pass
+    reg.inc("c")
+    reg.enabled = True
+    assert reg.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
+    assert reg.enabled
 
 
 def test_timer_decides_once_at_entry(reg):
     """A block that starts enabled is recorded even if recording is
-    switched off before it exits — and vice versa.  The old exit-time
-    check silently dropped timings straddling a disabled() region."""
+    switched off before it exits — and vice versa."""
     with reg.timer("straddle.on"):
         reg.enabled = False
     reg.enabled = True
-    assert reg.snapshot()["timers"]["straddle.on"]["calls"] == 1
+    assert reg.snapshot()["histograms"]["straddle.on"]["count"] == 1
 
     reg.enabled = False
     with reg.timer("straddle.off"):
         reg.enabled = True
-    assert "straddle.off" not in reg.snapshot()["timers"]
+    assert "straddle.off" not in reg.snapshot()["histograms"]
 
 
 def test_timer_entered_before_disabled_region_still_records(reg):
     with reg.timer("outer"):
-        with reg.disabled():
-            with reg.timer("inner"):
-                pass
-    timers = reg.snapshot()["timers"]
-    assert timers["outer"]["calls"] == 1
-    assert "inner" not in timers
-
-
-def test_disabled_is_reentrant(reg):
-    with reg.disabled():
-        with reg.disabled():
+        reg.enabled = False
+        with reg.timer("inner"):
             pass
-        # Inner exit must not resume recording while the outer region
-        # is still active — the stale-boolean bug the depth counter fixes.
-        assert not reg.enabled
-        reg.count("c")
-    assert reg.enabled
-    assert reg.counter("c") == 0
-
-
-def test_disabled_overlapping_threads(reg):
-    """Two overlapping disabled() regions on different threads must
-    leave the registry recording once both exit."""
-    entered = threading.Barrier(2)
-    release = threading.Event()
-
-    def hold():
-        with reg.disabled():
-            entered.wait()
-            release.wait()
-
-    threads = [threading.Thread(target=hold) for _ in range(2)]
-    for t in threads:
-        t.start()
-    release.set()
-    for t in threads:
-        t.join()
-    assert reg.enabled
-    reg.count("after")
-    assert reg.counter("after") == 1
-
-
-def test_manual_switch_and_suspension_compose(reg):
-    reg.enabled = False
-    with reg.disabled():
-        pass
-    assert not reg.enabled  # the manual switch survives region exit
-    reg.enabled = True
-    assert reg.enabled
+        reg.enabled = True
+    hists = reg.snapshot()["histograms"]
+    assert hists["outer"]["count"] == 1
+    assert "inner" not in hists
 
 
 def test_snapshot_is_sorted_and_detached(reg):
-    reg.count("b")
-    reg.count("a")
+    reg.inc("b")
+    reg.inc("a")
     snap = reg.snapshot()
     assert list(snap["counters"]) == ["a", "b"]
     snap["counters"]["a"] = 99  # mutating the snapshot ...
@@ -145,7 +108,7 @@ def test_snapshot_is_sorted_and_detached(reg):
 def test_thread_safety(reg):
     def work():
         for _ in range(500):
-            reg.count("n")
+            reg.inc("n")
             with reg.timer("t"):
                 pass
 
@@ -155,11 +118,12 @@ def test_thread_safety(reg):
     for t in threads:
         t.join()
     assert reg.counter("n") == 2000
-    assert reg.snapshot()["timers"]["t"]["calls"] == 2000
+    assert reg.snapshot()["histograms"]["t"]["count"] == 2000
 
 
 def test_global_registry_is_wired():
-    """The data plane records into PERF under its documented names."""
+    """The data plane records its stage timers into METRICS, as
+    histograms under their documented names."""
     import numpy as np
 
     from repro.core import ODAFramework
@@ -167,13 +131,13 @@ def test_global_registry_is_wired():
 
     rng = np.random.default_rng(2)
     allocation = synthetic_job_mix(MINI, 0.0, 30.0, rng)
-    PERF.reset()
+    METRICS.reset()
     with ODAFramework(MINI, allocation, seed=1) as fw:
         fw.run_window(0.0, 30.0)
-    timers = PERF.snapshot()["timers"]
+    hists = METRICS.snapshot()["histograms"]
     for name in ("window.total", "telemetry.emit", "tier.ingest"):
-        assert name in timers, f"missing {name}: have {sorted(timers)}"
-    assert timers["window.total"]["total_s"] >= timers["telemetry.emit"]["total_s"]
+        assert name in hists, f"missing {name}: have {sorted(hists)}"
+    assert hists["window.total"]["total"] >= hists["telemetry.emit"]["total"]
 
 
 def test_baseline_mode_restores_fast_path():
@@ -193,19 +157,18 @@ def test_baseline_mode_restores_fast_path():
 
 
 def test_reset_all_covers_perf_and_obs():
-    """reset_all() is the single isolation call both benchmarks use: it
-    must empty the fast-path memos, the PERF registry, the obs tracer
-    and the obs metrics in one shot."""
-    from repro.obs import METRICS, TRACER
+    """reset_all() is the single isolation call the benchmarks use: it
+    must empty the fast-path memos, the obs tracer and the metrics
+    registry in one shot."""
+    from repro.obs import TRACER
 
-    PERF.count("leftover")
-    with PERF.timer("leftover.t"):
-        pass
     METRICS.inc("leftover")
+    with METRICS.timer("leftover.t"):
+        pass
+    METRICS.set_gauge("leftover.g", 1.0)
     with TRACER.trace(seed=0, name="leftover"):
         pass
     reset_all()
-    assert PERF.snapshot() == {"timers": {}, "counters": {}}
     assert METRICS.snapshot() == {
         "counters": {}, "gauges": {}, "histograms": {},
     }
@@ -214,8 +177,8 @@ def test_reset_all_covers_perf_and_obs():
 
 def test_reset_all_gives_rep_to_rep_counter_independence():
     """Two identical seeded runs separated by reset_all() must report
-    identical PERF counters — no bleed from the first rep into the
-    second (the bug a forgotten manual PERF.reset() used to cause)."""
+    identical counters — no bleed from the first rep into the second
+    (the bug a forgotten manual reset used to cause)."""
     import numpy as np
 
     from repro.core import ODAFramework
@@ -228,9 +191,12 @@ def test_reset_all_gives_rep_to_rep_counter_independence():
         )
         with ODAFramework(MINI, allocation, seed=3) as fw:
             fw.run_window(0.0, 30.0)
-        return PERF.snapshot()["counters"]
+        return METRICS.snapshot()["counters"]
 
     first = one_rep()
     second = one_rep()
     assert first == second
-    assert first["stream.produce.records"] > 0
+    assert any(
+        name.startswith("stream.produced_records{") and value > 0
+        for name, value in first.items()
+    )

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.perf import PERF
+from repro.obs import METRICS
 from repro.pipeline import (
     CheckpointCorruptError,
     CheckpointCorruptWarning,
@@ -98,7 +98,7 @@ class TestCorruptQuarantine:
         CheckpointStore(path).commit("q", 0, {0: 42}, {"wm": 9.0})
         file = self._tear(path)
 
-        before = PERF.counter("checkpoint.corrupt_quarantined")
+        before = METRICS.counter("checkpoint.corrupt_quarantined")
         with pytest.warns(CheckpointCorruptWarning):
             cp = CheckpointStore(path)
 
@@ -112,7 +112,7 @@ class TestCorruptQuarantine:
         assert cp.last_corruption is not None
         assert isinstance(cp.last_corruption, CheckpointCorruptError)
         assert cp.last_corruption.quarantined_to == quarantined
-        assert PERF.counter("checkpoint.corrupt_quarantined") - before == 1
+        assert METRICS.counter("checkpoint.corrupt_quarantined") - before == 1
         # The query can start over from batch 0.
         cp.commit("q", 0, {0: 0})
 

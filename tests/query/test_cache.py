@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.perf import PERF
+from repro.obs import METRICS
 from repro.query import cache as qcache
 
 
@@ -19,7 +19,7 @@ def fresh_cache():
 
 
 def counter(name):
-    return PERF.counter(name)
+    return METRICS.counter(name)
 
 
 ROW = 8 * 10  # bytes of one ten-float array: budgets below are in rows

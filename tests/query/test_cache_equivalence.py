@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.columnar import Col, ColumnTable
 from repro.columnar.file_format import write_table
-from repro.perf import PERF
+from repro.obs import METRICS
 from repro.perf.baseline import baseline_mode
 from repro.query import cache as qcache
 from repro.storage import DataClass, TierPolicy, TieredStore
@@ -95,8 +95,8 @@ def answer(ts, query):
 def test_answers_do_not_depend_on_what_the_cache_kept(queries, compact_at):
     qcache.clear_row_group_cache()
     ts = build_store()
-    rejected0 = PERF.counter("query.cache_rejected")
-    evicted0 = PERF.counter("query.cache_evictions")
+    rejected0 = METRICS.counter("query.cache_rejected")
+    evicted0 = METRICS.counter("query.cache_evictions")
     for i, query in enumerate(PRELUDE + queries):
         if i == len(PRELUDE) + compact_at % len(queries):
             doomed = {h.digest() for h in open_handles(ts).values()}
@@ -109,5 +109,5 @@ def test_answers_do_not_depend_on_what_the_cache_kept(queries, compact_at):
         assert stats["bytes"] <= stats["max_bytes"]
         with baseline_mode():
             assert answer(ts, query) == cached
-    assert PERF.counter("query.cache_rejected") > rejected0
-    assert PERF.counter("query.cache_evictions") > evicted0
+    assert METRICS.counter("query.cache_rejected") > rejected0
+    assert METRICS.counter("query.cache_evictions") > evicted0

@@ -277,7 +277,7 @@ def test_unknown_projection_column_raises():
 
 
 def test_pruned_parts_counted_and_skipped():
-    from repro.perf import PERF
+    from repro.obs import METRICS
 
     rng = np.random.default_rng(1)
     tables = [random_table(rng, 64) for _ in range(4)]
@@ -285,10 +285,10 @@ def test_pruned_parts_counted_and_skipped():
     # Window beyond all data: every part prunes via manifest stats.
     plan = build_plan(tables, blobs, 5000.0, 6000.0, None, None)
     assert plan.pruned_units == 4
-    before = PERF.counter("query.parts_scanned")
+    before = METRICS.counter("query.parts_scanned")
     out = execute_plan(plan)
     assert out.num_rows == 0
-    assert PERF.counter("query.parts_scanned") == before
+    assert METRICS.counter("query.parts_scanned") == before
     # The reference scans everything and still agrees.
     assert out.num_rows == execute_plan_reference(plan).num_rows
 
@@ -382,9 +382,9 @@ def test_oracle_catches_a_range_that_cuts_a_matching_piece():
 
 
 def test_rows_scanned_counts_the_narrowed_range():
-    from repro.perf import PERF
+    from repro.obs import METRICS
 
     table, seg = piece_run(np.random.default_rng(3))
-    before = PERF.counter("lake.rows_scanned")
+    before = METRICS.counter("lake.rows_scanned")
     execute_plan(plan_segments("t", [seg], 120.0, 180.0))
-    assert PERF.counter("lake.rows_scanned") == before + 20
+    assert METRICS.counter("lake.rows_scanned") == before + 20

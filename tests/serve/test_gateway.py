@@ -133,7 +133,7 @@ class TestCaching:
         assert env.generation == 2
         assert gateway.cache.invalidated >= 1
         assert (
-            METRICS.gauge_value("serve.generation") == 2
+            METRICS.gauge("serve.generation") == 2
         )
 
     def test_error_results_are_not_cached(self):
@@ -199,14 +199,14 @@ class TestAdmission:
             TenantPolicy(rate_qps=1.0, burst=1.0)
         )
         gateway, _ = make_gateway(admission=admission)
-        before = METRICS.counter_value(
+        before = METRICS.counter(
             "serve.shed", tenant="shed-tenant", reason="quota"
         )
         requests = [
             Request.make("shed-tenant", "square", x=i) for i in range(3)
         ]
         gateway.submit_many(requests, now=0.0)
-        after = METRICS.counter_value(
+        after = METRICS.counter(
             "serve.shed", tenant="shed-tenant", reason="quota"
         )
         assert after - before == 2

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from repro.columnar import Col, ColumnTable
 from repro.columnar.predicate import IsIn
-from repro.perf import PERF, baseline_mode
+from repro.obs import METRICS
+from repro.perf import baseline_mode
 from repro.storage import TimeSeriesLake
 from repro.storage import lake as lake_module
 
@@ -236,34 +237,34 @@ class TestCoalescingWork:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 45, 64, 100, 240])
     def test_equal_pieces_leave_logarithmic_segments(self, n):
-        PERF.reset()
+        METRICS.reset()
         lk = windows(n)
         levels = math.ceil(math.log2(n)) if n > 1 else 0
         assert lk.piece_count("t") == n
         assert lk.segment_count("t") == bin(n).count("1") <= levels + 1
-        assert PERF.counter("lake.rows_copied") <= n * 64 * levels
+        assert METRICS.counter("lake.rows_copied") <= n * 64 * levels
 
     def test_pinned_counts_at_the_bench_shape(self):
         # 45 windows of 64 rows: 45 = 32 + 8 + 4 + 1.
-        PERF.reset()
+        METRICS.reset()
         lk = windows(45)
         assert lk.segment_count("t") == 4
-        assert PERF.counter("lake.pieces_merged") == 118
-        assert PERF.counter("lake.rows_copied") == 118 * 64
-        assert PERF.counter("lake.rows_copied") <= 6 * lk.row_count("t")
+        assert METRICS.counter("lake.pieces_merged") == 118
+        assert METRICS.counter("lake.rows_copied") == 118 * 64
+        assert METRICS.counter("lake.rows_copied") <= 6 * lk.row_count("t")
 
     @pytest.mark.parametrize("k", [1, 4])
     def test_rows_scanned_follow_the_window_not_the_table(self, k):
         scanned = set()
         for n in (16, 64, 240):
             lk = windows(n)
-            PERF.reset()
+            METRICS.reset()
             # Windows 8 .. 8+k-1.  These pieces are disjoint, so the
             # narrowing is exact; pieces whose ranges overlap add the
             # ones whose running-max hull reaches into the window.
             out = lk.query("t", 8 * 15.0, (8 + k) * 15.0)
             assert out.num_rows == k * 64
-            scanned.add(PERF.counter("lake.rows_scanned"))
+            scanned.add(METRICS.counter("lake.rows_scanned"))
         assert scanned == {k * 64}
 
     def test_row_ceiling_stops_absorption(self):

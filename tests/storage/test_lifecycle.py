@@ -322,7 +322,8 @@ class TestCompactionWorkCounters:
 
     def test_seeded_managed_run_pins_compaction_work(self):
         from repro.core import DataPlaneOptions, ODAFramework
-        from repro.perf import PERF, reset_all, reset_fast_path_caches
+        from repro.obs import METRICS
+        from repro.perf import reset_all, reset_fast_path_caches
         from repro.telemetry import MINI, synthetic_job_mix
 
         horizon = self.N_WINDOWS * self.WINDOW_S
@@ -355,18 +356,18 @@ class TestCompactionWorkCounters:
             fw.close()
         assert fw.lifecycle.ticks == self.N_WINDOWS
         assert live == self.LIVE_PARTS
-        assert PERF.counter("tier.compact.parts_merged") == 198
-        assert PERF.counter("tier.compact.rows_rewritten") == 639_559
-        assert PERF.counter("tier.compact.bytes_rewritten") == 5_872_893
+        assert METRICS.counter("tier.compact.parts_merged") == 198
+        assert METRICS.counter("tier.compact.rows_rewritten") == 639_559
+        assert METRICS.counter("tier.compact.bytes_rewritten") == 5_872_893
         assert reported == 5_872_893
         # How the 51 merges went: ``power.gold_profiles`` is written in
         # job order, so all 7 of its merges have a time column to sort;
         # every other dataset's parts (7 merges each, ``power.bronze``
         # 9) are in (epoch, time) order as they stand.
-        assert PERF.counter("tier.compact.merges_in_order") == 44
-        assert PERF.counter("tier.compact.merges_resorted") == 7
+        assert METRICS.counter("tier.compact.merges_in_order") == 44
+        assert METRICS.counter("tier.compact.merges_resorted") == 7
         # ``power.bronze`` is the one dataset to outgrow a row group,
         # and its big part joins one merge in these 24 windows: its one
         # full group is copied, not encoded again.
-        assert PERF.counter("tier.compact.groups_spliced") == 1
-        assert PERF.counter("tier.compact.rows_spliced") == 65_536
+        assert METRICS.counter("tier.compact.groups_spliced") == 1
+        assert METRICS.counter("tier.compact.rows_spliced") == 65_536

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.columnar import Col, ColumnTable
 from repro.columnar.file_format import write_table
-from repro.perf import PERF
+from repro.obs import METRICS
 from repro.storage import DataClass, ObjectMeta, TieredStore, manifest
 from repro.storage.parts import LivePart
 
@@ -58,15 +58,15 @@ def test_each_string_is_parsed_once(parser, raw):
     the same part seen by a restarted store — parses afresh."""
     meta_key = META_KEYS[parser]
     part = record(meta_key, raw)
-    parses0 = PERF.counter("manifest.parses")
+    parses0 = METRICS.counter("manifest.parses")
     first = getattr(part, meta_key)
-    assert PERF.counter("manifest.parses") - parses0 == 1
+    assert METRICS.counter("manifest.parses") - parses0 == 1
     assert getattr(part, meta_key) is first
     assert getattr(part, meta_key) is first
-    assert PERF.counter("manifest.parses") - parses0 == 1
+    assert METRICS.counter("manifest.parses") - parses0 == 1
     assert first == parser(raw)
     assert getattr(record(meta_key, str(raw)), meta_key) == first
-    assert PERF.counter("manifest.parses") - parses0 == 3
+    assert METRICS.counter("manifest.parses") - parses0 == 3
 
 
 def test_shared_parses_cannot_be_mutated():

@@ -18,7 +18,7 @@ from repro.columnar.file_format import write_table
 from repro.faults.errors import SimulatedCrash
 from repro.faults.injector import FaultInjector, FaultyObjectStore
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
-from repro.perf import PERF
+from repro.obs import METRICS
 from repro.perf.baseline import baseline_mode
 from repro.query import clear_row_group_cache, row_group_cache_stats
 from repro.storage import DataClass, ObjectStore, TierPolicy, TieredStore, manifest
@@ -65,9 +65,9 @@ def store():
 
 def work(fn):
     """Run ``fn``; return its result and the work-counter deltas."""
-    before = [PERF.counter(c) for c in COUNTERS]
+    before = [METRICS.counter(c) for c in COUNTERS]
     out = fn()
-    return out, tuple(PERF.counter(c) - b for c, b in zip(COUNTERS, before))
+    return out, tuple(METRICS.counter(c) - b for c, b in zip(COUNTERS, before))
 
 
 def part_sizes(ts):
@@ -128,11 +128,11 @@ class TestWorkCounters:
 
     def test_store_restart_reopens_each_scanned_part_once(self, store):
         want = store.query_archive("d")
-        parses0 = PERF.counter("manifest.parses")
+        parses0 = METRICS.counter("manifest.parses")
         restarted = build_store(ocean=store.ocean)
         # A new store holds no record yet: registering lists the parts,
         # which parses their spans (ingest order) once.
-        assert PERF.counter("manifest.parses") - parses0 == N_PARTS
+        assert METRICS.counter("manifest.parses") - parses0 == N_PARTS
         sizes = part_sizes(store)
         _, (opened, hashed, parses) = work(
             lambda: restarted.query_archive("d", 100.0, 120.0)

@@ -21,7 +21,7 @@ from repro.faults.errors import SimulatedCrash
 from repro.faults.injector import FaultInjector, FaultyObjectStore
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.lineage import LineageCatalog
-from repro.perf import PERF
+from repro.obs import METRICS
 from repro.query import cache as qcache
 from repro.storage import DataClass, TapeArchive, TieredStore, TierPolicy
 from repro.storage.rollup import RollupSpec
@@ -195,8 +195,8 @@ def test_seeded_history_parses_and_opens_each_part_once():
     ts = build(ocean_retention_s=12.0)
     crashes = [FaultSpec("tier.delete", FaultKind.CRASH, at_call=c) for c in (3, 11, 19)]
     ts.ocean = FaultyObjectStore(ts.ocean, FaultInjector(FaultPlan(crashes)))
-    parses0 = PERF.counter("manifest.parses")
-    opened0 = PERF.counter("query.parts_opened")
+    parses0 = METRICS.counter("manifest.parses")
+    opened0 = METRICS.counter("query.parts_opened")
     crashed = 0
     for step in range(40):
         now = float(step)
@@ -218,8 +218,8 @@ def test_seeded_history_parses_and_opens_each_part_once():
     part_nodes = {cat.part_node(ts.OCEAN_BUCKET, n["attrs"]["key"]) for n in cat.nodes("part")}
     scanned = {src for src, _, kind in cat.edges() if kind == "read" and src in part_nodes}
     assert len(part_nodes) == ts.ocean.puts  # every part ever put, once each
-    assert PERF.counter("manifest.parses") - parses0 <= 4 * ts.ocean.puts
-    assert PERF.counter("query.parts_opened") - opened0 == len(scanned) > 0
+    assert METRICS.counter("manifest.parses") - parses0 <= 4 * ts.ocean.puts
+    assert METRICS.counter("query.parts_opened") - opened0 == len(scanned) > 0
 
 
 # -- part numbers resume after what the tiers hold ------------------------------

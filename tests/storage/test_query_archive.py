@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.columnar import Col, ColumnTable
-from repro.perf import PERF
+from repro.obs import METRICS
 from repro.perf.baseline import baseline_mode
 from repro.query import clear_row_group_cache, row_group_cache_stats
 from repro.storage import DataClass, TierPolicy, TieredStore
@@ -54,12 +54,12 @@ class TestManifestPersistence:
 class TestManifestPruning:
     def test_excluded_parts_never_fetched(self, store):
         gets0 = store.ocean.gets
-        pruned0 = PERF.counter("ocean.parts_pruned")
+        pruned0 = METRICS.counter("ocean.parts_pruned")
         out = store.query_archive("power.silver", 100.0, 120.0)
         assert out.num_rows == 20
         # Three of four parts lie outside the window: one fetch only.
         assert store.ocean.gets - gets0 == 1
-        assert PERF.counter("ocean.parts_pruned") - pruned0 == 3
+        assert METRICS.counter("ocean.parts_pruned") - pruned0 == 3
 
     def test_predicate_pruning_without_window(self, store):
         gets0 = store.ocean.gets
@@ -133,11 +133,11 @@ class TestRowGroupSizePolicy:
         )
         ts.register("d", DataClass.SILVER)
         ts.ingest("d", batch(0.0, n=64), now=0.0)
-        pruned0 = PERF.counter("query.groups_pruned")
+        pruned0 = METRICS.counter("query.groups_pruned")
         out = ts.query_archive("d", 0.0, 8.0)
         assert out.num_rows == 8
         # 64 rows / 8 per group = 8 groups; only the first survives.
-        assert PERF.counter("query.groups_pruned") - pruned0 == 7
+        assert METRICS.counter("query.groups_pruned") - pruned0 == 7
 
     def test_bad_row_group_size_rejected(self):
         with pytest.raises(ValueError):

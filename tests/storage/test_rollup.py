@@ -156,15 +156,15 @@ class TestRollupMaintenance:
         assert_matches(ts.query_rollup("d.node_power"), oracle(ts))
 
     def test_compaction_preserves_answer_without_backfill(self):
-        from repro.perf import PERF
+        from repro.obs import METRICS
 
         ts = make_store()
         ts.add_rollup(NODE_SPEC)
         before = ts.query_rollup("d.node_power")
         ts.compact("d")
-        backfills = PERF.counter("rollup.parts_backfilled")
+        backfills = METRICS.counter("rollup.parts_backfilled")
         after = ts.query_rollup("d.node_power")
-        assert PERF.counter("rollup.parts_backfilled") == backfills
+        assert METRICS.counter("rollup.parts_backfilled") == backfills
         assert_matches(after, before)
 
     def test_retention_expiry_drops_rows(self):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.columnar import ColumnTable
 from repro.columnar.file_format import read_table, write_table
-from repro.perf import PERF
+from repro.obs import METRICS
 from repro.storage import DataClass, TieredStore, TierPolicy, manifest
 from repro.storage.rollup import RollupSpec
 from tests.storage.compaction_oracle import (
@@ -72,8 +72,8 @@ def table(t_start, n, *, hosts=("a", "b"), value_dtype=np.float64, order=None):
 
 def merges():
     return (
-        PERF.counter("tier.compact.merges_in_order"),
-        PERF.counter("tier.compact.merges_resorted"),
+        METRICS.counter("tier.compact.merges_in_order"),
+        METRICS.counter("tier.compact.merges_resorted"),
     )
 
 
@@ -278,13 +278,13 @@ class TestNamedCases:
         for i in range(5, 10):
             for s in stores:
                 s.ingest("d", table(i * 100.0, 11), now=float(i))
-        groups = PERF.counter("tier.compact.groups_spliced")
-        rows = PERF.counter("tier.compact.rows_spliced")
+        groups = METRICS.counter("tier.compact.groups_spliced")
+        rows = METRICS.counter("tier.compact.rows_spliced")
         # Five new epochs let the part of five join, as first input.
         report = compact_both(stores, "in_order", min_objects=2)
         assert report["merged"] == 6
-        assert PERF.counter("tier.compact.groups_spliced") - groups == 6
-        assert PERF.counter("tier.compact.rows_spliced") - rows == 48
+        assert METRICS.counter("tier.compact.groups_spliced") - groups == 6
+        assert METRICS.counter("tier.compact.rows_spliced") - rows == 48
         reader = RcfReader(dump(stores[0])[0][3])
         # The first group encoded after the copy points back into it.
         assert reader.group_encoding(6, "host") == DICT_REF
@@ -320,10 +320,10 @@ class TestNamedCases:
             s.policies = policies(**{"row_group_size": 256, "codec": "fast", **change})
         for i in range(4, 8):
             ingest(i)
-        before = PERF.counter("tier.compact.groups_spliced")
+        before = METRICS.counter("tier.compact.groups_spliced")
         report = compact_both(stores, "in_order", min_objects=2)
         assert report["merged"] == 5
-        assert PERF.counter("tier.compact.groups_spliced") - before == copied
+        assert METRICS.counter("tier.compact.groups_spliced") - before == copied
 
     def test_rollup_dataset_keeps_its_partials(self):
         stores = pair()
@@ -337,12 +337,12 @@ class TestNamedCases:
                     ),
                     now=float(i),
                 )
-        backfilled = PERF.counter("rollup.parts_backfilled")
+        backfilled = METRICS.counter("rollup.parts_backfilled")
         compact_both(stores, "in_order")
         got, want = (s.query_rollup("d.by_node") for s in stores)
         for name in want.column_names:
             assert got[name].tobytes() == want[name].tobytes()
-        assert PERF.counter("rollup.parts_backfilled") == backfilled
+        assert METRICS.counter("rollup.parts_backfilled") == backfilled
 
     def test_lineage_edges_are_the_oracles(self):
         from repro.lineage import LineageCatalog

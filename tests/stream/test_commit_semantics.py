@@ -88,7 +88,7 @@ def test_empty_poll_leaves_partition_untouched():
 
 def test_retention_skip_counted_and_committable():
     """Skipping a retention-trimmed gap is accounted, not silent."""
-    from repro.perf import PERF
+    from repro.obs import METRICS
 
     broker = Broker()
     broker.create_topic(
@@ -101,11 +101,12 @@ def test_retention_skip_counted_and_committable():
     broker.enforce_retention(now=15.0)
     assert broker.earliest_offset("t", 0) == 5
 
-    before = PERF.counter("stream.skipped_by_retention")
+    before = METRICS.counter("stream.skipped_by_retention", topic="t", shard=0)
     records = consumer.poll(None)
     assert [r.value for r in records] == [5, 6, 7]
     assert consumer.skipped_by_retention == 5
-    assert PERF.counter("stream.skipped_by_retention") - before == 5
+    after = METRICS.counter("stream.skipped_by_retention", topic="t", shard=0)
+    assert after - before == 5
     consumer.commit()
     assert broker.committed("g", "t", 0) == 8
 

@@ -104,7 +104,7 @@ class TestCoordinatorMembership:
         coord.leave("a")
         assert coord.generation == 3 and b.generation == 3
         assert (
-            METRICS.gauge_value(
+            METRICS.gauge(
                 "stream.group_generation", topic="t", group="gen-group"
             )
             == 3

@@ -247,14 +247,14 @@ class TestPerShardRetention:
         broker.produce("t", 9, key=by_shard[1], timestamp=95.0, nbytes=1)
         broker.enforce_retention(now=100.0)  # trims shard 0's 4 records
         before = [
-            METRICS.counter_value(
+            METRICS.counter(
                 "stream.skipped_by_retention", topic="t", shard=s
             )
             for s in range(2)
         ]
         consumer.poll(max_records=None)
         after = [
-            METRICS.counter_value(
+            METRICS.counter(
                 "stream.skipped_by_retention", topic="t", shard=s
             )
             for s in range(2)
