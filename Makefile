@@ -16,7 +16,7 @@ chaos:
 # one switch, repro.perf.baseline_mode(), and the two paths answer the
 # same bytes — framework windows and archive queries, the switch's
 # depth counter from overlapping threads, batched vs. reference
-# emission, the columnar memos, factorize and the row-group cache —
+# emission, the chunk memo, the estimator, factorize and the row-group cache —
 # see DESIGN.md §8.
 equivalence:
 	$(PYTHON) -m pytest -x -q tests/core/test_parallel_equivalence.py \

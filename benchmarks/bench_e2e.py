@@ -119,7 +119,7 @@ CHECK_TOLERANCE = 1.10
 #: quick-shape stage of a few tens of milliseconds swings by half under
 #: CI load, so the gate only judges stages with real absolute weight.
 CHECK_MIN_STAGE_S = 0.02
-#: At the smoke shape the content-addressed memos barely warm up, so
+#: At the smoke shape the writer's chunk memo barely warms up, so
 #: memo-driven stages legitimately decay to fast ~= baseline parity;
 #: a ratio within this absolute bound is parity noise, not regression.
 CHECK_PARITY_SLACK = 1.25

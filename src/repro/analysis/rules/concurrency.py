@@ -1,7 +1,6 @@
 """CONC — lexical lock discipline for module-level mutable state.
 
-The memo caches (``factorize._cache``, ``encodings._memo``,
-``compression._memo``, ``file_format._chunk_memo``) and the row-group
+The writer's chunk memo (``file_format._chunk_memo``) and the row-group
 cache are module-level containers.  The library itself runs every
 window, scan and request on the calling thread (DESIGN.md §8), but
 callers may drive it from threads of their own, so each container is

@@ -15,10 +15,7 @@ cost-based selection Parquet writers perform.
 
 from __future__ import annotations
 
-import hashlib
 import struct
-import threading
-from collections import OrderedDict
 
 import numpy as np
 
@@ -34,8 +31,6 @@ __all__ = [
     "decode_dictionary_parts",
     "choose_encoding",
     "choose_encoding_reference",
-    "encoding_memo_stats",
-    "clear_encoding_memo",
 ]
 
 PLAIN = 0
@@ -259,78 +254,6 @@ def decode_column(buf: bytes | memoryview, encoding: int) -> np.ndarray:
         raise ValueError(f"unknown encoding {encoding}") from None
 
 
-# -- choose_encoding memo -----------------------------------------------------
-#
-# Candidate-size estimation walks the column three times (run lengths,
-# delta run lengths, unique count).  Stable columns — identical bytes
-# re-encoded when tables migrate between tiers, or re-written across
-# windows — can skip that: the choice is memoized under a stats
-# signature (dtype, length, content digest).  A digest hit always yields
-# the exact choice the estimator would have made, so the memo can never
-# change what gets written.
-
-_memo_lock = threading.Lock()
-_memo: "OrderedDict[tuple, int]" = OrderedDict()
-_memo_max = 1024
-_memo_hits = 0
-_memo_misses = 0
-
-
-def encoding_memo_stats() -> dict:
-    """Occupancy and hit/miss counters of the choose_encoding memo."""
-    with _memo_lock:
-        return {
-            "entries": len(_memo),
-            "max_entries": _memo_max,
-            "hits": _memo_hits,
-            "misses": _memo_misses,
-        }
-
-
-def clear_encoding_memo() -> None:
-    """Drop all memoized encoding choices and reset counters."""
-    global _memo_hits, _memo_misses
-    with _memo_lock:
-        _memo.clear()
-        _memo_hits = 0
-        _memo_misses = 0
-
-
-def choose_encoding(arr: np.ndarray) -> int:
-    """Pick the cheapest encoding for ``arr`` via cheap size estimates.
-
-    Results are memoized by content signature; see the memo note above.
-    Under ``baseline_mode()`` every call is the reference estimator.
-    """
-    global _memo_hits, _memo_misses
-    if baseline.active():
-        return choose_encoding_reference(arr)
-    if arr.dtype == object:
-        return DICTIONARY
-    if arr.size == 0:
-        return PLAIN
-    contig = np.ascontiguousarray(arr)
-    key = (
-        arr.dtype.str,
-        arr.size,
-        hashlib.blake2b(contig, digest_size=16).digest(),
-    )
-    with _memo_lock:
-        hit = _memo.get(key)
-        if hit is not None:
-            _memo_hits += 1
-            _memo.move_to_end(key)
-            return hit
-        _memo_misses += 1
-    enc = _choose_encoding_impl(contig)
-    with _memo_lock:
-        _memo[key] = enc
-        _memo.move_to_end(key)
-        while len(_memo) > _memo_max:
-            _memo.popitem(last=False)
-    return enc
-
-
 def _run_count(arr: np.ndarray) -> int:
     """Number of consecutive-equal runs, without materializing them.
 
@@ -349,16 +272,24 @@ def _run_count(arr: np.ndarray) -> int:
     return int(arr.size - same_count)
 
 
-def _choose_encoding_impl(arr: np.ndarray) -> int:
-    """Fast estimator: identical choices to the reference estimator.
+def choose_encoding(arr: np.ndarray) -> int:
+    """Pick the cheapest encoding for ``arr`` via cheap size estimates.
 
-    The candidate costs depend only on *counts* (runs, delta runs,
+    Makes the choice :func:`choose_encoding_reference` makes, for less:
+    the candidate costs depend only on *counts* (runs, delta runs,
     uniques), so runs are counted rather than materialized, and the
     unique scan — the priciest probe — is skipped whenever DICTIONARY's
     best-case cost (a single vocab entry) already loses.  On a tie the
     reference prefers the lower encoding id, so an equal-cost skip can
-    never change the outcome.
+    never change the outcome.  Under ``baseline_mode()`` every call is
+    the reference estimator.
     """
+    if baseline.active():
+        return choose_encoding_reference(arr)
+    if arr.dtype == object:
+        return DICTIONARY
+    if arr.size == 0:
+        return PLAIN
     n = arr.size
     item = arr.dtype.itemsize
     plain_cost = n * item

@@ -73,13 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.columnar import encodings as _enc
-from repro.columnar.compression import (
-    CODECS,
-    _compress_raw,
-    codec_name,
-    compress,
-    decompress,
-)
+from repro.columnar.compression import CODECS, codec_name, compress, decompress
 from repro.columnar.encodings import (
     choose_encoding,
     decode_column,
@@ -122,6 +116,22 @@ _CHEAP_SKIP_RATIO = 0.9
 _CHEAP_ENTROPY_BITS = 6.0
 
 
+def _round_trips(col: np.ndarray, encoding: int, raw: bytes) -> bool:
+    """Whether ``raw`` (``col`` encoded as ``encoding``) decodes to
+    ``col`` bit for bit.
+
+    Integer and string encodings always do.  Float RLE and DICTIONARY
+    group values by ``==``, so ``-0.0`` joins a run or entry of ``0.0``
+    and NaN payloads merge; float DELTA rebuilds values by a running sum,
+    which can miss the last bit of an irregular grid and turns every
+    value after a NaN or an infinity into NaN.
+    """
+    if encoding == _enc.PLAIN or col.dtype.kind != "f":
+        return True
+    back = decode_column(raw, encoding)
+    return back.tobytes() == np.ascontiguousarray(col).tobytes()
+
+
 def _byte_entropy(raw: bytes) -> float:
     """Shannon entropy of the byte histogram, in bits per byte."""
     counts = np.bincount(np.frombuffer(raw, dtype=np.uint8))
@@ -135,7 +145,9 @@ def _byte_entropy(raw: bytes) -> float:
 # stats, framing — is a pure function of (column content, dtype, codec).
 # Stable columns recur across windows and tiers (id columns, constant
 # gauges), so the fully serialized chunk is memoized under one content
-# digest; a hit skips the entire per-column path, including zlib.
+# digest; a hit skips the entire per-column path, including zlib.  It is
+# the write path's one memo: a miss runs the estimator, encoder and codec
+# un-memoized.
 #
 # Columns above _chunk_memo_col_max_bytes bypass the memo entirely (no
 # digest, no store): digest cost grows with size while recurrence odds
@@ -313,7 +325,7 @@ class RcfWriter:
         self._vocab_donors[name] = (group_index, vocab_sec)
         return _enc.DICTIONARY, raw
 
-    def _frame_payload(self, raw: bytes, memo_cold: bool) -> tuple[bytes, str]:
+    def _frame_payload(self, raw: bytes) -> tuple[bytes, str]:
         """``(payload, codec actually used)`` under the cheap-codec rule:
         tiny chunks, and chunks whose sampled prefix barely compresses
         (already-compact numeric columns), are stored raw — skipping
@@ -325,17 +337,13 @@ class RcfWriter:
         if len(raw) > _CHEAP_SAMPLE_BYTES:
             sample = raw[:_CHEAP_SAMPLE_BYTES]
             if (
-                len(_compress_raw(sample, self.codec))
+                len(compress(sample, self.codec))
                 >= _CHEAP_SKIP_RATIO * len(sample)
             ):
                 return raw, "none"
         elif _byte_entropy(raw) >= _CHEAP_ENTROPY_BITS:
             return raw, "none"
-        payload = (
-            _compress_raw(raw, self.codec)
-            if memo_cold
-            else compress(raw, self.codec)
-        )
+        payload = compress(raw, self.codec)
         # Keep whichever is smaller; record the codec actually used.
         if len(payload) >= len(raw):
             return raw, "none"
@@ -348,42 +356,38 @@ class RcfWriter:
         for name, is_string in self._schema or []:
             col = chunk[name]
             key = None
-            memo_cold = False
-            if col.dtype != object and col.size and not baseline.active():
-                contig = np.ascontiguousarray(col)
-                if col.nbytes <= _chunk_memo_col_max_bytes:
-                    key = (
-                        self.codec,
-                        is_string,
-                        col.dtype.str,
-                        col.size,
-                        hashlib.blake2b(contig, digest_size=16).digest(),
-                    )
-                    with _chunk_lock:
-                        hit = _chunk_memo.get(key)
-                        if hit is not None:
-                            _chunk_hits += 1
-                            _chunk_memo.move_to_end(key)
-                            parts.append(hit)
-                            continue
-                        _chunk_misses += 1
-                # The chunk digest subsumes the inner memos' keys, so the
-                # cold path calls the un-memoized implementations directly
-                # rather than digesting the same bytes twice more.  (Over
-                # the size gate, key stays None: same direct path, no
-                # digest or store at all.)
-                encoding = _enc._choose_encoding_impl(contig)
-                raw = encode_column(col, encoding)
-                memo_cold = True
-            else:
-                encoding = choose_encoding(col)
-                raw = encode_column(col, encoding)
+            if (
+                col.dtype != object
+                and 0 < col.nbytes <= _chunk_memo_col_max_bytes
+                and not baseline.active()
+            ):
+                key = (
+                    self.codec,
+                    is_string,
+                    col.dtype.str,
+                    col.size,
+                    hashlib.blake2b(
+                        np.ascontiguousarray(col), digest_size=16
+                    ).digest(),
+                )
+                with _chunk_lock:
+                    hit = _chunk_memo.get(key)
+                    if hit is not None:
+                        _chunk_hits += 1
+                        _chunk_memo.move_to_end(key)
+                        parts.append(hit)
+                        continue
+                    _chunk_misses += 1
+            encoding = choose_encoding(col)
+            raw = encode_column(col, encoding)
+            if not _round_trips(col, encoding, raw):
+                encoding, raw = _enc.PLAIN, encode_column(col, _enc.PLAIN)
             if encoding == _enc.DICTIONARY and col.dtype == object:
                 # String chunks bypass the memo (dtype gate above), so a
                 # position-dependent DICT_REF blob can never be reused in
                 # the wrong file context.
                 encoding, raw = self._maybe_dict_ref(name, group_index, raw)
-            payload, codec = self._frame_payload(raw, memo_cold)
+            payload, codec = self._frame_payload(raw)
             stats = column_stats(col)
             flags = 0
             if stats is not None:

@@ -1,7 +1,7 @@
 """The fast-path switch and benchmark isolation for the data plane.
 
 :func:`baseline_mode` selects the pre-optimization plane; :func:`reset_all`
-empties the fast-path memos and the obs tracer and metrics between
+empties the fast-path caches and the obs tracer and metrics between
 benchmark repetitions.  Meters live in :data:`repro.obs.METRICS`.
 """
 

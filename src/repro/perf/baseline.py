@@ -1,6 +1,6 @@
 """One switch for the pre-optimization data plane.
 
-The fast path is a collection of pieces — content-addressed memos, the
+The fast path is a collection of pieces — the writer's chunk memo, the
 fast encoding estimator and factorizer, planned scans with the
 row-group cache, batched emission and zero-copy polling.  Every one of
 them reads :func:`active` at call time and takes its reference path
@@ -43,16 +43,13 @@ def active() -> bool:
 
 
 def reset_fast_path_caches() -> None:
-    """Empty every fast-path memo (for benchmark isolation)."""
+    """Empty the fast-path caches — the writer's chunk memo and the
+    row-group cache (for benchmark isolation)."""
     # Imported lazily: repro.perf must stay import-light because the
     # instrumented modules import it.
-    from repro.columnar import compression, encodings, file_format
-    from repro.pipeline import factorize
+    from repro.columnar import file_format
     from repro.query import cache as query_cache
 
-    factorize.clear_cache()
-    encodings.clear_encoding_memo()
-    compression.clear_compress_memo()
     file_format.clear_chunk_memo()
     query_cache.clear_row_group_cache()
 

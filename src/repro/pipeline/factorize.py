@@ -1,16 +1,13 @@
-"""Fast, memoizing column factorization for relational operators.
+"""Fast column factorization for relational operators.
 
 ``group_by_agg``/``pivot``/``hash_join`` all start by turning key columns
 into dense integer codes.  The original implementation walked object
 columns row by row through a Python dict — the dominant cost of the
-Silver/Gold stages once telemetry volume grows.  This module provides:
-
-* a vectorized object-column path (``astype(U)`` + ``np.unique``) that
-  reproduces the reference first-appearance code order exactly, with a
-  guarded fallback to the row loop for exotic contents;
-* a content-addressed memo so columns that recur across windows (sensor
-  name columns, hostname columns, repeated numeric keys) skip the
-  factorize entirely — dictionary codes are remembered across windows.
+Silver/Gold stages once telemetry volume grows.  This module provides a
+vectorized object-column path (per-row hashes + ``np.unique``) that
+reproduces the reference first-appearance code order exactly, with a
+guarded fallback to the row loop for exotic contents, and a counting
+pass for narrow-range integer columns.
 
 ``factorize_reference`` preserves the original row-loop semantics and is
 used by tests (and the benchmark baseline) as the ground truth.
@@ -18,84 +15,11 @@ used by tests (and the benchmark baseline) as the ground truth.
 
 from __future__ import annotations
 
-import hashlib
-import threading
-from collections import OrderedDict
-
 import numpy as np
 
 from repro.perf import baseline
 
-__all__ = [
-    "factorize",
-    "factorize_reference",
-    "cache_stats",
-    "clear_cache",
-    "configure_cache",
-]
-
-# -- memo ---------------------------------------------------------------------
-
-_lock = threading.Lock()
-_cache: "OrderedDict[tuple, tuple[np.ndarray, np.ndarray]]" = OrderedDict()
-_cache_max = 256
-#: Numeric columns below this size skip the memo: np.unique on a small
-#: array costs about as much as the digest, so a hit saves nothing.
-#: (Object columns always memo — their fallback path is far pricier.)
-_cache_min_bytes = 1 << 14
-_hits = 0
-_misses = 0
-
-
-def configure_cache(max_entries: int) -> None:
-    """Resize the memo (evicts LRU entries beyond the new bound)."""
-    global _cache_max
-    with _lock:
-        _cache_max = int(max_entries)
-        while len(_cache) > _cache_max:
-            _cache.popitem(last=False)
-
-
-def clear_cache() -> None:
-    """Drop all memoized factorizations and reset hit/miss counters."""
-    global _hits, _misses
-    with _lock:
-        _cache.clear()
-        _hits = 0
-        _misses = 0
-
-
-def cache_stats() -> dict:
-    """Current memo occupancy and hit/miss counters."""
-    with _lock:
-        return {
-            "entries": len(_cache),
-            "max_entries": _cache_max,
-            "hits": _hits,
-            "misses": _misses,
-        }
-
-
-def _cache_get(key: tuple):
-    global _hits, _misses
-    with _lock:
-        hit = _cache.get(key)
-        if hit is not None:
-            _hits += 1
-            _cache.move_to_end(key)
-        else:
-            _misses += 1
-        return hit
-
-
-def _cache_put(key: tuple, value: tuple[np.ndarray, np.ndarray]) -> None:
-    for arr in value:
-        arr.setflags(write=False)
-    with _lock:
-        _cache[key] = value
-        _cache.move_to_end(key)
-        while len(_cache) > _cache_max:
-            _cache.popitem(last=False)
+__all__ = ["factorize", "factorize_reference"]
 
 
 # -- reference implementation -------------------------------------------------
@@ -179,10 +103,6 @@ def _object_matches(
     )
 
 
-def _digest(buf) -> bytes:
-    return hashlib.blake2b(buf, digest_size=16).digest()
-
-
 #: Widest value range an integer column may span and still take the
 #: counting path: the O(range) tables must stay small next to the
 #: O(n log n) sort they replace.
@@ -230,42 +150,26 @@ def _numeric_factorize(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def factorize(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(codes int64, uniques) — vectorized and memoized.
+    """(codes int64, uniques) — vectorized.
 
     Byte-for-byte equivalent to :func:`factorize_reference` (verified by
-    ``tests/pipeline/test_factorize.py``); cached results are read-only
-    arrays shared across calls.  Object columns factorize through per-row
-    hashes with an equality check against the assigned uniques — a hash
-    collision (or exotic ``__eq__``) falls back to the reference loop.
-    Under ``baseline_mode()`` every call is the reference loop.
+    ``tests/pipeline/test_factorize.py``).  Object columns factorize
+    through per-row hashes with an equality check against the assigned
+    uniques — a hash collision (or exotic ``__eq__``) falls back to the
+    reference loop.  Under ``baseline_mode()`` every call is the
+    reference loop.
     """
     if baseline.active():
         return factorize_reference(col)
-    if col.dtype == object:
-        if col.size == 0:
-            return factorize_reference(col)
-        try:
-            filled, h = _object_hashes(col)
-            key = ("O", col.size, _digest(h))
-            hit = _cache_get(key)
-            if hit is not None and _object_matches(filled, *hit):
-                return hit
-            value = _object_codes(filled, h)
-            if not _object_matches(filled, *value):
-                raise ValueError("hash collision")
-            _cache_put(key, value)
-            return value
-        except (TypeError, ValueError):
-            return factorize_reference(col)
-
-    if col.size and col.nbytes >= _cache_min_bytes:
-        contig = np.ascontiguousarray(col)
-        key = (col.dtype.str, col.size, _digest(contig))
-        hit = _cache_get(key)
-        if hit is not None:
-            return hit
-        value = _numeric_factorize(contig)
-        _cache_put(key, value)
+    if col.dtype != object:
+        return _numeric_factorize(col)
+    if col.size == 0:
+        return factorize_reference(col)
+    try:
+        filled, h = _object_hashes(col)
+        value = _object_codes(filled, h)
+        if not _object_matches(filled, *value):
+            raise ValueError("hash collision")
         return value
-
-    return _numeric_factorize(col)
+    except (TypeError, ValueError):
+        return factorize_reference(col)

@@ -35,16 +35,6 @@ def where(table: ColumnTable, predicate: Predicate) -> ColumnTable:
     return table.filter(predicate.mask(table))
 
 
-def _factorize(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(codes int64, uniques) for any supported column dtype.
-
-    Delegates to the vectorized, window-memoizing implementation in
-    :mod:`repro.pipeline.factorize`; returned arrays may be shared
-    read-only cache entries.
-    """
-    return factorize(col)
-
-
 def _composite_codes(
     table: ColumnTable, keys: Sequence[str]
 ) -> tuple[np.ndarray, list[np.ndarray], list[int]]:
@@ -56,7 +46,7 @@ def _composite_codes(
         raise ValueError("at least one grouping key required")
     codes_list, uniq_list, radices = [], [], []
     for key in keys:
-        codes, uniq = _factorize(table[key])
+        codes, uniq = factorize(table[key])
         codes_list.append(codes)
         uniq_list.append(uniq)
         radices.append(max(len(uniq), 1))
@@ -146,7 +136,7 @@ def pivot(
         table, list(index) + [column_key], {"__v": (value, agg)}
     )
     idx_codes, idx_uniq, idx_radices = _composite_codes(grouped, index)
-    key_codes, key_uniq = _factorize(grouped[column_key])
+    key_codes, key_uniq = factorize(grouped[column_key])
 
     # Dense row index for each unique index tuple (sorted order).
     uniq_rows, row_of = np.unique(idx_codes, return_inverse=True)

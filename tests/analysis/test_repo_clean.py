@@ -175,3 +175,39 @@ def test_one_metrics_registry():
         if path != alias and re.search(r"\bPERF\b", source):
             bad.append(f"{path}: names PERF")
     assert bad == []
+
+
+def test_one_write_path_memo():
+    # One memo per path (DESIGN.md §8, "Content-addressed memos"): the
+    # RCF writer's chunk memo on the write path, the row-group cache on
+    # the read path.  The ``choose_encoding``, ``compress`` and
+    # ``factorize`` memos were deleted when the benchmark workloads were
+    # shown to (almost) never hit them; a module-level LRU or a content
+    # digest anywhere else in the data plane grows one back.
+    allowed = {
+        ("columnar", "file_format.py"): "_chunk_memo",
+        ("query", "cache.py"): "_cache",
+    }
+    data_plane = ("columnar", "pipeline", "query")
+    bad = []
+    for path, source in _src_files():
+        package, module = os.path.relpath(path, SRC).split(os.sep)[-2:]
+        for node in ast.parse(source, path).body:
+            value = getattr(node, "value", None)
+            if not (
+                isinstance(node, (ast.Assign, ast.AnnAssign))
+                and isinstance(value, ast.Call)
+                and getattr(value.func, "id", None) == "OrderedDict"
+            ):
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if allowed.get((package, module)) != getattr(target, "id", None):
+                    bad.append(f"{path}:{node.lineno}: module-level LRU")
+        if (
+            package in data_plane
+            and (package, module) not in allowed
+            and "blake2b" in source
+        ):
+            bad.append(f"{path}: content digest")
+    assert bad == []

@@ -1,30 +1,19 @@
-"""Fast-path memos in the columnar layer must never change bytes.
+"""The write path's fast pieces must never change bytes.
 
-Three caches sit on the RCF write path — the ``choose_encoding`` memo,
-the compression memo, and the writer's whole-chunk memo.  Each must be
-an invisible accelerator: same encoding choices, same compressed bytes,
-same file bytes, cold, warm and under ``baseline_mode()`` (which
-bypasses all three), and identical to the pre-optimization reference
-estimator.
+One cache sits on the RCF write path — the writer's whole-chunk memo —
+and under it the fast encoding estimator.  The memo must be an
+invisible accelerator (same encoding choices, same file bytes, cold,
+warm and under ``baseline_mode()``, which bypasses it), and the
+estimator must choose what the pre-optimization reference estimator
+chooses.
 """
 
 import numpy as np
 import pytest
 
-from repro.columnar import ColumnTable, read_table, write_table
-from repro.columnar.compression import (
-    CODECS,
-    clear_compress_memo,
-    compress,
-    compress_memo_stats,
-    decompress,
-)
-from repro.columnar.encodings import (
-    choose_encoding,
-    choose_encoding_reference,
-    clear_encoding_memo,
-    encoding_memo_stats,
-)
+from repro.columnar import ColumnTable, RcfReader, encodings, read_table, write_table
+from repro.columnar.compression import CODECS
+from repro.columnar.encodings import choose_encoding, choose_encoding_reference
 from repro.columnar.file_format import chunk_memo_stats, clear_chunk_memo
 from repro.perf import baseline_mode
 
@@ -54,55 +43,41 @@ def varied_arrays():
 
 @pytest.mark.parametrize("arr", list(varied_arrays()), ids=range(18))
 def test_fast_estimator_matches_reference(arr):
-    clear_encoding_memo()  # a miss: the fast estimator decides
     assert choose_encoding(arr) == choose_encoding_reference(arr)
 
 
 def test_memoized_choice_equals_uncached():
-    clear_encoding_memo()
+    """A chunk-memo hit writes the encoding the reference would choose."""
+    clear_chunk_memo()
     for arr in varied_arrays():
-        cold = choose_encoding(arr)
-        hot = choose_encoding(arr.copy())
-        with baseline_mode():
-            bare = choose_encoding(arr)
-        assert cold == hot == bare
-    stats = encoding_memo_stats()
+        if arr.dtype == object or arr.size == 0:
+            continue  # never memoized: strings and empty columns
+        table = ColumnTable({"v": arr})
+        cold = write_table(table)
+        hot = write_table(ColumnTable({"v": arr.copy()}))
+        assert hot == cold
+        assert RcfReader(hot).group_encoding(0, "v") == choose_encoding_reference(arr)
+    stats = chunk_memo_stats()
     assert stats["hits"] > 0 and stats["misses"] > 0
 
 
-def test_reference_mode_bypasses_memo():
-    clear_encoding_memo()
-    arr = np.repeat(np.arange(10.0), 37)
+def test_reference_mode_bypasses_memo(monkeypatch):
+    """Under ``baseline_mode()`` every column, memoizable or not, is
+    encoded as the reference estimator chooses, with no memo probe."""
+    asked = []
+    monkeypatch.setattr(
+        encodings,
+        "choose_encoding_reference",
+        lambda arr: asked.append(arr.size) or choose_encoding_reference(arr),
+    )
+    table = sample_table(seed=3)
+    clear_chunk_memo()
+    write_table(table)  # warm: every numeric column is now a hit
+    before = chunk_memo_stats()
     with baseline_mode():
-        choice = choose_encoding(arr)
-        assert encoding_memo_stats() == {
-            "entries": 0, "max_entries": 1024, "hits": 0, "misses": 0
-        }  # fmt: skip
-    assert choice == choose_encoding(arr)
-
-
-def sample_buffers():
-    rng = np.random.default_rng(23)
-    yield b""
-    yield b"x" * 10_000  # highly compressible
-    yield rng.bytes(10_000)  # incompressible
-    yield np.arange(4096, dtype=np.int64).tobytes()
-
-
-@pytest.mark.parametrize("codec", sorted(CODECS))
-def test_compress_memo_is_invisible(codec):
-    clear_compress_memo()
-    for buf in sample_buffers():
-        cold = compress(buf, codec)
-        hot = compress(buf, codec)
-        before = compress_memo_stats()
-        with baseline_mode():
-            bare = compress(buf, codec)
-        assert compress_memo_stats() == before
-        assert cold == hot == bare
-        assert decompress(cold, codec) == bytes(buf)
-    if codec != "none":  # the identity codec never touches the memo
-        assert compress_memo_stats()["hits"] > 0
+        write_table(table)
+    assert chunk_memo_stats() == before
+    assert asked == [table.num_rows] * len(table.column_names)
 
 
 def sample_table(seed=0):

@@ -14,6 +14,7 @@ from repro.columnar import (
     read_table,
     write_table,
 )
+from repro.perf import baseline_mode
 
 
 def make_table(n=1000, seed=0):
@@ -82,6 +83,61 @@ class TestRoundTrip:
         t = ColumnTable({"x": x})
         out = read_table(write_table(t, row_group_size=row_group_size))
         assert out == t
+
+
+def _bits(col):
+    return np.ascontiguousarray(col).tobytes()
+
+
+def _counter(hole):
+    col = np.arange(1000, dtype=np.float64) * 15.0
+    col[400] = hole
+    return col
+
+
+#: A NaN whose payload is not the canonical one.
+_PAYLOAD_NAN = np.frombuffer(b"\x01\x00\x00\x00\x00\x00\xf8\x7f", "<f8")[0]
+
+
+class TestBitExactFloats:
+    """A float column reads back bit for bit, whatever encoding the
+    estimator prefers: a chunk whose RLE, DELTA or DICTIONARY decode
+    would differ is stored PLAIN, by the fast and the baseline writer
+    alike."""
+
+    @pytest.mark.parametrize(
+        "col",
+        [
+            _counter(np.nan),  # DELTA: NaN from the hole onward
+            _counter(np.inf),
+            np.tile([0.0, -0.0], 500),  # RLE: one run of +0.0
+            np.tile([0.0, -0.0, 1.0, 2.0], 250),  # DICTIONARY: -0.0 folds
+            np.repeat([np.nan, _PAYLOAD_NAN], 500),  # RLE: payloads merge
+            np.cumsum(np.r_[0.1, np.full(299, 0.1)]),  # DELTA: last bits
+        ],
+        ids=["nan-hole", "inf-hole", "signed-zero-runs", "signed-zero-dict",
+             "nan-payloads", "iterated-add-grid"],  # fmt: skip
+    )
+    def test_lossy_shapes_round_trip(self, col):
+        table = ColumnTable({"x": col})
+        buf = write_table(table)
+        with baseline_mode():
+            assert write_table(table) == buf
+        assert _bits(read_table(buf)["x"]) == _bits(col)
+
+    @given(
+        x=hnp.arrays(
+            np.float64,
+            st.integers(1, 300),
+            elements=st.sampled_from([0.0, -0.0, 1.5, -2.0, np.nan, np.inf])
+            | st.floats(allow_nan=True, allow_infinity=True),
+        ),
+        row_group_size=st.integers(1, 128),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_any_floats_round_trip(self, x, row_group_size):
+        buf = write_table(ColumnTable({"x": x}), row_group_size=row_group_size)
+        assert _bits(read_table(buf)["x"]) == _bits(x)
 
 
 class TestProjection:

@@ -17,18 +17,15 @@ from typing import Callable
 
 import numpy as np
 
-from repro.columnar import ColumnTable, compression, encodings, file_format
+from repro.columnar import ColumnTable, encodings, file_format
 from repro.pipeline import factorize
 from repro.query import executor, scan
 from repro.storage import DataClass, TieredStore
 from repro.telemetry.jobs import AllocationTable, JobSpec
 
 IDS = [
-    "factorize.cache_disabled",
     "factorize.factorize_reference_mode",
-    "encodings.encoding_memo_disabled",
     "encodings.encoding_reference_mode",
-    "compression.compress_memo_disabled",
     "file_format.chunk_memo_disabled",
     "jobs.utilization_memo_disabled",
     "executor.scan_reference_mode",
@@ -108,22 +105,11 @@ def install(monkeypatch) -> dict[str, Callable[[], bool]]:
     store = _archive()
     cache_reached = _reached("cached_column", lambda: store.query_archive("d"))
     probes = {
-        "factorize.cache_disabled": _memo_untouched(
-            factorize.cache_stats, lambda: factorize.factorize(codes)
-        ),
         "factorize.factorize_reference_mode": _reached(
             "factorize_reference", lambda: factorize.factorize(codes)
         ),
-        "encodings.encoding_memo_disabled": _memo_untouched(
-            encodings.encoding_memo_stats,
-            lambda: encodings.choose_encoding(codes),
-        ),
         "encodings.encoding_reference_mode": _reached(
             "choose_encoding_reference", lambda: encodings.choose_encoding(codes)
-        ),
-        "compression.compress_memo_disabled": _memo_untouched(
-            compression.compress_memo_stats,
-            lambda: compression.compress(bytes(4096), "fast"),
         ),
         "file_format.chunk_memo_disabled": _memo_untouched(
             file_format.chunk_memo_stats, lambda: file_format.write_table(table)

@@ -13,12 +13,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.columnar import compression, encodings, file_format
+from repro.columnar import file_format
 from repro.core import DataPlaneOptions, ODAFramework
 from repro.faults.injector import FaultInjector, FaultyObjectStore
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.perf import baseline_mode, reset_fast_path_caches
-from repro.pipeline import factorize
 from repro.query import cache as rg_cache
 from repro.serve import Request
 from repro.stream.consumer import Consumer
@@ -111,9 +110,6 @@ def test_default_options_match_serial_baseline(baseline_run):
 
 def memo_stats():
     return (
-        factorize.cache_stats(),
-        encodings.encoding_memo_stats(),
-        compression.compress_memo_stats(),
         file_format.chunk_memo_stats(),
         rg_cache.row_group_cache_stats(),
     )

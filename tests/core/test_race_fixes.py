@@ -10,11 +10,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro.columnar import compression, encodings, file_format
+from repro.columnar import file_format
 from repro.columnar.table import ColumnTable
 from repro.perf import baseline
 from repro.perf.baseline import baseline_mode
-from repro.pipeline import factorize
 from repro.storage.tiers import DataClass, TieredStore
 from repro.telemetry import MINI, synthetic_job_mix
 from repro.util.rng import RngStreams
@@ -48,42 +47,23 @@ def test_overlapping_toggles_restore_only_at_last_exit(monkeypatch, decision):
 
 def test_baseline_mode_still_composes_all_toggles():
     """Every fast-path decision the nine retired per-module toggles made
-    now follows the one switch, read at call time: the estimator and
-    factorizer take their references and no memo is probed."""
-    reset = (
-        factorize.clear_cache,
-        encodings.clear_encoding_memo,
-        compression.clear_compress_memo,
-        file_format.clear_chunk_memo,
-    )
-    stats = (
-        factorize.cache_stats,
-        encodings.encoding_memo_stats,
-        compression.compress_memo_stats,
-        file_format.chunk_memo_stats,
-    )
-    for clear in reset:
-        clear()
+    now follows the one switch, read at call time: no memo is probed
+    inside the block, and both fill again after it."""
+    file_format.clear_chunk_memo()
     table = ColumnTable({"v": np.tile(np.arange(64.0), 64)})
     allocation = synthetic_job_mix(MINI, 0.0, 600.0, np.random.default_rng(2))
     grid = (np.arange(MINI.n_nodes), np.arange(0.0, 300.0, 15.0))
     with baseline_mode():
-        factorize.factorize(np.arange(4096))
-        encodings.choose_encoding(np.arange(4096))
-        compression.compress(bytes(4096), "fast")
         file_format.write_table(table)
         allocation.utilization(*grid)
-        assert all(s()["hits"] + s()["misses"] == 0 for s in stats)
+        stats = file_format.chunk_memo_stats()
+        assert stats["hits"] + stats["misses"] == 0
         assert not allocation._util_memo
-    factorize.factorize(np.arange(4096))
-    encodings.choose_encoding(np.arange(4096))
-    compression.compress(bytes(4096), "fast")
     file_format.write_table(table)
     allocation.utilization(*grid)
-    assert all(s()["misses"] > 0 for s in stats)
+    assert file_format.chunk_memo_stats()["misses"] > 0
     assert allocation._util_memo
-    for clear in reset:
-        clear()
+    file_format.clear_chunk_memo()
 
 
 class TestRngStreamsLocking:
