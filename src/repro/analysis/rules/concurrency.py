@@ -16,8 +16,8 @@ discipline mechanical:
   (i.e. the author considers it shared, so an unguarded read is a torn
   read waiting to happen).  Reported as a warning.
 * **CONC003** — a ``@contextmanager`` toggle (``*_mode``/
-  ``*_disabled``/``*_enabled``, such as ``baseline_mode()``) rebinds a
-  module global outside the lock.  Two overlapping
+  ``*_disabled``/``*_enabled``; in src today only ``baseline_mode()``)
+  rebinds a module global outside the lock.  Two overlapping
   save/restore toggles then restore a stale value; the fix is the
   lock-guarded depth counter (see ``repro.perf.baseline``).  CONC001
   does not see this: a scalar flag is not a container.

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.obs import METRICS, TRACER
-from repro.perf import baseline
 from repro.pipeline.medallion import MedallionPipeline
 from repro.storage.tiers import DataClass, TieredStore
 from repro.stream.broker import Broker, TopicConfig
@@ -70,8 +69,8 @@ class DataPlaneOptions:
     """How the framework moves and refines a window's data.
 
     No option selects the fast or the reference path: every framework
-    runs the fast path (batched telemetry emission, zero-copy consumer
-    slices) and takes the pre-optimization one while
+    runs the fast path (batched telemetry emission, the writer's chunk
+    memo, planned scans) and takes the pre-optimization one while
     ``repro.perf.baseline_mode()`` is entered, with byte-identical
     outputs (``tests/core/test_parallel_equivalence``).  Windows,
     refineries and tier writes run on the calling thread, one after
@@ -395,7 +394,6 @@ class ODAFramework:
             cat.link(window_node, bid, "derived")
 
     def _run_window_impl(self, t0: float, t1: float) -> WindowSummary:
-        zero_copy = not baseline.active()
         with METRICS.timer("telemetry.emit"):
             batches = self.fleet.emit_window(t0, t1)
 
@@ -419,13 +417,11 @@ class ODAFramework:
         from repro.pipeline.medallion import bronze_standardize, silver_aggregate
 
         def poll_values(consumer: Consumer) -> list:
-            if zero_copy:
-                return [
-                    r.value
-                    for _, recs in consumer.poll_slices(max_records=1_000)
-                    for r in recs
-                ]
-            return [r.value for r in consumer.poll(max_records=1_000)]
+            return [
+                r.value
+                for _, recs in consumer.poll_slices(max_records=1_000)
+                for r in recs
+            ]
 
         # Spans embed the topic/role in their *name* ("refine:power",
         # "consume:log-index"), which span IDs derive from.

@@ -139,12 +139,6 @@ class FaultyBroker:
         self.injector.fire(self.site_produce)
         return self.inner.produce(topic, value, **kwargs)
 
-    def produce_many(
-        self, topic: str, values: Any, **kwargs: Any
-    ) -> list["Record"]:
-        self.injector.fire(self.site_produce)
-        return self.inner.produce_many(topic, values, **kwargs)
-
 
 class TornCheckpointStore:
     """A :class:`~repro.pipeline.checkpoint.CheckpointStore` front that

@@ -14,7 +14,6 @@ reproduction's own health instrumentation:
   self-telemetry loop that re-publishes deterministic obs meters as a
   synthetic telemetry topic so the UA dashboard can render the
   framework's own health.
-* :mod:`repro.obs.profile` — off-by-default profiling hooks.
 * ``python -m repro.obs report trace.jsonl`` — the operator CLI
   (``make obs-report`` drives it end to end).
 
@@ -34,7 +33,6 @@ from repro.obs.exporters import (
 )
 from repro.obs.ids import span_id, trace_id
 from repro.obs.metrics import METRICS, Histogram, MetricsRegistry
-from repro.obs.profile import profile, profile_block, profiling_active, profiling_enabled
 from repro.obs.span import TRACER, Span, Tracer
 
 __all__ = [
@@ -52,10 +50,6 @@ __all__ = [
     "TraceCorruptWarning",
     "health_catalog",
     "health_batch",
-    "profile",
-    "profile_block",
-    "profiling_enabled",
-    "profiling_active",
     "reset_all",
 ]
 

@@ -275,5 +275,4 @@ METRICS = MetricsRegistry()
 
 # Count-valued histograms need count-scaled buckets; register before any
 # instrumented module can observe into them with the default edges.
-METRICS.register_buckets("stream.batch_size", SIZE_BUCKETS)
 METRICS.register_buckets("refine.rows_per_window", SIZE_BUCKETS)

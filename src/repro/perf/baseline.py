@@ -1,8 +1,8 @@
 """One switch for the pre-optimization data plane.
 
 The fast path is a collection of pieces — the writer's chunk memo, the
-fast encoding estimator and factorizer, planned scans with the
-row-group cache, batched emission and zero-copy polling.  Every one of
+fast encoding estimator and factorizer, the utilization memo, planned
+scans with the row-group cache and batched emission.  Every one of
 them reads :func:`active` at call time and takes its reference path
 while any thread is inside :func:`baseline_mode`, so benchmarks and
 equivalence tests flip the *whole* fast path with one block — whatever

@@ -105,7 +105,7 @@ def scan_part(
 
     Arrays in the result may be read-only views of the row-group cache
     or of ``blob`` itself; callers that mutate query output must copy
-    first (the contract of the zero-copy broker slices).
+    first.
     """
     if reader is None:
         reader = RcfReader(blob)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from repro.stream.retention import RetentionPolicy
 
@@ -104,27 +104,12 @@ class _Partition:
         self.next_offset += 1
         self.total_bytes += record.nbytes
 
-    def append_many(self, records: list[Record], nbytes_total: int) -> None:
-        self.records.extend(records)
-        self.next_offset += len(records)
-        self.total_bytes += nbytes_total
-
     def read(
         self, from_offset: int, max_records: int | None = None
     ) -> list[Record]:
-        """Records from ``from_offset``, capped at ``max_records``.
-
-        When the requested range covers the whole retained log the
-        internal list is returned without copying — callers must treat
-        the result as read-only; ``trim`` never mutates handed-out lists
-        (it rebinds), but appends after a whole-log read do extend it.
-        """
+        """Records from ``from_offset``, capped at ``max_records``, as a
+        fresh list the log never changes afterwards."""
         start = max(from_offset, self.base_offset) - self.base_offset
-        n = len(self.records)
-        if start >= n:
-            return []
-        if start == 0 and (max_records is None or max_records >= n):
-            return self.records
         if max_records is None:
             return self.records[start:]
         return self.records[start : start + max_records]
@@ -147,9 +132,7 @@ class _Partition:
                 cut += 1
         if cut:
             self.total_bytes -= sum(r.nbytes for r in self.records[:cut])
-            # Rebind rather than `del records[:cut]` so zero-copy lists
-            # handed out by `read` stay valid for their holders.
-            self.records = self.records[cut:]
+            del self.records[:cut]
             self.base_offset += cut
         return cut
 
@@ -181,9 +164,6 @@ class Broker:
         self._partitions: dict[str, list[_Partition]] = {}
         self._group_offsets: dict[tuple[str, str, int], int] = {}
         self._keyless_rr: dict[str, int] = {}
-        # Key -> CRC32 memo shared by the batch producer path; telemetry
-        # keys (hostnames, stream names) recur every window.
-        self._key_crc: dict[str, int] = {}
 
     # -- topic management ---------------------------------------------------
 
@@ -208,10 +188,9 @@ class Broker:
         except KeyError:
             raise UnknownTopicError(topic) from None
 
-    def shard_of(self, partition: int, topic: str | None = None) -> int:
+    def shard_of(self, partition: int, topic: str) -> int:
         """Shard owning a partition: always 0 on a single-node broker."""
-        if partition < 0:
-            raise UnknownPartitionError(topic or "?", partition, 0)
+        self._part(topic, partition)
         return 0
 
     def _parts(self, topic: str) -> list[_Partition]:
@@ -257,92 +236,6 @@ class Broker:
         parts[p].append(record)
         return record
 
-    def produce_many(
-        self,
-        topic: str,
-        values: Sequence[Any],
-        *,
-        keys: Sequence[str | None] | None = None,
-        key: str | None = None,
-        timestamps: Sequence[float] | None = None,
-        timestamp: float = 0.0,
-        nbytes: Sequence[int] | int = 0,
-    ) -> list[Record]:
-        """Append a batch of records in one call.
-
-        Equivalent to calling :meth:`produce` once per value in order —
-        same partition assignment (including the keyless round-robin
-        cursor), same offsets — but with the per-call bookkeeping done
-        once per (partition, batch) instead of once per record.  ``keys``
-        / ``timestamps`` / ``nbytes`` may be scalars (broadcast) or
-        per-value sequences.
-        """
-        parts = self._parts(topic)
-        n = len(values)
-        if n == 0:
-            return []
-        n_parts = len(parts)
-        if keys is not None and key is not None:
-            raise ValueError("pass either key or keys, not both")
-        if keys is not None and len(keys) != n:
-            raise ValueError("keys must match values in length")
-        if timestamps is not None and len(timestamps) != n:
-            raise ValueError("timestamps must match values in length")
-        sizes: Sequence[int]
-        if isinstance(nbytes, (int, float)):
-            sizes = [int(nbytes)] * n
-        else:
-            if len(nbytes) != n:
-                raise ValueError("nbytes must match values in length")
-            sizes = nbytes
-
-        crc = self._key_crc
-        if keys is not None:
-            assigned = []
-            for k in keys:
-                if k is None:
-                    rr = self._keyless_rr[topic]
-                    self._keyless_rr[topic] = rr + 1
-                    assigned.append(rr % n_parts)
-                else:
-                    h = crc.get(k)
-                    if h is None:
-                        h = crc[k] = zlib.crc32(k.encode("utf-8"))
-                    assigned.append(h % n_parts)
-        elif key is not None:
-            h = crc.get(key)
-            if h is None:
-                h = crc[key] = zlib.crc32(key.encode("utf-8"))
-            assigned = [h % n_parts] * n
-        else:
-            rr = self._keyless_rr[topic]
-            self._keyless_rr[topic] = rr + n
-            assigned = [(rr + i) % n_parts for i in range(n)]
-
-        next_offsets = [part.next_offset for part in parts]
-        batches: list[list[Record]] = [[] for _ in range(n_parts)]
-        batch_bytes = [0] * n_parts
-        out: list[Record] = []
-        for i, value in enumerate(values):
-            p = assigned[i]
-            record = Record(
-                topic=topic,
-                partition=p,
-                offset=next_offsets[p],
-                timestamp=timestamp if timestamps is None else timestamps[i],
-                key=key if keys is None else keys[i],
-                value=value,
-                nbytes=sizes[i],
-            )
-            next_offsets[p] += 1
-            batches[p].append(record)
-            batch_bytes[p] += sizes[i]
-            out.append(record)
-        for p, batch in enumerate(batches):
-            if batch:
-                parts[p].append_many(batch, batch_bytes[p])
-        return out
-
     def fetch(
         self,
         topic: str,
@@ -350,12 +243,8 @@ class Broker:
         from_offset: int,
         max_records: int | None = 1000,
     ) -> list[Record]:
-        """Read up to ``max_records`` from ``from_offset`` (may be trimmed).
-
-        ``max_records=None`` reads to the high watermark; a whole-log
-        read returns the partition's internal list without copying (treat
-        it as read-only — see :meth:`_Partition.read`).
-        """
+        """Read up to ``max_records`` from ``from_offset`` (may be trimmed);
+        ``max_records=None`` reads to the high watermark."""
         return self._part(topic, partition).read(from_offset, max_records)
 
     # -- offsets and lag ----------------------------------------------------

@@ -101,8 +101,7 @@ class Consumer:
     def poll(self, max_records: int | None = 1000) -> list[Record]:
         """Fetch up to ``max_records`` across assigned partitions, advancing
         local positions.  ``None`` means no cap.  Skips over
-        retention-trimmed gaps.  The returned list is always a fresh copy;
-        use :meth:`poll_slices` for the zero-copy per-partition form."""
+        retention-trimmed gaps.  :meth:`poll_slices` flattened."""
         out: list[Record] = []
         for _, records in self.poll_slices(max_records):
             out.extend(records)
@@ -113,10 +112,9 @@ class Consumer:
     ) -> list[tuple[int, list[Record]]]:
         """Fetch as ``(partition, records)`` pairs without flattening.
 
-        Whole-backlog reads return the broker's internal per-partition
-        lists without copying — treat them as read-only snapshots and
-        consume them before producing more to the same topic.  Local
-        positions advance exactly as :meth:`poll`.
+        Each list is a snapshot: later produces and retention trims
+        leave it as it was.  Local positions advance exactly as
+        :meth:`poll`.
 
         Skipping over a retention-trimmed gap is documented behaviour
         (the records are gone; waiting cannot bring them back) but never

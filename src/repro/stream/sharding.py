@@ -24,9 +24,10 @@ out).  With ``n_shards=1`` every code path reduces to the single-broker
 behaviour bit for bit.
 
 One asymmetry is deliberate: fetched :class:`Record` objects carry the
-*shard-local* partition index they were stored under (re-stamping them
-with the global index would force a copy and give up the zero-copy
-whole-log read path).  Consumers only use offsets, which are per
+*shard-local* partition index they were stored under (the inner brokers
+are ordinary brokers that know nothing of the flattening, and
+re-stamping each record with the global index would rebuild every
+frozen record on every read).  Consumers only use offsets, which are per
 (shard, partition) and therefore unambiguous; use
 :meth:`ShardedBroker.shard_of` / :meth:`ShardedBroker.global_partition`
 to translate when labeling.
@@ -35,7 +36,7 @@ to translate when labeling.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from repro.stream.broker import (
     Broker,
@@ -77,8 +78,6 @@ class ShardedBroker:
         self._topics: dict[str, TopicConfig] = {}
         self._per_shard: dict[str, int] = {}
         self._keyless_rr: dict[str, int] = {}
-        # Key -> shard memo (salted CRC32); telemetry keys recur.
-        self._shard_memo: dict[str, int] = {}
 
     # -- topic management ---------------------------------------------------
 
@@ -128,23 +127,10 @@ class ShardedBroker:
             raise UnknownPartitionError(topic, partition, total)
         return self.shards[partition // k], partition % k
 
-    def shard_of(self, partition: int, topic: str | None = None) -> int:
-        """Shard owning a global partition index.
-
-        Every topic shares the same per-shard width in practice (the
-        framework creates them uniformly), so ``topic`` may be omitted
-        when any topic exists; pass it to resolve against a specific
-        topic's width.
-        """
-        if topic is None:
-            if not self._per_shard:
-                return 0
-            k = next(iter(self._per_shard.values()))
-        else:
-            k = self._k(topic)
-        if partition < 0:
-            raise UnknownPartitionError(topic or "?", partition, k * self.n_shards)
-        return min(partition // k, self.n_shards - 1)
+    def shard_of(self, partition: int, topic: str) -> int:
+        """Shard owning a global partition index of ``topic``."""
+        self._locate(topic, partition)  # unknown topic / partition raise
+        return partition // self._per_shard[topic]
 
     def global_partition(self, shard: int, local: int, topic: str) -> int:
         """Flattened global index of (shard, shard-local partition)."""
@@ -160,12 +146,7 @@ class ShardedBroker:
             rr = self._keyless_rr[topic]
             self._keyless_rr[topic] = rr + 1
             return rr % self.n_shards
-        s = self._shard_memo.get(key)
-        if s is None:
-            s = self._shard_memo[key] = (
-                zlib.crc32(_SHARD_SALT + key.encode("utf-8")) % self.n_shards
-            )
-        return s
+        return zlib.crc32(_SHARD_SALT + key.encode("utf-8")) % self.n_shards
 
     # -- produce / fetch ----------------------------------------------------
 
@@ -184,73 +165,6 @@ class ShardedBroker:
         return self.shards[s].produce(
             topic, value, key=key, timestamp=timestamp, nbytes=nbytes
         )
-
-    def produce_many(
-        self,
-        topic: str,
-        values: Sequence[Any],
-        *,
-        keys: Sequence[str | None] | None = None,
-        key: str | None = None,
-        timestamps: Sequence[float] | None = None,
-        timestamp: float = 0.0,
-        nbytes: Sequence[int] | int = 0,
-    ) -> list[Record]:
-        """Batch append, equivalent to per-value :meth:`produce` calls.
-
-        Values are bucketed per shard preserving input order (so each
-        shard sees the same sub-sequence it would under one-at-a-time
-        produce) and the returned records are reassembled in input
-        order.
-        """
-        self._k(topic)
-        n = len(values)
-        if n == 0:
-            return []
-        if keys is not None and key is not None:
-            raise ValueError("pass either key or keys, not both")
-        if keys is not None and len(keys) != n:
-            raise ValueError("keys must match values in length")
-        if timestamps is not None and len(timestamps) != n:
-            raise ValueError("timestamps must match values in length")
-        sizes: Sequence[int]
-        if isinstance(nbytes, (int, float)):
-            sizes = [int(nbytes)] * n
-        else:
-            if len(nbytes) != n:
-                raise ValueError("nbytes must match values in length")
-            sizes = nbytes
-
-        if keys is not None:
-            assigned = [self._shard_for(topic, k) for k in keys]
-        elif key is not None:
-            s = self._shard_for(topic, key)
-            assigned = [s] * n
-        else:
-            assigned = [self._shard_for(topic, None) for _ in range(n)]
-
-        buckets: list[list[int]] = [[] for _ in range(self.n_shards)]
-        for i, s in enumerate(assigned):
-            buckets[s].append(i)
-
-        out: list[Record | None] = [None] * n
-        for s, idxs in enumerate(buckets):
-            if not idxs:
-                continue
-            records = self.shards[s].produce_many(
-                topic,
-                [values[i] for i in idxs],
-                keys=None if keys is None else [keys[i] for i in idxs],
-                key=key,
-                timestamps=(
-                    None if timestamps is None else [timestamps[i] for i in idxs]
-                ),
-                timestamp=timestamp,
-                nbytes=[sizes[i] for i in idxs],
-            )
-            for i, record in zip(idxs, records):
-                out[i] = record
-        return out  # type: ignore[return-value]
 
     def fetch(
         self,

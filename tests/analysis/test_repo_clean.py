@@ -211,3 +211,41 @@ def test_one_write_path_memo():
         ):
             bad.append(f"{path}: content digest")
     assert bad == []
+
+
+def test_one_produce_path():
+    # The broker is sized to its traffic (DESIGN.md §8, "Stream
+    # traffic"): one whole-window batch per topic per window, so one
+    # produce path.  A batch produce API, the profiling hooks nothing
+    # called, or a framework that reads the fast-path switch to pick a
+    # poll shape would each be machinery no measurement pays for.
+    batch_api = {"produce_many", "send_many", "append_many"}
+    packages = tuple(
+        os.path.join(SRC, "repro", name) + os.sep for name in ("stream", "faults")
+    )
+    bad = []
+    for path, source in _src_files():
+        if not path.startswith(packages):
+            continue
+        for cls in ast.walk(ast.parse(source, path)):
+            if isinstance(cls, ast.ClassDef):
+                bad += [
+                    f"{path}:{stmt.lineno}: {cls.name}.{stmt.name}"
+                    for stmt in cls.body
+                    if isinstance(stmt, ast.FunctionDef) and stmt.name in batch_api
+                ]
+    if os.path.exists(os.path.join(SRC, "repro", "obs", "profile.py")):
+        bad.append("repro/obs/profile.py exists")
+    framework = os.path.join(SRC, "repro", "core", "framework.py")
+    with open(framework, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), framework)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported |= {f"{node.module}.{alias.name}" for alias in node.names}
+    if "repro.perf.baseline" in imported:
+        bad.append(f"{framework}: imports repro.perf.baseline")
+    assert bad == []

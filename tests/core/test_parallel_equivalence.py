@@ -1,7 +1,7 @@
 """The fast data plane must be indistinguishable from the serial baseline.
 
-The fast path — batched emission, zero-copy polling, every fast-path
-memo, planned scans — must produce the same window summaries and the
+The fast path — batched emission, every fast-path memo, planned
+scans — must produce the same window summaries and the
 same bytes in every storage tier as the pre-optimization path a
 framework takes inside ``baseline_mode()``, whatever options it was
 built with.
@@ -20,7 +20,6 @@ from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.perf import baseline_mode, reset_fast_path_caches
 from repro.query import cache as rg_cache
 from repro.serve import Request
-from repro.stream.consumer import Consumer
 from repro.telemetry import MINI, synthetic_job_mix
 
 N_WINDOWS = 4
@@ -118,30 +117,12 @@ def memo_stats():
 def test_baseline_mode_takes_every_reference_path(monkeypatch):
     """A framework built with default options and run inside
     ``baseline_mode()`` emits through every source's ``emit_reference``,
-    polls through the copying ``Consumer.poll``, touches no memo or cache
-    on the way to OCEAN or back, and answers what the fast path does."""
+    touches no memo or cache on the way to OCEAN or back, and answers
+    what the fast path does."""
     fast_fw, fast_summaries = run_windows(DataPlaneOptions())
     fast_answer = fast_fw.tiers.query_archive("power.bronze")
 
     calls = Counter()
-    in_poll = []
-    poll, poll_slices = Consumer.poll, Consumer.poll_slices
-
-    def counted_poll(self, *args, **kwargs):
-        calls["poll"] += 1
-        in_poll.append(self)
-        try:
-            return poll(self, *args, **kwargs)
-        finally:
-            in_poll.pop()
-
-    def counted_poll_slices(self, *args, **kwargs):
-        if not in_poll:  # poll's own use of it is not a zero-copy read
-            calls["poll_slices"] += 1
-        return poll_slices(self, *args, **kwargs)
-
-    monkeypatch.setattr(Consumer, "poll", counted_poll)
-    monkeypatch.setattr(Consumer, "poll_slices", counted_poll_slices)
     rng = np.random.default_rng(11)
     allocation = synthetic_job_mix(MINI, 0.0, N_WINDOWS * WINDOW_S, rng)
     fw = ODAFramework(MINI, allocation, seed=3)
@@ -166,7 +147,6 @@ def test_baseline_mode_takes_every_reference_path(monkeypatch):
     assert {s.name: calls[s.name] for s in sources} == {
         s.name: N_WINDOWS for s in sources
     }
-    assert calls["poll"] > 0 and calls["poll_slices"] == 0
     assert memo_stats() == before
     assert not allocation._util_memo
     assert_equivalent(fw, summaries, (fast_fw, fast_summaries))

@@ -16,7 +16,6 @@ listed with their tests in the DESIGN.md §8 table.
 
 from __future__ import annotations
 
-import importlib
 import sys
 import threading
 
@@ -38,9 +37,6 @@ from repro.telemetry.jobs import AllocationTable, JobSpec
 from repro.telemetry.schema import SEVERITY_IDS, EventBatch
 from tests.core import fast_path_probes
 from tests.storage.compaction_oracle import fresh_live, live_metas
-
-#: ``repro.obs`` re-exports the ``profile`` decorator under the module's name.
-obs_profile = importlib.import_module("repro.obs.profile")
 
 N_THREADS = 8
 ROUNDS = 25
@@ -386,14 +382,3 @@ def test_toggles_hold_while_any_thread_is_inside(monkeypatch, decision):
     assert not baseline.active()
     assert baseline._depth == 0
     assert not took_reference()
-
-
-def test_profiling_toggle_depth_returns_to_zero():
-    def work(i):
-        for _ in range(200):
-            with obs_profile.profiling_enabled():
-                assert obs_profile.profiling_active()
-
-    hammer(work)
-    assert not obs_profile.profiling_active()
-    assert obs_profile._depth == 0

@@ -123,8 +123,10 @@ class TestFaultyBroker:
         faulty = FaultyBroker(make_broker(), FaultInjector(plan))
         faulty.produce("t", 1)  # call 1: clean
         with pytest.raises(ProduceUnavailableError):
-            faulty.produce_many("t", [2, 3])  # call 2: faults
+            faulty.produce("t", 2)  # call 2: faults
         assert faulty.latest_offset("t", 0) == 1  # nothing appended
+        faulty.produce("t", 3)  # call 3: clean again
+        assert [r.value for r in faulty.fetch("t", 0, 0, None)] == [1, 3]
 
     def test_retention_race_trims_before_fetch(self):
         broker = make_broker(retention=RetentionPolicy(max_age_s=10.0))

@@ -1,10 +1,10 @@
-"""Batch produce / zero-copy fetch equivalence and error contracts."""
+"""Fetched lists are snapshots, and the broker's typed error contracts."""
 
 import pytest
 
 from repro.stream import (
     Broker,
-    Producer,
+    Consumer,
     RetentionPolicy,
     TopicConfig,
     UnknownPartitionError,
@@ -18,96 +18,12 @@ def make_broker(n_partitions=3) -> Broker:
     return broker
 
 
-def record_tuple(r):
-    return (r.topic, r.partition, r.offset, r.timestamp, r.key, r.value, r.nbytes)
-
-
-class TestProduceManyEquivalence:
-    def _compare(self, produce_kwargs_per_record, batch_kwargs):
-        """produce() loop and produce_many() must assign identically."""
-        loop_broker = make_broker()
-        batch_broker = make_broker()
-        loop = [
-            loop_broker.produce("t", **kw) for kw in produce_kwargs_per_record
-        ]
-        batch = batch_broker.produce_many("t", **batch_kwargs)
-        assert [record_tuple(r) for r in loop] == [record_tuple(r) for r in batch]
-        for p in range(3):
-            assert [
-                record_tuple(r) for r in loop_broker.fetch("t", p, 0, None)
-            ] == [record_tuple(r) for r in batch_broker.fetch("t", p, 0, None)]
-        assert loop_broker.topic_bytes("t") == batch_broker.topic_bytes("t")
-
-    def test_keyless_round_robin(self):
-        self._compare(
-            [dict(value=i, timestamp=float(i), nbytes=i + 1) for i in range(10)],
-            dict(
-                values=list(range(10)),
-                timestamps=[float(i) for i in range(10)],
-                nbytes=[i + 1 for i in range(10)],
-            ),
-        )
-
-    def test_keyed_assignment(self):
-        keys = ["a", "b", "c", "a", None, "b", None]
-        self._compare(
-            [dict(value=i, key=k) for i, k in enumerate(keys)],
-            dict(values=list(range(len(keys))), keys=keys),
-        )
-
-    def test_single_key_broadcast(self):
-        self._compare(
-            [dict(value=i, key="x", timestamp=2.5) for i in range(5)],
-            dict(values=list(range(5)), key="x", timestamp=2.5),
-        )
-
-    def test_round_robin_cursor_continuity(self):
-        """Interleaving produce and produce_many keeps one rr cursor."""
-        loop_broker = make_broker()
-        mixed_broker = make_broker()
-        loop = [loop_broker.produce("t", i) for i in range(8)]
-        mixed = [mixed_broker.produce("t", 0), mixed_broker.produce("t", 1)]
-        mixed += mixed_broker.produce_many("t", [2, 3, 4])
-        mixed += [mixed_broker.produce("t", 5)]
-        mixed += mixed_broker.produce_many("t", [6, 7])
-        assert [r.partition for r in loop] == [r.partition for r in mixed]
-        assert [r.offset for r in loop] == [r.offset for r in mixed]
-
-    def test_empty_batch(self):
-        assert make_broker().produce_many("t", []) == []
-
-    def test_scalar_nbytes_broadcast(self):
-        broker = make_broker()
-        records = broker.produce_many("t", [1, 2, 3], nbytes=7)
-        assert [r.nbytes for r in records] == [7, 7, 7]
-        assert broker.topic_bytes("t") == 21
-
-    def test_mismatched_lengths_rejected(self):
-        broker = make_broker()
-        with pytest.raises(ValueError):
-            broker.produce_many("t", [1, 2], keys=["a"])
-        with pytest.raises(ValueError):
-            broker.produce_many("t", [1, 2], timestamps=[0.0])
-        with pytest.raises(ValueError):
-            broker.produce_many("t", [1, 2], nbytes=[1])
-        with pytest.raises(ValueError):
-            broker.produce_many("t", [1, 2], key="a", keys=["a", "b"])
-
-
 class TestZeroCopyFetch:
-    def test_whole_range_fetch_is_zero_copy(self):
-        broker = Broker()
-        broker.create_topic(TopicConfig("t", 1))
-        broker.produce_many("t", list(range(50)))
-        first = broker.fetch("t", 0, 0, None)
-        second = broker.fetch("t", 0, 0, None)
-        assert first is second  # the partition's internal list, not a copy
-        assert len(first) == 50
-
     def test_partial_fetch_is_a_copy(self):
         broker = Broker()
         broker.create_topic(TopicConfig("t", 1))
-        broker.produce_many("t", list(range(50)))
+        for i in range(50):
+            broker.produce("t", i)
         part = broker.fetch("t", 0, 10, None)
         assert [r.value for r in part] == list(range(10, 50))
         capped = broker.fetch("t", 0, 0, 5)
@@ -115,7 +31,8 @@ class TestZeroCopyFetch:
         assert capped is not broker.fetch("t", 0, 0, 5)
 
     def test_zero_copy_list_survives_trim(self):
-        """Retention trims rebind the partition list; handed-out lists stay valid."""
+        """A whole-log read is a snapshot: neither later appends nor a
+        retention trim change the list its holder got."""
         broker = Broker()
         broker.create_topic(
             TopicConfig("t", 1, RetentionPolicy(max_bytes=10))
@@ -125,14 +42,28 @@ class TestZeroCopyFetch:
         snapshot = broker.fetch("t", 0, 0, None)
         for i in range(10, 30):
             broker.produce("t", i, timestamp=float(i), nbytes=1)
-        # Appends after a whole-log read extend the shared list ...
-        assert [r.value for r in snapshot] == list(range(30))
-        # ... but a trim rebinds instead of mutating, so the holder's
-        # view is untouched even as the broker drops the head.
+        # Appends after a whole-log read do not extend the handed-out list ...
+        assert [r.value for r in snapshot] == list(range(10))
+        # ... and neither does a trim shrink it as the broker drops the head.
         assert broker.enforce_retention(now=100.0)["t"] > 0
-        assert [r.value for r in snapshot] == list(range(30))
+        assert [r.value for r in snapshot] == list(range(10))
         assert broker.earliest_offset("t", 0) >= 10
         assert len(broker.fetch("t", 0, 0, None)) <= 10
+
+    def test_fetched_lists_are_snapshots(self):
+        """Lists from a whole-log ``fetch`` and from ``poll_slices`` keep
+        exactly the records they were handed out with."""
+        broker = Broker()
+        broker.create_topic(TopicConfig("t", 1, RetentionPolicy(max_bytes=4)))
+        for i in range(4):
+            broker.produce("t", i, timestamp=float(i), nbytes=1)
+        fetched = broker.fetch("t", 0, 0, None)
+        ((_, polled),) = Consumer(broker, "t", "g").poll_slices(max_records=None)
+        for i in range(4, 8):
+            broker.produce("t", i, timestamp=float(i), nbytes=1)
+        assert broker.enforce_retention(now=100.0) == {"t": 4}
+        assert [r.value for r in fetched] == [0, 1, 2, 3]
+        assert [r.value for r in polled] == [0, 1, 2, 3]
 
 
 class TestErrorTypes:
@@ -142,8 +73,6 @@ class TestErrorTypes:
             broker.fetch("nope", 0, 0)
         with pytest.raises(UnknownTopicError):
             broker.produce("nope", 1)
-        with pytest.raises(UnknownTopicError):
-            broker.produce_many("nope", [1])
         assert issubclass(UnknownTopicError, KeyError)
 
     def test_unknown_partition(self):
@@ -153,16 +82,3 @@ class TestErrorTypes:
         with pytest.raises(UnknownPartitionError):
             broker.earliest_offset("t", -1)
         assert issubclass(UnknownPartitionError, IndexError)
-
-
-class TestProducerSendMany:
-    def test_send_many_matches_send_loop(self):
-        b1, b2 = make_broker(), make_broker()
-        p1, p2 = Producer(b1), Producer(b2)
-        values = [b"abc", "defg", 3.14, None]
-        for v in values:
-            p1.send("t", v, timestamp=1.0)
-        p2.send_many("t", values, timestamp=1.0)
-        assert p1.records_sent("t") == p2.records_sent("t") == 4
-        assert p1.bytes_sent("t") == p2.bytes_sent("t")
-        assert b1.topic_bytes("t") == b2.topic_bytes("t")

@@ -19,8 +19,8 @@ class TestProducer:
         producer = Producer(broker)
         producer.send("t", "hello", nbytes=5)
         producer.send("t", "world", nbytes=7)
-        assert producer.records_sent("t") == 2
-        assert producer.bytes_sent("t") == 12
+        assert broker.topic_records("t") == 2
+        assert broker.topic_bytes("t") == 12
 
     def test_estimates_batch_size(self):
         broker = make_broker()

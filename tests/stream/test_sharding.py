@@ -50,6 +50,25 @@ class TestAddressing:
         assert broker.n_shards == 1
         assert broker.shard_of(3, "t") == 0
 
+    def test_shard_of_validates_like_fetch(self):
+        sharded = ShardedBroker(3)
+        sharded.create_topic(TopicConfig("t", n_partitions=4))
+        sharded.create_topic(TopicConfig("h", n_partitions=1))
+        with pytest.raises(UnknownPartitionError):
+            sharded.shard_of(99, "t")  # 12 global partitions
+        with pytest.raises(UnknownPartitionError):
+            sharded.shard_of(-1, "t")
+        with pytest.raises(UnknownTopicError):
+            sharded.shard_of(0, "nope")
+        # Resolved against the named topic's own width, never another's.
+        assert sharded.shard_of(2, "h") == 2
+        plain = Broker()
+        plain.create_topic(TopicConfig("t", n_partitions=4))
+        with pytest.raises(UnknownTopicError):
+            plain.shard_of(0, "nope")
+        with pytest.raises(UnknownPartitionError):
+            plain.shard_of(4, "t")
+
     def test_single_shard_reduces_to_plain_broker(self):
         sharded = make(n_shards=1, n_partitions=4)
         plain = Broker()
@@ -102,32 +121,10 @@ class TestRouting:
         off_diagonal = 0
         for i in range(64):
             record = broker.produce("t", i, key=f"key-{i}", nbytes=1)
-            shard = broker._shard_for("t", f"key-{i}")  # memoized, pure
+            shard = broker._shard_for("t", f"key-{i}")  # pure for keyed records
             if shard != record.partition:  # record.partition is local
                 off_diagonal += 1
         assert off_diagonal > 0
-
-    def test_produce_many_matches_produce_loop(self):
-        a, b = make(), make()
-        keys = [f"k{i % 5}" if i % 4 else None for i in range(40)]
-        singles = [
-            a.produce("t", i, key=keys[i], timestamp=float(i), nbytes=i)
-            for i in range(40)
-        ]
-        batch = b.produce_many(
-            "t",
-            list(range(40)),
-            keys=keys,
-            timestamps=[float(i) for i in range(40)],
-            nbytes=list(range(40)),
-        )
-        assert [(r.partition, r.offset, r.value, r.key) for r in singles] == [
-            (r.partition, r.offset, r.value, r.key) for r in batch
-        ]
-        for sa, sb in zip(a.shards, b.shards):
-            assert [
-                (r.partition, r.offset, r.value) for r in sa.iter_all("t")
-            ] == [(r.partition, r.offset, r.value) for r in sb.iter_all("t")]
 
     def test_accounting_sums_shards(self):
         broker = make()
