@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-quick bench-e2e-smoke bench-query bench-serving chaos equivalence lifecycle read-plane lineage lint lint-json obs-report
+.PHONY: test bench bench-serving chaos equivalence lifecycle read-plane lineage lint lint-json obs-report
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -14,10 +14,10 @@ chaos:
 
 # Fast path vs. reference path: every fast-path decision follows the
 # one switch, repro.perf.baseline_mode(), and the two paths answer the
-# same bytes — framework windows and archive queries, the switch's
-# depth counter from overlapping threads, batched vs. reference
-# emission, the chunk memo, the estimator, factorize and the row-group cache —
-# see DESIGN.md §8.
+# same bytes — framework windows (also with tracing and metrics off)
+# and archive queries, the switch's depth counter from overlapping
+# threads, batched vs. reference emission, the chunk memo, the
+# estimator, factorize and the row-group cache — see DESIGN.md §8.
 equivalence:
 	$(PYTHON) -m pytest -x -q tests/core/test_parallel_equivalence.py \
 		tests/core/test_race_fixes.py tests/telemetry/test_batch_emit.py \
@@ -26,20 +26,6 @@ equivalence:
 
 bench:
 	$(PYTHON) -m pytest -q benchmarks/
-	$(PYTHON) benchmarks/bench_e2e.py
-
-bench-quick:
-	$(PYTHON) benchmarks/bench_e2e.py --quick
-
-# Perf gate for a human on a known host (run alongside `make lint`):
-# tiny-shape end-to-end bench that must still produce baseline-identical
-# outputs and must not regress any headline stage's fast/baseline ratio
-# >10% vs. the committed BENCH_e2e.json — see DESIGN.md §13.  Tier-1
-# pytest runs the same bench but keeps only the seed-pure half
-# (outputs identical); the wall-ratio comparison lives here.
-bench-e2e-smoke:
-	$(PYTHON) benchmarks/bench_e2e.py --quick \
-		--out .bench_e2e_smoke.json --check-against BENCH_e2e.json
 
 # Tier lifecycle suite: crash-safe compaction commit protocol, the
 # size-tiered suffix selector's property suite, sorted rewrites,
@@ -74,12 +60,6 @@ read-plane:
 		tests/storage/test_query_archive.py \
 		tests/storage/test_part_handles.py tests/storage/test_manifest.py \
 		tests/storage/test_lake.py
-
-# Read-plane benchmark: planned scans (manifest + row-group pruning,
-# dict pushdown, row-group cache) vs. the
-# decode-everything baseline — see DESIGN.md §11.
-bench-query:
-	$(PYTHON) benchmarks/bench_query.py
 
 # Serving benchmark: seeded zipf multi-tenant load replayed against the
 # gateway with the result cache on/off across offered-QPS levels; finds

@@ -112,8 +112,15 @@ class StreamingQuery:
 
     # -- driver ----------------------------------------------------------------
 
-    def _fetch(self) -> list[Record]:
+    def _fetch(self) -> tuple[list[Record], dict[int, int]]:
+        """Records for one batch and the positions they advance.
+
+        Positions are keyed by the partition fetched, not by
+        ``Record.partition``: a sharded broker's records carry their
+        shard-local index.
+        """
         records: list[Record] = []
+        ends: dict[int, int] = {}
         budget = self.max_records_per_batch
         for p in sorted(self._positions):
             if budget <= 0:
@@ -124,14 +131,16 @@ class StreamingQuery:
                 policy=self.retry_policy,
                 site="query.fetch",
             )
-            records.extend(got)
-            budget -= len(got)
-        return records
+            if got:
+                records.extend(got)
+                ends[p] = got[-1].offset + 1
+                budget -= len(got)
+        return records, ends
 
     def run_once(self) -> BatchResult:
         """Process one micro-batch (possibly empty) and checkpoint it."""
         t0 = time.perf_counter()
-        records = self._fetch()
+        records, ends = self._fetch()
         table = self.transform(records)
         rows_late = 0
         if self.watermark is not None and table.num_rows:
@@ -142,11 +151,7 @@ class StreamingQuery:
         self.sink(batch_id, table)
 
         # Only after the sink succeeds do we advance durable progress.
-        new_positions = dict(self._positions)
-        for rec in records:
-            new_positions[rec.partition] = max(
-                new_positions[rec.partition], rec.offset + 1
-            )
+        new_positions = {**self._positions, **ends}
         state: dict[str, Any] = {}
         if self.watermark is not None:
             state["max_event_time"] = self.watermark.max_event_time

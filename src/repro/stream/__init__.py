@@ -6,7 +6,8 @@ This package reimplements the broker semantics the framework relies on:
 
 * append-only partitioned topics with dense per-partition offsets,
 * key-hash partitioning (all of one node's telemetry stays ordered),
-* consumer groups with committed offsets, lag, and replay-from-offset,
+* one consumer per (topic, group), reading every partition, with
+  committed offsets, lag, and replay-from-offset,
 * time- and size-based retention (the STREAM tier's short horizon in
   Fig. 5).
 
@@ -29,12 +30,6 @@ from repro.stream.errors import (
     TransientStreamError,
 )
 from repro.stream.producer import Producer
-from repro.stream.rebalance import (
-    GroupCoordinator,
-    GroupMember,
-    assign_range,
-    assign_round_robin,
-)
 from repro.stream.retention import RetentionPolicy
 from repro.stream.sharding import ShardedBroker
 
@@ -45,10 +40,6 @@ __all__ = [
     "TopicConfig",
     "Producer",
     "Consumer",
-    "GroupCoordinator",
-    "GroupMember",
-    "assign_range",
-    "assign_round_robin",
     "RetentionPolicy",
     "UnknownTopicError",
     "UnknownPartitionError",

@@ -2,9 +2,10 @@
 
 Semantics follow Kafka closely because the paper's pipelines depend on
 them: producers append to a partition chosen by key hash; each partition
-assigns dense monotonically increasing offsets; consumers in a group share
-partitions and commit offsets back to the broker; retention trims the log
-head but never reorders or mutates records.
+assigns dense monotonically increasing offsets; a consumer reads every
+partition of its topic and commits offsets back under its group id, so
+consumers sharing a group share progress, never a partition split;
+retention trims the log head but never reorders or mutates records.
 """
 
 from __future__ import annotations
@@ -149,8 +150,8 @@ class Broker:
 
     The broker is single-node (the paper's is a cluster) but the client
     semantics — the part the framework's correctness rests on — are
-    identical: per-partition ordering, dense offsets, committed-offset
-    consumer groups, head-only retention.
+    identical: per-partition ordering, dense offsets, per-group committed
+    offsets, head-only retention.
     """
 
     #: A plain broker is the degenerate single-shard case; consumers
@@ -245,7 +246,10 @@ class Broker:
     ) -> list[Record]:
         """Read up to ``max_records`` from ``from_offset`` (may be trimmed);
         ``max_records=None`` reads to the high watermark."""
-        return self._part(topic, partition).read(from_offset, max_records)
+        part = self._part(topic, partition)
+        if max_records is not None and max_records < 0:
+            raise ValueError("max_records must be non-negative")
+        return part.read(from_offset, max_records)
 
     # -- offsets and lag ----------------------------------------------------
 
@@ -259,6 +263,7 @@ class Broker:
 
     def commit(self, group: str, topic: str, partition: int, offset: int) -> None:
         """Record ``group``'s progress: next offset it wants to read."""
+        self._part(topic, partition)
         if offset < 0:
             raise ValueError("offset must be non-negative")
         self._group_offsets[(group, topic, partition)] = offset

@@ -1,42 +1,32 @@
-"""Consumer client with Kafka-style group semantics.
+"""Consumer client: one reader per (topic, group).
 
-Consumers in the same group split a topic's partitions between them
-(static round-robin assignment at subscribe time); each consumer polls its
-partitions in order and commits progress back to the broker.  A new
-consumer with the same group id resumes exactly where the group left off —
-the at-least-once replay behaviour the pipeline's recovery path
-(:mod:`repro.pipeline.checkpoint`) builds on.
+A consumer reads every partition of its topic in partition order and
+commits progress back to the broker under its group id.  Consumers that
+share a group id share committed offsets, not partitions: there is no
+member split, so a new consumer with the same group id resumes exactly
+where the group left off — the at-least-once replay behaviour the
+pipeline's recovery path (:mod:`repro.pipeline.checkpoint`) builds on.
 """
 
 from __future__ import annotations
 
 from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy, call_with_retry
 from repro.obs import METRICS, TRACER
-from repro.stream.broker import Broker, Record
+from repro.stream.broker import Broker, Record, UnknownPartitionError
 
 __all__ = ["Consumer"]
 
 
 class Consumer:
-    """A group-member consumer over one topic.
+    """A consumer over every partition of one topic.
 
     Parameters
     ----------
     broker, topic, group:
-        Where to read and which group's offsets to share.
-    member:
-        This member's index within the group.
-    group_size:
-        Total members; partition ``p`` belongs to member ``p % group_size``.
+        Where to read and which group's committed offsets to share.
     retry_policy:
         Backoff policy for transient fetch faults (defaults to
         :data:`repro.faults.retry.DEFAULT_RETRY_POLICY`).
-    partitions:
-        Explicit partition assignment, overriding the static modulo
-        split.  This is how the rebalance coordinator
-        (:mod:`repro.stream.rebalance`) hands a member its generation's
-        owned set; offsets still come from the group's committed state,
-        so ownership can move between members without losing position.
     """
 
     def __init__(
@@ -44,35 +34,16 @@ class Consumer:
         broker: Broker,
         topic: str,
         group: str,
-        member: int = 0,
-        group_size: int = 1,
         retry_policy: RetryPolicy | None = None,
-        partitions: list[int] | None = None,
     ) -> None:
-        if group_size <= 0:
-            raise ValueError("group_size must be positive")
-        if not 0 <= member < group_size:
-            raise ValueError("member must be in [0, group_size)")
         self.broker = broker
         self.topic = topic
         self.group = group
         self.retry_policy = retry_policy or DEFAULT_RETRY_POLICY
         n_parts = broker.topic_config(topic).n_partitions
-        if partitions is not None:
-            bad = [p for p in partitions if not 0 <= p < n_parts]
-            if bad:
-                raise ValueError(
-                    f"partitions {bad} out of range for topic {topic!r} "
-                    f"with {n_parts} partitions"
-                )
-            self.partitions = list(partitions)
-        else:
-            self.partitions = [
-                p for p in range(n_parts) if p % group_size == member
-            ]
         # Local read positions start from the group's committed offsets.
         self._positions = {
-            p: broker.committed(group, topic, p) for p in self.partitions
+            p: broker.committed(group, topic, p) for p in range(n_parts)
         }
         # Partitions whose position this consumer has actually moved
         # (poll/seek).  commit() only writes these back: committing on a
@@ -88,18 +59,21 @@ class Consumer:
     def seek(self, partition: int, offset: int) -> None:
         """Move the local read position (does not commit)."""
         if partition not in self._positions:
-            raise ValueError(f"partition {partition} not assigned to this member")
+            n_parts = len(self._positions)
+            raise UnknownPartitionError(self.topic, partition, n_parts)
+        if offset < 0:
+            raise ValueError("offset must be non-negative")
         self._positions[partition] = offset
         self._touched.add(partition)
 
     def seek_to_beginning(self) -> None:
-        """Rewind every assigned partition to its earliest retained offset."""
-        for p in self.partitions:
+        """Rewind every partition to its earliest retained offset."""
+        for p in self._positions:
             self._positions[p] = self.broker.earliest_offset(self.topic, p)
             self._touched.add(p)
 
     def poll(self, max_records: int | None = 1000) -> list[Record]:
-        """Fetch up to ``max_records`` across assigned partitions, advancing
+        """Fetch up to ``max_records`` across all partitions, advancing
         local positions.  ``None`` means no cap.  Skips over
         retention-trimmed gaps.  :meth:`poll_slices` flattened."""
         out: list[Record] = []
@@ -130,7 +104,7 @@ class Consumer:
         n_fetched = 0
         with TRACER.span("stream.fetch", topic=self.topic) as span:
             with METRICS.timer("stream.fetch"):
-                for p in self.partitions:
+                for p in self._positions:
                     if budget is not None and budget <= 0:
                         break
                     pos = self._positions[p]
@@ -179,8 +153,8 @@ class Consumer:
         return self._positions[partition]
 
     def lag(self) -> int:
-        """Records remaining ahead of local positions on assigned partitions."""
+        """Records remaining ahead of local positions."""
         return sum(
-            max(0, self.broker.latest_offset(self.topic, p) - self._positions[p])
-            for p in self.partitions
+            max(0, self.broker.latest_offset(self.topic, p) - pos)
+            for p, pos in self._positions.items()
         )

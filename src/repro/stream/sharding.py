@@ -27,10 +27,10 @@ One asymmetry is deliberate: fetched :class:`Record` objects carry the
 *shard-local* partition index they were stored under (the inner brokers
 are ordinary brokers that know nothing of the flattening, and
 re-stamping each record with the global index would rebuild every
-frozen record on every read).  Consumers only use offsets, which are per
-(shard, partition) and therefore unambiguous; use
-:meth:`ShardedBroker.shard_of` / :meth:`ShardedBroker.global_partition`
-to translate when labeling.
+frozen record on every read).  Readers therefore track positions by
+the global partition they fetched, never by ``Record.partition``; use
+:meth:`ShardedBroker.shard_of` to label a global partition with its
+shard.
 """
 
 from __future__ import annotations
@@ -131,15 +131,6 @@ class ShardedBroker:
         """Shard owning a global partition index of ``topic``."""
         self._locate(topic, partition)  # unknown topic / partition raise
         return partition // self._per_shard[topic]
-
-    def global_partition(self, shard: int, local: int, topic: str) -> int:
-        """Flattened global index of (shard, shard-local partition)."""
-        k = self._k(topic)
-        if not 0 <= shard < self.n_shards:
-            raise ValueError(f"shard {shard} out of range [0, {self.n_shards})")
-        if not 0 <= local < k:
-            raise UnknownPartitionError(topic, local, k)
-        return shard * k + local
 
     def _shard_for(self, topic: str, key: str | None) -> int:
         if key is None:

@@ -17,6 +17,7 @@ from repro.columnar import file_format
 from repro.core import DataPlaneOptions, ODAFramework
 from repro.faults.injector import FaultInjector, FaultyObjectStore
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
+from repro.obs import METRICS, TRACER
 from repro.perf import baseline_mode, reset_fast_path_caches
 from repro.query import cache as rg_cache
 from repro.serve import Request
@@ -104,6 +105,17 @@ def assert_equivalent(fast_fw, fast_summaries, baseline_run):
 
 def test_default_options_match_serial_baseline(baseline_run):
     fw, summaries = run_windows(DataPlaneOptions())
+    assert_equivalent(fw, summaries, baseline_run)
+
+
+def test_observability_off_matches_serial_baseline(baseline_run):
+    """Tracing and metrics are output-invariant: with the tracer and the
+    metrics registry switched off, every window and tier byte matches."""
+    TRACER.enabled = METRICS.enabled = False
+    try:
+        fw, summaries = run_windows(DataPlaneOptions())
+    finally:
+        TRACER.enabled = METRICS.enabled = True
     assert_equivalent(fw, summaries, baseline_run)
 
 

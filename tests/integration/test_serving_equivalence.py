@@ -25,7 +25,7 @@ from repro.faults import FaultInjector, FaultyBroker
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.obs import TRACER, reset_all
 from repro.serve import Request, payload_digest
-from repro.stream import Consumer, GroupCoordinator, ShardedBroker, TopicConfig
+from repro.stream import Consumer, ShardedBroker, TopicConfig
 from repro.telemetry import MINI, synthetic_job_mix
 
 
@@ -234,12 +234,11 @@ class TestShardOutageAbsorbed:
         broker.shards[0] = FaultyBroker(
             broker.shards[0], injector, site_prefix="broker.shard0"
         )
-        coord = GroupCoordinator(broker, "t", "g", seed=2)
-        a = coord.join("a")
-        b = coord.join("b")
-        seen = [r.value for r in a.poll(max_records=None)]
-        seen += [r.value for r in b.poll(max_records=None)]
-        coord.leave("a")  # rebalance mid-outage-recovery
-        seen += [r.value for r in b.poll(max_records=None)]
+        consumer = Consumer(broker, "t", "g")
+        seen = [r.value for r in consumer.poll(max_records=None)]
         assert sorted(seen) == list(range(30))
-        assert injector.injected
+        assert [site for site, _, _ in injector.injected] == [
+            "broker.shard0.fetch"
+        ]
+        consumer.commit()
+        assert broker.lag("g", "t") == 0

@@ -6,7 +6,7 @@ import pytest
 
 from repro.columnar import ColumnTable
 from repro.pipeline import CheckpointStore, StreamingQuery, Watermark
-from repro.stream import Broker, TopicConfig
+from repro.stream import Broker, ShardedBroker, TopicConfig
 
 
 def make_broker(n_partitions=2):
@@ -109,6 +109,20 @@ class TestBasicDriver:
         assert len(results) == 3
         assert query.lag() == 0
         assert sink.total_rows() == 25
+
+    def test_catches_up_on_sharded_broker(self):
+        """Positions advance on the global partition fetched: records
+        from a sharded broker carry their shard-local partition."""
+        broker = ShardedBroker(2)
+        broker.create_topic(TopicConfig("obs", 1))  # global partitions 0, 1
+        for i in range(6):
+            broker.produce("obs", float(i))  # keyless: alternates shards
+        sink = CollectingSink()
+        query = make_query(broker, sink, max_records_per_batch=2)
+        results = query.run_until_caught_up(max_batches=10)
+        assert [r.records_in for r in results] == [2, 2, 2]
+        assert query.lag() == 0
+        assert sink.total_rows() == 6
 
     def test_invalid_batch_bound(self):
         with pytest.raises(ValueError):

@@ -76,6 +76,41 @@ class TestCompaction:
         assert (out["node"] == 3).all()
 
 
+def test_selective_answers_identical_after_compaction():
+    """A sprawl of small parts merged into one answers every selective
+    query (string dictionary pushdown, ``isin``, numeric threshold, each
+    with a projection) exactly as before the merge."""
+    from repro.columnar import Col
+    from repro.columnar.predicate import IsIn
+
+    projects = np.array(["PRJA", "PRJB", "PRJC", "PRJD"], dtype=object)
+    ts = TieredStore(policies=tiered_policy())
+    ts.register("d", DataClass.SILVER)
+    for i in range(24):
+        rng = np.random.default_rng(i)
+        ts.ingest(
+            "d",
+            ColumnTable(
+                {
+                    "timestamp": i * 100.0 + np.arange(20, dtype=float),
+                    "node": rng.integers(0, 8, 20).astype(float),
+                    "value": rng.normal(100.0, 10.0, 20),
+                    "project": projects[rng.integers(0, 4, 20)],
+                }
+            ),
+            now=float(i),
+        )
+    queries = [
+        dict(predicate=Col("project") == "PRJC", columns=["timestamp", "value"]),
+        dict(predicate=IsIn("node", (3.0, 7.0)), columns=["node", "value"]),
+        dict(predicate=Col("value") > 110.0, columns=["timestamp", "node"]),
+    ]
+    before = [ts.query_archive("d", **q) for q in queries]
+    assert all(t.num_rows for t in before)
+    assert ts.compact("d", min_objects=2)["merged"] == 24
+    assert [ts.query_archive("d", **q) for q in queries] == before
+
+
 def tiered_policy(**overrides):
     """OCEAN-only Silver policy whose row group (8 rows) is smaller than
     one ``batch``, so no part counts as *small* and the epoch rule alone

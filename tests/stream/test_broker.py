@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stream import Broker, RetentionPolicy, TopicConfig
+from repro.stream import (
+    Broker,
+    Consumer,
+    RetentionPolicy,
+    ShardedBroker,
+    TopicConfig,
+    UnknownPartitionError,
+    UnknownTopicError,
+)
 
 
 def make_broker(n_partitions=2, retention=None) -> Broker:
@@ -105,6 +113,43 @@ class TestOffsetsAndLag:
     def test_negative_commit_rejected(self):
         with pytest.raises(ValueError):
             make_broker().commit("g", "t", 0, -1)
+
+
+def _fetch_negative_max(broker):
+    with pytest.raises(ValueError):
+        broker.fetch("t", 0, 0, -1)
+    with pytest.raises(ValueError):
+        broker.fetch("t", 0, 1, -3)
+
+
+def _seek_negative_offset(broker):
+    consumer = Consumer(broker, "t", "g")
+    with pytest.raises(ValueError):
+        consumer.seek(0, -4)
+    consumer.poll(max_records=None)
+    assert consumer.skipped_by_retention == 0
+
+
+def _commit_unknown_address(broker):
+    with pytest.raises(UnknownTopicError):
+        broker.commit("g", "nope", 99, 3)
+    with pytest.raises(UnknownPartitionError):
+        broker.commit("g", "t", 99, 3)
+    assert broker.committed("g", "t", 0) == 0
+
+
+@pytest.mark.parametrize(
+    "check", [_fetch_negative_max, _seek_negative_offset, _commit_unknown_address]
+)
+@pytest.mark.parametrize("kind", ["plain", "sharded"])
+def test_bad_read_side_arguments_rejected(kind, check):
+    """Negative record caps and offsets raise ``ValueError`` and an
+    unknown commit address raises the typed error, on both brokers."""
+    broker = Broker() if kind == "plain" else ShardedBroker(2)
+    broker.create_topic(TopicConfig("t", 2))
+    for i in range(3):
+        broker.produce("t", i, key="k")
+    check(broker)
 
 
 class TestRetention:

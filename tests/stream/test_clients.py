@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.stream import Broker, Consumer, Producer, RetentionPolicy, TopicConfig
+from repro.stream import (
+    Broker,
+    Consumer,
+    Producer,
+    RetentionPolicy,
+    TopicConfig,
+    UnknownPartitionError,
+)
 from repro.telemetry import ObservationBatch
 
 
@@ -81,17 +88,6 @@ class TestConsumer:
         c2 = Consumer(broker, "t", "g")
         assert len(c2.poll(100)) == 10
 
-    def test_group_members_split_partitions(self):
-        broker = make_broker(n_partitions=4)
-        for i in range(40):
-            broker.produce("t", i)  # round-robin over partitions
-        a = Consumer(broker, "t", "g", member=0, group_size=2)
-        b = Consumer(broker, "t", "g", member=1, group_size=2)
-        assert set(a.partitions) == {0, 2}
-        assert set(b.partitions) == {1, 3}
-        got = [r.value for r in a.poll(100)] + [r.value for r in b.poll(100)]
-        assert sorted(got) == list(range(40))
-
     def test_seek_to_beginning_replays(self):
         broker = make_broker(1)
         for i in range(5):
@@ -103,9 +99,10 @@ class TestConsumer:
 
     def test_seek_unassigned_partition_rejected(self):
         broker = make_broker(4)
-        consumer = Consumer(broker, "t", "g", member=0, group_size=2)
-        with pytest.raises(ValueError):
-            consumer.seek(1, 0)
+        consumer = Consumer(broker, "t", "g")
+        for p in (4, -1):
+            with pytest.raises(UnknownPartitionError):
+                consumer.seek(p, 0)
 
     def test_lag_tracks_local_position(self):
         broker = make_broker(1)
@@ -126,10 +123,3 @@ class TestConsumer:
             broker.produce("t", i, timestamp=100.0)
         consumer = Consumer(broker, "t", "g")  # committed=0, trimmed gap
         assert [r.value for r in consumer.poll(100)] == [5, 6, 7]
-
-    def test_invalid_group_geometry(self):
-        broker = make_broker()
-        with pytest.raises(ValueError):
-            Consumer(broker, "t", "g", member=2, group_size=2)
-        with pytest.raises(ValueError):
-            Consumer(broker, "t", "g", group_size=0)

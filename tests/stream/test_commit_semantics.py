@@ -61,14 +61,14 @@ def test_commit_after_seek_writes_only_seeked_partition():
 def test_empty_poll_leaves_partition_untouched():
     """A poll that moves nothing must not make commit() rewrite offsets.
 
-    Regression: the old poll path added every assigned partition to the
+    Regression: the old poll path added every partition to the
     touched set even when no records arrived and no gap was crossed, so
-    a stale member's empty poll + commit dragged the group's offset back
+    a stale consumer's empty poll + commit dragged the group's offset back
     to its construction-time snapshot.
     """
     broker = make_broker()
     stale = Consumer(broker, "t", group="g")  # snapshots offsets [0, 0]
-    # Another member advances the group while `stale` sits idle.
+    # Another consumer advances the group while `stale` sits idle.
     for i in range(6):
         broker.produce("t", i)
     mover = Consumer(broker, "t", group="g")
@@ -77,9 +77,9 @@ def test_empty_poll_leaves_partition_untouched():
     advanced = [broker.committed("g", "t", p) for p in range(2)]
     assert advanced == [3, 3]
 
-    # Drain the log so the stale member's poll genuinely moves nothing.
+    # Drain the log so the stale consumer's poll genuinely moves nothing.
     broker.enforce_retention(0.0)  # KEEP_ALL policy: trims nothing
-    stale._positions = dict.fromkeys(stale.partitions, 3)  # caught up,
+    stale._positions = dict.fromkeys(range(2), 3)  # caught up,
     stale._touched.clear()  # but has never polled/seeked itself
     assert stale.poll() == []
     stale.commit()

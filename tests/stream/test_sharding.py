@@ -40,9 +40,7 @@ class TestAddressing:
     def test_shard_of_and_global_roundtrip(self):
         broker = make(n_shards=3, n_partitions=2)
         for g in range(6):
-            shard = broker.shard_of(g, "t")
-            local = g % 2
-            assert broker.global_partition(shard, local, "t") == g
+            assert broker.shard_of(g, "t") == g // 2
 
     def test_plain_broker_is_shard_zero(self):
         broker = Broker()
@@ -145,13 +143,6 @@ class TestConsumerOverShards:
         assert values == list(range(30))
         consumer.commit()
         assert broker.lag("g", "t") == 0
-
-    def test_explicit_partition_assignment(self):
-        broker = make(n_shards=2, n_partitions=2)
-        consumer = Consumer(broker, "t", "g", partitions=[1, 3])
-        assert consumer.partitions == [1, 3]
-        with pytest.raises(ValueError):
-            Consumer(broker, "t", "g", partitions=[4])
 
     def test_committed_offsets_are_per_shard(self):
         broker = make(n_shards=2, n_partitions=1)
