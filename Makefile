@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-serving chaos equivalence lifecycle read-plane lineage lint lint-json obs-report
+.PHONY: test bench bench-serving chaos equivalence lifecycle read-plane serving lineage lint lint-json obs-report
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -43,7 +43,8 @@ lifecycle:
 		tests/storage/test_lifecycle.py tests/storage/test_rollup.py \
 		tests/integration/test_lifecycle_chaos.py
 
-# Read-plane suite: planner and scan soundness, the row-group cache
+# Read-plane suite: planner and scan soundness (the LAKE segment scan
+# against brute-force mask-then-filter included), the row-group cache
 # (token index, frequency-gated admission pinned on trace replays,
 # answers identical with the cache on and under baseline_mode()), raw
 # PLAIN chunks read in
@@ -55,11 +56,20 @@ lifecycle:
 # DESIGN.md §11.
 read-plane:
 	$(PYTHON) -m pytest -x -q tests/query/test_plan.py \
-		tests/query/test_scan_soundness.py tests/query/test_cache.py \
+		tests/query/test_scan_soundness.py tests/query/test_scan_segment.py \
+		tests/query/test_cache.py \
 		tests/query/test_cache_equivalence.py tests/query/test_raw_views.py \
 		tests/storage/test_query_archive.py \
 		tests/storage/test_part_handles.py tests/storage/test_manifest.py \
 		tests/storage/test_lake.py
+
+# Serving suite: request fingerprints, payload digests (pinned hex and
+# a property against the spec algorithm), admission, the result cache,
+# the gateway and load generator, and gateway answers byte-identical to
+# direct library calls — see DESIGN.md §16.
+serving:
+	$(PYTHON) -m pytest -x -q tests/serve \
+		tests/integration/test_serving_equivalence.py
 
 # Serving benchmark: seeded zipf multi-tenant load replayed against the
 # gateway with the result cache on/off across offered-QPS levels; finds

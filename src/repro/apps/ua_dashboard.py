@@ -22,6 +22,7 @@ from repro.columnar.table import ColumnTable
 from repro.storage.lake import TimeSeriesLake
 from repro.telemetry.jobs import AllocationTable, JobSpec
 from repro.telemetry.schema import EventBatch
+from repro.util.timeseries import bucket_reduce
 
 __all__ = ["Finding", "JobOverview", "UserAssistanceDashboard"]
 
@@ -192,7 +193,14 @@ class UserAssistanceDashboard:
                     and c.endswith("_power")]
         if not gpu_cols or power.num_rows == 0:
             return []
-        means = [np.nanmean(power[c]) for c in gpu_cols]
+        # Per-column NaN-aware means in one pass.  Each column is a
+        # contiguous row of the block, so the row sums are the same
+        # pairwise sums np.nanmean takes per column: equal float bits.
+        block = np.stack([power[c] for c in gpu_cols])
+        nan = np.isnan(block)
+        block[nan] = 0.0
+        with np.errstate(invalid="ignore"):  # all-NaN column -> NaN
+            means = block.sum(axis=1) / (~nan).sum(axis=1)
         mean_gpu = float(np.mean(means))
         if mean_gpu < self.IDLE_GPU_POWER_W:
             return [
@@ -244,14 +252,9 @@ class UserAssistanceDashboard:
         power = overview.power
         if power.num_rows == 0 or "input_power" not in power:
             return []
-        from repro.pipeline.ops import group_by_agg
-
-        per_node = group_by_agg(
-            power, ["node"], {"p": ("input_power", "mean")}
-        )
-        if per_node.num_rows < 2:
+        _, p = bucket_reduce(power["node"], power["input_power"], "mean")
+        if p.size < 2:
             return []
-        p = per_node["p"]
         spread = float((np.nanmax(p) - np.nanmin(p)) / max(np.nanmean(p), 1e-9))
         if spread > 0.5:
             return [

@@ -144,7 +144,10 @@ class ColumnTable:
         mask = np.asarray(mask, dtype=bool)
         if mask.size != self._n_rows:
             raise ValueError("mask length mismatch")
-        return self._derived({n: c[mask] for n, c in self._columns.items()})
+        # One index array, then one gather per column: a boolean index
+        # would recount the mask for every column.
+        idx = np.flatnonzero(mask)
+        return self._derived({n: c[idx] for n, c in self._columns.items()})
 
     def take(self, indices: np.ndarray) -> "ColumnTable":
         """Gather rows by integer index."""
@@ -198,8 +201,10 @@ class ColumnTable:
             out = np.concatenate(arrays)
             # Mixed dtypes promote (int + str -> object holding ints),
             # so only a same-dtype concatenation is normalized already.
-            if any(a.dtype != out.dtype for a in arrays):
-                out = _normalize(n, out)
+            for a in arrays:
+                if a.dtype != out.dtype:
+                    out = _normalize(n, out)
+                    break
             columns[n] = out
         return cls._derived(columns)
 

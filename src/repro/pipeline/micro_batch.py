@@ -18,6 +18,7 @@ from typing import Any, Callable
 
 from repro.columnar.table import ColumnTable
 from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy, call_with_retry
+from repro.obs import METRICS
 from repro.pipeline.checkpoint import CheckpointStore
 from repro.pipeline.watermark import Watermark
 from repro.stream.broker import Broker, Record
@@ -109,23 +110,35 @@ class StreamingQuery:
         if self.watermark is not None and "max_event_time" in state:
             self.watermark.max_event_time = state["max_event_time"]
         self.history: list[BatchResult] = []
+        #: Records this query jumped over because retention trimmed them
+        #: before they were read.
+        self.skipped_by_retention = 0
 
     # -- driver ----------------------------------------------------------------
 
-    def _fetch(self) -> tuple[list[Record], dict[int, int]]:
-        """Records for one batch and the positions they advance.
+    def _fetch(self) -> tuple[list[Record], dict[int, int], dict[int, int]]:
+        """Records for one batch, the positions they advance, and the
+        records each partition jumps over because retention trimmed
+        them before they were read.
 
         Positions are keyed by the partition fetched, not by
         ``Record.partition``: a sharded broker's records carry their
-        shard-local index.
+        shard-local index.  A trimmed gap moves the position past it
+        even when nothing follows the gap yet: the records are gone and
+        waiting cannot bring them back.
         """
         records: list[Record] = []
         ends: dict[int, int] = {}
+        skipped: dict[int, int] = {}
         budget = self.max_records_per_batch
         for p in sorted(self._positions):
             if budget <= 0:
                 break
-            pos = max(self._positions[p], self.broker.earliest_offset(self.topic, p))
+            pos = self._positions[p]
+            earliest = self.broker.earliest_offset(self.topic, p)
+            if earliest > pos:
+                skipped[p] = earliest - pos
+                pos = ends[p] = earliest
             got = call_with_retry(
                 lambda: self.broker.fetch(self.topic, p, pos, budget),
                 policy=self.retry_policy,
@@ -135,12 +148,18 @@ class StreamingQuery:
                 records.extend(got)
                 ends[p] = got[-1].offset + 1
                 budget -= len(got)
-        return records, ends
+        return records, ends, skipped
 
     def run_once(self) -> BatchResult:
-        """Process one micro-batch (possibly empty) and checkpoint it."""
+        """Process one micro-batch (possibly empty) and checkpoint it.
+
+        Records skipped over a retention-trimmed gap are counted on
+        :attr:`skipped_by_retention` and the process-wide
+        ``stream.skipped_by_retention{topic,shard}`` counter once the
+        batch commits, so a replayed batch does not count them twice.
+        """
         t0 = time.perf_counter()
-        records, ends = self._fetch()
+        records, ends, skipped = self._fetch()
         table = self.transform(records)
         rows_late = 0
         if self.watermark is not None and table.num_rows:
@@ -158,6 +177,14 @@ class StreamingQuery:
         self.checkpoint.commit(self.query_id, batch_id, new_positions, state)
         self._positions = new_positions
         self._next_batch_id = batch_id + 1
+        for p, n in skipped.items():
+            self.skipped_by_retention += n
+            METRICS.inc(
+                "stream.skipped_by_retention",
+                n,
+                topic=self.topic,
+                shard=self.broker.shard_of(p, self.topic),
+            )
 
         result = BatchResult(
             batch_id=batch_id,

@@ -68,24 +68,30 @@ def scan_segment(
     None when no row survives.
 
     Segments are already decoded, so "late materialization" reduces to
-    mask-then-gather of the requested columns only.  The row range is
-    the planner's claim that no row outside it can match; the mask
-    inside it is the exact time+predicate mask (NaN timestamps fail
-    the always-applied time mask), evaluated on views of the range.
+    mask-then-gather: the time and predicate mask is evaluated on views
+    of the range over the predicate's own columns only (NaN timestamps
+    fail the always-applied time mask), turned into one index array,
+    and each projected column is gathered once through it.  The row
+    range is the planner's claim that no row outside it can match.
+    Every result column is a fresh array, never a view of the segment.
     """
-    rows = table.slice(row_lo, row_hi)
-    METRICS.inc("lake.rows_scanned", rows.num_rows)
-    ts = rows[time_column]
+    rows = range(table.num_rows)[row_lo:row_hi]  # the range, clamped
+    METRICS.inc("lake.rows_scanned", len(rows))
+    ts = table[time_column][row_lo:row_hi]
     lo = -np.inf if t0 is None else t0
     hi = np.inf if t1 is None else t1
     mask = (ts >= lo) & (ts < hi)
     if predicate is not None:
-        mask &= predicate.mask(rows)
-    if not mask.any():
+        mask &= predicate.mask(
+            table.select(predicate.columns()).slice(row_lo, row_hi)
+        )
+    idx = np.flatnonzero(mask)
+    if idx.size == 0:
         return None
+    idx += rows.start
     if columns is not None:
-        rows = rows.select(columns)
-    return rows.filter(mask)
+        table = table.select(columns)
+    return table.take(idx)
 
 
 def scan_part(

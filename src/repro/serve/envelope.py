@@ -11,6 +11,7 @@ which thread produced it or whether the cache served it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Any
@@ -94,13 +95,33 @@ class ResultEnvelope:
         return self.status in ("ok", "cached")
 
 
-def _digest_array(h, arr: np.ndarray) -> None:
-    h.update(str(arr.dtype).encode())
-    h.update(str(arr.shape).encode())
-    if arr.dtype == object:
-        # .tobytes() on an object array hashes pointers; stringify the
-        # values instead (same canonicalization assert_tables_equal uses).
+@functools.lru_cache(maxsize=64)
+def _dtype_tag(dtype: np.dtype) -> bytes:
+    """``str(dtype)`` as bytes, the tag every array header starts with.
+
+    ``str(dtype)`` is a Python-level method costing about as much as
+    hashing a small column, and payloads reuse a handful of dtypes (the
+    bound only caps what exotic payloads could pin).
+    """
+    return str(dtype).encode()
+
+
+def _digest_array(h, arr: np.ndarray, prefix: bytes = b"") -> None:
+    """Feed ``prefix``, the dtype/shape header and the values of ``arr``.
+
+    The stream is ``prefix + str(dtype) + str(shape) + values`` where
+    the values are ``tobytes()`` (C order) for a fixed-width dtype and
+    ``repr(tolist())`` for an object array (``tobytes()`` there would
+    hash pointers; this is the canonicalization
+    ``assert_tables_equal`` uses).  The header goes in as one update;
+    a C-contiguous array's buffer is hashed in place, anything else is
+    copied to C order first, so both give the bytes ``tobytes()`` would.
+    """
+    h.update(prefix + _dtype_tag(arr.dtype) + str(arr.shape).encode())
+    if arr.dtype.kind == "O":
         h.update(repr(arr.tolist()).encode())
+    elif arr.flags.c_contiguous:
+        h.update(arr)
     else:
         h.update(arr.tobytes())
 
@@ -132,8 +153,7 @@ def _digest_into(h, obj: Any) -> None:
     elif isinstance(obj, str):
         h.update(b"S" + obj.encode("utf-8"))
     elif isinstance(obj, np.ndarray):
-        h.update(b"A")
-        _digest_array(h, obj)
+        _digest_array(h, obj, b"A")
     elif isinstance(obj, (tuple, list)):
         h.update(f"T{len(obj)}".encode())
         for item in obj:
@@ -148,8 +168,11 @@ def _digest_into(h, obj: Any) -> None:
         names = list(obj.column_names)
         h.update(f"C{len(names)}".encode())
         for name in names:  # column order is part of the identity
-            h.update(b"\x00" + name.encode("utf-8") + b"\x01")
-            _digest_array(h, np.asarray(obj[name]))
+            _digest_array(
+                h,
+                np.asarray(obj[name]),
+                b"\x00" + name.encode("utf-8") + b"\x01",
+            )
     else:
         raise ValueError(
             f"cannot digest payload of type {type(obj).__name__}; "

@@ -1,5 +1,7 @@
 """Unit + integration tests for the User Assistance dashboard (Fig. 6)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,121 @@ class TestDiagnosisEdges:
         assert overview.io.num_rows == 0
         assert overview.fabric.num_rows == 0
         assert overview.findings == []
+
+
+def _reference_idle_gpus(dash, power):
+    """The idle-GPU rule with one ``np.nanmean`` per column: the spec."""
+    gpu_cols = [c for c in power.column_names
+                if c.startswith("gpu") and c.endswith("_power")]
+    if not gpu_cols or power.num_rows == 0:
+        return []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN column
+        means = [np.nanmean(power[c]) for c in gpu_cols]
+    mean_gpu = float(np.mean(means))
+    if mean_gpu < dash.IDLE_GPU_POWER_W:
+        return [("idle-gpus", {"mean_gpu_power_w": mean_gpu})]
+    return []
+
+
+def _reference_node_imbalance(power):
+    """The imbalance rule over a full ``group_by_agg``: the spec."""
+    from repro.pipeline.ops import group_by_agg
+
+    if power.num_rows == 0 or "input_power" not in power:
+        return []
+    per_node = group_by_agg(power, ["node"], {"p": ("input_power", "mean")})
+    if per_node.num_rows < 2:
+        return []
+    p = per_node["p"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN nodes
+        spread = float(
+            (np.nanmax(p) - np.nanmin(p)) / max(np.nanmean(p), 1e-9)
+        )
+    if spread > 0.5:
+        return [("node-imbalance", {"relative_spread": spread})]
+    return []
+
+
+def _synthetic_power(rng, n, n_nodes, n_gpus, level):
+    from repro.columnar.table import ColumnTable
+
+    cols = {
+        "timestamp": np.arange(n, dtype=np.float64) * 15.0,
+        "node": rng.integers(0, n_nodes, n),
+        "input_power": rng.gamma(2.0, 300.0, n),
+    }
+    cols["input_power"][rng.random(n) < 0.1] = np.nan
+    for g in range(n_gpus):
+        col = rng.normal(level, level / 3.0, n)
+        col[rng.random(n) < 0.15] = np.nan
+        cols[f"gpu{g}_power"] = col
+    return ColumnTable(cols)
+
+
+class TestDiagnosisMatchesSpec:
+    """The one-pass idle-GPU means and the ``bucket_reduce`` imbalance
+    rule give the same findings as per-column ``np.nanmean`` and a full
+    ``group_by_agg``, evidence floats equal under ``repr``."""
+
+    @staticmethod
+    def _check(dash, power):
+        from repro.apps.ua_dashboard import JobOverview
+        from repro.columnar.table import ColumnTable
+        from repro.telemetry.schema import EventBatch
+
+        empty = ColumnTable({})
+        overview = JobOverview(
+            dash.allocation.jobs[0], power, EventBatch.empty(), empty, empty
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = dash._check_idle_gpus(overview) + dash._check_node_imbalance(
+                overview
+            )
+        want = _reference_idle_gpus(dash, power) + _reference_node_imbalance(
+            power
+        )
+        assert [(f.code, repr(f.evidence)) for f in got] == [
+            (code, repr(evidence)) for code, evidence in want
+        ]
+        return got
+
+    def test_real_job_slices(self, dashboard, deployment):
+        rows = 0
+        for job in deployment["allocation"].jobs[:12]:
+            power = dashboard.job_overview(job.job_id).power
+            self._check(dashboard, power)
+            rows += power.num_rows
+        assert rows
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n", [1, 7, 130, 20_000])
+    def test_nan_laden_tables(self, dashboard, seed, n):
+        rng = np.random.default_rng(seed)
+        level = 60.0 if seed % 2 else 400.0  # idle and busy GPUs
+        self._check(dashboard, _synthetic_power(rng, n, 5, 4, level))
+
+    def test_single_node(self, dashboard):
+        rng = np.random.default_rng(1)
+        power = _synthetic_power(rng, 50, 1, 2, 50.0)
+        found = self._check(dashboard, power)
+        assert [f.code for f in found] == ["idle-gpus"]
+
+    def test_all_nan_gpu_column(self, dashboard):
+        rng = np.random.default_rng(2)
+        power = _synthetic_power(rng, 64, 3, 3, 50.0)
+        power = power.with_column("gpu1_power", np.full(64, np.nan))
+        found = self._check(dashboard, power)
+        assert "idle-gpus" not in [f.code for f in found]  # NaN mean
+
+    def test_all_nan_node(self, dashboard):
+        rng = np.random.default_rng(4)
+        power = _synthetic_power(rng, 90, 3, 1, 50.0)
+        watts = power["input_power"].copy()
+        watts[power["node"] == 0] = np.nan
+        self._check(dashboard, power.with_column("input_power", watts))
 
 
 class TestFrameworkHealth:

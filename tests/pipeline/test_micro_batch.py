@@ -6,7 +6,8 @@ import pytest
 
 from repro.columnar import ColumnTable
 from repro.pipeline import CheckpointStore, StreamingQuery, Watermark
-from repro.stream import Broker, ShardedBroker, TopicConfig
+from repro.obs import METRICS
+from repro.stream import Broker, RetentionPolicy, ShardedBroker, TopicConfig
 
 
 def make_broker(n_partitions=2):
@@ -205,3 +206,61 @@ class TestWatermarkIntegration:
         result = query.run_once()
         assert result.rows_late == 1
         assert result.rows_out == 0
+
+
+class TestRetentionGap:
+    """A partition whose unread records retention trimmed away."""
+
+    @staticmethod
+    def _aged_out_broker():
+        broker = Broker()
+        broker.create_topic(
+            TopicConfig("obs", 1, RetentionPolicy(max_age_s=10.0))
+        )
+        for i in range(5):
+            broker.produce("obs", float(i), timestamp=float(i))
+        assert broker.enforce_retention(now=20.0) == {"obs": 5}
+        assert broker.earliest_offset("obs", 0) == 5
+        return broker
+
+    def test_gap_with_empty_tail_is_crossed_and_counted(self):
+        broker = self._aged_out_broker()
+        sink = CollectingSink()
+        query = make_query(broker, sink)
+        before = METRICS.counter(
+            "stream.skipped_by_retention", topic="obs", shard=0
+        )
+        results = query.run_until_caught_up(max_batches=5)
+        assert len(results) == 1
+        assert results[0].records_in == 0
+        assert query.lag() == 0
+        assert query.skipped_by_retention == 5
+        after = METRICS.counter(
+            "stream.skipped_by_retention", topic="obs", shard=0
+        )
+        assert after - before == 5
+        assert query.checkpoint.offsets("q1") == {0: 5}
+
+    def test_gap_then_records_reads_the_tail(self):
+        broker = self._aged_out_broker()
+        for i in range(5, 8):
+            broker.produce("obs", float(i), timestamp=20.0)
+        sink = CollectingSink()
+        query = make_query(broker, sink)
+        result = query.run_once()
+        assert result.records_in == 3
+        assert query.lag() == 0
+        assert query.skipped_by_retention == 5
+
+    def test_replayed_batch_counts_its_skip_once(self):
+        broker = self._aged_out_broker()
+        checkpoint = CheckpointStore()
+        sink = CollectingSink(fail_on_batch=0)
+        query = make_query(broker, sink, checkpoint)
+        with pytest.raises(RuntimeError):
+            query.run_once()
+        assert query.skipped_by_retention == 0
+        assert query.lag() == 5  # nothing committed: the gap is still ahead
+        query.run_once()  # the replay crosses the gap and commits it
+        assert query.skipped_by_retention == 5
+        assert checkpoint.offsets("q1") == {0: 5}
