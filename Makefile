@@ -44,7 +44,9 @@ lifecycle:
 		tests/integration/test_lifecycle_chaos.py
 
 # Read-plane suite: planner and scan soundness (the LAKE segment scan
-# against brute-force mask-then-filter included), the row-group cache
+# against brute-force mask-then-filter included; parts of mixed dtypes
+# and group counts assembled once per plan into arrays the result
+# owns), the pinned read-work ledger of one seeded run, the row-group cache
 # (token index, frequency-gated admission pinned on trace replays,
 # answers identical with the cache on and under baseline_mode()), raw
 # PLAIN chunks read in
@@ -57,7 +59,7 @@ lifecycle:
 read-plane:
 	$(PYTHON) -m pytest -x -q tests/query/test_plan.py \
 		tests/query/test_scan_soundness.py tests/query/test_scan_segment.py \
-		tests/query/test_cache.py \
+		tests/query/test_work_ledger.py tests/query/test_cache.py \
 		tests/query/test_cache_equivalence.py tests/query/test_raw_views.py \
 		tests/storage/test_query_archive.py \
 		tests/storage/test_part_handles.py tests/storage/test_manifest.py \

@@ -69,6 +69,8 @@ import struct
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -478,6 +480,9 @@ class _ChunkMeta:
 class _GroupMeta:
     n_rows: int
     chunks: dict[str, _ChunkMeta]
+    #: Column -> the chunk's stats, built with the header and handed out
+    #: read-only by :meth:`RcfReader.group_stats`.
+    stats: Mapping[str, tuple | None]
 
 
 class RcfReader:
@@ -522,6 +527,8 @@ class RcfReader:
         (n_groups,) = struct.unpack_from("<I", buf, off)
         off += 4
         self._is_string = dict(self.schema)
+        #: The schema's column names, for projection checks.
+        self.column_set = frozenset(self._is_string)
         self._digest: str | None = None
         self._metas: list[_GroupMeta | None] = [None] * n_groups
         if self.version == 1:
@@ -580,7 +587,8 @@ class RcfReader:
                 encoding, codec_name(codec_id), stats, off, payload_len
             )
             off += payload_len
-        return _GroupMeta(n_rows, chunks), off
+        stats = MappingProxyType({n: c.stats for n, c in chunks.items()})
+        return _GroupMeta(n_rows, chunks, stats), off
 
     def _group(self, i: int) -> _GroupMeta:
         """Group metadata, parsed on first touch (v2) or on open (v1)."""
@@ -610,9 +618,11 @@ class RcfReader:
         """Schema column names in order."""
         return [n for n, _ in self.schema]
 
-    def group_stats(self, group: int) -> dict[str, tuple[object, object] | None]:
-        """Per-column (min, max) stats of one row group."""
-        return {n: c.stats for n, c in self._group(group).chunks.items()}
+    def group_stats(self, group: int) -> Mapping[str, tuple | None]:
+        """Per-column (min, max) stats of one row group — a read-only
+        mapping built once with the group's header and shared by every
+        caller."""
+        return self._group(group).stats
 
     def group_row_count(self, group: int) -> int:
         """Rows in one row group."""
@@ -748,7 +758,7 @@ class RcfReader:
         (predicate columns first) and filtered exactly.
         """
         out_cols = columns if columns is not None else self.column_names()
-        unknown = set(out_cols) - set(self.column_names())
+        unknown = set(out_cols) - self.column_set
         if unknown:
             raise KeyError(f"unknown columns {sorted(unknown)}")
         need = set(out_cols)
@@ -757,10 +767,8 @@ class RcfReader:
 
         pieces: list[ColumnTable] = []
         for gi in range(len(self._metas)):
-            group = self._group(gi)
             if predicate is not None:
-                stats = {n: c.stats for n, c in group.chunks.items()}
-                if not predicate.might_match(stats):
+                if not predicate.might_match(self.group_stats(gi)):
                     continue  # pruned — zero decode cost
             data = {
                 n: self.decode_group_column(gi, n)
@@ -779,10 +787,7 @@ class RcfReader:
         """(groups_scanned, groups_pruned) for a predicate — bench hook."""
         scanned = pruned = 0
         for gi in range(len(self._metas)):
-            stats = {
-                n: c.stats for n, c in self._group(gi).chunks.items()
-            }
-            if predicate.might_match(stats):
+            if predicate.might_match(self.group_stats(gi)):
                 scanned += 1
             else:
                 pruned += 1

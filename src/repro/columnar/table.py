@@ -195,9 +195,21 @@ class ColumnTable:
                 raise ValueError(
                     f"schema mismatch: {t.column_names} != {names}"
                 )
+        return cls.concat_columns({n: [t[n] for t in tables] for n in names})
+
+    @classmethod
+    def concat_columns(
+        cls, pieces: Mapping[str, list[np.ndarray]]
+    ) -> "ColumnTable":
+        """A table whose every column is its pieces concatenated in
+        order — one fresh array per column, never a view of a piece.
+
+        Pieces must be what a table's columns hold (1-D, normalized,
+        whole or sliced or indexed) and add up to equal lengths per
+        column; :meth:`concat` is this over its tables' columns.
+        """
         columns = {}
-        for n in names:
-            arrays = [t[n] for t in tables]
+        for n, arrays in pieces.items():
             out = np.concatenate(arrays)
             # Mixed dtypes promote (int + str -> object holding ints),
             # so only a same-dtype concatenation is normalized already.

@@ -119,19 +119,26 @@ class LineageCatalog:
         if kind not in EDGE_KINDS:
             raise ValueError(f"unknown edge kind {kind!r}")
         with self._lock:
+            self._add_edges_locked((src,), dst, kind)
+
+    def link_many(
+        self, srcs: Iterable[str], dst: str, kind: str = "derived"
+    ) -> None:
+        """Edges from every ``src`` to one ``dst`` (idempotent), added
+        under one acquisition of the lock."""
+        if kind not in EDGE_KINDS:
+            raise ValueError(f"unknown edge kind {kind!r}")
+        with self._lock:
+            self._add_edges_locked(srcs, dst, kind)
+
+    def _add_edges_locked(self, srcs: Iterable[str], dst: str, kind: str) -> None:
+        for src in srcs:
             self._edges.add((src, dst, kind))
             if kind in FLOW_EDGE_KINDS:
                 self._out.setdefault(src, set()).add(dst)
                 self._in.setdefault(dst, set()).add(src)
             elif kind == "supersedes":
                 self._superseded.add(dst)
-
-    def link_many(
-        self, srcs: Iterable[str], dst: str, kind: str = "derived"
-    ) -> None:
-        """Edges from every ``src`` to one ``dst``."""
-        for src in srcs:
-            self.link(src, dst, kind)
 
     def supersede(self, new: str, old_ids: Iterable[str]) -> None:
         """Record a rewrite commit: ``new`` tombstones every ``old``.
@@ -317,12 +324,7 @@ class LineageCatalog:
             for node in exported.get("nodes", ()):
                 cat._nodes[node["id"]] = json.loads(json.dumps(node))
             for src, dst, kind in exported.get("edges", ()):
-                cat._edges.add((src, dst, kind))
-                if kind in FLOW_EDGE_KINDS:
-                    cat._out.setdefault(src, set()).add(dst)
-                    cat._in.setdefault(dst, set()).add(src)
-                elif kind == "supersedes":
-                    cat._superseded.add(dst)
+                cat._add_edges_locked((src,), dst, kind)
         return cat
 
     @classmethod

@@ -49,6 +49,7 @@ from repro.obs import METRICS
 
 __all__ = [
     "cached_column",
+    "load_column",
     "invalidate_token",
     "clear_row_group_cache",
     "row_group_cache_stats",
@@ -95,6 +96,19 @@ def cached_column(
     """The decoded column for ``(token, group, name)``; decodes via
     ``loader`` on a miss and retains the (read-only) result if the
     admission rule (module docstring) lets it in."""
+    arr, hit = load_column(token, group, name, loader)
+    if hit:
+        METRICS.inc("query.cache_hits")
+    return arr
+
+
+def load_column(
+    token: str, group: int, name: str, loader: Callable[[], np.ndarray]
+) -> tuple[np.ndarray, bool]:
+    """:func:`cached_column` and whether it was a hit, which is left to
+    the caller to count (a scan adds its hits to ``query.cache_hits``
+    once per plan); misses, evictions and rejections are counted here,
+    beside the decode they cost."""
     global _cache_bytes, _accesses_since_aging
     key = (token, group, name)
     with _cache_lock:
@@ -120,8 +134,7 @@ def cached_column(
                 else:
                     del _asked[tok]
     if arr is not None:
-        METRICS.inc("query.cache_hits")
-        return arr
+        return arr, True
     METRICS.inc("query.cache_misses")
     arr = loader()
     arr.setflags(write=False)
@@ -163,7 +176,7 @@ def cached_column(
         METRICS.inc("query.cache_evictions", evicted)
     if rejected:
         METRICS.inc("query.cache_rejected")
-    return arr
+    return arr, False
 
 
 def invalidate_token(token: str) -> int:

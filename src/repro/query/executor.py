@@ -2,7 +2,18 @@
 
 :func:`execute_plan` is the production path: pruned units are skipped
 and live units run through the late-materializing scan kernels, one
-after another in plan order.
+after another in plan order.  What does not depend on a unit is paid
+once per plan: the time window folds into the predicate once
+(:attr:`ScanPlan.scan_predicate`, which the planner's manifest prune
+already folded); every
+surviving row group's projected slices, across all parts, go to one
+list per column, and each column is concatenated once at the end
+(promoting and normalizing only where dtypes mix, as
+:meth:`ColumnTable.concat` does); the work counters are tallied locally
+and recorded once.  The result owns its arrays — one fresh copy, even
+of a single whole row group — and is never a view of the row-group
+cache or of a part's bytes; only :func:`repro.query.scan.scan_part`'s
+result may hold views.
 
 :func:`execute_plan_reference` is the oracle: every unit is scanned —
 pruned flags ignored — by fully decoding the data and applying the
@@ -14,16 +25,17 @@ the cache in one assertion.  Under ``repro.perf.baseline_mode()``
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.columnar.file_format import read_table
+from repro.columnar.file_format import RcfReader, read_table
 from repro.columnar.table import ColumnTable
 from repro.obs import METRICS, TRACER
 from repro.perf import baseline
 from repro.query.plan import ScanPlan, SegmentUnit
-from repro.query.scan import scan_part, scan_segment
+from repro.query.scan import gather_part, part_columns, record_tally, scan_segment
 
 __all__ = [
     "ScanOptions",
@@ -75,40 +87,66 @@ def execute_plan(
 
 
 def _execute_plan_impl(plan: ScanPlan) -> ColumnTable:
-    pieces = []
-    for unit in plan.units:
-        if unit.pruned:
+    tally: defaultdict[str, int] = defaultdict(int)
+    names: list[str] | None = None
+    gathered: list[list[np.ndarray]] = []
+    try:
+        for unit in plan.units:
             if isinstance(unit, SegmentUnit):
-                METRICS.inc("query.segments_pruned")
-            continue
-        if isinstance(unit, SegmentUnit):
-            METRICS.inc("query.segments_scanned")
-            piece = scan_segment(
-                unit.table,
-                plan.time_column,
-                plan.t0,
-                plan.t1,
-                plan.predicate,
-                plan.columns,
-                unit.row_lo,
-                unit.row_hi,
-            )
-        else:
-            METRICS.inc("query.parts_scanned")
-            piece = scan_part(
-                unit.blob,
-                plan.time_column,
-                plan.t0,
-                plan.t1,
-                plan.predicate,
-                plan.columns,
-                reader=unit.reader,
-            )
-        if piece is not None and piece.num_rows:
-            pieces.append(piece)
-    if not pieces:
+                if unit.pruned:
+                    tally["query.segments_pruned"] += 1
+                    continue
+                tally["query.segments_scanned"] += 1
+                piece = scan_segment(
+                    unit.table,
+                    plan.time_column,
+                    plan.t0,
+                    plan.t1,
+                    plan.predicate,
+                    plan.columns,
+                    unit.row_lo,
+                    unit.row_hi,
+                )
+                if piece is None:
+                    continue
+                cols = piece.column_names
+                pieces = [[piece[n]] for n in cols]
+            else:
+                if unit.pruned:
+                    continue
+                tally["query.parts_scanned"] += 1
+                reader = unit.reader
+                if reader is None:
+                    reader = RcfReader(unit.blob)
+                cols = part_columns(reader, plan.columns)
+                pieces = gather_part(reader, plan.scan_predicate, cols, tally)
+                if not cols or not pieces[0]:
+                    continue
+                _promote_within_part(cols, pieces)
+            if names is None:
+                names, gathered = cols, pieces
+            elif cols != names:
+                raise ValueError(f"schema mismatch: {cols} != {names}")
+            else:
+                for into, more in zip(gathered, pieces):
+                    into.extend(more)
+    finally:
+        record_tally(tally)
+    if names is None:
         return _empty_result(plan)
-    return ColumnTable.concat(pieces)
+    return ColumnTable.concat_columns(dict(zip(names, gathered)))
+
+
+def _promote_within_part(cols: list[str], pieces: list[list[np.ndarray]]) -> None:
+    """Concatenate one part's slices first where its row groups disagree
+    on a column's dtype (a file appended from tables of different
+    dtypes): a part's groups promote among themselves before the plan
+    concatenates across parts, as the reference executor's
+    whole-part decode does, and promotion in two steps can differ from
+    promotion in one."""
+    for i, arrays in enumerate(pieces):
+        if len(arrays) > 1 and any(a.dtype != arrays[0].dtype for a in arrays):
+            pieces[i] = [ColumnTable.concat_columns({cols[i]: arrays})[cols[i]]]
 
 
 def execute_plan_reference(plan: ScanPlan) -> ColumnTable:

@@ -18,11 +18,13 @@ blobs); they are cheap to build and single-use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 from repro.columnar.file_format import RcfReader
 from repro.columnar.predicate import Predicate
 from repro.columnar.table import ColumnTable
+from repro.query.scan import fold_time_predicate
 
 __all__ = ["SegmentUnit", "PartUnit", "ScanPlan"]
 
@@ -80,6 +82,16 @@ class ScanPlan:
     columns: list[str] | None
     time_column: str
     units: list = field(default_factory=list)
+
+    @cached_property
+    def scan_predicate(self) -> Predicate | None:
+        """The predicate with the ``[t0, t1)`` window folded in
+        (:func:`~repro.query.scan.fold_time_predicate`): what part
+        manifests and row-group stats are tested against.  Folded on
+        first use, once per plan."""
+        return fold_time_predicate(
+            self.predicate, self.time_column, self.t0, self.t1
+        )
 
     @property
     def pruned_units(self) -> int:

@@ -12,7 +12,7 @@ decoded here.  Two entry points mirror the two storage shapes:
   pieces the window overlaps.
 * :func:`plan_parts` — OCEAN parts carry per-column min/max manifests;
   the time window folds into the predicate
-  (:func:`~repro.query.scan.fold_time_predicate`) and
+  (:attr:`~repro.query.plan.ScanPlan.scan_predicate`) and
   ``might_match`` decides.  A part planned out here is never fetched
   from the object store.
 """
@@ -25,7 +25,6 @@ from typing import Iterable, Sequence
 from repro.columnar.predicate import Predicate
 from repro.columnar.table import ColumnTable
 from repro.query.plan import PartUnit, ScanPlan, SegmentUnit
-from repro.query.scan import fold_time_predicate
 
 __all__ = ["plan_segments", "plan_parts"]
 
@@ -115,7 +114,7 @@ def plan_parts(
         columns=columns,
         time_column=time_column,
     )
-    combined = fold_time_predicate(predicate, time_column, t0, t1)
+    combined = plan.scan_predicate
     for key, size, stats in parts:
         pruned = (
             combined is not None

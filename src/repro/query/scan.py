@@ -13,6 +13,13 @@ other chunk is decoded through the bounded row-group cache, so repeated
 dashboard queries over the same parts skip the decode entirely, and the
 cache's budget goes only to chunks that cost a decode.
 
+:func:`gather_part` is that per-part routine as the plan executor runs
+it: it hands back each projected column's surviving slices, whole
+chunks (views) where a group passes entirely, and tallies its work
+counts for the executor to record once per plan.  :func:`scan_part`
+wraps it for one part; its result, unlike the executor's, may hold
+those views.
+
 Soundness contract: every mask computed here must equal the brute-force
 ``predicate.mask`` over the fully decoded data — the property tests in
 ``tests/query`` hold the two paths to byte equality, NaN floats and
@@ -21,15 +28,24 @@ null strings included.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import numpy as np
 
 from repro.columnar.file_format import RcfReader
 from repro.columnar.predicate import And, Compare, IsIn, Not, Or, Predicate
 from repro.columnar.table import ColumnTable
 from repro.obs import METRICS
-from repro.query.cache import cached_column
+from repro.query.cache import load_column
 
-__all__ = ["fold_time_predicate", "scan_segment", "scan_part"]
+__all__ = [
+    "fold_time_predicate",
+    "gather_part",
+    "part_columns",
+    "record_tally",
+    "scan_segment",
+    "scan_part",
+]
 
 
 def fold_time_predicate(
@@ -109,68 +125,111 @@ def scan_part(
     passing one saves the open, the header parses and the content hash
     a fresh reader would repeat.
 
-    Arrays in the result may be read-only views of the row-group cache
-    or of ``blob`` itself; callers that mutate query output must copy
-    first.
+    A thin wrapper over the routine the plan executor runs per part
+    (:func:`gather_part`).  Unlike the executor's result, arrays here
+    may be read-only views of the row-group cache or of ``blob`` itself
+    (a part whose one surviving group needs no mask); callers that
+    mutate them must copy first.
     """
     if reader is None:
         reader = RcfReader(blob)
-    names = reader.column_names()
-    out_cols = list(columns) if columns is not None else names
-    unknown = set(out_cols) - set(names)
-    if unknown:
-        raise KeyError(f"unknown columns {sorted(unknown)}")
-    combined = fold_time_predicate(predicate, time_column, t0, t1)
+    out_cols = part_columns(reader, columns)
+    tally: defaultdict[str, int] = defaultdict(int)
+    try:
+        pieces = gather_part(
+            reader,
+            fold_time_predicate(predicate, time_column, t0, t1),
+            out_cols,
+            tally,
+        )
+    finally:
+        record_tally(tally)
+    if not out_cols or not pieces[0]:
+        return None
+    if len(pieces[0]) == 1:
+        return ColumnTable({n: p[0] for n, p in zip(out_cols, pieces)})
+    return ColumnTable.concat_columns(dict(zip(out_cols, pieces)))
+
+
+def part_columns(reader: RcfReader, columns: list[str] | None) -> list[str]:
+    """The columns a scan of ``reader``'s part returns: ``columns``, or
+    the part's schema; KeyError if the part lacks one asked for."""
+    if columns is None:
+        return reader.column_names()
+    if not reader.column_set.issuperset(columns):
+        raise KeyError(f"unknown columns {sorted(set(columns) - reader.column_set)}")
+    return columns
+
+
+def gather_part(
+    reader: RcfReader,
+    predicate: Predicate | None,
+    out_cols: list[str],
+    tally: defaultdict,
+) -> list[list[np.ndarray]]:
+    """Each of ``out_cols``'s surviving slices of one part, one list per
+    column with one slice per surviving row group, in group order.
+
+    ``predicate`` already holds the time window
+    (:func:`fold_time_predicate`).  A slice is a whole chunk — a view of
+    the cache or of the part's bytes — when every row of its group
+    passes, else the masked copy.  Group and pushdown counts, and the
+    row-group cache's hits, go to ``tally`` (see :func:`record_tally`).
+    """
     token = reader.digest()
-    pieces: list[ColumnTable] = []
+    pieces: list[list[np.ndarray]] = [[] for _ in out_cols]
     for g in range(reader.num_row_groups):
         mask: np.ndarray | None = None
-        if combined is not None:
-            if not combined.might_match(reader.group_stats(g)):
-                METRICS.inc("query.groups_pruned")
+        if predicate is not None:
+            if not predicate.might_match(reader.group_stats(g)):
+                tally["query.groups_pruned"] += 1
                 continue
-            mask = _group_mask(reader, g, combined, token)
-            if not mask.any():
-                METRICS.inc("query.groups_empty")
+            mask = _group_mask(reader, g, predicate, token, tally)
+            kept = np.count_nonzero(mask)
+            if kept == 0:
+                tally["query.groups_empty"] += 1
                 continue
-            if mask.all():
+            if kept == mask.size:
                 mask = None  # keep whole-group columns as views
-        data = {}
-        for n in out_cols:
-            arr = _column(reader, g, n, token)
-            data[n] = arr if mask is None else arr[mask]
-        METRICS.inc("query.groups_decoded")
-        pieces.append(ColumnTable(data))
-    if not pieces:
-        return None
-    return ColumnTable.concat(pieces) if len(pieces) > 1 else pieces[0]
+        for n, out in zip(out_cols, pieces):
+            arr = _column(reader, g, n, token, tally)
+            out.append(arr if mask is None else arr[mask])
+        tally["query.groups_decoded"] += 1
+    return pieces
+
+
+def record_tally(tally: dict[str, int]) -> None:
+    """Add a scan's tallied work counts to the metrics registry, one
+    call per counter — what the scan would have counted one by one."""
+    for name, n in tally.items():
+        METRICS.inc(name, n)
 
 
 def _group_mask(
-    reader: RcfReader, group: int, pred: Predicate, token: str
+    reader: RcfReader, group: int, pred: Predicate, token: str, tally: defaultdict
 ) -> np.ndarray:
     """Evaluate ``pred`` over one row group, decoding as little as
     possible: boolean algebra recurses, leaves go through the dictionary
     pushdown when the chunk is dict-encoded."""
     if isinstance(pred, And):
-        return _group_mask(reader, group, pred.left, token) & _group_mask(
-            reader, group, pred.right, token
+        return _group_mask(reader, group, pred.left, token, tally) & _group_mask(
+            reader, group, pred.right, token, tally
         )
     if isinstance(pred, Or):
-        return _group_mask(reader, group, pred.left, token) | _group_mask(
-            reader, group, pred.right, token
+        return _group_mask(reader, group, pred.left, token, tally) | _group_mask(
+            reader, group, pred.right, token, tally
         )
     if isinstance(pred, Not):
-        return ~_group_mask(reader, group, pred.inner, token)
+        return ~_group_mask(reader, group, pred.inner, token, tally)
     if isinstance(pred, (Compare, IsIn)):
-        return _leaf_mask(reader, group, pred, token)
+        return _leaf_mask(reader, group, pred, token, tally)
     # Unknown node type: decode its columns and fall back to exact mask.
-    data = {n: _column(reader, group, n, token) for n in pred.columns()}
+    data = {n: _column(reader, group, n, token, tally) for n in pred.columns()}
     return pred.mask(ColumnTable(data))
 
 
 def _leaf_mask(
-    reader: RcfReader, group: int, pred, token: str
+    reader: RcfReader, group: int, pred, token: str, tally: defaultdict
 ) -> np.ndarray:
     """One-column leaf evaluation, dictionary codes first.
 
@@ -185,7 +244,7 @@ def _leaf_mask(
     parts = reader.group_dictionary_parts(group, name)
     if parts is not None:
         values, codes, is_string = parts
-        METRICS.inc("query.dict_pushdowns")
+        tally["query.dict_pushdowns"] += 1
         if is_string:
             none_match = bool(
                 pred.mask_array(np.array([None], dtype=object))[0]
@@ -198,17 +257,22 @@ def _leaf_mask(
             )
         lut = np.asarray(pred.mask_array(values), dtype=bool)
         return lut[codes]
-    arr = _column(reader, group, name, token)
+    arr = _column(reader, group, name, token, tally)
     return np.asarray(pred.mask_array(arr), dtype=bool)
 
 
-def _column(reader: RcfReader, group: int, name: str, token: str) -> np.ndarray:
+def _column(
+    reader: RcfReader, group: int, name: str, token: str, tally: defaultdict
+) -> np.ndarray:
     """One chunk's values: a view into the part's bytes when the chunk
     is stored raw (nothing to decode, so nothing to cache), else the
     cached decode."""
     view = reader.raw_view(group, name)
     if view is not None:
         return view
-    return cached_column(
+    arr, hit = load_column(
         token, group, name, lambda: reader.decode_group_column(group, name)
     )
+    if hit:
+        tally["query.cache_hits"] += 1
+    return arr

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping
 
 from repro.columnar.file_format import RcfReader
+from repro.lineage.ids import part_id
 from repro.obs import METRICS
 from repro.query import invalidate_token
 from repro.storage import manifest
@@ -41,6 +43,13 @@ class LivePart:
     @property
     def created_at(self) -> float:
         return self.meta.created_at
+
+    @cached_property
+    def lineage_node(self) -> str:
+        """The lineage node id the part records under
+        (:meth:`repro.lineage.LineageCatalog.part_node`), hashed once
+        per record."""
+        return part_id(self.meta.bucket, self.meta.key)
 
     def _manifest(self, meta_key: str, parse: Callable[[str | None], object]):
         if meta_key not in self._parsed:

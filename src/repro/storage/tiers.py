@@ -474,9 +474,7 @@ class TieredStore:
         from repro.obs import METRICS
 
         parts = self._live_parts(name)
-        if not parts:
-            return ColumnTable({})
-        if columns is None:
+        if columns is None and parts:
             names = parts[0].columns
             columns = None if names is None else list(names)
         plan = plan_parts(
@@ -490,7 +488,7 @@ class TieredStore:
         )
         fetch_all = baseline.active()
         pruned = 0
-        fetched_keys: list[str] = []
+        fetched: list[LivePart] = []
         for unit, part in zip(plan.units, parts):
             if unit.pruned and not fetch_all:
                 pruned += 1
@@ -500,7 +498,7 @@ class TieredStore:
                 # The oracle decodes the fetched bytes itself, so what
                 # it checks never depends on a handle.
                 unit.reader = part.open(unit.blob)
-            fetched_keys.append(unit.key)
+            fetched.append(part)
         if pruned:
             METRICS.inc("ocean.parts_pruned", pruned)
         if plan.columns is None:
@@ -522,7 +520,7 @@ class TieredStore:
                 "archive",
                 name,
                 params,
-                [cat.part_node(self.OCEAN_BUCKET, k) for k in fetched_keys],
+                [part.lineage_node for part in fetched],
                 result.num_rows,
             )
         self._note_read(nid)
@@ -813,7 +811,7 @@ class TieredStore:
             if cat is not None:
                 cat.retire(cat.partial_node(ru.spec.name, part.key))
         if cat is not None:
-            cat.retire(cat.part_node(self.OCEAN_BUCKET, part.key))
+            cat.retire(part.lineage_node)
         # Rewrites (compact/split) bump here via their input deletes;
         # their commit put alone changes no query answer, so one bump
         # per committed transition is enough.

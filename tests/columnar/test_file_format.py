@@ -185,6 +185,24 @@ class TestPredicatePushdown:
         assert out.num_rows == (t["power"] > 2000.0).sum()
 
 
+    def test_group_stats_are_shared_and_read_only(self):
+        # Parsed once with the group header and handed to every caller
+        # (the scan's prune, the manifest merge), so no caller may edit
+        # what the next one reads.
+        reader = RcfReader(write_table(make_table(), row_group_size=100))
+        stats = reader.group_stats(3)
+        assert reader.group_stats(3) is stats
+        assert stats["timestamp"] == (4500.0, 5985.0)
+        with pytest.raises(TypeError):
+            stats["timestamp"] = (0.0, 0.0)
+        with pytest.raises(TypeError):
+            del stats["power"]
+        with pytest.raises(AttributeError):
+            stats.pop("power")
+        assert reader.group_stats(3)["timestamp"] == (4500.0, 5985.0)
+        assert reader.header_parse_count == 1
+
+
 class TestCompressionBehaviour:
     def test_telemetry_like_data_compresses_well(self):
         """Sorted long-format telemetry must compress strongly (the paper's

@@ -99,11 +99,11 @@ def install(monkeypatch) -> dict[str, Callable[[], bool]]:
     _spy(monkeypatch, factorize, "factorize_reference")
     _spy(monkeypatch, encodings, "choose_encoding_reference")
     _spy(monkeypatch, executor, "execute_plan_reference")
-    _spy(monkeypatch, scan, "cached_column")
+    _spy(monkeypatch, scan, "load_column")
     codes = np.arange(4096)
     table = ColumnTable({"v": np.tile(np.arange(64.0), 64)})
     store = _archive()
-    cache_reached = _reached("cached_column", lambda: store.query_archive("d"))
+    cache_reached = _reached("load_column", lambda: store.query_archive("d"))
     probes = {
         "factorize.factorize_reference_mode": _reached(
             "factorize_reference", lambda: factorize.factorize(codes)

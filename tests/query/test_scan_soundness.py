@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.columnar import Col, ColumnTable, write_table
-from repro.columnar.file_format import RcfReader
+from repro.columnar.file_format import RcfReader, RcfWriter, read_table
 from repro.columnar.predicate import Compare, IsIn, Not, Or
 from repro.query import (
     ScanOptions,
@@ -25,6 +25,7 @@ from repro.query import (
     plan_parts,
     plan_segments,
 )
+from repro.query import cache as qcache
 from repro.query.scan import fold_time_predicate
 from repro.storage.manifest import stats_from_meta, stats_to_meta, table_stats
 
@@ -203,6 +204,125 @@ def test_shared_reader_equals_fresh_reader_per_scan(seed):
         assert write_table(execute_plan_reference(shared_plan)) == want
     # Sharing is real: each reader hashed and parsed its headers once.
     assert all(r.header_parse_count <= r.num_row_groups for r in shared)
+
+
+def with_x(rng, n, kind):
+    """A random table plus a column ``x`` of one dtype: int64, float64
+    or strings with nulls — the same values written three ways."""
+    x = rng.integers(0, 5, n)
+    if kind == "int":
+        col = x.astype(np.int64)
+    elif kind == "float":
+        col = x.astype(np.float64)
+    else:
+        col = np.array([None if v == 0 else str(v) for v in x], dtype=object)
+    return random_table(rng, n).with_column("x", col)
+
+
+def typed_part(rng, kind):
+    """The blob of one part with ``x`` of dtype ``kind``; ``"int+float"``
+    appends an int64 table and then a float64 one, so the part's row
+    groups disagree on ``x``'s dtype.  Row groups of 32 rows: a part of
+    up to 32 rows is one group, a larger one several."""
+    n = int(rng.choice([8, 32, 90]))
+    if kind == "int+float":
+        writer = RcfWriter(row_group_size=32)
+        writer.append(with_x(rng, n, "int"))
+        writer.append(with_x(rng, n, "float"))
+        return writer.finish()
+    return write_table(with_x(rng, n, kind), row_group_size=32)
+
+
+def group_wise(blobs, t0, t1, predicate, columns):
+    """The answer as promotion in two steps gives it: each row group
+    decoded and filtered, a part's non-empty groups concatenated, then
+    the parts."""
+    pred = fold_time_predicate(predicate, "timestamp", t0, t1)
+    parts = []
+    for blob in blobs:
+        reader = RcfReader(blob)
+        groups = []
+        for g in range(reader.num_row_groups):
+            t = reader.read_group(g)
+            if pred is not None:
+                t = t.filter(pred.mask(t))
+            groups.append(t if columns is None else t.select(columns))
+        parts.append(ColumnTable.concat(groups))
+    return ColumnTable.concat(parts)
+
+
+def assert_identical(a, b):
+    """Same columns, dtypes and bytes — object columns compared by the
+    ``repr`` of each element, so ``1``, ``1.0`` and ``"1"`` all differ."""
+    assert a.column_names == b.column_names
+    for n in a.column_names:
+        assert a[n].dtype == b[n].dtype, n
+        if a[n].dtype == object:
+            assert list(map(repr, a[n].tolist())) == list(
+                map(repr, b[n].tolist())
+            ), n
+        else:
+            assert a[n].tobytes() == b[n].tobytes(), n
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_parts_of_mixed_dtypes_promote_as_part_then_plan(seed):
+    # The executor gathers every part's surviving slices per column and
+    # concatenates once per plan.  Parts that disagree on a column's
+    # dtype (int64 vs float64, int vs nullable strings, a part whose own
+    # groups disagree), single- and multi-group parts mixed, must still
+    # answer what promoting each part's surviving groups and then the
+    # plan's parts answers, byte for byte.  The reference decodes whole
+    # parts, so it promotes a part's groups before filtering them: it
+    # agrees wherever a part's groups agree on their dtypes.
+    rng = np.random.default_rng([seed, 7])
+    kinds = [
+        ["int", "float", "str", "int+float"][i] for i in rng.integers(0, 4, 4)
+    ]
+    blobs = [typed_part(rng, kind) for kind in kinds]
+    tables = [read_table(b) for b in blobs]
+    for _ in range(4):
+        predicate = random_predicate(rng) if rng.random() < 0.7 else None
+        t0, t1 = (
+            (None, None)
+            if rng.random() < 0.3
+            else tuple(sorted(rng.uniform(0.0, 1000.0, 2)))
+        )
+        columns = None if rng.random() < 0.5 else ["timestamp", "x", "project"]
+        plan = build_plan(tables, blobs, t0, t1, predicate, columns)
+        want = group_wise(blobs, t0, t1, predicate, columns)
+        clear_row_group_cache()
+        cold = execute_plan(plan)
+        warm = execute_plan(plan)
+        reference = execute_plan_reference(plan)
+        for out in (cold, warm):
+            assert out.num_rows == want.num_rows
+            if want.num_rows:
+                assert_identical(out, want)
+            if "int+float" not in kinds:
+                assert_identical(out, reference)
+        # The result owns its arrays: no column is a view of a part's
+        # bytes or of a cached row group, even for one surviving group.
+        cached = list(qcache._cache.values())
+        for n in warm.column_names:
+            for held in [np.frombuffer(b, dtype=np.uint8) for b in blobs] + cached:
+                assert not np.shares_memory(warm[n], held), n
+
+
+def test_one_full_group_result_is_still_a_copy():
+    t = random_table(np.random.default_rng(5), 20)
+    blob = write_table(t, row_group_size=32)
+    plan = build_plan([t], [blob], None, None, None, ["timestamp", "power"])
+    reader = RcfReader(blob)
+    plan.units[0].reader = reader
+    out = execute_plan(plan)
+    assert out == t.select(["timestamp", "power"])
+    for n in out.column_names:
+        assert out[n].flags.owndata and out[n].flags.writeable
+        assert not np.shares_memory(out[n], np.frombuffer(blob, dtype=np.uint8))
+        assert not any(
+            np.shares_memory(out[n], arr) for arr in qcache._cache.values()
+        )
 
 
 def test_nan_chunk_not_equal_stays_conservative():

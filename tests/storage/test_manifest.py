@@ -237,3 +237,33 @@ def test_parsers_never_raise_on_arbitrary_json(value):
 def test_parsers_never_raise_on_arbitrary_text(raw):
     for parser, _ in PARSERS:
         parser(raw)
+
+
+def test_seeded_run_writes_the_pinned_manifests():
+    # Ingest writes manifests from the table, compaction merges them
+    # from the row-group stats of the part it wrote; sixteen windows of
+    # a seeded MINI deployment with two lifecycle ticks do both.  The
+    # digest of every OCEAN part's key and manifest is pinned: reading
+    # group stats differently must not move one byte.
+    import hashlib
+
+    from repro.core import DataPlaneOptions, ODAFramework
+    from repro.telemetry import MINI, synthetic_job_mix
+
+    window_s, n_windows = 15.0, 16
+    rng = np.random.default_rng(7)
+    allocation = synthetic_job_mix(MINI, 0.0, n_windows * window_s, rng)
+    options = DataPlaneOptions(lifecycle=True, lifecycle_every_s=6 * window_s)
+    fw = ODAFramework(MINI, allocation, seed=7, options=options)
+    try:
+        fw.run(0.0, n_windows * window_s, window_s)
+    finally:
+        fw.close()
+    metas = [
+        (m.key, m.user_meta) for m in fw.tiers.ocean.list(fw.tiers.OCEAN_BUCKET)
+    ]
+    assert sum("compacted_from" in meta for _, meta in metas) > 0
+    digest = hashlib.blake2b(
+        json.dumps(metas, sort_keys=True).encode(), digest_size=16
+    ).hexdigest()
+    assert digest == "59a59abb79a819f4d04d36857116fe17"

@@ -93,6 +93,24 @@ class TestManifestPruning:
     def test_unlisted_dataset_empty(self, store):
         assert store.query_archive("nope").num_rows == 0
 
+    def test_dataset_without_parts_keeps_the_requested_schema(self, store):
+        # No live part answers like an all-pruned plan: the requested
+        # columns, no rows — on the fast path and under the oracle.
+        store.register("empty", DataClass.SILVER)
+        pruned = store.query_archive(
+            "power.silver", 5000.0, 6000.0, columns=["timestamp", "node"]
+        )
+        for mode in (None, baseline_mode):
+            if mode is None:
+                out = store.query_archive("empty", columns=["timestamp", "node"])
+            else:
+                with mode():
+                    out = store.query_archive("empty", columns=["timestamp", "node"])
+            assert out.num_rows == 0
+            assert out.column_names == ["timestamp", "node"]
+            assert out == pruned
+        assert store.query_archive("empty").column_names == []
+
 
 class TestCacheInvalidation:
     def _warm(self, store):
