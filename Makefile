@@ -46,7 +46,10 @@ lifecycle:
 # Read-plane suite: planner and scan soundness (the LAKE segment scan
 # against brute-force mask-then-filter included; parts of mixed dtypes
 # and group counts assembled once per plan into arrays the result
-# owns), the pinned read-work ledger of one seeded run, the row-group cache
+# owns; runs of small parts scanned as one row group, held to the
+# oracle and to the part-by-part scan; an emptied or unknown LAKE table
+# keeps its projection), the pinned read-work ledger of one seeded run
+# (write-side counters included), the row-group cache
 # (token index, frequency-gated admission pinned on trace replays,
 # answers identical with the cache on and under baseline_mode()), raw
 # PLAIN chunks read in
@@ -59,6 +62,7 @@ lifecycle:
 read-plane:
 	$(PYTHON) -m pytest -x -q tests/query/test_plan.py \
 		tests/query/test_scan_soundness.py tests/query/test_scan_segment.py \
+		tests/query/test_runs.py \
 		tests/query/test_work_ledger.py tests/query/test_cache.py \
 		tests/query/test_cache_equivalence.py tests/query/test_raw_views.py \
 		tests/storage/test_query_archive.py \

@@ -27,7 +27,7 @@ from repro.query.executor import (
     execute_plan_reference,
     shutdown_scan_pool,
 )
-from repro.query.plan import PartUnit, ScanPlan, SegmentUnit
+from repro.query.plan import PartRun, PartUnit, ScanPlan, SegmentUnit
 from repro.query.planner import plan_parts, plan_segments
 from repro.query.scan import fold_time_predicate, scan_part, scan_segment
 
@@ -35,6 +35,7 @@ __all__ = [
     "ScanPlan",
     "SegmentUnit",
     "PartUnit",
+    "PartRun",
     "plan_segments",
     "plan_parts",
     "ScanOptions",

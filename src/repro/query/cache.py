@@ -31,8 +31,15 @@ scan copies on fancy-indexing anyway, and a full-group projection hands
 out the cached view directly (mutating query output was never supported
 — now it raises instead of silently corrupting).
 
+A *run* of small parts (DESIGN.md §11, "Runs") caches its concatenated
+columns under a token of its own, derived from its members' digests,
+and names those members when it asks: invalidating any member's token
+releases the run's entries and ask counts with the member's own, so
+deleting one part of a run drops what was decoded from it either way.
+
 Concurrency: one module-level lock guards the OrderedDict, its
-per-token key index, the ask counts and the byte budget;
+per-token key index, the run membership, the ask counts and the byte
+budget;
 hit/miss/evict/reject counters go to the process-wide perf registry.
 """
 
@@ -66,6 +73,11 @@ _cache: "OrderedDict[Key, np.ndarray]" = OrderedDict()
 _token_keys: dict[str, set[Key]] = {}
 #: Bytes charged for each resident key (see :func:`_weigh`).
 _weights: dict[Key, int] = {}
+#: run token -> its members' tokens, and member token -> the run tokens
+#: naming it: registered by a run's first ask, dropped when the run or
+#: any member is invalidated.
+_run_members: dict[str, tuple[str, ...]] = {}
+_member_runs: dict[str, set[str]] = {}
 #: token -> key -> how often the key was asked for, resident or not.
 #: Saturates at ``_ASKED_CAP``; nested by token so deleting a part drops
 #: its history in one pop and the map stays bounded by the live chunks.
@@ -103,12 +115,21 @@ def cached_column(
 
 
 def load_column(
-    token: str, group: int, name: str, loader: Callable[[], np.ndarray]
-) -> tuple[np.ndarray, bool]:
+    token: str,
+    group: int,
+    name: str,
+    loader: Callable[[], np.ndarray | None],
+    members: tuple[str, ...] = (),
+) -> tuple[np.ndarray | None, bool]:
     """:func:`cached_column` and whether it was a hit, which is left to
     the caller to count (a scan adds its hits to ``query.cache_hits``
     once per plan); misses, evictions and rejections are counted here,
-    beside the decode they cost."""
+    beside the decode they cost.
+
+    ``members`` names the part tokens a run's ``token`` is made of
+    (:func:`invalidate_token` of any of them releases it).  A loader
+    that returns None has nothing to offer — a run whose members were
+    not all fetched — and nothing is cached: the miss returns None."""
     global _cache_bytes, _accesses_since_aging
     key = (token, group, name)
     with _cache_lock:
@@ -118,6 +139,11 @@ def load_column(
         counts = _asked.get(token)
         if counts is None:
             counts = _asked[token] = {}
+            if members and token not in _run_members:
+                # Inline, like all bookkeeping under the lock (CONC).
+                _run_members[token] = members
+                for member in members:
+                    _member_runs.setdefault(member, set()).add(token)
         asked_before = counts.get(key, 0)
         if asked_before < _ASKED_CAP:
             counts[key] = asked_before + 1
@@ -135,8 +161,10 @@ def load_column(
                     del _asked[tok]
     if arr is not None:
         return arr, True
-    METRICS.inc("query.cache_misses")
     arr = loader()
+    if arr is None:
+        return None, False
+    METRICS.inc("query.cache_misses")
     arr.setflags(write=False)
     weight = _weigh(arr)
     evicted = 0
@@ -181,20 +209,30 @@ def load_column(
 
 def invalidate_token(token: str) -> int:
     """Drop every cached group of one part (by content digest), and the
-    part's ask counts.
+    part's ask counts — and those of every run the part is a member of
+    (or, given a run's token, the run's own).
 
     Returns the number of entries released.  Correctness never depends
     on this — digests are content-addressed — it only returns memory
     held for parts that compaction or retention just deleted.
     """
     global _cache_bytes
+    released = 0
     with _cache_lock:
-        stale = _token_keys.pop(token, ())
-        for k in stale:
-            del _cache[k]
-            _cache_bytes -= _weights.pop(k)
-        _asked.pop(token, None)
-    return len(stale)
+        for tok in (token, *_member_runs.pop(token, ())):
+            for member in _run_members.pop(tok, ()):
+                runs = _member_runs.get(member)
+                if runs is not None:
+                    runs.discard(tok)
+                    if not runs:
+                        del _member_runs[member]
+            stale = _token_keys.pop(tok, ())
+            for k in stale:
+                del _cache[k]
+                _cache_bytes -= _weights.pop(k)
+            _asked.pop(tok, None)
+            released += len(stale)
+    return released
 
 
 def clear_row_group_cache() -> None:
@@ -205,6 +243,8 @@ def clear_row_group_cache() -> None:
         _token_keys.clear()
         _weights.clear()
         _asked.clear()
+        _run_members.clear()
+        _member_runs.clear()
         _accesses_since_aging = 0
         _cache_bytes = 0
 

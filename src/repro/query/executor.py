@@ -2,7 +2,10 @@
 
 :func:`execute_plan` is the production path: pruned units are skipped
 and live units run through the late-materializing scan kernels, one
-after another in plan order.  What does not depend on a unit is paid
+after another in plan order.  The live members of a run of small parts
+(:class:`~repro.query.plan.PartRun`) are scanned as one row group over
+the run's concatenated columns, which the row-group cache keeps under
+the run's token.  What does not depend on a unit is paid
 once per plan: the time window folds into the predicate once
 (:attr:`ScanPlan.scan_predicate`, which the planner's manifest prune
 already folded); every
@@ -18,8 +21,8 @@ result may hold views.
 :func:`execute_plan_reference` is the oracle: every unit is scanned —
 pruned flags ignored — by fully decoding the data and applying the
 exact masks serially.  Equality between the two paths therefore
-validates the planner's pruning decisions, the dictionary pushdown, and
-the cache in one assertion.  Under ``repro.perf.baseline_mode()``
+validates the planner's pruning decisions, the dictionary pushdown,
+the runs and the cache in one assertion.  Under ``repro.perf.baseline_mode()``
 :func:`execute_plan` routes through the oracle.
 """
 
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -34,7 +38,8 @@ from repro.columnar.file_format import RcfReader, read_table
 from repro.columnar.table import ColumnTable
 from repro.obs import METRICS, TRACER
 from repro.perf import baseline
-from repro.query.plan import ScanPlan, SegmentUnit
+from repro.query.cache import invalidate_token, load_column
+from repro.query.plan import PartRun, PartUnit, ScanPlan, SegmentUnit
 from repro.query.scan import gather_part, part_columns, record_tally, scan_segment
 
 __all__ = [
@@ -91,38 +96,7 @@ def _execute_plan_impl(plan: ScanPlan) -> ColumnTable:
     names: list[str] | None = None
     gathered: list[list[np.ndarray]] = []
     try:
-        for unit in plan.units:
-            if isinstance(unit, SegmentUnit):
-                if unit.pruned:
-                    tally["query.segments_pruned"] += 1
-                    continue
-                tally["query.segments_scanned"] += 1
-                piece = scan_segment(
-                    unit.table,
-                    plan.time_column,
-                    plan.t0,
-                    plan.t1,
-                    plan.predicate,
-                    plan.columns,
-                    unit.row_lo,
-                    unit.row_hi,
-                )
-                if piece is None:
-                    continue
-                cols = piece.column_names
-                pieces = [[piece[n]] for n in cols]
-            else:
-                if unit.pruned:
-                    continue
-                tally["query.parts_scanned"] += 1
-                reader = unit.reader
-                if reader is None:
-                    reader = RcfReader(unit.blob)
-                cols = part_columns(reader, plan.columns)
-                pieces = gather_part(reader, plan.scan_predicate, cols, tally)
-                if not cols or not pieces[0]:
-                    continue
-                _promote_within_part(cols, pieces)
+        for cols, pieces in _scanned(plan, tally):
             if names is None:
                 names, gathered = cols, pieces
             elif cols != names:
@@ -135,6 +109,177 @@ def _execute_plan_impl(plan: ScanPlan) -> ColumnTable:
     if names is None:
         return _empty_result(plan)
     return ColumnTable.concat_columns(dict(zip(names, gathered)))
+
+
+Pieces = tuple[list[str], list[list[np.ndarray]]]
+
+
+def _scanned(plan: ScanPlan, tally: defaultdict) -> Iterator[Pieces]:
+    """Each projected column's surviving slices, per live segment, part
+    or run that has any, in plan order."""
+    units = plan.units
+    runs = dict(plan.runs)
+    i = 0
+    while i < len(units):
+        run = runs.get(i)
+        if run is not None:
+            yield from _scan_run(plan, run, units[i : i + run.size], tally)
+            i += run.size
+            continue
+        unit = units[i]
+        i += 1
+        if isinstance(unit, SegmentUnit):
+            if unit.pruned:
+                tally["query.segments_pruned"] += 1
+                continue
+            tally["query.segments_scanned"] += 1
+            piece = scan_segment(
+                unit.table,
+                plan.time_column,
+                plan.t0,
+                plan.t1,
+                plan.predicate,
+                plan.columns,
+                unit.row_lo,
+                unit.row_hi,
+            )
+            if piece is not None:
+                cols = piece.column_names
+                yield cols, [[piece[n]] for n in cols]
+        elif not unit.pruned:
+            yield from _scan_part(plan, unit, tally)
+
+
+def _scan_part(plan: ScanPlan, unit: PartUnit, tally: defaultdict) -> Iterator[Pieces]:
+    tally["query.parts_scanned"] += 1
+    reader = unit.reader
+    if reader is None:
+        reader = RcfReader(unit.blob)
+    cols = part_columns(reader, plan.columns)
+    pieces = gather_part(reader, plan.scan_predicate, cols, tally)
+    if cols and pieces[0]:
+        _promote_within_part(cols, pieces)
+        yield cols, pieces
+
+
+def _scan_run(
+    plan: ScanPlan, run: PartRun, members: list[PartUnit], tally: defaultdict
+) -> Iterator[Pieces]:
+    """Scan a run's live members as one row group where it can be, else
+    part by part: a run with fewer than two live members, a live member
+    whose bytes are not the ones the run was made of (digest, one group,
+    row count), or a run column neither cached nor buildable (some
+    member not fetched) go part by part, as the parts would alone."""
+    if run.split is not None:
+        for first, sub in run.split:
+            if sub is None:
+                if not members[first].pruned:
+                    yield from _scan_part(plan, members[first], tally)
+            else:
+                yield from _scan_run(
+                    plan, sub, members[first : first + sub.size], tally
+                )
+        return
+    live = [k for k, unit in enumerate(members) if not unit.pruned]
+    if len(live) > 1 and all(_is_member(run, k, members[k].reader) for k in live):
+        scanned = _gather_run(plan, run, members, live, tally)
+        if scanned is not None:
+            if scanned:
+                yield scanned
+            return
+        if run.split is not None:
+            # The first build to decode both sides of a dtype change:
+            # what the whole run cached is dropped, the pieces rescan.
+            invalidate_token(run.token)
+            yield from _scan_run(plan, run, members, tally)
+            return
+    for k in live:
+        yield from _scan_part(plan, members[k], tally)
+
+
+def _is_member(run: PartRun, k: int, reader: RcfReader | None) -> bool:
+    """Whether ``reader`` holds the bytes member ``k`` of ``run`` was
+    derived from: the manifest's digest, one row group of its rows."""
+    return (
+        reader is not None
+        and reader.digest() == run.digests[k]
+        and reader.num_row_groups == 1
+        and reader.num_rows == run.offsets[k + 1] - run.offsets[k]
+    )
+
+
+def _gather_run(
+    plan: ScanPlan,
+    run: PartRun,
+    members: list[PartUnit],
+    live: list[int],
+    tally: defaultdict,
+) -> Pieces | tuple[()] | None:
+    """One scan over the live members' row range of ``run``'s cached
+    columns: one mask with the folded predicate (a pruned member inside
+    the range is one whose rows its manifest proves fail it), one
+    ``flatnonzero`` and one ``take`` per projected column.  Returns the
+    pieces, ``()`` when no row survives, or None when a column is
+    neither cached nor buildable — or the build just split the run."""
+    cols = part_columns(members[live[0]].reader, plan.columns)
+    pred = plan.scan_predicate
+    pred_cols = [] if pred is None else sorted(pred.columns())
+    readers = [unit.reader for unit in members]
+    buildable = len(live) == len(members)
+    columns: dict[str, np.ndarray] = {}
+    hits = 0
+    for n in dict.fromkeys(pred_cols + cols):
+        arr, hit = load_column(
+            run.token,
+            0,
+            n,
+            (lambda n=n: _concat_members(run, readers, n)) if buildable else _absent,
+            run.digests,
+        )
+        if arr is None:
+            return None
+        hits += hit
+        columns[n] = arr
+    tally["query.cache_hits"] += hits
+    tally["query.parts_scanned"] += len(live)
+    tally["query.runs_scanned"] += 1
+    lo, hi = run.offsets[live[0]], run.offsets[live[-1] + 1]
+    if pred is None:
+        tally["query.groups_decoded"] += 1
+        return cols, [[columns[n][lo:hi]] for n in cols]
+    mask = pred.mask(ColumnTable._derived({n: columns[n][lo:hi] for n in pred_cols}))
+    idx = np.flatnonzero(mask)
+    if idx.size == 0:
+        tally["query.groups_empty"] += 1
+        return ()
+    tally["query.groups_decoded"] += 1
+    idx += lo
+    return cols, [[columns[n][idx]] for n in cols]
+
+
+def _absent() -> None:
+    """The loader of a run column that cannot be built this scan."""
+    return None
+
+
+def _concat_members(
+    run: PartRun, readers: list[RcfReader], name: str
+) -> np.ndarray | None:
+    """``name``'s run column: the members' chunks, concatenated — or
+    None, with the run split before the first member whose chunk's
+    dtype differs from the first member's (so a column is never promoted
+    across members: part-then-plan promotion stays as it was)."""
+    chunks = []
+    for reader in readers:
+        part_columns(reader, [name])  # a member without it: KeyError
+        view = reader.raw_view(0, name)
+        chunks.append(view if view is not None else reader.decode_group_column(0, name))
+    dtype = chunks[0].dtype
+    for k, chunk in enumerate(chunks):
+        if chunk.dtype != dtype:
+            run.split_at(k)
+            return None
+    return np.concatenate(chunks)
 
 
 def _promote_within_part(cols: list[str], pieces: list[list[np.ndarray]]) -> None:

@@ -12,21 +12,24 @@ pruned units in the plan (rather than dropping them) buys two things:
   of the plan instead of being threaded through the scan loops.
 
 Plans hold data by reference (in-memory segment tables, fetched part
-blobs); they are cheap to build and single-use.
+blobs); they are cheap to build and single-use.  A plan over OCEAN
+parts may also name *runs* (:class:`PartRun`): consecutive small parts
+the executor scans as one row group.  Runs group units, they never
+replace them — every part keeps its unit, its prune flag and its fetch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.columnar.file_format import RcfReader
 from repro.columnar.predicate import Predicate
 from repro.columnar.table import ColumnTable
 from repro.query.scan import fold_time_predicate
 
-__all__ = ["SegmentUnit", "PartUnit", "ScanPlan"]
+__all__ = ["SegmentUnit", "PartUnit", "PartRun", "ScanPlan"]
 
 
 @dataclass
@@ -70,6 +73,50 @@ class PartUnit:
     reader: RcfReader | None = None
 
 
+@dataclass(eq=False)
+class PartRun:
+    """Consecutive one-row-group OCEAN parts scanned as one row group.
+
+    ``digests`` are the members' manifest digests in row order,
+    ``offsets`` each member's first row in the run followed by the
+    run's row count, and ``token`` — the digests joined, which no part
+    digest can equal — keys the run's concatenated columns in the
+    row-group cache.  Members must agree on every column's dtype, which
+    only a decode shows: the first scan that finds a disagreement sets
+    ``split`` once, to the pieces that replace the run — ``(first
+    member, PartRun or None)`` pairs, None for a lone member scanned as
+    a part.
+    """
+
+    digests: tuple[str, ...]
+    offsets: tuple[int, ...]
+    token: str
+    split: tuple[tuple[int, "PartRun | None"], ...] | None = None
+
+    @classmethod
+    def of(cls, digests: Sequence[str], rows: Sequence[int]) -> "PartRun":
+        """The run of members with these digests and row counts."""
+        offsets = [0]
+        for n in rows:
+            offsets.append(offsets[-1] + n)
+        return cls(tuple(digests), tuple(offsets), "+".join(digests))
+
+    @property
+    def size(self) -> int:
+        """Member count."""
+        return len(self.digests)
+
+    def split_at(self, member: int) -> None:
+        """End the run before ``member``: it and the members after it
+        start the next piece."""
+        pieces = []
+        for lo, hi in ((0, member), (member, self.size)):
+            rows = [self.offsets[k + 1] - self.offsets[k] for k in range(lo, hi)]
+            sub = PartRun.of(self.digests[lo:hi], rows) if hi - lo > 1 else None
+            pieces.append((lo, sub))
+        self.split = tuple(pieces)
+
+
 @dataclass
 class ScanPlan:
     """What one query will read, unit by unit."""
@@ -82,6 +129,8 @@ class ScanPlan:
     columns: list[str] | None
     time_column: str
     units: list = field(default_factory=list)
+    #: ``(index of the first member's unit, run)`` pairs, in unit order.
+    runs: Sequence[tuple[int, PartRun]] = ()
 
     @cached_property
     def scan_predicate(self) -> Predicate | None:

@@ -173,13 +173,14 @@ def gather_part(
     ``predicate`` already holds the time window
     (:func:`fold_time_predicate`).  A slice is a whole chunk — a view of
     the cache or of the part's bytes — when every row of its group
-    passes, else the masked copy.  Group and pushdown counts, and the
-    row-group cache's hits, go to ``tally`` (see :func:`record_tally`).
+    passes, else the surviving rows gathered by index.  Group and
+    pushdown counts, and the row-group cache's hits, go to ``tally``
+    (see :func:`record_tally`).
     """
     token = reader.digest()
     pieces: list[list[np.ndarray]] = [[] for _ in out_cols]
     for g in range(reader.num_row_groups):
-        mask: np.ndarray | None = None
+        idx: np.ndarray | None = None  # None: the whole group passes
         if predicate is not None:
             if not predicate.might_match(reader.group_stats(g)):
                 tally["query.groups_pruned"] += 1
@@ -189,11 +190,13 @@ def gather_part(
             if kept == 0:
                 tally["query.groups_empty"] += 1
                 continue
-            if kept == mask.size:
-                mask = None  # keep whole-group columns as views
+            if kept < mask.size:
+                # One index array, then one gather per column: a boolean
+                # index would recount the mask for every column.
+                idx = np.flatnonzero(mask)
         for n, out in zip(out_cols, pieces):
             arr = _column(reader, g, n, token, tally)
-            out.append(arr if mask is None else arr[mask])
+            out.append(arr if idx is None else arr[idx])
         tally["query.groups_decoded"] += 1
     return pieces
 

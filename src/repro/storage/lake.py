@@ -216,13 +216,11 @@ class TimeSeriesLake:
         """
         self.queries += 1
         segments = self._tables.get(table_name, [])
-        if not segments:
-            return ColumnTable({})
-        cols = (
-            list(columns)
-            if columns is not None
-            else list(segments[0].table.column_names)
-        )
+        # An emptied or unknown table plans no unit: the executor's empty
+        # result still carries the requested columns.
+        cols = list(columns) if columns is not None else None
+        if cols is None and segments:
+            cols = list(segments[0].table.column_names)
         plan = plan_segments(
             table_name,
             [

@@ -10,14 +10,14 @@ the store changes, so both hold per part with no process-wide memo
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from repro.columnar.file_format import RcfReader
 from repro.lineage.ids import part_id
 from repro.obs import METRICS
-from repro.query import invalidate_token
+from repro.query import PartRun, invalidate_token
 from repro.storage import manifest
 from repro.storage.object_store import ObjectMeta, ObjectStore
 
@@ -87,17 +87,18 @@ class LivePart:
         handle is valid only for the ``bytes`` object it was opened on —
         not for the manifest digest, which a part corrupted on its way
         into the store shares with the clean table."""
-        reader = self.reader
-        if reader is not None:
-            if reader.buffer is blob:
-                return reader
-            # Overwritten in place: nothing can ask for the old bytes'
-            # decoded groups again.
-            invalidate_token(reader.digest())
+        old = self.reader
+        if old is not None and old.buffer is blob:
+            return old
         reader = RcfReader(blob)
-        reader.digest()
+        digest = reader.digest()
         METRICS.inc("query.parts_opened")
         METRICS.inc("query.bytes_hashed", len(blob))
+        if old is not None and old.digest() != digest:
+            # Overwritten in place: nothing can ask for the old bytes'
+            # decoded groups again.  Equal bytes fetched as a new object
+            # (a store that copies on get) keep them, and their runs'.
+            invalidate_token(old.digest())
         self.reader = reader
         return reader
 
@@ -130,6 +131,54 @@ class Listing:
     #: epoch, key), because a retention split's remainder takes the
     #: highest part number while holding the *oldest* rows.
     live: tuple[LivePart, ...]
+    #: Row bound -> :func:`_pack_runs` of ``live``, derived on first ask.
+    _runs: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def runs(self, max_rows: int) -> tuple[tuple[int, PartRun], ...]:
+        """``live``'s runs of at most ``max_rows`` rows (:func:`_pack_runs`),
+        packed once per listing."""
+        runs = self._runs.get(max_rows)
+        if runs is None:
+            runs = self._runs[max_rows] = _pack_runs(self.live, max_rows)
+        return runs
+
+
+def _pack_runs(
+    parts: Sequence[LivePart], max_rows: int
+) -> tuple[tuple[int, PartRun], ...]:
+    """Consecutive parts that each hold one row group, packed oldest
+    first into runs of at most ``max_rows`` rows — what one compacted
+    row group would hold — as ``(index of the first member, run)``.
+
+    Decided from manifests alone: a member has a digest and spans adding
+    up to between 1 and ``max_rows`` rows.  A part that does not
+    qualify ends the run before it; one that would overflow starts the
+    next.  A run has at least two members.  Whether the bytes match —
+    digest, one group, row count, columns, dtypes — is checked where a
+    scan reads them (:mod:`repro.query.executor`)."""
+    runs: list[tuple[int, PartRun]] = []
+    first, digests, rows, total = 0, [], [], 0
+
+    def close() -> None:
+        if len(digests) > 1:
+            runs.append((first, PartRun.of(digests, rows)))
+
+    for i, part in enumerate(parts):
+        digest = part.meta.user_meta.get(manifest.DIGEST_META_KEY)
+        spans = part.spans
+        n = sum(k for _, k in spans) if spans else 0
+        if not digest or not 0 < n <= max_rows:
+            close()
+            first, digests, rows, total = i + 1, [], [], 0
+            continue
+        if total + n > max_rows:
+            close()
+            first, digests, rows, total = i, [], [], 0
+        digests.append(digest)
+        rows.append(n)
+        total += n
+    close()
+    return tuple(runs)
 
 
 class PartTable:

@@ -446,7 +446,8 @@ class TieredStore:
         never fetched from the object store (counted as
         ``ocean.parts_pruned``).  Surviving parts are fetched in plan
         order and then scanned through :func:`repro.query.execute_plan`
-        (row-group pruning, late materialization, cache).  Under
+        (row-group pruning, late materialization, cache), each run of
+        small parts as one row group (:meth:`.parts.Listing.runs`).  Under
         ``baseline_mode`` every part is fetched and the reference
         executor decodes everything.
 
@@ -473,7 +474,8 @@ class TieredStore:
     ) -> ColumnTable:
         from repro.obs import METRICS
 
-        parts = self._live_parts(name)
+        listing = self._parts.listing(self.ocean, name)
+        parts = listing.live
         if columns is None and parts:
             names = parts[0].columns
             columns = None if names is None else list(names)
@@ -501,6 +503,13 @@ class TieredStore:
             fetched.append(part)
         if pruned:
             METRICS.inc("ocean.parts_pruned", pruned)
+        with self._registry_lock:
+            meta = self._datasets.get(name)
+        if meta is not None and not fetch_all:
+            # The tail of small parts, scanned a run at a time (fetch and
+            # open stayed per part above): at most what one compacted
+            # row group would hold.
+            plan.runs = listing.runs(self.policies[meta.data_class].row_group_size)
         if plan.columns is None:
             # Pre-manifest parts: recover the projection from the first
             # fetched header so empty results still carry the schema.

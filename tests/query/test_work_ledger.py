@@ -6,8 +6,11 @@ lineage, self-telemetry, three broker shards) ingests sixteen windows
 dataset), then answers one panel-style round of archive, online and
 rollup queries.  The work counters that are a pure function of (seed, shape)
 — parts scanned, pruned and opened, row groups decoded, pruned and
-found empty, dictionary pushdowns, row-group cache hits and misses,
-lineage nodes and edges — are pinned in ``work_ledger.json``.
+found empty, runs of small parts scanned as one group, dictionary
+pushdowns, row-group cache hits and misses, lineage nodes and edges,
+and on the write side the bytes hashed by part opens, what compaction
+merged, rewrote and spliced, and what LAKE coalescing merged and copied
+— are pinned in ``work_ledger.json``.
 
 A change that only makes the read path cheaper passes this unchanged;
 one that changes how much work a query does shows it in its diff of the
@@ -39,6 +42,17 @@ COUNTERS = (
     "query.dict_pushdowns",
     "query.cache_hits",
     "query.cache_misses",
+    "query.runs_scanned",
+    # The write side of the same run, and the hashing of part opens:
+    # a change to the read path alone leaves these as they are.
+    "query.bytes_hashed",
+    "tier.compact.parts_merged",
+    "tier.compact.rows_rewritten",
+    "tier.compact.bytes_rewritten",
+    "tier.compact.groups_spliced",
+    "tier.compact.rows_spliced",
+    "lake.pieces_merged",
+    "lake.rows_copied",
 )
 
 

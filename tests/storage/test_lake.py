@@ -93,6 +93,19 @@ class TestQuery:
         out = lake.query("power", 1e9, 2e9)
         assert out.num_rows == 0
 
+    def test_emptied_or_unknown_table_keeps_the_projection(self, lake):
+        # Every segment pruned, every piece dropped, no such table: one
+        # zero-row shape, the requested columns in the requested order.
+        lake.ingest("gone", segment(0.0))
+        lake.drop_before("gone", 100.0)
+        for name, t0 in (("power", 1e9), ("gone", None), ("nope", None)):
+            out = lake.query(name, t0, columns=["value", "node"])
+            assert out.column_names == ["value", "node"], name
+            assert out.num_rows == 0
+            with baseline_mode():
+                assert lake.query(name, t0, columns=["value", "node"]) == out
+        assert lake.query("gone").column_names == []
+
     def test_unknown_projection_column_raises(self, lake):
         with pytest.raises(KeyError, match="no column 'nope'"):
             lake.query("power", columns=["value", "nope"])
@@ -362,7 +375,8 @@ class PieceListOracle:
 
     def query(self, t0, t1, predicate, columns):
         if not self.pieces:
-            return {}
+            # No piece to read the schema from: the requested columns.
+            return {n: np.empty(0) for n in columns or ()}
         lo = -np.inf if t0 is None else t0
         hi = np.inf if t1 is None else t1
         names = columns or self.pieces[0][2].column_names

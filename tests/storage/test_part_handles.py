@@ -20,7 +20,11 @@ from repro.faults.injector import FaultInjector, FaultyObjectStore
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.obs import METRICS
 from repro.perf.baseline import baseline_mode
-from repro.query import clear_row_group_cache, row_group_cache_stats
+from repro.query import (
+    clear_row_group_cache,
+    invalidate_token,
+    row_group_cache_stats,
+)
 from repro.storage import DataClass, ObjectStore, TierPolicy, TieredStore, manifest
 from tests.storage.compaction_oracle import open_handles
 
@@ -160,8 +164,8 @@ class TestWorkCounters:
 class TestHandleValidity:
     def test_overwrite_of_a_live_key_reopens(self, store):
         store.query_archive("d")
-        entries = row_group_cache_stats()["entries"]
         key = "d/part-00000002.rcf"
+        old = open_handles(store)[key].digest()
         head = store.ocean.head(store.OCEAN_BUCKET, key)
         replacement = batch(200.0)
         replacement = ColumnTable(
@@ -185,8 +189,13 @@ class TestHandleValidity:
         assert (opened, hashed) == (1, len(write_table(replacement)))
         assert got == replacement
         assert_fast_equals_oracle(store)
-        # The old bytes' decoded groups went when their handle did.
-        assert row_group_cache_stats()["entries"] == entries
+        # The old bytes' decoded groups went when their handle did, and
+        # so did those of the run of small parts they were scanned in.
+        # With one member's bytes off its manifest the run is scanned
+        # part by part: each part caches its two decoded (non-raw)
+        # columns.
+        assert invalidate_token(old) == 0
+        assert row_group_cache_stats()["entries"] == 2 * N_PARTS
 
     def test_store_that_copies_on_get_reopens_every_scan(self):
         class CopyingStore(ObjectStore):
