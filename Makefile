@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-serving chaos equivalence lifecycle read-plane serving lineage lint lint-json obs-report
+.PHONY: test bench bench-serving chaos equivalence fuzz lifecycle read-plane serving lineage lint lint-json obs-report
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -43,7 +43,10 @@ lifecycle:
 		tests/storage/test_lifecycle.py tests/storage/test_rollup.py \
 		tests/integration/test_lifecycle_chaos.py
 
-# Read-plane suite: planner and scan soundness (the LAKE segment scan
+# Read-plane suite: the RCF format (v2, the one layout: lazy open,
+# DICT_REF, cheap codec, appends; damaged structure a typed
+# RcfFormatError, held by a property over prefixes and footer fields),
+# planner and scan soundness (the LAKE segment scan
 # against brute-force mask-then-filter included; parts of mixed dtypes
 # and group counts assembled once per plan into arrays the result
 # owns; runs of small parts scanned as one row group, held to the
@@ -60,7 +63,8 @@ lifecycle:
 # LAKE segment coalescing against its piece-list oracle — see
 # DESIGN.md §11.
 read-plane:
-	$(PYTHON) -m pytest -x -q tests/query/test_plan.py \
+	$(PYTHON) -m pytest -x -q tests/columnar/test_rcf_v2.py \
+		tests/columnar/test_rcf_format_errors.py tests/query/test_plan.py \
 		tests/query/test_scan_soundness.py tests/query/test_scan_segment.py \
 		tests/query/test_runs.py \
 		tests/query/test_work_ledger.py tests/query/test_cache.py \
@@ -68,6 +72,17 @@ read-plane:
 		tests/storage/test_query_archive.py \
 		tests/storage/test_part_handles.py tests/storage/test_manifest.py \
 		tests/storage/test_lake.py
+
+# Byte-surface properties at a larger example count: RCF blobs cut
+# short or with footer fields overwritten, trace JSONL dumps with
+# inserted junk lines, and torn or mangled checkpoints.json files, each
+# a typed error (or a quarantine, or a skipped line) or the right
+# answer.  Tier-1 runs the same properties at hypothesis's default
+# count; the fuzz profile is registered in tests/conftest.py.
+fuzz:
+	$(PYTHON) -m pytest -x -q --hypothesis-profile fuzz \
+		tests/columnar/test_rcf_format_errors.py \
+		tests/obs/test_exporters.py tests/pipeline/test_checkpoint.py
 
 # Serving suite: request fingerprints, payload digests (pinned hex and
 # a property against the spec algorithm), admission, the result cache,

@@ -1,12 +1,12 @@
 """The RCF on-disk format: row groups of encoded, compressed column chunks.
 
-Version 1 layout (all integers little-endian)::
+Layout (all integers little-endian)::
 
-    magic "RCF1"
+    magic "RCF2"
     u16 n_columns
     per column: u16 name_len, name utf-8, u8 is_string
     u32 n_row_groups
-    per row group:
+    group bodies, each:
         u64 n_rows
         per column (schema order):
             u8  encoding id      (encodings.py, plus DICT_REF below)
@@ -20,15 +20,6 @@ Version 1 layout (all integers little-endian)::
                 else:             f64 min, f64 max
             u64 payload_len
             payload bytes
-
-Version 2 keeps the group-body layout byte-for-byte but makes the file
-*seekable* and the write path cheaper::
-
-    magic "RCF2"
-    u16 n_columns
-    per column: u16 name_len, name utf-8, u8 is_string
-    u32 n_row_groups
-    group bodies (same layout as v1)
     footer: per group, u64 absolute_offset + u64 n_rows
     u64 footer_start
     tail magic "RCF2"
@@ -40,7 +31,7 @@ the same wherever it sits (:meth:`RcfWriter.append_encoded` copies
 them between files).  Three writer-side rules cut encode cost without
 a reader round-trip:
 
-* **DICT_REF** (encoding 4, v2 only): a string chunk whose encoded
+* **DICT_REF** (encoding 4): a string chunk whose encoded
   vocabulary is byte-identical to an earlier group's stores only
   ``u32 donor_group`` + the int32 codes; the vocabulary is read from
   the donor chunk.
@@ -53,8 +44,12 @@ a reader round-trip:
   fast-path state — so baseline and optimized runs write identical
   bytes.
 
-The writer writes v2 only; the reader still reads v1, the layout of
-parts archived before v2 existed.
+Every column of a file has one dtype: :meth:`RcfWriter.append` refuses
+a table whose dtypes differ from the first one's, as a Parquet schema
+fixes each column's physical type for every row group.  A reader checks
+the structure it walks — magics, footer, offsets, group headers — and
+raises :class:`RcfFormatError` where it does not hold; payload bytes are
+not checked.
 
 Column projection works by *skipping* unneeded payloads (we know their
 length without decoding); predicate pushdown works by testing each row
@@ -88,6 +83,7 @@ from repro.perf import baseline
 __all__ = [
     "RcfWriter",
     "RcfReader",
+    "RcfFormatError",
     "DICT_REF",
     "write_table",
     "read_table",
@@ -96,8 +92,10 @@ __all__ = [
     "clear_chunk_memo",
 ]
 
-_MAGIC = b"RCF1"
-_MAGIC_V2 = b"RCF2"
+_MAGIC = b"RCF2"
+#: Magic, column and group counts, footer_start and tail magic: the
+#: bytes of a file with no columns and no groups.
+_MIN_LEN = 22
 
 #: File-format-level encoding id (v2 only): payload is ``u32 donor_group``
 #: followed by this chunk's int32 codes; the vocabulary lives in the donor
@@ -221,10 +219,18 @@ def _vocab_section(raw: bytes) -> bytes:
     return raw[: 17 + blob_len]
 
 
+class RcfFormatError(ValueError):
+    """Bytes that are not an RCF file the writer could have made: a bad
+    magic, a header or footer that does not fit the buffer, offsets out
+    of order, or a group header that disagrees with the footer or its
+    own extent.  Raised on open or when a group header is first parsed."""
+
+
 class RcfWriter:
     """Streaming writer: append tables, then :meth:`finish` to get bytes.
 
-    All appended tables must share the schema of the first.
+    All appended tables must share the schema and the column dtypes of
+    the first.
     """
 
     def __init__(self, codec: str = "fast", row_group_size: int = 65_536) -> None:
@@ -235,6 +241,7 @@ class RcfWriter:
         self.codec = codec
         self.row_group_size = row_group_size
         self._schema: list[tuple[str, bool]] | None = None
+        self._dtypes: list[np.dtype] | None = None
         self._groups: list[bytes] = []
         self._group_rows: list[int] = []
         self._n_rows = 0
@@ -253,6 +260,11 @@ class RcfWriter:
             raise ValueError(
                 f"schema mismatch: {schema} != {self._schema}"
             )
+        dtypes = [c.dtype for c in table.columns().values()]
+        if self._dtypes is None:
+            self._dtypes = dtypes
+        elif dtypes != self._dtypes:
+            raise ValueError(f"dtype mismatch: {dtypes} != {self._dtypes}")
         for start in range(0, table.num_rows, self.row_group_size):
             chunk = table.slice(start, start + self.row_group_size)
             self._groups.append(self._encode_group(chunk))
@@ -266,17 +278,15 @@ class RcfWriter:
 
         A group is copied when encoding its rows again would write the
         same bytes: it is full (so the next group starts where this
-        writer would start it), and came from a v2 writer under this
-        codec — a v2 body holds no file offset, and a ``DICT_REF``
-        names its donor by group index, which a prefix keeps.  The
+        writer would start it), and was written under this codec — a
+        body holds no file offset, and a ``DICT_REF`` names its donor by
+        group index, which a prefix keeps.  The
         vocabulary donors are taken over with the groups, so that the
         groups encoded next make the back-reference decisions a writer
         that had encoded everything would.
         """
         if self._groups:
             raise ValueError("encoded groups can only open a file")
-        if reader.version != 2:
-            return 0
         codecs = {"none", self.codec}
         n = 0
         while (
@@ -430,7 +440,7 @@ class RcfWriter:
     def finish(self) -> bytes:
         """Serialize everything appended into one RCF byte string."""
         schema = self._schema or []
-        parts = [_MAGIC_V2, struct.pack("<H", len(schema))]
+        parts = [_MAGIC, struct.pack("<H", len(schema))]
         for name, is_string in schema:
             nb = name.encode("utf-8")
             parts.append(struct.pack("<H", len(nb)) + nb)
@@ -444,7 +454,7 @@ class RcfWriter:
             off += len(body)
         parts.extend(footer)
         parts.append(struct.pack("<Q", off))  # footer_start
-        parts.append(_MAGIC_V2)
+        parts.append(_MAGIC)
         return b"".join(parts)
 
 
@@ -488,10 +498,9 @@ class _GroupMeta:
 class RcfReader:
     """Reader with column projection and stats-based row-group pruning.
 
-    Reads both format versions: v1 buffers are parsed sequentially on
-    open (the only option without a footer); v2 buffers open in O(1) by
-    reading the footer, and each group header is parsed lazily the
-    first time that group is touched.
+    Opens in O(1) by reading the footer; each group header is parsed
+    lazily the first time that group is touched.  Structure that does
+    not hold raises :class:`RcfFormatError` at the step that walks it.
 
     A reader holds no scan state — only the buffer, the parsed footer
     and headers (with each raw chunk's view), and the lazily computed
@@ -501,102 +510,115 @@ class RcfReader:
     """
 
     def __init__(self, buf: bytes) -> None:
-        head = buf[:4]
-        if head == _MAGIC:
-            self.version = 1
-        elif head == _MAGIC_V2:
-            self.version = 2
-        else:
-            raise ValueError("not an RCF buffer (bad magic)")
+        if buf[:4] != _MAGIC:
+            raise RcfFormatError("not an RCF buffer (bad magic)")
+        if len(buf) < _MIN_LEN or buf[-4:] != _MAGIC:
+            raise RcfFormatError("truncated RCF buffer (bad tail magic)")
         self._buf = buf
         #: Group headers parsed so far — the probe the O(1)-open
         #: regression test watches.
         self.header_parse_count = 0
-        off = 4
-        (n_cols,) = struct.unpack_from("<H", buf, off)
-        off += 2
         self.schema: list[tuple[str, bool]] = []
-        for _ in range(n_cols):
-            (name_len,) = struct.unpack_from("<H", buf, off)
+        try:
+            off = 4
+            (n_cols,) = struct.unpack_from("<H", buf, off)
             off += 2
-            name = buf[off : off + name_len].decode("utf-8")
-            off += name_len
-            (is_string,) = struct.unpack_from("<B", buf, off)
-            off += 1
-            self.schema.append((name, bool(is_string)))
-        (n_groups,) = struct.unpack_from("<I", buf, off)
-        off += 4
+            for _ in range(n_cols):
+                (name_len,) = struct.unpack_from("<H", buf, off)
+                off += 2
+                name = buf[off : off + name_len].decode("utf-8")
+                off += name_len
+                (is_string,) = struct.unpack_from("<B", buf, off)
+                off += 1
+                self.schema.append((name, bool(is_string)))
+            (n_groups,) = struct.unpack_from("<I", buf, off)
+            off += 4
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise RcfFormatError(f"damaged RCF schema: {exc}") from exc
+        (footer_start,) = struct.unpack_from("<Q", buf, len(buf) - 12)
+        if not off <= footer_start == len(buf) - 12 - 16 * n_groups:
+            raise RcfFormatError("RCF footer does not fit the buffer")
         self._is_string = dict(self.schema)
         #: The schema's column names, for projection checks.
         self.column_set = frozenset(self._is_string)
         self._digest: str | None = None
         self._metas: list[_GroupMeta | None] = [None] * n_groups
-        if self.version == 1:
-            self._group_offsets: list[int] | None = None
-            self._group_rows: list[int] = []
-            for i in range(n_groups):
-                meta, off = self._parse_group(off)
-                self._metas[i] = meta
-                self._group_rows.append(meta.n_rows)
-        else:
-            if buf[-4:] != _MAGIC_V2:
-                raise ValueError("truncated RCF2 buffer (bad tail magic)")
-            (footer_start,) = struct.unpack_from("<Q", buf, len(buf) - 12)
-            offsets: list[int] = []
-            rows: list[int] = []
-            pos = footer_start
-            for _ in range(n_groups):
-                o, r = struct.unpack_from("<QQ", buf, pos)
-                offsets.append(o)
-                rows.append(int(r))
-                pos += 16
-            self._group_offsets = offsets + [footer_start]
-            self._group_rows = rows
-        self._num_rows = sum(self._group_rows)
+        offsets: list[int] = []
+        rows: list[int] = []
+        prev = off - 1  # group 0 starts at or after the schema's end
+        for pos in range(footer_start, footer_start + 16 * n_groups, 16):
+            o, r = struct.unpack_from("<QQ", buf, pos)
+            if not prev < o < footer_start:
+                raise RcfFormatError(f"RCF group offset {o} out of order")
+            offsets.append(o)
+            rows.append(int(r))
+            prev = o
+        #: Each group's first byte, then the footer's.
+        self._group_offsets = offsets + [footer_start]
+        self._group_rows = rows
+        self._num_rows = sum(rows)
 
-    def _parse_group(self, off: int) -> tuple[_GroupMeta, int]:
+    def _parse_group(self, i: int) -> _GroupMeta:
         buf = self._buf
+        off, end = self._group_offsets[i], self._group_offsets[i + 1]
         self.header_parse_count += 1
-        (n_rows,) = struct.unpack_from("<Q", buf, off)
-        off += 8
         chunks: dict[str, _ChunkMeta] = {}
-        for name, is_string in self.schema:
-            encoding, codec_id, flags = struct.unpack_from("<BBB", buf, off)
-            off += 3
-            stats = None
-            if flags & 1:
-                if is_string:
-                    (lo_len,) = struct.unpack_from("<I", buf, off)
-                    off += 4
-                    lo = buf[off : off + lo_len].decode("utf-8")
-                    off += lo_len
-                    (hi_len,) = struct.unpack_from("<I", buf, off)
-                    off += 4
-                    hi = buf[off : off + hi_len].decode("utf-8")
-                    off += hi_len
-                    stats = (lo, hi)
-                else:
-                    lo, hi = struct.unpack_from("<dd", buf, off)
-                    off += 16
-                    stats = (lo, hi)
-                if flags & 2:
-                    stats = (*stats, False)  # inexact: NaN rows excluded
-            (payload_len,) = struct.unpack_from("<Q", buf, off)
+        try:
+            (n_rows,) = struct.unpack_from("<Q", buf, off)
             off += 8
-            chunks[name] = _ChunkMeta(
-                encoding, codec_name(codec_id), stats, off, payload_len
+            if n_rows != self._group_rows[i]:
+                raise RcfFormatError(
+                    f"row group {i} holds {n_rows} rows, its footer says "
+                    f"{self._group_rows[i]}"
+                )
+            for name, is_string in self.schema:
+                encoding, codec_id, flags = struct.unpack_from("<BBB", buf, off)
+                off += 3
+                if encoding > DICT_REF or codec_id >= len(CODECS) or flags > 3:
+                    raise RcfFormatError(
+                        f"row group {i}, column {name!r}: unknown encoding "
+                        f"{encoding}, codec {codec_id} or flags {flags}"
+                    )
+                stats = None
+                if flags & 1:
+                    if is_string:
+                        (lo_len,) = struct.unpack_from("<I", buf, off)
+                        off += 4
+                        lo = buf[off : off + lo_len].decode("utf-8")
+                        off += lo_len
+                        (hi_len,) = struct.unpack_from("<I", buf, off)
+                        off += 4
+                        hi = buf[off : off + hi_len].decode("utf-8")
+                        off += hi_len
+                        stats = (lo, hi)
+                    else:
+                        lo, hi = struct.unpack_from("<dd", buf, off)
+                        off += 16
+                        stats = (lo, hi)
+                    if flags & 2:
+                        stats = (*stats, False)  # inexact: NaN rows excluded
+                (payload_len,) = struct.unpack_from("<Q", buf, off)
+                off += 8
+                chunks[name] = _ChunkMeta(
+                    encoding, codec_name(codec_id), stats, off, payload_len
+                )
+                off += payload_len
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise RcfFormatError(f"damaged header of row group {i}: {exc}") from exc
+        # ``off`` only grows, so this also keeps every payload inside
+        # the group.
+        if off != end:
+            raise RcfFormatError(
+                f"row group {i} does not end where the next one starts"
             )
-            off += payload_len
         stats = MappingProxyType({n: c.stats for n, c in chunks.items()})
-        return _GroupMeta(n_rows, chunks, stats), off
+        return _GroupMeta(n_rows, chunks, stats)
 
     def _group(self, i: int) -> _GroupMeta:
-        """Group metadata, parsed on first touch (v2) or on open (v1)."""
+        """Group metadata, parsed on first touch."""
         meta = self._metas[i]
         if meta is None:
-            assert self._group_offsets is not None
-            meta, _ = self._parse_group(self._group_offsets[i])
-            self._metas[i] = meta
+            meta = self._metas[i] = self._parse_group(i)
         return meta
 
     @property
@@ -675,9 +697,7 @@ class RcfReader:
         return view
 
     def group_bytes(self, group: int) -> bytes:
-        """One row group's encoded body as it sits in the file (v2)."""
-        if self._group_offsets is None:
-            raise ValueError("an RCF1 buffer has no group index")
+        """One row group's encoded body as it sits in the file."""
         return self._buf[
             self._group_offsets[group] : self._group_offsets[group + 1]
         ]
@@ -782,16 +802,6 @@ class RcfReader:
         if not pieces:
             return ColumnTable({n: np.empty(0) for n in out_cols})
         return ColumnTable.concat(pieces)
-
-    def scan_stats(self, predicate: Predicate) -> tuple[int, int]:
-        """(groups_scanned, groups_pruned) for a predicate — bench hook."""
-        scanned = pruned = 0
-        for gi in range(len(self._metas)):
-            if predicate.might_match(self.group_stats(gi)):
-                scanned += 1
-            else:
-                pruned += 1
-        return scanned, pruned
 
 
 def write_table(

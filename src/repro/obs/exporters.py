@@ -144,20 +144,25 @@ def read_jsonl(path) -> list[dict]:
     """Parse a :func:`write_jsonl` dump back into dicts.
 
     Torn lines — a crash mid-write, a truncated copy — are skipped
-    rather than raising: each skip warns :class:`TraceCorruptWarning`
-    and counts under ``obs.trace_lines_skipped``, mirroring the
-    checkpoint store's corrupt-file quarantine (one bad artifact costs
-    one artifact, never the whole dump).
+    rather than raising: a line that is not UTF-8, not JSON or not a
+    JSON object warns :class:`TraceCorruptWarning` and counts under
+    ``obs.trace_lines_skipped``, mirroring the checkpoint store's
+    corrupt-file quarantine (one bad artifact costs one artifact, never
+    the whole dump).
     """
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             raw = raw.strip()
             if not raw:
                 continue
             try:
-                out.append(json.loads(raw))
-            except ValueError:
+                record = json.loads(raw.decode("utf-8"))
+            except ValueError:  # UnicodeDecodeError included
+                record = None
+            if isinstance(record, dict):
+                out.append(record)
+            else:
                 warnings.warn(
                     TraceCorruptWarning(
                         f"skipping unparseable line {lineno} of trace "

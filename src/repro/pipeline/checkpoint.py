@@ -59,6 +59,28 @@ class CheckpointCorruptWarning(UserWarning):
     """Warning category for quarantined checkpoint files."""
 
 
+def _is_int(value: object) -> bool:
+    """An int and not a bool (JSON ``true`` loads as ``True``)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _well_formed(entry: object) -> bool:
+    """Whether one query's entry has the shape :meth:`CheckpointStore.commit`
+    writes: an int ``batch_id``, ``offsets`` from partition numbers
+    (decimal strings) to ints, and a dict ``state``."""
+    if not isinstance(entry, dict):
+        return False
+    offsets = entry.get("offsets")
+    return (
+        _is_int(entry.get("batch_id"))
+        and isinstance(offsets, dict)
+        and all(
+            k.isascii() and k.isdigit() and _is_int(v) for k, v in offsets.items()
+        )
+        and isinstance(entry.get("state"), dict)
+    )
+
+
 class CheckpointStore:
     """Durable (optional) key-value store of per-query progress.
 
@@ -96,6 +118,10 @@ class CheckpointStore:
             self._quarantine(
                 f"expected a JSON object, got {type(loaded).__name__}"
             )
+            return
+        bad = next((q for q, e in loaded.items() if not _well_formed(e)), None)
+        if bad is not None:
+            self._quarantine(f"malformed entry for query {bad!r}")
             return
         self._state = loaded
 

@@ -15,7 +15,6 @@ storage-agnostic.
 """
 
 from repro.query.cache import (
-    cached_column,
     clear_row_group_cache,
     invalidate_token,
     row_group_cache_stats,
@@ -29,7 +28,7 @@ from repro.query.executor import (
 )
 from repro.query.plan import PartRun, PartUnit, ScanPlan, SegmentUnit
 from repro.query.planner import plan_parts, plan_segments
-from repro.query.scan import fold_time_predicate, scan_part, scan_segment
+from repro.query.scan import fold_time_predicate, scan_segment
 
 __all__ = [
     "ScanPlan",
@@ -44,8 +43,6 @@ __all__ = [
     "shutdown_scan_pool",
     "fold_time_predicate",
     "scan_segment",
-    "scan_part",
-    "cached_column",
     "invalidate_token",
     "clear_row_group_cache",
     "row_group_cache_stats",

@@ -55,7 +55,6 @@ import numpy as np
 from repro.obs import METRICS
 
 __all__ = [
-    "cached_column",
     "load_column",
     "invalidate_token",
     "clear_row_group_cache",
@@ -102,18 +101,6 @@ def _weigh(arr: np.ndarray) -> int:
     return arr.nbytes + sum(map(sys.getsizeof, distinct.values()))
 
 
-def cached_column(
-    token: str, group: int, name: str, loader: Callable[[], np.ndarray]
-) -> np.ndarray:
-    """The decoded column for ``(token, group, name)``; decodes via
-    ``loader`` on a miss and retains the (read-only) result if the
-    admission rule (module docstring) lets it in."""
-    arr, hit = load_column(token, group, name, loader)
-    if hit:
-        METRICS.inc("query.cache_hits")
-    return arr
-
-
 def load_column(
     token: str,
     group: int,
@@ -121,8 +108,10 @@ def load_column(
     loader: Callable[[], np.ndarray | None],
     members: tuple[str, ...] = (),
 ) -> tuple[np.ndarray | None, bool]:
-    """:func:`cached_column` and whether it was a hit, which is left to
-    the caller to count (a scan adds its hits to ``query.cache_hits``
+    """The decoded column for ``(token, group, name)`` and whether it
+    was a hit: decoded via ``loader`` on a miss and retained (read-only)
+    if the admission rule (module docstring) lets it in.  Hits are left
+    to the caller to count (a scan adds its hits to ``query.cache_hits``
     once per plan); misses, evictions and rejections are counted here,
     beside the decode they cost.
 

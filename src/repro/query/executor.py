@@ -15,8 +15,8 @@ list per column, and each column is concatenated once at the end
 :meth:`ColumnTable.concat` does); the work counters are tallied locally
 and recorded once.  The result owns its arrays — one fresh copy, even
 of a single whole row group — and is never a view of the row-group
-cache or of a part's bytes; only :func:`repro.query.scan.scan_part`'s
-result may hold views.
+cache or of a part's bytes; only :func:`repro.query.scan.gather_part`'s
+pieces may hold views.
 
 :func:`execute_plan_reference` is the oracle: every unit is scanned —
 pruned flags ignored — by fully decoding the data and applying the
@@ -158,7 +158,6 @@ def _scan_part(plan: ScanPlan, unit: PartUnit, tally: defaultdict) -> Iterator[P
     cols = part_columns(reader, plan.columns)
     pieces = gather_part(reader, plan.scan_predicate, cols, tally)
     if cols and pieces[0]:
-        _promote_within_part(cols, pieces)
         yield cols, pieces
 
 
@@ -166,32 +165,20 @@ def _scan_run(
     plan: ScanPlan, run: PartRun, members: list[PartUnit], tally: defaultdict
 ) -> Iterator[Pieces]:
     """Scan a run's live members as one row group where it can be, else
-    part by part: a run with fewer than two live members, a live member
-    whose bytes are not the ones the run was made of (digest, one group,
-    row count), or a run column neither cached nor buildable (some
-    member not fetched) go part by part, as the parts would alone."""
-    if run.split is not None:
-        for first, sub in run.split:
-            if sub is None:
-                if not members[first].pruned:
-                    yield from _scan_part(plan, members[first], tally)
-            else:
-                yield from _scan_run(
-                    plan, sub, members[first : first + sub.size], tally
-                )
-        return
+    part by part, as the parts would alone: a mixed run, a run with
+    fewer than two live members, a live member whose bytes are not the
+    ones the run was made of (digest, one group, row count), or a run
+    column neither cached nor buildable (some member not fetched)."""
     live = [k for k, unit in enumerate(members) if not unit.pruned]
-    if len(live) > 1 and all(_is_member(run, k, members[k].reader) for k in live):
+    if (
+        not run.mixed
+        and len(live) > 1
+        and all(_is_member(run, k, members[k].reader) for k in live)
+    ):
         scanned = _gather_run(plan, run, members, live, tally)
         if scanned is not None:
             if scanned:
                 yield scanned
-            return
-        if run.split is not None:
-            # The first build to decode both sides of a dtype change:
-            # what the whole run cached is dropped, the pieces rescan.
-            invalidate_token(run.token)
-            yield from _scan_run(plan, run, members, tally)
             return
     for k in live:
         yield from _scan_part(plan, members[k], tally)
@@ -220,7 +207,8 @@ def _gather_run(
     the range is one whose rows its manifest proves fail it), one
     ``flatnonzero`` and one ``take`` per projected column.  Returns the
     pieces, ``()`` when no row survives, or None when a column is
-    neither cached nor buildable — or the build just split the run."""
+    neither cached nor buildable — or the build just found the run
+    mixed."""
     cols = part_columns(members[live[0]].reader, plan.columns)
     pred = plan.scan_predicate
     pred_cols = [] if pred is None else sorted(pred.columns())
@@ -266,32 +254,21 @@ def _concat_members(
     run: PartRun, readers: list[RcfReader], name: str
 ) -> np.ndarray | None:
     """``name``'s run column: the members' chunks, concatenated — or
-    None, with the run split before the first member whose chunk's
-    dtype differs from the first member's (so a column is never promoted
-    across members: part-then-plan promotion stays as it was)."""
+    None when a member's chunk differs in dtype from the first
+    member's: the run is marked mixed and what it cached is released,
+    so a column is never promoted across members and the parts promote
+    once, in the plan's concatenation, as the oracle's do."""
     chunks = []
     for reader in readers:
         part_columns(reader, [name])  # a member without it: KeyError
         view = reader.raw_view(0, name)
         chunks.append(view if view is not None else reader.decode_group_column(0, name))
     dtype = chunks[0].dtype
-    for k, chunk in enumerate(chunks):
-        if chunk.dtype != dtype:
-            run.split_at(k)
-            return None
+    if any(chunk.dtype != dtype for chunk in chunks):
+        run.mixed = True
+        invalidate_token(run.token)
+        return None
     return np.concatenate(chunks)
-
-
-def _promote_within_part(cols: list[str], pieces: list[list[np.ndarray]]) -> None:
-    """Concatenate one part's slices first where its row groups disagree
-    on a column's dtype (a file appended from tables of different
-    dtypes): a part's groups promote among themselves before the plan
-    concatenates across parts, as the reference executor's
-    whole-part decode does, and promotion in two steps can differ from
-    promotion in one."""
-    for i, arrays in enumerate(pieces):
-        if len(arrays) > 1 and any(a.dtype != arrays[0].dtype for a in arrays):
-            pieces[i] = [ColumnTable.concat_columns({cols[i]: arrays})[cols[i]]]
 
 
 def execute_plan_reference(plan: ScanPlan) -> ColumnTable:

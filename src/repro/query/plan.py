@@ -83,15 +83,13 @@ class PartRun:
     digest can equal — keys the run's concatenated columns in the
     row-group cache.  Members must agree on every column's dtype, which
     only a decode shows: the first scan that finds a disagreement sets
-    ``split`` once, to the pieces that replace the run — ``(first
-    member, PartRun or None)`` pairs, None for a lone member scanned as
-    a part.
+    ``mixed``, and from then on the members are scanned part by part.
     """
 
     digests: tuple[str, ...]
     offsets: tuple[int, ...]
     token: str
-    split: tuple[tuple[int, "PartRun | None"], ...] | None = None
+    mixed: bool = False
 
     @classmethod
     def of(cls, digests: Sequence[str], rows: Sequence[int]) -> "PartRun":
@@ -105,16 +103,6 @@ class PartRun:
     def size(self) -> int:
         """Member count."""
         return len(self.digests)
-
-    def split_at(self, member: int) -> None:
-        """End the run before ``member``: it and the members after it
-        start the next piece."""
-        pieces = []
-        for lo, hi in ((0, member), (member, self.size)):
-            rows = [self.offsets[k + 1] - self.offsets[k] for k in range(lo, hi)]
-            sub = PartRun.of(self.digests[lo:hi], rows) if hi - lo > 1 else None
-            pieces.append((lo, sub))
-        self.split = tuple(pieces)
 
 
 @dataclass

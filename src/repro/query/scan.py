@@ -16,9 +16,8 @@ cache's budget goes only to chunks that cost a decode.
 :func:`gather_part` is that per-part routine as the plan executor runs
 it: it hands back each projected column's surviving slices, whole
 chunks (views) where a group passes entirely, and tallies its work
-counts for the executor to record once per plan.  :func:`scan_part`
-wraps it for one part; its result, unlike the executor's, may hold
-those views.
+counts for the executor to record once per plan.  Its pieces, unlike
+the executor's result, may hold those views.
 
 Soundness contract: every mask computed here must equal the brute-force
 ``predicate.mask`` over the fully decoded data — the property tests in
@@ -44,7 +43,6 @@ __all__ = [
     "part_columns",
     "record_tally",
     "scan_segment",
-    "scan_part",
 ]
 
 
@@ -108,47 +106,6 @@ def scan_segment(
     if columns is not None:
         table = table.select(columns)
     return table.take(idx)
-
-
-def scan_part(
-    blob: bytes,
-    time_column: str,
-    t0: float | None,
-    t1: float | None,
-    predicate: Predicate | None,
-    columns: list[str] | None,
-    reader: RcfReader | None = None,
-) -> ColumnTable | None:
-    """Late-materializing scan of one OCEAN part; None when empty.
-
-    ``reader``, when given, must have been opened on exactly ``blob``;
-    passing one saves the open, the header parses and the content hash
-    a fresh reader would repeat.
-
-    A thin wrapper over the routine the plan executor runs per part
-    (:func:`gather_part`).  Unlike the executor's result, arrays here
-    may be read-only views of the row-group cache or of ``blob`` itself
-    (a part whose one surviving group needs no mask); callers that
-    mutate them must copy first.
-    """
-    if reader is None:
-        reader = RcfReader(blob)
-    out_cols = part_columns(reader, columns)
-    tally: defaultdict[str, int] = defaultdict(int)
-    try:
-        pieces = gather_part(
-            reader,
-            fold_time_predicate(predicate, time_column, t0, t1),
-            out_cols,
-            tally,
-        )
-    finally:
-        record_tally(tally)
-    if not out_cols or not pieces[0]:
-        return None
-    if len(pieces[0]) == 1:
-        return ColumnTable({n: p[0] for n, p in zip(out_cols, pieces)})
-    return ColumnTable.concat_columns(dict(zip(out_cols, pieces)))
 
 
 def part_columns(reader: RcfReader, columns: list[str] | None) -> list[str]:

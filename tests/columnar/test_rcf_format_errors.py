@@ -1,0 +1,166 @@
+"""Damaged RCF structure is a typed error, never a builtin one or a
+silently different table.
+
+The reader checks what it walks — magics, the footer's place, group
+offsets, and each group header against the footer and its own extent —
+and raises :class:`RcfFormatError`.  Payload bytes are not checked:
+a flipped payload bit still decodes to wrong values.
+"""
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.columnar import ColumnTable
+from repro.columnar.file_format import (
+    RcfFormatError,
+    RcfReader,
+    read_table,
+    write_table,
+)
+
+ROWS = 100
+GROUP = 32  # four groups: 32, 32, 32, 4 rows
+
+
+def small_table():
+    rng = np.random.default_rng(5)
+    return ColumnTable(
+        {
+            "host": np.array([f"nid{i % 3}" for i in range(ROWS)], dtype=object),
+            "timestamp": np.arange(ROWS, dtype=np.float64),
+            "node": rng.integers(0, 8, ROWS).astype(np.int64),
+            "power": rng.normal(500.0, 30.0, ROWS),
+        }
+    )
+
+
+BLOB = write_table(small_table(), row_group_size=GROUP)
+(FOOTER_START,) = struct.unpack_from("<Q", BLOB, len(BLOB) - 12)
+#: Byte offsets of every footer field: each group's offset and row
+#: count, then ``footer_start`` itself.
+FOOTER_FIELDS = list(range(FOOTER_START, len(BLOB) - 12, 8)) + [len(BLOB) - 12]
+GROUP0 = struct.unpack_from("<Q", BLOB, FOOTER_START)[0]
+
+
+def patched(at, fmt, value, blob=BLOB):
+    buf = bytearray(blob)
+    struct.pack_into(fmt, buf, at, value)
+    return bytes(buf)
+
+
+def read_or_none(buf):
+    """The table ``buf`` holds, or None for a typed format error; any
+    other exception fails the test."""
+    try:
+        return read_table(buf)
+    except RcfFormatError:
+        return None
+
+
+def assert_original(out):
+    want = small_table()
+    assert out.column_names == want.column_names
+    for n in want.column_names:
+        assert out[n].dtype == want[n].dtype
+        assert out[n].tolist() == want[n].tolist()
+
+
+def test_the_blob_has_four_groups_and_a_string_first_column():
+    reader = RcfReader(BLOB)
+    assert reader.num_row_groups == 4
+    assert reader.schema[0] == ("host", True)
+    assert len(FOOTER_FIELDS) == 2 * 4 + 1
+
+
+@pytest.mark.parametrize(
+    "buf",
+    [
+        BLOB[:10],  # shorter than any file
+        BLOB[:4] + BLOB[-4:],  # both magics, nothing between
+        b"RCF1" + BLOB[4:],  # the retired v1 magic
+        BLOB[:-1],  # tail magic cut
+        patched(len(BLOB) - 12, "<Q", len(BLOB) + 5),  # footer past the end
+        patched(len(BLOB) - 12, "<Q", FOOTER_START - 16),  # footer moved
+        patched(FOOTER_START, "<Q", 9),  # group 0 inside the schema
+        patched(FOOTER_START + 16, "<Q", GROUP0),  # offsets not increasing
+        patched(FOOTER_START + 48, "<Q", FOOTER_START),  # group 3 at the footer
+    ],
+    ids=[
+        "cut-to-10",
+        "magics-only",
+        "v1-magic",
+        "tail-cut",
+        "footer-past-end",
+        "footer-moved",
+        "offset-into-schema",
+        "offsets-repeat",
+        "offset-at-footer",
+    ],
+)
+def test_structure_that_does_not_fit_fails_the_open(buf):
+    with pytest.raises(RcfFormatError):
+        RcfReader(buf)
+
+
+@pytest.mark.parametrize(
+    "at, fmt, value",
+    [
+        (FOOTER_START + 8, "<Q", 5),  # group 0's footer rows: 32 -> 5
+        (GROUP0, "<Q", 31),  # group 0's own row count
+        (GROUP0 + 8, "<B", 9),  # encoding id
+        (GROUP0 + 9, "<B", 7),  # codec id
+        (GROUP0 + 10, "<B", 4),  # stats flags
+        (GROUP0 + 15, "<B", 0xFF),  # the string min's first byte
+        (GROUP0 + 11, "<I", 1 << 30),  # the string min's length
+    ],
+    ids=[
+        "footer-rows",
+        "header-rows",
+        "encoding",
+        "codec",
+        "flags",
+        "stats-utf8",
+        "stats-length",
+    ],
+)
+def test_a_group_header_that_does_not_fit_fails_its_parse(at, fmt, value):
+    reader = RcfReader(patched(at, fmt, value))  # the footer still fits
+    with pytest.raises(RcfFormatError):
+        reader.group_stats(0)
+    with pytest.raises(RcfFormatError):
+        reader.read()
+
+
+def test_a_payload_off_its_group_end_fails_the_parse():
+    reader = RcfReader(BLOB)
+    meta = reader._group(0).chunks["power"]  # the group's last chunk
+    length_at = meta.payload_offset - 8
+    for length in (meta.payload_len + 1, 1 << 40, meta.payload_len - 1):
+        with pytest.raises(RcfFormatError, match="does not end where"):
+            RcfReader(patched(length_at, "<Q", length)).group_stats(0)
+
+
+def test_format_errors_are_value_errors():
+    # Callers that caught the reader's old ValueError keep catching it.
+    assert issubclass(RcfFormatError, ValueError)
+
+
+@settings(deadline=None)
+@given(cut=st.integers(0, len(BLOB)))
+def test_every_prefix_is_an_error_or_the_table(cut):
+    out = read_or_none(BLOB[:cut])
+    assert (out is None) == (cut < len(BLOB))
+    if out is not None:
+        assert_original(out)
+
+
+@settings(deadline=None)
+@given(field=st.sampled_from(FOOTER_FIELDS), value=st.integers(0, 2**64 - 1))
+def test_every_footer_field_overwritten_is_an_error_or_the_table(field, value):
+    out = read_or_none(patched(field, "<Q", value))
+    if out is not None:
+        assert_original(out)

@@ -1,15 +1,12 @@
-"""RCF v2: seekable footer, lazy open, DICT_REF, cheap codec, v1 compat.
+"""RCF v2: seekable footer, lazy open, DICT_REF, cheap codec.
 
-The v2 format exists to make the write plane cheap and the open path
-O(1); everything here pins the properties the rest of the data plane
-leans on — archived v1 parts stay readable, group headers parse lazily
-from the footer, shared string vocabularies collapse to back-references,
-and incompressible chunks skip zlib without changing decoded bytes.
-
-The writer writes v2 only, so v1 is read from a committed fixture.
+The v2 format — the only layout the writer writes and the reader
+reads — exists to make the write plane cheap and the open path O(1);
+everything here pins the properties the rest of the data plane leans
+on: group headers parse lazily from the footer, shared string
+vocabularies collapse to back-references, and incompressible chunks
+skip zlib without changing decoded bytes.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -21,10 +18,10 @@ from repro.columnar.file_format import (
     _CHEAP_SAMPLE_BYTES,
     _CHEAP_SKIP_RATIO,
     DICT_REF,
+    RcfFormatError,
     RcfReader,
     RcfWriter,
     clear_chunk_memo,
-    read_table,
     write_table,
 )
 from repro.perf import baseline_mode
@@ -46,19 +43,6 @@ def make_table(n=1000, seed=0):
             "power": rng.normal(550.0, 40.0, n),
         }
     )
-
-
-#: ``write_table(make_table(200, seed=3), codec="high", row_group_size=64,
-#: version=1)`` as the v1 writer produced it: 3 full row groups and 8 rows.
-with open(
-    os.path.join(
-        os.path.dirname(__file__), "data", "v1_make_table_200_seed3_high_rg64.rcf"
-    ),
-    "rb",
-) as _fh:
-    V1_FIXTURE = _fh.read()
-#: ``RcfWriter(version=1).finish()``: a v1 file with no columns or groups.
-V1_EMPTY = b"RCF1\x00\x00\x00\x00\x00\x00"
 
 
 def fixture_table():
@@ -83,45 +67,28 @@ def assert_tables_equal(a, b):
 
 class TestVersionGate:
     def test_writer_versions_round_trip(self):
+        # The writer's one version reads back, one group or several.
         t = make_table()
-        r = RcfReader(write_table(t, row_group_size=128))
-        assert r.version == 2
-        assert_tables_equal(r.read(), t)
-        r = RcfReader(V1_FIXTURE)
-        assert r.version == 1
-        assert_tables_equal(r.read(), fixture_table())
+        for rows in (128, 4096):
+            r = RcfReader(write_table(t, row_group_size=rows))
+            assert r.num_row_groups == -(-t.num_rows // rows)
+            assert_tables_equal(r.read(), t)
 
     def test_magic_bytes(self):
-        assert V1_FIXTURE[:4] == b"RCF1"
         buf = write_table(make_table(32))
         assert buf[:4] == b"RCF2"
         assert buf[-4:] == b"RCF2"
 
     def test_unknown_version_rejected(self):
         buf = write_table(make_table(32))
-        with pytest.raises(ValueError):
-            RcfReader(b"RCF3" + buf[4:])
+        for magic in (b"RCF1", b"RCF3"):
+            with pytest.raises(RcfFormatError):
+                RcfReader(magic + buf[4:])
 
     def test_truncated_v2_tail_rejected(self):
         buf = write_table(make_table(32))
-        with pytest.raises(ValueError):
+        with pytest.raises(RcfFormatError):
             RcfReader(buf[:-2])
-
-    def test_v1_fixture_blob_remains_readable(self):
-        """A byte-for-byte v1 blob (as archived OCEAN parts written
-        before v2 are) decodes through today's reader."""
-        r = RcfReader(V1_FIXTURE)
-        assert r.version == 1
-        assert r.num_row_groups == 4
-        assert_tables_equal(r.read(), fixture_table())
-        assert_tables_equal(
-            read_table(V1_FIXTURE, columns=["power"], predicate=Col("power") > 550.0),
-            read_table(
-                fixture_as_v2(),
-                columns=["power"],
-                predicate=Col("power") > 550.0,
-            ),
-        )
 
 
 class TestLazyOpen:
@@ -153,18 +120,23 @@ class TestLazyOpen:
         r.decode_group_column(7, "host")
         assert r.header_parse_count == 3
 
-    def test_v1_still_parses_eagerly(self):
-        r = RcfReader(V1_FIXTURE)
-        assert r.header_parse_count == r.num_row_groups == 4
-
     def test_lazy_read_equals_eager_read(self):
-        v1 = RcfReader(V1_FIXTURE)
-        v2 = RcfReader(fixture_as_v2())
-        assert v2.header_parse_count == 0
-        assert_tables_equal(v1.read(), v2.read())
+        # A reader whose every header was parsed up front answers as a
+        # fresh one that parses them as the read reaches them.
+        eager = RcfReader(fixture_as_v2())
+        for g in range(eager.num_row_groups):
+            eager.group_stats(g)
+        assert eager.header_parse_count == eager.num_row_groups == 4
+        lazy = RcfReader(fixture_as_v2())
+        assert lazy.header_parse_count == 0
+        assert_tables_equal(lazy.read(), fixture_table())
+        lazy = RcfReader(fixture_as_v2())
         pred = Col("power") > 560.0
-        assert_tables_equal(v1.read(predicate=pred), v2.read(predicate=pred))
-        assert v1.scan_stats(pred) == v2.scan_stats(pred)
+        assert_tables_equal(eager.read(predicate=pred), lazy.read(predicate=pred))
+        assert [pred.might_match(eager.group_stats(g)) for g in range(4)] == [
+            pred.might_match(lazy.group_stats(g)) for g in range(4)
+        ]
+        assert lazy.header_parse_count == 4
 
 
 class TestDictRef:
@@ -177,20 +149,31 @@ class TestDictRef:
         assert_tables_equal(r.read(), t)
 
     def test_back_reference_shrinks_the_file(self):
-        v1 = RcfReader(V1_FIXTURE)  # every group carries its vocabulary
-        v2 = RcfReader(fixture_as_v2())
+        whole = RcfReader(fixture_as_v2())
+        # One file per group: every group carries its vocabulary.
+        alone = [
+            RcfReader(
+                write_table(
+                    fixture_table().slice(g * 64, (g + 1) * 64),
+                    codec="high",
+                    row_group_size=64,
+                )
+            )
+            for g in range(4)
+        ]
 
-        def host_bytes(r):
+        def host_bytes(readers):
             return sum(
                 r._group(g).chunks["host"].payload_len
+                for r in readers
                 for g in range(r.num_row_groups)
             )
 
-        assert [v2.group_encoding(g, "host") for g in range(4)] == [
+        assert [whole.group_encoding(g, "host") for g in range(4)] == [
             DICTIONARY, DICT_REF, DICT_REF, DICT_REF
         ]  # fmt: skip
-        assert host_bytes(v2) < host_bytes(v1)
-        assert len(v2.buffer) < len(v1.buffer)
+        assert all(r.group_encoding(0, "host") == DICTIONARY for r in alone)
+        assert host_bytes([whole]) < host_bytes(alone)
 
     def test_vocab_change_resets_the_donor(self):
         """A group with a different vocabulary becomes the new donor;
@@ -375,15 +358,12 @@ class TestWriterStreamingAppend:
         assert RcfWriter("high", 64).append_encoded(reader, 0) == 0
         assert RcfWriter("high", 32).append_encoded(reader, 99) == 0  # other group size
         assert RcfWriter("fast", 64).append_encoded(reader, 99) == 0  # other codec
-        v1 = RcfReader(V1_FIXTURE)  # 3 full groups, but no group index
-        assert RcfWriter("high", 64).append_encoded(v1, 99) == 0
         started = RcfWriter("high", 64)
         started.append(whole.slice(0, 64))
         with pytest.raises(ValueError):
             started.append_encoded(reader, 1)
 
     def test_empty_file_round_trips(self):
-        for buf in (V1_EMPTY, RcfWriter().finish()):
-            r = RcfReader(buf)
-            assert r.num_row_groups == 0
-            assert r.num_rows == 0
+        r = RcfReader(RcfWriter().finish())
+        assert r.num_row_groups == 0
+        assert r.num_rows == 0

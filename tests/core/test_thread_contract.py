@@ -111,7 +111,7 @@ def test_row_group_cache_ledgers_add_up():
         for r in range(ROUNDS):
             for n in order(i, len(keys)):
                 key = keys[n]
-                arr = rg_cache.cached_column(
+                arr, _hit = rg_cache.load_column(
                     *key, lambda key=key: np.full(64, value[key])
                 )
                 assert arr.shape == (64,) and arr[0] == value[key]

@@ -1,8 +1,12 @@
 """Exporters: span trees, JSONL round-trips, the self-telemetry loop."""
 
+import io
 import json
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
     METRICS,
@@ -15,6 +19,20 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.obs.metrics import MetricsRegistry
+
+
+#: Lines a dump may hold after damage that are not JSON objects.
+TORN_LINES = [b"\xff\xfe{}", b"12", b'"span"', b"[1, 2]", b"null", b"{\"kind\": \xff}"]
+
+
+def _as_object(line):
+    """The JSON object ``line`` holds, else None (the spec a reader of
+    dumps keeps: anything else is a torn line)."""
+    try:
+        value = json.loads(line.decode("utf-8"))
+    except ValueError:
+        return None
+    return value if isinstance(value, dict) else None
 
 
 def _small_trace(tracer):
@@ -185,6 +203,54 @@ class TestTornLines:
             assert read_jsonl(path) == whole
         after = METRICS.counter("obs.trace_lines_skipped")
         assert after == before + 1
+
+    def test_undecodable_and_non_object_lines_are_torn(self, tmp_path):
+        # Each used to cost the whole dump: a 0xff byte raised
+        # UnicodeDecodeError, and ``12`` came back as an int that the
+        # report then called ``.get`` on.
+        from repro.obs import TraceCorruptWarning
+        from repro.obs.__main__ import report
+
+        path = self.make_dump(tmp_path)
+        whole = read_jsonl(path)
+        lines = path.read_bytes().splitlines()
+        for at, junk in enumerate(TORN_LINES):
+            lines.insert(2 * at, junk)
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        before = METRICS.counter("obs.trace_lines_skipped")
+        with pytest.warns(TraceCorruptWarning):
+            assert read_jsonl(path) == whole
+        assert METRICS.counter("obs.trace_lines_skipped") == before + len(TORN_LINES)
+        with pytest.warns(TraceCorruptWarning):
+            assert report(path, "text", depth=6, out=io.StringIO()) == 0
+
+    @settings(deadline=None)
+    @given(
+        junk=st.lists(
+            st.tuples(
+                st.integers(0, 50),
+                st.one_of(
+                    st.sampled_from(TORN_LINES + [b'{"kind": "other"}']),
+                    st.binary(max_size=24).filter(lambda b: b"\n" not in b),
+                ),
+            ),
+            max_size=6,
+        )
+    )
+    def test_any_inserted_line_costs_at_most_itself(self, tmp_path_factory, junk):
+        path = self.make_dump(tmp_path_factory.mktemp("torn"))
+        lines = path.read_bytes().splitlines()
+        for at, line in junk:
+            lines.insert(at, line)
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        want = [r for r in map(_as_object, lines) if r is not None]
+        torn = sum(1 for line in lines if line.strip() and _as_object(line) is None)
+        before = METRICS.counter("obs.trace_lines_skipped")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert read_jsonl(path) == want
+        assert METRICS.counter("obs.trace_lines_skipped") - before == torn
+        assert len(caught) == torn
 
     def test_clean_dump_round_trips_without_warning(self, tmp_path):
         import warnings

@@ -1,8 +1,12 @@
 """Unit tests for the checkpoint store."""
 
+import json
 import os
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import METRICS
 from repro.pipeline import (
@@ -148,3 +152,107 @@ class TestCorruptQuarantine:
         cp = CheckpointStore(path)
         assert cp.last_corruption is None
         assert cp.last_batch_id("q") == 0
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"q": 5},
+            {"q": {"batch_id": "x", "offsets": {"a": 1}, "state": {}}},
+            {"q": {"batch_id": 0, "offsets": {"a": 1}, "state": {}}},
+            {"q": {"batch_id": 0, "offsets": {"0": "1"}, "state": {}}},
+            {"q": {"batch_id": True, "offsets": {}, "state": {}}},
+            {"q": {"batch_id": 0, "offsets": [], "state": {}}},
+            {"q": {"batch_id": 0, "offsets": {}, "state": []}},
+            {"q": {"batch_id": 0, "offsets": {}}},
+        ],
+    )
+    def test_malformed_entry_quarantined(self, tmp_path, payload):
+        # Valid JSON whose entries have the wrong shape used to load and
+        # fail later, untyped, in last_batch_id or offsets.
+        path = str(tmp_path / "cp")
+        os.makedirs(path)
+        file = os.path.join(path, "checkpoints.json")
+        ok = {"batch_id": 3, "offsets": {"0": 7}, "state": {"wm": 1.0}}
+        with open(file, "w", encoding="utf-8") as fh:
+            json.dump({"good": ok, **payload}, fh)
+        with pytest.warns(CheckpointCorruptWarning):
+            cp = CheckpointStore(path)
+        assert cp.queries() == []
+        assert os.path.exists(file + ".corrupt-0")
+        assert "malformed entry for query 'q'" in cp.last_corruption.reason
+
+
+def _written(tmp_path_factory, text: str) -> str:
+    path = str(tmp_path_factory.mktemp("cp"))
+    with open(os.path.join(path, "checkpoints.json"), "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
+def _clean_file(tmp_path_factory) -> str:
+    path = str(tmp_path_factory.mktemp("clean"))
+    cp = CheckpointStore(path)
+    cp.commit("a", 0, {0: 10, 3: 5}, {"wm": 9.5})
+    cp.commit("a", 1, {0: 12, 3: 6}, {"wm": 10.5})
+    cp.commit("b", 0, {1: 2})
+    with open(os.path.join(path, "checkpoints.json"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _assert_loaded_or_quarantined(cp: CheckpointStore) -> None:
+    """A store either starts empty from a quarantined file or answers
+    every accessor with the types commit wrote."""
+    if cp.last_corruption is not None:
+        assert cp.queries() == []
+        return
+    for q in cp.queries():
+        assert isinstance(cp.last_batch_id(q), int)
+        assert all(
+            isinstance(k, int) and isinstance(v, int)
+            for k, v in cp.offsets(q).items()
+        )
+        assert isinstance(cp.state(q), dict)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_every_prefix_loads_whole_or_quarantined(tmp_path_factory, data):
+    text = _clean_file(tmp_path_factory)
+    cut = data.draw(st.integers(0, len(text)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CheckpointCorruptWarning)
+        cp = CheckpointStore(_written(tmp_path_factory, text[:cut]))
+    assert (cp.last_corruption is None) == (cut == len(text))
+    _assert_loaded_or_quarantined(cp)
+    if cut == len(text):
+        assert cp.offsets("a") == {0: 12, 3: 6} and cp.last_batch_id("b") == 0
+
+
+@settings(deadline=None)
+@given(
+    query=st.sampled_from(["a", "b", "new"]),
+    field=st.sampled_from([None, "batch_id", "offsets", "state"]),
+    value=json_values,
+)
+def test_any_mangled_entry_loads_typed_or_quarantined(
+    tmp_path_factory, query, field, value
+):
+    loaded = json.loads(_clean_file(tmp_path_factory))
+    if field is None:
+        loaded[query] = value
+    else:
+        loaded.setdefault(query, {"batch_id": 0, "offsets": {}, "state": {}})
+        loaded[query][field] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CheckpointCorruptWarning)
+        cp = CheckpointStore(_written(tmp_path_factory, json.dumps(loaded)))
+    _assert_loaded_or_quarantined(cp)

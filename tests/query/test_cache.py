@@ -22,6 +22,14 @@ def counter(name):
     return METRICS.counter(name)
 
 
+def cached_column(token, group, name, loader):
+    """:func:`load_column`'s array, a hit counted as a scan counts it."""
+    arr, hit = qcache.load_column(token, group, name, loader)
+    if hit:
+        METRICS.inc("query.cache_hits")
+    return arr
+
+
 ROW = 8 * 10  # bytes of one ten-float array: budgets below are in rows
 
 
@@ -29,7 +37,7 @@ def ask(token, group, n=10):
     """Ask for one ten-float chunk; True on a hit.  The byte budget is
     an invariant: checked after every call."""
     calls = []
-    qcache.cached_column(
+    cached_column(
         token, group, "x", lambda: (calls.append(1), np.arange(float(n)))[1]
     )
     stats = qcache.row_group_cache_stats()
@@ -65,8 +73,8 @@ class TestHitMiss:
 
         misses0 = counter("query.cache_misses")
         hits0 = counter("query.cache_hits")
-        a = qcache.cached_column("tok", 0, "x", loader)
-        b = qcache.cached_column("tok", 0, "x", loader)
+        a = cached_column("tok", 0, "x", loader)
+        b = cached_column("tok", 0, "x", loader)
         assert len(calls) == 1
         assert a is b
         assert counter("query.cache_misses") - misses0 == 1
@@ -75,13 +83,13 @@ class TestHitMiss:
     def test_distinct_keys_decode_separately(self):
         calls = []
         loader = lambda: (calls.append(1), np.arange(4.0))[1]
-        qcache.cached_column("tok", 0, "x", loader)
-        qcache.cached_column("tok", 1, "x", loader)
-        qcache.cached_column("tok2", 0, "x", loader)
+        cached_column("tok", 0, "x", loader)
+        cached_column("tok", 1, "x", loader)
+        cached_column("tok2", 0, "x", loader)
         assert len(calls) == 3
 
     def test_cached_arrays_are_read_only(self):
-        arr = qcache.cached_column("tok", 0, "x", lambda: np.arange(4.0))
+        arr = cached_column("tok", 0, "x", lambda: np.arange(4.0))
         with pytest.raises(ValueError):
             arr[0] = 99.0
 
@@ -91,26 +99,26 @@ class TestBounds:
         qcache.set_row_group_cache_limit(3 * 8 * 10)  # three 10-float arrays
         ev0 = counter("query.cache_evictions")
         for g in range(3):
-            qcache.cached_column("tok", g, "x", lambda: np.arange(10.0))
+            cached_column("tok", g, "x", lambda: np.arange(10.0))
         for g in (3, 4):
             # Asked for more often than the once-seen LRU victim: a
             # once-seen newcomer would tie with it and be rejected.
             for _ in range(3):
-                qcache.cached_column("tok", g, "x", lambda: np.arange(10.0))
+                cached_column("tok", g, "x", lambda: np.arange(10.0))
         stats = qcache.row_group_cache_stats()
         assert stats["bytes"] <= stats["max_bytes"]
         assert stats["entries"] <= 3
         assert counter("query.cache_evictions") - ev0 >= 2
         # Oldest group evicted, newest retained.
         calls = []
-        qcache.cached_column(
+        cached_column(
             "tok", 4, "x", lambda: (calls.append(1), np.arange(10.0))[1]
         )
         assert not calls
 
     def test_shrinking_limit_evicts(self):
         for g in range(4):
-            qcache.cached_column("tok", g, "x", lambda: np.arange(10.0))
+            cached_column("tok", g, "x", lambda: np.arange(10.0))
         qcache.set_row_group_cache_limit(8 * 10)
         assert qcache.row_group_cache_stats()["entries"] <= 1
 
@@ -132,14 +140,14 @@ class TestBounds:
     def test_string_columns_weigh_their_distinct_objects(self):
         # Regression: object arrays were charged nbytes, 8 B a row.
         unique = np.array([f"node-{i:04d}-message" for i in range(50)], dtype=object)
-        qcache.cached_column("u", 0, "msg", lambda: unique)
+        cached_column("u", 0, "msg", lambda: unique)
         want = unique.nbytes + sum(sys.getsizeof(x) for x in unique.tolist())
         assert qcache.row_group_cache_stats()["bytes"] == want
         # A dictionary-decoded chunk shares one str per vocabulary
         # entry (and one None): each is counted once.
         vocab = np.array(["ok", "warn", "critical-thermal", None], dtype=object)
         shared = vocab[np.arange(5000) % 4]
-        qcache.cached_column("d", 0, "sev", lambda: shared)
+        cached_column("d", 0, "sev", lambda: shared)
         want += shared.nbytes + sum(sys.getsizeof(x) for x in vocab.tolist())
         assert qcache.row_group_cache_stats()["bytes"] == want
         assert_bookkeeping_consistent()
@@ -147,16 +155,16 @@ class TestBounds:
         # fit here, pointers + strings do not.
         qcache.clear_row_group_cache()
         qcache.set_row_group_cache_limit(unique.nbytes + 100)
-        rejected = deltas(lambda: qcache.cached_column("u", 0, "msg", lambda: unique))
+        rejected = deltas(lambda: cached_column("u", 0, "msg", lambda: unique))
         assert rejected["rejected"] == 1
         assert qcache.row_group_cache_stats()["entries"] == 0
 
 
 class TestInvalidation:
     def test_invalidate_token_drops_only_that_part(self):
-        qcache.cached_column("a", 0, "x", lambda: np.arange(4.0))
-        qcache.cached_column("a", 1, "x", lambda: np.arange(4.0))
-        qcache.cached_column("b", 0, "x", lambda: np.arange(4.0))
+        cached_column("a", 0, "x", lambda: np.arange(4.0))
+        cached_column("a", 1, "x", lambda: np.arange(4.0))
+        cached_column("b", 0, "x", lambda: np.arange(4.0))
         assert qcache.invalidate_token("a") == 2
         stats = qcache.row_group_cache_stats()
         assert stats["entries"] == 1
@@ -164,7 +172,7 @@ class TestInvalidation:
 
     def test_invalidate_unknown_token_noop(self):
         assert qcache.invalidate_token("nope") == 0
-        qcache.cached_column("a", 0, "x", lambda: np.arange(4.0))
+        cached_column("a", 0, "x", lambda: np.arange(4.0))
         before = qcache.row_group_cache_stats()
         assert qcache.invalidate_token("nope") == 0
         assert qcache.row_group_cache_stats() == before
@@ -183,12 +191,12 @@ class TestInvalidation:
 
         qcache.set_row_group_cache_limit(4 * 8 * 10)  # four 10-float arrays
         for g in range(3):
-            qcache.cached_column("old", g, "x", lambda: np.arange(10.0))
+            cached_column("old", g, "x", lambda: np.arange(10.0))
         for g in range(3):
             # The third ask outranks the once-seen "old" victim (a tie
             # would keep the resident).
             for _ in range(3):
-                qcache.cached_column("new", g, "x", lambda: np.arange(10.0))
+                cached_column("new", g, "x", lambda: np.arange(10.0))
         assert_index_mirrors_cache()  # "old" groups 0 and 1 were evicted
         assert qcache.invalidate_token("old") == 1
         assert_index_mirrors_cache()
@@ -202,7 +210,7 @@ class TestInvalidation:
         # A token evicted to nothing is gone from the index, and caching
         # under it again starts a fresh bucket.
         assert qcache.invalidate_token("old") == 0
-        qcache.cached_column("old", 0, "x", lambda: np.arange(10.0))
+        cached_column("old", 0, "x", lambda: np.arange(10.0))
         assert qcache.invalidate_token("old") == 1
 
 

@@ -9,6 +9,7 @@ every owning decode compaction, retention and the reference oracle use
 """
 
 import gc
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from repro.columnar import ColumnTable, write_table
 from repro.columnar.file_format import RcfReader
 from repro.columnar.predicate import Compare, Not, Or
 from repro.query import cache as qcache
-from repro.query.scan import scan_part
+from repro.query.scan import fold_time_predicate, gather_part
 from repro.storage import DataClass, TieredStore, TierPolicy
 
 ROWS_PER_GROUP = 32
@@ -58,6 +59,16 @@ def mixed_table(n=128, seed=0):
             ),  # DICTIONARY, then DICT_REF
         }
     )
+
+
+def scan(reader, t0, t1, predicate, columns):
+    """The rows of one part that survive, as the executor gathers them
+    (:func:`gather_part`); None when none does."""
+    pred = fold_time_predicate(predicate, "timestamp", t0, t1)
+    pieces = gather_part(reader, pred, columns, defaultdict(int))
+    if not pieces[0]:
+        return None
+    return ColumnTable.concat_columns(dict(zip(columns, pieces)))
 
 
 @pytest.fixture
@@ -107,7 +118,6 @@ def test_only_raw_fixed_width_plain_chunks_get_a_view(reader):
 
 
 def test_raw_chunks_never_enter_the_cache(reader, monkeypatch):
-    blob = reader.buffer
     views = []
     raw_view = RcfReader.raw_view
 
@@ -119,18 +129,18 @@ def test_raw_chunks_never_enter_the_cache(reader, monkeypatch):
 
     monkeypatch.setattr(RcfReader, "raw_view", counted)
     raw = ["f", "i16", "i32"]
-    out = scan_part(blob, "timestamp", None, None, None, raw, reader=reader)
+    out = scan(reader, None, None, None, raw)
     assert out.num_rows == reader.num_rows
     assert qcache.row_group_cache_stats()["entries"] == 0
     assert sorted(views) == sorted(raw * reader.num_row_groups)
     # A predicate on a raw column is judged on the view, not a decode.
     pred = Compare("f", ">", 100.0) & Compare("b", "==", 1)
-    scan_part(blob, "timestamp", None, None, pred, ["i16"], reader=reader)
+    scan(reader, None, None, pred, ["i16"])
     assert qcache.row_group_cache_stats()["entries"] == 0
     # Compressed PLAIN, RLE, DELTA and dictionary chunks still cache.
     for n in ("zf", "node", "timestamp", "dnum", "proj"):
         before = qcache.row_group_cache_stats()["entries"]
-        scan_part(blob, "timestamp", None, None, None, [n], reader=reader)
+        scan(reader, None, None, None, [n])
         assert (
             qcache.row_group_cache_stats()["entries"] - before
             == reader.num_row_groups
@@ -155,17 +165,10 @@ def test_views_answer_exactly_as_the_decoded_path(
     reader, monkeypatch, predicate, window
 ):
     t0, t1 = window
-    blob = reader.buffer
-
-    def scan():
-        return scan_part(
-            blob, "timestamp", t0, t1, predicate, PROJECTED, reader=reader
-        )
-
-    in_place = scan()
+    in_place = scan(reader, t0, t1, predicate, PROJECTED)
     monkeypatch.setattr(RcfReader, "raw_view", lambda self, g, n: None)
     qcache.clear_row_group_cache()
-    decoded = scan()
+    decoded = scan(reader, t0, t1, predicate, PROJECTED)
     assert (in_place is None) == (decoded is None)
     if in_place is None:
         return
@@ -203,19 +206,16 @@ def test_result_outlives_its_retired_part():
     assert ts.query_archive("d") == table  # opens the part's handle
     (part,) = ts._live_parts("d")
     reader = part.reader
-    held = scan_part(
-        reader.buffer, "timestamp", 0.0, 32.0, None, ["value"], reader=reader
-    )
-    assert np.shares_memory(
-        held["value"], np.frombuffer(reader.buffer, dtype=np.uint8)
-    )
+    pred = fold_time_predicate(None, "timestamp", 0.0, 32.0)
+    ((held,),) = gather_part(reader, pred, ["value"], defaultdict(int))
+    assert np.shares_memory(held, np.frombuffer(reader.buffer, dtype=np.uint8))
     want = table["value"][:32].copy()
     ts._retire(part)
     del part, reader
     gc.collect()
     assert ts._live_parts("d") == ()
     assert ts.query_archive("d").num_rows == 0
-    assert np.array_equal(held["value"], want)
+    assert np.array_equal(held, want)
 
 
 def test_owning_decodes_stay_aligned_copies(reader):

@@ -5,7 +5,7 @@ Between compactions a dataset grows a tail of small one-group parts;
 group's rows and scans each run's live members once, over the run's
 concatenated columns.  A hypothesis property over generated ingest
 histories — pruned members inside a run, members whose dtypes differ
-(which splits the run), string columns with nulls, NaN timestamps,
+(which sends the run part by part), string columns with nulls, NaN timestamps,
 open windows and projections — holds every answer byte for byte to the
 decode-everything oracle and to the same store scanned part by part,
 and the lineage read edges to the parts the planner did not prune.
@@ -107,7 +107,7 @@ PREDICATES = [
 ]
 PROJECTIONS = [None, ["value"], ["name", "timestamp"], ["tag", "node", "value"]]
 
-#: Mostly the same dtypes batch to batch, so most runs outlive a split.
+#: Mostly the same dtypes batch to batch, so most runs are not mixed.
 rarely = st.sampled_from([False] * 7 + [True])
 histories = st.lists(
     st.tuples(
@@ -172,19 +172,31 @@ def ingest_tail(ts, n_parts, rows=4, start=0):
         ts.ingest("d", batch(i * 10.0, rows, i), now=float(i))
 
 
-def test_dtype_change_splits_the_run():
+def test_dtype_change_scans_the_run_part_by_part():
     ts = build_store()
     for i, str_tag in enumerate([False, False, True, True]):
         ts.ingest("d", batch(i * 10.0, 4, i, str_tag=str_tag), now=float(i))
     (run,) = [r for _, r in ts._parts.listing(ts.ocean, "d").runs(ROW_GROUP)]
     everything, scanned = runs_scanned(lambda: ts.query_archive("d"))
-    # The run ended before the first str member: two runs of two.
-    assert [(first, sub.size) for first, sub in run.split] == [(0, 2), (2, 2)]
-    assert scanned == 2
+    # The members disagree on ``tag``: the run is mixed, its members are
+    # scanned as parts, and the columns its build cached before ``tag``
+    # are released with its ask counts.
+    assert run.mixed
+    assert scanned == 0
+    assert all(key[0] != run.token for key in qcache._cache)
+    assert run.token not in qcache._asked
+    assert run.token not in qcache._run_members
     # Promoted by the plan's one concatenation: every tag a str.
     assert {type(x) for x in everything["tag"].tolist()} == {str}
     with baseline_mode():
         assert_same(everything, ts.query_archive("d"))
+    # Asked again, the run is not built again: its members' chunks are
+    # all cached by now, so nothing is decoded.
+    misses = METRICS.counter("query.cache_misses")
+    again, scanned = runs_scanned(lambda: ts.query_archive("d"))
+    assert scanned == 0 and run.token not in qcache._asked
+    assert METRICS.counter("query.cache_misses") == misses
+    assert_same(again, everything)
 
 
 def test_pruned_members_inside_a_run_are_read_from_its_cache():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.columnar import Col, ColumnTable, write_table
-from repro.columnar.file_format import RcfReader, RcfWriter, read_table
+from repro.columnar.file_format import RcfReader, read_table
 from repro.columnar.predicate import Compare, IsIn, Not, Or
 from repro.query import (
     ScanOptions,
@@ -220,16 +220,10 @@ def with_x(rng, n, kind):
 
 
 def typed_part(rng, kind):
-    """The blob of one part with ``x`` of dtype ``kind``; ``"int+float"``
-    appends an int64 table and then a float64 one, so the part's row
-    groups disagree on ``x``'s dtype.  Row groups of 32 rows: a part of
-    up to 32 rows is one group, a larger one several."""
+    """The blob of one part with ``x`` of dtype ``kind``.  Row groups of
+    32 rows: a part of up to 32 rows is one group, a larger one several
+    (all of one dtype: the writer refuses a dtype change)."""
     n = int(rng.choice([8, 32, 90]))
-    if kind == "int+float":
-        writer = RcfWriter(row_group_size=32)
-        writer.append(with_x(rng, n, "int"))
-        writer.append(with_x(rng, n, "float"))
-        return writer.finish()
     return write_table(with_x(rng, n, kind), row_group_size=32)
 
 
@@ -269,16 +263,13 @@ def assert_identical(a, b):
 def test_parts_of_mixed_dtypes_promote_as_part_then_plan(seed):
     # The executor gathers every part's surviving slices per column and
     # concatenates once per plan.  Parts that disagree on a column's
-    # dtype (int64 vs float64, int vs nullable strings, a part whose own
-    # groups disagree), single- and multi-group parts mixed, must still
-    # answer what promoting each part's surviving groups and then the
-    # plan's parts answers, byte for byte.  The reference decodes whole
-    # parts, so it promotes a part's groups before filtering them: it
-    # agrees wherever a part's groups agree on their dtypes.
+    # dtype (int64 vs float64, int vs nullable strings), single- and
+    # multi-group parts mixed, must still answer what promoting each
+    # part's surviving groups and then the plan's parts answers, byte
+    # for byte — and what the reference, which decodes whole parts,
+    # answers.
     rng = np.random.default_rng([seed, 7])
-    kinds = [
-        ["int", "float", "str", "int+float"][i] for i in rng.integers(0, 4, 4)
-    ]
+    kinds = [["int", "float", "str"][i] for i in rng.integers(0, 3, 4)]
     blobs = [typed_part(rng, kind) for kind in kinds]
     tables = [read_table(b) for b in blobs]
     for _ in range(4):
@@ -299,8 +290,7 @@ def test_parts_of_mixed_dtypes_promote_as_part_then_plan(seed):
             assert out.num_rows == want.num_rows
             if want.num_rows:
                 assert_identical(out, want)
-            if "int+float" not in kinds:
-                assert_identical(out, reference)
+            assert_identical(out, reference)
         # The result owns its arrays: no column is a view of a part's
         # bytes or of a cached row group, even for one surviving group.
         cached = list(qcache._cache.values())
