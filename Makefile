@@ -60,7 +60,7 @@ lifecycle:
 # manifests parsed once per part record, the part read handles (opened
 # once, valid for their bytes, dropped on delete) with their pinned work
 # counters, and
-# LAKE segment coalescing against its piece-list oracle — see
+# the LAKE open segment against its piece-list oracle — see
 # DESIGN.md §11.
 read-plane:
 	$(PYTHON) -m pytest -x -q tests/columnar/test_rcf_v2.py \
@@ -75,14 +75,19 @@ read-plane:
 
 # Byte-surface properties at a larger example count: RCF blobs cut
 # short or with footer fields overwritten, trace JSONL dumps with
-# inserted junk lines, and torn or mangled checkpoints.json files, each
-# a typed error (or a quarantine, or a skipped line) or the right
-# answer.  Tier-1 runs the same properties at hypothesis's default
-# count; the fuzz profile is registered in tests/conftest.py.
+# inserted junk lines, torn or mangled checkpoints.json files and
+# lineage catalog dumps, each a typed error (or a quarantine, or a
+# skipped line) or the right answer; and random LAKE ingest/query/drop
+# histories against the piece-list oracle, every published table
+# unchanged.  Tier-1 runs the same properties at their own smaller
+# counts; the fuzz profile is registered in tests/conftest.py.
 fuzz:
 	$(PYTHON) -m pytest -x -q --hypothesis-profile fuzz \
 		tests/columnar/test_rcf_format_errors.py \
-		tests/obs/test_exporters.py tests/pipeline/test_checkpoint.py
+		tests/obs/test_exporters.py tests/pipeline/test_checkpoint.py \
+		tests/lineage/test_catalog.py \
+		tests/storage/test_lake.py::test_random_histories_match_the_piece_list_oracle \
+		tests/storage/test_lake.py::test_open_segment_histories_keep_every_snapshot
 
 # Serving suite: request fingerprints, payload digests (pinned hex and
 # a property against the spec algorithm), admission, the result cache,

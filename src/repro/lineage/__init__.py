@@ -25,7 +25,12 @@ which owns the manifest knowledge).
 """
 
 from repro.lineage.blast import blast_radius
-from repro.lineage.catalog import EDGE_KINDS, FLOW_EDGE_KINDS, LineageCatalog
+from repro.lineage.catalog import (
+    EDGE_KINDS,
+    FLOW_EDGE_KINDS,
+    LineageCatalog,
+    LineageFormatError,
+)
 from repro.lineage.ids import (
     batch_id,
     envelope_id,
@@ -38,6 +43,7 @@ from repro.lineage.ids import (
 
 __all__ = [
     "LineageCatalog",
+    "LineageFormatError",
     "EDGE_KINDS",
     "FLOW_EDGE_KINDS",
     "blast_radius",

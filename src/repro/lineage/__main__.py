@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 
-from repro.lineage.catalog import LineageCatalog
+from repro.lineage.catalog import LineageCatalog, LineageFormatError
 
 __all__ = ["main"]
 
@@ -123,7 +123,11 @@ def main(argv: list[str] | None = None, out=None) -> int:
     )
     p_impact.add_argument("--format", choices=("text", "json"), default="text")
     args = parser.parse_args(argv)
-    catalog = LineageCatalog.read_json(args.catalog)
+    try:
+        catalog = LineageCatalog.read_json(args.catalog)
+    except (OSError, LineageFormatError) as exc:
+        sys.stderr.write(f"{exc}\n")
+        return 1
     if args.command == "report":
         return _cmd_report(catalog, args, out)
     return _cmd_impact(catalog, args, out)

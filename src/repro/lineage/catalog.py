@@ -36,7 +36,7 @@ from typing import Iterable
 
 from repro.lineage.ids import node_id
 
-__all__ = ["LineageCatalog", "EDGE_KINDS", "FLOW_EDGE_KINDS"]
+__all__ = ["LineageCatalog", "LineageFormatError", "EDGE_KINDS", "FLOW_EDGE_KINDS"]
 
 #: Edge vocabulary.  ``derived`` is produced-by/derived-from (data
 #: flowed from src into dst), ``read`` is a consumption by a query or
@@ -48,6 +48,54 @@ EDGE_KINDS = frozenset({"derived", "read", "supersedes"})
 #: about *liveness*, not data flow — a rewrite's data flow is its own
 #: ``derived`` edges — so impact queries skip it.
 FLOW_EDGE_KINDS = frozenset({"derived", "read"})
+
+#: A node's fields as :meth:`LineageCatalog.record` writes them, with
+#: the JSON type each must have in a dump.
+_NODE_FIELDS = {
+    "id": str,
+    "kind": str,
+    "coords": list,
+    "attrs": dict,
+    "span": str,
+    "retired": bool,
+    "advisories": list,
+}
+
+
+class LineageFormatError(ValueError):
+    """A catalog dump that :meth:`LineageCatalog.export` could not have
+    written: torn or not JSON, not an object, or a node or an edge of
+    the wrong shape."""
+
+
+def _check_node(node: object) -> None:
+    if not isinstance(node, dict):
+        raise LineageFormatError(f"lineage node is not an object: {node!r}")
+    for field, kind in _NODE_FIELDS.items():
+        if not isinstance(node.get(field), kind):
+            raise LineageFormatError(
+                f"lineage node {node.get('id')!r}: {field!r} is not a "
+                f"{kind.__name__}"
+            )
+    if not all(isinstance(c, str) for c in node["coords"]):
+        raise LineageFormatError(f"lineage node {node['id']!r}: 'coords' not strings")
+    if not all(isinstance(a, dict) for a in node["advisories"]):
+        raise LineageFormatError(
+            f"lineage node {node['id']!r}: 'advisories' not objects"
+        )
+
+
+def _check_edge(edge: object) -> None:
+    if not (
+        isinstance(edge, list)
+        and len(edge) == 3
+        and all(isinstance(x, str) for x in edge)
+        and edge[2] in EDGE_KINDS
+    ):
+        raise LineageFormatError(
+            f"lineage edge is not [src, dst, kind] with kind in "
+            f"{sorted(EDGE_KINDS)}: {edge!r}"
+        )
 
 
 def _span_id() -> str:
@@ -318,17 +366,43 @@ class LineageCatalog:
     @classmethod
     def load(cls, exported: dict) -> "LineageCatalog":
         """Rebuild a catalog from :meth:`export` output (the CLI's
-        entry point for offline impact queries)."""
+        entry point for offline impact queries).
+
+        Raises :class:`LineageFormatError` for anything ``export`` does
+        not write: a non-object, ``nodes`` or ``edges`` not a list, a
+        node missing a field or holding one of the wrong type, two
+        nodes with one ID, or an edge that is not ``[src, dst, kind]``
+        of strings with ``kind`` in :data:`EDGE_KINDS`.
+        """
+        if not isinstance(exported, dict):
+            raise LineageFormatError(
+                f"lineage export is not an object: {type(exported).__name__}"
+            )
+        nodes, edges = exported.get("nodes", []), exported.get("edges", [])
+        if not isinstance(nodes, list) or not isinstance(edges, list):
+            raise LineageFormatError("lineage export's nodes and edges must be lists")
         cat = cls()
         with cat._lock:
-            for node in exported.get("nodes", ()):
+            for node in nodes:
+                _check_node(node)
+                if node["id"] in cat._nodes:
+                    raise LineageFormatError(f"lineage node {node['id']!r} twice")
                 cat._nodes[node["id"]] = json.loads(json.dumps(node))
-            for src, dst, kind in exported.get("edges", ()):
+            for edge in edges:
+                _check_edge(edge)
+                src, dst, kind = edge
                 cat._add_edges_locked((src,), dst, kind)
         return cat
 
     @classmethod
     def read_json(cls, path) -> "LineageCatalog":
-        """Load a catalog dumped by :meth:`write_json`."""
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.load(json.load(fh))
+        """Load a catalog dumped by :meth:`write_json`; a file that is
+        not one (torn, not JSON, not UTF-8) raises
+        :class:`LineageFormatError`."""
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            exported = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise LineageFormatError(f"{path}: not a lineage dump: {exc}") from exc
+        return cls.load(exported)

@@ -16,7 +16,9 @@ list per column, and each column is concatenated once at the end
 and recorded once.  The result owns its arrays — one fresh copy, even
 of a single whole row group — and is never a view of the row-group
 cache or of a part's bytes; only :func:`repro.query.scan.gather_part`'s
-pieces may hold views.
+pieces may hold views.  A LAKE plan's segment scans gather by index
+into fresh arrays already, so one segment's rows are returned as they
+are.
 
 :func:`execute_plan_reference` is the oracle: every unit is scanned —
 pruned flags ignored — by fully decoding the data and applying the
@@ -93,19 +95,52 @@ def execute_plan(
 
 def _execute_plan_impl(plan: ScanPlan) -> ColumnTable:
     tally: defaultdict[str, int] = defaultdict(int)
-    names: list[str] | None = None
-    gathered: list[list[np.ndarray]] = []
     try:
-        for cols, pieces in _scanned(plan, tally):
-            if names is None:
-                names, gathered = cols, pieces
-            elif cols != names:
-                raise ValueError(f"schema mismatch: {cols} != {names}")
-            else:
-                for into, more in zip(gathered, pieces):
-                    into.extend(more)
+        if plan.source == "lake":
+            return _execute_segments(plan, tally)
+        return _execute_parts(plan, tally)
     finally:
         record_tally(tally)
+
+
+def _execute_segments(plan: ScanPlan, tally: defaultdict) -> ColumnTable:
+    """A LAKE plan: each live segment's surviving rows, gathered by
+    index into arrays of their own — so one segment's rows are the
+    result as they are, and several are concatenated once."""
+    found = []
+    for unit in plan.units:
+        if unit.pruned:
+            tally["query.segments_pruned"] += 1
+            continue
+        tally["query.segments_scanned"] += 1
+        piece = scan_segment(
+            unit.table,
+            plan.time_column,
+            plan.t0,
+            plan.t1,
+            plan.predicate,
+            plan.columns,
+            unit.row_lo,
+            unit.row_hi,
+        )
+        if piece is not None:
+            found.append(piece)
+    if not found:
+        return _empty_result(plan)
+    return found[0] if len(found) == 1 else ColumnTable.concat(found)
+
+
+def _execute_parts(plan: ScanPlan, tally: defaultdict) -> ColumnTable:
+    names: list[str] | None = None
+    gathered: list[list[np.ndarray]] = []
+    for cols, pieces in _scanned(plan, tally):
+        if names is None:
+            names, gathered = cols, pieces
+        elif cols != names:
+            raise ValueError(f"schema mismatch: {cols} != {names}")
+        else:
+            for into, more in zip(gathered, pieces):
+                into.extend(more)
     if names is None:
         return _empty_result(plan)
     return ColumnTable.concat_columns(dict(zip(names, gathered)))
@@ -115,8 +150,8 @@ Pieces = tuple[list[str], list[list[np.ndarray]]]
 
 
 def _scanned(plan: ScanPlan, tally: defaultdict) -> Iterator[Pieces]:
-    """Each projected column's surviving slices, per live segment, part
-    or run that has any, in plan order."""
+    """Each projected column's surviving slices, per live part or run
+    that has any, in plan order."""
     units = plan.units
     runs = dict(plan.runs)
     i = 0
@@ -128,25 +163,7 @@ def _scanned(plan: ScanPlan, tally: defaultdict) -> Iterator[Pieces]:
             continue
         unit = units[i]
         i += 1
-        if isinstance(unit, SegmentUnit):
-            if unit.pruned:
-                tally["query.segments_pruned"] += 1
-                continue
-            tally["query.segments_scanned"] += 1
-            piece = scan_segment(
-                unit.table,
-                plan.time_column,
-                plan.t0,
-                plan.t1,
-                plan.predicate,
-                plan.columns,
-                unit.row_lo,
-                unit.row_hi,
-            )
-            if piece is not None:
-                cols = piece.column_names
-                yield cols, [[piece[n]] for n in cols]
-        elif not unit.pruned:
+        if not unit.pruned:
             yield from _scan_part(plan, unit, tally)
 
 

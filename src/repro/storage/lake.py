@@ -8,11 +8,13 @@ inside a segment), then apply predicates and projections.  This pruning
 is what gives dashboards their sub-second interactivity even as data
 accumulates.
 
-Every ``ingest`` call adds one *piece*.  Like Druid compacting its small
-real-time segments, ``ingest`` coalesces adjacent same-schema pieces
-into few large segments by a size-tiered rule (DESIGN.md §11, "LAKE
-segments"), so a query pays its per-segment toll O(log N) times, not N.
-The piece stays the unit of ordering, retention and time pruning.
+Every ``ingest`` call adds one *piece*.  Like Druid's incremental index,
+each table has one *open* segment whose column arrays keep spare
+capacity: a piece is copied in past the fill mark and a new immutable
+snapshot of the filled rows is published (DESIGN.md §11, "LAKE
+segments"), so a table under :data:`SEGMENT_ROW_CEILING` rows is one
+segment and a query pays the per-segment toll once.  The piece stays
+the unit of ordering, retention and time pruning.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from repro.query import ScanOptions, execute_plan, plan_segments
 
 __all__ = ["TimeSeriesLake"]
 
-#: Coalescing never grows a segment past this many rows: it bounds what
-#: one merge copies and what a retention-sliced segment keeps alive.
+#: An open segment is sealed rather than grown past this many rows: it
+#: bounds what one regrowth copies and what a retention-sliced segment
+#: keeps alive.
 SEGMENT_ROW_CEILING = 1 << 16
 
 
@@ -50,26 +53,25 @@ class _Segment:
         t_mins: list[float],
         t_maxes: list[float],
         ends: list[int],
+        run_maxes: list[float] | None = None,
     ) -> None:
         self.table = table
         self.t_mins = t_mins
         self.t_maxes = t_maxes
-        self.run_maxes = list(accumulate(t_maxes, max))
+        self.run_maxes = (
+            run_maxes if run_maxes is not None else list(accumulate(t_maxes, max))
+        )
         self.ends = ends
 
-    @classmethod
-    def merged(cls, run: list["_Segment"]) -> "_Segment":
-        """One segment holding the pieces of adjacent segments ``run``."""
-        t_mins, t_maxes, ends, offset = [], [], [], 0
-        for seg in run:
-            t_mins += seg.t_mins
-            t_maxes += seg.t_maxes
-            ends += [offset + end for end in seg.ends]
-            offset += seg.table.num_rows
-        METRICS.inc("lake.pieces_merged", len(ends))
-        METRICS.inc("lake.rows_copied", offset)
-        return cls(
-            ColumnTable.concat([seg.table for seg in run]), t_mins, t_maxes, ends
+    def extended(self, table: ColumnTable, t_min: float, t_max: float) -> "_Segment":
+        """A snapshot over ``table`` — this segment's rows and then one
+        more piece's — with that piece added to the index."""
+        return _Segment(
+            table,
+            self.t_mins + [t_min],
+            self.t_maxes + [t_max],
+            self.ends + [table.num_rows],
+            self.run_maxes + [max(self.run_maxes[-1], t_max)],
         )
 
     def split_kept(self, keep: list[bool]) -> list["_Segment"]:
@@ -92,6 +94,53 @@ class _Segment:
         return out
 
 
+class _OpenSegment:
+    """A table's append buffer: one array per column, rows
+    ``[start, fill)`` live and capacity to spare past ``fill``.
+
+    A row is written once, past the fill mark, and never again, so every
+    snapshot published over ``[start, fill)`` stays as it was.  When a
+    piece does not fit past the fill mark, the live rows move to fresh
+    arrays of doubled capacity, at most :data:`SEGMENT_ROW_CEILING` rows
+    (``ingest`` seals the segment rather than pass it).
+    """
+
+    __slots__ = ("buffer", "start", "fill")
+
+    def __init__(self, columns: dict[str, np.ndarray], capacity: int) -> None:
+        self.buffer = ColumnTable._derived(
+            {n: np.empty(capacity, c.dtype) for n, c in columns.items()}
+        )
+        self.start = self.fill = 0
+
+    def dtypes(self) -> list[np.dtype]:
+        return [a.dtype for a in self.buffer.columns().values()]
+
+    def append(self, columns: dict[str, np.ndarray], rows: int) -> ColumnTable:
+        """Copy a piece in past the fill mark; returns the live rows
+        as views of the buffer."""
+        live = self.fill - self.start
+        capacity = self.buffer.num_rows
+        if self.fill + rows > capacity:
+            while capacity < live + rows:
+                capacity *= 2
+            capacity = min(capacity, SEGMENT_ROW_CEILING)
+            old = self.buffer
+            self.buffer = ColumnTable._derived(
+                {n: np.empty(capacity, c.dtype) for n, c in old.columns().items()}
+            )
+            for n, a in self.buffer.columns().items():
+                a[:live] = old[n][self.start : self.fill]
+            self.start, self.fill = 0, live
+            METRICS.inc("lake.rows_copied", live)
+        end = self.fill + rows
+        for n, a in self.buffer.columns().items():
+            a[self.fill : end] = columns[n]
+        self.fill = end
+        METRICS.inc("lake.rows_copied", rows)
+        return self.buffer.slice(self.start, end)
+
+
 class TimeSeriesLake:
     """Multi-table, time-segmented in-memory store.
 
@@ -107,6 +156,9 @@ class TimeSeriesLake:
         self.time_column = time_column
         self.scan_options = scan_options or ScanOptions()
         self._tables: dict[str, list[_Segment]] = {}
+        #: Table -> its open segment, whose latest snapshot is the last
+        #: segment in the table's list.
+        self._open: dict[str, _OpenSegment] = {}
         self.queries = 0
         self.segments_scanned = 0
         self.segments_pruned = 0
@@ -118,13 +170,12 @@ class TimeSeriesLake:
         streaming pipeline guarantees this; out-of-order data is handled
         upstream by the watermark) and with the table's column names.
 
-        The tail of the segment list is then coalesced: while the
-        segment before the run being merged holds no more rows than the
-        run, has the same dtypes and the total stays under
-        :data:`SEGMENT_ROW_CEILING`, it joins the run.  N equal pieces
-        therefore leave at most log2(N)+1 segments and copy each row
-        O(log N) times.  The new list replaces the old in one
-        assignment, so a concurrent ``query`` sees either.
+        The piece is copied into the table's open segment, which then
+        publishes a snapshot with the piece added.  A piece that would
+        take the open segment past :data:`SEGMENT_ROW_CEILING` rows, or
+        whose column dtypes differ from its, seals it and opens a new
+        one.  The new segment list replaces the old in one assignment,
+        so a concurrent ``query`` sees either.
         """
         if table.num_rows == 0:
             return
@@ -147,23 +198,21 @@ class TimeSeriesLake:
                 f"segment starts at {t_min} before previous segment "
                 f"start {segments[-1].t_mins[-1]}; ingest in time order"
             )
-        dtypes = [col.dtype for col in table.columns().values()]
+        columns = table.columns()
         rows = table.num_rows
-        first = len(segments)
-        while first:
-            before = segments[first - 1].table
-            if (
-                before.num_rows > rows
-                or before.num_rows + rows > SEGMENT_ROW_CEILING
-                or [col.dtype for col in before.columns().values()] != dtypes
-            ):
-                break
-            rows += before.num_rows
-            first -= 1
-        piece = _Segment(table, [t_min], [t_max], [table.num_rows])
-        if first < len(segments):
-            piece = _Segment.merged(segments[first:] + [piece])
-        self._tables[table_name] = segments[:first] + [piece]
+        open_seg = self._open.get(table_name)
+        if (
+            open_seg is None
+            or open_seg.fill - open_seg.start + rows > SEGMENT_ROW_CEILING
+            or open_seg.dtypes() != [c.dtype for c in columns.values()]
+        ):
+            open_seg = self._open[table_name] = _OpenSegment(columns, rows)
+            view = open_seg.append(columns, rows)
+            segments = segments + [_Segment(view, [t_min], [t_max], [rows])]
+        else:
+            view = open_seg.append(columns, rows)
+            segments = segments[:-1] + [segments[-1].extended(view, t_min, t_max)]
+        self._tables[table_name] = segments
 
     # -- introspection ----------------------------------------------------------
 
@@ -172,7 +221,8 @@ class TimeSeriesLake:
         return sorted(self._tables)
 
     def segment_count(self, table_name: str) -> int:
-        """Number of coalesced segments in a table (0 if unknown)."""
+        """Number of segments in a table, the open one included (0 if
+        unknown)."""
         return len(self._tables.get(table_name, []))
 
     def piece_count(self, table_name: str) -> int:
@@ -250,21 +300,32 @@ class TimeSeriesLake:
 
         Partial overlaps are retained whole (piece granularity, like
         Druid's segments), so retention is conservative.  Rows leave a
-        coalesced segment by slicing, not copying.
+        segment by slicing, not copying.  The open segment stays open
+        from its first row after the last dropped piece, if its own
+        last piece is kept; otherwise it is sealed.
         """
+        segments = self._tables.get(table_name, [])
         kept: list[_Segment] = []
         dropped = 0
-        for seg in self._tables.get(table_name, []):
+        for seg in segments:
             keep = [t_max >= horizon for t_max in seg.t_maxes]
             if all(keep):
                 kept.append(seg)
             else:
                 dropped += keep.count(False)
                 kept += seg.split_kept(keep)
-        if dropped:
-            self._tables[table_name] = kept
+        if not dropped:
+            return 0
+        open_seg = self._open.get(table_name)
+        if open_seg is not None:
+            if segments[-1].t_maxes[-1] >= horizon:
+                open_seg.start = open_seg.fill - kept[-1].table.num_rows
+            else:
+                del self._open[table_name]
+        self._tables[table_name] = kept
         return dropped
 
     def drop_table(self, table_name: str) -> None:
         """Remove a table entirely (missing tables are a no-op)."""
         self._tables.pop(table_name, None)
+        self._open.pop(table_name, None)

@@ -8,14 +8,18 @@ retention retirement, advisories propagate downstream, and the export
 is canonical — same graph, same bytes, regardless of insertion order.
 """
 
+import copy
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.lineage import (
     FLOW_EDGE_KINDS,
     LineageCatalog,
+    LineageFormatError,
     batch_id,
     blast_radius,
     node_id,
@@ -212,6 +216,164 @@ class TestExport:
         assert back.live_parts() == cat.live_parts()
 
 
+def small_catalog() -> LineageCatalog:
+    """Every node field and edge kind: three parts (one superseded, one
+    retired, one live), a batch, a query result with an advisory."""
+    cat = LineageCatalog()
+    b = cat.record("batch", ("d", 30.0), attrs={"dataset": "d"}, span="s1")
+    p0 = cat.record("part", ("oda", "d/p0"), attrs={"dataset": "d", "key": "d/p0"}, span="")
+    p1 = cat.record("part", ("oda", "d/p1"), attrs={"dataset": "d", "key": "d/p1"}, span="")
+    p2 = cat.record("part", ("oda", "d/p2"), attrs={"dataset": "d", "key": "d/p2"}, span="")
+    q = cat.record("query_result", ("archive", "d", 1, ""), span="")
+    cat.link(b, p0)
+    cat.link(b, p2)
+    cat.supersede(p1, [p0])
+    cat.link(p1, q, "read")
+    cat.retire(p1)
+    cat.attach_advisory(q, {"role": "steward", "verdict": "ok"})
+    return cat
+
+
+def canonical(exported: dict) -> dict:
+    """What :meth:`LineageCatalog.export` gives for a dump it accepts:
+    nodes by ID, edges sorted and distinct."""
+    return {
+        "nodes": sorted(exported.get("nodes", []), key=lambda n: n["id"]),
+        "edges": [list(e) for e in sorted({tuple(e) for e in exported.get("edges", [])})],
+    }
+
+
+class TestLoadFormat:
+    """A dump ``export`` could not have written is a LineageFormatError."""
+
+    def write(self, tmp_path, text):
+        path = tmp_path / "catalog.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        return path
+
+    @pytest.mark.parametrize(
+        "exported",
+        [
+            [],
+            "catalog",
+            None,
+            {"nodes": [1]},
+            {"nodes": {}},
+            {"edges": "a"},
+            {"nodes": [{"id": 5}]},
+            {"edges": [["a", "b", "bogus"]]},
+            {"edges": [["a", "b"]]},
+            {"edges": [["a", 1, "read"]]},
+            {"edges": [("a", "b", "read")]},
+        ],
+        ids=repr,
+    )
+    def test_malformed_export_raises_typed(self, exported):
+        with pytest.raises(LineageFormatError):
+            LineageCatalog.load(exported)
+
+    def test_every_node_field_is_checked(self):
+        node = small_catalog().export()["nodes"][0]
+        for field in node:
+            for bad in (None, 5, [5]):
+                mangled = dict(node, **{field: bad})
+                with pytest.raises(LineageFormatError, match=repr(field)):
+                    LineageCatalog.load({"nodes": [mangled]})
+            missing = {k: v for k, v in node.items() if k != field}
+            with pytest.raises(LineageFormatError):
+                LineageCatalog.load({"nodes": [missing]})
+
+    def test_duplicate_node_id_raises(self):
+        node = small_catalog().export()["nodes"][0]
+        with pytest.raises(LineageFormatError, match="twice"):
+            LineageCatalog.load({"nodes": [node, node]})
+
+    def test_torn_or_undecodable_file_raises_typed(self, tmp_path):
+        text = small_catalog().export_json()
+        for bad in (text[:-1], "", b"\xff{}", "[]"):
+            with pytest.raises(LineageFormatError):
+                LineageCatalog.read_json(self.write(tmp_path, bad))
+
+    def test_an_empty_export_is_an_empty_catalog(self):
+        for exported in ({}, {"nodes": [], "edges": []}):
+            assert LineageCatalog.load(exported).export() == {"nodes": [], "edges": []}
+
+
+TEXT = small_catalog().export_json()
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["", "derived", "read", "supersedes", "part", "d/p0"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "key", "dataset", "role"]), inner, max_size=3),
+    max_leaves=6,
+)
+# Mostly values of a field's own JSON type but the wrong content: an
+# unknown edge kind, coords or advisories of the wrong element type.
+MANGLED = st.one_of(
+    JSON_VALUES,
+    st.sampled_from(["bogus", "Read", "node"]),
+    st.lists(st.integers(0, 3) | st.text(max_size=2), min_size=1, max_size=2),
+)
+
+
+@settings(deadline=None)
+@given(cut=st.integers(0, len(TEXT)))
+def test_every_prefix_loads_typed_or_whole(tmp_path_factory, cut):
+    path = tmp_path_factory.mktemp("lineage") / "catalog.json"
+    path.write_text(TEXT[:cut], encoding="utf-8")
+    try:
+        cat = LineageCatalog.read_json(path)
+    except LineageFormatError:
+        assert cut < len(TEXT)
+        return
+    assert cat.export_json() == TEXT
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_any_mangled_field_loads_typed_or_as_written(data):
+    exported = copy.deepcopy(json.loads(TEXT))
+    where = data.draw(st.sampled_from(["top", "node", "node field", "edge", "edge field"]))
+    value = data.draw(MANGLED)
+    if where == "top":
+        exported[data.draw(st.sampled_from(["nodes", "edges"]))] = value
+    elif where.startswith("node"):
+        i = data.draw(st.integers(0, len(exported["nodes"]) - 1))
+        if where == "node":
+            exported["nodes"][i] = value
+        else:
+            field = data.draw(st.sampled_from(sorted(exported["nodes"][i])))
+            if data.draw(st.booleans()):
+                exported["nodes"][i][field] = value
+            else:
+                del exported["nodes"][i][field]
+    else:
+        i = data.draw(st.integers(0, len(exported["edges"]) - 1))
+        if where == "edge":
+            exported["edges"][i] = value
+        else:
+            exported["edges"][i][data.draw(st.integers(0, 2))] = value
+    try:
+        cat = LineageCatalog.load(json.loads(json.dumps(exported)))
+    except LineageFormatError:
+        return
+    assert cat.export() == canonical(exported)
+    # What was accepted is a catalog the recording API could have made
+    # — every edge one that link() takes — and answers its queries.
+    for edge in cat.edges():
+        LineageCatalog().link(*edge)
+    cat.live_parts()
+    cat.live_parts("d")
+    for node in cat.nodes():
+        cat.downstream(node["id"])
+        cat.upstream(node["id"])
+        cat.advisories(node["id"])
+    blast_radius(cat, corrupted_keys=["d/p0"])
+
+
 class TestBlastRadiusUnit:
     def test_clean_report_when_nothing_corrupted(self):
         cat = LineageCatalog()
@@ -276,6 +438,15 @@ class TestCLI:
         )
         assert rc == 0
         assert json.loads(out.getvalue())["closure"] == {"part": [p]}
+
+    def test_damaged_or_missing_dump_fails_cleanly(self, tmp_path, capsys):
+        path, _, _ = self.dump(tmp_path)
+        with open(path, "r+", encoding="utf-8") as fh:
+            fh.truncate(10)
+        for target in (path, str(tmp_path / "absent.json")):
+            assert lineage_main(["report", target], out=io.StringIO()) == 1
+        err = capsys.readouterr().err
+        assert "not a lineage dump" in err and "absent.json" in err
 
     def test_impact_unknown_node_fails_cleanly(self, tmp_path):
         path, _, _ = self.dump(tmp_path)

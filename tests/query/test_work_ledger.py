@@ -7,10 +7,10 @@ dataset), then answers one panel-style round of archive, online and
 rollup queries.  The work counters that are a pure function of (seed, shape)
 — parts scanned, pruned and opened, row groups decoded, pruned and
 found empty, runs of small parts scanned as one group, dictionary
-pushdowns, row-group cache hits and misses, lineage nodes and edges,
-and on the write side the bytes hashed by part opens, what compaction
-merged, rewrote and spliced, and what LAKE coalescing merged and copied
-— are pinned in ``work_ledger.json``.
+pushdowns, row-group cache hits and misses, LAKE rows scanned, lineage
+nodes and edges, and on the write side the bytes hashed by part opens,
+what compaction merged, rewrote and spliced, and the rows LAKE appends
+and regrowths copied — are pinned in ``work_ledger.json``.
 
 A change that only makes the read path cheaper passes this unchanged;
 one that changes how much work a query does shows it in its diff of the
@@ -51,8 +51,8 @@ COUNTERS = (
     "tier.compact.bytes_rewritten",
     "tier.compact.groups_spliced",
     "tier.compact.rows_spliced",
-    "lake.pieces_merged",
     "lake.rows_copied",
+    "lake.rows_scanned",
 )
 
 

@@ -111,11 +111,12 @@ class TestQuery:
             lake.query("power", columns=["value", "nope"])
 
     def test_segment_pruning_counted(self):
-        # A larger piece followed by a smaller one never coalesces, so
-        # the table keeps two segments and the first can be pruned.
+        # A dtype change seals the open segment, so the table keeps two
+        # segments and the first can be pruned.
         lk = TimeSeriesLake()
         lk.ingest("power", segment(0.0, n=10))
-        lk.ingest("power", segment(30.0, n=5))
+        later = segment(30.0, n=5)
+        lk.ingest("power", later.with_column("node", later["node"] * 0.5))
         assert lk.segment_count("power") == 2
         before = lk.segments_pruned
         lk.query("power", 32.0, 33.0)
@@ -250,21 +251,46 @@ class TestCoalescingWork:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 45, 64, 100, 240])
     def test_equal_pieces_leave_logarithmic_segments(self, n):
+        # Under the ceiling every piece lands in the one open segment.
+        # Its capacity doubles from one piece's rows, and each regrowth
+        # copies the rows it holds: 1 + 2 + ... pieces up to the power
+        # of two below n.  Right after a regrowth that is almost 2 rows
+        # per row on top of the append, so 3x bounds the copying; over
+        # a segment that fills its capacity it is under 2x.
         METRICS.reset()
         lk = windows(n)
         levels = math.ceil(math.log2(n)) if n > 1 else 0
         assert lk.piece_count("t") == n
-        assert lk.segment_count("t") == bin(n).count("1") <= levels + 1
-        assert METRICS.counter("lake.rows_copied") <= n * 64 * levels
+        assert lk.segment_count("t") == 1 <= levels + 1
+        copied = METRICS.counter("lake.rows_copied")
+        assert copied == 64 * (n + 2**levels - 1)
+        assert copied < 3 * n * 64
+        if n == 2**levels:
+            assert copied < 2 * n * 64
 
     def test_pinned_counts_at_the_bench_shape(self):
-        # 45 windows of 64 rows: 45 = 32 + 8 + 4 + 1.
+        # 45 windows of 64 rows: one segment; 2,880 rows appended and
+        # 1 + 2 + 4 + 8 + 16 + 32 = 63 pieces' rows moved by regrowths.
         METRICS.reset()
         lk = windows(45)
-        assert lk.segment_count("t") == 4
-        assert METRICS.counter("lake.pieces_merged") == 118
-        assert METRICS.counter("lake.rows_copied") == 118 * 64
-        assert METRICS.counter("lake.rows_copied") <= 6 * lk.row_count("t")
+        assert lk.segment_count("t") == 1
+        assert METRICS.counter("lake.rows_copied") == 45 * 64 + 63 * 64 == 6912
+        assert METRICS.counter("lake.rows_copied") <= 2.4 * lk.row_count("t")
+
+    @pytest.mark.parametrize("n", [1, 4, 5, 16, 45, 64])
+    @pytest.mark.parametrize("per_segment", [4, 16])
+    def test_equal_pieces_leave_one_segment_per_ceiling(self, n, per_segment):
+        # A segment seals when the next piece would pass the ceiling, so
+        # N equal pieces leave ceil(rows / ceiling) segments, and every
+        # sealed segment copied its rows under twice.
+        ceiling = per_segment * 64
+        METRICS.reset()
+        with mock.patch.object(lake_module, "SEGMENT_ROW_CEILING", ceiling):
+            lk = windows(n)
+        assert lk.segment_count("t") == math.ceil(n * 64 / ceiling)
+        assert lk.row_count("t") == n * 64
+        if n % per_segment == 0:
+            assert METRICS.counter("lake.rows_copied") < 2 * n * 64
 
     @pytest.mark.parametrize("k", [1, 4])
     def test_rows_scanned_follow_the_window_not_the_table(self, k):
@@ -285,10 +311,14 @@ class TestCoalescingWork:
             lk = windows(16)
         assert lk.segment_count("t") == 4
         assert lk.row_count("t") == 16 * 64
-        # Past the patch the four full segments could pair up, but only
-        # the tail is ever reconsidered: one more piece joins nothing.
+        # Past the patch the four full segments could pair up, but a
+        # sealed segment is never reopened: one more piece joins the
+        # open one, and the sealed three are the same objects.
+        sealed = lk._tables["t"][:3]
         windows(1, lake=lk, first=16)
-        assert lk.segment_count("t") == 5
+        assert lk.segment_count("t") == 4
+        assert lk._tables["t"][:3] == sealed
+        assert lk.piece_count("t") == 17
 
     def test_retention_counts_match_uncoalesced_pieces(self):
         lk = windows(45)
@@ -299,6 +329,94 @@ class TestCoalescingWork:
             assert lk.drop_before("t", horizon) == expected
             assert lk.piece_count("t") == len(t_maxes)
             assert lk.row_count("t") == 64 * len(t_maxes)
+
+
+def frozen(table):
+    """Each column's bytes (numeric) or values (strings), by name."""
+    return {
+        n: a.tolist() if a.dtype == object else (a.dtype, a.tobytes())
+        for n, a in table.columns().items()
+    }
+
+
+class TestOpenSegment:
+    """Published rows never change, whatever the open segment does next."""
+
+    def tagged(self, w, rows=64, dtype=float):
+        return ColumnTable(
+            {
+                "timestamp": w * 15.0 + np.arange(rows) * (15.0 / rows),
+                "v": np.full(rows, w).astype(dtype),
+                "tag": [f"w{w}"] * rows,
+            }
+        )
+
+    def history(self, lk):
+        """Ingests that regrow the open segment, slice its front by
+        retention and then append past the slice, flip a dtype, and run
+        into the ceiling — with the segment snapshots and query results
+        taken after each step, and what they held at the time."""
+        taken = []
+
+        def take():
+            for seg in lk._tables["t"]:
+                taken.append((seg.table, frozen(seg.table)))
+            for out in (lk.query("t"), lk.query("t", 30.0, 75.0, columns=["v", "tag"])):
+                taken.append((out, frozen(out)))
+
+        for w in range(5):  # capacities 64, 128, 256, 512 rows
+            lk.ingest("t", self.tagged(w))
+            take()
+        lk.drop_before("t", 30.0)  # pieces 0 and 1 leave the front
+        take()
+        for w in range(5, 9):  # past the slice to 512, then a regrowth
+            lk.ingest("t", self.tagged(w))
+            take()
+        for w in range(9, 18):  # dtype flip seals; piece 17 passes 8 x 64
+            lk.ingest("t", self.tagged(w, dtype=np.int64))
+            take()
+        return taken
+
+    def test_snapshots_and_results_never_change(self):
+        lk = TimeSeriesLake()
+        with mock.patch.object(lake_module, "SEGMENT_ROW_CEILING", 8 * 64):
+            taken = self.history(lk)
+        for table, then in taken:
+            assert frozen(table) == then
+
+    def test_the_history_hits_every_open_segment_event(self):
+        lk = TimeSeriesLake()
+        METRICS.reset()
+        with mock.patch.object(lake_module, "SEGMENT_ROW_CEILING", 8 * 64):
+            self.history(lk)
+        # Pieces 2..8 stayed in the first open segment (the drop sliced
+        # 0 and 1 off its front), 9..16 fill the ceiling in the second,
+        # and 17 opens the third.
+        assert [len(s.ends) for s in lk._tables["t"]] == [7, 8, 1]
+        assert lk.piece_count("t") == 16
+        assert lk.row_count("t") == 16 * 64
+        # 18 pieces appended; regrowths moved 1 + 2 + 4 pieces, then the
+        # 6 live ones for piece 8 (same capacity: the sliced front is
+        # what made room), then 1 + 2 + 4 in the second segment.
+        assert METRICS.counter("lake.rows_copied") == (18 + 7 + 6 + 7) * 64
+
+    def test_a_query_result_aliases_no_segment(self):
+        lk = TimeSeriesLake()
+        for w in range(3):
+            lk.ingest("t", self.tagged(w))
+        held = list(lk._open["t"].buffer.columns().values())
+        for args in ((), (15.0, 30.0), (0.0, 45.0)):
+            out = lk.query("t", *args)
+            for a in out.columns().values():
+                assert not any(np.shares_memory(a, b) for b in held)
+
+    def test_nbytes_counts_rows_held_not_capacity(self):
+        lk = TimeSeriesLake()
+        for w in range(5):  # 320 rows in a 512-row open segment
+            lk.ingest("t", self.tagged(w))
+        assert lk.nbytes("t") == sum(self.tagged(w).nbytes for w in range(5))
+        lk.drop_before("t", 30.0)
+        assert lk.nbytes("t") == sum(self.tagged(w).nbytes for w in range(2, 5))
 
 
 # -- equivalence with a never-coalesced list of pieces ------------------------
@@ -337,13 +455,17 @@ COLUMNS = st.one_of(
     ),
 )
 QUERY = st.tuples(st.just("query"), BOUND, BOUND, PREDICATE, COLUMNS)
-# Mostly ingests and queries, so that queries meet several coalesced
-# segments; the occasional drop usually takes a prefix, not everything.
+# Mostly ingests and queries, so that queries meet several segments;
+# the occasional drop usually takes a prefix, not everything.  A
+# "recent" drop's horizon lies just past the k-th last piece's maximum
+# time, so it often slices the front off the open segment and keeps
+# its tail.
 OPS = st.lists(
     st.one_of(
         *[pieces()] * 4,
         *[QUERY] * 3,
         *[st.tuples(st.just("drop"), st.integers(-5, 120).map(float))] * 2,
+        *[st.tuples(st.just("recent drop"), st.integers(1, 8))] * 2,
     ),
     min_size=4,
     max_size=40,
@@ -411,10 +533,11 @@ def assert_identical(result, expected):
 
 
 @given(ops=OPS, ceiling=st.sampled_from([4, 16, 1 << 16]))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 def test_random_histories_match_the_piece_list_oracle(ops, ceiling):
     lk, oracle = TimeSeriesLake(), PieceListOracle()
     start, serial, dtype = 0, 0, np.int64
+    published = []  # every result and segment table, as it was then
     with mock.patch.object(lake_module, "SEGMENT_ROW_CEILING", ceiling):
         for op in ops:
             if op[0] == "ingest":
@@ -433,16 +556,60 @@ def test_random_histories_match_the_piece_list_oracle(ops, ceiling):
                     with pytest.raises(ValueError, match="time order"):
                         lk.ingest("t", table)
                     start -= advance
-            elif op[0] == "drop":
-                assert lk.drop_before("t", op[1]) == oracle.drop_before(op[1])
+            elif op[0].endswith("drop"):
+                horizon = op[1]
+                if op[0] == "recent drop":
+                    maxes = [p[1] for p in oracle.pieces] or [0.0]
+                    horizon = maxes[-min(op[1], len(maxes))] + 0.5
+                assert lk.drop_before("t", horizon) == oracle.drop_before(horizon)
             else:
                 expected = oracle.query(*op[1:])
-                assert_identical(lk.query("t", *op[1:]), expected)
+                result = lk.query("t", *op[1:])
+                assert_identical(result, expected)
                 with baseline_mode():
                     assert_identical(lk.query("t", *op[1:]), expected)
+                published.append((result, frozen(result)))
             tables = [p[2] for p in oracle.pieces]
             assert lk.piece_count("t") == len(tables)
             assert lk.segment_count("t") <= len(tables)
             assert lk.row_count("t") == sum(t.num_rows for t in tables)
             assert lk.nbytes("t") == sum(t.nbytes for t in tables)
             assert lk.time_bounds("t") == oracle.time_bounds()
+            published += [(g.table, frozen(g.table)) for g in lk._tables.get("t", [])]
+    for table, then in published:
+        assert frozen(table) == then
+
+
+@given(
+    steps=st.lists(
+        st.tuples(st.integers(1, 5), st.integers(0, 4)), min_size=1, max_size=60
+    )
+)
+@settings(deadline=None)
+def test_open_segment_histories_keep_every_snapshot(steps):
+    # One dtype and no ceiling in reach, so every piece lands in the one
+    # open segment; piece w spans [w, w + 1), and a step with back > 0
+    # then drops all but the last ``back`` pieces, slicing the open
+    # segment's front so that later appends regrow past the slice.
+    lk, oracle = TimeSeriesLake(), PieceListOracle()
+    published = []
+    for w, (rows, back) in enumerate(steps):
+        table = ColumnTable(
+            {
+                "timestamp": w + np.arange(rows) / rows,
+                "v": 10 * w + np.arange(rows),
+                "tag": [f"w{w}"] * rows,
+            }
+        )
+        assert oracle.ingest(table)
+        lk.ingest("t", table)
+        if back:
+            horizon = float(w - back + 1)
+            assert lk.drop_before("t", horizon) == oracle.drop_before(horizon)
+        assert lk.segment_count("t") == (1 if oracle.pieces else 0)
+        result = lk.query("t")
+        assert_identical(result, oracle.query(None, None, None, None))
+        published += [(result, frozen(result))]
+        published += [(g.table, frozen(g.table)) for g in lk._tables["t"]]
+    for table, then in published:
+        assert frozen(table) == then
