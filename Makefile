@@ -16,11 +16,15 @@ chaos:
 # one switch, repro.perf.baseline_mode(), and the two paths answer the
 # same bytes — framework windows (also with tracing and metrics off)
 # and archive queries, the switch's depth counter from overlapping
-# threads, batched vs. reference emission, the chunk memo, the
-# estimator, factorize and the row-group cache — see DESIGN.md §8.
+# threads, batched vs. reference emission (fixed and randomized windows,
+# split invariance, and each source's bytes pinned to committed
+# digests), the chunk memo, the estimator, factorize and the row-group
+# cache — see DESIGN.md §8.
 equivalence:
 	$(PYTHON) -m pytest -x -q tests/core/test_parallel_equivalence.py \
 		tests/core/test_race_fixes.py tests/telemetry/test_batch_emit.py \
+		tests/telemetry/test_emit_properties.py \
+		tests/telemetry/test_emit_pins.py \
 		tests/columnar/test_encoding_memo.py tests/pipeline/test_factorize.py \
 		tests/query/test_cache_equivalence.py
 

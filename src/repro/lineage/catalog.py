@@ -322,10 +322,13 @@ class LineageCatalog:
                     up_node = self._nodes.get(up)
                     if up_node is not None:
                         found.extend((up, a) for a in up_node["advisories"])
+            # Canonical JSON orders any two JSON-able advisories, whatever
+            # the types of their values.
             return [
                 dict(a, source=src)
                 for src, a in sorted(
-                    found, key=lambda pair: (pair[0], sorted(pair[1].items()))
+                    found,
+                    key=lambda pair: (pair[0], json.dumps(pair[1], sort_keys=True)),
                 )
             ]
 

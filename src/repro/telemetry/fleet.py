@@ -22,6 +22,7 @@ from repro.telemetry.machine import MachineConfig
 from repro.telemetry.perf import PerfCounterSource
 from repro.telemetry.power import PowerThermalSource
 from repro.telemetry.schema import EventBatch, ObservationBatch
+from repro.telemetry.sources import NodeSource
 from repro.telemetry.storage_io import StorageIOSource
 from repro.telemetry.syslog import SyslogSource
 
@@ -152,11 +153,12 @@ class FleetTelemetry:
     def extrapolated_bytes_per_day(self) -> dict[str, float]:
         """Observed per-stream volume scaled from the node subset to the
         full machine (plant streams are already machine-scale)."""
-        scale = self.machine.n_nodes / max(self.nodes.size, 1)
         out = {}
-        for name, vol in self._volumes.items():
-            factor = 1.0 if name == "facility" else scale
-            out[name] = vol.bytes_per_day * factor
+        for source in self._sources:
+            per_day = self._volumes[source.name].bytes_per_day
+            if isinstance(source, NodeSource):
+                per_day *= source.machine_scale
+            out[source.name] = per_day
         return out
 
     def nominal_fleet_bytes_per_day(self) -> dict[str, float]:

@@ -1,9 +1,10 @@
 """Batch assembly of grid-shaped telemetry into time-sorted batches.
 
-Every numeric source follows the same shape: each channel is computed on
-one ``(component x time)`` grid, a loss mask drops samples, and the
-channels are merged into one time-ordered long-format batch.  The
-reference implementations do this with one :class:`ObservationBatch` per
+Every numeric per-node source has the same shape, written once in
+:class:`~repro.telemetry.sources.NodeGridSource`: each channel is
+computed on one ``(component x time)`` grid, a loss mask drops samples,
+and the channels are merged into one time-ordered long-format batch.
+Its reference path does this with one :class:`ObservationBatch` per
 channel followed by a concat and a full stable ``argsort`` over the
 window — an O(n log n) sort re-deriving an order that is already implied
 by the grid.

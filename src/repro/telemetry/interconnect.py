@@ -14,20 +14,10 @@ import numpy as np
 
 from repro.telemetry.jobs import AllocationTable
 from repro.telemetry.machine import MachineConfig
-from repro.telemetry.schema import (
-    RAW_OBSERVATION_BYTES,
-    ObservationBatch,
-    SensorCatalog,
-    SensorSpec,
-)
-from repro.telemetry.grid import assemble_sorted_batch
-from repro.telemetry.sources import TelemetrySource
-from repro.telemetry.workloads import get_archetype
-from repro.util.noise import (
-    normal_from_index,
-    uniform_from_index,
-    uniform_from_index_tags,
-)
+from repro.telemetry.schema import SensorCatalog, SensorSpec
+from repro.telemetry.sources import NodeGridSource
+from repro.telemetry.workloads import archetype_lookup
+from repro.util.noise import normal_from_index
 
 __all__ = ["InterconnectSource"]
 
@@ -36,18 +26,12 @@ NIC_BPS = 25e9
 SAMPLE_PERIOD_S = 10.0
 
 
-def _net_lookup(allocation: AllocationTable) -> np.ndarray:
-    max_id = max((j.job_id for j in allocation.jobs), default=0)
-    table = np.zeros(max_id + 1)
-    for j in allocation.jobs:
-        table[j.job_id] = get_archetype(j.archetype).net_intensity
-    return table
-
-
-class InterconnectSource(TelemetrySource):
+class InterconnectSource(NodeGridSource):
     """Deterministic per-node fabric counter stream."""
 
     name = "interconnect"
+    loss_tag = 3000
+    sample_period_s = SAMPLE_PERIOD_S
 
     def __init__(
         self,
@@ -57,14 +41,8 @@ class InterconnectSource(TelemetrySource):
         nodes: np.ndarray | None = None,
         loss_rate: float = 0.005,
     ) -> None:
-        self.machine = machine
-        self.allocation = allocation
-        self.seed = int(seed)
-        self.loss_rate = float(loss_rate)
-        if nodes is None:
-            nodes = np.arange(machine.n_nodes, dtype=np.int32)
-        self.nodes = np.asarray(nodes, dtype=np.int32)
-        self._net = _net_lookup(allocation)
+        super().__init__(machine, allocation, seed, nodes, loss_rate)
+        self._net = archetype_lookup(allocation, "net_intensity")
         self._catalog = SensorCatalog(
             [
                 SensorSpec(
@@ -82,101 +60,17 @@ class InterconnectSource(TelemetrySource):
             ]
         )
 
-    @property
-    def catalog(self) -> SensorCatalog:
-        return self._catalog
-
-    def sample_times(self, t0: float, t1: float) -> np.ndarray:
-        p = SAMPLE_PERIOD_S
-        k0 = int(np.ceil(t0 / p - 1e-9))
-        k1 = int(np.ceil(t1 / p - 1e-9))
-        return np.arange(k0, k1, dtype=np.int64) * p
-
-    def _channel_grids(
-        self, times: np.ndarray
-    ) -> tuple[np.ndarray, list[tuple[str, np.ndarray]]]:
-        """(noise index, [(channel name, value grid), ...]) for a window."""
+    def _grids(
+        self, times: np.ndarray, idx: np.ndarray
+    ) -> dict[str, np.ndarray]:
         gpu_u, _, jid = self.allocation.utilization(self.nodes, times)
         net = np.where(jid >= 0, self._net[np.maximum(jid, 0)], 0.0)
         # Offered load tracks compute phase (communication and compute
         # interleave), with mild noise.
-        k = np.round(times / SAMPLE_PERIOD_S).astype(np.int64)
-        idx = (
-            self.nodes.astype(np.uint64)[:, None] * np.uint64(1 << 40)
-            + k.astype(np.uint64)[None, :]
-        )
         wobble = 1.0 + 0.15 * normal_from_index(self.seed, 70, idx)
         offered = np.clip(net * gpu_u * wobble, 0.0, 1.0)
         tx = offered * NIC_BPS
         rx = np.clip(offered * (1.0 + 0.1 * normal_from_index(self.seed, 71, idx)), 0, 1) * NIC_BPS
         # Congestion stalls grow super-linearly with offered load.
         stall = np.clip(offered**3 * 0.5, 0.0, 1.0)
-        return idx, [
-            ("nic_tx_bps", tx),
-            ("nic_rx_bps", rx),
-            ("nic_stall_frac", stall),
-        ]
-
-    def emit(self, t0: float, t1: float) -> ObservationBatch:
-        """Batched emission: one loss-mask pass over all channels, no sort."""
-        self._check_window(t0, t1)
-        times = self.sample_times(t0, t1)
-        if times.size == 0 or self.nodes.size == 0:
-            return ObservationBatch.empty()
-        idx, channels = self._channel_grids(times)
-        sids = np.array(
-            [self._catalog.id_of(name) for name, _ in channels], dtype=np.int64
-        )
-        values = np.stack([grid for _, grid in channels])
-        keep = (
-            uniform_from_index_tags(
-                self.seed, (3000 + sids).astype(np.uint64), idx
-            )
-            >= self.loss_rate
-        )
-        return assemble_sorted_batch(times, self.nodes, sids, values, keep)
-
-    def emit_reference(self, t0: float, t1: float) -> ObservationBatch:
-        self._check_window(t0, t1)
-        times = self.sample_times(t0, t1)
-        if times.size == 0 or self.nodes.size == 0:
-            return ObservationBatch.empty()
-        idx, channels = self._channel_grids(times)
-        (_, tx), (_, rx), (_, stall) = channels
-
-        ts_grid = np.broadcast_to(times[None, :], idx.shape)
-        node_grid = np.broadcast_to(self.nodes[:, None], idx.shape)
-        parts: list[ObservationBatch] = []
-        for sensor_name, grid in (
-            ("nic_tx_bps", tx),
-            ("nic_rx_bps", rx),
-            ("nic_stall_frac", stall),
-        ):
-            sid = self._catalog.id_of(sensor_name)
-            keep = uniform_from_index(self.seed, 3000 + sid, idx) >= self.loss_rate
-            n_keep = int(keep.sum())
-            if n_keep == 0:
-                continue
-            parts.append(
-                ObservationBatch(
-                    timestamps=ts_grid[keep],
-                    component_ids=node_grid[keep],
-                    sensor_ids=np.full(n_keep, sid, dtype=np.int16),
-                    values=grid[keep],
-                )
-            )
-        return ObservationBatch.concat(parts).sorted_by_time()
-
-    def nominal_bytes_per_day(self) -> float:
-        per_node = sum(
-            s.sample_rate_hz * (1.0 - s.loss_rate) for s in self._catalog
-        )
-        return per_node * self.nodes.size * RAW_OBSERVATION_BYTES * 86_400.0
-
-    def fleet_bytes_per_day(self) -> float:
-        """Raw volume/day extrapolated to the full machine."""
-        if self.nodes.size == 0:
-            return 0.0
-        return self.nominal_bytes_per_day() * (
-            self.machine.n_nodes / self.nodes.size
-        )
+        return {"nic_tx_bps": tx, "nic_rx_bps": rx, "nic_stall_frac": stall}

@@ -20,20 +20,9 @@ import numpy as np
 
 from repro.telemetry.jobs import AllocationTable
 from repro.telemetry.machine import MachineConfig
-from repro.telemetry.schema import (
-    RAW_OBSERVATION_BYTES,
-    ObservationBatch,
-    SensorCatalog,
-    SensorSpec,
-)
-from repro.telemetry.grid import assemble_sorted_batch
-from repro.telemetry.sources import TelemetrySource
-from repro.util.noise import (
-    normal_from_index,
-    normal_from_index_tags,
-    uniform_from_index,
-    uniform_from_index_tags,
-)
+from repro.telemetry.schema import SensorCatalog, SensorSpec
+from repro.telemetry.sources import NodeGridSource
+from repro.util.noise import normal_from_index, normal_from_index_tags
 
 __all__ = ["PerfCounterSource", "COUNTERS_PER_GPU"]
 
@@ -51,10 +40,12 @@ _COUNTER_NAMES = [
 ]
 
 
-class PerfCounterSource(TelemetrySource):
+class PerfCounterSource(NodeGridSource):
     """Deterministic per-GPU performance-counter stream."""
 
     name = "perf_counters"
+    loss_tag = 4000
+    sample_period_s = SAMPLE_PERIOD_S
 
     def __init__(
         self,
@@ -64,13 +55,7 @@ class PerfCounterSource(TelemetrySource):
         nodes: np.ndarray | None = None,
         loss_rate: float = 0.002,
     ) -> None:
-        self.machine = machine
-        self.allocation = allocation
-        self.seed = int(seed)
-        self.loss_rate = float(loss_rate)
-        if nodes is None:
-            nodes = np.arange(machine.n_nodes, dtype=np.int32)
-        self.nodes = np.asarray(nodes, dtype=np.int32)
+        super().__init__(machine, allocation, seed, nodes, loss_rate)
         specs = []
         for g in range(machine.gpus_per_node):
             for counter in _COUNTER_NAMES[:COUNTERS_PER_GPU]:
@@ -88,31 +73,25 @@ class PerfCounterSource(TelemetrySource):
         )
         self._scales = 10.0 ** (2.0 + 2.0 * np.abs(exponents))
 
-    @property
-    def catalog(self) -> SensorCatalog:
-        return self._catalog
-
-    def sample_times(self, t0: float, t1: float) -> np.ndarray:
-        k0 = int(np.ceil(t0 / SAMPLE_PERIOD_S - 1e-9))
-        k1 = int(np.ceil(t1 / SAMPLE_PERIOD_S - 1e-9))
-        return np.arange(k0, k1, dtype=np.int64) * SAMPLE_PERIOD_S
-
-    def _sample_index(self, times: np.ndarray) -> np.ndarray:
-        k = np.round(times / SAMPLE_PERIOD_S).astype(np.int64)
-        return (
-            self.nodes.astype(np.uint64)[:, None] * np.uint64(1 << 40)
-            + k.astype(np.uint64)[None, :]
-        )
-
-    def emit(self, t0: float, t1: float) -> ObservationBatch:
-        """Batched emission: all channels in one noise pass, no sort."""
-        self._check_window(t0, t1)
-        times = self.sample_times(t0, t1)
-        if times.size == 0 or self.nodes.size == 0:
-            return ObservationBatch.empty()
+    def _grids(
+        self, times: np.ndarray, idx: np.ndarray
+    ) -> dict[str, np.ndarray]:
         gpu_u, _, _ = self.allocation.utilization(self.nodes, times)
-        idx = self._sample_index(times)
+        # Counter value = scale * utilization * (1 + noise); the
+        # redundancy across channels is intentional (see module doc).
+        return {
+            name: self._scales[sid] * np.maximum(
+                gpu_u * (1.0 + 0.1 * normal_from_index(self.seed, 500 + sid, idx)),
+                0.0,
+            )
+            for sid, name in enumerate(self._catalog.names())
+        }
 
+    def _stacked(
+        self, times: np.ndarray, idx: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """All channels in one noise pass, skipping idle cells."""
+        gpu_u, _, _ = self.allocation.utilization(self.nodes, times)
         sids = np.arange(len(self._catalog), dtype=np.uint64)
         active = gpu_u > 0.0
         if active.all():
@@ -141,58 +120,4 @@ class PerfCounterSource(TelemetrySource):
                 np.maximum(cells, 0.0, out=cells)
                 cells *= self._scales[:, None]
                 values[:, active] = cells
-        keep = (
-            uniform_from_index_tags(self.seed, 4000 + sids, idx)
-            >= self.loss_rate
-        )
-        return assemble_sorted_batch(times, self.nodes, sids, values, keep)
-
-    def emit_reference(self, t0: float, t1: float) -> ObservationBatch:
-        self._check_window(t0, t1)
-        times = self.sample_times(t0, t1)
-        if times.size == 0 or self.nodes.size == 0:
-            return ObservationBatch.empty()
-        gpu_u, _, _ = self.allocation.utilization(self.nodes, times)
-
-        idx = self._sample_index(times)
-        ts_grid = np.broadcast_to(times[None, :], idx.shape)
-        node_grid = np.broadcast_to(self.nodes[:, None], idx.shape)
-
-        parts: list[ObservationBatch] = []
-        n_channels = len(self._catalog)
-        for sid in range(n_channels):
-            # Counter value = scale * utilization * (1 + noise); the
-            # redundancy across channels is intentional (see module doc).
-            noise = 0.1 * normal_from_index(
-                self.seed, 500 + sid, idx
-            )
-            values = self._scales[sid] * np.maximum(gpu_u * (1.0 + noise), 0.0)
-            keep = (
-                uniform_from_index(self.seed, 4000 + sid, idx) >= self.loss_rate
-            )
-            n_keep = int(keep.sum())
-            if n_keep == 0:
-                continue
-            parts.append(
-                ObservationBatch(
-                    timestamps=ts_grid[keep],
-                    component_ids=node_grid[keep],
-                    sensor_ids=np.full(n_keep, sid, dtype=np.int16),
-                    values=values[keep],
-                )
-            )
-        return ObservationBatch.concat(parts).sorted_by_time()
-
-    def nominal_bytes_per_day(self) -> float:
-        per_node = sum(
-            s.sample_rate_hz * (1.0 - s.loss_rate) for s in self._catalog
-        )
-        return per_node * self.nodes.size * RAW_OBSERVATION_BYTES * 86_400.0
-
-    def fleet_bytes_per_day(self) -> float:
-        """Raw volume/day extrapolated to the full machine."""
-        if self.nodes.size == 0:
-            return 0.0
-        return self.nominal_bytes_per_day() * (
-            self.machine.n_nodes / self.nodes.size
-        )
+        return sids, values

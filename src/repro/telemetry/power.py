@@ -27,20 +27,9 @@ import numpy as np
 
 from repro.telemetry.jobs import AllocationTable
 from repro.telemetry.machine import MachineConfig
-from repro.telemetry.schema import (
-    RAW_OBSERVATION_BYTES,
-    ObservationBatch,
-    SensorCatalog,
-    SensorSpec,
-)
-from repro.telemetry.grid import assemble_sorted_batch
-from repro.telemetry.sources import TelemetrySource
-from repro.util.noise import (
-    normal_from_index,
-    normal_from_index_tags,
-    uniform_from_index,
-    uniform_from_index_tags,
-)
+from repro.telemetry.schema import SensorCatalog, SensorSpec
+from repro.telemetry.sources import NodeGridSource
+from repro.util.noise import normal_from_index, normal_from_index_tags
 
 __all__ = ["PowerThermalSource"]
 
@@ -112,7 +101,7 @@ def _build_catalog(machine: MachineConfig, loss_rate: float) -> SensorCatalog:
     return SensorCatalog(specs)
 
 
-class PowerThermalSource(TelemetrySource):
+class PowerThermalSource(NodeGridSource):
     """Deterministic per-node power/thermal stream for a fleet subset.
 
     Parameters
@@ -132,6 +121,7 @@ class PowerThermalSource(TelemetrySource):
     """
 
     name = "power"
+    loss_tag = 1000
 
     def __init__(
         self,
@@ -141,18 +131,8 @@ class PowerThermalSource(TelemetrySource):
         nodes: np.ndarray | None = None,
         loss_rate: float = 0.01,
     ) -> None:
-        self.machine = machine
-        self.allocation = allocation
-        self.seed = int(seed)
-        self.loss_rate = float(loss_rate)
+        super().__init__(machine, allocation, seed, nodes, loss_rate)
         self._catalog = _build_catalog(machine, loss_rate)
-        if nodes is None:
-            nodes = np.arange(machine.n_nodes, dtype=np.int32)
-        self.nodes = np.asarray(nodes, dtype=np.int32)
-        if self.nodes.size and (
-            self.nodes.min() < 0 or self.nodes.max() >= machine.n_nodes
-        ):
-            raise ValueError("node subset out of range for machine")
         # Per-device manufacturing spread: stable per (node, device).
         node_u64 = self.nodes.astype(np.uint64)
         self._gpu_spread = 1.0 + 0.04 * normal_from_index(
@@ -171,15 +151,8 @@ class PowerThermalSource(TelemetrySource):
         ]
 
     @property
-    def catalog(self) -> SensorCatalog:
-        return self._catalog
-
-    def sample_times(self, t0: float, t1: float) -> np.ndarray:
-        """The absolute sample grid falling in ``[t0, t1)``."""
-        p = self.machine.power_sample_period_s
-        k0 = int(np.ceil(t0 / p - 1e-9))
-        k1 = int(np.ceil(t1 / p - 1e-9))
-        return np.arange(k0, k1, dtype=np.int64) * p
+    def sample_period_s(self) -> float:
+        return self.machine.power_sample_period_s
 
     def node_power_matrix(
         self, t0: float, t1: float
@@ -191,22 +164,16 @@ class PowerThermalSource(TelemetrySource):
         format.
         """
         times = self.sample_times(t0, t1)
-        comp = self._components(times)
-        return times, comp["input_power"]
+        grids = self._grids(times, self._sample_cells(times))
+        return times, grids["input_power"]
 
-    def _components(self, times: np.ndarray) -> dict[str, np.ndarray]:
-        """Compute every channel on the (node x time) grid, noiselessly
-        joined with deterministic noise."""
+    def _grids(
+        self, times: np.ndarray, idx: np.ndarray
+    ) -> dict[str, np.ndarray]:
+        """Every channel on the (node x time) grid, noiselessly computed
+        and joined with deterministic noise keyed by ``idx``."""
         m = self.machine
         gpu_u, cpu_u, _ = self.allocation.utilization(self.nodes, times)
-        n_nodes, n_times = gpu_u.shape
-        # Absolute sample index per (node, time) cell for noise keys.
-        p = m.power_sample_period_s
-        k = np.round(times / p).astype(np.int64)
-        idx = (
-            self.nodes.astype(np.uint64)[:, None] * np.uint64(1 << 40)
-            + k.astype(np.uint64)[None, :]
-        )
 
         # One batched hash pass for every grid-shaped noise channel; row i
         # is bit-identical to normal_from_index(seed, tags[i], idx).
@@ -287,82 +254,3 @@ class PowerThermalSource(TelemetrySource):
         out["ps0_voltage"] = 380.0 + 1.5 * noise[8]
         out["ps1_voltage"] = 380.0 + 1.5 * noise[9]
         return out
-
-    def _sample_index(self, times: np.ndarray) -> np.ndarray:
-        p = self.machine.power_sample_period_s
-        k = np.round(times / p).astype(np.int64)
-        return (
-            self.nodes.astype(np.uint64)[:, None] * np.uint64(1 << 40)
-            + k.astype(np.uint64)[None, :]
-        )
-
-    def emit(self, t0: float, t1: float) -> ObservationBatch:
-        """Batched emission: one loss-mask pass over all channels, no sort."""
-        self._check_window(t0, t1)
-        times = self.sample_times(t0, t1)
-        if times.size == 0 or self.nodes.size == 0:
-            return ObservationBatch.empty()
-        comp = self._components(times)
-        idx = self._sample_index(times)
-
-        # Channel order must match the reference path's part order (the
-        # _components insertion order), not ascending sensor id.
-        sids = np.array(
-            [self._catalog.id_of(name) for name in comp], dtype=np.int64
-        )
-        values = np.stack(list(comp.values()))
-        keep = (
-            uniform_from_index_tags(
-                self.seed, (1000 + sids).astype(np.uint64), idx
-            )
-            >= self.loss_rate
-        )
-        return assemble_sorted_batch(times, self.nodes, sids, values, keep)
-
-    def emit_reference(self, t0: float, t1: float) -> ObservationBatch:
-        self._check_window(t0, t1)
-        times = self.sample_times(t0, t1)
-        if times.size == 0 or self.nodes.size == 0:
-            return ObservationBatch.empty()
-        comp = self._components(times)
-        n_nodes, n_times = self.nodes.size, times.size
-
-        ts_grid = np.broadcast_to(times[None, :], (n_nodes, n_times))
-        node_grid = np.broadcast_to(self.nodes[:, None], (n_nodes, n_times))
-        idx = self._sample_index(times)
-
-        parts: list[ObservationBatch] = []
-        for sensor_name, grid in comp.items():
-            sid = self._catalog.id_of(sensor_name)
-            # Loss mask keyed by (sensor, sample) so drops are independent
-            # across channels.
-            keep = (
-                uniform_from_index(self.seed, 1000 + sid, idx) >= self.loss_rate
-            )
-            n_keep = int(keep.sum())
-            if n_keep == 0:
-                continue
-            parts.append(
-                ObservationBatch(
-                    timestamps=ts_grid[keep],
-                    component_ids=node_grid[keep],
-                    sensor_ids=np.full(n_keep, sid, dtype=np.int16),
-                    values=grid[keep],
-                )
-            )
-        return ObservationBatch.concat(parts).sorted_by_time()
-
-    def nominal_bytes_per_day(self) -> float:
-        """Raw volume/day for the emitted node subset."""
-        per_node_rate = sum(
-            s.sample_rate_hz * (1.0 - s.loss_rate) for s in self._catalog
-        )
-        return per_node_rate * self.nodes.size * RAW_OBSERVATION_BYTES * 86_400.0
-
-    def fleet_bytes_per_day(self) -> float:
-        """Raw volume/day extrapolated to the full machine."""
-        if self.nodes.size == 0:
-            return 0.0
-        return self.nominal_bytes_per_day() * (
-            self.machine.n_nodes / self.nodes.size
-        )

@@ -24,7 +24,7 @@ from repro.telemetry.schema import (
     SensorCatalog,
     SensorSpec,
 )
-from repro.telemetry.sources import TelemetrySource
+from repro.telemetry.sources import NodeSource
 from repro.util.noise import uniform_from_index
 
 __all__ = ["SyslogSource", "TEMPLATES", "TEMPLATE_SEVERITIES"]
@@ -73,7 +73,7 @@ _SEVERITY_CDF = np.cumsum(_SEVERITY_PROBS)
 _SEV_RANGES = [(0, 4), (4, 10), (10, 15), (15, 19), (19, 21)]
 
 
-class SyslogSource(TelemetrySource):
+class SyslogSource(NodeSource):
     """Deterministic per-node syslog stream.
 
     Parameters
@@ -102,14 +102,10 @@ class SyslogSource(TelemetrySource):
                 "base_rate must be in (0, 1/burst_factor] — one slot emits "
                 "at most one event"
             )
-        self.machine = machine
-        self.seed = int(seed)
+        super().__init__(machine, seed, nodes)
         self.base_rate = float(base_rate)
         self.burst_prob = float(burst_prob)
         self.burst_factor = float(burst_factor)
-        if nodes is None:
-            nodes = np.arange(machine.n_nodes, dtype=np.int32)
-        self.nodes = np.asarray(nodes, dtype=np.int32)
         self._catalog = SensorCatalog(
             [
                 SensorSpec(
@@ -123,19 +119,9 @@ class SyslogSource(TelemetrySource):
         )
 
     @property
-    def catalog(self) -> SensorCatalog:
-        return self._catalog
-
-    @property
     def templates(self) -> list[str]:
         """Template table for :meth:`EventBatch.render`."""
         return TEMPLATES
-
-    def _cell_index(self, slots: np.ndarray) -> np.ndarray:
-        return (
-            self.nodes.astype(np.uint64)[:, None] * np.uint64(1 << 40)
-            + slots.astype(np.uint64)[None, :]
-        )
 
     def emit(self, t0: float, t1: float) -> EventBatch:
         self._check_window(t0, t1)
@@ -190,11 +176,3 @@ class SyslogSource(TelemetrySource):
             1.0 + self.burst_prob * (self.burst_factor - 1.0)
         )
         return eff_rate * self.nodes.size * RAW_EVENT_BYTES * 86_400.0
-
-    def fleet_bytes_per_day(self) -> float:
-        """Raw volume/day extrapolated to the full machine."""
-        if self.nodes.size == 0:
-            return 0.0
-        return self.nominal_bytes_per_day() * (
-            self.machine.n_nodes / self.nodes.size
-        )

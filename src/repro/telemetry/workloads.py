@@ -18,7 +18,13 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["WorkloadArchetype", "ARCHETYPES", "get_archetype", "archetype_names"]
+__all__ = [
+    "WorkloadArchetype",
+    "ARCHETYPES",
+    "get_archetype",
+    "archetype_names",
+    "archetype_lookup",
+]
 
 ProfileFn = Callable[[np.ndarray, float], np.ndarray]
 
@@ -177,3 +183,16 @@ def get_archetype(name: str) -> WorkloadArchetype:
 def archetype_names() -> list[str]:
     """All archetype names, sorted."""
     return sorted(ARCHETYPES)
+
+
+def archetype_lookup(allocation, attribute: str) -> np.ndarray:
+    """Dense ``job_id -> archetype.<attribute>`` table for an allocation.
+
+    Ids no job holds read 0.0; callers map idle cells (job id -1) to 0.0
+    themselves.
+    """
+    max_id = max((j.job_id for j in allocation.jobs), default=0)
+    table = np.zeros(max_id + 1)
+    for j in allocation.jobs:
+        table[j.job_id] = getattr(get_archetype(j.archetype), attribute)
+    return table

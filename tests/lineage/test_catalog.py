@@ -166,6 +166,35 @@ class TestAdvisories:
         with pytest.raises(KeyError):
             cat.attach_advisory(part_id("oda", "ghost"), {"request_id": 2})
 
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            ({"role": "x"}, {"role": 1}),
+            ({"v": {"a": 1}}, {"v": {"b": 2}}),
+            ({"at": None}, {"at": 3.5}),
+        ],
+        ids=["str-vs-int", "dict-vs-dict", "none-vs-float"],
+    )
+    def test_values_of_mixed_types_are_ordered(self, pair, tmp_path):
+        """Advisories whose values are not mutually comparable still list,
+        directly, inherited and after a dump round trip."""
+        cat = LineageCatalog()
+        p = cat.record("part", ("oda", "d/p0"), span="")
+        q = cat.record("query_result", ("archive", "d", 1, ""), span="")
+        cat.link(p, q, "read")
+        for advisory in pair:
+            cat.attach_advisory(p, advisory)
+        direct = cat.advisories(p)
+        assert sorted(json.dumps(a, sort_keys=True) for a in direct) == sorted(
+            json.dumps(dict(a, source=p), sort_keys=True) for a in pair
+        )
+        assert cat.advisories(q) == direct
+        path = tmp_path / "catalog.json"
+        cat.write_json(path)
+        loaded = LineageCatalog.read_json(path)
+        assert loaded.advisories(p) == direct
+        assert loaded.advisories(q) == direct
+
     def test_dataruc_annotation_reaches_downstream_artifacts(self):
         from repro.governance.dataruc import DataRUC, RequestType
 
