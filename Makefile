@@ -50,6 +50,8 @@ lifecycle:
 # Read-plane suite: the RCF format (v2, the one layout: lazy open,
 # DICT_REF, cheap codec, appends; damaged structure a typed
 # RcfFormatError, held by a property over prefixes and footer fields),
+# the zone map against per-part might_match (random predicate trees and
+# part lists; the fast executor over its plans against the reference),
 # planner and scan soundness (the LAKE segment scan
 # against brute-force mask-then-filter included; parts of mixed dtypes
 # and group counts assembled once per plan into arrays the result
@@ -69,6 +71,7 @@ lifecycle:
 read-plane:
 	$(PYTHON) -m pytest -x -q tests/columnar/test_rcf_v2.py \
 		tests/columnar/test_rcf_format_errors.py tests/query/test_plan.py \
+		tests/query/test_zonemap.py \
 		tests/query/test_scan_soundness.py tests/query/test_scan_segment.py \
 		tests/query/test_runs.py \
 		tests/query/test_work_ledger.py tests/query/test_cache.py \
@@ -81,17 +84,19 @@ read-plane:
 # short or with footer fields overwritten, trace JSONL dumps with
 # inserted junk lines, torn or mangled checkpoints.json files and
 # lineage catalog dumps, each a typed error (or a quarantine, or a
-# skipped line) or the right answer; and random LAKE ingest/query/drop
+# skipped line) or the right answer; random LAKE ingest/query/drop
 # histories against the piece-list oracle, every published table
-# unchanged.  Tier-1 runs the same properties at their own smaller
-# counts; the fuzz profile is registered in tests/conftest.py.
+# unchanged; and the zone map's prune against per-part might_match.
+# Tier-1 runs the same properties at their own smaller counts; the
+# fuzz profile is registered in tests/conftest.py.
 fuzz:
 	$(PYTHON) -m pytest -x -q --hypothesis-profile fuzz \
 		tests/columnar/test_rcf_format_errors.py \
 		tests/obs/test_exporters.py tests/pipeline/test_checkpoint.py \
 		tests/lineage/test_catalog.py \
 		tests/storage/test_lake.py::test_random_histories_match_the_piece_list_oracle \
-		tests/storage/test_lake.py::test_open_segment_histories_keep_every_snapshot
+		tests/storage/test_lake.py::test_open_segment_histories_keep_every_snapshot \
+		tests/query/test_zonemap.py
 
 # Serving suite: request fingerprints, payload digests (pinned hex and
 # a property against the spec algorithm), admission, the result cache,

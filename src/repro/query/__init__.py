@@ -29,6 +29,7 @@ from repro.query.executor import (
 from repro.query.plan import PartRun, PartUnit, ScanPlan, SegmentUnit
 from repro.query.planner import plan_parts, plan_segments
 from repro.query.scan import fold_time_predicate, scan_segment
+from repro.query.zonemap import ZoneMap
 
 __all__ = [
     "ScanPlan",
@@ -37,6 +38,7 @@ __all__ = [
     "PartRun",
     "plan_segments",
     "plan_parts",
+    "ZoneMap",
     "ScanOptions",
     "execute_plan",
     "execute_plan_reference",

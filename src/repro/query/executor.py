@@ -85,7 +85,7 @@ def execute_plan(
     ``baseline_mode()``); returns the concatenated surviving rows.
     ``options`` selects nothing (see :class:`ScanOptions`)."""
     with TRACER.span(
-        "query.execute", table=plan.table, units=len(plan.units)
+        "query.execute", table=plan.table, units=len(plan.units) + plan.unlisted
     ):
         if baseline.active():
             return execute_plan_reference(plan)
@@ -151,20 +151,28 @@ Pieces = tuple[list[str], list[list[np.ndarray]]]
 
 def _scanned(plan: ScanPlan, tally: defaultdict) -> Iterator[Pieces]:
     """Each projected column's surviving slices, per live part or run
-    that has any, in plan order."""
+    that has any, in plan order.  A run's members are the units whose
+    part index falls in it; a zone-map plan lists none for a member it
+    pruned."""
     units = plan.units
-    runs = dict(plan.runs)
+    runs = iter(plan.runs)
+    first, run = next(runs, (0, None))
     i = 0
     while i < len(units):
-        run = runs.get(i)
-        if run is not None:
-            yield from _scan_run(plan, run, units[i : i + run.size], tally)
-            i += run.size
+        index = units[i].index
+        while run is not None and first + run.size <= index:
+            first, run = next(runs, (0, None))
+        if run is None or index < first:
+            unit = units[i]
+            i += 1
+            if not unit.pruned:
+                yield from _scan_part(plan, unit, tally)
             continue
-        unit = units[i]
-        i += 1
-        if not unit.pruned:
-            yield from _scan_part(plan, unit, tally)
+        members: list[PartUnit | None] = [None] * run.size
+        while i < len(units) and units[i].index < first + run.size:
+            members[units[i].index - first] = units[i]
+            i += 1
+        yield from _scan_run(plan, run, members, tally)
 
 
 def _scan_part(plan: ScanPlan, unit: PartUnit, tally: defaultdict) -> Iterator[Pieces]:
@@ -179,14 +187,20 @@ def _scan_part(plan: ScanPlan, unit: PartUnit, tally: defaultdict) -> Iterator[P
 
 
 def _scan_run(
-    plan: ScanPlan, run: PartRun, members: list[PartUnit], tally: defaultdict
+    plan: ScanPlan,
+    run: PartRun,
+    members: list[PartUnit | None],
+    tally: defaultdict,
 ) -> Iterator[Pieces]:
     """Scan a run's live members as one row group where it can be, else
     part by part, as the parts would alone: a mixed run, a run with
     fewer than two live members, a live member whose bytes are not the
     ones the run was made of (digest, one group, row count), or a run
-    column neither cached nor buildable (some member not fetched)."""
-    live = [k for k, unit in enumerate(members) if not unit.pruned]
+    column neither cached nor buildable (some member not fetched).  A
+    member is None where the plan lists no unit for it (pruned)."""
+    live = [
+        k for k, unit in enumerate(members) if unit is not None and not unit.pruned
+    ]
     if (
         not run.mixed
         and len(live) > 1
@@ -215,7 +229,7 @@ def _is_member(run: PartRun, k: int, reader: RcfReader | None) -> bool:
 def _gather_run(
     plan: ScanPlan,
     run: PartRun,
-    members: list[PartUnit],
+    members: list[PartUnit | None],
     live: list[int],
     tally: defaultdict,
 ) -> Pieces | tuple[()] | None:
@@ -229,7 +243,7 @@ def _gather_run(
     cols = part_columns(members[live[0]].reader, plan.columns)
     pred = plan.scan_predicate
     pred_cols = [] if pred is None else sorted(pred.columns())
-    readers = [unit.reader for unit in members]
+    readers = [None if unit is None else unit.reader for unit in members]
     buildable = len(live) == len(members)
     columns: dict[str, np.ndarray] = {}
     hits = 0

@@ -11,11 +11,17 @@ pruned units in the plan (rather than dropping them) buys two things:
 * per-query telemetry (how many units were skipped, and why) falls out
   of the plan instead of being threaded through the scan loops.
 
+A plan over a zone map (:class:`~repro.query.zonemap.ZoneMap`) is the
+one exception: it lists only the parts it keeps and counts the rest, so
+its cost follows the parts a query touches, not the dataset's size.
+
 Plans hold data by reference (in-memory segment tables, fetched part
 blobs); they are cheap to build and single-use.  A plan over OCEAN
 parts may also name *runs* (:class:`PartRun`): consecutive small parts
 the executor scans as one row group.  Runs group units, they never
-replace them — every part keeps its unit, its prune flag and its fetch.
+replace them — every listed part keeps its unit, its prune flag and its
+fetch; a run names its members by part index, so an unlisted member is
+one the zone map pruned.
 """
 
 from __future__ import annotations
@@ -61,7 +67,9 @@ class PartUnit:
     manifest stats is *never* fetched, which is the whole point.
     ``reader`` is an already-open reader over exactly ``blob`` when the
     caller keeps one (the fast path scans through it instead of opening
-    its own; the reference executor ignores it).
+    its own; the reference executor ignores it).  ``index`` is the
+    part's position in the list the plan was made from — what a run's
+    first-member index counts — or -1 for a unit in no run.
     """
 
     key: str
@@ -71,6 +79,7 @@ class PartUnit:
     reason: str = ""
     blob: bytes | None = None
     reader: RcfReader | None = None
+    index: int = -1
 
 
 @dataclass(eq=False)
@@ -117,8 +126,10 @@ class ScanPlan:
     columns: list[str] | None
     time_column: str
     units: list = field(default_factory=list)
-    #: ``(index of the first member's unit, run)`` pairs, in unit order.
+    #: ``(index of the first member's part, run)`` pairs, in part order.
     runs: Sequence[tuple[int, PartRun]] = ()
+    #: Parts a zone-map plan pruned without listing a unit for them.
+    unlisted: int = 0
 
     @cached_property
     def scan_predicate(self) -> Predicate | None:
@@ -132,8 +143,8 @@ class ScanPlan:
 
     @property
     def pruned_units(self) -> int:
-        """Units statistics excluded from the scan."""
-        return sum(1 for u in self.units if u.pruned)
+        """Units statistics excluded from the scan, listed or not."""
+        return self.unlisted + sum(1 for u in self.units if u.pruned)
 
     @property
     def live_units(self) -> int:
@@ -148,7 +159,7 @@ class ScanPlan:
             "t0": self.t0,
             "t1": self.t1,
             "columns": self.columns,
-            "units": len(self.units),
+            "units": len(self.units) + self.unlisted,
             "pruned": self.pruned_units,
             "live": self.live_units,
         }

@@ -74,6 +74,15 @@ class _Segment:
             self.run_maxes + [max(self.run_maxes[-1], t_max)],
         )
 
+    def sealed(self) -> "_Segment":
+        """This segment over arrays of exactly its rows: what a sealed
+        open segment keeps, so none of its buffer's spare capacity
+        outlives the seal."""
+        table = ColumnTable._derived(
+            {n: a.copy() for n, a in self.table.columns().items()}
+        )
+        return _Segment(table, self.t_mins, self.t_maxes, self.ends, self.run_maxes)
+
     def split_kept(self, keep: list[bool]) -> list["_Segment"]:
         """The kept pieces as row-range views of this segment's table,
         one segment per run of adjacent kept pieces."""
@@ -173,9 +182,10 @@ class TimeSeriesLake:
         The piece is copied into the table's open segment, which then
         publishes a snapshot with the piece added.  A piece that would
         take the open segment past :data:`SEGMENT_ROW_CEILING` rows, or
-        whose column dtypes differ from its, seals it and opens a new
-        one.  The new segment list replaces the old in one assignment,
-        so a concurrent ``query`` sees either.
+        whose column dtypes differ from its, seals it — its last
+        snapshot is copied once into arrays of its own rows' size — and
+        opens a new one.  The new segment list replaces the old in one
+        assignment, so a concurrent ``query`` sees either.
         """
         if table.num_rows == 0:
             return
@@ -206,6 +216,8 @@ class TimeSeriesLake:
             or open_seg.fill - open_seg.start + rows > SEGMENT_ROW_CEILING
             or open_seg.dtypes() != [c.dtype for c in columns.values()]
         ):
+            if open_seg is not None:
+                segments = segments[:-1] + [segments[-1].sealed()]
             open_seg = self._open[table_name] = _OpenSegment(columns, rows)
             view = open_seg.append(columns, rows)
             segments = segments + [_Segment(view, [t_min], [t_max], [rows])]
@@ -302,26 +314,30 @@ class TimeSeriesLake:
         Druid's segments), so retention is conservative.  Rows leave a
         segment by slicing, not copying.  The open segment stays open
         from its first row after the last dropped piece, if its own
-        last piece is kept; otherwise it is sealed.
+        last piece is kept; otherwise it is sealed, and what it keeps is
+        copied out of its buffer, as a seal at ingest copies.
         """
         segments = self._tables.get(table_name, [])
+        open_seg = self._open.get(table_name)
+        seal = open_seg is not None and segments[-1].t_maxes[-1] < horizon
         kept: list[_Segment] = []
         dropped = 0
-        for seg in segments:
+        for i, seg in enumerate(segments):
             keep = [t_max >= horizon for t_max in seg.t_maxes]
             if all(keep):
                 kept.append(seg)
-            else:
-                dropped += keep.count(False)
-                kept += seg.split_kept(keep)
+                continue
+            dropped += keep.count(False)
+            pieces = seg.split_kept(keep)
+            if seal and i == len(segments) - 1:
+                pieces = [piece.sealed() for piece in pieces]
+            kept += pieces
         if not dropped:
             return 0
-        open_seg = self._open.get(table_name)
-        if open_seg is not None:
-            if segments[-1].t_maxes[-1] >= horizon:
-                open_seg.start = open_seg.fill - kept[-1].table.num_rows
-            else:
-                del self._open[table_name]
+        if seal:
+            del self._open[table_name]
+        elif open_seg is not None:
+            open_seg.start = open_seg.fill - kept[-1].table.num_rows
         self._tables[table_name] = kept
         return dropped
 

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 from repro.columnar.file_format import RcfReader
 from repro.lineage.ids import part_id
 from repro.obs import METRICS
-from repro.query import PartRun, invalidate_token
+from repro.query import PartRun, ZoneMap, invalidate_token
 from repro.storage import manifest
 from repro.storage.object_store import ObjectMeta, ObjectStore
 
@@ -133,6 +133,13 @@ class Listing:
     live: tuple[LivePart, ...]
     #: Row bound -> :func:`_pack_runs` of ``live``, derived on first ask.
     _runs: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @cached_property
+    def zone_map(self) -> ZoneMap:
+        """``live``'s manifest bounds as per-column arrays (what
+        :func:`repro.query.plan_parts` prunes with), in ``live`` order —
+        the order :meth:`runs` counts in — built on first ask."""
+        return ZoneMap([(p.key, p.meta.size, p.stats) for p in self.live])
 
     def runs(self, max_rows: int) -> tuple[tuple[int, PartRun], ...]:
         """``live``'s runs of at most ``max_rows`` rows (:func:`_pack_runs`),

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.columnar.table import ColumnTable
+from repro.lineage.ids import rollup_partial_id
 from repro.util.timeseries import bucket_indices, bucket_plan, bucket_reduce_planned
 
 __all__ = ["RollupSpec", "GoldRollup"]
@@ -128,8 +129,8 @@ class GoldRollup:
 
     All methods are atomic under an internal lock (a caller's thread may
     ingest while another reconciles).  ``version`` advances on every mutation; the merged
-    result is memoized per version so repeated dashboard reads between
-    ingests cost a dict lookup.
+    result and the partials' lineage node ids are memoized per version
+    so repeated dashboard reads between ingests cost a dict lookup.
     """
 
     def __init__(self, spec: RollupSpec, time_column: str = "timestamp") -> None:
@@ -139,6 +140,7 @@ class GoldRollup:
         self._parts: dict[str, ColumnTable] = {}
         self._version = 0
         self._merged: tuple[int, ColumnTable] | None = None
+        self._nodes: tuple[int, tuple[str, ...]] | None = None
 
     @property
     def version(self) -> int:
@@ -199,6 +201,19 @@ class GoldRollup:
         """Keys of every part with a recorded partial."""
         with self._lock:
             return set(self._parts)
+
+    def partial_nodes(self) -> tuple[str, ...]:
+        """The lineage node id of every partial, keys ascending
+        (:func:`repro.lineage.rollup_partial_id`), derived once per
+        version."""
+        with self._lock:
+            if self._nodes is None or self._nodes[0] != self._version:
+                name = self.spec.name
+                self._nodes = (
+                    self._version,
+                    tuple(rollup_partial_id(name, k) for k in sorted(self._parts)),
+                )
+            return self._nodes[1]
 
     # -- serving ------------------------------------------------------------
 

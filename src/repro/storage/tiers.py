@@ -340,8 +340,13 @@ class TieredStore:
 
     # -- lineage recording --------------------------------------------------------
 
-    def _lineage_partial(self, rollup: str, part_key: str) -> str | None:
-        """Record one rollup partial, derived from its source part."""
+    def _lineage_partial(
+        self, rollup: str, part_key: str, span: str | None = None
+    ) -> str | None:
+        """Record one rollup partial, derived from its source part —
+        where the partial is made (commit, backfill) and when a rebuilt
+        catalog adopts it (:meth:`reconcile_lineage`); a query only
+        links it."""
         cat = self.lineage
         if cat is None:
             return None
@@ -349,6 +354,7 @@ class TieredStore:
             "rollup_partial",
             (rollup, part_key),
             attrs={"rollup": rollup, "key": part_key},
+            span=span,
         )
         cat.link(cat.part_node(self.OCEAN_BUCKET, part_key), nid, "derived")
         return nid
@@ -380,8 +386,9 @@ class TieredStore:
         The recovery half of catalog consistency: a restart that builds
         a fresh catalog calls this once to adopt every present part —
         including tombstone chains from ``replaces`` manifests — before
-        serving lineage queries.  Idempotent (recording merges), returns
-        the number of parts visited.
+        serving lineage queries, and every rollup partial the store
+        holds, derived from its part.  Idempotent (recording merges),
+        returns the number of parts visited.
         """
         cat = self.lineage
         if cat is None:
@@ -403,6 +410,11 @@ class TieredStore:
                         [cat.part_node(self.OCEAN_BUCKET, k) for k in part.replaces],
                     )
                 adopted += 1
+        with self._rollup_lock:
+            rollups = sorted(self._rollups.items())
+        for rollup, ru in rollups:
+            for key in sorted(ru.part_keys()):
+                self._lineage_partial(rollup, key, span="")
         return adopted
 
     # -- query --------------------------------------------------------------------
@@ -479,9 +491,11 @@ class TieredStore:
         if columns is None and parts:
             names = parts[0].columns
             columns = None if names is None else list(names)
+        # The zone map lists only the parts the manifests keep; under
+        # baseline_mode every part is listed, and so fetched.
         plan = plan_parts(
             name,
-            [(p.key, p.meta.size, p.stats) for p in parts],
+            listing.zone_map,
             t0,
             t1,
             predicate,
@@ -489,20 +503,17 @@ class TieredStore:
             self.time_column,
         )
         fetch_all = baseline.active()
-        pruned = 0
         fetched: list[LivePart] = []
-        for unit, part in zip(plan.units, parts):
-            if unit.pruned and not fetch_all:
-                pruned += 1
-                continue
+        for unit in plan.units:
+            part = parts[unit.index]
             unit.blob = self.ocean.get(self.OCEAN_BUCKET, unit.key)
             if not fetch_all:
                 # The oracle decodes the fetched bytes itself, so what
                 # it checks never depends on a handle.
                 unit.reader = part.open(unit.blob)
             fetched.append(part)
-        if pruned:
-            METRICS.inc("ocean.parts_pruned", pruned)
+        if plan.unlisted:
+            METRICS.inc("ocean.parts_pruned", plan.unlisted)
         with self._registry_lock:
             meta = self._datasets.get(name)
         if meta is not None and not fetch_all:
@@ -513,7 +524,7 @@ class TieredStore:
         if plan.columns is None:
             # Pre-manifest parts: recover the projection from the first
             # fetched header so empty results still carry the schema.
-            first = next((u for u in plan.units if u.blob is not None), None)
+            first = plan.units[0] if plan.units else None
             if first is not None:
                 reader = first.reader or RcfReader(first.blob)
                 plan.columns = reader.column_names()
@@ -597,11 +608,12 @@ class TieredStore:
         result = ru.merged()
         nid = None
         if self.lineage is not None:
-            # The answer reads every live partial (idempotently
-            # re-recorded here so a reconcile pass needs no extra walk).
-            reads = [self._lineage_partial(name, key) for key in sorted(live)]
+            # The answer reads every live partial.  Their nodes were
+            # recorded where the partials were made (the commit, the
+            # backfill above, or reconcile_lineage's adoption); their
+            # ids are derived once per rollup version.
             nid = self._lineage_query(
-                "rollup", name, "", reads, result.num_rows
+                "rollup", name, "", ru.partial_nodes(), result.num_rows
             )
         self._note_read(nid)
         return result

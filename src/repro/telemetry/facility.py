@@ -25,7 +25,7 @@ from repro.telemetry.schema import (
     SensorCatalog,
     SensorSpec,
 )
-from repro.telemetry.sources import TelemetrySource
+from repro.telemetry.sources import TelemetrySource, sample_grid
 from repro.util.noise import normal_from_index
 
 __all__ = ["FacilitySource", "WATER_HEAT_CAPACITY"]
@@ -80,15 +80,9 @@ class FacilitySource(TelemetrySource):
             ]
         )
 
-    @property
-    def catalog(self) -> SensorCatalog:
-        return self._catalog
-
     def sample_times(self, t0: float, t1: float) -> np.ndarray:
-        p = SAMPLE_PERIOD_S
-        k0 = int(np.ceil(t0 / p - 1e-9))
-        k1 = int(np.ceil(t1 / p - 1e-9))
-        return np.arange(k0, k1, dtype=np.int64) * p
+        """The absolute sample grid falling in ``[t0, t1)``."""
+        return sample_grid(t0, t1, SAMPLE_PERIOD_S)
 
     def outdoor_temp(self, times: np.ndarray) -> np.ndarray:
         """Diurnal outdoor temperature (deterministic, smooth)."""

@@ -36,7 +36,16 @@ from repro.telemetry.schema import (
 )
 from repro.util.noise import uniform_from_index, uniform_from_index_tags
 
-__all__ = ["TelemetrySource", "NodeSource", "NodeGridSource"]
+__all__ = ["TelemetrySource", "NodeSource", "NodeGridSource", "sample_grid"]
+
+
+def sample_grid(t0: float, t1: float, period_s: float) -> np.ndarray:
+    """The absolute sample times ``k * period_s`` falling in ``[t0, t1)``
+    — every fixed-rate stream's grid, so a window's samples do not
+    depend on how the time range is split."""
+    k0 = int(np.ceil(t0 / period_s - 1e-9))
+    k1 = int(np.ceil(t1 / period_s - 1e-9))
+    return np.arange(k0, k1, dtype=np.int64) * period_s
 
 
 class TelemetrySource(abc.ABC):
@@ -44,11 +53,13 @@ class TelemetrySource(abc.ABC):
 
     #: Stream name, unique within a fleet (e.g. ``"power"``).
     name: str
+    #: Built by each source's constructor.
+    _catalog: SensorCatalog
 
     @property
-    @abc.abstractmethod
     def catalog(self) -> SensorCatalog:
         """The data dictionary for this stream's channels."""
+        return self._catalog
 
     @abc.abstractmethod
     def emit(self, t0: float, t1: float) -> ObservationBatch:
@@ -83,8 +94,6 @@ class NodeSource(TelemetrySource):
     :meth:`fleet_bytes_per_day`.
     """
 
-    _catalog: SensorCatalog
-
     def __init__(
         self, machine: MachineConfig, seed: int, nodes: np.ndarray | None
     ) -> None:
@@ -102,10 +111,6 @@ class NodeSource(TelemetrySource):
         if np.unique(ids).size != ids.size:
             raise ValueError("node subset repeats a node id")
         self.nodes = ids.astype(np.int32)
-
-    @property
-    def catalog(self) -> SensorCatalog:
-        return self._catalog
 
     @property
     def machine_scale(self) -> float:
@@ -174,10 +179,7 @@ class NodeGridSource(NodeSource):
 
     def sample_times(self, t0: float, t1: float) -> np.ndarray:
         """The absolute sample grid falling in ``[t0, t1)``."""
-        p = self.sample_period_s
-        k0 = int(np.ceil(t0 / p - 1e-9))
-        k1 = int(np.ceil(t1 / p - 1e-9))
-        return np.arange(k0, k1, dtype=np.int64) * p
+        return sample_grid(t0, t1, self.sample_period_s)
 
     def _sample_cells(self, times: np.ndarray) -> np.ndarray:
         k = np.round(times / self.sample_period_s).astype(np.int64)

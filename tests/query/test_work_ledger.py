@@ -8,7 +8,7 @@ rollup queries.  The work counters that are a pure function of (seed, shape)
 — parts scanned, pruned and opened, row groups decoded, pruned and
 found empty, runs of small parts scanned as one group, dictionary
 pushdowns, row-group cache hits and misses, LAKE rows scanned, lineage
-nodes and edges, and on the write side the bytes hashed by part opens,
+nodes and edges and the digest of the catalog's export, and on the write side the bytes hashed by part opens,
 what compaction merged, rewrote and spliced, and the rows LAKE appends
 and regrowths copied — are pinned in ``work_ledger.json``.
 
@@ -145,6 +145,9 @@ def take_ledger() -> dict:
     ledger["query.rows_returned"] = sum(t.num_rows for t in answers)
     ledger["lineage.nodes"] = len(fw.lineage)
     ledger["lineage.edges"] = len(fw.lineage.edges())
+    # The catalog itself, not only its size: which nodes, attributes,
+    # spans and edges the run recorded.
+    ledger["lineage.export_digest"] = fw.lineage.export_digest()
     return ledger
 
 

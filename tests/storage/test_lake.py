@@ -410,6 +410,60 @@ class TestOpenSegment:
             for a in out.columns().values():
                 assert not any(np.shares_memory(a, b) for b in held)
 
+    def test_a_sealed_segment_holds_exactly_its_rows(self):
+        # Both seal causes: a dtype change (pieces 0..4, 320 rows in a
+        # 512-row buffer) and the ceiling (pieces 5..12 of int64 fill
+        # 8 x 64; piece 13 opens the third segment).  Each time, the
+        # last snapshot is copied into arrays of its own rows; its
+        # contents and nbytes are what the open segment published.
+        lk = TimeSeriesLake()
+        with mock.patch.object(lake_module, "SEGMENT_ROW_CEILING", 8 * 64):
+            for w in range(14):
+                dtype = float if w < 5 else np.int64
+                if w in (5, 13):
+                    snapshot = lk._tables["t"][-1].table
+                    then, size = frozen(snapshot), snapshot.nbytes
+                    buffer = list(lk._open["t"].buffer.columns().values())
+                lk.ingest("t", self.tagged(w, dtype=dtype))
+                if w in (5, 13):
+                    sealed = lk._tables["t"][-2].table
+                    assert frozen(sealed) == frozen(snapshot) == then
+                    assert sealed.nbytes == snapshot.nbytes == size
+                    for a in sealed.columns().values():
+                        assert a.base is None and len(a) == sealed.num_rows
+                        assert not any(np.shares_memory(a, b) for b in buffer)
+        assert [len(s.ends) for s in lk._tables["t"]] == [5, 8, 1]
+        assert lk.nbytes("t") == sum(
+            self.tagged(w, dtype=float if w < 5 else np.int64).nbytes
+            for w in range(14)
+        )
+
+    def test_a_retention_seal_copies_what_it_keeps(self):
+        # Piece 1 outlives piece 2, the open segment's newest: dropping
+        # piece 2 seals the segment, and piece 1 is kept in arrays of
+        # its own rows.
+        lk = TimeSeriesLake()
+        for w, span in ((0, 15.0), (1, 100.0), (2, 15.0)):
+            rows = 64
+            lk.ingest(
+                "t",
+                ColumnTable(
+                    {
+                        "timestamp": w * 15.0 + np.arange(rows) * (span / rows),
+                        "v": np.full(rows, float(w)),
+                        "tag": [f"w{w}"] * rows,
+                    }
+                ),
+            )
+        want = frozen(lk.query("t", 15.0, 30.0))
+        assert lk.drop_before("t", 60.0) == 2
+        assert "t" not in lk._open
+        (seg,) = lk._tables["t"]
+        assert seg.table.num_rows == 64
+        for a in seg.table.columns().values():
+            assert a.base is None and len(a) == 64
+        assert frozen(lk.query("t", 15.0, 30.0)) == want
+
     def test_nbytes_counts_rows_held_not_capacity(self):
         lk = TimeSeriesLake()
         for w in range(5):  # 320 rows in a 512-row open segment
