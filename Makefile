@@ -18,8 +18,8 @@ chaos:
 # and archive queries, the switch's depth counter from overlapping
 # threads, batched vs. reference emission (fixed and randomized windows,
 # split invariance, and each source's bytes pinned to committed
-# digests), the chunk memo, the estimator, factorize and the row-group
-# cache — see DESIGN.md §8.
+# digests), the estimator (file bytes equal under every codec),
+# factorize and the row-group cache — see DESIGN.md §8.
 equivalence:
 	$(PYTHON) -m pytest -x -q tests/core/test_parallel_equivalence.py \
 		tests/core/test_race_fixes.py tests/telemetry/test_batch_emit.py \

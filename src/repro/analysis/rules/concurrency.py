@@ -1,12 +1,13 @@
 """CONC — lexical lock discipline for module-level mutable state.
 
-The writer's chunk memo (``file_format._chunk_memo``) and the row-group
-cache are module-level containers.  The library itself runs every
-window, scan and request on the calling thread (DESIGN.md §8), but
-callers may drive it from threads of their own, so each container is
-guarded by a module-level ``threading.Lock`` and the fast-path switch
-(``repro.perf.baseline_mode()``) by a lock-guarded depth counter.  These rules make that
-discipline mechanical:
+The row-group cache (``repro.query.cache``) is the one module-level
+memo left.  The library itself runs every window, scan and request on
+the calling thread (DESIGN.md §8), but callers may drive it from
+threads of their own, so the cache's containers are guarded by a
+module-level ``threading.Lock`` and the fast-path switch
+(``repro.perf.baseline_mode()``) by a lock-guarded depth counter.
+These rules make that discipline mechanical for any module-level
+container:
 
 * **CONC001** — a function mutates a module-level container (item
   assignment, ``.pop``/``.update``/``.append``/..., ``del``, or a

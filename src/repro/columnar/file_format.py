@@ -61,8 +61,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -78,7 +76,6 @@ from repro.columnar.encodings import (
 )
 from repro.columnar.predicate import Predicate
 from repro.columnar.table import ColumnTable
-from repro.perf import baseline
 
 __all__ = [
     "RcfWriter",
@@ -89,7 +86,6 @@ __all__ = [
     "read_table",
     "column_stats",
     "chunk_memo_stats",
-    "clear_chunk_memo",
 ]
 
 _MAGIC = b"RCF2"
@@ -139,50 +135,10 @@ def _byte_entropy(raw: bytes) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-# -- serialized-chunk memo ----------------------------------------------------
-#
-# The writer's per-column work — encoding choice, encode, compress,
-# stats, framing — is a pure function of (column content, dtype, codec).
-# Stable columns recur across windows and tiers (id columns, constant
-# gauges), so the fully serialized chunk is memoized under one content
-# digest; a hit skips the entire per-column path, including zlib.  It is
-# the write path's one memo: a miss runs the estimator, encoder and codec
-# un-memoized.
-#
-# Columns above _chunk_memo_col_max_bytes bypass the memo entirely (no
-# digest, no store): digest cost grows with size while recurrence odds
-# shrink — large measurement columns carry fresh noise every window, so
-# hashing them is pure overhead on a guaranteed miss.
-
-_chunk_lock = threading.Lock()
-_chunk_memo: "OrderedDict[tuple, bytes]" = OrderedDict()
-_chunk_memo_bytes = 0
-_chunk_memo_max_bytes = 32 << 20
-_chunk_memo_col_max_bytes = 1 << 15
-_chunk_hits = 0
-_chunk_misses = 0
-
-
 def chunk_memo_stats() -> dict:
-    """Occupancy and hit/miss counters of the writer's chunk memo."""
-    with _chunk_lock:
-        return {
-            "entries": len(_chunk_memo),
-            "bytes": _chunk_memo_bytes,
-            "max_bytes": _chunk_memo_max_bytes,
-            "hits": _chunk_hits,
-            "misses": _chunk_misses,
-        }
-
-
-def clear_chunk_memo() -> None:
-    """Drop all memoized serialized chunks and reset counters."""
-    global _chunk_memo_bytes, _chunk_hits, _chunk_misses
-    with _chunk_lock:
-        _chunk_memo.clear()
-        _chunk_memo_bytes = 0
-        _chunk_hits = 0
-        _chunk_misses = 0
+    """Zero hit and miss counts: the writer keeps no chunk memo.  Kept
+    because the full-path bench reads these counters by name."""
+    return {"hits": 0, "misses": 0}
 
 
 def column_stats(arr: np.ndarray) -> tuple[object, object, bool] | None:
@@ -362,74 +318,33 @@ class RcfWriter:
         return payload, self.codec
 
     def _encode_group_impl(self, chunk: ColumnTable) -> bytes:
-        global _chunk_memo_bytes, _chunk_hits, _chunk_misses
         group_index = len(self._groups)
         parts = [struct.pack("<Q", chunk.num_rows)]
         for name, is_string in self._schema or []:
             col = chunk[name]
-            key = None
-            if (
-                col.dtype != object
-                and 0 < col.nbytes <= _chunk_memo_col_max_bytes
-                and not baseline.active()
-            ):
-                key = (
-                    self.codec,
-                    is_string,
-                    col.dtype.str,
-                    col.size,
-                    hashlib.blake2b(
-                        np.ascontiguousarray(col), digest_size=16
-                    ).digest(),
-                )
-                with _chunk_lock:
-                    hit = _chunk_memo.get(key)
-                    if hit is not None:
-                        _chunk_hits += 1
-                        _chunk_memo.move_to_end(key)
-                        parts.append(hit)
-                        continue
-                    _chunk_misses += 1
             encoding = choose_encoding(col)
             raw = encode_column(col, encoding)
             if not _round_trips(col, encoding, raw):
                 encoding, raw = _enc.PLAIN, encode_column(col, _enc.PLAIN)
             if encoding == _enc.DICTIONARY and col.dtype == object:
-                # String chunks bypass the memo (dtype gate above), so a
-                # position-dependent DICT_REF blob can never be reused in
-                # the wrong file context.
                 encoding, raw = self._maybe_dict_ref(name, group_index, raw)
             payload, codec = self._frame_payload(raw)
             stats = column_stats(col)
             flags = 0
             if stats is not None:
                 flags = 1 if stats[2] else 3  # bit0 present, bit1 inexact
-            sub = [struct.pack("<BBB", encoding, CODECS[codec], flags)]
+            parts.append(struct.pack("<BBB", encoding, CODECS[codec], flags))
             if stats is not None:
                 lo, hi, _exact = stats
                 if is_string:
                     lo_b = str(lo).encode("utf-8")
                     hi_b = str(hi).encode("utf-8")
-                    sub.append(struct.pack("<I", len(lo_b)) + lo_b)
-                    sub.append(struct.pack("<I", len(hi_b)) + hi_b)
+                    parts.append(struct.pack("<I", len(lo_b)) + lo_b)
+                    parts.append(struct.pack("<I", len(hi_b)) + hi_b)
                 else:
-                    sub.append(struct.pack("<dd", float(lo), float(hi)))
-            sub.append(struct.pack("<Q", len(payload)))
-            sub.append(payload)
-            blob = b"".join(sub)
-            if key is not None:
-                with _chunk_lock:
-                    if key not in _chunk_memo:
-                        _chunk_memo[key] = blob
-                        _chunk_memo_bytes += len(blob)
-                    _chunk_memo.move_to_end(key)
-                    while (
-                        _chunk_memo_bytes > _chunk_memo_max_bytes
-                        and len(_chunk_memo) > 1
-                    ):
-                        _, dropped = _chunk_memo.popitem(last=False)
-                        _chunk_memo_bytes -= len(dropped)
-            parts.append(blob)
+                    parts.append(struct.pack("<dd", float(lo), float(hi)))
+            parts.append(struct.pack("<Q", len(payload)))
+            parts.append(payload)
         return b"".join(parts)
 
     @property

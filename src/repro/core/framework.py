@@ -8,6 +8,7 @@ several benches drive the system exclusively through this facade.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +70,8 @@ class DataPlaneOptions:
     """How the framework moves and refines a window's data.
 
     No option selects the fast or the reference path: every framework
-    runs the fast path (batched telemetry emission, the writer's chunk
-    memo, planned scans) and takes the pre-optimization one while
+    runs the fast path (batched telemetry emission, the fast encoding
+    estimator, planned scans) and takes the pre-optimization one while
     ``repro.perf.baseline_mode()`` is entered, with byte-identical
     outputs (``tests/core/test_parallel_equivalence``).  Windows,
     refineries and tier writes run on the calling thread, one after
@@ -151,7 +152,8 @@ class DataPlaneOptions:
         if self.lifecycle_every_s is not None:
             if not self.lifecycle:
                 raise ValueError("lifecycle_every_s requires lifecycle=True")
-            if self.lifecycle_every_s <= 0:
+            # A NaN period would never come due: refuse it with the rest.
+            if not self.lifecycle_every_s > 0:
                 raise ValueError("lifecycle_every_s must be positive")
 
     def resolve_executor(self) -> str:
@@ -563,8 +565,10 @@ class ODAFramework:
         between windows at each due window's end time (simulated time,
         so runs replay deterministically).
         """
-        if window_s <= 0:
-            raise ValueError("window_s must be positive")
+        # An infinite or NaN step makes every bound t0 + k * window_s
+        # NaN (0 * inf is NaN), so the loop would run no window at all.
+        if not 0 < window_s < math.inf:
+            raise ValueError("window_s must be finite and positive")
         if (
             self.options.lifecycle
             and self.options.lifecycle_every_s is not None

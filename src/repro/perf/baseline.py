@@ -1,12 +1,12 @@
 """One switch for the pre-optimization data plane.
 
-The fast path is a collection of pieces — the writer's chunk memo, the
-fast encoding estimator and factorizer, the utilization memo, planned
-scans with the row-group cache and batched emission.  Every one of
-them reads :func:`active` at call time and takes its reference path
-while any thread is inside :func:`baseline_mode`, so benchmarks and
-equivalence tests flip the *whole* fast path with one block — whatever
-options the framework was built with.
+The fast path is a collection of pieces — the fast encoding estimator
+and factorizer, the utilization memo, planned scans with the row-group
+cache and batched emission.  Every one of them reads :func:`active` at
+call time and takes its reference path while any thread is inside
+:func:`baseline_mode`, so benchmarks and equivalence tests flip the
+*whole* fast path with one block — whatever options the framework was
+built with.
 """
 
 from __future__ import annotations
@@ -43,14 +43,12 @@ def active() -> bool:
 
 
 def reset_fast_path_caches() -> None:
-    """Empty the fast-path caches — the writer's chunk memo and the
-    row-group cache (for benchmark isolation)."""
+    """Empty the fast-path cache — the row-group cache, the one left
+    (for benchmark isolation)."""
     # Imported lazily: repro.perf must stay import-light because the
     # instrumented modules import it.
-    from repro.columnar import file_format
     from repro.query import cache as query_cache
 
-    file_format.clear_chunk_memo()
     query_cache.clear_row_group_cache()
 
 

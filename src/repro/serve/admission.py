@@ -28,9 +28,11 @@ class TokenBucket:
     """
 
     def __init__(self, rate: float, burst: float) -> None:
-        if rate <= 0:
+        # Negated comparisons, so NaN (for which every comparison is
+        # false) is refused rather than admitting or shedding everything.
+        if not rate > 0:
             raise ValueError("rate must be positive")
-        if burst < 1:
+        if not burst >= 1:
             raise ValueError("burst must be at least one token")
         self.rate = rate
         self.burst = burst

@@ -97,13 +97,13 @@ class TierPolicy:
 
     def __post_init__(self) -> None:
         for v in (self.lake_retention_s, self.ocean_retention_s):
-            if v is not None and v <= 0:
+            if v is not None and not v > 0:  # refuses NaN too
                 raise ValueError("retention must be positive or None")
         if self.row_group_size <= 0:
             raise ValueError("row_group_size must be positive")
         if self.compact_min_parts < 2:
             raise ValueError("compact_min_parts must be at least 2")
-        if self.freeze_after_s is not None and self.freeze_after_s <= 0:
+        if self.freeze_after_s is not None and not self.freeze_after_s > 0:
             raise ValueError("freeze_after_s must be positive or None")
 
 

@@ -31,9 +31,10 @@ class RetentionPolicy:
     max_bytes: int | None = None
 
     def __post_init__(self) -> None:
-        if self.max_age_s is not None and self.max_age_s <= 0:
+        # ``not x > 0`` refuses NaN, which ``x <= 0`` lets through.
+        if self.max_age_s is not None and not self.max_age_s > 0:
             raise ValueError("max_age_s must be positive or None")
-        if self.max_bytes is not None and self.max_bytes <= 0:
+        if self.max_bytes is not None and not self.max_bytes > 0:
             raise ValueError("max_bytes must be positive or None")
 
     @property

@@ -1,20 +1,17 @@
-"""The write path's fast pieces must never change bytes.
+"""The write path's fast piece must never change bytes.
 
-One cache sits on the RCF write path — the writer's whole-chunk memo —
-and under it the fast encoding estimator.  The memo must be an
-invisible accelerator (same encoding choices, same file bytes, cold,
-warm and under ``baseline_mode()``, which bypasses it), and the
-estimator must choose what the pre-optimization reference estimator
-chooses.
+The RCF write path keeps no memo; its one fast piece is the encoding
+estimator, which must choose what the pre-optimization reference
+estimator chooses, so that a file written under ``baseline_mode()`` is
+byte-identical to the default one under every codec.
 """
 
 import numpy as np
 import pytest
 
-from repro.columnar import ColumnTable, RcfReader, encodings, read_table, write_table
+from repro.columnar import ColumnTable, encodings, write_table
 from repro.columnar.compression import CODECS
 from repro.columnar.encodings import choose_encoding, choose_encoding_reference
-from repro.columnar.file_format import chunk_memo_stats, clear_chunk_memo
 from repro.perf import baseline_mode
 
 
@@ -44,26 +41,17 @@ def varied_arrays():
 @pytest.mark.parametrize("arr", list(varied_arrays()), ids=range(18))
 def test_fast_estimator_matches_reference(arr):
     assert choose_encoding(arr) == choose_encoding_reference(arr)
+    table = ColumnTable({"v": arr})
+    for codec in sorted(CODECS):
+        with baseline_mode():
+            reference = write_table(table, codec=codec)
+        assert write_table(table, codec=codec) == reference
 
 
-def test_memoized_choice_equals_uncached():
-    """A chunk-memo hit writes the encoding the reference would choose."""
-    clear_chunk_memo()
-    for arr in varied_arrays():
-        if arr.dtype == object or arr.size == 0:
-            continue  # never memoized: strings and empty columns
-        table = ColumnTable({"v": arr})
-        cold = write_table(table)
-        hot = write_table(ColumnTable({"v": arr.copy()}))
-        assert hot == cold
-        assert RcfReader(hot).group_encoding(0, "v") == choose_encoding_reference(arr)
-    stats = chunk_memo_stats()
-    assert stats["hits"] > 0 and stats["misses"] > 0
-
-
-def test_reference_mode_bypasses_memo(monkeypatch):
-    """Under ``baseline_mode()`` every column, memoizable or not, is
-    encoded as the reference estimator chooses, with no memo probe."""
+def test_reference_mode_uses_reference_estimator(monkeypatch):
+    """Under ``baseline_mode()`` every column is encoded as the
+    reference estimator chooses, and the bytes are the default's; the
+    default write never asks the reference."""
     asked = []
     monkeypatch.setattr(
         encodings,
@@ -71,12 +59,10 @@ def test_reference_mode_bypasses_memo(monkeypatch):
         lambda arr: asked.append(arr.size) or choose_encoding_reference(arr),
     )
     table = sample_table(seed=3)
-    clear_chunk_memo()
-    write_table(table)  # warm: every numeric column is now a hit
-    before = chunk_memo_stats()
+    fast = write_table(table)
+    assert asked == []
     with baseline_mode():
-        write_table(table)
-    assert chunk_memo_stats() == before
+        assert write_table(table) == fast
     assert asked == [table.num_rows] * len(table.column_names)
 
 
@@ -96,45 +82,3 @@ def sample_table(seed=0):
             ),
         }
     )
-
-
-@pytest.mark.parametrize("codec", sorted(CODECS))
-def test_chunk_memo_write_bytes_identical(codec):
-    table = sample_table()
-    clear_chunk_memo()
-    with baseline_mode():
-        bare = write_table(table, codec=codec)
-    assert chunk_memo_stats()["entries"] == 0
-    cold = write_table(table, codec=codec)
-    hot = write_table(table, codec=codec)
-    assert bare == cold == hot
-    assert chunk_memo_stats()["hits"] > 0
-
-    out = read_table(hot)
-    for name in table.column_names:
-        a, b = table[name], out[name]
-        if a.dtype == object:
-            assert list(a) == list(b)
-        else:
-            assert a.tobytes() == b.tobytes()
-
-
-def test_chunk_memo_respects_reference_mode():
-    """Baseline mode must not serve chunks cached by the fast path."""
-    table = sample_table(seed=1)
-    clear_chunk_memo()
-    fast = write_table(table)
-    before = chunk_memo_stats()
-    with baseline_mode():
-        ref = write_table(table)
-    assert chunk_memo_stats() == before  # no probe, hit or store
-    assert ref == fast  # same bytes regardless — the estimators agree
-
-
-def test_chunk_memo_keys_on_codec():
-    table = sample_table(seed=2)
-    clear_chunk_memo()
-    a = write_table(table, codec="fast")
-    b = write_table(table, codec="high")
-    assert a != b
-    assert read_table(a)["value"].tobytes() == read_table(b)["value"].tobytes()

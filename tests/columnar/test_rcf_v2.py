@@ -21,7 +21,6 @@ from repro.columnar.file_format import (
     RcfFormatError,
     RcfReader,
     RcfWriter,
-    clear_chunk_memo,
     write_table,
 )
 from repro.perf import baseline_mode
@@ -232,12 +231,9 @@ class TestDictRef:
 
 
 class TestCheapCodec:
-    """Each write starts from an empty chunk memo, so the rule runs."""
-
     def test_incompressible_chunks_skip_zlib(self):
         rng = np.random.default_rng(1)
         t = ColumnTable({"noise": rng.random(50_000)})
-        clear_chunk_memo()
         r = RcfReader(write_table(t, codec="high"))
         meta = r._group(0).chunks["noise"]
         assert meta.codec == "none"  # stored raw: sampling said ~incompressible
@@ -247,13 +243,11 @@ class TestCheapCodec:
         t = ColumnTable(
             {"gauge": np.tile(np.arange(16, dtype=np.float64), 4096)}
         )
-        clear_chunk_memo()
         buf = write_table(t, codec="fast")
         assert len(buf) < t["gauge"].nbytes / 4
 
     def test_tiny_chunks_never_compress(self):
         t = ColumnTable({"v": np.arange(4, dtype=np.float64)})
-        clear_chunk_memo()
         r = RcfReader(write_table(t, codec="high"))
         assert r._group(0).chunks["v"].codec == "none"
 
@@ -267,7 +261,6 @@ class TestCheapCodec:
         # decides: ~random doubles stay raw without ever calling zlib.
         rng = np.random.default_rng(3)
         t = ColumnTable({"noise": rng.random(256)})
-        clear_chunk_memo()
         r = RcfReader(write_table(t, codec="fast"))
         assert 64 < t["noise"].nbytes <= _CHEAP_SAMPLE_BYTES
         assert r._group(0).chunks["noise"].codec == "none"
@@ -277,7 +270,6 @@ class TestCheapCodec:
         # A repetitive mid-size chunk sits well under the entropy bar
         # and still goes through zlib.
         t = ColumnTable({"gauge": np.tile(np.arange(4.0), 64)})
-        clear_chunk_memo()
         r = RcfReader(write_table(t, codec="fast"))
         meta = r._group(0).chunks["gauge"]
         assert meta.codec == "fast"

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.columnar import ColumnTable, encodings, file_format
+from repro.columnar import ColumnTable, encodings
 from repro.pipeline import factorize
 from repro.query import executor, scan
 from repro.storage import DataClass, TieredStore
@@ -26,7 +26,6 @@ from repro.telemetry.jobs import AllocationTable, JobSpec
 IDS = [
     "factorize.factorize_reference_mode",
     "encodings.encoding_reference_mode",
-    "file_format.chunk_memo_disabled",
     "jobs.utilization_memo_disabled",
     "executor.scan_reference_mode",
     "cache.row_group_cache_disabled",
@@ -51,19 +50,6 @@ def _reached(name: str, call: Callable[[], object]) -> Callable[[], bool]:
         _seen.names = set()
         call()
         return name in _seen.names
-
-    return probe
-
-
-def _memo_untouched(stats, call: Callable[[], object]) -> Callable[[], bool]:
-    def probe() -> bool:
-        before = stats()
-        call()
-        after = stats()
-        return (after["hits"], after["misses"]) == (
-            before["hits"],
-            before["misses"],
-        )
 
     return probe
 
@@ -101,7 +87,6 @@ def install(monkeypatch) -> dict[str, Callable[[], bool]]:
     _spy(monkeypatch, executor, "execute_plan_reference")
     _spy(monkeypatch, scan, "load_column")
     codes = np.arange(4096)
-    table = ColumnTable({"v": np.tile(np.arange(64.0), 64)})
     store = _archive()
     cache_reached = _reached("load_column", lambda: store.query_archive("d"))
     probes = {
@@ -110,9 +95,6 @@ def install(monkeypatch) -> dict[str, Callable[[], bool]]:
         ),
         "encodings.encoding_reference_mode": _reached(
             "choose_encoding_reference", lambda: encodings.choose_encoding(codes)
-        ),
-        "file_format.chunk_memo_disabled": _memo_untouched(
-            file_format.chunk_memo_stats, lambda: file_format.write_table(table)
         ),
         "jobs.utilization_memo_disabled": _utilization_unmemoized,
         "executor.scan_reference_mode": _reached(

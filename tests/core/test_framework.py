@@ -57,6 +57,12 @@ class TestEndToEnd:
         with pytest.raises(ValueError):
             framework.run(0.0, 10.0, window_s=0.0)
 
+    @pytest.mark.parametrize("window_s", [float("inf"), float("nan")])
+    def test_non_finite_window_rejected(self, framework, window_s):
+        # 0 * inf is NaN, so such a step once gave no window and no error.
+        with pytest.raises(ValueError, match="finite"):
+            framework.run(0.0, 10.0, window_s=window_s)
+
     def test_syslog_fans_out_to_log_index(self, framework):
         assert len(framework.logs) > 0
         hits = framework.logs.search("kernel", limit=5)

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import ODAFramework
+from repro.core import DataPlaneOptions, ODAFramework
+from repro.serve.admission import TokenBucket
+from repro.storage.tiers import TierPolicy
+from repro.stream.retention import RetentionPolicy
 from repro.telemetry import MINI, synthetic_job_mix
 
 
@@ -56,3 +59,43 @@ class TestStreamRetentionConfig:
             for t in framework.broker.topics()
         )
         assert retained <= 2 * len(framework.broker.topics())
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: TierPolicy(lake_retention_s=_NAN, ocean_retention_s=1.0, glacier=False),
+        lambda: TierPolicy(lake_retention_s=1.0, ocean_retention_s=_NAN, glacier=False),
+        lambda: TierPolicy(
+            lake_retention_s=1.0, ocean_retention_s=1.0, glacier=True,
+            freeze_after_s=_NAN,
+        ),
+        lambda: RetentionPolicy(max_age_s=_NAN),
+        lambda: RetentionPolicy(max_bytes=_NAN),
+        lambda: DataPlaneOptions(lifecycle=True, lifecycle_every_s=_NAN),
+        lambda: TokenBucket(rate=_NAN, burst=2),
+        lambda: TokenBucket(rate=1.0, burst=_NAN),
+    ],
+    ids=[
+        "lake_retention_s", "ocean_retention_s", "freeze_after_s",
+        "max_age_s", "max_bytes", "lifecycle_every_s", "rate", "burst",
+    ],
+)
+def test_nan_policy_inputs_rejected(make):
+    """A NaN slips past ``x <= 0`` (every comparison with NaN is false):
+    a NaN rate admitted every take, a NaN lifecycle period never came
+    due.  Each policy input refuses it like any other non-positive."""
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_infinite_retention_still_means_forever():
+    policy = TierPolicy(
+        lake_retention_s=float("inf"), ocean_retention_s=float("inf"),
+        glacier=False,
+    )
+    assert policy.lake_retention_s == float("inf")
+    assert RetentionPolicy(max_age_s=float("inf")).max_age_s == float("inf")

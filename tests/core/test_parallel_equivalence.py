@@ -13,7 +13,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.columnar import file_format
 from repro.core import DataPlaneOptions, ODAFramework
 from repro.faults.injector import FaultInjector, FaultyObjectStore
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
@@ -120,10 +119,7 @@ def test_observability_off_matches_serial_baseline(baseline_run):
 
 
 def memo_stats():
-    return (
-        file_format.chunk_memo_stats(),
-        rg_cache.row_group_cache_stats(),
-    )
+    return rg_cache.row_group_cache_stats()
 
 
 def test_baseline_mode_takes_every_reference_path(monkeypatch):

@@ -24,7 +24,6 @@ import pytest
 
 from repro.apps.copacetic import CopaceticEngine
 from repro.columnar import ColumnTable
-from repro.columnar import compression, file_format
 from repro.lineage.catalog import LineageCatalog
 from repro.obs.span import Tracer
 from repro.perf import baseline
@@ -79,13 +78,12 @@ def hammer(work) -> None:
 
 @pytest.fixture(autouse=True)
 def cold_process_state():
-    """The memos are process-wide: start each case cold, leave them cold
-    and at their shipped sizes."""
+    """The row-group cache is process-wide: start each case cold, leave
+    it cold and at its shipped size."""
 
     def reset():
         rg_cache.clear_row_group_cache()
         rg_cache.set_row_group_cache_limit(64 << 20)
-        file_format.clear_chunk_memo()
 
     reset()
     yield
@@ -129,55 +127,6 @@ def test_row_group_cache_ledgers_add_up():
     } == resident
     for token, token_keys in rg_cache._token_keys.items():
         assert token_keys and all(key[0] == token for key in token_keys)
-
-
-# -- the writer's chunk memo --------------------------------------------------
-
-
-def _chunk_memo_inputs():
-    return [
-        ColumnTable(
-            {
-                "timestamp": j * 100.0 + np.arange(50, dtype=float),
-                "node": np.full(50, float(j)),
-            }
-        )
-        for j in range(6)
-    ]
-
-
-# The writer's chunk memo is the one write-path memo left; the id keeps the
-# case named as it was when the choose_encoding, compress and factorize memos
-# ran through this test beside it.
-@pytest.mark.parametrize("memo", ["chunk_memo"])
-def test_memo_answers_and_counters(memo):
-    inputs = _chunk_memo_inputs()
-    with baseline_mode():
-        expected = [file_format.write_table(t) for t in inputs]
-
-    def work(i):
-        for _ in range(ROUNDS):
-            for n in order(i, len(inputs)):
-                assert file_format.write_table(inputs[n]) == expected[n]
-
-    hammer(work)
-    s = file_format.chunk_memo_stats()
-    calls = N_THREADS * ROUNDS * len(inputs)
-    assert s["hits"] + s["misses"] == calls * 2  # one memo probe per column
-    assert s["hits"] > 0
-    held = file_format._chunk_memo.values()
-    assert 0 < s["bytes"] == sum(map(len, held)) <= s["max_bytes"]
-
-
-def test_compress_and_chunk_memo_byte_ledgers():
-    # compress keeps no memo, so the chunk memo's ledger is the only one.
-    assert not hasattr(compression, "_memo")
-    inputs = _chunk_memo_inputs()
-    hammer(
-        lambda i: [file_format.write_table(inputs[n]) for n in order(i, len(inputs))]
-    )
-    held = file_format._chunk_memo.values()
-    assert file_format.chunk_memo_stats()["bytes"] == sum(map(len, held)) > 0
 
 
 def _same(got, want) -> bool:

@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.columnar import Col
-from repro.columnar.file_format import clear_chunk_memo
 from repro.core import DataPlaneOptions, ODAFramework
 from repro.obs import METRICS
 from repro.query import clear_row_group_cache
@@ -121,7 +120,6 @@ def panel_round(tiers, rng):
 
 def take_ledger() -> dict:
     clear_row_group_cache()
-    clear_chunk_memo()
     before = {name: METRICS.counter(name) for name in COUNTERS}
     rng = np.random.default_rng(7)
     allocation = synthetic_job_mix(MINI, 0.0, N_WINDOWS * WINDOW_S, rng)
