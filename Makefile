@@ -48,8 +48,9 @@ lifecycle:
 		tests/integration/test_lifecycle_chaos.py
 
 # Read-plane suite: the RCF format (v2, the one layout: lazy open,
-# DICT_REF, cheap codec, appends; damaged structure a typed
-# RcfFormatError, held by a property over prefixes and footer fields),
+# self-contained chunks, cheap codec, appends; damaged structure a typed
+# RcfFormatError, held by properties over prefixes, footer fields and
+# PLAIN dtype tokens),
 # the zone map against per-part might_match (random predicate trees and
 # part lists; the fast executor over its plans against the reference),
 # planner and scan soundness (the LAKE segment scan
@@ -81,9 +82,9 @@ read-plane:
 		tests/storage/test_lake.py
 
 # Byte-surface properties at a larger example count: RCF blobs cut
-# short or with footer fields overwritten, trace JSONL dumps with
-# inserted junk lines, torn or mangled checkpoints.json files and
-# lineage catalog dumps, each a typed error (or a quarantine, or a
+# short or with footer fields or PLAIN dtype tokens overwritten, trace
+# JSONL dumps with inserted junk lines, torn or mangled checkpoints.json
+# files and lineage catalog dumps, each a typed error (or a quarantine, or a
 # skipped line) or the right answer; random LAKE ingest/query/drop
 # histories against the piece-list oracle, every published table
 # unchanged; and the zone map's prune against per-part might_match.

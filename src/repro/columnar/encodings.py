@@ -28,7 +28,6 @@ __all__ = [
     "DICTIONARY",
     "encode_column",
     "decode_column",
-    "decode_dictionary_parts",
     "choose_encoding",
     "choose_encoding_reference",
 ]
@@ -159,38 +158,6 @@ def _encode_dictionary(arr: np.ndarray) -> bytes:
         + np.ascontiguousarray(uniq).tobytes()
         + codes.astype(np.int32).tobytes()
     )
-
-
-def decode_dictionary_parts(buf: bytes) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Split an encoded DICTIONARY payload into ``(values, codes, is_string)``
-    without materializing the full column.
-
-    ``values`` is the vocabulary (an object array of strings, or the
-    numeric unique array) and ``codes`` the per-row int32 indices
-    (``-1`` marks a null string).  ``values[codes]`` — with ``-1``
-    mapped to ``None`` — reproduces :func:`decode_column` exactly; the
-    scan executor uses the parts directly to evaluate predicates on the
-    (tiny) vocabulary instead of the full column.
-    """
-    kind = buf[:1]
-    if kind == b"S":
-        n_vocab, blob_len = struct.unpack_from("<qq", buf, 1)
-        off = 17
-        vocab = np.empty(n_vocab, dtype=object)
-        pos = off
-        for i in range(n_vocab):
-            (slen,) = struct.unpack_from("<I", buf, pos)
-            pos += 4
-            vocab[i] = str(buf[pos : pos + slen], "utf-8")
-            pos += slen
-        codes = np.frombuffer(buf, dtype=np.int32, offset=off + blob_len)
-        return vocab, codes, True
-    dtype = _parse_dtype(buf[1:9])
-    (n_vocab,) = struct.unpack_from("<q", buf, 9)
-    off = 17
-    uniq = np.frombuffer(buf, dtype=dtype, count=n_vocab, offset=off)
-    codes = np.frombuffer(buf, dtype=np.int32, offset=off + uniq.nbytes)
-    return uniq, codes, False
 
 
 def _decode_dictionary(buf: bytes) -> np.ndarray:

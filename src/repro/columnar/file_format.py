@@ -9,7 +9,7 @@ Layout (all integers little-endian)::
     group bodies, each:
         u64 n_rows
         per column (schema order):
-            u8  encoding id      (encodings.py, plus DICT_REF below)
+            u8  encoding id      (encodings.py)
             u8  codec id         (compression.py)
             u8  stats flags      (bit0: stats present; bit1: inexact —
                                   NaN rows were skipped when computing
@@ -28,27 +28,25 @@ The footer lets :class:`RcfReader` open a file in O(1) — group headers
 are parsed lazily on first touch instead of sequentially on open — and
 keeps every absolute offset out of the group bodies, so a body means
 the same wherever it sits (:meth:`RcfWriter.append_encoded` copies
-them between files).  Three writer-side rules cut encode cost without
-a reader round-trip:
+them between files).  Every chunk is self-contained: a DICTIONARY
+chunk carries its own vocabulary, and nothing in a group points into
+another.
 
-* **DICT_REF** (encoding 4): a string chunk whose encoded
-  vocabulary is byte-identical to an earlier group's stores only
-  ``u32 donor_group`` + the int32 codes; the vocabulary is read from
-  the donor chunk.
-* **cheap codec**: chunks ≤ 64 raw bytes are stored raw; larger chunks
-  are first gated by a cheap probe — a zlib pass over a 4 KiB prefix
-  for big chunks, a byte-histogram entropy estimate for mid-size ones
-  — and stored raw when the probe says zlib would not pay for itself
-  (already-compact numeric columns).
-* Both rules are pure functions of (content, codec) — never toggled by
-  fast-path state — so baseline and optimized runs write identical
-  bytes.
+One writer-side rule cuts encode cost without a reader round-trip, the
+**cheap codec**: chunks ≤ 64 raw bytes are stored raw; larger chunks
+are first gated by a cheap probe — a zlib pass over a 4 KiB prefix for
+big chunks, a byte-histogram entropy estimate for mid-size ones — and
+stored raw when the probe says zlib would not pay for itself
+(already-compact numeric columns).  The rule is a pure function of
+(content, codec) — never toggled by fast-path state — so baseline and
+optimized runs write identical bytes.
 
 Every column of a file has one dtype: :meth:`RcfWriter.append` refuses
 a table whose dtypes differ from the first one's, as a Parquet schema
 fixes each column's physical type for every row group.  A reader checks
-the structure it walks — magics, footer, offsets, group headers — and
-raises :class:`RcfFormatError` where it does not hold; payload bytes are
+the structure it walks — magics, footer, offsets, group headers, a
+PLAIN chunk's dtype token and every decoded chunk's length — and raises
+:class:`RcfFormatError` where it does not hold; other payload bytes are
 not checked.
 
 Column projection works by *skipping* unneeded payloads (we know their
@@ -81,7 +79,6 @@ __all__ = [
     "RcfWriter",
     "RcfReader",
     "RcfFormatError",
-    "DICT_REF",
     "write_table",
     "read_table",
     "column_stats",
@@ -93,13 +90,6 @@ _MAGIC = b"RCF2"
 #: bytes of a file with no columns and no groups.
 _MIN_LEN = 22
 
-#: File-format-level encoding id (v2 only): payload is ``u32 donor_group``
-#: followed by this chunk's int32 codes; the vocabulary lives in the donor
-#: group's DICTIONARY chunk of the same column.  Decoding needs reader
-#: context (another group's payload), hence defined here rather than in
-#: :mod:`repro.columnar.encodings`.
-DICT_REF = 4
-
 # Cheap-codec thresholds (writer rule; see the module docstring).
 _CHEAP_MIN_BYTES = 64
 _CHEAP_SAMPLE_BYTES = 4096
@@ -110,6 +100,16 @@ _CHEAP_SKIP_RATIO = 0.9
 #: 0.9 ratio under zlib once the per-chunk header overhead is paid,
 #: while genuinely compressible chunks measured far below 6 bits.
 _CHEAP_ENTROPY_BITS = 6.0
+
+
+#: Each dtype token a PLAIN chunk can carry, and the dtype it names:
+#: the fixed-width numeric and bool dtypes, in either byte order.
+_PLAIN_DTYPES = {
+    _enc._dtype_token(d): d
+    for d in (
+        np.dtype(c).newbyteorder(order) for c in "?bBhHiIlLqQefdg" for order in "<>"
+    )
+}
 
 
 def _round_trips(col: np.ndarray, encoding: int, raw: bytes) -> bool:
@@ -168,18 +168,13 @@ def column_stats(arr: np.ndarray) -> tuple[object, object, bool] | None:
     return float(arr.min()), float(arr.max()), True
 
 
-def _vocab_section(raw: bytes) -> bytes:
-    """The vocabulary part of an encoded string DICTIONARY chunk —
-    kind byte, counts and length-prefixed entries, without the codes."""
-    _n_vocab, blob_len = struct.unpack_from("<qq", raw, 1)
-    return raw[: 17 + blob_len]
-
-
 class RcfFormatError(ValueError):
     """Bytes that are not an RCF file the writer could have made: a bad
     magic, a header or footer that does not fit the buffer, offsets out
-    of order, or a group header that disagrees with the footer or its
-    own extent.  Raised on open or when a group header is first parsed."""
+    of order, a group header that disagrees with the footer or its own
+    extent, or a chunk that does not hold its group's rows.  Raised on
+    open, when a group header is first parsed, or when a chunk is
+    decoded or viewed."""
 
 
 class RcfWriter:
@@ -201,9 +196,6 @@ class RcfWriter:
         self._groups: list[bytes] = []
         self._group_rows: list[int] = []
         self._n_rows = 0
-        # column name -> (group index, encoded vocab section) of the most
-        # recent DICTIONARY chunk, for DICT_REF back-references.
-        self._vocab_donors: dict[str, tuple[int, bytes]] = {}
 
     def append(self, table: ColumnTable) -> None:
         """Add a table's rows, splitting into row groups as needed."""
@@ -235,11 +227,7 @@ class RcfWriter:
         A group is copied when encoding its rows again would write the
         same bytes: it is full (so the next group starts where this
         writer would start it), and was written under this codec — a
-        body holds no file offset, and a ``DICT_REF`` names its donor by
-        group index, which a prefix keeps.  The
-        vocabulary donors are taken over with the groups, so that the
-        groups encoded next make the back-reference decisions a writer
-        that had encoded everything would.
+        body holds no file offset and points into no other group.
         """
         if self._groups:
             raise ValueError("encoded groups can only open a file")
@@ -257,17 +245,6 @@ class RcfWriter:
         self._groups = [reader.group_bytes(g) for g in range(n)]
         self._group_rows = [self.row_group_size] * n
         self._n_rows = n * self.row_group_size
-        for name, is_string in self._schema:
-            if not is_string:
-                continue
-            donor = max(
-                g
-                for g in range(n)
-                if reader.group_encoding(g, name) == _enc.DICTIONARY
-            )
-            meta = reader._group(donor).chunks[name]
-            raw = decompress(reader._payload(meta), meta.codec)
-            self._vocab_donors[name] = (donor, bytes(_vocab_section(raw)))
         return n
 
     def _encode_group(self, chunk: ColumnTable) -> bytes:
@@ -275,23 +252,6 @@ class RcfWriter:
 
         with METRICS.timer("columnar.encode_group"):
             return self._encode_group_impl(chunk)
-
-    def _maybe_dict_ref(
-        self, name: str, group_index: int, raw: bytes
-    ) -> tuple[int, bytes]:
-        """Swap a repeated string vocabulary for a back-reference.
-
-        Consecutive row groups of one topic usually share the exact
-        vocabulary (host names, sensor names, severity levels); when the
-        encoded vocab section is byte-identical to an earlier group's,
-        only ``u32 donor_group`` + the codes are written.
-        """
-        vocab_sec = _vocab_section(raw)
-        donor = self._vocab_donors.get(name)
-        if donor is not None and donor[1] == vocab_sec:
-            return DICT_REF, struct.pack("<I", donor[0]) + raw[len(vocab_sec):]
-        self._vocab_donors[name] = (group_index, vocab_sec)
-        return _enc.DICTIONARY, raw
 
     def _frame_payload(self, raw: bytes) -> tuple[bytes, str]:
         """``(payload, codec actually used)`` under the cheap-codec rule:
@@ -318,7 +278,6 @@ class RcfWriter:
         return payload, self.codec
 
     def _encode_group_impl(self, chunk: ColumnTable) -> bytes:
-        group_index = len(self._groups)
         parts = [struct.pack("<Q", chunk.num_rows)]
         for name, is_string in self._schema or []:
             col = chunk[name]
@@ -326,8 +285,6 @@ class RcfWriter:
             raw = encode_column(col, encoding)
             if not _round_trips(col, encoding, raw):
                 encoding, raw = _enc.PLAIN, encode_column(col, _enc.PLAIN)
-            if encoding == _enc.DICTIONARY and col.dtype == object:
-                encoding, raw = self._maybe_dict_ref(name, group_index, raw)
             payload, codec = self._frame_payload(raw)
             stats = column_stats(col)
             flags = 0
@@ -371,22 +328,6 @@ class RcfWriter:
         parts.append(struct.pack("<Q", off))  # footer_start
         parts.append(_MAGIC)
         return b"".join(parts)
-
-
-def _materialize_string_dictionary(
-    vocab: np.ndarray, codes: np.ndarray
-) -> np.ndarray:
-    """``values[codes]`` for a string vocabulary, -1 codes -> None —
-    exactly what :func:`encodings.decode_column` produces for an inline
-    DICTIONARY chunk."""
-    out = np.empty(codes.size, dtype=object)
-    nulls = codes < 0
-    safe = np.where(nulls, 0, codes)
-    if vocab.size:
-        vlist = vocab.tolist()
-        out[:] = [vlist[c] for c in safe.tolist()]
-    out[nulls] = None
-    return out
 
 
 @dataclass
@@ -489,7 +430,7 @@ class RcfReader:
             for name, is_string in self.schema:
                 encoding, codec_id, flags = struct.unpack_from("<BBB", buf, off)
                 off += 3
-                if encoding > DICT_REF or codec_id >= len(CODECS) or flags > 3:
+                if encoding > _enc.DICTIONARY or codec_id >= len(CODECS) or flags > 3:
                     raise RcfFormatError(
                         f"row group {i}, column {name!r}: unknown encoding "
                         f"{encoding}, codec {codec_id} or flags {flags}"
@@ -566,8 +507,7 @@ class RcfReader:
         return self._group_rows[group]
 
     def group_encoding(self, group: int, name: str) -> int:
-        """Encoding id of one chunk (see :mod:`repro.columnar.encodings`
-        plus the file-level :data:`DICT_REF`)."""
+        """Encoding id of one chunk (see :mod:`repro.columnar.encodings`)."""
         return self._group(group).chunks[name].encoding
 
     def decode_group_column(self, group: int, name: str) -> np.ndarray:
@@ -576,15 +516,21 @@ class RcfReader:
         decodes predicate columns first and calls back here only for
         groups that survive."""
         meta = self._group(group).chunks[name]
-        if meta.encoding == DICT_REF:
-            vocab, codes = self._dict_ref_parts(meta, name)
-            return _materialize_string_dictionary(vocab, codes)
-        return self._decode_chunk(meta)
+        raw = decompress(self._payload(meta), meta.codec)
+        if meta.encoding == _enc.PLAIN:
+            self._plain_dtype(raw[:8], len(raw) - 8, group, name)
+        arr = decode_column(raw, meta.encoding)
+        if arr.size != self._group_rows[group]:
+            raise RcfFormatError(
+                f"row group {group}, column {name!r}: {arr.size} values "
+                f"decoded, the group holds {self._group_rows[group]} rows"
+            )
+        return arr
 
     def raw_view(self, group: int, name: str) -> np.ndarray | None:
         """A read-only view of one chunk's values inside :attr:`buffer`,
-        or None unless the chunk is PLAIN, stored raw (codec ``none``)
-        and of a fixed-width numeric or bool dtype.
+        or None unless the chunk is PLAIN and stored raw (codec
+        ``none``) — so of a fixed-width numeric or bool dtype.
 
         Such a chunk's decode is only a copy, so scans read it in place
         instead.  The view is made once per chunk and kept with the
@@ -598,14 +544,11 @@ class RcfReader:
         if meta.encoding != _enc.PLAIN or meta.codec != "none":
             return None
         off = meta.payload_offset
-        dtype = _enc._parse_dtype(self._buf[off : off + 8])
-        if dtype.kind not in "biuf":
-            return None
+        dtype = self._plain_dtype(
+            self._buf[off : off + 8], meta.payload_len - 8, group, name
+        )
         view = np.frombuffer(
-            self._buf,
-            dtype=dtype,
-            count=(meta.payload_len - 8) // dtype.itemsize,
-            offset=off + 8,
+            self._buf, dtype=dtype, count=self._group_rows[group], offset=off + 8
         )
         view.setflags(write=False)
         meta.view = view
@@ -624,23 +567,6 @@ class RcfReader:
             {n: self.decode_group_column(group, n) for n, _ in self.schema}
         )
 
-    def group_dictionary_parts(
-        self, group: int, name: str
-    ) -> tuple[np.ndarray, np.ndarray, bool] | None:
-        """``(values, codes, is_string)`` of a DICTIONARY (or DICT_REF)
-        chunk without materializing ``values[codes]``, or None for other
-        encodings.  Enables evaluating ``Compare``/``IsIn`` on the
-        (tiny) vocabulary and mapping the verdicts through the codes."""
-        meta = self._group(group).chunks[name]
-        if meta.encoding == DICT_REF:
-            vocab, codes = self._dict_ref_parts(meta, name)
-            return vocab, codes, True
-        if meta.encoding != _enc.DICTIONARY:
-            return None
-        return _enc.decode_dictionary_parts(
-            decompress(self._payload(meta), meta.codec)
-        )
-
     def digest(self) -> str:
         """Stable content digest of the whole buffer — the cache token
         the decoded-row-group cache keys on (computed once, lazily)."""
@@ -650,36 +576,28 @@ class RcfReader:
             ).hexdigest()
         return self._digest
 
+    def _plain_dtype(
+        self, token: bytes | memoryview, extent: int, group: int, name: str
+    ) -> np.dtype:
+        """The dtype a PLAIN chunk's token names, checked against the
+        ``extent`` bytes of values that follow it: RcfFormatError unless
+        it is a fixed-width numeric or bool dtype — the only kind the
+        writer stores PLAIN — filling exactly the group's rows."""
+        dtype = _PLAIN_DTYPES.get(bytes(token))
+        if dtype is None or dtype.itemsize * self._group_rows[group] != extent:
+            raise RcfFormatError(
+                f"row group {group}, column {name!r}: PLAIN dtype token "
+                f"{bytes(token)!r} does not fit {extent} bytes of "
+                f"{self._group_rows[group]} rows"
+            )
+        return dtype
+
     def _payload(self, meta: _ChunkMeta) -> memoryview:
         """One chunk's payload, not copied: the decoders copy out of it
         (once) into arrays of their own."""
         return memoryview(self._buf)[
             meta.payload_offset : meta.payload_offset + meta.payload_len
         ]
-
-    def _dict_ref_parts(
-        self, meta: _ChunkMeta, name: str
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(vocab, codes)`` of a DICT_REF chunk, vocabulary fetched
-        from the donor group's DICTIONARY chunk of the same column."""
-        buf = decompress(self._payload(meta), meta.codec)
-        (donor,) = struct.unpack_from("<I", buf, 0)
-        codes = np.frombuffer(buf, dtype=np.int32, offset=4)
-        donor_meta = self._group(donor).chunks[name]
-        if donor_meta.encoding != _enc.DICTIONARY:
-            raise ValueError(
-                f"DICT_REF donor group {donor} of column {name!r} is not "
-                f"DICTIONARY-encoded"
-            )
-        vocab, _, _ = _enc.decode_dictionary_parts(
-            decompress(self._payload(donor_meta), donor_meta.codec)
-        )
-        return vocab, codes
-
-    def _decode_chunk(self, meta: _ChunkMeta) -> np.ndarray:
-        return decode_column(
-            decompress(self._payload(meta), meta.codec), meta.encoding
-        )
 
     def read(
         self,

@@ -107,8 +107,7 @@ class Compare(Predicate):
         return self.mask_array(table[self.column])
 
     def mask_array(self, col: np.ndarray) -> np.ndarray:
-        """Boolean mask over one column array (the leaf evaluator the
-        scan executor calls directly for late materialization)."""
+        """Boolean mask over one column array."""
         if col.dtype == object:
             vals = np.array(
                 ["" if x is None else x for x in col.tolist()], dtype="U"

@@ -62,9 +62,10 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.base_delay_s < 0 or self.max_delay_s < 0:
+        # ``not x >= 0`` refuses NaN, which ``x < 0`` lets through.
+        if not (self.base_delay_s >= 0 and self.max_delay_s >= 0):
             raise ValueError("delays must be non-negative")
-        if self.multiplier < 1.0:
+        if not self.multiplier >= 1.0:
             raise ValueError("multiplier must be >= 1")
 
     def delay_s(self, retry_index: int) -> float:

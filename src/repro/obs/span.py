@@ -93,7 +93,7 @@ class Tracer:
     """
 
     def __init__(self, max_spans: int = DEFAULT_MAX_SPANS) -> None:
-        if max_spans <= 0:
+        if not max_spans > 0:  # refuses NaN too
             raise ValueError("max_spans must be positive")
         self.max_spans = max_spans
         self._lock = threading.Lock()

@@ -5,8 +5,8 @@ read-side counterpart (DESIGN.md §11).  A query — (table, time range,
 predicate, columns) — is first *planned* into an explicit
 :class:`~repro.query.plan.ScanPlan` naming every segment and part it
 could touch, then *executed* with multi-level pruning (part manifests,
-row-group stats), late materialization (predicate columns first,
-dictionary-code pushdown) and a bounded cache of decoded row groups.
+row-group stats), late materialization (predicate columns first) and
+a bounded cache of decoded row groups.
 
 Layering: ``repro.query`` depends only on ``repro.columnar`` (plus the
 perf spine); ``repro.storage`` builds plans from its metadata and feeds

@@ -254,7 +254,7 @@ def set_row_group_cache_limit(max_bytes: int) -> None:
     """Resize the byte budget, evicting LRU entries to fit (a resize is
     not a request: no admission rule applies, ask counts are kept)."""
     global _cache_bytes, _cache_max_bytes
-    if max_bytes <= 0:
+    if not max_bytes > 0:  # refuses NaN too
         raise ValueError("max_bytes must be positive")
     evicted = 0
     with _cache_lock:

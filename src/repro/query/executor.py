@@ -23,7 +23,7 @@ are.
 :func:`execute_plan_reference` is the oracle: every unit is scanned —
 pruned flags ignored — by fully decoding the data and applying the
 exact masks serially.  Equality between the two paths therefore
-validates the planner's pruning decisions, the dictionary pushdown,
+validates the planner's pruning decisions, late materialization,
 the runs and the cache in one assertion.  Under ``repro.perf.baseline_mode()``
 :func:`execute_plan` routes through the oracle.
 """

@@ -3,10 +3,9 @@
 The part scanner is where the read plane earns its speedup: for each
 row group it (1) tests the predicate against the group's min/max stats
 — a pruned group costs nothing; (2) evaluates the predicate on *only*
-the predicate's own columns, pushing ``Compare``/``IsIn`` down to
-dictionary codes so a dict-encoded column is judged on its (tiny)
-vocabulary instead of its rows; (3) decodes the remaining projected
-columns only for groups with surviving rows.  A chunk whose decode
+the predicate's own columns, with the same ``Predicate.mask`` the
+oracle applies; (3) decodes the remaining projected columns only for
+groups with surviving rows.  A chunk whose decode
 would only copy it — PLAIN, stored raw, fixed-width numeric or bool —
 is read in place as a view of the part's bytes and never cached; every
 other chunk is decoded through the bounded row-group cache, so repeated
@@ -19,8 +18,9 @@ chunks (views) where a group passes entirely, and tallies its work
 counts for the executor to record once per plan.  Its pieces, unlike
 the executor's result, may hold those views.
 
-Soundness contract: every mask computed here must equal the brute-force
-``predicate.mask`` over the fully decoded data — the property tests in
+Soundness contract: a group's mask is ``predicate.mask`` itself, over
+the predicate's columns as decoded or read in place, so it equals the
+brute-force mask over the fully decoded data — the property tests in
 ``tests/query`` hold the two paths to byte equality, NaN floats and
 null strings included.
 """
@@ -32,7 +32,7 @@ from collections import defaultdict
 import numpy as np
 
 from repro.columnar.file_format import RcfReader
-from repro.columnar.predicate import And, Compare, IsIn, Not, Or, Predicate
+from repro.columnar.predicate import And, Compare, Predicate
 from repro.columnar.table import ColumnTable
 from repro.obs import METRICS
 from repro.query.cache import load_column
@@ -130,11 +130,12 @@ def gather_part(
     ``predicate`` already holds the time window
     (:func:`fold_time_predicate`).  A slice is a whole chunk — a view of
     the cache or of the part's bytes — when every row of its group
-    passes, else the surviving rows gathered by index.  Group and
-    pushdown counts, and the row-group cache's hits, go to ``tally``
+    passes, else the surviving rows gathered by index.  Group counts,
+    and the row-group cache's hits, go to ``tally``
     (see :func:`record_tally`).
     """
     token = reader.digest()
+    pred_cols = [] if predicate is None else sorted(predicate.columns())
     pieces: list[list[np.ndarray]] = [[] for _ in out_cols]
     for g in range(reader.num_row_groups):
         idx: np.ndarray | None = None  # None: the whole group passes
@@ -142,7 +143,12 @@ def gather_part(
             if not predicate.might_match(reader.group_stats(g)):
                 tally["query.groups_pruned"] += 1
                 continue
-            mask = _group_mask(reader, g, predicate, token, tally)
+            # The oracle's own mask, over the predicate's columns only.
+            mask = predicate.mask(
+                ColumnTable._derived(
+                    {n: _column(reader, g, n, token, tally) for n in pred_cols}
+                )
+            )
             kept = np.count_nonzero(mask)
             if kept == 0:
                 tally["query.groups_empty"] += 1
@@ -163,62 +169,6 @@ def record_tally(tally: dict[str, int]) -> None:
     call per counter — what the scan would have counted one by one."""
     for name, n in tally.items():
         METRICS.inc(name, n)
-
-
-def _group_mask(
-    reader: RcfReader, group: int, pred: Predicate, token: str, tally: defaultdict
-) -> np.ndarray:
-    """Evaluate ``pred`` over one row group, decoding as little as
-    possible: boolean algebra recurses, leaves go through the dictionary
-    pushdown when the chunk is dict-encoded."""
-    if isinstance(pred, And):
-        return _group_mask(reader, group, pred.left, token, tally) & _group_mask(
-            reader, group, pred.right, token, tally
-        )
-    if isinstance(pred, Or):
-        return _group_mask(reader, group, pred.left, token, tally) | _group_mask(
-            reader, group, pred.right, token, tally
-        )
-    if isinstance(pred, Not):
-        return ~_group_mask(reader, group, pred.inner, token, tally)
-    if isinstance(pred, (Compare, IsIn)):
-        return _leaf_mask(reader, group, pred, token, tally)
-    # Unknown node type: decode its columns and fall back to exact mask.
-    data = {n: _column(reader, group, n, token, tally) for n in pred.columns()}
-    return pred.mask(ColumnTable(data))
-
-
-def _leaf_mask(
-    reader: RcfReader, group: int, pred, token: str, tally: defaultdict
-) -> np.ndarray:
-    """One-column leaf evaluation, dictionary codes first.
-
-    For a dict-encoded chunk the leaf is evaluated on the vocabulary
-    (via the same ``mask_array`` that defines exact semantics) and the
-    verdicts are gathered through the codes — O(|vocab| + rows) with no
-    string materialization.  Null string rows carry code -1; their
-    verdict comes from ``mask_array([None])``, which is exactly how a
-    decoded null (None) would have been judged.
-    """
-    name = pred.column
-    parts = reader.group_dictionary_parts(group, name)
-    if parts is not None:
-        values, codes, is_string = parts
-        tally["query.dict_pushdowns"] += 1
-        if is_string:
-            none_match = bool(
-                pred.mask_array(np.array([None], dtype=object))[0]
-            )
-            if values.size == 0:
-                return np.full(codes.size, none_match, dtype=bool)
-            lut = np.asarray(pred.mask_array(values), dtype=bool)
-            return np.where(
-                codes >= 0, lut[np.maximum(codes, 0)], none_match
-            )
-        lut = np.asarray(pred.mask_array(values), dtype=bool)
-        return lut[codes]
-    arr = _column(reader, group, name, token, tally)
-    return np.asarray(pred.mask_array(arr), dtype=bool)
 
 
 def _column(

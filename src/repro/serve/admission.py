@@ -68,7 +68,7 @@ class TenantPolicy:
     queue_limit: int = 32
 
     def __post_init__(self) -> None:
-        if self.queue_limit <= 0:
+        if not self.queue_limit > 0:  # refuses NaN too
             raise ValueError("queue_limit must be positive")
 
 

@@ -23,7 +23,7 @@ class ResultCache:
     """Bounded LRU of ``(fingerprint, generation) -> (payload, digest)``."""
 
     def __init__(self, capacity: int = 1024) -> None:
-        if capacity <= 0:
+        if not capacity > 0:  # refuses NaN too
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._entries: OrderedDict[tuple[str, int], tuple[Any, str]] = (

@@ -77,7 +77,7 @@ class RollupSpec:
             raise ValueError("rollup name and source must be non-empty")
         if not self.keys and self.bucket_s is None:
             raise ValueError("rollup needs at least one key or a time bucket")
-        if self.bucket_s is not None and self.bucket_s <= 0:
+        if self.bucket_s is not None and not self.bucket_s > 0:  # refuses NaN too
             raise ValueError("bucket_s must be positive")
 
 

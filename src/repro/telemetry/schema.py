@@ -47,7 +47,7 @@ class SensorSpec:
     loss_rate: float = 0.0  # fraction of samples dropped at the source
 
     def __post_init__(self) -> None:
-        if self.sample_period_s <= 0:
+        if not self.sample_period_s > 0:  # refuses NaN too
             raise ValueError(f"sample_period_s must be > 0 for {self.name}")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1) for {self.name}")

@@ -2,9 +2,11 @@
 silently different table.
 
 The reader checks what it walks — magics, the footer's place, group
-offsets, and each group header against the footer and its own extent —
-and raises :class:`RcfFormatError`.  Payload bytes are not checked:
-a flipped payload bit still decodes to wrong values.
+offsets, each group header against the footer and its own extent, a
+PLAIN chunk's dtype token and every decoded chunk's length against its
+group's rows — and raises :class:`RcfFormatError`.  Other payload bytes
+are not checked: a flipped payload bit still decodes to wrong values,
+and so does a PLAIN token swapped for another dtype of the same width.
 """
 
 import struct
@@ -112,6 +114,7 @@ def test_structure_that_does_not_fit_fails_the_open(buf):
         (FOOTER_START + 8, "<Q", 5),  # group 0's footer rows: 32 -> 5
         (GROUP0, "<Q", 31),  # group 0's own row count
         (GROUP0 + 8, "<B", 9),  # encoding id
+        (GROUP0 + 8, "<B", 4),  # the retired dictionary back-reference
         (GROUP0 + 9, "<B", 7),  # codec id
         (GROUP0 + 10, "<B", 4),  # stats flags
         (GROUP0 + 15, "<B", 0xFF),  # the string min's first byte
@@ -121,6 +124,7 @@ def test_structure_that_does_not_fit_fails_the_open(buf):
         "footer-rows",
         "header-rows",
         "encoding",
+        "encoding-4",
         "codec",
         "flags",
         "stats-utf8",
@@ -142,6 +146,84 @@ def test_a_payload_off_its_group_end_fails_the_parse():
     for length in (meta.payload_len + 1, 1 << 40, meta.payload_len - 1):
         with pytest.raises(RcfFormatError, match="does not end where"):
             RcfReader(patched(length_at, "<Q", length)).group_stats(0)
+
+
+#: ``(group, column)`` of every PLAIN chunk stored raw, so that its
+#: 8-byte dtype token sits in the blob as written.
+PLAIN_RAW = [
+    (g, n)
+    for g in range(4)
+    for n, meta in RcfReader(BLOB)._group(g).chunks.items()
+    if (meta.encoding, meta.codec) == (0, "none")
+]
+
+
+def with_token(group, name, token):
+    at = RcfReader(BLOB)._group(group).chunks[name].payload_offset
+    return BLOB[:at] + token + BLOB[at + 8 :]
+
+
+def same_width_swap(token, original):
+    """The values ``token`` reinterprets the original chunk as, when it
+    names another dtype of the original's width — payload damage the
+    reader cannot see — else None."""
+    width = original.dtype.itemsize
+    swaps = {
+        f"{order}{kind}{width}".encode().ljust(8): np.dtype(f"{order}{kind}{width}")
+        for order in "<>"
+        for kind in "iuf"
+    }
+    dtype = swaps.get(token)
+    return None if dtype is None else original.view(dtype)
+
+
+def test_the_blob_has_six_plain_chunks_stored_raw():
+    assert PLAIN_RAW == [
+        (0, "power"), (1, "power"), (2, "power"),
+        (3, "timestamp"), (3, "node"), (3, "power"),
+    ]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "token",
+    [b"garbage!", b"<f3     ", b"|O      ", b"<U3     ", b"<i4     "],
+    ids=lambda token: token.decode().strip(),
+)
+@pytest.mark.parametrize("where", PLAIN_RAW[:1] + PLAIN_RAW[-1:], ids=str)
+def test_a_damaged_plain_token_is_a_format_error(where, token):
+    buf = with_token(*where, token)
+    with pytest.raises(RcfFormatError):
+        RcfReader(buf).raw_view(*where)
+    with pytest.raises(RcfFormatError):
+        RcfReader(buf).decode_group_column(*where)
+    with pytest.raises(RcfFormatError):
+        read_table(buf)
+
+
+def decode_or_none(buf, group, name, method):
+    try:
+        return getattr(RcfReader(buf), method)(group, name)
+    except RcfFormatError:
+        return None
+
+
+@settings(deadline=None)
+@given(where=st.sampled_from(PLAIN_RAW), token=st.binary(min_size=8, max_size=8))
+def test_every_plain_token_overwritten_is_an_error_or_the_table(where, token):
+    original = RcfReader(BLOB).decode_group_column(*where)
+    buf = with_token(*where, token)
+    chunk = decode_or_none(buf, *where, "decode_group_column")
+    view = decode_or_none(buf, *where, "raw_view")
+    out = read_or_none(buf)
+    assert (chunk is None) == (view is None) == (out is None)
+    if chunk is None:
+        return
+    want = same_width_swap(token, original)
+    if want is None:
+        want = original
+        assert_original(out)
+    assert chunk.dtype == view.dtype == want.dtype
+    assert chunk.tobytes() == view.tobytes() == want.tobytes()
 
 
 def test_format_errors_are_value_errors():

@@ -1,11 +1,12 @@
-"""RCF v2: seekable footer, lazy open, DICT_REF, cheap codec.
+"""RCF v2: seekable footer, lazy open, cheap codec, appends.
 
 The v2 format — the only layout the writer writes and the reader
 reads — exists to make the write plane cheap and the open path O(1);
 everything here pins the properties the rest of the data plane leans
-on: group headers parse lazily from the footer, shared string
-vocabularies collapse to back-references, and incompressible chunks
-skip zlib without changing decoded bytes.
+on: group headers parse lazily from the footer, every chunk (a string
+DICTIONARY chunk with its vocabulary included) decodes from its own
+group alone, and incompressible chunks skip zlib without changing
+decoded bytes.
 """
 
 import numpy as np
@@ -17,7 +18,6 @@ from repro.columnar.file_format import (
     _CHEAP_ENTROPY_BITS,
     _CHEAP_SAMPLE_BYTES,
     _CHEAP_SKIP_RATIO,
-    DICT_REF,
     RcfFormatError,
     RcfReader,
     RcfWriter,
@@ -115,9 +115,11 @@ class TestLazyOpen:
         assert r.header_parse_count == 1
         r.group_stats(3)
         assert r.header_parse_count == 2
-        # DICT_REF decode touches exactly one extra group: its donor.
+        # A string DICTIONARY chunk carries its own vocabulary: its
+        # decode touches no other group.
+        assert r.group_encoding(7, "host") == DICTIONARY
         r.decode_group_column(7, "host")
-        assert r.header_parse_count == 3
+        assert r.header_parse_count == 2
 
     def test_lazy_read_equals_eager_read(self):
         # A reader whose every header was parsed up front answers as a
@@ -136,98 +138,6 @@ class TestLazyOpen:
             pred.might_match(lazy.group_stats(g)) for g in range(4)
         ]
         assert lazy.header_parse_count == 4
-
-
-class TestDictRef:
-    def test_repeated_vocab_becomes_back_reference(self):
-        t = make_table(1000)
-        r = RcfReader(write_table(t, row_group_size=100))
-        encs = [r.group_encoding(g, "host") for g in range(r.num_row_groups)]
-        assert encs[0] == DICTIONARY
-        assert all(e == DICT_REF for e in encs[1:])
-        assert_tables_equal(r.read(), t)
-
-    def test_back_reference_shrinks_the_file(self):
-        whole = RcfReader(fixture_as_v2())
-        # One file per group: every group carries its vocabulary.
-        alone = [
-            RcfReader(
-                write_table(
-                    fixture_table().slice(g * 64, (g + 1) * 64),
-                    codec="high",
-                    row_group_size=64,
-                )
-            )
-            for g in range(4)
-        ]
-
-        def host_bytes(readers):
-            return sum(
-                r._group(g).chunks["host"].payload_len
-                for r in readers
-                for g in range(r.num_row_groups)
-            )
-
-        assert [whole.group_encoding(g, "host") for g in range(4)] == [
-            DICTIONARY, DICT_REF, DICT_REF, DICT_REF
-        ]  # fmt: skip
-        assert all(r.group_encoding(0, "host") == DICTIONARY for r in alone)
-        assert host_bytes([whole]) < host_bytes(alone)
-
-    def test_vocab_change_resets_the_donor(self):
-        """A group with a different vocabulary becomes the new donor;
-        later groups reference it, not the stale one."""
-        a = ColumnTable(
-            {"host": np.array(["a", "b"] * 50, dtype=object),
-             "v": np.arange(100, dtype=np.float64)}
-        )
-        b = ColumnTable(
-            {"host": np.array(["c", "d"] * 50, dtype=object),
-             "v": np.arange(100, dtype=np.float64)}
-        )
-        w = RcfWriter(row_group_size=50)
-        w.append(a)
-        w.append(b)
-        w.append(a)
-        r = RcfReader(w.finish())
-        encs = [r.group_encoding(g, "host") for g in range(6)]
-        assert encs == [
-            DICTIONARY, DICT_REF, DICTIONARY, DICT_REF, DICTIONARY, DICT_REF
-        ]
-        out = r.read()
-        assert list(out["host"]) == ["a", "b"] * 50 + ["c", "d"] * 50 + [
-            "a", "b"
-        ] * 50
-
-    def test_dictionary_parts_follow_the_reference(self):
-        t = make_table(500)
-        r = RcfReader(write_table(t, row_group_size=100))
-        direct = r.group_dictionary_parts(0, "host")
-        via_ref = r.group_dictionary_parts(3, "host")
-        assert via_ref is not None and direct is not None
-        assert list(direct[0]) == list(via_ref[0])  # same vocabulary
-        assert via_ref[2] is True
-        got = direct[0][via_ref[1]]
-        assert list(got) == list(t["host"][300:400])
-
-    def test_null_strings_round_trip_through_dict_ref(self):
-        vals = np.array(["x", None, "y", None] * 25, dtype=object)
-        t = ColumnTable({"s": vals, "v": np.arange(100, dtype=np.float64)})
-        r = RcfReader(write_table(t, row_group_size=50))
-        assert r.group_encoding(1, "s") == DICT_REF
-        assert list(r.read()["s"]) == list(vals)
-
-    def test_numeric_dictionary_never_back_references(self):
-        """DICT_REF is strings-only: numeric chunks flow through the
-        chunk memo, where a position-dependent blob would be unsafe."""
-        t = ColumnTable(
-            {"cat": np.repeat(np.arange(4), 100).astype(np.int64)[
-                np.tile(np.arange(400), 1)
-            ]}
-        )
-        r = RcfReader(write_table(t, row_group_size=100))
-        for g in range(r.num_row_groups):
-            assert r.group_encoding(g, "cat") != DICT_REF
 
 
 class TestCheapCodec:
@@ -276,8 +186,8 @@ class TestCheapCodec:
         assert_tables_equal(r.read(), t)
 
     def test_rule_is_identical_under_baseline_mode(self):
-        """The cheap-codec and DICT_REF rules are format-level, not
-        fast-path toggles: baseline_mode writes the very same bytes."""
+        """The cheap-codec rule is format-level, not a fast-path
+        toggle: baseline_mode writes the very same bytes."""
         t = make_table(2000, seed=4)
         fast = write_table(t, codec="high", row_group_size=256)
         with baseline_mode():
@@ -301,17 +211,13 @@ class TestWriterStreamingAppend:
     ):
         """Appends that end on row-group boundaries are the file
         ``write_table`` makes of the whole, byte for byte — vocabulary
-        back-references across the append seams included."""
+        changes across the append seams included."""
         whole = self._vocab_table()
         step = 64 * groups_per_append
         w = RcfWriter(codec="high", row_group_size=64)
         for start in range(0, whole.num_rows, step):
             w.append(whole.slice(start, start + step))
-        blob = w.finish()
-        assert blob == write_table(whole, codec="high", row_group_size=64)
-        r = RcfReader(blob)
-        encs = [r.group_encoding(g, "host") for g in range(r.num_row_groups)]
-        assert DICT_REF in encs and encs.count(DICTIONARY) >= 3
+        assert w.finish() == write_table(whole, codec="high", row_group_size=64)
 
     def _vocab_table(self):
         pieces = []
@@ -329,9 +235,9 @@ class TestWriterStreamingAppend:
     def test_copied_prefix_equals_one_write_of_the_concatenation(self, adopted):
         """Groups copied from a file of the leading rows, then the rest
         appended: the file ``write_table`` makes of the whole — whether
-        the next group back-references a copied vocabulary (1, 2, 6) or
-        brings a new one (4: the group of rows 256..319 is the first to
-        hold a ``c``)."""
+        the next group repeats a copied vocabulary (1, 2, 6) or brings a
+        new one (4: the group of rows 256..319 is the first to hold a
+        ``c``)."""
         whole = self._vocab_table()
         first = RcfReader(
             write_table(whole.slice(0, 420), codec="high", row_group_size=64)

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from repro.core import DataPlaneOptions, ODAFramework
-from repro.serve.admission import TokenBucket
+from repro.faults.retry import RetryPolicy
+from repro.obs.span import Tracer
+from repro.query import row_group_cache_stats, set_row_group_cache_limit
+from repro.serve.admission import TenantPolicy, TokenBucket
+from repro.serve.cache import ResultCache
+from repro.storage.rollup import RollupSpec
 from repro.storage.tiers import TierPolicy
 from repro.stream.retention import RetentionPolicy
 from repro.telemetry import MINI, synthetic_job_mix
+from repro.telemetry.schema import SensorSpec
 
 
 @pytest.fixture(scope="module")
@@ -99,3 +105,49 @@ def test_infinite_retention_still_means_forever():
     )
     assert policy.lake_retention_s == float("inf")
     assert RetentionPolicy(max_age_s=float("inf")).max_age_s == float("inf")
+
+
+@pytest.fixture
+def cache_budget():
+    """Puts the row-group cache's byte budget back after the test."""
+    limit = row_group_cache_stats()["max_bytes"]
+    yield
+    set_row_group_cache_limit(limit)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: RetryPolicy(base_delay_s=_NAN),
+        lambda: RetryPolicy(multiplier=_NAN),
+        lambda: RetryPolicy(max_delay_s=_NAN),
+        lambda: SensorSpec("p", "W", _NAN, "node"),
+        lambda: RollupSpec("r", "d", ("node",), "value", bucket_s=_NAN),
+        lambda: ResultCache(capacity=_NAN),
+        lambda: Tracer(max_spans=_NAN),
+        lambda: TenantPolicy(queue_limit=_NAN),
+        lambda: set_row_group_cache_limit(_NAN),
+    ],
+    ids=[
+        "base_delay_s", "multiplier", "max_delay_s", "sample_period_s",
+        "bucket_s", "capacity", "max_spans", "queue_limit", "cache_limit",
+    ],
+)
+def test_nan_bounds_rejected(make, cache_budget):
+    """The other positive or non-negative bounds let NaN through the
+    same way: a NaN backoff delay, a NaN multiplier that made every
+    later delay NaN, a NaN cap that capped nothing, a result cache or
+    row-group cache budget that never evicted.  Each refuses it."""
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_infinite_bounds_still_accepted(cache_budget):
+    inf = float("inf")
+    uncapped = RetryPolicy(max_attempts=7, max_delay_s=inf).delays()
+    assert uncapped == (0.05, 0.1, 0.2, 0.4, 0.8, 1.6)
+    assert ResultCache(capacity=inf).capacity == inf
+    assert Tracer(max_spans=inf).max_spans == inf
+    assert TenantPolicy(queue_limit=inf).queue_limit == inf
+    set_row_group_cache_limit(inf)
+    assert row_group_cache_stats()["max_bytes"] == inf

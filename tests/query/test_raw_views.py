@@ -56,7 +56,7 @@ def mixed_table(n=128, seed=0):
             "dnum": rng.choice([1.5, 2.5, 3.5], n),  # numeric DICTIONARY
             "proj": np.array(
                 [("A", "B")[i] for i in rng.integers(0, 2, n)], dtype=object
-            ),  # DICTIONARY, then DICT_REF
+            ),  # DICTIONARY
         }
     )
 
@@ -87,8 +87,9 @@ def test_the_fixture_holds_every_kind_of_chunk(reader):
         for n in reader.column_names()
     }
     assert {(0, "none"), (0, "fast"), (1, "none"), (2, "none")} <= kinds
-    assert {(3, "fast"), (4, "fast")} <= kinds  # DICTIONARY and DICT_REF
+    assert (3, "fast") in kinds  # DICTIONARY
     for g in range(reader.num_row_groups):
+        assert chunk(reader, g, "proj").encoding == 3
         for n in RAW:
             assert (chunk(reader, g, n).encoding, chunk(reader, g, n).codec) == (
                 0,

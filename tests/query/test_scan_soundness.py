@@ -5,9 +5,10 @@ columns) and random predicate trees, executed three ways — fast on a
 cold cache, fast on a warm one, and the decode-everything reference —
 must all agree
 with the plain ``predicate.mask`` filter over the concatenated data.
-This is the one assertion that covers row-group pruning,
-dictionary-code pushdown, late materialization, raw chunks read in
-place, and the cache at once.
+This is the one assertion that covers row-group pruning, late
+materialization (each group masked by ``predicate.mask`` over its
+predicate columns, dictionary chunks decoded like any other), raw
+chunks read in place, and the cache at once.
 """
 
 import numpy as np
@@ -353,7 +354,7 @@ def test_or_keeps_group_either_side_might_match():
 
 def test_null_string_rows_follow_mask_semantics():
     # Compare treats None as "" (so `< "B"` matches); IsIn matches None
-    # only when None is listed.  Pushdown on dict codes must agree.
+    # only when None is listed.  The scan of dictionary chunks must agree.
     t = ColumnTable(
         {
             "timestamp": np.arange(6, dtype=float),

@@ -6,8 +6,8 @@ lineage, self-telemetry, three broker shards) ingests sixteen windows
 dataset), then answers one panel-style round of archive, online and
 rollup queries.  The work counters that are a pure function of (seed, shape)
 — parts scanned, pruned and opened, row groups decoded, pruned and
-found empty, runs of small parts scanned as one group, dictionary
-pushdowns, row-group cache hits and misses, LAKE rows scanned, lineage
+found empty, runs of small parts scanned as one group, row-group
+cache hits and misses, LAKE rows scanned, lineage
 nodes and edges and the digest of the catalog's export, and on the write side the bytes hashed by part opens,
 what compaction merged, rewrote and spliced, and the rows LAKE appends
 and regrowths copied — are pinned in ``work_ledger.json``.
@@ -38,7 +38,6 @@ COUNTERS = (
     "query.groups_decoded",
     "query.groups_pruned",
     "query.groups_empty",
-    "query.dict_pushdowns",
     "query.cache_hits",
     "query.cache_misses",
     "query.runs_scanned",

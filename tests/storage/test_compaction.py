@@ -78,7 +78,7 @@ class TestCompaction:
 
 def test_selective_answers_identical_after_compaction():
     """A sprawl of small parts merged into one answers every selective
-    query (string dictionary pushdown, ``isin``, numeric threshold, each
+    query (string equality, ``isin``, numeric threshold, each
     with a projection) exactly as before the merge."""
     from repro.columnar import Col
     from repro.columnar.predicate import IsIn

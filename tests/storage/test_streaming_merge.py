@@ -249,8 +249,9 @@ class TestNamedCases:
                 s.ingest("d", t, now=float(i))
         compact_both(stores, "resorted")
 
-    def test_dict_ref_donors_on_both_sides_of_a_chunk_boundary(self):
-        from repro.columnar.file_format import DICT_REF, RcfReader
+    def test_vocabularies_change_on_both_sides_of_a_chunk_boundary(self):
+        from repro.columnar.encodings import DICTIONARY
+        from repro.columnar.file_format import RcfReader
 
         stores = pair()
         vocabularies = [("a", "b"), ("a", "b"), ("c", "d"), ("c", "d"), ("a", "b")]
@@ -259,16 +260,19 @@ class TestNamedCases:
                 s.ingest("d", table(i * 100.0, 12, hosts=hosts), now=float(i))
         compact_both(stores, "in_order")
         reader = RcfReader(dump(stores[0])[0][3])
-        encodings = [
-            reader.group_encoding(g, "host") for g in range(reader.num_row_groups)
+        # Vocabularies change mid-file, and every group — some of them
+        # assembled from two inputs — carries its own.
+        vocabs = [
+            "".join(sorted(set(reader.decode_group_column(g, "host"))))
+            for g in range(reader.num_row_groups)
         ]
-        # Back-references survive and vocabularies change mid-file, in
-        # groups assembled from two inputs each.
-        assert encodings.count(DICT_REF) >= 2
-        assert len(encodings) - encodings.count(DICT_REF) >= 3
+        assert vocabs == ["ab"] * 3 + ["cd"] * 3 + ["ab"] * 2
+        assert all(
+            reader.group_encoding(g, "host") == DICTIONARY
+            for g in range(reader.num_row_groups)
+        )
 
     def test_first_inputs_full_groups_are_copied(self):
-        from repro.columnar.file_format import DICT_REF, RcfReader
 
         stores = pair()
         for i in range(5):
@@ -285,9 +289,6 @@ class TestNamedCases:
         assert report["merged"] == 6
         assert METRICS.counter("tier.compact.groups_spliced") - groups == 6
         assert METRICS.counter("tier.compact.rows_spliced") - rows == 48
-        reader = RcfReader(dump(stores[0])[0][3])
-        # The first group encoded after the copy points back into it.
-        assert reader.group_encoding(6, "host") == DICT_REF
 
     @pytest.mark.parametrize(
         "change,copied",
