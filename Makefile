@@ -50,7 +50,7 @@ lifecycle:
 # Read-plane suite: the RCF format (v2, the one layout: lazy open,
 # self-contained chunks, cheap codec, appends; damaged structure a typed
 # RcfFormatError, held by properties over prefixes, footer fields and
-# PLAIN dtype tokens),
+# the dtype tokens of every encoding),
 # the zone map against per-part might_match (random predicate trees and
 # part lists; the fast executor over its plans against the reference),
 # planner and scan soundness (the LAKE segment scan
@@ -60,8 +60,9 @@ lifecycle:
 # oracle and to the part-by-part scan; an emptied or unknown LAKE table
 # keeps its projection), the pinned read-work ledger of one seeded run
 # (write-side counters included), the row-group cache
-# (token index, frequency-gated admission pinned on trace replays,
-# answers identical with the cache on and under baseline_mode()), raw
+# (token index, plain LRU order and the byte budget pinned on trace
+# replays, answers identical with the cache on and under
+# baseline_mode()), raw
 # PLAIN chunks read in
 # place (views of the part, never cached), manifest pruning and
 # manifests parsed once per part record, the part read handles (opened
@@ -82,7 +83,7 @@ read-plane:
 		tests/storage/test_lake.py
 
 # Byte-surface properties at a larger example count: RCF blobs cut
-# short or with footer fields or PLAIN dtype tokens overwritten, trace
+# short or with footer fields or dtype tokens overwritten, trace
 # JSONL dumps with inserted junk lines, torn or mangled checkpoints.json
 # files and lineage catalog dumps, each a typed error (or a quarantine, or a
 # skipped line) or the right answer; random LAKE ingest/query/drop

@@ -40,6 +40,17 @@ DICTIONARY = 3
 _ENCODING_NAMES = {PLAIN: "plain", RLE: "rle", DELTA: "delta", DICTIONARY: "dict"}
 
 
+class RcfFormatError(ValueError):
+    """Bytes that are not an RCF file the writer could have made: a bad
+    magic, a header or footer that does not fit the buffer, offsets out
+    of order, a group header that disagrees with the footer or its own
+    extent, a dtype token the writer never writes, or a chunk that does
+    not hold its group's rows.  Raised on open, when a group header is
+    first parsed, or when a chunk is decoded or viewed.  Defined here,
+    beside the decoders that parse the tokens, and exported by
+    :mod:`repro.columnar.file_format`."""
+
+
 def _dtype_token(dtype: np.dtype) -> bytes:
     token = dtype.str.encode("ascii")
     if len(token) > 8:
@@ -47,8 +58,23 @@ def _dtype_token(dtype: np.dtype) -> bytes:
     return token.ljust(8, b" ")
 
 
+#: Each dtype token a chunk can carry, and the dtype it names: the
+#: fixed-width numeric and bool dtypes, in either byte order.
+_DTYPES = {
+    _dtype_token(d): d
+    for d in (
+        np.dtype(c).newbyteorder(order) for c in "?bBhHiIlLqQefdg" for order in "<>"
+    )
+}
+
+
 def _parse_dtype(token: bytes | memoryview) -> np.dtype:
-    return np.dtype(bytes(token).decode("ascii").strip())
+    """The dtype a stored token names: RcfFormatError unless it is one
+    the writer writes, so ``np.dtype`` never parses damaged bytes."""
+    dtype = _DTYPES.get(bytes(token))
+    if dtype is None:
+        raise RcfFormatError(f"dtype token {bytes(token)!r} names no stored dtype")
+    return dtype
 
 
 def _encode_plain(arr: np.ndarray) -> bytes:

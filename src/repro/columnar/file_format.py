@@ -44,8 +44,8 @@ optimized runs write identical bytes.
 Every column of a file has one dtype: :meth:`RcfWriter.append` refuses
 a table whose dtypes differ from the first one's, as a Parquet schema
 fixes each column's physical type for every row group.  A reader checks
-the structure it walks — magics, footer, offsets, group headers, a
-PLAIN chunk's dtype token and every decoded chunk's length — and raises
+the structure it walks — magics, footer, offsets, group headers, every
+chunk's dtype tokens and every decoded chunk's length — and raises
 :class:`RcfFormatError` where it does not hold; other payload bytes are
 not checked.
 
@@ -68,6 +68,7 @@ import numpy as np
 from repro.columnar import encodings as _enc
 from repro.columnar.compression import CODECS, codec_name, compress, decompress
 from repro.columnar.encodings import (
+    RcfFormatError,
     choose_encoding,
     decode_column,
     encode_column,
@@ -100,16 +101,6 @@ _CHEAP_SKIP_RATIO = 0.9
 #: 0.9 ratio under zlib once the per-chunk header overhead is paid,
 #: while genuinely compressible chunks measured far below 6 bits.
 _CHEAP_ENTROPY_BITS = 6.0
-
-
-#: Each dtype token a PLAIN chunk can carry, and the dtype it names:
-#: the fixed-width numeric and bool dtypes, in either byte order.
-_PLAIN_DTYPES = {
-    _enc._dtype_token(d): d
-    for d in (
-        np.dtype(c).newbyteorder(order) for c in "?bBhHiIlLqQefdg" for order in "<>"
-    )
-}
 
 
 def _round_trips(col: np.ndarray, encoding: int, raw: bytes) -> bool:
@@ -166,15 +157,6 @@ def column_stats(arr: np.ndarray) -> tuple[object, object, bool] | None:
             return float(valid.min()), float(valid.max()), False
         return float(arr.min()), float(arr.max()), True
     return float(arr.min()), float(arr.max()), True
-
-
-class RcfFormatError(ValueError):
-    """Bytes that are not an RCF file the writer could have made: a bad
-    magic, a header or footer that does not fit the buffer, offsets out
-    of order, a group header that disagrees with the footer or its own
-    extent, or a chunk that does not hold its group's rows.  Raised on
-    open, when a group header is first parsed, or when a chunk is
-    decoded or viewed."""
 
 
 class RcfWriter:
@@ -583,7 +565,7 @@ class RcfReader:
         ``extent`` bytes of values that follow it: RcfFormatError unless
         it is a fixed-width numeric or bool dtype — the only kind the
         writer stores PLAIN — filling exactly the group's rows."""
-        dtype = _PLAIN_DTYPES.get(bytes(token))
+        dtype = _enc._DTYPES.get(bytes(token))
         if dtype is None or dtype.itemsize * self._group_rows[group] != extent:
             raise RcfFormatError(
                 f"row group {group}, column {name!r}: PLAIN dtype token "

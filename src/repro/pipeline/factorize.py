@@ -1,13 +1,10 @@
 """Fast column factorization for relational operators.
 
 ``group_by_agg``/``pivot``/``hash_join`` all start by turning key columns
-into dense integer codes.  The original implementation walked object
-columns row by row through a Python dict — the dominant cost of the
-Silver/Gold stages once telemetry volume grows.  This module provides a
-vectorized object-column path (per-row hashes + ``np.unique``) that
-reproduces the reference first-appearance code order exactly, with a
-guarded fallback to the row loop for exotic contents, and a counting
-pass for narrow-range integer columns.
+into dense integer codes.  Narrow-range integer columns take a counting
+pass instead of the reference's sort; every other column takes the
+reference itself, object columns its row loop (no workload groups by
+an object column).
 
 ``factorize_reference`` preserves the original row-loop semantics and is
 used by tests (and the benchmark baseline) as the ground truth.
@@ -51,56 +48,7 @@ def factorize_reference(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes.astype(np.int64), uniq
 
 
-# -- fast paths ---------------------------------------------------------------
-
-
-_NONE_HASH = hash(None)
-
-
-def _object_hashes(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(filled column, int64 per-row hashes)`` with ``None`` -> ``""``.
-
-    Raises ``TypeError`` on unhashable items (caller falls back to the
-    reference loop).  The reference treats ``None`` as the key ``""``, so
-    ``None`` rows get ``hash("")`` and a ``""`` entry in ``filled``.
-    """
-    h = np.fromiter(map(hash, col), dtype=np.int64, count=col.size)
-    filled = col
-    candidates = np.flatnonzero(h == _NONE_HASH)
-    if candidates.size:
-        none_rows = [i for i in candidates.tolist() if col[i] is None]
-        if none_rows:
-            filled = col.copy()
-            filled[none_rows] = ""
-            h[none_rows] = hash("")
-    return filled, h
-
-
-def _object_codes(
-    filled: np.ndarray, h: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Factorize by hash, re-ranked to first-appearance code order."""
-    _, first_idx, inv = np.unique(h, return_index=True, return_inverse=True)
-    order = np.argsort(first_idx, kind="stable")
-    rank = np.empty(order.size, dtype=np.int64)
-    rank[order] = np.arange(order.size, dtype=np.int64)
-    codes = rank[inv.astype(np.int64)]
-    uniq = filled[first_idx[order]]
-    return codes, uniq
-
-
-def _object_matches(
-    filled: np.ndarray, codes: np.ndarray, uniq: np.ndarray
-) -> bool:
-    """True iff every row equals its assigned unique (collision guard)."""
-    if uniq.size == 0 or codes.size != filled.size:
-        return codes.size == filled.size == 0
-    eq = filled == uniq[codes]
-    return (
-        isinstance(eq, np.ndarray)
-        and eq.dtype == np.bool_
-        and bool(eq.all())
-    )
+# -- fast path ----------------------------------------------------------------
 
 
 #: Widest value range an integer column may span and still take the
@@ -150,26 +98,12 @@ def _numeric_factorize(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def factorize(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(codes int64, uniques) — vectorized.
-
-    Byte-for-byte equivalent to :func:`factorize_reference` (verified by
-    ``tests/pipeline/test_factorize.py``).  Object columns factorize
-    through per-row hashes with an equality check against the assigned
-    uniques — a hash collision (or exotic ``__eq__``) falls back to the
-    reference loop.  Under ``baseline_mode()`` every call is the
-    reference loop.
+    """(codes int64, uniques) — equal to :func:`factorize_reference`
+    (verified by ``tests/pipeline/test_factorize.py``).  Integer
+    columns take the counting pass where their range allows; object
+    columns, and every call under ``baseline_mode()``, take the
+    reference.
     """
-    if baseline.active():
+    if baseline.active() or col.dtype == object:
         return factorize_reference(col)
-    if col.dtype != object:
-        return _numeric_factorize(col)
-    if col.size == 0:
-        return factorize_reference(col)
-    try:
-        filled, h = _object_hashes(col)
-        value = _object_codes(filled, h)
-        if not _object_matches(filled, *value):
-            raise ValueError("hash collision")
-        return value
-    except (TypeError, ValueError):
-        return factorize_reference(col)
+    return _numeric_factorize(col)

@@ -1,4 +1,4 @@
-"""Bounded, loop-resistant cache of decoded row-group columns.
+"""Bounded LRU cache of decoded row-group columns.
 
 Dashboards re-ask near-identical questions of the same recent parts
 (Fig. 6's point: the dashboard wins because repeated looks are cheap),
@@ -13,18 +13,11 @@ memory the moment a part is deleted.  Nothing reaches the cache under
 ``baseline_mode()``: the decode-everything oracle decodes every chunk
 itself.
 
-Order is LRU, but eviction is gated by frequency (TinyLFU's admission
-rule on exact counts): the cache remembers how often every key —
-resident or not — has been asked for, and a decoded newcomer replaces
-the LRU victims it needs only if it had been asked for strictly more
-often than each of them before this request.  On a tie the resident
-stays and the newcomer is returned uncached, so a cyclic scan larger
-than the budget keeps a stable resident set instead of evicting every
-entry just before it is asked for again, and a one-off scan cannot
-flush a hot set.  Counts saturate low and are halved on an access
-cadence (never a clock), so a shifted working set takes over within a
-bounded number of asks.  The rule decides only whether a decoded array
-is *kept*; it can never change an answer.
+Order is plain LRU under a byte budget: a miss evicts the least
+recently used entries until the newcomer fits, and an array larger than
+the whole budget is returned uncached.  The budget is all the cache
+guarantees — it never holds more than ``max_bytes`` — and the order
+decides only what is *kept*; it can never change an answer.
 
 Cached arrays are marked read-only and shared by reference: a masked
 scan copies on fancy-indexing anyway, and a full-group projection hands
@@ -34,12 +27,11 @@ out the cached view directly (mutating query output was never supported
 A *run* of small parts (DESIGN.md §11, "Runs") caches its concatenated
 columns under a token of its own, derived from its members' digests,
 and names those members when it asks: invalidating any member's token
-releases the run's entries and ask counts with the member's own, so
-deleting one part of a run drops what was decoded from it either way.
+releases the run's entries with the member's own, so deleting one part
+of a run drops what was decoded from it either way.
 
 Concurrency: one module-level lock guards the OrderedDict, its
-per-token key index, the run membership, the ask counts and the byte
-budget;
+per-token key index, the run membership and the byte budget;
 hit/miss/evict/reject counters go to the process-wide perf registry.
 """
 
@@ -77,16 +69,6 @@ _weights: dict[Key, int] = {}
 #: any member is invalidated.
 _run_members: dict[str, tuple[str, ...]] = {}
 _member_runs: dict[str, set[str]] = {}
-#: token -> key -> how often the key was asked for, resident or not.
-#: Saturates at ``_ASKED_CAP``; nested by token so deleting a part drops
-#: its history in one pop and the map stays bounded by the live chunks.
-_asked: dict[str, dict[Key, int]] = {}
-_ASKED_CAP = 15
-#: Every count is halved (zeros dropped) once this many accesses have
-#: passed since the last halving — accesses, never a clock.
-_AGE_MIN_ACCESSES = 1024
-_AGE_ACCESSES_PER_ENTRY = 10
-_accesses_since_aging = 0
 _cache_bytes = 0
 _cache_max_bytes = 64 << 20
 
@@ -110,44 +92,26 @@ def load_column(
 ) -> tuple[np.ndarray | None, bool]:
     """The decoded column for ``(token, group, name)`` and whether it
     was a hit: decoded via ``loader`` on a miss and retained (read-only)
-    if the admission rule (module docstring) lets it in.  Hits are left
-    to the caller to count (a scan adds its hits to ``query.cache_hits``
-    once per plan); misses, evictions and rejections are counted here,
-    beside the decode they cost.
+    unless it is larger than the whole budget.  Hits are left to the
+    caller to count (a scan adds its hits to ``query.cache_hits`` once
+    per plan); misses, evictions and rejections are counted here, beside
+    the decode they cost.
 
     ``members`` names the part tokens a run's ``token`` is made of
     (:func:`invalidate_token` of any of them releases it).  A loader
     that returns None has nothing to offer — a run whose members were
     not all fetched — and nothing is cached: the miss returns None."""
-    global _cache_bytes, _accesses_since_aging
+    global _cache_bytes
     key = (token, group, name)
     with _cache_lock:
         arr = _cache.get(key)
         if arr is not None:
             _cache.move_to_end(key)
-        counts = _asked.get(token)
-        if counts is None:
-            counts = _asked[token] = {}
-            if members and token not in _run_members:
-                # Inline, like all bookkeeping under the lock (CONC).
-                _run_members[token] = members
-                for member in members:
-                    _member_runs.setdefault(member, set()).add(token)
-        asked_before = counts.get(key, 0)
-        if asked_before < _ASKED_CAP:
-            counts[key] = asked_before + 1
-        _accesses_since_aging += 1
-        if _accesses_since_aging >= max(
-            _AGE_MIN_ACCESSES, _AGE_ACCESSES_PER_ENTRY * len(_cache)
-        ):
-            _accesses_since_aging = 0
-            asked_before >>= 1  # compared below with halved counts
-            for tok, old_counts in list(_asked.items()):
-                halved = {k: c >> 1 for k, c in old_counts.items() if c > 1}
-                if halved:
-                    _asked[tok] = halved
-                else:
-                    del _asked[tok]
+        if members and token not in _run_members:
+            # Inline, like all bookkeeping under the lock (CONC).
+            _run_members[token] = members
+            for member in members:
+                _member_runs.setdefault(member, set()).add(token)
     if arr is not None:
         return arr, True
     arr = loader()
@@ -161,34 +125,22 @@ def load_column(
     with _cache_lock:
         if key in _cache:
             _cache.move_to_end(key)
+        elif weight > _cache_max_bytes:
+            rejected = True
         else:
-            # The LRU victims the newcomer needs, or rejection: it must
-            # have been asked for strictly more often than each of them
-            # (a tie keeps the resident), and must fit the budget at all.
-            excess = _cache_bytes + weight - _cache_max_bytes
-            victims = []
-            rejected = weight > _cache_max_bytes
-            if not rejected:
-                for old in _cache:
-                    if excess <= 0:
-                        break
-                    if asked_before <= _asked.get(old[0], {}).get(old, 0):
-                        rejected = True
-                        break
-                    victims.append(old)
-                    excess -= _weights[old]
-            if not rejected:
-                for old in victims:
-                    del _cache[old]
-                    _cache_bytes -= _weights.pop(old)
-                    _token_keys[old[0]].discard(old)
-                    if not _token_keys[old[0]]:
-                        del _token_keys[old[0]]
-                evicted = len(victims)
-                _cache[key] = arr
-                _weights[key] = weight
-                _cache_bytes += weight
-                _token_keys.setdefault(token, set()).add(key)
+            _cache[key] = arr
+            _weights[key] = weight
+            _cache_bytes += weight
+            _token_keys.setdefault(token, set()).add(key)
+            # LRU victims until it fits; never the newcomer, the most
+            # recent entry and no larger than the budget.
+            while _cache_bytes > _cache_max_bytes:
+                old, _ = _cache.popitem(last=False)
+                _cache_bytes -= _weights.pop(old)
+                _token_keys[old[0]].discard(old)
+                if not _token_keys[old[0]]:
+                    del _token_keys[old[0]]
+                evicted += 1
     if evicted:
         METRICS.inc("query.cache_evictions", evicted)
     if rejected:
@@ -197,9 +149,9 @@ def load_column(
 
 
 def invalidate_token(token: str) -> int:
-    """Drop every cached group of one part (by content digest), and the
-    part's ask counts — and those of every run the part is a member of
-    (or, given a run's token, the run's own).
+    """Drop every cached group of one part (by content digest) — and
+    those of every run the part is a member of (or, given a run's token,
+    the run's own).
 
     Returns the number of entries released.  Correctness never depends
     on this — digests are content-addressed — it only returns memory
@@ -219,40 +171,34 @@ def invalidate_token(token: str) -> int:
             for k in stale:
                 del _cache[k]
                 _cache_bytes -= _weights.pop(k)
-            _asked.pop(tok, None)
             released += len(stale)
     return released
 
 
 def clear_row_group_cache() -> None:
-    """Empty the cache and forget every ask count (benchmark isolation)."""
-    global _cache_bytes, _accesses_since_aging
+    """Empty the cache (benchmark isolation)."""
+    global _cache_bytes
     with _cache_lock:
         _cache.clear()
         _token_keys.clear()
         _weights.clear()
-        _asked.clear()
         _run_members.clear()
         _member_runs.clear()
-        _accesses_since_aging = 0
         _cache_bytes = 0
 
 
 def row_group_cache_stats() -> dict:
-    """Occupancy of the cache and size of the ask-count map (counters
-    live in the perf registry)."""
+    """Occupancy of the cache (counters live in the perf registry)."""
     with _cache_lock:
         return {
             "entries": len(_cache),
             "bytes": _cache_bytes,
             "max_bytes": _cache_max_bytes,
-            "tracked": sum(map(len, _asked.values())),
         }
 
 
 def set_row_group_cache_limit(max_bytes: int) -> None:
-    """Resize the byte budget, evicting LRU entries to fit (a resize is
-    not a request: no admission rule applies, ask counts are kept)."""
+    """Resize the byte budget, evicting LRU entries to fit."""
     global _cache_bytes, _cache_max_bytes
     if not max_bytes > 0:  # refuses NaN too
         raise ValueError("max_bytes must be positive")

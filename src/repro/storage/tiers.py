@@ -812,7 +812,7 @@ class TieredStore:
         the one deletion site of compaction, retention and the sweep.
 
         In order: the delete; the read handle (the record goes with the
-        next listing); the cached row groups and ask counts under
+        next listing); the cached row groups under
         :meth:`LivePart.token`; the rollup partials; the lineage node;
         the data version.  Each drop follows the delete, so a crash at
         ``tier.delete`` leaves everything in place for the sweep.  A

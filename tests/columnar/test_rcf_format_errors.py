@@ -2,11 +2,12 @@
 silently different table.
 
 The reader checks what it walks — magics, the footer's place, group
-offsets, each group header against the footer and its own extent, a
-PLAIN chunk's dtype token and every decoded chunk's length against its
-group's rows — and raises :class:`RcfFormatError`.  Other payload bytes
-are not checked: a flipped payload bit still decodes to wrong values,
-and so does a PLAIN token swapped for another dtype of the same width.
+offsets, each group header against the footer and its own extent,
+every chunk's dtype tokens against the tokens the writer writes, a
+PLAIN chunk's token against its extent and every decoded chunk's length
+against its group's rows — and raises :class:`RcfFormatError`.  Other
+payload bytes are not checked: a flipped payload bit still decodes to
+wrong values, and so does a token swapped for another writable one.
 """
 
 import struct
@@ -246,3 +247,87 @@ def test_every_footer_field_overwritten_is_an_error_or_the_table(field, value):
     out = read_or_none(patched(field, "<Q", value))
     if out is not None:
         assert_original(out)
+
+
+# -- the dtype tokens of every encoding ----------------------------------------
+
+
+#: Every token the writer can write: the fixed-width numeric and bool
+#: dtypes in either byte order, padded to eight bytes.
+WRITABLE = {
+    np.dtype(c).newbyteorder(order).str.encode().ljust(8)
+    for c in "?bBhHiIlLqQefdg"
+    for order in "<>"
+}
+#: Group 0 of this blob holds one chunk of each encoding, all stored
+#: raw, so that every token sits in the blob as written.
+TOKEN_BLOB = write_table(
+    ColumnTable(
+        {
+            "timestamp": np.arange(ROWS, dtype=np.float64),
+            "rack": np.repeat(np.arange(4, dtype=np.int64), ROWS // 4),
+            "node": np.random.default_rng(5).integers(0, 8, ROWS),
+            "power": np.random.default_rng(6).normal(500.0, 30.0, ROWS),
+        }
+    ),
+    codec="none",
+    row_group_size=GROUP,
+)
+#: ``(column, offset in the payload)`` of each token in group 0: the
+#: DELTA chunk's own and that of the RLE run of its deltas, the RLE and
+#: numeric DICTIONARY chunks' and the PLAIN chunk's.
+TOKEN_SITES = [
+    ("timestamp", 0), ("timestamp", 24), ("rack", 0), ("node", 1), ("power", 0),
+]  # fmt: skip
+
+
+def with_token_at(name, at, token):
+    where = RcfReader(TOKEN_BLOB)._group(0).chunks[name].payload_offset + at
+    return TOKEN_BLOB[:where] + token + TOKEN_BLOB[where + 8 :]
+
+
+def test_the_token_blob_holds_every_encoding_raw():
+    chunks = RcfReader(TOKEN_BLOB)._group(0).chunks
+    assert {n: (m.encoding, m.codec) for n, m in chunks.items()} == {
+        "timestamp": (2, "none"), "rack": (1, "none"),
+        "node": (3, "none"), "power": (0, "none"),
+    }  # fmt: skip
+    for name, at in TOKEN_SITES:
+        start = chunks[name].payload_offset + at
+        assert TOKEN_BLOB[start : start + 8] in WRITABLE
+
+
+@pytest.mark.parametrize(
+    "token", [b"garbage!", b"<f3     ", b"|O      ", b"<U3     "],
+    ids=lambda token: token.decode().strip(),
+)  # fmt: skip
+@pytest.mark.parametrize("site", TOKEN_SITES, ids=lambda s: f"{s[0]}@{s[1]}")
+def test_a_damaged_token_of_any_encoding_is_a_format_error(site, token):
+    buf = with_token_at(*site, token)
+    with pytest.raises(RcfFormatError):
+        RcfReader(buf).decode_group_column(0, site[0])
+    with pytest.raises(RcfFormatError):
+        read_table(buf)
+
+
+@settings(deadline=None)
+@given(site=st.sampled_from(TOKEN_SITES), token=st.binary(min_size=8, max_size=8))
+def test_every_token_overwritten_is_an_error_or_the_table(site, token):
+    name, at = site
+    meta = RcfReader(TOKEN_BLOB)._group(0).chunks[name]
+    written = TOKEN_BLOB[meta.payload_offset + at :][:8]
+    if token != written and token in WRITABLE:
+        return  # another writable token: payload damage (DESIGN.md §13)
+    buf = with_token_at(name, at, token)
+    try:
+        chunk = RcfReader(buf).decode_group_column(0, name)
+    except RcfFormatError:
+        chunk = None
+    out = read_or_none(buf)
+    assert (chunk is None) == (out is None) == (token != written)
+    if out is not None:
+        want = read_table(TOKEN_BLOB)
+        for n in want.column_names:
+            assert out[n].dtype == want[n].dtype
+            assert out[n].tobytes() == want[n].tobytes()
+        assert chunk.tobytes() == want[name][:GROUP].tobytes()

@@ -101,8 +101,8 @@ def order(i: int, n: int) -> list[int]:
 def test_row_group_cache_ledgers_add_up():
     keys = [(f"tok{t}", g, "v") for t in range(4) for g in range(6)]
     value = {key: float(n) for n, key in enumerate(keys)}
-    # Room for 10 of the 24 arrays: admission, rejection, eviction and
-    # invalidation all interleave.
+    # Room for 10 of the 24 arrays: eviction and invalidation
+    # interleave.
     rg_cache.set_row_group_cache_limit(10 * 64 * 8)
 
     def work(i):

@@ -1,9 +1,10 @@
-"""The vectorized factorizer must be indistinguishable from the reference.
+"""``factorize`` must be indistinguishable from the reference.
 
-``factorize`` is the hot inner loop of pivot/group-by; its fast path
-hashes object columns and counts narrow integer ranges.  Every result —
-codes and first-appearance vocabulary — must match the reference
-dict-walk implementation exactly.
+``factorize`` is the inner loop of pivot/group-by.  Its one fast path
+counts narrow integer ranges; float columns take the reference's sort
+and object columns its dict walk.  Every result — codes and
+first-appearance vocabulary — must match the reference exactly, and the
+object-column cases pin that those columns take the reference path.
 """
 
 import numpy as np
@@ -83,7 +84,7 @@ def test_tricky_strings():
         ["", None],
         ["a\x00", "a"],
         ["ñ", "n", "ñ"],
-        ["0", 0.0, "0.0"],  # mixed types, hash(0.0) == 0 vs salted str hashes
+        ["0", 0.0, "0.0"],  # mixed types
     ]
     for values in cases:
         col = np.array(values, dtype=object)
@@ -127,3 +128,21 @@ def test_reference_mode_routes_everything(monkeypatch):
     assert len(calls) == 1 and calls[0] is col
     assert list(codes) == [0, 1, 0]
     assert list(uniq) == ["x", "y"]
+
+
+def test_object_columns_take_the_reference(monkeypatch):
+    col = np.array(["x", None, "x"], dtype=object)
+    calls = []
+    reference = fz.factorize_reference
+
+    def spy(arg):
+        calls.append(arg)
+        return reference(arg)
+
+    monkeypatch.setattr(fz, "factorize_reference", spy)
+    codes, uniq = fz.factorize(col)
+    assert len(calls) == 1 and calls[0] is col
+    assert list(codes) == [0, 1, 0]
+    assert list(uniq) == ["x", ""]
+    fz.factorize(np.array([3, 1, 3]))  # the counting pass: no reference
+    assert len(calls) == 1

@@ -180,11 +180,10 @@ def test_dtype_change_scans_the_run_part_by_part():
     everything, scanned = runs_scanned(lambda: ts.query_archive("d"))
     # The members disagree on ``tag``: the run is mixed, its members are
     # scanned as parts, and the columns its build cached before ``tag``
-    # are released with its ask counts.
+    # are released.
     assert run.mixed
     assert scanned == 0
     assert all(key[0] != run.token for key in qcache._cache)
-    assert run.token not in qcache._asked
     assert run.token not in qcache._run_members
     # Promoted by the plan's one concatenation: every tag a str.
     assert {type(x) for x in everything["tag"].tolist()} == {str}
@@ -194,7 +193,7 @@ def test_dtype_change_scans_the_run_part_by_part():
     # all cached by now, so nothing is decoded.
     misses = METRICS.counter("query.cache_misses")
     again, scanned = runs_scanned(lambda: ts.query_archive("d"))
-    assert scanned == 0 and run.token not in qcache._asked
+    assert scanned == 0 and run.token not in qcache._run_members
     assert METRICS.counter("query.cache_misses") == misses
     assert_same(again, everything)
 
@@ -221,11 +220,8 @@ def test_retiring_a_member_releases_the_runs_entries():
     ts.query_archive("d")
     stats = qcache.row_group_cache_stats()
     assert stats["entries"] == 5  # one concatenated column per column
-    assert stats["tracked"] == 5
     ts._retire(ts._live_parts("d")[1])
-    assert qcache.row_group_cache_stats() == {
-        **stats, "entries": 0, "bytes": 0, "tracked": 0
-    }
+    assert qcache.row_group_cache_stats() == {**stats, "entries": 0, "bytes": 0}
 
 
 def test_a_run_rebuilt_after_an_append_serves_the_new_rows():

@@ -1,7 +1,7 @@
 """One owner for everything derived from an OCEAN part.
 
 A part's record, its read handle, its parsed manifest, its row-group
-cache entries and ask counts, its rollup partials and its lineage node
+cache entries, its rollup partials and its lineage node
 all go when the part does, whichever of the tier store's deletion sites
 removes it — and a part's manifest is parsed, and its bytes hashed,
 once per part over a whole history, with no clock involved.  The store
@@ -137,7 +137,7 @@ def test_every_retire_site_drops_everything_derived(site):
     key, cat = victim.key, ts.lineage
     token = victim.reader.digest()
     assert victim.stats is not None and victim.spans is not None
-    assert token in qcache._token_keys and token in qcache._asked
+    assert token in qcache._token_keys
     assert key in ts._rollups[ROLLUP].part_keys()
     assert not cat.node(cat.part_node(ts.OCEAN_BUCKET, key))["retired"]
     record, reader = weakref.ref(victim), weakref.ref(victim.reader)
@@ -147,7 +147,7 @@ def test_every_retire_site_drops_everything_derived(site):
     ts._live_parts("d")  # the next derivation after the delete
     gc.collect()
     assert record() is None and reader() is None
-    assert token not in qcache._token_keys and token not in qcache._asked
+    assert token not in qcache._token_keys
     if site is overwrite:
         # The key lives on under other bytes: its partial and its node
         # are the key's, not the old bytes'.
@@ -177,7 +177,7 @@ def test_a_key_deleted_behind_the_store_releases_its_cached_groups():
     del victim
     gc.collect()
     assert reader() is None
-    assert token not in qcache._token_keys and token not in qcache._asked
+    assert token not in qcache._token_keys
     left = qcache.row_group_cache_stats()
     qcache.clear_row_group_cache()
     ts.query_archive("d")  # what the surviving parts alone leave cached
