@@ -59,9 +59,8 @@ DATA_PLANE_PACKAGES = frozenset(
 )
 
 #: Modules exempt from DET rules even when nested in a checked package:
-#: the seeded-stream factory itself, and the perf harness (timers are
-#: wall-clock by design).
-RNG_ALLOWLIST_MODULES = ("repro.util.rng", "repro.perf")
+#: the seeded-stream factory itself.
+RNG_ALLOWLIST_MODULES = ("repro.util.rng",)
 
 #: Module holding the one fast-path switch every oracle-pairing module
 #: must read (ORACLE001).

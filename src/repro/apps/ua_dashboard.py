@@ -48,8 +48,7 @@ class JobOverview:
     fabric: ColumnTable         # interconnect silver rows
     findings: list[Finding] = field(default_factory=list)
     #: What the compile actually cost on the read plane (segment/group
-    #: counts, cache hits, wall seconds) — the Fig. 6 "old method vs
-    #: dashboard" comparison reports these real scan numbers.
+    #: counts, cache hits and misses).
     scan_stats: dict = field(default_factory=dict)
 
 
@@ -141,14 +140,12 @@ class UserAssistanceDashboard:
 
         job = self.allocation.job(job_id)
         before = {n: METRICS.counter(n) for n in self._SCAN_COUNTERS}
-        t_before = METRICS.total("query.scan")
         power = self._job_slice(self.power_table, job)
         io = self._job_slice(self.io_table, job)
         fabric = self._job_slice(self.fabric_table, job)
         scan_stats = {
             n: METRICS.counter(n) - before[n] for n in self._SCAN_COUNTERS
         }
-        scan_stats["scan_wall_s"] = METRICS.total("query.scan") - t_before
         events = self._events_for(job)
         overview = JobOverview(
             job, power, events, io, fabric, scan_stats=scan_stats

@@ -229,12 +229,6 @@ class RcfWriter:
         self._n_rows = n * self.row_group_size
         return n
 
-    def _encode_group(self, chunk: ColumnTable) -> bytes:
-        from repro.obs import METRICS
-
-        with METRICS.timer("columnar.encode_group"):
-            return self._encode_group_impl(chunk)
-
     def _frame_payload(self, raw: bytes) -> tuple[bytes, str]:
         """``(payload, codec actually used)`` under the cheap-codec rule:
         tiny chunks, and chunks whose sampled prefix barely compresses
@@ -259,7 +253,7 @@ class RcfWriter:
             return raw, "none"
         return payload, self.codec
 
-    def _encode_group_impl(self, chunk: ColumnTable) -> bytes:
+    def _encode_group(self, chunk: ColumnTable) -> bytes:
         parts = [struct.pack("<Q", chunk.num_rows)]
         for name, is_string in self._schema or []:
             col = chunk[name]

@@ -375,8 +375,7 @@ class ODAFramework:
             t0=t0,
             t1=t1,
         ):
-            with METRICS.timer("window.total"):
-                return self._run_window_impl(t0, t1)
+            return self._run_window_impl(t0, t1)
 
     def _lineage_batch(
         self, dataset: str, now: float, window_node: str | None
@@ -396,8 +395,7 @@ class ODAFramework:
             cat.link(window_node, bid, "derived")
 
     def _run_window_impl(self, t0: float, t1: float) -> WindowSummary:
-        with METRICS.timer("telemetry.emit"):
-            batches = self.fleet.emit_window(t0, t1)
+        batches = self.fleet.emit_window(t0, t1)
 
         # Hop 1: everything lands on the STREAM tier, keyed for ordering.
         produced = 0

@@ -7,9 +7,10 @@ reproduction's own health instrumentation:
 * :data:`TRACER` — span-based tracing with **deterministic IDs** (seeds
   and logical window indices, never the clock), propagated producer →
   broker → consumer → medallion stages → tier writes → query executor.
-* :data:`METRICS` — the process's one meter registry: labeled counters,
-  gauges and fixed-bucket histograms (stage timers observe into
-  histograms), one dict update per record, one ``enabled`` switch.
+* :data:`METRICS` — the process's one meter registry: labeled counters
+  and gauges, one dict update per record, one ``enabled`` switch.  It
+  holds work; spans hold time (a stage's wall time is its span's
+  ``duration_s``).
 * :mod:`repro.obs.exporters` — JSONL dumps, snapshot trees, and the
   self-telemetry loop that re-publishes deterministic obs meters as a
   synthetic telemetry topic so the UA dashboard can render the
@@ -32,7 +33,7 @@ from repro.obs.exporters import (
     write_jsonl,
 )
 from repro.obs.ids import span_id, trace_id
-from repro.obs.metrics import METRICS, Histogram, MetricsRegistry
+from repro.obs.metrics import METRICS, MetricsRegistry
 from repro.obs.span import TRACER, Span, Tracer
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
     "Span",
     "METRICS",
     "MetricsRegistry",
-    "Histogram",
     "trace_id",
     "span_id",
     "span_tree",

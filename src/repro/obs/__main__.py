@@ -17,22 +17,9 @@ import json
 import sys
 from pathlib import Path
 
-from repro.obs.exporters import read_jsonl
+from repro.obs.exporters import build_trees, read_jsonl
 
 __all__ = ["main"]
-
-
-def _build_trees(span_lines: list[dict]) -> list[dict]:
-    nodes = {s["span_id"]: {**s, "children": []} for s in span_lines}
-    roots = []
-    for line in span_lines:
-        node = nodes[line["span_id"]]
-        parent = nodes.get(line["parent_id"])
-        (roots if parent is None else parent["children"]).append(node)
-    for node in nodes.values():
-        node["children"].sort(key=lambda c: (c["name"], c["seq"]))
-    roots.sort(key=lambda r: (r["trace_id"], r["name"], r["seq"]))
-    return roots
 
 
 def _print_tree(node: dict, depth: int, max_depth: int, out) -> None:
@@ -77,15 +64,11 @@ def report(path: Path, fmt: str, depth: int, out=None) -> int:
         return 2
     lines = read_jsonl(path)
     spans = [l for l in lines if l.get("kind") == "span"]
-    meters = [
-        l
-        for l in lines
-        if l.get("kind") in ("counter", "gauge", "histogram")
-    ]
+    meters = [l for l in lines if l.get("kind") in ("counter", "gauge")]
     dropped = sum(
         l.get("count", 0) for l in lines if l.get("kind") == "dropped_spans"
     )
-    trees = _build_trees(spans)
+    trees = build_trees(spans)
     if fmt == "json":
         out.write(
             json.dumps(
@@ -126,18 +109,9 @@ def report(path: Path, fmt: str, depth: int, out=None) -> int:
                 f"  {name:<34} calls={calls:<6d} total={total * 1e3:9.3f} ms"
                 f"  max={worst * 1e3:8.3f} ms\n"
             )
-    hists = [m for m in meters if m["kind"] == "histogram"]
-    if hists:
-        out.write("\nhistograms\n")
-        for h in hists:
-            out.write(
-                f"  {h['name']:<34} n={h['count']:<8d} "
-                f"mean={h['mean']:.6g} max={h['max']:.6g}\n"
-            )
-    scalars = [m for m in meters if m["kind"] in ("counter", "gauge")]
-    if scalars:
+    if meters:
         out.write("\ncounters & gauges\n")
-        for m in scalars:
+        for m in meters:
             out.write(f"  {m['name']:<44} {m['value']:.6g}\n")
     return 0
 

@@ -4,9 +4,10 @@ Three ways out of the tracer/metrics registries:
 
 * :func:`write_jsonl` / :func:`read_jsonl` — one JSON object per line,
   spans in deterministic tree order (so two seeded runs diff cleanly),
-  metric lines after.
+  counter and gauge lines after.
 * :func:`span_tree` — finished spans assembled into nested dicts, the
-  shape tests assert against.
+  shape tests assert against (:func:`build_trees` does the assembly,
+  for the operator CLI too).
 * :func:`health_catalog` / :func:`health_batch` — obs metrics re-packed
   as a synthetic :class:`~repro.telemetry.schema.ObservationBatch`, the
   "ODA for the ODA" loop: the framework publishes this batch to a
@@ -25,6 +26,7 @@ from repro.obs.metrics import METRICS, MetricsRegistry
 from repro.obs.span import TRACER, Span, Tracer
 
 __all__ = [
+    "build_trees",
     "span_tree",
     "write_jsonl",
     "read_jsonl",
@@ -46,8 +48,10 @@ class TraceCorruptWarning(UserWarning):
 # -- span trees ---------------------------------------------------------------
 
 
-def span_tree(spans: list[Span] | None = None) -> list[dict]:
-    """Assemble finished spans into nested root trees.
+def build_trees(lines: list[dict]) -> list[dict]:
+    """Assemble span dicts (:meth:`Span.to_dict` lines) into nested root
+    trees — the one tree builder, used by :func:`span_tree` and by the
+    ``python -m repro.obs report`` CLI on a dump's span lines.
 
     Children are ordered by (name, seq) — the deterministic tree order —
     and roots by (trace_id, name, seq).  Spans whose parent never
@@ -56,15 +60,13 @@ def span_tree(spans: list[Span] | None = None) -> list[dict]:
     a reader can tell a severed subtree from a true root (data loss
     from topology).
     """
-    if spans is None:
-        spans = TRACER.finished()
-    nodes = {s.span_id: {**s.to_dict(), "children": []} for s in spans}
+    nodes = {line["span_id"]: {**line, "children": []} for line in lines}
     roots = []
-    for span in spans:
-        node = nodes[span.span_id]
-        parent = nodes.get(span.parent_id)
+    for line in lines:
+        node = nodes[line["span_id"]]
+        parent = nodes.get(line["parent_id"])
         if parent is None:
-            if span.parent_id:
+            if line["parent_id"]:
                 node["orphaned"] = True
             roots.append(node)
         else:
@@ -73,6 +75,14 @@ def span_tree(spans: list[Span] | None = None) -> list[dict]:
         node["children"].sort(key=lambda c: (c["name"], c["seq"]))
     roots.sort(key=lambda r: (r["trace_id"], r["name"], r["seq"]))
     return roots
+
+
+def span_tree(spans: list[Span] | None = None) -> list[dict]:
+    """Finished spans (default: the global tracer's) as nested root
+    trees; see :func:`build_trees`."""
+    if spans is None:
+        spans = TRACER.finished()
+    return build_trees([s.to_dict() for s in spans])
 
 
 def _flatten(roots: list[dict]) -> list[dict]:
@@ -98,8 +108,8 @@ def write_jsonl(
     """Dump spans (deterministic DFS order) and metrics to ``path``.
 
     Returns the number of lines written.  Span lines are byte-identical
-    across same-seed runs once ``duration_s`` is stripped; metric lines
-    carry wall-time distributions and are for operators, not replay
+    across same-seed runs once ``duration_s`` is stripped (time lives
+    there only); counter and gauge lines are for operators, not replay
     diffs.
     """
     tracer = tracer if tracer is not None else TRACER
@@ -128,13 +138,6 @@ def write_jsonl(
                         sort_keys=True,
                     )
                 )
-        for name, hist in snap["histograms"].items():
-            lines.append(
-                json.dumps(
-                    {"kind": "histogram", "name": name, **hist},
-                    sort_keys=True,
-                )
-            )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
     return len(lines)

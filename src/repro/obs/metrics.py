@@ -1,11 +1,10 @@
-"""Labeled metrics: counters, gauges, fixed-bucket histograms.
+"""Labeled metrics: counters and gauges.
 
-The process's one meter registry.  Every hop of the data plane records
-here: work counters (``query.parts_scanned``, unlabelled), per-topic
-volumes (``stream.produced_records{topic=power}``), and stage wall
-times, which :meth:`MetricsRegistry.timer` observes into histograms
-(``window.total``, ``tier.ingest``) so a stage's total, call count and
-worst call all come from one meter.
+The process's one meter registry, and it holds work only.  Every hop of
+the data plane records here: work counters (``query.parts_scanned``,
+unlabelled), per-topic volumes (``stream.produced_records{topic=power}``)
+and gauges.  Time is the tracer's: a stage's wall time is its span's
+``duration_s`` (:mod:`repro.obs.span`), so no stage is timed twice.
 
 Cheap enough to leave on: one dict update per record.  The ``enabled``
 attribute is the only recording control.
@@ -18,31 +17,7 @@ publishes exactly those, so the "ODA for the ODA" loop stays replayable.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from contextlib import contextmanager
-from time import perf_counter
-
-__all__ = [
-    "Histogram",
-    "MetricsRegistry",
-    "METRICS",
-    "DEFAULT_BUCKETS",
-    "SIZE_BUCKETS",
-]
-
-#: Default histogram bucket upper bounds (seconds-flavoured, geometric).
-DEFAULT_BUCKETS = (
-    1e-5,
-    1e-4,
-    1e-3,
-    1e-2,
-    1e-1,
-    1.0,
-    10.0,
-)
-
-#: Bucket bounds suited to row/byte counts.
-SIZE_BUCKETS = (1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7)
+__all__ = ["MetricsRegistry", "METRICS"]
 
 
 def _label_key(labels: dict) -> tuple:
@@ -56,50 +31,12 @@ def _render(name: str, label_key: tuple) -> str:
     return f"{name}{{{inner}}}"
 
 
-class Histogram:
-    """Fixed-bucket histogram (cumulative-style bucket counts)."""
-
-    __slots__ = ("edges", "counts", "total", "n", "max_value")
-
-    def __init__(self, edges: tuple[float, ...]) -> None:
-        if not edges or list(edges) != sorted(edges):
-            raise ValueError("bucket edges must be non-empty and ascending")
-        self.edges = tuple(float(e) for e in edges)
-        # counts[i] = observations <= edges[i]; counts[-1] = overflow.
-        self.counts = [0] * (len(self.edges) + 1)
-        self.total = 0.0
-        self.n = 0
-        self.max_value = 0.0
-
-    def observe(self, value: float) -> None:
-        # First edge >= value; len(edges) (the overflow slot) if none.
-        self.counts[bisect_left(self.edges, value)] += 1
-        self.total += value
-        self.n += 1
-        if value > self.max_value:
-            self.max_value = value
-
-    def to_dict(self) -> dict:
-        return {
-            "buckets": {
-                **{f"le_{edge:g}": c for edge, c in zip(self.edges, self.counts)},
-                "overflow": self.counts[-1],
-            },
-            "count": self.n,
-            "total": self.total,
-            "mean": self.total / self.n if self.n else 0.0,
-            "max": self.max_value,
-        }
-
-
 class MetricsRegistry:
-    """Labeled counters, gauges and histograms."""
+    """Labeled counters and gauges."""
 
     def __init__(self) -> None:
         self._counters: dict[tuple[str, tuple], float] = {}
         self._gauges: dict[tuple[str, tuple], float] = {}
-        self._hists: dict[tuple[str, tuple], Histogram] = {}
-        self._buckets: dict[str, tuple[float, ...]] = {}
         self._deterministic: set[str] = set()
         #: Whether records are accepted (the registry's one switch).
         self.enabled = True
@@ -136,60 +73,6 @@ class MetricsRegistry:
             if deterministic:
                 self._deterministic.add(name)
 
-    def register_buckets(self, name: str, edges: tuple[float, ...]) -> None:
-        """Fix the bucket bounds future ``observe(name, ...)`` calls use.
-
-        Must happen before the first observation of ``name``; later calls
-        with different bounds raise (mixing bucketings is unmergeable).
-        """
-        edges = tuple(float(e) for e in edges)
-        prev = self._buckets.get(name)
-        if prev is not None and prev != edges:
-            raise ValueError(
-                f"histogram {name!r} already registered with different "
-                "bucket edges"
-            )
-        for (hname, _), hist in self._hists.items():
-            if hname == name and hist.edges != edges:
-                raise ValueError(
-                    f"histogram {name!r} already observed with different "
-                    "bucket edges"
-                )
-        self._buckets[name] = edges
-
-    def observe(self, name: str, value: float, **labels) -> None:
-        """Record ``value`` into histogram ``name`` (per label set)."""
-        key = (name, _label_key(labels) if labels else ())
-        if self.enabled:
-            self._observe(key, value)
-
-    def _observe(self, key: tuple[str, tuple], value: float) -> None:
-        hist = self._hists.get(key)
-        if hist is None:
-            edges = self._buckets.get(key[0], DEFAULT_BUCKETS)
-            hist = self._hists[key] = Histogram(edges)
-        hist.observe(value)
-
-    @contextmanager
-    def timer(self, name: str, **labels):
-        """Observe a block's wall duration into histogram ``name``.
-
-        Whether the block is recorded is decided *once, at entry*: a
-        block entered while the registry is enabled is observed even if
-        recording stops before it exits (an exception included), and a
-        block entered while it is off stays unrecorded however the
-        switch moves.
-        """
-        if not self.enabled:
-            yield
-            return
-        key = (name, _label_key(labels) if labels else ())
-        t0 = perf_counter()
-        try:
-            yield
-        finally:
-            self._observe(key, perf_counter() - t0)
-
     # -- reading ---------------------------------------------------------------
 
     def counter(self, name: str, **labels) -> float:
@@ -199,11 +82,6 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels) -> float:
         """Current gauge value (0 if never set)."""
         return self._gauges.get((name, _label_key(labels)), 0.0)
-
-    def total(self, name: str, **labels) -> float:
-        """Sum of histogram ``name``'s observations (0.0 if never hit)."""
-        hist = self._hists.get((name, _label_key(labels)))
-        return hist.total if hist is not None else 0.0
 
     def snapshot(self) -> dict:
         """All meters as one JSON-ready tree, sorted and detached."""
@@ -215,10 +93,6 @@ class MetricsRegistry:
             "gauges": {
                 _render(n, lk): v
                 for (n, lk), v in sorted(self._gauges.items())
-            },
-            "histograms": {
-                _render(n, lk): h.to_dict()
-                for (n, lk), h in sorted(self._hists.items())
             },
         }
 
@@ -239,16 +113,12 @@ class MetricsRegistry:
         return sorted(pairs)
 
     def reset(self) -> None:
-        """Drop every meter (bucket registrations survive)."""
+        """Drop every meter."""
         self._counters.clear()
         self._gauges.clear()
-        self._hists.clear()
         self._deterministic.clear()
 
 
 #: The process-wide metrics registry the data plane records into.
 METRICS = MetricsRegistry()
 
-# Count-valued histograms need count-scaled buckets; register before any
-# instrumented module can observe into them with the default edges.
-METRICS.register_buckets("refine.rows_per_window", SIZE_BUCKETS)

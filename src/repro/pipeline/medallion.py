@@ -205,7 +205,7 @@ class MedallionPipeline:
     def _timed(
         self, name: str, table_in_rows: int, bytes_in: int, fn
     ) -> ColumnTable:
-        from repro.obs import METRICS, TRACER
+        from repro.obs import TRACER
 
         with TRACER.span(f"refine.{name}") as span:
             t0 = time.perf_counter()
@@ -216,8 +216,6 @@ class MedallionPipeline:
         self.stats[name].record(
             table_in_rows, out.num_rows, bytes_in, out.nbytes, wall,
         )
-        METRICS.observe(f"refine.{name}", wall)
-        METRICS.observe("refine.rows_per_window", out.num_rows, stage=name)
         return out
 
     def process(

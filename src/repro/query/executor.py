@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.columnar.file_format import RcfReader, read_table
 from repro.columnar.table import ColumnTable
-from repro.obs import METRICS, TRACER
+from repro.obs import TRACER
 from repro.perf import baseline
 from repro.query.cache import invalidate_token, load_column
 from repro.query.plan import PartRun, PartUnit, ScanPlan, SegmentUnit
@@ -89,8 +89,7 @@ def execute_plan(
     ):
         if baseline.active():
             return execute_plan_reference(plan)
-        with METRICS.timer("query.scan"):
-            return _execute_plan_impl(plan)
+        return _execute_plan_impl(plan)
 
 
 def _execute_plan_impl(plan: ScanPlan) -> ColumnTable:

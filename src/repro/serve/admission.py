@@ -12,6 +12,7 @@ see :class:`repro.serve.gateway.ServingGateway`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.serve.errors import AdmissionRejected
@@ -25,6 +26,9 @@ class TokenBucket:
     ``now`` is whatever monotone axis the caller runs on (the load
     harness uses simulated seconds), which keeps shedding decisions
     replayable: same arrivals at the same virtual times, same verdicts.
+    A non-finite ``now`` raises; one earlier than the last refills
+    nothing and leaves the clock where it was, so no interval is ever
+    refilled twice.
     """
 
     def __init__(self, rate: float, burst: float) -> None:
@@ -41,11 +45,14 @@ class TokenBucket:
 
     def try_take(self, now: float) -> bool:
         """Refill to ``now`` and consume one token if available."""
+        if not math.isfinite(now):
+            raise ValueError(f"token bucket clock must be finite, got {now!r}")
         if self._last is None:
             self._last = now
-        dt = max(0.0, now - self._last)
-        self._last = now
-        self.tokens = min(self.burst, self.tokens + dt * self.rate)
+        elif now > self._last:
+            dt = now - self._last
+            self.tokens = min(self.burst, self.tokens + dt * self.rate)
+            self._last = now
         if self.tokens >= 1.0:
             self.tokens -= 1.0
             return True

@@ -157,9 +157,6 @@ class ServingGateway:
         ):
             times[i] = dt
             self.admission.release(request.tenant)
-            METRICS.observe(
-                "serve.latency_s", dt, endpoint=request.endpoint
-            )
             if error is not None:
                 envelopes[i] = ResultEnvelope(
                     request, "error", error=error, generation=gen

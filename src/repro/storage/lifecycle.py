@@ -66,11 +66,10 @@ class LifecycleManager:
         ``compacted_bytes_rewritten`` — the bytes the merges put, the
         tick's write cost).
         """
-        from repro.obs import METRICS, TRACER
+        from repro.obs import TRACER
 
         with TRACER.span("lifecycle.tick", now=now, tick=self.ticks):
-            with METRICS.timer("lifecycle.tick"):
-                return self._tick_impl(now)
+            return self._tick_impl(now)
 
     def _tick_impl(self, now: float) -> dict[str, int]:
         from repro.obs import METRICS, TRACER

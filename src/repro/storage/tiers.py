@@ -276,11 +276,10 @@ class TieredStore:
 
         Returns which tiers received the batch.
         """
-        from repro.obs import METRICS, TRACER
+        from repro.obs import TRACER
 
         with TRACER.span(f"tier.ingest:{name}", rows=table.num_rows):
-            with METRICS.timer("tier.ingest"):
-                return self._ingest_impl(name, table, now)
+            return self._ingest_impl(name, table, now)
 
     def _ingest_impl(self, name: str, table: ColumnTable, now: float) -> dict[str, bool]:
         meta = self._meta(name)
@@ -439,13 +438,12 @@ class TieredStore:
         planning, so a crash between a compaction's commit put and its
         garbage-collection deletes never yields duplicate rows.
         """
-        from repro.obs import METRICS, TRACER
+        from repro.obs import TRACER
 
         with TRACER.span("query.archive", dataset=name):
-            with METRICS.timer("tier.query_archive"):
-                return self._query_archive_impl(
-                    name, t0, t1, predicate, columns, options
-                )
+            return self._query_archive_impl(
+                name, t0, t1, predicate, columns, options
+            )
 
     def _query_archive_impl(
         self,
@@ -548,11 +546,10 @@ class TieredStore:
         — at worst it re-aggregates a few parts, it never scans rows a
         second time once their partial exists.
         """
-        from repro.obs import METRICS, TRACER
+        from repro.obs import TRACER
 
         with TRACER.span("tier.rollup", rollup=name):
-            with METRICS.timer("tier.query_rollup"):
-                return self._query_rollup_impl(name)
+            return self._query_rollup_impl(name)
 
     def _query_rollup_impl(self, name: str) -> ColumnTable:
         from repro.obs import METRICS
@@ -860,11 +857,10 @@ class TieredStore:
 
         Returns ``{"merged": n_parts, "bytes_before": .., "bytes_after": ..}``.
         """
-        from repro.obs import METRICS, TRACER
+        from repro.obs import TRACER
 
         with TRACER.span("tier.compact", dataset=name):
-            with METRICS.timer("tier.compact"):
-                return self._compact_impl(name, min_objects)
+            return self._compact_impl(name, min_objects)
 
     def _compact_impl(self, name: str, min_objects: int) -> dict[str, int]:
         from repro.obs import METRICS

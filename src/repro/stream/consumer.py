@@ -103,39 +103,38 @@ class Consumer:
         budget = max_records
         n_fetched = 0
         with TRACER.span("stream.fetch", topic=self.topic) as span:
-            with METRICS.timer("stream.fetch"):
-                for p in self._positions:
-                    if budget is not None and budget <= 0:
-                        break
-                    pos = self._positions[p]
-                    earliest = self.broker.earliest_offset(self.topic, p)
-                    if earliest > pos:
-                        skipped = earliest - pos
-                        self.skipped_by_retention += skipped
-                        METRICS.inc(
-                            "stream.skipped_by_retention",
-                            skipped,
-                            topic=self.topic,
-                            shard=self.broker.shard_of(p, self.topic),
-                        )
-                        pos = earliest
-                    records = call_with_retry(
-                        lambda: self.broker.fetch(self.topic, p, pos, budget),
-                        policy=self.retry_policy,
-                        site="consumer.fetch",
+            for p in self._positions:
+                if budget is not None and budget <= 0:
+                    break
+                pos = self._positions[p]
+                earliest = self.broker.earliest_offset(self.topic, p)
+                if earliest > pos:
+                    skipped = earliest - pos
+                    self.skipped_by_retention += skipped
+                    METRICS.inc(
+                        "stream.skipped_by_retention",
+                        skipped,
+                        topic=self.topic,
+                        shard=self.broker.shard_of(p, self.topic),
                     )
-                    if records:
-                        self._positions[p] = records[-1].offset + 1
-                        self._touched.add(p)
-                        out.append((p, records))
-                        n_fetched += len(records)
-                        if budget is not None:
-                            budget -= len(records)
-                    elif pos != self._positions[p]:
-                        # Moved past a trimmed gap with nothing beyond it
-                        # yet: real (accounted) progress, worth committing.
-                        self._positions[p] = pos
-                        self._touched.add(p)
+                    pos = earliest
+                records = call_with_retry(
+                    lambda: self.broker.fetch(self.topic, p, pos, budget),
+                    policy=self.retry_policy,
+                    site="consumer.fetch",
+                )
+                if records:
+                    self._positions[p] = records[-1].offset + 1
+                    self._touched.add(p)
+                    out.append((p, records))
+                    n_fetched += len(records)
+                    if budget is not None:
+                        budget -= len(records)
+                elif pos != self._positions[p]:
+                    # Moved past a trimmed gap with nothing beyond it
+                    # yet: real (accounted) progress, worth committing.
+                    self._positions[p] = pos
+                    self._touched.add(p)
             if span is not None:
                 span.set(records=n_fetched)
         if n_fetched:

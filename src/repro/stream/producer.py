@@ -57,10 +57,9 @@ class Producer:
         """Produce one record; ``nbytes`` defaults to an estimate."""
         size = _estimate_nbytes(value) if nbytes is None else nbytes
         with TRACER.span("stream.produce", topic=topic, nbytes=size):
-            with METRICS.timer("stream.produce"):
-                record = self.broker.produce(
-                    topic, value, key=key, timestamp=timestamp, nbytes=size
-                )
+            record = self.broker.produce(
+                topic, value, key=key, timestamp=timestamp, nbytes=size
+            )
         METRICS.inc("stream.produced_records", topic=topic)
         METRICS.inc("stream.produced_bytes", size, topic=topic)
         return record

@@ -26,9 +26,6 @@ from repro.util.noise import normal_from_index, uniform_from_index
 
 __all__ = ["DarshanRecord", "DarshanCollector"]
 
-#: Access-size histogram bucket upper bounds (bytes).
-ACCESS_BUCKETS = (4_096, 65_536, 1_048_576, 16_777_216, float("inf"))
-
 
 @dataclass(frozen=True)
 class DarshanRecord:
@@ -39,7 +36,9 @@ class DarshanRecord:
     bytes_written: float
     files_opened: int
     write_fraction: float
-    access_histogram: tuple[float, ...]  # fraction of accesses per bucket
+    #: Fraction of accesses per size bucket: up to 4 KiB, 64 KiB, 1 MiB,
+    #: 16 MiB, and larger.
+    access_histogram: tuple[float, ...]
     peak_bandwidth_bps: float
 
     @property

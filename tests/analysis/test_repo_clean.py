@@ -187,6 +187,27 @@ def test_one_metrics_registry():
     assert bad == []
 
 
+def test_one_time_instrument():
+    # One instrument for time (DESIGN.md §12, "Metrics registry"): a
+    # stage's wall time is its span's ``duration_s``, and METRICS holds
+    # work only — counters and gauges.  A stage timer, a histogram or a
+    # bucket table in src times a stage a second time.
+    import repro.obs
+    from repro.obs import MetricsRegistry
+
+    for name in ("timer", "observe", "total", "register_buckets"):
+        assert not hasattr(MetricsRegistry, name), name
+    assert set(repro.obs.METRICS.snapshot()) == {"counters", "gauges"}
+    pattern = re.compile(r"METRICS\.(timer|observe|total)|Histogram|_BUCKETS")
+    bad = [
+        f"{path}:{lineno}: {line.strip()}"
+        for path, source in _src_files()
+        for lineno, line in enumerate(source.splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert bad == []
+
+
 def test_one_write_path_memo():
     # No memo on the write path, one on the read path (DESIGN.md §8,
     # "Content-addressed memos"): the row-group cache.  The

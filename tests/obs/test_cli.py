@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import Tracer, write_jsonl
+from repro.obs import Tracer, span_tree, write_jsonl
 from repro.obs.__main__ import main, report
 from repro.obs.metrics import MetricsRegistry
 
@@ -22,7 +22,7 @@ def dump(tmp_path):
             pass
     m = MetricsRegistry()
     m.inc("records", 12, topic="power")
-    m.observe("lat", 0.25)
+    m.set_gauge("lag", 3.0, topic="power")
     path = tmp_path / "trace.jsonl"
     write_jsonl(path, tracer=t, metrics=m)
     return path
@@ -68,6 +68,30 @@ def test_json_report(dump):
     assert totals["refine.bronze"] == 1
 
 
+def test_json_traces_equal_span_tree_orphans_included(tmp_path):
+    """The report assembles a dump's span lines with the exporter's own
+    tree builder: its ``traces`` are ``span_tree`` of the dumped spans,
+    orphans (their root dropped by the buffer bound) included."""
+    t = Tracer(max_spans=3)
+    with t.trace(seed=2, name="w"):
+        with t.span("a", rows=4):
+            with t.span("kept"):
+                pass
+        with t.span("b"):
+            pass
+    assert t.dropped == 1  # the root "w"
+    path = tmp_path / "orphans.jsonl"
+    write_jsonl(path, tracer=t, metrics=MetricsRegistry())
+    out = io.StringIO()
+    assert report(path, "json", depth=6, out=out) == 0
+    traces = json.loads(out.getvalue())["traces"]
+    assert traces == json.loads(json.dumps(span_tree(t.finished())))
+    assert [(r["name"], r.get("orphaned")) for r in traces] == [
+        ("a", True), ("b", True),
+    ]
+    assert [c["name"] for c in traces[0]["children"]] == ["kept"]
+
+
 def test_main_runs_report(dump, capsys):
     rc = main(["report", str(dump)])
     assert rc == 0
@@ -80,8 +104,9 @@ def test_depth_must_be_positive(dump):
 
 
 def test_text_report_shows_stage_timers_and_volumes(tmp_path):
-    """A real run's dump carries the stage timers and the per-topic
-    volumes as ordinary meter lines, so the text report names both."""
+    """A real run's dump carries the stage times as spans and the
+    per-topic volumes as meter lines, so the text report's per-span
+    totals hold the ``window`` row and its meters the volumes."""
     import numpy as np
 
     from repro.core import ODAFramework
@@ -95,5 +120,8 @@ def test_text_report_shows_stage_timers_and_volumes(tmp_path):
     out = io.StringIO()
     assert report(path, "text", depth=6, out=out) == 0
     text = out.getvalue()
-    assert "window.total" in text
+    totals = text.split("per-span totals (hottest first)\n")[1]
+    totals = totals.split("\n\n")[0]
+    rows = {line.split()[0]: line for line in totals.splitlines() if line}
+    assert "calls=3 " in rows["window"]
     assert "stream.produced_records" in text

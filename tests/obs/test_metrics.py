@@ -1,10 +1,9 @@
-"""MetricsRegistry: labeled meters, histograms, the recording switch,
-determinism (the unlabelled core contract is in tests/perf)."""
+"""MetricsRegistry: labeled meters, the recording switch, determinism
+(the unlabelled core contract is in tests/perf)."""
 
 import pytest
 
-from repro.obs import METRICS, Histogram, MetricsRegistry
-from repro.obs.metrics import DEFAULT_BUCKETS, SIZE_BUCKETS
+from repro.obs import MetricsRegistry
 
 
 @pytest.fixture()
@@ -39,86 +38,16 @@ class TestCountersAndGauges:
         assert snap["gauges"] == {"depth": 2.0}
 
 
-class TestHistograms:
-    def test_histogram_buckets(self):
-        h = Histogram((1.0, 10.0))
-        for v in (0.5, 5.0, 50.0):
-            h.observe(v)
-        d = h.to_dict()
-        assert d["buckets"] == {"le_1": 1, "le_10": 1, "overflow": 1}
-        assert d["count"] == 3
-        assert d["max"] == 50.0
-        assert d["mean"] == pytest.approx(55.5 / 3)
-
-    def test_histogram_rejects_bad_edges(self):
-        with pytest.raises(ValueError):
-            Histogram(())
-        with pytest.raises(ValueError):
-            Histogram((2.0, 1.0))
-
-    def test_observe_uses_registered_buckets(self, reg):
-        reg.register_buckets("rows", SIZE_BUCKETS)
-        reg.observe("rows", 500.0, stage="silver")
-        hist = reg.snapshot()["histograms"]["rows{stage=silver}"]
-        assert hist["buckets"]["le_1000"] == 1
-
-    def test_register_conflicting_buckets_raises(self, reg):
-        reg.register_buckets("rows", SIZE_BUCKETS)
-        reg.register_buckets("rows", SIZE_BUCKETS)  # idempotent
-        with pytest.raises(ValueError):
-            reg.register_buckets("rows", DEFAULT_BUCKETS)
-
-    def test_register_after_observe_checks_existing(self, reg):
-        reg.observe("lat", 0.5)  # lands in DEFAULT_BUCKETS
-        with pytest.raises(ValueError):
-            reg.register_buckets("lat", SIZE_BUCKETS)
-
-    def test_timer_observes_duration(self, reg):
-        with reg.timer("lat", site="x"):
-            pass
-        hist = reg.snapshot()["histograms"]["lat{site=x}"]
-        assert hist["count"] == 1
-        assert hist["max"] >= 0.0
-
-    def test_reset_keeps_bucket_registrations(self, reg):
-        reg.register_buckets("rows", SIZE_BUCKETS)
-        reg.observe("rows", 5.0)
-        reg.reset()
-        assert reg.snapshot()["histograms"] == {}
-        reg.observe("rows", 5.0)
-        hist = reg.snapshot()["histograms"]["rows"]
-        assert "le_1e+07" in hist["buckets"]
-
-
 class TestSuspension:
     """``enabled`` is the registry's one recording control."""
 
     def test_disabled_flag(self, reg):
         reg.enabled = False
-        reg.inc("x")
-        reg.observe("h", 1.0)
-        reg.set_gauge("g", 1.0)
-        with reg.timer("t"):
-            pass
+        reg.inc("x", topic="power")
+        reg.set_gauge("g", 1.0, topic="power")
         assert not reg.enabled
         reg.enabled = True
-        assert reg.snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {},
-        }
-
-    def test_timer_decides_once_at_entry(self, reg):
-        """A labelled block that starts enabled is observed even if
-        recording is switched off before it exits — and vice versa.
-        (The unlabelled stage-timer case is in tests/perf.)"""
-        with reg.timer("lat", site="on"):
-            reg.enabled = False
-        reg.enabled = True
-        assert reg.snapshot()["histograms"]["lat{site=on}"]["count"] == 1
-
-        reg.enabled = False
-        with reg.timer("lat", site="off"):
-            reg.enabled = True
-        assert "lat{site=off}" not in reg.snapshot()["histograms"]
+        assert reg.snapshot() == {"counters": {}, "gauges": {}}
 
 
 class TestDeterministicMeters:
@@ -131,10 +60,3 @@ class TestDeterministicMeters:
             ("oda.windows", 1.0),
         ]
 
-
-def test_global_registry_preregisters_size_buckets():
-    """The process-wide registry fixes count-scaled buckets for the
-    count-valued histograms before any instrumented module observes."""
-    METRICS.register_buckets("refine.rows_per_window", SIZE_BUCKETS)
-    with pytest.raises(ValueError):
-        METRICS.register_buckets("refine.rows_per_window", DEFAULT_BUCKETS)

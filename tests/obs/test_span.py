@@ -1,4 +1,6 @@
-"""Tracer semantics: nesting, determinism, bounds."""
+"""Tracer semantics: nesting, determinism, bounds, durations."""
+
+import time
 
 import pytest
 
@@ -65,6 +67,38 @@ def test_error_marks_status(tracer):
     assert by_name["w"].status == "error"
 
 
+def test_durations_are_block_wall_times(tracer):
+    """Spans are the one time instrument: a span's ``duration_s`` is
+    its block's wall time, so a child's lies within its parent's, and a
+    block that raises is timed too."""
+    with tracer.trace(seed=0, name="w"):
+        with tracer.span("child"):
+            time.sleep(0.002)
+        with pytest.raises(RuntimeError):
+            with tracer.span("boom"):
+                time.sleep(0.001)
+                raise RuntimeError("x")
+    by_name = {s.name: s for s in tracer.finished()}
+    assert by_name["child"].duration_s >= 0.002
+    assert by_name["boom"].duration_s >= 0.001
+    assert by_name["w"].duration_s >= (
+        by_name["child"].duration_s + by_name["boom"].duration_s
+    )
+
+
+def test_switch_is_read_once_at_entry(tracer):
+    """A span opened while the tracer is on is kept even if it is
+    switched off before the span exits, and one opened while it is off
+    stays unrecorded however the switch moves."""
+    with tracer.trace(seed=0, name="w"):
+        with tracer.span("straddle.on"):
+            tracer.enabled = False
+        with tracer.span("straddle.off") as off:
+            assert off is None
+            tracer.enabled = True
+    assert [s.name for s in tracer.finished()] == ["straddle.on", "w"]
+
+
 def test_attrs_and_set(tracer):
     with tracer.trace(seed=0, name="w", machine="mini") as root:
         root.set(rows=5)
@@ -97,7 +131,8 @@ def test_buffer_bound_counts_drops():
         for i in range(4):
             with t.span(f"s{i}"):
                 pass
-    assert len(t.finished()) == 2
+    # The first spans to finish are kept; every later one is counted.
+    assert [s.name for s in t.finished()] == ["s0", "s1"]
     assert t.dropped == 3  # two extra children + the root
     t.reset()
     assert t.dropped == 0 and t.finished() == []

@@ -1,11 +1,11 @@
 """The one meter registry's core contract, and the repro.perf isolation
 helpers the benchmarks call between repetitions.
 
-Work counters and stage timers record into :class:`MetricsRegistry`
-(``repro.perf.PERF`` is only a second name for ``repro.obs.METRICS``):
-counters, timers observed as histograms, reset, snapshots, the one
-``enabled`` switch.  Labels, gauges, bucket registration and
-determinism are in ``tests/obs/test_metrics.py``.
+Work counters record into :class:`MetricsRegistry` (``repro.perf.PERF``
+is only a second name for ``repro.obs.METRICS``): counters, reset,
+snapshots, the one ``enabled`` switch.  Stage times are spans'
+(``tests/obs/test_span.py``).  Labels, gauges and determinism are in
+``tests/obs/test_metrics.py``.
 """
 
 import pytest
@@ -19,25 +19,6 @@ def reg():
     return MetricsRegistry()
 
 
-def test_timer_accumulates(reg):
-    for _ in range(3):
-        with reg.timer("stage.a"):
-            pass
-    hist = reg.snapshot()["histograms"]["stage.a"]
-    assert hist["count"] == 3
-    assert hist["total"] >= 0.0
-    assert hist["max"] <= hist["total"]
-    assert reg.total("stage.a") == hist["total"]
-    assert reg.total("never.recorded") == 0.0
-
-
-def test_timer_records_on_exception(reg):
-    with pytest.raises(RuntimeError):
-        with reg.timer("stage.boom"):
-            raise RuntimeError("boom")
-    assert reg.snapshot()["histograms"]["stage.boom"]["count"] == 1
-
-
 def test_counters(reg):
     reg.inc("rows")
     reg.inc("rows", 41)
@@ -48,50 +29,22 @@ def test_counters(reg):
 
 
 def test_reset_and_snapshot_shape(reg):
-    with reg.timer("t"):
-        pass
     reg.inc("c")
+    reg.set_gauge("g", 1.0)
     snap = reg.snapshot()
-    assert set(snap) == {"counters", "gauges", "histograms"}
+    assert set(snap) == {"counters", "gauges"}
     reg.reset()
-    assert reg.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
+    assert reg.snapshot() == {"counters": {}, "gauges": {}}
 
 
 def test_disabled_context(reg):
-    """A block run with recording switched off leaves nothing behind,
-    stage timers included."""
+    """A block run with recording switched off leaves nothing behind."""
     reg.enabled = False
-    with reg.timer("t"):
-        pass
     reg.inc("c")
+    reg.set_gauge("g", 1.0)
     reg.enabled = True
-    assert reg.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
+    assert reg.snapshot() == {"counters": {}, "gauges": {}}
     assert reg.enabled
-
-
-def test_timer_decides_once_at_entry(reg):
-    """A block that starts enabled is recorded even if recording is
-    switched off before it exits — and vice versa."""
-    with reg.timer("straddle.on"):
-        reg.enabled = False
-    reg.enabled = True
-    assert reg.snapshot()["histograms"]["straddle.on"]["count"] == 1
-
-    reg.enabled = False
-    with reg.timer("straddle.off"):
-        reg.enabled = True
-    assert "straddle.off" not in reg.snapshot()["histograms"]
-
-
-def test_timer_entered_before_disabled_region_still_records(reg):
-    with reg.timer("outer"):
-        reg.enabled = False
-        with reg.timer("inner"):
-            pass
-        reg.enabled = True
-    hists = reg.snapshot()["histograms"]
-    assert hists["outer"]["count"] == 1
-    assert "inner" not in hists
 
 
 def test_snapshot_is_sorted_and_detached(reg):
@@ -104,22 +57,30 @@ def test_snapshot_is_sorted_and_detached(reg):
 
 
 def test_global_registry_is_wired():
-    """The data plane records its stage timers into METRICS, as
-    histograms under their documented names."""
+    """A MINI window records its work into METRICS and its stage times
+    as spans: the ``window`` root, a ``tier.ingest:<dataset>`` span per
+    tier write and a ``stream.produce`` span per record, each timed."""
     import numpy as np
 
     from repro.core import ODAFramework
+    from repro.obs import TRACER
     from repro.telemetry import MINI, synthetic_job_mix
 
     rng = np.random.default_rng(2)
     allocation = synthetic_job_mix(MINI, 0.0, 30.0, rng)
-    METRICS.reset()
+    reset_all()
     with ODAFramework(MINI, allocation, seed=1) as fw:
         fw.run_window(0.0, 30.0)
-    hists = METRICS.snapshot()["histograms"]
-    for name in ("window.total", "telemetry.emit", "tier.ingest"):
-        assert name in hists, f"missing {name}: have {sorted(hists)}"
-    assert hists["window.total"]["total"] >= hists["telemetry.emit"]["total"]
+    spans = TRACER.finished()
+    names = {s.name for s in spans}
+    assert "window" in names and "stream.produce" in names, sorted(names)
+    assert any(n.startswith("tier.ingest:") for n in names), sorted(names)
+    (window,) = [s for s in spans if s.name == "window"]
+    assert window.duration_s > 0.0
+    produce = [s for s in spans if s.name == "stream.produce"]
+    assert sum(s.duration_s for s in produce) <= window.duration_s
+    assert METRICS.counter("stream.produced_records", topic="power") > 0
+    reset_all()
 
 
 def test_baseline_mode_restores_fast_path():
@@ -145,15 +106,11 @@ def test_reset_all_covers_perf_and_obs():
     from repro.obs import TRACER
 
     METRICS.inc("leftover")
-    with METRICS.timer("leftover.t"):
-        pass
     METRICS.set_gauge("leftover.g", 1.0)
     with TRACER.trace(seed=0, name="leftover"):
         pass
     reset_all()
-    assert METRICS.snapshot() == {
-        "counters": {}, "gauges": {}, "histograms": {},
-    }
+    assert METRICS.snapshot() == {"counters": {}, "gauges": {}}
     assert TRACER.finished() == []
 
 

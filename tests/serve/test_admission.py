@@ -40,6 +40,31 @@ class TestTokenBucket:
         assert not bucket.try_take(5.0)  # no negative refill, no crash
         assert bucket.try_take(11.0)
 
+    def test_non_finite_clock_raises_and_leaves_the_bucket_alone(self):
+        """A non-finite clock raises and changes nothing: taken as a
+        time, NaN would cost the next arrival its refill."""
+        bucket = TokenBucket(rate=1.0, burst=1.0)
+        assert bucket.try_take(0.0)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                bucket.try_take(bad)
+        assert bucket.try_take(10.0)
+        assert not bucket.try_take(10.0)
+        assert bucket.try_take(20.0)
+        with pytest.raises(ValueError):
+            TokenBucket(rate=1.0, burst=1.0).try_take(float("nan"))
+
+    def test_backwards_clock_never_refills_an_interval_twice(self):
+        """An arrival earlier than the last one refills nothing and
+        keeps the clock, so the interval it skipped back over is not
+        refilled again on the next forward arrival."""
+        bucket = TokenBucket(rate=1.0, burst=3.0)
+        assert [bucket.try_take(0.0) for _ in range(3)] == [True] * 3
+        assert bucket.try_take(2.0)  # 2 tokens back, 1 left
+        assert bucket.try_take(0.0)  # backwards: takes the last one
+        assert not bucket.try_take(2.0)  # [0, 2] was refilled already
+        assert bucket.try_take(3.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TokenBucket(rate=0.0, burst=1.0)
